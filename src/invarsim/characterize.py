@@ -20,12 +20,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     ConfigError,
     IngestError,
@@ -39,12 +42,14 @@ from .patches import (
     sample_patches,
 )
 from .render import (
+    RadianceImage,
     RenderConfig,
     SensorConfig,
     apply_sensor,
     compute_flow,
     render_frame,
     render_ground_truth,
+    render_media,
 )
 from .scene import WEATHER_PRESETS, DynamicsScript
 from .scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
@@ -62,6 +67,24 @@ MODELS = ("OC", "BC", "GC", "PS", "DS")
 
 #: measure direction per model: is a larger criterion value better?
 HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": False}
+
+#: part of every cell-cache key; bump it whenever a change to rendering or
+#: measuring moves cell values, so no resumed run mixes old cells in
+CACHE_EPOCH = 1
+
+#: keys ``ProtocolConfig.from_dict`` accepts, per block ("" is the top level)
+_PROTOCOL_KEYS = {
+    "": {"model", "source", "scene", "theta_w", "theta_v", "contexts",
+         "patches_per_cell", "seeds", "render", "sensor", "thresholds",
+         "exclude_occluded", "zero_flow", "ingest"},
+    "theta_w": {"illumination_levels", "weather_tags", "density_scales",
+                "speed_scales", "sunny_tags"},
+    "theta_v": {"patch_sizes"},
+    "seeds": {"scene", "render", "patch", "sensor"},
+    "render": {"width", "height", "spp", "max_bounces"},
+    "thresholds": {"ds_angle_deg"},
+    "ingest": {"directory", "annotation"},
+}
 
 
 def _mix(*parts) -> int:
@@ -141,6 +164,7 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
+        _reject_unknown_keys(doc)
         try:
             tw = doc.get("theta_w", {})
             tv = doc.get("theta_v", {})
@@ -234,6 +258,18 @@ class ProtocolConfig:
             gamma=float(self.sensor.get("gamma", 1.0)),
             noise_seed=_mix(self.sensor_seed, *tags),
         )
+
+
+def _reject_unknown_keys(doc):
+    """A misspelt key would otherwise run silently with its default."""
+    for block, allowed in _PROTOCOL_KEYS.items():
+        part = doc.get(block, {}) if block else doc
+        if not isinstance(part, dict):
+            raise ConfigError("expected a JSON object", json_path=block or None)
+        unknown = sorted(set(part) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r}",
+                              json_path=f"{block}.{unknown[0]}" if block else unknown[0])
 
 
 _RAMP_40 = tuple(1.0 + 4.0 * i / 39.0 for i in range(40))
@@ -546,19 +582,27 @@ def rank_manifold_contexts(manifold: Manifold) -> dict:
 # -- sweep engine -----------------------------------------------------------
 
 
-def _scale_sun(scene, factor):
-    """Scene with its first directional light's intensity scaled."""
-    lights = []
-    found = False
-    for l in scene.lights:
-        if l.kind == "directional" and not found:
-            lights.append(dataclasses.replace(l, intensity=l.intensity * factor))
-            found = True
-        else:
-            lights.append(l)
-    if not found and factor != 1.0:
-        raise ConfigError("protocol requires a directional light in the scene")
-    return dataclasses.replace(scene, lights=tuple(lights))
+def _sun_basis(scene, rcfg, levels):
+    """Two renders that give the scene's radiance at every level of a sun ramp.
+
+    Radiance (surface, bounce and airlight alike) is affine in the intensity
+    of the first directional light, so with ``hdr0`` rendered with that
+    light off, the radiance at ``level`` times its intensity is
+    ``hdr0 + level * hdr_sun``.  A scene without a directional light allows
+    only levels of 1, where ``hdr_sun`` is zero.
+    """
+    lights = tuple(scene.lights)
+    dark = scene
+    for i, light in enumerate(lights):
+        if light.kind == "directional":
+            off = dataclasses.replace(light, intensity=0.0)
+            dark = dataclasses.replace(scene, lights=lights[:i] + (off,) + lights[i + 1:])
+            break
+    else:
+        if any(level != 1.0 for level in levels):
+            raise ConfigError("protocol requires a directional light in the scene")
+    hdr0 = render_frame(dark, rcfg).data
+    return hdr0, render_frame(scene, rcfg).data - hdr0
 
 
 def _ambient_only(scene):
@@ -583,8 +627,9 @@ def _scale_velocities(scene, factor):
     return dataclasses.replace(scene, dynamics=DynamicsScript(tuple(keys)))
 
 
-def _ldr_float(scene, protocol, *sensor_tags):
-    hdr = render_frame(scene, protocol.render_config())
+def _ldr_float(hdr, protocol, *sensor_tags):
+    """A rendered frame as the protocol's sensor sees it; raw radiance
+    when the protocol has no sensor."""
     scfg = protocol.sensor_config(*sensor_tags)
     if scfg is None:
         return hdr.data
@@ -621,46 +666,71 @@ def _stats_record(protocol, context, theta_w, theta_v, values):
     return rec, skipped
 
 
+def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
+    """``evaluate(state, coord)`` per coordinate, in order, through the cache.
+
+    ``prepare()`` builds the state every cell shares (renders, ground truth,
+    patches); it runs only when some cell misses the cache, so resuming a
+    finished sweep renders nothing.
+    """
+    coords = list(coords)
+    results = [cache.load(c) if cache is not None else None for c in coords]
+    missing = [i for i, r in enumerate(results) if r is None]
+    if not missing:
+        return results
+    state = prepare()
+
+    def run(i):
+        out = evaluate(state, coords[i])
+        if cache is not None:
+            cache.store(coords[i], out)
+        return out
+
+    for i, out in zip(missing, _parallel_map(run, missing, threads, progress)):
+        results[i] = out
+    return results
+
+
 def _run_photometric_sweep(protocol, threads, progress, cache=None):
-    """OC/BC/GC: sun-intensity ramp against a fixed reference or frame pair."""
-    scene_cfg = SceneConfig.from_dict(protocol.scene)
-    base = sample_scene(scene_cfg, protocol.scene_seed)
+    """OC/BC/GC: sun-intensity ramp against a fixed reference or frame pair.
+
+    Radiance is affine in the sun's intensity, so the lit geometry is
+    rendered twice, with the sun off and at full strength, and each level's
+    frame is the affine combination of the two before the sensor stage.
+    """
     rcfg = protocol.render_config()
 
-    if protocol.model == "OC":
-        # reference: static subset of the scene under ambient light only
-        ref_scene = _ambient_only(_without_dynamic_objects(base))
-        cur_geometry = apply_dynamics(base, 0)
-        gt_cur = render_ground_truth(cur_geometry, rcfg)
-        gt_ref = render_ground_truth(ref_scene, rcfg)
-        flow = occl = None
-        ref_img = _ldr_float(ref_scene, protocol, "ref")
-        cmaps = {s: classify_contexts(gt_cur, gt_next=gt_ref, window=s)
-                 for s in protocol.patch_sizes}
-    else:
-        scene_t = apply_dynamics(base, 0)
-        scene_t1_geom = apply_dynamics(base, 1)
-        flow, occl = compute_flow(scene_t, scene_t1_geom, rcfg)
-        gt_t = render_ground_truth(scene_t, rcfg)
-        gt_t.flow = flow
-        gt_t.occlusion = occl
-        gt_t1 = render_ground_truth(scene_t1_geom, rcfg)
-        ref_img = _ldr_float(scene_t, protocol, "frame_t")
-        cmaps = {s: classify_contexts(gt_t, gt_next=gt_t1, window=s)
-                 for s in protocol.patch_sizes}
-
-    patches, _ = _collect_patches(protocol, cmaps)
-
-    def eval_level(level):
-        if cache is not None:
-            cached = cache.load(level)
-            if cached is not None:
-                return cached
+    def prepare():
+        base = sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
         if protocol.model == "OC":
-            cur_scene = _scale_sun(apply_dynamics(base, 0), level)
+            # reference: static subset of the scene under ambient light only
+            ref_scene = _ambient_only(_without_dynamic_objects(base))
+            lit = apply_dynamics(base, 0)
+            gt_cur = render_ground_truth(lit, rcfg)
+            gt_ref = render_ground_truth(ref_scene, rcfg)
+            flow = occl = None
+            ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
+            cmaps = {s: classify_contexts(gt_cur, gt_next=gt_ref, window=s)
+                     for s in protocol.patch_sizes}
         else:
-            cur_scene = _scale_sun(apply_dynamics(base, 1), level)
-        cur_img = _ldr_float(cur_scene, protocol, "level", float(level).hex())
+            scene_t = apply_dynamics(base, 0)
+            lit = apply_dynamics(base, 1)
+            flow, occl = compute_flow(scene_t, lit, rcfg)
+            gt_t = render_ground_truth(scene_t, rcfg)
+            gt_t.flow = flow
+            gt_t.occlusion = occl
+            gt_t1 = render_ground_truth(lit, rcfg)
+            ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
+            cmaps = {s: classify_contexts(gt_t, gt_next=gt_t1, window=s)
+                     for s in protocol.patch_sizes}
+        patches, _ = _collect_patches(protocol, cmaps)
+        hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
+        return ref_img, flow, occl, patches, hdr0, hdr_sun
+
+    def eval_level(state, level):
+        ref_img, flow, occl, patches, hdr0, hdr_sun = state
+        cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
+                             "level", float(level).hex())
         records = []
         skipped = 0
         for s in protocol.patch_sizes:
@@ -691,11 +761,10 @@ def _run_photometric_sweep(protocol, threads, progress, cache=None):
                 rec, skip = _stats_record(protocol, context, theta_w, theta_v, values)
                 records.append(rec)
                 skipped += skip
-        if cache is not None:
-            cache.store(level, (records, skipped))
         return records, skipped
 
-    results = _parallel_map(eval_level, protocol.illumination_levels, threads, progress)
+    results = _sweep_cells(protocol.illumination_levels, prepare, eval_level,
+                           cache, threads, progress)
     records = [r for recs, _ in results for r in recs]
     degenerate = sum(sk for _, sk in results)
     return Manifold(protocol.model, ("illumination",), ("s",), records,
@@ -703,15 +772,12 @@ def _run_photometric_sweep(protocol, threads, progress, cache=None):
 
 
 def _run_ps_sweep(protocol, threads, progress, cache=None):
-    scene_cfg = SceneConfig.from_dict(protocol.scene)
-    base = sample_scene(scene_cfg, protocol.scene_seed)
     rcfg = protocol.render_config()
 
-    def eval_speed(speed):
-        if cache is not None:
-            cached = cache.load(speed)
-            if cached is not None:
-                return cached
+    def prepare():
+        return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+
+    def eval_speed(base, speed):
         scaled = _scale_velocities(base, speed)
         frames = [apply_dynamics(scaled, t) for t in range(4)]
         flows = []
@@ -746,12 +812,10 @@ def _run_ps_sweep(protocol, threads, progress, cache=None):
                 rec, skip = _stats_record(protocol, context, theta_w, theta_v, values)
                 records.append(rec)
                 skipped += skip
-        out = (records, skipped)
-        if cache is not None:
-            cache.store(speed, out)
-        return out
+        return records, skipped
 
-    results = _parallel_map(eval_speed, protocol.speed_scales, threads, progress)
+    results = _sweep_cells(protocol.speed_scales, prepare, eval_speed,
+                           cache, threads, progress)
     records = [r for recs, _ in results for r in recs]
     degenerate = sum(sk for _, sk in results)
     return Manifold(protocol.model, ("speed",), ("s",), records,
@@ -759,31 +823,30 @@ def _run_ps_sweep(protocol, threads, progress, cache=None):
 
 
 def _run_ds_sweep(protocol, threads, progress, cache=None):
-    scene_cfg = SceneConfig.from_dict(protocol.scene)
-    base = sample_scene(scene_cfg, protocol.scene_seed)
+    """DS: each weather tag's density ramp rendered in one Monte Carlo pass."""
+    rcfg = protocol.render_config()
 
-    def eval_weather(tag):
-        if cache is not None:
-            cached = cache.load(tag)
-            if cached is not None:
-                return cached
+    def prepare():
+        return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+
+    def eval_weather(base, tag):
         if tag not in WEATHER_PRESETS or tag == "Clear":
             raise ConfigError(f"unknown weather tag {tag!r}",
                               json_path="theta_w.weather_tags")
         preset = WEATHER_PRESETS[tag]
         scene = base if tag in protocol.sunny_tags else _ambient_only(base)
+        media = [preset.scaled(density) for density in protocol.density_scales]
         observations = []
-        for density in protocol.density_scales:
-            foggy = dataclasses.replace(scene, medium=preset.scaled(density))
-            img = _ldr_float(foggy, protocol, "weather", tag,
-                             float(density).hex())
+        for density, hdr in zip(protocol.density_scales,
+                                render_media(scene, media, rcfg)):
+            img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
             observations.append(img.reshape(-1, 3))
         samples = np.stack(observations, axis=1)  # (P, k, 3)
         res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
         rec = CriterionRecord(
             protocol.model, "All", {"weather": tag}, {},
             res.mean_deg, res.std_deg, res.n_pixels)
-        out = (rec, {
+        return rec, {
             "weather": tag,
             "mean_deg": res.mean_deg,
             "std_deg": res.std_deg,
@@ -791,12 +854,10 @@ def _run_ds_sweep(protocol, threads, progress, cache=None):
             "threshold_deg": res.threshold_deg,
             "n_pixels": res.n_pixels,
             "n_excluded": res.n_excluded,
-        })
-        if cache is not None:
-            cache.store(tag, out)
-        return out
+        }
 
-    results = _parallel_map(eval_weather, protocol.weather_tags, threads, progress)
+    results = _sweep_cells(protocol.weather_tags, prepare, eval_weather,
+                           cache, threads, progress)
     records = [rec for rec, _ in results]
     return Manifold("DS", ("weather",), (), records,
                     aux={"ds": [info for _, info in results]})
@@ -825,28 +886,31 @@ class CellCache:
     """Per-cell result cache keyed by protocol content hash plus cell coordinate.
 
     Resume never trusts timestamps: a cache entry is only reused when the
-    protocol content hash embedded in its name matches.
+    protocol content hash, the package version and ``CACHE_EPOCH`` embedded
+    in its name all match.  Cells are written whole through a temporary file,
+    and a cell that cannot be parsed (say, cut short by a crash from before
+    that rule) counts as a miss, so it is evaluated and written again.
     """
 
     def __init__(self, directory, protocol):
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.prefix = protocol.content_hash()[:16]
+        key = f"{CACHE_EPOCH}\x1f{__version__}\x1f{protocol.content_hash()}"
+        self.prefix = hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def _path(self, coord):
         tag = hashlib.sha256(repr(coord).encode()).hexdigest()[:16]
         return self.dir / f"cell_{self.prefix}_{tag}.json"
 
     def load(self, coord):
-        path = self._path(coord)
-        if not path.exists():
-            return None
-        doc = json.loads(path.read_text())
-        if doc.get("kind") == "records":
-            records = [CriterionRecord(**r) for r in doc["records"]]
-            return records, doc["skipped"]
-        rec = CriterionRecord(**doc["record"])
-        return rec, doc["info"]
+        try:
+            doc = json.loads(self._path(coord).read_text())
+            if doc.get("kind") == "records":
+                records = [CriterionRecord(**r) for r in doc["records"]]
+                return records, doc["skipped"]
+            return CriterionRecord(**doc["record"]), doc["info"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+            return None  # missing, truncated or foreign: evaluate again
 
     def store(self, coord, result):
         path = self._path(coord)
@@ -858,7 +922,10 @@ class CellCache:
         else:
             doc = {"kind": "single", "record": dataclasses.asdict(first),
                    "info": result[1]}
-        path.write_text(json.dumps(doc, sort_keys=True))
+        # readers see the old file or the whole new one, never a part
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
 
 
 def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,

@@ -255,17 +255,18 @@ def cmd_sweep(args):
 
 
 def _sweep_size(protocol):
+    """(cells, Monte Carlo render passes) of a fresh simulated sweep."""
     n_v = len(protocol.patch_sizes)
     n_ctx = max(1, len(protocol.contexts))
     if protocol.model in ("OC", "BC", "GC"):
         n_w = len(protocol.illumination_levels)
-        renders = n_w + 1
+        renders = 3  # reference frame, sun off, sun on
     elif protocol.model == "PS":
         n_w = len(protocol.speed_scales)
         renders = 4 * n_w
     else:
         n_w = len(protocol.weather_tags)
-        renders = n_w * len(protocol.density_scales)
+        renders = n_w  # one pass renders all densities of a tag
         return n_w, renders
     return n_w * n_v * n_ctx, renders
 

@@ -175,16 +175,16 @@ def albedo_at(table: _MaterialTable, mat_id, points) -> np.ndarray:
 
 
 class _LightTable:
-    def __init__(self, scene: SceneGraph):
+    def __init__(self, lights, medium):
         self.ambient = np.zeros(3)
         self.directional = []  # (dir, rgb at the scene after layer extinction)
         self.spots = []  # (pos, dir, cos_cone, rgb)
-        for light in scene.lights:
+        for light in lights:
             rgb = np.asarray(light.color, dtype=float) * light.intensity
             if light.kind == "ambient":
                 self.ambient = self.ambient + rgb
             elif light.kind == "directional":
-                rgb = rgb * medium_mod.sun_transmittance(scene.medium, light.direction)
+                rgb = rgb * medium_mod.sun_transmittance(medium, light.direction)
                 self.directional.append((np.asarray(light.direction, dtype=float), rgb))
             else:
                 self.spots.append((
@@ -198,25 +198,35 @@ class _LightTable:
     def n_direct(self):
         return len(self.directional) + len(self.spots)
 
+    @property
+    def direct_rgb(self):
+        """Colors of the direct sources, in the order of ``_light_factors``."""
+        return [rgb for _, rgb in self.directional] + [s[3] for s in self.spots]
+
 
 def _sample_stream(seed: int, sample: int) -> np.random.Generator:
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (_STREAM_SAMPLE << 64) + (int(sample) << 80)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _direct_light(soup, ltab, points, normals, alb):
-    """Ambient plus shadowed direct contribution at surface points."""
-    L = alb * ltab.ambient
+def _light_factors(soup, ltab, points, normals):
+    """Per direct source, the shadowed geometric factor at surface points.
+
+    Cosine times visibility, times inverse-square falloff for spots.  The
+    factors depend on light placement only, never on light color or on the
+    medium, so one set serves every medium a geometry is rendered under.
+    """
+    factors = []
     origins = points + normals * _SHADOW_EPS
-    for sun_dir, rgb in ltab.directional:
+    for sun_dir, _ in ltab.directional:
         ndotl = np.maximum(0.0, -(normals @ sun_dir))
         lit = ndotl > 0.0
         vis = np.zeros(len(points))
         if lit.any():
             free = ~occluded(soup, origins[lit], np.broadcast_to(-sun_dir, (int(lit.sum()), 3)), np.inf)
             vis[lit] = free.astype(float)
-        L = L + (alb / math.pi) * (ndotl * vis)[:, None] * rgb
-    for pos, sdir, cos_cone, rgb in ltab.spots:
+        factors.append(ndotl * vis)
+    for pos, sdir, cos_cone, _ in ltab.spots:
         to_light = pos[None, :] - points
         dist = np.linalg.norm(to_light, axis=1)
         wi = to_light / np.maximum(dist, 1e-12)[:, None]
@@ -229,22 +239,37 @@ def _direct_light(soup, ltab, points, normals, alb):
             vis[lit] = free.astype(float)
         with np.errstate(divide="ignore"):
             fall = np.where(dist > 1e-9, 1.0 / (dist * dist), 0.0)
-        L = L + (alb / math.pi) * (ndotl * vis * fall)[:, None] * rgb
+        factors.append(ndotl * vis * fall)
+    return factors
+
+
+def _direct_light(ltab, alb, factors):
+    """Ambient plus the light-weighted sum of the direct factors."""
+    L = alb * ltab.ambient
+    for g, rgb in zip(factors, ltab.direct_rgb):
+        L = L + (alb / math.pi) * g[:, None] * rgb
     return L
 
 
-def _gather_radiance(scene, soup, ltab, mtab, O, D):
-    """Radiance arriving along secondary rays: direct-lit surfaces or sky,
-    attenuated by the medium over the secondary segment."""
+def _gather_radiance(setups, lights, soup, mtab, O, D):
+    """Radiance arriving along secondary rays, one array per (medium, light
+    table) setup: direct-lit surfaces or sky, attenuated by the medium over
+    the secondary segment."""
     hit = trace(soup, O, D)
-    L = np.zeros((len(O), 3))
     m = hit.mask
     if m.any():
         alb = albedo_at(mtab, hit.mat_id[m], hit.point[m])
-        L[m] = mtab.emissive[mtab.row(hit.mat_id[m])]
-        L[m] += _direct_light(soup, ltab, hit.point[m], hit.normal[m], alb)
-    L[~m] = ltab.ambient
-    return medium_mod.observed_radiance(scene.medium, D, scene.lights, hit.t, L)
+        emissive = mtab.emissive[mtab.row(hit.mat_id[m])]
+        factors = _light_factors(soup, setups[0][1], hit.point[m], hit.normal[m])
+    out = []
+    for medium, ltab in setups:
+        L = np.zeros((len(O), 3))
+        if m.any():
+            L[m] = emissive
+            L[m] += _direct_light(ltab, alb, factors)
+        L[~m] = ltab.ambient
+        out.append(medium_mod.observed_radiance(medium, D, lights, hit.t, L))
+    return out
 
 
 def _cosine_dirs(normals, u1, u2):
@@ -261,24 +286,30 @@ def _cosine_dirs(normals, u1, u2):
     return local[:, 0:1] * t + local[:, 1:2] * n + local[:, 2:3] * b
 
 
-def _shade_sample(scene, soup, ltab, mtab, O, D, rng, spp, sample_index, max_bounces):
-    """Full radiance estimate for one sample's rays, medium applied."""
+def _shade_sample(setups, lights, soup, mtab, O, D, rng, spp, sample_index, max_bounces):
+    """Full radiance estimate for one sample's rays, one per setup.
+
+    Rays, hits, bounce directions and shadow rays are shared by all setups;
+    only the light colors and the medium differ between them, so each
+    setup's estimate is bit-identical to rendering it alone.
+    """
     hit = trace(soup, O, D)
-    L = np.zeros((len(O), 3))
     m = hit.mask
     if m.any():
         pts = hit.point[m]
         nrm = hit.normal[m]
         rows = mtab.row(hit.mat_id[m])
         alb = albedo_at(mtab, hit.mat_id[m], pts)
-        Ls = mtab.emissive[rows] + _direct_light(soup, ltab, pts, nrm, alb)
+        factors = _light_factors(soup, setups[0][1], pts, nrm)
+        Ls = [mtab.emissive[rows] + _direct_light(ltab, alb, factors)
+              for _, ltab in setups]
         if max_bounces >= 1:
             # one diffuse bounce, cosine sampled, stratified over the spp
             u = rng.random((int(m.sum()), 2))
             u1 = (sample_index + u[:, 0]) / spp
             dirs = _cosine_dirs(nrm, u1, u[:, 1])
-            Lin = _gather_radiance(scene, soup, ltab, mtab, pts + nrm * _SHADOW_EPS, dirs)
-            Ls = Ls + alb * Lin
+            Lin = _gather_radiance(setups, lights, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
+            Ls = [Ls_k + alb * Lin_k for Ls_k, Lin_k in zip(Ls, Lin)]
             spec = mtab.specular[rows]
             sp = spec > 0.0
             if sp.any():
@@ -286,12 +317,49 @@ def _shade_sample(scene, soup, ltab, mtab, O, D, rng, spp, sample_index, max_bou
                 n_sp = nrm[sp]
                 refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
                 Lr = _gather_radiance(
-                    scene, soup, ltab, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl
+                    setups, lights, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl
                 )
-                Ls[sp] += spec[sp, None] * Lr
-        L[m] = Ls
-    L[~m] = ltab.ambient  # sky
-    return medium_mod.observed_radiance(scene.medium, D, scene.lights, hit.t, L)
+                for Ls_k, Lr_k in zip(Ls, Lr):
+                    Ls_k[sp] += spec[sp, None] * Lr_k
+    out = []
+    for k, (medium, ltab) in enumerate(setups):
+        L = np.zeros((len(O), 3))
+        if m.any():
+            L[m] = Ls[k]
+        L[~m] = ltab.ambient  # sky
+        out.append(medium_mod.observed_radiance(medium, D, lights, hit.t, L))
+    return out
+
+
+def _render_pass(scene, media, cfg, return_variance):
+    """One Monte Carlo pass over the camera, one image per medium."""
+    cam = Camera(scene.camera, cfg.width, cfg.height)
+    soup = PrimitiveSoup.from_scene(scene)
+    mtab = _MaterialTable(scene)
+    setups = [(medium, _LightTable(scene.lights, medium)) for medium in media]
+    h, w = cfg.height, cfg.width
+    acc = [np.zeros((h * w, 3)) for _ in setups]
+    acc_sq = [np.zeros((h * w, 3)) for _ in setups] if return_variance else None
+    spp = cfg.samples_per_pixel
+    for s in range(spp):
+        rng = _sample_stream(cfg.rng_seed, s)
+        jitter = rng.random((h, w, 2)) - 0.5
+        O, D = cam.rays(jitter)
+        Ls = _shade_sample(setups, scene.lights, soup, mtab, O, D, rng, spp, s,
+                           cfg.max_bounces)
+        for k, L in enumerate(Ls):
+            acc[k] += L
+            if acc_sq is not None:
+                acc_sq[k] += L * L
+    images = []
+    for k in range(len(setups)):
+        mean = (acc[k] / spp).reshape(h, w, 3)
+        variance = None
+        if return_variance and spp > 1:
+            sample_var = (acc_sq[k] - acc[k] * acc[k] / spp) / (spp - 1)
+            variance = np.maximum(sample_var, 0.0).reshape(h, w, 3) / spp
+        images.append(RadianceImage(mean, variance))
+    return images
 
 
 def render_frame(scene: SceneGraph, cfg: RenderConfig,
@@ -303,35 +371,25 @@ def render_frame(scene: SceneGraph, cfg: RenderConfig,
     ``return_variance`` the per-pixel variance of the mean estimate is
     attached (None when samples_per_pixel == 1).
     """
-    cam = Camera(scene.camera, cfg.width, cfg.height)
-    soup = PrimitiveSoup.from_scene(scene)
-    ltab = _LightTable(scene)
-    mtab = _MaterialTable(scene)
-    h, w = cfg.height, cfg.width
-    acc = np.zeros((h * w, 3))
-    acc_sq = np.zeros((h * w, 3)) if return_variance else None
-    spp = cfg.samples_per_pixel
-    for s in range(spp):
-        rng = _sample_stream(cfg.rng_seed, s)
-        jitter = rng.random((h, w, 2)) - 0.5
-        O, D = cam.rays(jitter)
-        L = _shade_sample(scene, soup, ltab, mtab, O, D, rng, spp, s, cfg.max_bounces)
-        acc += L
-        if acc_sq is not None:
-            acc_sq += L * L
-    mean = (acc / spp).reshape(h, w, 3)
-    variance = None
-    if return_variance and spp > 1:
-        sample_var = (acc_sq - acc * acc / spp) / (spp - 1)
-        variance = np.maximum(sample_var, 0.0).reshape(h, w, 3) / spp
-    return RadianceImage(mean, variance)
+    return _render_pass(scene, [scene.medium], cfg, return_variance)[0]
+
+
+def render_media(scene: SceneGraph, media, cfg: RenderConfig) -> list:
+    """HDR estimates of one scene under each medium, from one Monte Carlo pass.
+
+    The scene's own medium is ignored.  Every sample traces its camera rays,
+    bounce rays and shadow rays once for all media, because none of them
+    depends on the medium; each image is bit-identical to ``render_frame``
+    of the scene with that medium.
+    """
+    return _render_pass(scene, list(media), cfg, False)
 
 
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
     """Exact buffers from the deterministic center-of-pixel ray."""
     cam = Camera(scene.camera, cfg.width, cfg.height)
     soup = PrimitiveSoup.from_scene(scene)
-    ltab = _LightTable(scene)
+    ltab = _LightTable(scene.lights, scene.medium)
     mtab = _MaterialTable(scene)
     h, w = cfg.height, cfg.width
     O, D = cam.rays()

@@ -44,17 +44,20 @@ def to_gray(frame: np.ndarray) -> np.ndarray:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving their average rank."""
+    """Ranks 1..n with tied values receiving their average rank.
+
+    A run of equal values occupying sorted positions [a, b) gets rank
+    (a + b + 1) / 2; both ends come from binary searches of the sorted
+    values.  Non-finite values (NaN, +-inf) tie with nothing: each takes
+    its own stable sorted position as rank.
+    """
     v = np.asarray(values, dtype=float).reshape(-1)
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
-    ranks = np.empty(len(v))
-    # walk runs of equal values, assigning the mean of their positions
-    boundaries = np.flatnonzero(np.diff(sorted_v)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(v)]))
-    for a, b in zip(starts, stops):
-        ranks[order[a:b]] = 0.5 * (a + b + 1)
+    ranks = 0.5 * (np.searchsorted(sorted_v, v, side="left")
+                   + np.searchsorted(sorted_v, v, side="right") + 1)
+    odd = ~np.isfinite(sorted_v)
+    ranks[order[odd]] = np.flatnonzero(odd) + 1.0
     return ranks
 
 

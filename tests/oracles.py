@@ -29,6 +29,25 @@ def exact_average_ranks(values):
     return ranks
 
 
+def loop_average_ranks(values):
+    """Average ranks by walking the runs of equal sorted values in Python.
+
+    A run boundary is wherever consecutive sorted values differ, so NaN and
+    infinite values (whose difference is NaN) always start runs of their own.
+    """
+    v = np.asarray(values, dtype=float).reshape(-1)
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    ranks = np.empty(len(v))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        boundaries = np.flatnonzero(np.diff(sorted_v)) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.concatenate((boundaries, [len(v)]))
+    for a, b in zip(starts, stops):
+        ranks[order[a:b]] = 0.5 * (a + b + 1)
+    return ranks
+
+
 def exact_spearman(x, y):
     """Spearman rho via exact rational rank arithmetic.
 

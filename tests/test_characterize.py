@@ -68,6 +68,22 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             tiny_oc_protocol(model="XX")
 
+    @pytest.mark.parametrize("block,key", [
+        (None, "patch_per_cell"),
+        ("theta_w", "illumination_level"),
+        ("theta_v", "patch_size"),
+        ("seeds", "scenes"),
+        ("render", "samples_per_pixel"),
+        ("thresholds", "ds_angle"),
+        ("ingest", "dir"),
+    ])
+    def test_unknown_key_rejected_with_its_path(self, block, key):
+        doc = default_protocol("PS").to_dict()
+        (doc if block is None else doc[block])[key] = 2
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig.from_dict(doc)
+        assert err.value.json_path == (key if block is None else f"{block}.{key}")
+
 
 class TestManifoldCsv:
     def make_manifold(self):
@@ -296,6 +312,58 @@ class TestSweep:
         assert a == b
         assert any(tmp_path.joinpath("cells").iterdir())
 
+    def test_truncated_cell_is_evaluated_again(self, tmp_path):
+        p = tiny_oc_protocol()
+        cells = tmp_path / "cells"
+        fresh = run_sweep(p, cache_dir=cells).to_csv()
+        cell = sorted(cells.glob("cell_*.json"))[0]
+        whole = cell.read_bytes()
+        cell.write_bytes(whole[: len(whole) // 2])  # an interrupted write
+        assert run_sweep(p, cache_dir=cells).to_csv() == fresh
+        assert cell.read_bytes() == whole
+        assert not list(cells.glob("*.tmp"))
+
+    def test_cache_key_carries_epoch_and_version(self, tmp_path, monkeypatch):
+        import invarsim.characterize as characterize
+
+        p = tiny_oc_protocol()
+        prefixes = {characterize.CellCache(tmp_path, p).prefix}
+        monkeypatch.setattr(characterize, "CACHE_EPOCH", characterize.CACHE_EPOCH + 1)
+        prefixes.add(characterize.CellCache(tmp_path, p).prefix)
+        monkeypatch.setattr(characterize, "__version__", "0.0.0-other")
+        prefixes.add(characterize.CellCache(tmp_path, p).prefix)
+        assert len(prefixes) == 3
+
+    def test_resuming_finished_sweeps_renders_nothing(self, tmp_path, monkeypatch):
+        import invarsim.characterize as characterize
+
+        ps_scene = validation_scene_config()
+        ps_scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+        protocols = {
+            "OC": tiny_oc_protocol(),
+            "BC": tiny_oc_protocol(model="BC", scene=ps_scene),
+            "PS": ProtocolConfig.from_dict({
+                "model": "PS", "scene": ps_scene,
+                "theta_w": {"speed_scales": [1.0]}, "theta_v": {"patch_sizes": [9]},
+                "contexts": ["SameSurface"],
+                "render": {"width": 32, "height": 24, "spp": 1, "max_bounces": 0}}),
+            "DS": ProtocolConfig.from_dict({
+                "model": "DS", "scene": validation_scene_config(),
+                "theta_w": {"weather_tags": ["Fog"], "density_scales": [0.3, 0.6, 1.0]},
+                "render": {"width": 16, "height": 12, "spp": 1, "max_bounces": 0}}),
+        }
+        fresh = {m: run_sweep(p, cache_dir=tmp_path / m).to_csv()
+                 for m, p in protocols.items()}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a resumed finished sweep must not render")
+
+        for name in ("render_frame", "render_media", "render_ground_truth",
+                     "compute_flow", "sample_scene", "classify_contexts"):
+            monkeypatch.setattr(characterize, name, forbidden)
+        for m, p in protocols.items():
+            assert run_sweep(p, cache_dir=tmp_path / m).to_csv() == fresh[m]
+
     def test_oc_marginal_has_interior_scale_optimum(self):
         # integrating the diffuse manifold over the ramp and maximizing over
         # the patch side gives a unique optimum away from the grid edges
@@ -314,6 +382,37 @@ class TestSweep:
         best = max(by_s, key=by_s.get)
         assert best == 9  # interior of the scale grid
         assert sorted(by_s.values())[-1] > sorted(by_s.values())[-2]
+
+    @pytest.mark.parametrize("model,t", [("OC", 0), ("BC", 1)])
+    def test_sun_ramp_two_passes_equal_full_renders(self, model, t):
+        from invarsim.characterize import _sun_basis
+        from invarsim.render import RadianceImage, apply_sensor, render_frame
+        from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
+
+        p = dataclasses.replace(default_protocol(model), samples_per_pixel=4)
+        rcfg = p.render_config()
+        lit = apply_dynamics(sample_scene(SceneConfig.from_dict(p.scene), p.scene_seed), t)
+        levels = [p.illumination_levels[i] for i in (0, 9, 19, 29, 39)]
+        hdr0, hdr_sun = _sun_basis(lit, rcfg, levels)
+        sun = next(i for i, l in enumerate(lit.lights) if l.kind == "directional")
+        for level in levels:
+            lights = list(lit.lights)
+            lights[sun] = dataclasses.replace(lights[sun],
+                                              intensity=lights[sun].intensity * level)
+            full = render_frame(dataclasses.replace(lit, lights=tuple(lights)), rcfg)
+            scfg = p.sensor_config("level", float(level).hex())
+            two_pass = apply_sensor(RadianceImage(hdr0 + level * hdr_sun), scfg)
+            assert np.array_equal(two_pass.data, apply_sensor(full, scfg).data)
+            assert np.allclose(hdr0 + level * hdr_sun, full.data, rtol=1e-12, atol=0.0)
+
+    def test_sun_ramp_needs_a_sun_only_off_level_one(self):
+        sunless = dict(validation_scene_config(),
+                       lights=[{"kind": "ambient", "intensity": 0.5}])
+        with pytest.raises(ConfigError, match="directional light"):
+            run_sweep(tiny_oc_protocol(scene=sunless))
+        m = run_sweep(tiny_oc_protocol(scene=sunless,
+                                       theta_w={"illumination_levels": [1.0]}))
+        assert any(r.n > 0 for r in m.records)
 
     def test_ds_sweep_records_and_aux(self):
         p = ProtocolConfig.from_dict({

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from invarsim.characterize import default_protocol
 from invarsim.cli import main
 from invarsim.imgio import read_flo, read_pfm, read_ppm
 from invarsim.scenegen import validation_scene_config
@@ -176,6 +177,19 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cells": 4, "renders": 3}
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("model,cells,renders", [
+        ("OC", 40 * 3 * 8, 3),  # reference, sun off, sun on; not 40 + 1
+        ("DS", 5, 5),  # one pass per weather tag; not 5 tags x 5 densities
+    ])
+    def test_dry_run_counts_stock_render_passes(self, tmp_path, capsys,
+                                                model, cells, renders):
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(default_protocol(model).to_dict()))
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep"),
+                     "--porcelain", "--dry-run"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"cells": cells, "renders": renders}
 
     def test_resume_reproduces_bytes(self, tmp_path):
         ppath = tmp_path / "protocol.json"

@@ -14,8 +14,9 @@ from invarsim.render import (
     compute_flow,
     render_frame,
     render_ground_truth,
+    render_media,
 )
-from invarsim.scene import WEATHER_PRESETS
+from invarsim.scene import WEATHER_PRESETS, LightSpec
 from invarsim.scenegen import SceneConfig, sample_scene
 
 
@@ -98,6 +99,31 @@ class TestRenderFrame:
         assert v8 > 0
         ratio = v8 / v32
         assert 2.5 <= ratio <= 6.5
+
+    @pytest.mark.parametrize("lights", ["ambient", "sunny", "spot"])
+    @pytest.mark.parametrize("max_bounces", [0, 1])
+    def test_render_media_equals_per_medium_frames(self, validation_scene,
+                                                   lights, max_bounces):
+        scene = validation_scene
+        if lights == "ambient":
+            scene = dataclasses.replace(scene, lights=tuple(
+                l for l in scene.lights if l.kind == "ambient"))
+        elif lights == "spot":
+            # lights most of the view, with shadows cast by the buildings
+            spot = LightSpec(kind="spot", position=(0.0, 20.0, 0.0),
+                             direction=(0.0, -1.0, 0.5), cone_deg=70.0,
+                             intensity=100.0)
+            scene = dataclasses.replace(scene, lights=scene.lights + (spot,))
+        media = [WEATHER_PRESETS["Clear"]] + [
+            WEATHER_PRESETS[tag].scaled(d)
+            for tag, d in (("Fog", 0.4), ("Fog", 1.0), ("MildHaze", 0.7))]
+        cfg = RenderConfig(width=24, height=18, samples_per_pixel=3,
+                           max_bounces=max_bounces, rng_seed=13)
+        images = render_media(scene, media, cfg)
+        assert len(images) == len(media)
+        for medium, img in zip(media, images):
+            alone = render_frame(dataclasses.replace(scene, medium=medium), cfg)
+            assert np.array_equal(img.data, alone.data)
 
     def test_hdr_non_negative_finite(self, validation_hdr):
         assert np.all(np.isfinite(validation_hdr.data))

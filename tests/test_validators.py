@@ -24,7 +24,7 @@ from invarsim.validators import (
     ps_variance,
     spearman_rho,
 )
-from oracles import exact_spearman, plane_residual
+from oracles import exact_spearman, loop_average_ranks, plane_residual
 
 
 def random_monotone_map(rng):
@@ -79,6 +79,20 @@ class TestSpearman:
 
     def test_average_ranks_ties(self):
         assert np.allclose(average_ranks([10, 20, 20, 30]), [1, 2.5, 2.5, 4])
+
+    def test_average_ranks_equal_loop_oracle_on_tied_vectors(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            v = rng.integers(0, int(rng.integers(1, 12)), size=n) * 0.25
+            v[rng.random(n) < 0.1] *= -1.0  # -0.0 ties with 0.0
+            assert np.array_equal(average_ranks(v), loop_average_ranks(v))
+
+    def test_average_ranks_non_finite_values_tie_with_nothing(self):
+        v = [np.nan, 2.0, np.inf, np.nan, 2.0, -np.inf, np.inf, -np.inf]
+        want = [7.0, 3.5, 5.0, 8.0, 3.5, 1.0, 6.0, 2.0]
+        assert np.array_equal(average_ranks(v), want)
+        assert np.array_equal(loop_average_ranks(v), want)
 
     def test_monotone_invariance_property(self):
         rng = np.random.default_rng(7)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -76,12 +77,13 @@ CACHE_EPOCH = 1
 _PROTOCOL_KEYS = {
     "": {"model", "source", "scene", "theta_w", "theta_v", "contexts",
          "patches_per_cell", "seeds", "render", "sensor", "thresholds",
-         "exclude_occluded", "zero_flow", "ingest"},
+         "exclude_occluded", "ingest"},
     "theta_w": {"illumination_levels", "weather_tags", "density_scales",
                 "speed_scales", "sunny_tags"},
     "theta_v": {"patch_sizes"},
     "seeds": {"scene", "render", "patch", "sensor"},
     "render": {"width", "height", "spp", "max_bounces"},
+    "sensor": {"sigma", "bits", "gamma"},
     "thresholds": {"ds_angle_deg"},
     "ingest": {"directory", "annotation"},
 }
@@ -120,7 +122,6 @@ class ProtocolConfig:
     sensor: dict | None = field(default_factory=lambda: {"sigma": 0.002, "bits": 8, "gamma": 1.0})
     ds_angle_threshold_deg: float = 3.0
     exclude_occluded: bool = False
-    zero_flow: bool = False
     ingest_dir: str | None = None
     ingest_annotation: str | None = None
 
@@ -157,6 +158,9 @@ class ProtocolConfig:
             if not self.ingest_dir or not self.ingest_annotation:
                 raise ConfigError("ingest mode requires ingest.directory and "
                                   "ingest.annotation", json_path="ingest")
+            if self.exclude_occluded:
+                raise ConfigError("ingested frames have no occlusion mask",
+                                  json_path="exclude_occluded")
         if not self.contexts and self.model != "DS":
             raise ConfigError("contexts must not be empty", json_path="contexts")
 
@@ -197,7 +201,6 @@ class ProtocolConfig:
                               else {"sigma": 0.002, "bits": 8, "gamma": 1.0})),
                 ds_angle_threshold_deg=float(thresholds.get("ds_angle_deg", 3.0)),
                 exclude_occluded=bool(doc.get("exclude_occluded", False)),
-                zero_flow=bool(doc.get("zero_flow", False)),
                 ingest_dir=ingest.get("directory"),
                 ingest_annotation=ingest.get("annotation"),
             )
@@ -231,7 +234,6 @@ class ProtocolConfig:
             "sensor": self.sensor,
             "thresholds": {"ds_angle_deg": self.ds_angle_threshold_deg},
             "exclude_occluded": self.exclude_occluded,
-            "zero_flow": self.zero_flow,
             "ingest": {"directory": self.ingest_dir,
                        "annotation": self.ingest_annotation},
         }
@@ -264,6 +266,8 @@ def _reject_unknown_keys(doc):
     """A misspelt key would otherwise run silently with its default."""
     for block, allowed in _PROTOCOL_KEYS.items():
         part = doc.get(block, {}) if block else doc
+        if part is None and block == "sensor":
+            continue  # no sensor stage: evaluate raw radiance
         if not isinstance(part, dict):
             raise ConfigError("expected a JSON object", json_path=block or None)
         unknown = sorted(set(part) - allowed)
@@ -286,30 +290,21 @@ def default_protocol(model: str) -> ProtocolConfig:
     weather preset (ambient, except the sunny haze case) with indirect
     bounces disabled so the linear scattering model is exercised exactly.
     """
-    scene = validation_scene_config()
+    if model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}")
     base = {
         "model": model,
-        "scene": scene,
-        "theta_w": {},
+        "scene": validation_scene_config(),
+        "theta_w": {"illumination_levels": list(_RAMP_40)},
         "theta_v": {"patch_sizes": [5, 9, 13]},
         "contexts": list(_OC_CONTEXTS),
         "patches_per_cell": 6,
     }
-    if model == "OC":
-        base["theta_w"] = {"illumination_levels": list(_RAMP_40)}
-    elif model in ("BC", "GC"):
-        scene = dict(scene)
-        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
-        base["scene"] = scene
-        base["theta_w"] = {"illumination_levels": list(_RAMP_40)}
-        base["contexts"] = list(_OC_CONTEXTS)
-    elif model == "PS":
-        scene = dict(scene)
-        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
-        base["scene"] = scene
+    if model in ("BC", "GC", "PS"):
+        base["scene"]["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+    if model == "PS":
         base["theta_w"] = {"speed_scales": [0.5, 1.0, 1.5, 2.0]}
         base["contexts"] = ["SameSurface", "MotionBoundary"]
-        base["theta_v"] = {"patch_sizes": [5, 9, 13]}
     elif model == "DS":
         base["theta_w"] = {
             "weather_tags": ["Fog", "Mist", "Rain", "DenseHaze", "MildHaze"],
@@ -318,8 +313,6 @@ def default_protocol(model: str) -> ProtocolConfig:
         }
         base["contexts"] = []
         base["render"] = {"width": 64, "height": 48, "spp": 16, "max_bounces": 0}
-    else:
-        raise ConfigError(f"unknown model {model!r}")
     return ProtocolConfig.from_dict(base)
 
 
@@ -566,15 +559,20 @@ def compare_rankings(a: dict, b: dict) -> RankingComparison:
     return RankingComparison(labels, ra, rb, corr, deltas)
 
 
-def rank_manifold_contexts(manifold: Manifold) -> dict:
-    """Pool each context's mean over all complete cells, then rank."""
+def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
+    """Pool the mean over all complete cells per label, then rank.
+
+    The label is the cell's context, or with ``by`` naming a theta_w axis
+    (say "weather"), the cell's coordinate on that axis.
+    """
     pools: dict = {}
     for r in manifold.records:
-        if r.n > 0 and math.isfinite(r.mean):
-            pools.setdefault(r.context, []).append(r.mean)
-    items = [(c, float(np.mean(v))) for c, v in sorted(pools.items())]
+        label = r.context if by == "context" else r.theta_w.get(by)
+        if label is not None and r.n > 0 and math.isfinite(r.mean):
+            pools.setdefault(label, []).append(r.mean)
+    items = [(label, float(np.mean(v))) for label, v in sorted(pools.items())]
     if not items:
-        raise ConfigError("manifold has no complete cells to rank")
+        raise ConfigError(f"manifold has no complete cells to rank by {by}")
     direction = "higher_better" if HIGHER_IS_BETTER[manifold.model] else "lower_better"
     return rank_items(items, direction)
 
@@ -636,250 +634,160 @@ def _ldr_float(hdr, protocol, *sensor_tags):
     return apply_sensor(hdr, scfg).to_float()
 
 
-def _collect_patches(protocol, cmaps):
-    """Patches per (context, side); empty-context cells become gaps."""
+def _collect_patches(protocol, cmaps, *seed_parts):
+    """Patches per (context, side); None marks a cell without enough eligible
+    centers, which becomes a gap."""
     patches = {}
-    gaps = []
     for s in protocol.patch_sizes:
-        cmap = cmaps[s]
         for context in protocol.contexts:
             try:
                 patches[(context, s)] = sample_patches(
-                    cmap, context, s, protocol.patches_per_cell,
-                    seed=_mix(protocol.patch_seed, context, s),
+                    cmaps[s], context, s, protocol.patches_per_cell,
+                    seed=_mix(protocol.patch_seed, context, s, *seed_parts),
                 )
             except PatchSamplingError:
                 patches[(context, s)] = None
-                gaps.append((context, s))
-    return patches, gaps
+    return patches
 
 
-def _stats_record(protocol, context, theta_w, theta_v, values):
-    vals = np.array([v for v in values if not math.isnan(v)], dtype=float)
-    skipped = len(values) - len(vals)
-    if len(vals) == 0:
-        rec = CriterionRecord(protocol.model, context, theta_w, theta_v,
-                              float("nan"), float("nan"), 0)
-    else:
-        rec = CriterionRecord(protocol.model, context, theta_w, theta_v,
-                              float(vals.mean()), float(vals.std()), len(vals))
-    return rec, skipped
+def _cell_records(protocol, theta_w, patches, measure):
+    """One record per (side, context) cell at one theta_w coordinate.
 
-
-def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
-    """``evaluate(state, coord)`` per coordinate, in order, through the cache.
-
-    ``prepare()`` builds the state every cell shares (renders, ground truth,
-    patches); it runs only when some cell misses the cache, so resuming a
-    finished sweep renders nothing.
+    ``measure(patch)`` is one patch's criterion value, NaN where the measure
+    is degenerate; NaN values are left out of the statistics and counted.
+    A cell without patches is a gap: n=0 and NaN statistics.  Returns the
+    records and the count of left-out values.
     """
-    coords = list(coords)
-    results = [cache.load(c) if cache is not None else None for c in coords]
-    missing = [i for i, r in enumerate(results) if r is None]
-    if not missing:
-        return results
-    state = prepare()
-
-    def run(i):
-        out = evaluate(state, coords[i])
-        if cache is not None:
-            cache.store(coords[i], out)
-        return out
-
-    for i, out in zip(missing, _parallel_map(run, missing, threads, progress)):
-        results[i] = out
-    return results
+    records = []
+    skipped = 0
+    for s in protocol.patch_sizes:
+        for context in protocol.contexts:
+            values = [measure(p) for p in patches[(context, s)] or ()]
+            vals = np.array([v for v in values if not math.isnan(v)], dtype=float)
+            skipped += len(values) - len(vals)
+            if len(vals) == 0:
+                mean = std = float("nan")
+            else:
+                mean, std = float(vals.mean()), float(vals.std())
+            records.append(CriterionRecord(protocol.model, context, theta_w,
+                                           {"s": s}, mean, std, len(vals)))
+    return records, skipped
 
 
-def _run_photometric_sweep(protocol, threads, progress, cache=None):
-    """OC/BC/GC: sun-intensity ramp against a fixed reference or frame pair.
+def _pair_measure(protocol, ref, cur, flow=None, occlusion=None):
+    """The OC, BC or GC criterion of one patch between two frames: a fixed
+    reference for OC, the previous frame for BC and GC."""
+    if protocol.model == "OC":
+        return lambda p: oc_measure(p.extract(ref), p.extract(cur))
+    constancy = bc_variance if protocol.model == "BC" else gc_variance
+    return lambda p: constancy(ref, cur, flow, p,
+                               exclude_occluded=protocol.exclude_occluded,
+                               occlusion=occlusion)
+
+
+def _prepare_ramp(protocol):
+    """OC/BC/GC: the reference frame, flow, patches and sun basis of a ramp.
 
     Radiance is affine in the sun's intensity, so the lit geometry is
     rendered twice, with the sun off and at full strength, and each level's
     frame is the affine combination of the two before the sensor stage.
     """
     rcfg = protocol.render_config()
-
-    def prepare():
-        base = sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
-        if protocol.model == "OC":
-            # reference: static subset of the scene under ambient light only
-            ref_scene = _ambient_only(_without_dynamic_objects(base))
-            lit = apply_dynamics(base, 0)
-            gt_cur = render_ground_truth(lit, rcfg)
-            gt_ref = render_ground_truth(ref_scene, rcfg)
-            flow = occl = None
-            ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
-            cmaps = {s: classify_contexts(gt_cur, gt_next=gt_ref, window=s)
-                     for s in protocol.patch_sizes}
-        else:
-            scene_t = apply_dynamics(base, 0)
-            lit = apply_dynamics(base, 1)
-            flow, occl = compute_flow(scene_t, lit, rcfg)
-            gt_t = render_ground_truth(scene_t, rcfg)
-            gt_t.flow = flow
-            gt_t.occlusion = occl
-            gt_t1 = render_ground_truth(lit, rcfg)
-            ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
-            cmaps = {s: classify_contexts(gt_t, gt_next=gt_t1, window=s)
-                     for s in protocol.patch_sizes}
-        patches, _ = _collect_patches(protocol, cmaps)
-        hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
-        return ref_img, flow, occl, patches, hdr0, hdr_sun
-
-    def eval_level(state, level):
-        ref_img, flow, occl, patches, hdr0, hdr_sun = state
-        cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
-                             "level", float(level).hex())
-        records = []
-        skipped = 0
-        for s in protocol.patch_sizes:
-            for context in protocol.contexts:
-                plist = patches[(context, s)]
-                theta_w = {"illumination": level}
-                theta_v = {"s": s}
-                if plist is None:
-                    records.append(CriterionRecord(
-                        protocol.model, context, theta_w, theta_v,
-                        float("nan"), float("nan"), 0))
-                    continue
-                values = []
-                for p in plist:
-                    if protocol.model == "OC":
-                        values.append(oc_measure(p.extract(ref_img),
-                                                 p.extract(cur_img)))
-                    elif protocol.model == "BC":
-                        values.append(bc_variance(
-                            ref_img, cur_img, flow, p,
-                            exclude_occluded=protocol.exclude_occluded,
-                            occlusion=occl))
-                    else:
-                        values.append(gc_variance(
-                            ref_img, cur_img, flow, p,
-                            exclude_occluded=protocol.exclude_occluded,
-                            occlusion=occl))
-                rec, skip = _stats_record(protocol, context, theta_w, theta_v, values)
-                records.append(rec)
-                skipped += skip
-        return records, skipped
-
-    results = _sweep_cells(protocol.illumination_levels, prepare, eval_level,
-                           cache, threads, progress)
-    records = [r for recs, _ in results for r in recs]
-    degenerate = sum(sk for _, sk in results)
-    return Manifold(protocol.model, ("illumination",), ("s",), records,
-                    aux={"degenerate_skipped": degenerate})
+    base = sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+    if protocol.model == "OC":
+        # reference: static subset of the scene under ambient light only
+        ref_scene = _ambient_only(_without_dynamic_objects(base))
+        lit = apply_dynamics(base, 0)
+        gt_t = render_ground_truth(lit, rcfg)
+        gt_next = render_ground_truth(ref_scene, rcfg)  # contexts vs. the reference
+        flow = occl = None
+        ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
+    else:
+        scene_t = apply_dynamics(base, 0)
+        lit = apply_dynamics(base, 1)
+        flow, occl = compute_flow(scene_t, lit, rcfg)
+        gt_t = render_ground_truth(scene_t, rcfg)
+        gt_t.flow = flow
+        gt_t.occlusion = occl
+        gt_next = render_ground_truth(lit, rcfg)
+        ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
+    cmaps = {s: classify_contexts(gt_t, gt_next=gt_next, window=s)
+             for s in protocol.patch_sizes}
+    patches = _collect_patches(protocol, cmaps)
+    hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
+    return ref_img, flow, occl, patches, hdr0, hdr_sun
 
 
-def _run_ps_sweep(protocol, threads, progress, cache=None):
+def _eval_level(protocol, state, level):
+    ref_img, flow, occl, patches, hdr0, hdr_sun = state
+    cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
+                         "level", float(level).hex())
+    return _cell_records(protocol, {"illumination": level}, patches,
+                         _pair_measure(protocol, ref_img, cur_img, flow, occl))
+
+
+def _prepare_scene(protocol):
+    return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+
+
+def _eval_speed(protocol, base, speed):
+    """PS: flow smoothness with every object velocity scaled by ``speed``."""
     rcfg = protocol.render_config()
-
-    def prepare():
-        return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
-
-    def eval_speed(base, speed):
-        scaled = _scale_velocities(base, speed)
-        frames = [apply_dynamics(scaled, t) for t in range(4)]
-        flows = []
-        for a, b in zip(frames[:-1], frames[1:]):
-            f, o = compute_flow(a, b, rcfg)
-            flows.append((f, o))
-        flow_prev, _ = flows[0]
-        flow_t, occl_t = flows[1]
-        flow_next, _ = flows[2]
-        gt1 = render_ground_truth(frames[1], rcfg)
-        gt1.flow = flow_t
-        gt1.occlusion = occl_t
-        gt2 = render_ground_truth(frames[2], rcfg)
-        records = []
-        skipped = 0
-        for s in protocol.patch_sizes:
-            cmap = classify_contexts(gt1, gt_next=gt2, window=s)
-            for context in protocol.contexts:
-                theta_w = {"speed": speed}
-                theta_v = {"s": s}
-                try:
-                    plist = sample_patches(
-                        cmap, context, s, protocol.patches_per_cell,
-                        seed=_mix(protocol.patch_seed, context, s, speed))
-                except PatchSamplingError:
-                    records.append(CriterionRecord(
-                        protocol.model, context, theta_w, theta_v,
-                        float("nan"), float("nan"), 0))
-                    continue
-                values = [ps_variance(flow_prev, flow_t, flow_next, p)
-                          for p in plist]
-                rec, skip = _stats_record(protocol, context, theta_w, theta_v, values)
-                records.append(rec)
-                skipped += skip
-        return records, skipped
-
-    results = _sweep_cells(protocol.speed_scales, prepare, eval_speed,
-                           cache, threads, progress)
-    records = [r for recs, _ in results for r in recs]
-    degenerate = sum(sk for _, sk in results)
-    return Manifold(protocol.model, ("speed",), ("s",), records,
-                    aux={"degenerate_skipped": degenerate})
+    scaled = _scale_velocities(base, speed)
+    frames = [apply_dynamics(scaled, t) for t in range(4)]
+    (flow_prev, _), (flow_t, occl_t), (flow_next, _) = [
+        compute_flow(a, b, rcfg) for a, b in zip(frames[:-1], frames[1:])]
+    gt1 = render_ground_truth(frames[1], rcfg)
+    gt1.flow = flow_t
+    gt1.occlusion = occl_t
+    gt2 = render_ground_truth(frames[2], rcfg)
+    cmaps = {s: classify_contexts(gt1, gt_next=gt2, window=s)
+             for s in protocol.patch_sizes}
+    return _cell_records(protocol, {"speed": speed},
+                         _collect_patches(protocol, cmaps, speed),
+                         lambda p: ps_variance(flow_prev, flow_t, flow_next, p))
 
 
-def _run_ds_sweep(protocol, threads, progress, cache=None):
+def _eval_weather(protocol, base, tag):
     """DS: each weather tag's density ramp rendered in one Monte Carlo pass."""
-    rcfg = protocol.render_config()
-
-    def prepare():
-        return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
-
-    def eval_weather(base, tag):
-        if tag not in WEATHER_PRESETS or tag == "Clear":
-            raise ConfigError(f"unknown weather tag {tag!r}",
-                              json_path="theta_w.weather_tags")
-        preset = WEATHER_PRESETS[tag]
-        scene = base if tag in protocol.sunny_tags else _ambient_only(base)
-        media = [preset.scaled(density) for density in protocol.density_scales]
-        observations = []
-        for density, hdr in zip(protocol.density_scales,
-                                render_media(scene, media, rcfg)):
-            img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
-            observations.append(img.reshape(-1, 3))
-        samples = np.stack(observations, axis=1)  # (P, k, 3)
-        res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
-        rec = CriterionRecord(
-            protocol.model, "All", {"weather": tag}, {},
-            res.mean_deg, res.std_deg, res.n_pixels)
-        return rec, {
-            "weather": tag,
-            "mean_deg": res.mean_deg,
-            "std_deg": res.std_deg,
-            "fraction_below": res.fraction_below,
-            "threshold_deg": res.threshold_deg,
-            "n_pixels": res.n_pixels,
-            "n_excluded": res.n_excluded,
-        }
-
-    results = _sweep_cells(protocol.weather_tags, prepare, eval_weather,
-                           cache, threads, progress)
-    records = [rec for rec, _ in results]
-    return Manifold("DS", ("weather",), (), records,
-                    aux={"ds": [info for _, info in results]})
+    if tag not in WEATHER_PRESETS or tag == "Clear":
+        raise ConfigError(f"unknown weather tag {tag!r}",
+                          json_path="theta_w.weather_tags")
+    preset = WEATHER_PRESETS[tag]
+    scene = base if tag in protocol.sunny_tags else _ambient_only(base)
+    media = [preset.scaled(density) for density in protocol.density_scales]
+    observations = []
+    for density, hdr in zip(protocol.density_scales,
+                            render_media(scene, media, protocol.render_config())):
+        img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
+        observations.append(img.reshape(-1, 3))
+    samples = np.stack(observations, axis=1)  # (P, k, 3)
+    res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
+    rec = CriterionRecord(
+        protocol.model, "All", {"weather": tag}, {},
+        res.mean_deg, res.std_deg, res.n_pixels)
+    return [rec], {
+        "weather": tag,
+        "mean_deg": res.mean_deg,
+        "std_deg": res.std_deg,
+        "fraction_below": res.fraction_below,
+        "threshold_deg": res.threshold_deg,
+        "n_pixels": res.n_pixels,
+        "n_excluded": res.n_excluded,
+    }
 
 
 def _parallel_map(fn, items, threads, progress):
+    """``fn`` over ``items``, results in item order; one thread runs inline."""
     items = list(items)
-    if threads <= 1:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        results = pool.map(fn, items) if threads > 1 else map(fn, items)
         out = []
-        for i, item in enumerate(items):
-            out.append(fn(item))
+        for i, result in enumerate(results):
+            out.append(result)
             if progress:
                 progress(i + 1, len(items))
-        return out
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        out = []
-        for i, fut in enumerate(futures):
-            out.append(fut.result())
-            if progress:
-                progress(i + 1, len(items))
-        return out
+    return out
 
 
 class CellCache:
@@ -887,9 +795,11 @@ class CellCache:
 
     Resume never trusts timestamps: a cache entry is only reused when the
     protocol content hash, the package version and ``CACHE_EPOCH`` embedded
-    in its name all match.  Cells are written whole through a temporary file,
-    and a cell that cannot be parsed (say, cut short by a crash from before
-    that rule) counts as a miss, so it is evaluated and written again.
+    in its name all match.  Every cell is one document: its records plus
+    its extra (the count of degenerate patch values, or the DS details).
+    Cells are written whole through a temporary file, and a cell that
+    cannot be parsed (say, cut short by a crash from before that rule) counts
+    as a miss, so it is evaluated and written again.
     """
 
     def __init__(self, directory, protocol):
@@ -905,45 +815,44 @@ class CellCache:
     def load(self, coord):
         try:
             doc = json.loads(self._path(coord).read_text())
-            if doc.get("kind") == "records":
-                records = [CriterionRecord(**r) for r in doc["records"]]
-                return records, doc["skipped"]
-            return CriterionRecord(**doc["record"]), doc["info"]
+            return [CriterionRecord(**r) for r in doc["records"]], doc["extra"]
         except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
             return None  # missing, truncated or foreign: evaluate again
 
     def store(self, coord, result):
         path = self._path(coord)
-        first = result[0]
-        if isinstance(first, list):
-            doc = {"kind": "records",
-                   "records": [dataclasses.asdict(r) for r in first],
-                   "skipped": result[1]}
-        else:
-            doc = {"kind": "single", "record": dataclasses.asdict(first),
-                   "info": result[1]}
+        records, extra = result
+        doc = {"records": [dataclasses.asdict(r) for r in records], "extra": extra}
         # readers see the old file or the whole new one, never a part
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
 
 
-def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
-              cache_dir=None) -> Manifold:
-    """Evaluate the full (theta_w x theta_v x context) grid for a protocol.
+def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
+    """``evaluate(state, coord)`` per coordinate, in order, through the cache.
 
-    Grid cells are independent: they may be evaluated concurrently, in any
-    order, or alone, and always produce the same bytes.  Empty-context
-    cells are recorded as gaps; render failures abort.
+    ``prepare()`` builds the state every cell shares (renders, ground truth,
+    patches); it runs only when some cell misses the cache, so resuming a
+    finished sweep renders nothing.  Returns the results and the state
+    (None when every cell came from the cache).
     """
-    cache = CellCache(cache_dir, protocol) if cache_dir else None
-    if protocol.source == "ingest":
-        return _run_ingest_sweep(protocol, threads, progress)
-    if protocol.model in ("OC", "BC", "GC"):
-        return _run_photometric_sweep(protocol, threads, progress, cache)
-    if protocol.model == "PS":
-        return _run_ps_sweep(protocol, threads, progress, cache)
-    return _run_ds_sweep(protocol, threads, progress, cache)
+    coords = list(coords)
+    results = [cache.load(c) if cache is not None else None for c in coords]
+    missing = [i for i, r in enumerate(results) if r is None]
+    if not missing:
+        return results, None
+    state = prepare()
+
+    def run(i):
+        out = evaluate(state, coords[i])
+        if cache is not None:
+            cache.store(coords[i], out)
+        return out
+
+    for i, out in zip(missing, _parallel_map(run, missing, threads, progress)):
+        results[i] = out
+    return results, state
 
 
 # -- real-sequence ingestion --------------------------------------------------
@@ -962,6 +871,30 @@ class IngestedSequence:
 _FRAME_RE = re.compile(r"(\d+)")
 
 
+def _sequence_layout(directory, annotation_path):
+    """A sequence's sorted frame paths, its annotation and its reference
+    index: everything but the pixels."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise IngestError(f"not a directory: {directory}")
+    frame_paths = sorted(
+        (p for p in directory.iterdir() if p.suffix.lower() == ".ppm"),
+        key=lambda p: [int(t) if t.isdigit() else t for t in _FRAME_RE.split(p.name)],
+    )
+    if not frame_paths:
+        raise IngestError(f"no .ppm frames in {directory}")
+    try:
+        doc = json.loads(Path(annotation_path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IngestError(f"cannot read annotation: {exc}") from exc
+    ref = int(doc.get("reference_frame", 0))
+    if not 0 <= ref < len(frame_paths):
+        raise IngestError(f"reference_frame {ref} out of range "
+                          f"(have {len(frame_paths)} frames)",
+                          json_path="reference_frame")
+    return frame_paths, doc, ref
+
+
 def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     """Load a numbered PPM frame directory plus its patch annotation.
 
@@ -973,34 +906,15 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     from .imgio import read_ppm
 
     directory = Path(directory)
-    if not directory.is_dir():
-        raise IngestError(f"not a directory: {directory}")
-    frame_paths = sorted(
-        (p for p in directory.iterdir() if p.suffix.lower() == ".ppm"),
-        key=lambda p: [int(t) if t.isdigit() else t for t in _FRAME_RE.split(p.name)],
-    )
-    if not frame_paths:
-        raise IngestError(f"no .ppm frames in {directory}")
+    frame_paths, doc, ref = _sequence_layout(directory, annotation_path)
     frames = []
-    maxvals = set()
     for p in frame_paths:
         arr, maxval = read_ppm(p)
         frames.append(arr.astype(np.float64) / maxval)
-        maxvals.add(maxval)
     shapes = {f.shape for f in frames}
     if len(shapes) != 1:
         raise IngestError(f"frame size mismatch: {sorted(shapes)}")
 
-    try:
-        doc = json.loads(Path(annotation_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IngestError(f"cannot read annotation: {exc}") from exc
-
-    ref = int(doc.get("reference_frame", 0))
-    if not 0 <= ref < len(frames):
-        raise IngestError(f"reference_frame {ref} out of range "
-                          f"(have {len(frames)} frames)",
-                          json_path="reference_frame")
     h, w = frames[0].shape[:2]
     patches = []
     for i, entry in enumerate(doc.get("patches", [])):
@@ -1037,84 +951,138 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     )
 
 
-def _annotation_patches_at(seq, side):
-    """Centered side x side patches inside each annotated rectangle."""
-    out = {}
-    for entry in seq.patches:
-        if side > min(entry["width"], entry["height"]):
-            continue
-        row = entry["y"] + (entry["height"] - side) // 2
-        col = entry["x"] + (entry["width"] - side) // 2
-        out.setdefault(entry["context"], []).append(
-            Patch(row=row, col=col, side=side, context=entry["context"]))
-    return out
+def _ingest_frames(protocol):
+    """The frames an ingest sweep evaluates: all but the reference for OC,
+    all with a predecessor for BC/GC."""
+    frame_paths, _, ref = _sequence_layout(protocol.ingest_dir,
+                                           protocol.ingest_annotation)
+    if protocol.model == "OC":
+        indices = [i for i in range(len(frame_paths)) if i != ref]
+    else:
+        indices = list(range(1, len(frame_paths)))
+    if not indices:
+        raise IngestError("sequence too short for the requested model")
+    return indices
 
 
-def _run_ingest_sweep(protocol, threads, progress):
-    from .imgio import read_flo
-
+def _prepare_ingest(protocol):
+    """The loaded sequence, the centered side x side patch inside each
+    annotated rectangle that holds one, and the static camera's zero flow."""
     seq = ingest_sequence(protocol.ingest_dir, protocol.ingest_annotation)
-    if protocol.model in ("BC", "GC") and not seq.zero_flow and not seq.flow_files:
+    if protocol.model != "OC" and not seq.zero_flow and not seq.flow_files:
         raise IngestError(
             "brightness/gradient constancy on ingested data needs either "
             "zero_flow (static camera assumption) or flo_files")
-    if protocol.model == "PS" and not seq.flow_files:
-        raise IngestError("flow-dependent validation disabled: no flo_files "
-                          "supplied for the ingested sequence")
-    if protocol.model == "DS":
-        raise IngestError("DS ingestion is not supported: weather-varied "
-                          "co-registered stacks are required")
+    patches = {(context, s): [] for s in protocol.patch_sizes
+               for context in protocol.contexts}
+    for s in protocol.patch_sizes:
+        for entry in seq.patches:
+            key = (entry["context"], s)
+            if key in patches and s <= min(entry["width"], entry["height"]):
+                row = entry["y"] + (entry["height"] - s) // 2
+                col = entry["x"] + (entry["width"] - s) // 2
+                patches[key].append(Patch(row=row, col=col, side=s,
+                                          context=entry["context"]))
+    return seq, patches, np.zeros(seq.frames[0].shape[:2] + (2,))
 
-    h, w = seq.frames[0].shape[:2]
-    zero = np.zeros((h, w, 2))
-    contexts = protocol.contexts
 
-    def eval_frame(idx):
-        records = []
-        skipped = 0
-        cur = seq.frames[idx]
-        ref = seq.frames[seq.reference_index]
-        if protocol.model in ("BC", "GC"):
-            prev = seq.frames[idx - 1]
-            flow = read_flo(seq.flow_files[idx - 1]) if seq.flow_files else zero
-        for s in protocol.patch_sizes:
-            by_context = _annotation_patches_at(seq, s)
-            for context in contexts:
-                theta_w = {"frame": idx}
-                theta_v = {"s": s}
-                plist = by_context.get(context)
-                if not plist:
-                    records.append(CriterionRecord(
-                        protocol.model, context, theta_w, theta_v,
-                        float("nan"), float("nan"), 0))
-                    continue
-                values = []
-                for p in plist:
-                    if protocol.model == "OC":
-                        values.append(oc_measure(p.extract(ref), p.extract(cur)))
-                    elif protocol.model == "BC":
-                        values.append(bc_variance(prev, cur, flow, p))
-                    elif protocol.model == "GC":
-                        values.append(gc_variance(prev, cur, flow, p))
-                    else:
-                        raise ConfigError(f"unsupported ingest model {protocol.model}")
-                rec, skip = _stats_record(protocol, context, theta_w, theta_v, values)
-                records.append(rec)
-                skipped += skip
-        return records, skipped
+def _eval_frame(protocol, state, idx):
+    """Frame ``idx`` against the reference (OC) or its predecessor (BC/GC),
+    under the supplied flow or, for a static camera, zero flow."""
+    from .imgio import read_flo
 
+    seq, patches, zero_flow = state
+    cur = seq.frames[idx]
     if protocol.model == "OC":
-        indices = [i for i in range(len(seq.frames)) if i != seq.reference_index]
+        ref, flow = seq.frames[seq.reference_index], None
     else:
-        indices = list(range(1, len(seq.frames)))
-    if not indices:
-        raise IngestError("sequence too short for the requested model")
-    results = _parallel_map(eval_frame, indices, threads, progress)
+        ref = seq.frames[idx - 1]
+        flow = read_flo(seq.flow_files[idx - 1]) if seq.flow_files else zero_flow
+    return _cell_records(protocol, {"frame": idx}, patches,
+                         _pair_measure(protocol, ref, cur, flow))
+
+
+# -- the sweep driver ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SweepSpec:
+    """How one model sweeps: the theta_w axis and its coordinates, the state
+    every cell shares, one cell's ``(records, extra)``, and the Monte Carlo
+    render passes of a fresh sweep as (per sweep, per coordinate)."""
+
+    axis: str
+    coords: object  # protocol -> coordinates along ``axis``
+    prepare: object  # protocol -> shared state
+    evaluate: object  # (protocol, state, coord) -> (records, extra)
+    passes: tuple
+    theta_v_axes: tuple = ("s",)
+
+
+# reference frame, sun off, sun on
+_RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
+                        _prepare_ramp, _eval_level, passes=(3, 0))
+
+_SWEEP_SPECS = {
+    "OC": _RAMP_SPEC,
+    "BC": _RAMP_SPEC,
+    "GC": _RAMP_SPEC,
+    "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
+                     _eval_speed, passes=(0, 4)),
+    # one pass renders all densities of a tag
+    "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_scene,
+                     _eval_weather, passes=(0, 1), theta_v_axes=()),
+}
+
+_INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frame,
+                          passes=(0, 0))
+
+
+def _sweep_spec(protocol):
+    if protocol.source == "simulate":
+        return _SWEEP_SPECS[protocol.model]
+    if protocol.model not in ("OC", "BC", "GC"):
+        raise IngestError(f"{protocol.model} ingestion is not supported: "
+                          "ingested sequences are evaluated with OC, BC and GC")
+    return _INGEST_SPEC
+
+
+def sweep_size(protocol: ProtocolConfig) -> tuple:
+    """(cells, Monte Carlo render passes) of a fresh sweep."""
+    spec = _sweep_spec(protocol)
+    n_w = len(spec.coords(protocol))
+    per_coord = (len(protocol.patch_sizes) * len(protocol.contexts)
+                 if spec.theta_v_axes else 1)
+    per_sweep, per_w = spec.passes
+    return n_w * per_coord, per_sweep + per_w * n_w
+
+
+def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
+              cache_dir=None) -> Manifold:
+    """Evaluate the full (theta_w x theta_v x context) grid for a protocol.
+
+    Grid cells are independent: they may be evaluated concurrently, in any
+    order, or alone, and always produce the same bytes.  Empty-context
+    cells are recorded as gaps; render failures abort.
+    """
+    spec = _sweep_spec(protocol)
+    # the bytes of ingested frames are not in the protocol hash, so a cached
+    # cell could not tell an edited sequence from the one it came from
+    cache = (CellCache(cache_dir, protocol)
+             if cache_dir and protocol.source == "simulate" else None)
+    results, state = _sweep_cells(
+        spec.coords(protocol), functools.partial(spec.prepare, protocol),
+        functools.partial(spec.evaluate, protocol), cache, threads, progress)
     records = [r for recs, _ in results for r in recs]
-    degenerate = sum(sk for _, sk in results)
-    return Manifold(protocol.model, ("frame",), ("s",), records,
-                    aux={"degenerate_skipped": degenerate,
-                         "zero_flow": seq.zero_flow})
+    extras = [extra for _, extra in results]
+    if protocol.model == "DS":
+        aux = {"ds": extras}
+    else:
+        aux = {"degenerate_skipped": sum(extras)}
+    if protocol.source == "ingest":
+        aux["zero_flow"] = state[0].zero_flow  # state: (sequence, patches, zero flow)
+    return Manifold(protocol.model, (spec.axis,), spec.theta_v_axes, records,
+                    aux=aux)
 
 
 # -- SVG emission -------------------------------------------------------------

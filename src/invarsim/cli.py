@@ -29,6 +29,7 @@ from .characterize import (
     marginalize,
     rank_manifold_contexts,
     run_sweep,
+    sweep_size,
 )
 from .errors import ConfigError, InvarsimError, LabelMismatchError, PlacementError
 from .imgio import write_flo, write_pfm, write_ppm
@@ -224,7 +225,7 @@ def cmd_sweep(args):
                          "patch": protocol.patch_seed,
                          "sensor": protocol.sensor_seed})
     if args.dry_run:
-        cells, renders = _sweep_size(protocol)
+        cells, renders = sweep_size(protocol)
         _emit(args, {"cells": cells, "renders": renders})
         return EXIT_OK
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,15 +237,7 @@ def cmd_sweep(args):
     manifest.stage("sweep", outputs)
 
     svg_paths = _emit_heatmaps(manifold, out_dir)
-    report = {
-        "model": manifold.model,
-        "aux": manifold.aux,
-        "missing_cells": len(manifold.missing),
-    }
-    try:
-        report["context_ranking"] = rank_manifold_contexts(manifold)
-    except ConfigError:
-        pass
+    report = _report(manifold)
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     manifest.stage("report", svg_paths + [report_path])
@@ -254,21 +247,15 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _sweep_size(protocol):
-    """(cells, Monte Carlo render passes) of a fresh simulated sweep."""
-    n_v = len(protocol.patch_sizes)
-    n_ctx = max(1, len(protocol.contexts))
-    if protocol.model in ("OC", "BC", "GC"):
-        n_w = len(protocol.illumination_levels)
-        renders = 3  # reference frame, sun off, sun on
-    elif protocol.model == "PS":
-        n_w = len(protocol.speed_scales)
-        renders = 4 * n_w
-    else:
-        n_w = len(protocol.weather_tags)
-        renders = n_w  # one pass renders all densities of a tag
-        return n_w, renders
-    return n_w * n_v * n_ctx, renders
+def _report(manifold):
+    """The report fields that ``sweep`` and ``report`` share."""
+    report = {"model": manifold.model, "aux": manifold.aux,
+              "missing_cells": len(manifold.missing)}
+    try:
+        report["context_ranking"] = rank_manifold_contexts(manifold)
+    except ConfigError:
+        pass  # no complete cell: nothing to rank
+    return report
 
 
 def _emit_heatmaps(manifold, out_dir):
@@ -315,13 +302,8 @@ def cmd_ingest(args):
 def cmd_compare(args):
     a = Manifold.from_csv(Path(args.manifold_a).read_text())
     b = Manifold.from_csv(Path(args.manifold_b).read_text())
-    if args.by == "weather":
-        rank_a = _weather_ranking(a)
-        rank_b = _weather_ranking(b)
-    else:
-        rank_a = rank_manifold_contexts(a)
-        rank_b = rank_manifold_contexts(b)
-    comparison = compare_rankings(rank_a, rank_b)
+    comparison = compare_rankings(rank_manifold_contexts(a, by=args.by),
+                                  rank_manifold_contexts(b, by=args.by))
     doc = comparison.to_dict()
     doc["by"] = args.by
     doc["models"] = [a.model, b.model]
@@ -334,20 +316,6 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def _weather_ranking(manifold):
-    from .characterize import HIGHER_IS_BETTER, rank_items
-
-    pools = {}
-    for r in manifold.records:
-        if r.n > 0 and "weather" in r.theta_w:
-            pools.setdefault(r.theta_w["weather"], []).append(r.mean)
-    if not pools:
-        raise ConfigError("manifold has no weather axis to rank")
-    items = [(w, float(np.mean(v))) for w, v in sorted(pools.items())]
-    direction = "higher_better" if HIGHER_IS_BETTER[manifold.model] else "lower_better"
-    return rank_items(items, direction)
-
-
 # -- report -------------------------------------------------------------------
 
 
@@ -357,12 +325,7 @@ def cmd_report(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("report", _sha256(Path(args.manifold).read_bytes()), {})
     svg_paths = _emit_heatmaps(manifold, out_dir)
-    report = {"model": manifold.model, "aux": manifold.aux,
-              "missing_cells": len(manifold.missing)}
-    try:
-        report["context_ranking"] = rank_manifold_contexts(manifold)
-    except ConfigError:
-        pass
+    report = _report(manifold)
     marginals = {}
     for axis in manifold.theta_w_axes + manifold.theta_v_axes:
         table = marginalize(manifold, axis)
@@ -389,25 +352,29 @@ def build_parser():
         description="Simulation workbench for validating vision-model "
                     "invariance assumptions on procedural city scenes.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation")
-    common.add_argument("--porcelain", action="store_true",
-                        help="stdout carries one machine-readable JSON object")
-    common.add_argument("--dry-run", action="store_true",
-                        help="validate and report work size without writing")
+    # each flag goes only to the subcommands that read it
+    porcelain = argparse.ArgumentParser(add_help=False)
+    porcelain.add_argument("--porcelain", action="store_true",
+                           help="stdout carries one machine-readable JSON object")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the configured seed")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads for grid evaluation")
+    dry_run = argparse.ArgumentParser(add_help=False)
+    dry_run.add_argument("--dry-run", action="store_true",
+                         help="validate and report work size without writing")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[porcelain, seed, dry_run],
                        help="sample a scene graph from a scene config")
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[porcelain, seed, dry_run],
                        help="render frames plus exact ground truth")
     p.add_argument("scene")
     p.add_argument("--out-dir", required=True)
@@ -422,20 +389,20 @@ def build_parser():
     p.add_argument("--sensor-seed", type=int, default=0)
     p.set_defaults(fn=cmd_render)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[porcelain, threads, dry_run],
                        help="run a characterization protocol over its grid")
     p.add_argument("protocol")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest", parents=[porcelain],
                        help="validate a real frame directory plus annotation")
     p.add_argument("directory")
     p.add_argument("annotation")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[porcelain],
                        help="rank-compare two manifold CSVs")
     p.add_argument("manifold_a")
     p.add_argument("manifold_b")
@@ -443,7 +410,7 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[porcelain],
                        help="emit heatmaps, marginals and rankings for a manifold")
     p.add_argument("manifold")
     p.add_argument("--out-dir", required=True)

@@ -88,7 +88,7 @@ class PrimitiveSoup:
 
 
 #: (u, v) world axes spanned by a rect whose normal is along each axis
-_RECT_UV = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+RECT_UV = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 def _box_hits(soup, O, D, tmin):
@@ -212,8 +212,8 @@ def _rect_hits(soup, O, D, tmin):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (soup.rect_off[None, :] - o_ax) / d_ax
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
-    ua = np.array([_RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
-    va = np.array([_RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
+    ua = np.array([RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
+    va = np.array([RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
     u = O[:, ua] + t * D[:, ua]
     v = O[:, va] + t * D[:, va]
     valid = (

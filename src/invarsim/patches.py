@@ -20,9 +20,6 @@ import numpy as np
 from .errors import ConfigError, MissingBufferError, PatchSamplingError
 from .scene import SKY_OBJECT_ID
 
-#: patch sides supported by default protocols
-DEFAULT_PATCH_SIDES = tuple(range(3, 23, 2))
-
 #: minimum fraction of in-patch pixels that must carry the context label
 PURITY_THRESHOLD = 0.8
 

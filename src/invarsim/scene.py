@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .geometry import RECT_UV
 
 SKY_OBJECT_ID = -1
 SKY_MATERIAL_ID = -1
@@ -373,7 +374,7 @@ def _translate_primitive(p, dx, dy, dz):
         # axis is the normal axis; offset moves along it, u/v along the others
         axis = p["axis"]
         d = (dx, dy, dz)
-        u_axis, v_axis = _RECT_UV_AXES[axis]
+        u_axis, v_axis = RECT_UV[axis]
         q["offset"] = p["offset"] + d[axis]
         q["u"] = [p["u"][0] + d[u_axis], p["u"][1] + d[u_axis]]
         q["v"] = [p["v"][0] + d[v_axis], p["v"][1] + d[v_axis]]
@@ -381,9 +382,6 @@ def _translate_primitive(p, dx, dy, dz):
         raise ConfigError(f"unknown primitive kind {kind!r}")
     return q
 
-
-#: For a rect with normal along `axis`, the world axes spanned by (u, v).
-_RECT_UV_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,8 @@ class TestProtocolConfig:
         ("render", "samples_per_pixel"),
         ("thresholds", "ds_angle"),
         ("ingest", "dir"),
+        ("sensor", "bit"),
+        (None, "zero_flow"),  # ingest reads zero_flow from the annotation
     ])
     def test_unknown_key_rejected_with_its_path(self, block, key):
         doc = default_protocol("PS").to_dict()
@@ -83,6 +85,15 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError) as err:
             ProtocolConfig.from_dict(doc)
         assert err.value.json_path == (key if block is None else f"{block}.{key}")
+
+    def test_ingest_rejects_exclude_occluded(self):
+        # ingested frames carry no occlusion mask to exclude pixels by
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig.from_dict({
+                "model": "BC", "source": "ingest", "contexts": ["Diffuse"],
+                "exclude_occluded": True,
+                "ingest": {"directory": "frames", "annotation": "annotation.json"}})
+        assert err.value.json_path == "exclude_occluded"
 
 
 class TestManifoldCsv:
@@ -323,6 +334,28 @@ class TestSweep:
         assert cell.read_bytes() == whole
         assert not list(cells.glob("*.tmp"))
 
+    def test_every_cell_is_one_document_shape(self, tmp_path):
+        ds = ProtocolConfig.from_dict({
+            "model": "DS", "scene": validation_scene_config(),
+            "theta_w": {"weather_tags": ["Fog"], "density_scales": [0.3, 0.6, 1.0]},
+            "render": {"width": 16, "height": 12, "spp": 1, "max_bounces": 0}})
+        for name, p in (("OC", tiny_oc_protocol()), ("DS", ds)):
+            run_sweep(p, cache_dir=tmp_path / name)
+            for cell in (tmp_path / name).glob("cell_*.json"):
+                assert set(json.loads(cell.read_text())) == {"records", "extra"}
+
+    def test_cell_in_an_older_document_shape_is_evaluated_again(self, tmp_path):
+        p = tiny_oc_protocol()
+        cells = tmp_path / "cells"
+        fresh = run_sweep(p, cache_dir=cells).to_csv()
+        cell = sorted(cells.glob("cell_*.json"))[0]
+        whole = cell.read_bytes()
+        doc = json.loads(whole)
+        cell.write_text(json.dumps({"kind": "records", "records": doc["records"],
+                                    "skipped": doc["extra"]}))
+        assert run_sweep(p, cache_dir=cells).to_csv() == fresh
+        assert cell.read_bytes() == whole
+
     def test_cache_key_carries_epoch_and_version(self, tmp_path, monkeypatch):
         import invarsim.characterize as characterize
 
@@ -540,6 +573,28 @@ class TestIngest:
         with pytest.raises(IngestError):
             run_sweep(p)
 
+    def test_ps_with_flo_files_fails_before_reading_frames(self, tmp_path, monkeypatch):
+        import invarsim.characterize as characterize
+
+        frames, apath = self.export_sequence(tmp_path)
+        doc = json.loads(apath.read_text())
+        doc["flo_files"] = ["flow_0.flo", "flow_1.flo"]
+        apath.write_text(json.dumps(doc))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unsupported ingest model must fail up front")
+
+        monkeypatch.setattr(characterize, "ingest_sequence", forbidden)
+        p = ProtocolConfig.from_dict({
+            "model": "PS",
+            "source": "ingest",
+            "ingest": {"directory": str(tmp_path), "annotation": str(apath)},
+            "theta_w": {"speed_scales": [1.0]},
+            "contexts": ["SameSurface"],
+        })
+        with pytest.raises(IngestError, match="PS ingestion"):
+            run_sweep(p)
+
 
 class TestHeatmap:
     def test_svg_structure(self):
@@ -574,3 +629,14 @@ class TestContextRanking:
         records = [dataclasses.replace(r, model="BC") for r in records]
         m2 = Manifold("BC", ("illumination",), ("s",), records)
         assert rank_manifold_contexts(m2) == {"Diffuse": 2.0, "Occluded": 1.0}
+
+    def test_rank_by_theta_w_axis(self):
+        records = [
+            CriterionRecord("DS", "All", {"weather": w}, {}, v, 0.0, n)
+            for w, v, n in (("Fog", 0.1, 9), ("Mist", 0.4, 9), ("Rain", 0.2, 0))
+        ]
+        m = Manifold("DS", ("weather",), (), records)
+        assert rank_manifold_contexts(m, by="weather") == {"Fog": 1.0, "Mist": 2.0}
+        assert rank_manifold_contexts(m) == {"All": 1.0}
+        with pytest.raises(ConfigError, match="no complete cells to rank by speed"):
+            rank_manifold_contexts(m, by="speed")

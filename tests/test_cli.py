@@ -191,6 +191,17 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cells": cells, "renders": renders}
 
+    def test_sweep_rejects_seed(self, tmp_path, capsys):
+        # the protocol's seeds block decides every seed of a sweep
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(tiny_protocol_doc()))
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(ppath), "--out-dir", str(out_dir), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_resume_reproduces_bytes(self, tmp_path):
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps(tiny_protocol_doc()))
@@ -263,6 +274,14 @@ class TestCompareReport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["correlation"] == 1.0  # same ordering in both sources
 
+    def test_report_rejects_dry_run(self, tmp_path):
+        a = self.make_manifold_csv(tmp_path, "a.csv")
+        out_dir = tmp_path / "report"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(a), "--out-dir", str(out_dir), "--dry-run"])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
+
     def test_report_emits_svg_and_marginals(self, tmp_path):
         a = self.make_manifold_csv(tmp_path, "a.csv")
         out_dir = tmp_path / "report"
@@ -304,3 +323,74 @@ class TestIngestCommand:
                          "context": "Diffuse"}],
         }))
         assert main(["ingest", str(tmp_path), str(apath)]) == 2
+
+
+class TestIngestSweep:
+    CONTEXTS = ["Diffuse", "Edge", "Occluded"]
+
+    def ingest_protocol(self, tmp_path, model):
+        from invarsim.imgio import write_ppm
+
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        rng = np.random.default_rng(1)
+        for t in range(4):
+            img = rng.integers(0, 255, size=(24, 32, 3)).astype(np.uint8)
+            write_ppm(frames / f"f{t}.ppm", img, maxval=255)
+        apath = tmp_path / "annotation.json"
+        apath.write_text(json.dumps({
+            "reference_frame": 2, "zero_flow": True,
+            "patches": [{"x": 2 + 9 * i, "y": 4, "width": 8, "height": 8,
+                         "context": c} for i, c in enumerate(self.CONTEXTS)],
+        }))
+        ppath = tmp_path / f"protocol_{model}.json"
+        ppath.write_text(json.dumps({
+            "model": model, "source": "ingest", "contexts": self.CONTEXTS,
+            "theta_v": {"patch_sizes": [3, 5]},
+            "ingest": {"directory": str(frames), "annotation": str(apath)}}))
+        return ppath
+
+    @pytest.mark.parametrize("model", ["OC", "BC"])
+    def test_dry_run_counts_frames_sides_contexts(self, tmp_path, capsys, model):
+        # OC skips the reference frame, BC/GC the first: 3 of 4 frames either way
+        ppath = self.ingest_protocol(tmp_path, model)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                     "--porcelain", "--dry-run"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"cells": 3 * 2 * 3, "renders": 0}
+        assert not out_dir.exists()
+
+    def test_sweep_leaves_no_cell_cache(self, tmp_path):
+        ppath = self.ingest_protocol(tmp_path, "OC")
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(ppath), "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "manifold.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 2 * 3
+        assert not (out_dir / "cells").exists()
+
+
+# every flag a subcommand does not read; argparse rejects each with exit 2
+_POSITIONALS = {
+    "sample": ["config.json", "--out", "scene.json"],
+    "render": ["scene.json", "--out-dir", "frames"],
+    "sweep": ["protocol.json", "--out-dir", "sweep"],
+    "ingest": ["frames", "annotation.json"],
+    "compare": ["a.csv", "b.csv"],
+    "report": ["manifold.csv", "--out-dir", "report"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[f"{c} --seed 1" for c in ("sweep", "ingest", "compare", "report")],
+    *[f"{c} --threads 2" for c in ("sample", "render", "ingest", "compare", "report")],
+    *[f"{c} --dry-run" for c in ("ingest", "compare", "report")],
+])
+def test_ignored_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
+    command, *flag = argv.split()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_POSITIONALS[command], *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -24,7 +24,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .errors import (
     IngestError,
     LabelMismatchError,
     PatchSamplingError,
+    reject_unknown_keys,
 )
 from .patches import (
     CONTEXT_NAMES,
@@ -43,6 +44,7 @@ from .patches import (
     sample_patches,
 )
 from .render import (
+    SENSOR_KEYS,
     RadianceImage,
     RenderConfig,
     SensorConfig,
@@ -73,20 +75,58 @@ HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": Fal
 #: measuring moves cell values, so no resumed run mixes old cells in
 CACHE_EPOCH = 1
 
-#: keys ``ProtocolConfig.from_dict`` accepts, per block ("" is the top level)
-_PROTOCOL_KEYS = {
-    "": {"model", "source", "scene", "theta_w", "theta_v", "contexts",
-         "patches_per_cell", "seeds", "render", "sensor", "thresholds",
-         "exclude_occluded", "ingest"},
-    "theta_w": {"illumination_levels", "weather_tags", "density_scales",
-                "speed_scales", "sunny_tags"},
-    "theta_v": {"patch_sizes"},
-    "seeds": {"scene", "render", "patch", "sensor"},
-    "render": {"width", "height", "spp", "max_bounces"},
-    "sensor": {"sigma", "bits", "gamma"},
-    "thresholds": {"ds_angle_deg"},
-    "ingest": {"directory", "annotation"},
+#: where each ProtocolConfig field lives in the JSON document, "block.key" or
+#: a top-level "key"; errors name a bad value by this path
+_PATHS = {
+    "model": "model", "source": "source", "scene": "scene", "contexts": "contexts",
+    "patches_per_cell": "patches_per_cell", "exclude_occluded": "exclude_occluded",
+    "sensor": "sensor", "ds_angle_threshold_deg": "thresholds.ds_angle_deg",
+    "illumination_levels": "theta_w.illumination_levels",
+    "weather_tags": "theta_w.weather_tags", "density_scales": "theta_w.density_scales",
+    "speed_scales": "theta_w.speed_scales", "sunny_tags": "theta_w.sunny_tags",
+    "patch_sizes": "theta_v.patch_sizes",
+    "scene_seed": "seeds.scene", "render_seed": "seeds.render",
+    "patch_seed": "seeds.patch", "sensor_seed": "seeds.sensor",
+    "width": "render.width", "height": "render.height",
+    "samples_per_pixel": "render.spp", "max_bounces": "render.max_bounces",
+    "ingest_dir": "ingest.directory", "ingest_annotation": "ingest.annotation",
 }
+
+
+def _nest(pairs):
+    """A JSON document from (path, value) pairs."""
+    doc = {}
+    for path, value in pairs:
+        block, _, key = path.rpartition(".")
+        (doc.setdefault(block, {}) if block else doc)[key] = value
+    return doc
+
+
+#: the ``reject_unknown_keys`` table of a protocol document
+_PROTOCOL_KEYS = {**_nest((path, None) for path in _PATHS.values()),
+                  "sensor": dict.fromkeys(SENSOR_KEYS)}
+
+#: the JSON value types a field accepts, by the type of its default
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,)}
+
+#: the names a name-valued field accepts; Clear has no density for DS to ramp
+_KNOWN_NAMES = {"contexts": CONTEXT_NAMES, "sunny_tags": tuple(WEATHER_PRESETS),
+                "weather_tags": tuple(t for t in WEATHER_PRESETS if t != "Clear")}
+
+
+def _cast(value, default, path):
+    """A field's JSON value, checked against and cast to its default's type."""
+    if (default is None or default is MISSING
+            or value is None and isinstance(default, dict)):
+        return value
+    try:
+        if isinstance(default, dict):
+            return {k: _cast(v, default[k], f"{path}.{k}") for k, v in value.items()}
+        if type(value) not in _ACCEPTS[type(default)]:
+            raise TypeError(f"expected {_ACCEPTS[type(default)][-1].__name__}")
+        return type(default)(value)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r}: {exc}", json_path=path) from exc
 
 
 def _mix(*parts) -> int:
@@ -119,7 +159,8 @@ class ProtocolConfig:
     height: int = 48
     samples_per_pixel: int = 16
     max_bounces: int = 1
-    sensor: dict | None = field(default_factory=lambda: {"sigma": 0.002, "bits": 8, "gamma": 1.0})
+    sensor: dict | None = field(default_factory=lambda: {
+        key: getattr(SensorConfig(), name) for key, name in SENSOR_KEYS.items()})
     ds_angle_threshold_deg: float = 3.0
     exclude_occluded: bool = False
     ingest_dir: str | None = None
@@ -127,26 +168,35 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}", json_path="model")
+            raise ConfigError(f"unknown model {self.model!r}", json_path=_PATHS["model"])
         if self.source not in ("simulate", "ingest"):
-            raise ConfigError(f"unknown source {self.source!r}", json_path="source")
+            raise ConfigError(f"unknown source {self.source!r}",
+                              json_path=_PATHS["source"])
         if self.patches_per_cell < 1:
             raise ConfigError("patches_per_cell must be >= 1",
-                              json_path="patches_per_cell")
+                              json_path=_PATHS["patches_per_cell"])
+        for name in ("illumination_levels", "density_scales", "speed_scales"):
+            for v in getattr(self, name):  # ints stay ints: the manifold CSV prints them
+                if type(v) not in _ACCEPTS[float]:
+                    raise ConfigError(f"{v!r} is not a number", json_path=_PATHS[name])
         for s in self.patch_sizes:
-            if s % 2 == 0 or s < 3:
-                raise ConfigError(f"patch size {s} must be odd and >= 3",
-                                  json_path="theta_v.patch_sizes")
+            if not isinstance(s, int) or s % 2 == 0 or s < 3:
+                raise ConfigError(f"patch size {s!r} must be an odd integer >= 3",
+                                  json_path=_PATHS["patch_sizes"])
             if self.model in ("GC",) and s < 5:
                 raise ConfigError("GC needs patch sizes >= 5",
-                                  json_path="theta_v.patch_sizes")
+                                  json_path=_PATHS["patch_sizes"])
+        for name, known in _KNOWN_NAMES.items():
+            for v in getattr(self, name):
+                if v not in known:
+                    raise ConfigError(f"unknown name {v!r}", json_path=_PATHS[name])
         if self.source == "simulate":
             if self.scene is None:
                 raise ConfigError("simulate mode requires a scene config",
-                                  json_path="scene")
+                                  json_path=_PATHS["scene"])
             if self.model in ("OC", "BC", "GC") and not self.illumination_levels:
                 raise ConfigError("illumination_levels required",
-                                  json_path="theta_w.illumination_levels")
+                                  json_path=_PATHS["illumination_levels"])
             if self.model == "DS" and (not self.weather_tags or
                                        len(self.density_scales) < 3):
                 raise ConfigError(
@@ -160,89 +210,47 @@ class ProtocolConfig:
                                   "ingest.annotation", json_path="ingest")
             if self.exclude_occluded:
                 raise ConfigError("ingested frames have no occlusion mask",
-                                  json_path="exclude_occluded")
+                                  json_path=_PATHS["exclude_occluded"])
         if not self.contexts and self.model != "DS":
-            raise ConfigError("contexts must not be empty", json_path="contexts")
+            raise ConfigError("contexts must not be empty", json_path=_PATHS["contexts"])
+        for path, build in (("render", self.render_config),
+                            (_PATHS["scene"], self.scene_config),
+                            (_PATHS["sensor"], self.sensor_config)):
+            try:
+                build()
+            except ConfigError as exc:
+                raise ConfigError(str(exc), json_path=path) from exc
 
     # -- JSON ------------------------------------------------------------
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
-        _reject_unknown_keys(doc)
-        try:
-            tw = doc.get("theta_w", {})
-            tv = doc.get("theta_v", {})
-            seeds = doc.get("seeds", {})
-            render = doc.get("render", {})
-            ingest = doc.get("ingest", {})
-            thresholds = doc.get("thresholds", {})
-            return cls(
-                model=doc["model"],
-                source=doc.get("source", "simulate"),
-                scene=doc.get("scene"),
-                illumination_levels=tuple(tw.get("illumination_levels", ())),
-                weather_tags=tuple(tw.get("weather_tags", ())),
-                density_scales=tuple(tw.get("density_scales", ())),
-                speed_scales=tuple(tw.get("speed_scales", ())),
-                sunny_tags=tuple(tw.get("sunny_tags", ("MildHaze",))),
-                patch_sizes=tuple(tv.get("patch_sizes", (5, 9, 13))),
-                contexts=tuple(doc.get("contexts", ())),
-                patches_per_cell=int(doc.get("patches_per_cell", 6)),
-                scene_seed=int(seeds.get("scene", 7)),
-                render_seed=int(seeds.get("render", 11)),
-                patch_seed=int(seeds.get("patch", 13)),
-                sensor_seed=int(seeds.get("sensor", 17)),
-                width=int(render.get("width", 64)),
-                height=int(render.get("height", 48)),
-                samples_per_pixel=int(render.get("spp", 16)),
-                max_bounces=int(render.get("max_bounces", 1)),
-                sensor=(dict(doc["sensor"]) if doc.get("sensor") is not None
-                        else (None if "sensor" in doc
-                              else {"sigma": 0.002, "bits": 8, "gamma": 1.0})),
-                ds_angle_threshold_deg=float(thresholds.get("ds_angle_deg", 3.0)),
-                exclude_occluded=bool(doc.get("exclude_occluded", False)),
-                ingest_dir=ingest.get("directory"),
-                ingest_annotation=ingest.get("annotation"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid protocol config: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProtocolConfig":
-        return cls.from_dict(json.loads(text))
+        reject_unknown_keys(doc, _PROTOCOL_KEYS)
+        values = {}
+        for f in dataclasses.fields(cls):
+            block, _, key = _PATHS[f.name].rpartition(".")
+            part = doc.get(block, {}) if block else doc
+            if not isinstance(part, dict):
+                raise ConfigError("expected a JSON object", json_path=block)
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if key in part:
+                values[f.name] = _cast(part[key], default, _PATHS[f.name])
+            elif default is MISSING:
+                raise ConfigError("required key is missing", json_path=_PATHS[f.name])
+        return cls(**values)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "source": self.source,
-            "scene": self.scene,
-            "theta_w": {
-                "illumination_levels": list(self.illumination_levels),
-                "weather_tags": list(self.weather_tags),
-                "density_scales": list(self.density_scales),
-                "speed_scales": list(self.speed_scales),
-                "sunny_tags": list(self.sunny_tags),
-            },
-            "theta_v": {"patch_sizes": list(self.patch_sizes)},
-            "contexts": list(self.contexts),
-            "patches_per_cell": self.patches_per_cell,
-            "seeds": {"scene": self.scene_seed, "render": self.render_seed,
-                      "patch": self.patch_seed, "sensor": self.sensor_seed},
-            "render": {"width": self.width, "height": self.height,
-                       "spp": self.samples_per_pixel,
-                       "max_bounces": self.max_bounces},
-            "sensor": self.sensor,
-            "thresholds": {"ds_angle_deg": self.ds_angle_threshold_deg},
-            "exclude_occluded": self.exclude_occluded,
-            "ingest": {"directory": self.ingest_dir,
-                       "annotation": self.ingest_annotation},
-        }
+        values = ((path, getattr(self, name)) for name, path in _PATHS.items())
+        return _nest((path, list(v) if isinstance(v, tuple) else v) for path, v in values)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+    def scene_config(self) -> SceneConfig | None:
+        return None if self.scene is None else SceneConfig.from_dict(self.scene)
 
     def render_config(self) -> RenderConfig:
         return RenderConfig(width=self.width, height=self.height,
@@ -254,26 +262,8 @@ class ProtocolConfig:
         """Sensor stage for one frame; None means evaluate raw radiance."""
         if self.sensor is None:
             return None
-        return SensorConfig(
-            gaussian_noise_sigma=float(self.sensor.get("sigma", 0.002)),
-            quantization_bits=int(self.sensor.get("bits", 8)),
-            gamma=float(self.sensor.get("gamma", 1.0)),
-            noise_seed=_mix(self.sensor_seed, *tags),
-        )
-
-
-def _reject_unknown_keys(doc):
-    """A misspelt key would otherwise run silently with its default."""
-    for block, allowed in _PROTOCOL_KEYS.items():
-        part = doc.get(block, {}) if block else doc
-        if part is None and block == "sensor":
-            continue  # no sensor stage: evaluate raw radiance
-        if not isinstance(part, dict):
-            raise ConfigError("expected a JSON object", json_path=block or None)
-        unknown = sorted(set(part) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r}",
-                              json_path=f"{block}.{unknown[0]}" if block else unknown[0])
+        return SensorConfig(**{SENSOR_KEYS[k]: v for k, v in self.sensor.items()},
+                            noise_seed=_mix(self.sensor_seed, *tags))
 
 
 _RAMP_40 = tuple(1.0 + 4.0 * i / 39.0 for i in range(40))
@@ -296,9 +286,7 @@ def default_protocol(model: str) -> ProtocolConfig:
         "model": model,
         "scene": validation_scene_config(),
         "theta_w": {"illumination_levels": list(_RAMP_40)},
-        "theta_v": {"patch_sizes": [5, 9, 13]},
         "contexts": list(_OC_CONTEXTS),
-        "patches_per_cell": 6,
     }
     if model in ("BC", "GC", "PS"):
         base["scene"]["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
@@ -309,10 +297,9 @@ def default_protocol(model: str) -> ProtocolConfig:
         base["theta_w"] = {
             "weather_tags": ["Fog", "Mist", "Rain", "DenseHaze", "MildHaze"],
             "density_scales": [0.2, 0.4, 0.6, 0.8, 1.0],
-            "sunny_tags": ["MildHaze"],
         }
         base["contexts"] = []
-        base["render"] = {"width": 64, "height": 48, "spp": 16, "max_bounces": 0}
+        base["render"] = {"max_bounces": 0}
     return ProtocolConfig.from_dict(base)
 
 
@@ -693,7 +680,7 @@ def _prepare_ramp(protocol):
     frame is the affine combination of the two before the sensor stage.
     """
     rcfg = protocol.render_config()
-    base = sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+    base = sample_scene(protocol.scene_config(), protocol.scene_seed)
     if protocol.model == "OC":
         # reference: static subset of the scene under ambient light only
         ref_scene = _ambient_only(_without_dynamic_objects(base))
@@ -727,7 +714,7 @@ def _eval_level(protocol, state, level):
 
 
 def _prepare_scene(protocol):
-    return sample_scene(SceneConfig.from_dict(protocol.scene), protocol.scene_seed)
+    return sample_scene(protocol.scene_config(), protocol.scene_seed)
 
 
 def _eval_speed(protocol, base, speed):
@@ -750,9 +737,6 @@ def _eval_speed(protocol, base, speed):
 
 def _eval_weather(protocol, base, tag):
     """DS: each weather tag's density ramp rendered in one Monte Carlo pass."""
-    if tag not in WEATHER_PRESETS or tag == "Clear":
-        raise ConfigError(f"unknown weather tag {tag!r}",
-                          json_path="theta_w.weather_tags")
     preset = WEATHER_PRESETS[tag]
     scene = base if tag in protocol.sunny_tags else _ambient_only(base)
     media = [preset.scaled(density) for density in protocol.density_scales]
@@ -870,6 +854,10 @@ class IngestedSequence:
 
 _FRAME_RE = re.compile(r"(\d+)")
 
+#: the ``reject_unknown_keys`` table of an ingest annotation
+_ANNOTATION_KEYS = {**dict.fromkeys(("reference_frame", "zero_flow", "flo_files")),
+                    "patches": dict.fromkeys(("x", "y", "width", "height", "context"))}
+
 
 def _sequence_layout(directory, annotation_path):
     """A sequence's sorted frame paths, its annotation and its reference
@@ -887,6 +875,7 @@ def _sequence_layout(directory, annotation_path):
         doc = json.loads(Path(annotation_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read annotation: {exc}") from exc
+    reject_unknown_keys(doc, _ANNOTATION_KEYS)
     ref = int(doc.get("reference_frame", 0))
     if not 0 <= ref < len(frame_paths):
         raise IngestError(f"reference_frame {ref} out of range "

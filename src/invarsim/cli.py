@@ -33,7 +33,7 @@ from .characterize import (
 )
 from .errors import ConfigError, InvarsimError, LabelMismatchError, PlacementError
 from .imgio import write_flo, write_pfm, write_ppm
-from .render import RenderConfig, SensorConfig, apply_sensor, compute_flow, render_frame, render_ground_truth
+from .render import SENSOR_KEYS, RenderConfig, SensorConfig, apply_sensor, compute_flow, render_frame, render_ground_truth
 from .scene import SceneGraph
 from .scenegen import SceneConfig, apply_dynamics, sample_scene
 
@@ -179,9 +179,7 @@ def cmd_render(args):
                         "spp": cfg.samples_per_pixel,
                         "max_bounces": cfg.max_bounces,
                         "rng_seed": cfg.rng_seed},
-            "sensor": {"sigma": sensor.gaussian_noise_sigma,
-                       "bits": sensor.quantization_bits,
-                       "gamma": sensor.gamma,
+            "sensor": {**{k: getattr(sensor, f) for k, f in SENSOR_KEYS.items()},
                        "noise_seed": sensor.noise_seed + t},
             "scene_seed": scene.seed,
             "scene_hash": _sha256(st.to_json().encode()),
@@ -219,11 +217,7 @@ def cmd_sweep(args):
     doc, text = _load_json_file(args.protocol)
     protocol = ProtocolConfig.from_dict(doc)
     out_dir = Path(args.out_dir)
-    manifest = Manifest("sweep", protocol.content_hash(),
-                        {"scene": protocol.scene_seed,
-                         "render": protocol.render_seed,
-                         "patch": protocol.patch_seed,
-                         "sensor": protocol.sensor_seed})
+    manifest = Manifest("sweep", protocol.content_hash(), protocol.to_dict()["seeds"])
     if args.dry_run:
         cells, renders = sweep_size(protocol)
         _emit(args, {"cells": cells, "renders": renders})

@@ -49,6 +49,10 @@ class RenderConfig:
             raise ConfigError("resolution must be positive")
 
 
+#: JSON key of each value in a ``sensor`` block -> SensorConfig field
+SENSOR_KEYS = {"sigma": "gaussian_noise_sigma", "bits": "quantization_bits", "gamma": "gamma"}
+
+
 @dataclass(frozen=True)
 class SensorConfig:
     """Sensor processing: gamma map, additive Gaussian noise, quantization."""
@@ -251,27 +255,6 @@ def _direct_light(ltab, alb, factors):
     return L
 
 
-def _gather_radiance(setups, lights, soup, mtab, O, D):
-    """Radiance arriving along secondary rays, one array per (medium, light
-    table) setup: direct-lit surfaces or sky, attenuated by the medium over
-    the secondary segment."""
-    hit = trace(soup, O, D)
-    m = hit.mask
-    if m.any():
-        alb = albedo_at(mtab, hit.mat_id[m], hit.point[m])
-        emissive = mtab.emissive[mtab.row(hit.mat_id[m])]
-        factors = _light_factors(soup, setups[0][1], hit.point[m], hit.normal[m])
-    out = []
-    for medium, ltab in setups:
-        L = np.zeros((len(O), 3))
-        if m.any():
-            L[m] = emissive
-            L[m] += _direct_light(ltab, alb, factors)
-        L[~m] = ltab.ambient
-        out.append(medium_mod.observed_radiance(medium, D, lights, hit.t, L))
-    return out
-
-
 def _cosine_dirs(normals, u1, u2):
     """Cosine-weighted hemisphere directions about per-ray normals."""
     r = np.sqrt(u1)
@@ -286,12 +269,12 @@ def _cosine_dirs(normals, u1, u2):
     return local[:, 0:1] * t + local[:, 1:2] * n + local[:, 2:3] * b
 
 
-def _shade_sample(setups, lights, soup, mtab, O, D, rng, spp, sample_index, max_bounces):
-    """Full radiance estimate for one sample's rays, one per setup.
-
-    Rays, hits, bounce directions and shadow rays are shared by all setups;
-    only the light colors and the medium differ between them, so each
-    setup's estimate is bit-identical to rendering it alone.
+def _shade_sample(setups, lights, soup, mtab, O, D, bounce=None):
+    """Radiance along one sample's rays, one array per (medium, light table)
+    setup: direct light, plus with ``bounce`` = (rng, spp, sample index), as
+    for camera rays, one diffuse and one mirror bounce shaded without a
+    further bounce.  Rays, hits and shadow rays are shared by all setups, so
+    each setup's estimate is bit-identical to rendering it alone.
     """
     hit = trace(soup, O, D)
     m = hit.mask
@@ -303,12 +286,13 @@ def _shade_sample(setups, lights, soup, mtab, O, D, rng, spp, sample_index, max_
         factors = _light_factors(soup, setups[0][1], pts, nrm)
         Ls = [mtab.emissive[rows] + _direct_light(ltab, alb, factors)
               for _, ltab in setups]
-        if max_bounces >= 1:
+        if bounce is not None:
             # one diffuse bounce, cosine sampled, stratified over the spp
+            rng, spp, sample_index = bounce
             u = rng.random((int(m.sum()), 2))
             u1 = (sample_index + u[:, 0]) / spp
             dirs = _cosine_dirs(nrm, u1, u[:, 1])
-            Lin = _gather_radiance(setups, lights, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
+            Lin = _shade_sample(setups, lights, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
             Ls = [Ls_k + alb * Lin_k for Ls_k, Lin_k in zip(Ls, Lin)]
             spec = mtab.specular[rows]
             sp = spec > 0.0
@@ -316,7 +300,7 @@ def _shade_sample(setups, lights, soup, mtab, O, D, rng, spp, sample_index, max_
                 d_in = D[m][sp]
                 n_sp = nrm[sp]
                 refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
-                Lr = _gather_radiance(
+                Lr = _shade_sample(
                     setups, lights, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl
                 )
                 for Ls_k, Lr_k in zip(Ls, Lr):
@@ -345,8 +329,8 @@ def _render_pass(scene, media, cfg, return_variance):
         rng = _sample_stream(cfg.rng_seed, s)
         jitter = rng.random((h, w, 2)) - 0.5
         O, D = cam.rays(jitter)
-        Ls = _shade_sample(setups, scene.lights, soup, mtab, O, D, rng, spp, s,
-                           cfg.max_bounces)
+        bounce = (rng, spp, s) if cfg.max_bounces >= 1 else None
+        Ls = _shade_sample(setups, scene.lights, soup, mtab, O, D, bounce)
         for k, L in enumerate(Ls):
             acc[k] += L
             if acc_sq is not None:

@@ -11,13 +11,13 @@ deterministic function of (config, seed).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
+from .errors import (ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError,
+                     reject_unknown_keys)
 from .scene import (
     COLLIDING_CLASSES,
     DYNAMIC_CLASSES,
@@ -259,6 +259,21 @@ def instantiate_geometry(mark: CuboidMark, shape_style: int, registry: MaterialR
     raise ConfigError(f"no geometry template for class {cls!s}")
 
 
+#: the ``reject_unknown_keys`` table of a scene config; ``invarsim sample`` reads seed
+_SCENE_KEYS = {
+    **dict.fromkeys(("world_bounds", "manhattan", "cell_size", "max_attempts", "ground",
+                     "roads", "dynamics", "seed")),
+    "classes": dict.fromkeys(("class", "probability", "length", "breadth", "height",
+                              "count_range")),
+    "objects": dict.fromkeys(("class", "position", "length", "breadth", "height", "style",
+                              "dynamic", "window_grid", "facade_contrast")),
+    "lights": dict.fromkeys(("kind", "color", "intensity", "direction", "position",
+                             "cone_deg", "name")),
+    "weather": dict.fromkeys(("beta", "anisotropy", "airlight_color", "weather_tag")),
+    "camera": dict.fromkeys(("position", "look_at", "up", "vfov_deg")), "counts": {"total": None},
+}
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Parsed scene configuration: priors, bounds, fixtures, photometry."""
@@ -279,6 +294,7 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneConfig":
+        reject_unknown_keys(doc, _SCENE_KEYS)
         try:
             return cls._parse(doc)
         except (KeyError, TypeError, ValueError) as exc:
@@ -369,10 +385,6 @@ class SceneConfig:
             camera=camera,
             dynamics=dynamics,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SceneConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _keyvalue(v):

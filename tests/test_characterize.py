@@ -78,10 +78,59 @@ class TestProtocolConfig:
         ("ingest", "dir"),
         ("sensor", "bit"),
         (None, "zero_flow"),  # ingest reads zero_flow from the annotation
+        ("seeds", "scene"),  # known keys whose value fails its cast
+        ("render", "spp"),
     ])
     def test_unknown_key_rejected_with_its_path(self, block, key):
         doc = default_protocol("PS").to_dict()
-        (doc if block is None else doc[block])[key] = 2
+        (doc if block is None else doc[block])[key] = "two"
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig.from_dict(doc)
+        assert err.value.json_path == (key if block is None else f"{block}.{key}")
+
+    @pytest.mark.parametrize("model,digest", [
+        ("OC", "cf77f723dec56b1d8f6c0bfdb5490c9de5af03a1a38b449ab4eba8906794053d"),
+        ("BC", "752ac4c627c500a562b0cabc39fdfb90fcfbc4e465b54c25bcddac3c59026d26"),
+        ("GC", "8add400a1ebc1e4ba3f6e5d66f90420179ee54daa867918e92ffee502ec3300e"),
+        ("PS", "1619f12ccad43c8ac6d594febd30405951d96953c299397b958123ff1fe2f58d"),
+        ("DS", "79e9e5c68cd5f4d4701991dc3b28bfe94a78f467ae496ac3610eec96570ed539"),
+    ])
+    def test_stock_content_hash_is_pinned(self, model, digest):
+        # the hash keys the cell cache and the manifest's config_hash: a
+        # schema edit that moves it orphans every cached cell
+        assert default_protocol(model).content_hash() == digest
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"render": {"spp": 0}}, "render"),
+        ({"sensor": {"bits": 40}}, "sensor"),
+        ({"sensor": {"sigma": "a"}}, "sensor.sigma"),
+        ({"patches_per_cell": "six"}, "patches_per_cell"),
+        ({"exclude_occluded": "false"}, "exclude_occluded"),
+        ({"theta_w": {"illumination_levels": 5}}, "theta_w.illumination_levels"),
+        ({"theta_w": {"illumination_levels": ["1.0"]}}, "theta_w.illumination_levels"),
+        ({"theta_v": {"patch_sizes": [5.0]}}, "theta_v.patch_sizes"),
+        ({"scene": {**validation_scene_config(), "weathr": "Fog"}}, "scene"),
+    ], ids=["spp-0", "bits-40", "sigma-a", "patches_per_cell-six", "exclude_occluded-str",
+            "levels-not-a-list", "levels-str", "patch_sizes-float", "scene-unknown-key"])
+    def test_bad_value_rejected_at_parse_with_its_path(self, overrides, path):
+        with pytest.raises(ConfigError) as err:
+            tiny_oc_protocol(**overrides)
+        assert err.value.json_path == path
+
+    def test_axis_ints_stay_ints(self):
+        # the manifold CSV prints a coordinate as it was given
+        p = tiny_oc_protocol(theta_w={"illumination_levels": [1, 2.5]})
+        assert [type(v) for v in p.illumination_levels] == [int, float]
+
+    @pytest.mark.parametrize("block,key,names", [
+        (None, "contexts", ["Diffuse", "Difuse"]),
+        ("theta_w", "weather_tags", ["Fog", "Fgo"]),
+        ("theta_w", "weather_tags", ["Clear"]),  # no density to ramp
+        ("theta_w", "sunny_tags", ["Mildhaze"]),
+    ])
+    def test_unknown_name_rejected_at_parse(self, block, key, names):
+        doc = default_protocol("DS").to_dict()
+        (doc if block is None else doc[block])[key] = names
         with pytest.raises(ConfigError) as err:
             ProtocolConfig.from_dict(doc)
         assert err.value.json_path == (key if block is None else f"{block}.{key}")
@@ -554,6 +603,19 @@ class TestIngest:
         bpath.write_text(json.dumps(bad))
         with pytest.raises(IngestError):
             ingest_sequence(tmp_path, bpath)
+
+    @pytest.mark.parametrize("path", ["refrence_frame", "patches[1].contxt"])
+    def test_unknown_annotation_key_rejected_with_its_path(self, tmp_path, path):
+        frames, apath = self.export_sequence(tmp_path)
+        doc = json.loads(apath.read_text())
+        if path == "refrence_frame":
+            doc["refrence_frame"] = 1
+        else:
+            doc["patches"][1]["contxt"] = "Diffuse"
+        apath.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            ingest_sequence(tmp_path, apath)
+        assert err.value.json_path == path
 
     def test_missing_frames(self, tmp_path):
         apath = tmp_path / "annotation.json"

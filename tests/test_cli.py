@@ -191,6 +191,20 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cells": cells, "renders": renders}
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("render", "spp", 0),
+        ("sensor", "bits", 40),
+        ("sensor", "sigma", "a"),
+    ])
+    def test_dry_run_rejects_bad_values(self, tmp_path, capsys, block, key, value):
+        doc = tiny_protocol_doc()
+        doc.setdefault(block, {})[key] = value
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(doc))
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep"),
+                     "--porcelain", "--dry-run"]) == 2
+        assert capsys.readouterr().err.startswith(f"invarsim: {block}")
+
     def test_sweep_rejects_seed(self, tmp_path, capsys):
         # the protocol's seeds block decides every seed of a sweep
         ppath = tmp_path / "protocol.json"

@@ -152,6 +152,32 @@ class TestSampling:
                                              breadth=(2, 0.1), height=(3, 0.2)),
             })
 
+    @pytest.mark.parametrize("where,key,path", [
+        ((), "weathr", "weathr"),
+        (("camera",), "look_from", "camera.look_from"),
+        (("counts",), "totl", "counts.totl"),
+        (("weather",), "betas", "weather.betas"),
+        (("classes", 0), "probabilty", "classes[0].probabilty"),
+        (("lights", 1), "intensty", "lights[1].intensty"),
+        (("objects", 2), "hieght", "objects[2].hieght"),
+    ])
+    def test_unknown_key_rejected_with_its_path(self, where, key, path):
+        from invarsim.scenegen import validation_scene_config
+
+        doc = validation_scene_config()
+        doc["seed"] = 3  # read by ``invarsim sample``
+        doc["classes"] = priors_doc(("Tree",))
+        doc["counts"] = {"total": 2}
+        doc["weather"] = {"beta": [0.01, 0.01, 0.01]}
+        SceneConfig.from_dict(doc)
+        node = doc
+        for step in where:
+            node = node[step]
+        node[key] = 1
+        with pytest.raises(ConfigError) as err:
+            SceneConfig.from_dict(doc)
+        assert err.value.json_path == path
+
     def test_scene_json_round_trip(self, validation_scene):
         from invarsim.scene import SceneGraph
 

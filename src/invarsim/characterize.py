@@ -16,6 +16,7 @@ parameter changes produce purely photometric image changes.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -57,13 +58,17 @@ from .render import (
 from .scene import WEATHER_PRESETS, DynamicsScript
 from .scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
 from .validators import (
+    Trajectories,
     average_ranks,
-    bc_variance,
+    bc_values,
     ds_angular_error,
-    gc_variance,
-    oc_measure,
+    gc_values,
+    gradient_fields,
+    oc_values,
+    patch_pixels,
     ps_variance,
     spearman_rho,
+    to_gray,
 )
 
 MODELS = ("OC", "BC", "GC", "PS", "DS")
@@ -226,6 +231,7 @@ class ProtocolConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
         reject_unknown_keys(doc, _PROTOCOL_KEYS)
+        doc = copy.deepcopy(doc)  # the protocol must not share the caller's dicts
         values = {}
         for f in dataclasses.fields(cls):
             block, _, key = _PATHS[f.name].rpartition(".")
@@ -240,7 +246,7 @@ class ProtocolConfig:
         return cls(**values)
 
     def to_dict(self) -> dict:
-        values = ((path, getattr(self, name)) for name, path in _PATHS.items())
+        values = ((path, copy.deepcopy(getattr(self, name))) for name, path in _PATHS.items())
         return _nest((path, list(v) if isinstance(v, tuple) else v) for path, v in values)
 
     def canonical_json(self) -> str:
@@ -395,19 +401,11 @@ class Manifold:
         model = None
         for line in lines[1:]:
             cells = line.split(",")
-            model = cells[0]
-            context = cells[1]
-            pos = 2
-            tw = {}
-            for a in w_axes:
-                tw[a] = _parse_coord(cells[pos])
-                pos += 1
-            tv = {}
-            for a in v_axes:
-                tv[a] = _parse_coord(cells[pos])
-                pos += 1
-            mean, std = float(cells[pos]), float(cells[pos + 1])
-            n = int(cells[pos + 2])
+            model, context = cells[:2]
+            coords = [_parse_coord(c) for c in cells[2:-3]]
+            tw = dict(zip(w_axes, coords))
+            tv = dict(zip(v_axes, coords[len(w_axes):]))
+            mean, std, n = float(cells[-3]), float(cells[-2]), int(cells[-1])
             records.append(CriterionRecord(model, context, tw, tv, mean, std, n))
         return cls(model, w_axes, v_axes, records)
 
@@ -640,17 +638,17 @@ def _collect_patches(protocol, cmaps, *seed_parts):
 def _cell_records(protocol, theta_w, patches, measure):
     """One record per (side, context) cell at one theta_w coordinate.
 
-    ``measure(patch)`` is one patch's criterion value, NaN where the measure
-    is degenerate; NaN values are left out of the statistics and counted.
-    A cell without patches is a gap: n=0 and NaN statistics.  Returns the
-    records and the count of left-out values.
+    ``measure((context, side))`` is the criterion value of each patch of a
+    cell, NaN where the measure is degenerate; NaN values are left out of
+    the statistics and counted.  A cell without patches is a gap: n=0 and
+    NaN statistics.  Returns the records and the count of left-out values.
     """
     records = []
     skipped = 0
     for s in protocol.patch_sizes:
         for context in protocol.contexts:
-            values = [measure(p) for p in patches[(context, s)] or ()]
-            vals = np.array([v for v in values if not math.isnan(v)], dtype=float)
+            values = np.asarray(measure((context, s)) if patches[(context, s)] else [])
+            vals = values[~np.isnan(values)]
             skipped += len(values) - len(vals)
             if len(vals) == 0:
                 mean = std = float("nan")
@@ -661,23 +659,49 @@ def _cell_records(protocol, theta_w, patches, measure):
     return records, skipped
 
 
-def _pair_measure(protocol, ref, cur, flow=None, occlusion=None):
-    """The OC, BC or GC criterion of one patch between two frames: a fixed
-    reference for OC, the previous frame for BC and GC."""
+def _cell_batches(protocol, patches, flow=None, occlusion=None):
+    """What the OC, BC or GC measure gathers from every frame, per cell with
+    patches: its patch pixels (OC) or their trajectories under ``flow``."""
     if protocol.model == "OC":
-        return lambda p: oc_measure(p.extract(ref), p.extract(cur))
-    constancy = bc_variance if protocol.model == "BC" else gc_variance
-    return lambda p: constancy(ref, cur, flow, p,
-                               exclude_occluded=protocol.exclude_occluded,
-                               occlusion=occlusion)
+        return {key: patch_pixels(ps) for key, ps in patches.items() if ps}
+    occlusion = occlusion if protocol.exclude_occluded else None
+    inset = 1 if protocol.model == "GC" else 0  # central differences need neighbours
+    return {key: Trajectories(flow, ps, inset=inset, occlusion=occlusion)
+            for key, ps in patches.items() if ps}
+
+
+def _features(protocol, frame):
+    """A frame's gray image, or for GC its gradient fields: computed once."""
+    gray = to_gray(frame)
+    return gradient_fields(gray) if protocol.model == "GC" else gray
+
+
+def _reference(protocol, batches, frame):
+    """What the measure keeps of its first frame: the frame's features, or
+    for OC each cell's ranked gray patches."""
+    features = _features(protocol, frame)
+    if protocol.model == "OC":
+        return {key: average_ranks(features[pixels]) for key, pixels in batches.items()}
+    return features
+
+
+def _pair_measure(protocol, batches, ref, cur):
+    """Cell key -> the OC, BC or GC criterion of each of its patches between
+    the ``_reference`` of one frame and the frame ``cur``."""
+    features = _features(protocol, cur)
+    if protocol.model == "OC":
+        return lambda key: oc_values(ref[key], features[batches[key]])
+    constancy = bc_values if protocol.model == "BC" else gc_values
+    return lambda key: constancy(ref, features, batches[key])
 
 
 def _prepare_ramp(protocol):
-    """OC/BC/GC: the reference frame, flow, patches and sun basis of a ramp.
+    """OC/BC/GC: the reference frame, patches and sun basis of a ramp.
 
     Radiance is affine in the sun's intensity, so the lit geometry is
     rendered twice, with the sun off and at full strength, and each level's
     frame is the affine combination of the two before the sensor stage.
+    The reference frame and the flow are the same at every level.
     """
     rcfg = protocol.render_config()
     base = sample_scene(protocol.scene_config(), protocol.scene_seed)
@@ -702,15 +726,17 @@ def _prepare_ramp(protocol):
              for s in protocol.patch_sizes}
     patches = _collect_patches(protocol, cmaps)
     hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
-    return ref_img, flow, occl, patches, hdr0, hdr_sun
+    # gathered after the renders, so they do not add to the renders' peak memory
+    batches = _cell_batches(protocol, patches, flow, occl)
+    return patches, batches, _reference(protocol, batches, ref_img), hdr0, hdr_sun
 
 
 def _eval_level(protocol, state, level):
-    ref_img, flow, occl, patches, hdr0, hdr_sun = state
+    patches, batches, ref, hdr0, hdr_sun = state
     cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
                          "level", float(level).hex())
     return _cell_records(protocol, {"illumination": level}, patches,
-                         _pair_measure(protocol, ref_img, cur_img, flow, occl))
+                         _pair_measure(protocol, batches, ref, cur_img))
 
 
 def _prepare_scene(protocol):
@@ -730,9 +756,9 @@ def _eval_speed(protocol, base, speed):
     gt2 = render_ground_truth(frames[2], rcfg)
     cmaps = {s: classify_contexts(gt1, gt_next=gt2, window=s)
              for s in protocol.patch_sizes}
-    return _cell_records(protocol, {"speed": speed},
-                         _collect_patches(protocol, cmaps, speed),
-                         lambda p: ps_variance(flow_prev, flow_t, flow_next, p))
+    patches = _collect_patches(protocol, cmaps, speed)
+    return _cell_records(protocol, {"speed": speed}, patches, lambda key: [
+        ps_variance(flow_prev, flow_t, flow_next, p) for p in patches[key]])
 
 
 def _eval_weather(protocol, base, tag):
@@ -854,9 +880,12 @@ class IngestedSequence:
 
 _FRAME_RE = re.compile(r"(\d+)")
 
+#: the fields of an annotated rectangle, each with a value of its JSON type
+_PATCH_FIELDS = (("x", 0), ("y", 0), ("width", 0), ("height", 0), ("context", ""))
+
 #: the ``reject_unknown_keys`` table of an ingest annotation
 _ANNOTATION_KEYS = {**dict.fromkeys(("reference_frame", "zero_flow", "flo_files")),
-                    "patches": dict.fromkeys(("x", "y", "width", "height", "context"))}
+                    "patches": dict.fromkeys(k for k, _ in _PATCH_FIELDS)}
 
 
 def _sequence_layout(directory, annotation_path):
@@ -876,7 +905,10 @@ def _sequence_layout(directory, annotation_path):
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read annotation: {exc}") from exc
     reject_unknown_keys(doc, _ANNOTATION_KEYS)
-    ref = int(doc.get("reference_frame", 0))
+    ref = _cast(doc.get("reference_frame", 0), 0, "reference_frame")
+    _cast(doc.get("zero_flow", False), False, "zero_flow")
+    for i, name in enumerate(_cast(doc.get("flo_files", []), (), "flo_files")):
+        _cast(name, "", f"flo_files[{i}]")
     if not 0 <= ref < len(frame_paths):
         raise IngestError(f"reference_frame {ref} out of range "
                           f"(have {len(frame_paths)} frames)",
@@ -906,13 +938,9 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
 
     h, w = frames[0].shape[:2]
     patches = []
-    for i, entry in enumerate(doc.get("patches", [])):
-        try:
-            x, y = int(entry["x"]), int(entry["y"])
-            pw, ph = int(entry["width"]), int(entry["height"])
-            context = str(entry["context"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(str(exc), json_path=f"patches[{i}]") from exc
+    for i, entry in enumerate(_cast(doc.get("patches", []), (), "patches")):
+        x, y, pw, ph, context = (_cast(entry.get(k), default, f"patches[{i}].{k}")
+                                 for k, default in _PATCH_FIELDS)
         if context not in CONTEXT_NAMES:
             raise IngestError(f"unknown context {context!r}",
                               json_path=f"patches[{i}].context")
@@ -933,7 +961,7 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     return IngestedSequence(
         frames=frames,
         reference_index=ref,
-        zero_flow=bool(doc.get("zero_flow", False)),
+        zero_flow=doc.get("zero_flow", False),
         patches=patches,
         flow_files=flo_files,
         directory=str(directory),
@@ -956,7 +984,8 @@ def _ingest_frames(protocol):
 
 def _prepare_ingest(protocol):
     """The loaded sequence, the centered side x side patch inside each
-    annotated rectangle that holds one, and the static camera's zero flow."""
+    annotated rectangle that holds one, and the cell batches and reference
+    every frame shares: all of OC's, and BC/GC's zero-flow batches."""
     seq = ingest_sequence(protocol.ingest_dir, protocol.ingest_annotation)
     if protocol.model != "OC" and not seq.zero_flow and not seq.flow_files:
         raise IngestError(
@@ -972,7 +1001,14 @@ def _prepare_ingest(protocol):
                 col = entry["x"] + (entry["width"] - s) // 2
                 patches[key].append(Patch(row=row, col=col, side=s,
                                           context=entry["context"]))
-    return seq, patches, np.zeros(seq.frames[0].shape[:2] + (2,))
+    batches = ref = None
+    if protocol.model == "OC":
+        batches = _cell_batches(protocol, patches)
+        ref = _reference(protocol, batches, seq.frames[seq.reference_index])
+    elif not seq.flow_files:
+        zero_flow = np.broadcast_to(0.0, seq.frames[0].shape[:2] + (2,))
+        batches = _cell_batches(protocol, patches, zero_flow)
+    return seq, patches, batches, ref
 
 
 def _eval_frame(protocol, state, idx):
@@ -980,15 +1016,13 @@ def _eval_frame(protocol, state, idx):
     under the supplied flow or, for a static camera, zero flow."""
     from .imgio import read_flo
 
-    seq, patches, zero_flow = state
-    cur = seq.frames[idx]
-    if protocol.model == "OC":
-        ref, flow = seq.frames[seq.reference_index], None
-    else:
-        ref = seq.frames[idx - 1]
-        flow = read_flo(seq.flow_files[idx - 1]) if seq.flow_files else zero_flow
+    seq, patches, batches, ref = state
+    if protocol.model != "OC":
+        if seq.flow_files:
+            batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
+        ref = _reference(protocol, batches, seq.frames[idx - 1])
     return _cell_records(protocol, {"frame": idx}, patches,
-                         _pair_measure(protocol, ref, cur, flow))
+                         _pair_measure(protocol, batches, ref, seq.frames[idx]))
 
 
 # -- the sweep driver ---------------------------------------------------------
@@ -1069,7 +1103,7 @@ def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
     else:
         aux = {"degenerate_skipped": sum(extras)}
     if protocol.source == "ingest":
-        aux["zero_flow"] = state[0].zero_flow  # state: (sequence, patches, zero flow)
+        aux["zero_flow"] = state[0].zero_flow  # state[0]: the sequence
     return Manifold(protocol.model, (spec.axis,), spec.theta_v_axes, records,
                     aux=aux)
 

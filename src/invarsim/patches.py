@@ -11,7 +11,6 @@ rule meaningful across scales.  A pixel may carry several labels at once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,7 +50,6 @@ class Patch:
     col: int
     side: int
     context: str
-    frame_index: int = 0
 
     def __post_init__(self):
         if self.side < 3 or self.side % 2 == 0:
@@ -74,61 +72,11 @@ class ContextMap:
         self.window = window
         self.shape = tuple(shape)
 
-    def available(self):
-        return sorted(self.labels.keys())
-
     def counts(self):
         return {name: int(mask.sum()) for name, mask in self.labels.items()}
 
     def __getitem__(self, name):
         return self.labels[name]
-
-    # -- exact reload round trip -------------------------------------
-
-    def to_rle_json(self) -> str:
-        doc = {"shape": list(self.shape), "window": self.window, "labels": {}}
-        for name, mask in sorted(self.labels.items()):
-            flat = mask.reshape(-1)
-            runs = []
-            idx = np.flatnonzero(np.diff(np.concatenate(([0], flat.astype(np.int8), [0]))))
-            for start, stop in zip(idx[0::2], idx[1::2]):
-                runs.append([int(start), int(stop - start)])
-            doc["labels"][name] = runs
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_rle_json(cls, text: str) -> "ContextMap":
-        doc = json.loads(text)
-        shape = tuple(doc["shape"])
-        labels = {}
-        for name, runs in doc["labels"].items():
-            flat = np.zeros(shape[0] * shape[1], dtype=bool)
-            for start, length in runs:
-                flat[start : start + length] = True
-            labels[name] = flat.reshape(shape)
-        return cls(labels, doc["window"], shape)
-
-    def to_label_ppm(self, path) -> None:
-        """8-bit PPM visualization; later labels in CONTEXT_NAMES win."""
-        from .imgio import write_ppm
-
-        palette = {
-            "Homogeneous": (90, 90, 90),
-            "Diffuse": (80, 170, 80),
-            "Specular": (90, 120, 220),
-            "ShadowRegion": (40, 40, 110),
-            "ShadowBoundary": (200, 60, 60),
-            "Edge": (220, 160, 40),
-            "Corner": (240, 240, 60),
-            "Occluded": (170, 60, 170),
-            "MotionBoundary": (240, 120, 180),
-            "SameSurface": (60, 150, 150),
-        }
-        img = np.zeros(self.shape + (3,), dtype=np.uint8)
-        for name in CONTEXT_NAMES:
-            if name in self.labels:
-                img[self.labels[name]] = palette[name]
-        write_ppm(path, img, maxval=255)
 
 
 def _window_all(mask: np.ndarray, window: int) -> np.ndarray:
@@ -336,15 +284,8 @@ def eligible_centers(cmap: ContextMap, context: str, side: int,
     return np.stack([rows, cols], axis=1)
 
 
-def patch_purity(cmap: ContextMap, patch: Patch) -> float:
-    """Fraction of the patch's pixels carrying its context label."""
-    mask = cmap.labels[patch.context]
-    return float(patch.extract(mask).mean())
-
-
 def sample_patches(cmap: ContextMap, context: str, side: int, count: int,
-                   seed: int, purity: float = PURITY_THRESHOLD,
-                   frame_index: int = 0) -> list[Patch]:
+                   seed: int, purity: float = PURITY_THRESHOLD) -> list[Patch]:
     """Uniformly sample ``count`` eligible patches without replacement.
 
     Deterministic for a fixed seed.  Raises PatchSamplingError when fewer
@@ -360,8 +301,5 @@ def sample_patches(cmap: ContextMap, context: str, side: int, count: int,
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(centers), size=count, replace=False)
     pick.sort()
-    return [
-        Patch(row=int(centers[i, 0]), col=int(centers[i, 1]), side=side,
-              context=context, frame_index=frame_index)
-        for i in pick
-    ]
+    return [Patch(row=int(centers[i, 0]), col=int(centers[i, 1]), side=side,
+                  context=context) for i in pick]

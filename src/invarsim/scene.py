@@ -79,11 +79,6 @@ class CuboidMark:
         )
 
 
-def footprints_intersect(a, b, eps=0.0):
-    """True iff two (x0, z0, x1, z1) rectangles overlap with positive area."""
-    return a[0] < b[2] - eps and b[0] < a[2] - eps and a[1] < b[3] - eps and b[1] < a[3] - eps
-
-
 @dataclass(frozen=True)
 class ClassPrior:
     """Per-class sampling prior: class weight plus Gaussian dimension priors.
@@ -321,10 +316,6 @@ class DynamicsScript:
 
     def paths(self):
         return {path for _, path, _ in self.keyframes}
-
-    @property
-    def max_time(self):
-        return max((t for t, _, _ in self.keyframes), default=0)
 
 
 @dataclass(frozen=True)

@@ -323,8 +323,10 @@ class SceneConfig:
                     count_range=tuple(entry["count_range"]) if entry.get("count_range") else None,
                 )
             priors = ClassPriors(entries)
-        counts = doc.get("counts", {})
-        count_total = counts.get("total") if isinstance(counts, dict) else None
+        for key in ("counts", "camera"):
+            if key in doc and not isinstance(doc[key], dict):
+                raise ConfigError("expected a JSON object", json_path=key)
+        count_total = doc.get("counts", {}).get("total")
         if count_total is not None:
             count_total = int(count_total)
             if count_total < 0:

@@ -17,7 +17,6 @@ hold without floating-point summation residue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +45,39 @@ def to_gray(frame: np.ndarray) -> np.ndarray:
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values receiving their average rank.
 
-    A run of equal values occupying sorted positions [a, b) gets rank
-    (a + b + 1) / 2; both ends come from binary searches of the sorted
-    values.  Non-finite values (NaN, +-inf) tie with nothing: each takes
-    its own stable sorted position as rank.
+    A 2-D input is a stack of rows, each ranked on its own; any other input
+    is ranked as one flat vector.  A run of equal values at sorted
+    positions [a, b) gets rank (a + b + 1) / 2.  A run ends where two
+    neighbouring sorted values differ, and a non-finite value (NaN, +-inf)
+    differs from everything, so each takes its own sorted position as rank.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    ranks = 0.5 * (np.searchsorted(sorted_v, v, side="left")
-                   + np.searchsorted(sorted_v, v, side="right") + 1)
-    odd = ~np.isfinite(sorted_v)
-    ranks[order[odd]] = np.flatnonzero(odd) + 1.0
-    return ranks
+    v = np.asarray(values, dtype=float)
+    rows = v if v.ndim == 2 else v.reshape(1, -1)
+    order = np.argsort(rows, axis=1, kind="stable")
+    starts = np.ones(rows.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        starts[:, 1:] = np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0
+    # each row starts a run, so no run of the flattened rows spans two rows
+    bounds = np.append(np.flatnonzero(starts), starts.size)
+    run = np.cumsum(starts).reshape(rows.shape) - 1
+    row_start = np.arange(rows.shape[0])[:, None] * rows.shape[1]
+    ranks = np.empty(rows.shape)
+    np.put_along_axis(ranks, order, 0.5 * (bounds[run] + bounds[run + 1] + 1 - 2 * row_start),
+                      axis=1)
+    return ranks if v.ndim == 2 else ranks.reshape(-1)
+
+
+def _spearman_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Spearman rho of each row pair of two (n, m) average-rank stacks, NaN
+    where a row is constant.  Average ranks are half-integers with mean
+    exactly (m + 1) / 2, so the centred ranks are multiples of 0.5 and the
+    sums of their products are exact in any order: a row gives the same
+    bits alone or in a batch."""
+    rx = rx - rx.mean(axis=1, keepdims=True)
+    ry = ry - ry.mean(axis=1, keepdims=True)
+    vx, vy, sxy = (np.einsum("ij,ij->i", a, b) for a, b in ((rx, rx), (ry, ry), (rx, ry)))
+    with np.errstate(invalid="ignore"):  # 0 / 0 on a constant row
+        return np.where((vx != 0.0) & (vy != 0.0), sxy / np.sqrt(vx * vy), np.nan)
 
 
 def spearman_rho(x, y) -> float:
@@ -73,15 +92,13 @@ def spearman_rho(x, y) -> float:
         raise ConfigError(f"length mismatch: {len(xv)} vs {len(yv)}")
     if len(xv) < 2:
         raise ConfigError("need at least two values")
-    rx = average_ranks(xv)
-    ry = average_ranks(yv)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    vx = rx @ rx
-    vy = ry @ ry
-    if vx == 0.0 or vy == 0.0:
-        return float("nan")
-    return float((rx @ ry) / math.sqrt(vx * vy))
+    return float(_spearman_rows(average_ranks(xv[None]), average_ranks(yv[None]))[0])
+
+
+def oc_values(ref_ranks: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Absolute Spearman rho of each row of gray patch pixels ``cur`` (n, m)
+    against the average ranks of the co-located reference pixels."""
+    return np.abs(_spearman_rows(ref_ranks, average_ranks(cur)))
 
 
 def oc_measure(ref_patch, cur_patch) -> float:
@@ -90,8 +107,7 @@ def oc_measure(ref_patch, cur_patch) -> float:
     cur = to_gray(cur_patch)
     if ref.shape != cur.shape:
         raise ConfigError(f"patch shape mismatch: {ref.shape} vs {cur.shape}")
-    rho = spearman_rho(ref.reshape(-1), cur.reshape(-1))
-    return abs(rho) if not math.isnan(rho) else rho
+    return abs(spearman_rho(ref, cur))
 
 
 def population_variance(values: np.ndarray) -> float:
@@ -108,43 +124,92 @@ def population_variance(values: np.ndarray) -> float:
     return float(np.var(v))
 
 
-def bilinear_sample(frame: np.ndarray, rows, cols):
-    """Bilinear interpolation at fractional (row, col) positions.
+def patch_pixels(patches, inset=0):
+    """Row and column indices, each (n, m), of the pixels of n equal-sided
+    patches in row-major patch order, ``inset`` pixels in from the border;
+    ``frame[patch_pixels(patches)]`` stacks the patches as rows."""
+    side = patches[0].side - 2 * inset
+    offsets = np.arange(inset, inset + side)
+    rows = np.array([p.row for p in patches])[:, None, None] + offsets[:, None]
+    cols = np.array([p.col for p in patches])[:, None, None] + offsets
+    return tuple(a.reshape(len(patches), -1) for a in np.broadcast_arrays(rows, cols))
 
-    Returns (values, valid); positions outside [0, H-1] x [0, W-1] are
-    invalid.  Integer positions reproduce array values exactly.
+
+class Trajectories:
+    """The pixels of a batch of equal-sided patches and where the flow
+    takes them: each pixel (i, j) moves to (i + v, j + u).
+
+    ``pixels`` are the ``patch_pixels`` of the patches, ``inset`` pixels in
+    from their border.  The bilinear weights at the moved positions are
+    built once per flow field, and ``sample`` weighs any frame of the
+    flow's size with them.  ``usable`` marks moved positions inside the
+    frame (others sample the clipped position) and, given an occlusion
+    mask, pixels that are not occluded.
     """
-    h, w = frame.shape[:2]
-    r = np.asarray(rows, dtype=float)
-    c = np.asarray(cols, dtype=float)
-    valid = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
-    rc = np.clip(r, 0, h - 1)
-    cc = np.clip(c, 0, w - 1)
-    r0 = np.floor(rc).astype(int)
-    c0 = np.floor(cc).astype(int)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = rc - r0
-    fc = cc - c0
-    w00 = (1 - fr) * (1 - fc)
-    w01 = (1 - fr) * fc
-    w10 = fr * (1 - fc)
-    w11 = fr * fc
-    # zero-weight neighbors must not poison the sum (NaN border guards)
-    vals = (
-        np.where(w00 > 0, frame[r0, c0], 0.0) * w00
-        + np.where(w01 > 0, frame[r0, c1], 0.0) * w01
-        + np.where(w10 > 0, frame[r1, c0], 0.0) * w10
-        + np.where(w11 > 0, frame[r1, c1], 0.0) * w11
-    )
-    return vals, valid
+
+    def __init__(self, flow, patches, *, inset=0, occlusion=None):
+        self.patches = list(patches)
+        self.pixels = rows, cols = patch_pixels(self.patches, inset)
+        h, w = self.shape = flow.shape[:2]
+        r = rows + flow[rows, cols, 1]
+        c = cols + flow[rows, cols, 0]
+        self.usable = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
+        if occlusion is not None:
+            self.usable = self.usable & ~occlusion[rows, cols]
+        rc = np.clip(r, 0, h - 1)
+        cc = np.clip(c, 0, w - 1)
+        r0 = np.floor(rc).astype(int)
+        c0 = np.floor(cc).astype(int)
+        r1 = np.minimum(r0 + 1, h - 1)
+        c1 = np.minimum(c0 + 1, w - 1)
+        fr = rc - r0
+        fc = cc - c0
+        # (flat index, weight, weight > 0) per neighbour, in summation order
+        self._taps = [(ri * w + ci, wt, wt > 0) for ri, ci, wt in (
+            (r0, c0, (1 - fr) * (1 - fc)), (r0, c1, (1 - fr) * fc),
+            (r1, c0, fr * (1 - fc)), (r1, c1, fr * fc))]
+
+    def sample(self, frame: np.ndarray) -> np.ndarray:
+        """Bilinear values of ``frame`` at the moved positions; integer
+        positions reproduce frame values exactly."""
+        if frame.shape[:2] != self.shape:
+            raise ConfigError(f"frame shape {frame.shape[:2]}, expected {self.shape}")
+        # zero-weight neighbors must not poison the sum (NaN border guards)
+        t00, t01, t10, t11 = (np.where(nonzero, np.take(frame, index), 0.0) * weight
+                              for index, weight, nonzero in self._taps)
+        return t00 + t01 + t10 + t11
+
+    def variances(self, residuals, keep):
+        """One population variance per patch of its kept residual values,
+        pooled over the ``residuals`` arrays."""
+        out = np.empty(len(self.patches))
+        for i, (p, row) in enumerate(zip(self.patches, keep)):
+            if not row.any():
+                raise AllOccludedError(
+                    f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
+            out[i] = population_variance(np.concatenate([r[i][row] for r in residuals]))
+        return out
 
 
-def _patch_grid(patch):
-    rows = np.arange(patch.row, patch.row + patch.side)
-    cols = np.arange(patch.col, patch.col + patch.side)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    return rr.reshape(-1), cc.reshape(-1)
+def _one_patch(kernel, features, frame_t, frame_t1, flow, patch, inset,
+               exclude_occluded, occlusion):
+    """A constancy kernel on one patch, straight from two frames."""
+    if exclude_occluded and occlusion is None:
+        raise ConfigError("exclude_occluded requires an occlusion mask")
+    I0 = to_gray(frame_t)
+    I1 = to_gray(frame_t1)
+    if I0.shape != I1.shape:
+        raise ConfigError(f"frame shape mismatch: {I0.shape} vs {I1.shape}")
+    traj = Trajectories(flow, [patch], inset=inset,
+                        occlusion=occlusion if exclude_occluded else None)
+    return float(kernel(features(I0), features(I1), traj)[0])
+
+
+def bc_values(I0: np.ndarray, I1: np.ndarray, traj: Trajectories) -> np.ndarray:
+    """Brightness-constancy deviation of each patch of ``traj`` between the
+    gray frames ``I0`` and ``I1``."""
+    residual = traj.sample(I1) - I0[traj.pixels]
+    return traj.variances([residual], traj.usable)
 
 
 def bc_variance(frame_t, frame_t1, flow, patch, *,
@@ -157,34 +222,29 @@ def bc_variance(frame_t, frame_t1, flow, patch, *,
     ``exclude_occluded`` is set (the default keeps them, matching protocols
     that treat occlusion as part of the measured deviation).
     """
-    I0 = to_gray(frame_t)
-    I1 = to_gray(frame_t1)
-    if I0.shape != I1.shape:
-        raise ConfigError(f"frame shape mismatch: {I0.shape} vs {I1.shape}")
-    rr, cc = _patch_grid(patch)
-    u = flow[rr, cc, 0]
-    v = flow[rr, cc, 1]
-    target_vals, valid = bilinear_sample(I1, rr + v, cc + u)
-    keep = valid
-    if exclude_occluded:
-        if occlusion is None:
-            raise ConfigError("exclude_occluded requires an occlusion mask")
-        keep = keep & ~occlusion[rr, cc]
-    if not keep.any():
-        raise AllOccludedError(
-            f"patch at ({patch.row}, {patch.col}) side {patch.side}: no usable pixels"
-        )
-    residual = target_vals[keep] - I0[rr, cc][keep]
-    return population_variance(residual)
+    return _one_patch(bc_values, lambda I: I, frame_t, frame_t1, flow, patch, 0,
+                      exclude_occluded, occlusion)
 
 
-def _gradient_fields(I: np.ndarray):
+def gradient_fields(I: np.ndarray):
     """Central-difference gradients; the one-pixel frame border is invalid."""
     gx = np.full_like(I, np.nan)
     gy = np.full_like(I, np.nan)
     gx[:, 1:-1] = (I[:, 2:] - I[:, :-2]) / 2.0
     gy[1:-1, :] = (I[2:, :] - I[:-2, :]) / 2.0
     return gx, gy
+
+
+def gc_values(grad0, grad1, traj: Trajectories) -> np.ndarray:
+    """Gradient-constancy deviation of each patch of ``traj`` between the
+    gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair;
+    ``traj`` leaves out the one-pixel patch border."""
+    src = [g[traj.pixels] for g in grad0]
+    dst = [traj.sample(g) for g in grad1]
+    keep = traj.usable
+    for values in src + dst:
+        keep = keep & np.isfinite(values)
+    return traj.variances([t - s for s, t in zip(src, dst)], keep)
 
 
 def gc_variance(frame_t, frame_t1, flow, patch, *,
@@ -200,35 +260,8 @@ def gc_variance(frame_t, frame_t1, flow, patch, *,
         raise PatchTooSmallError(
             f"gradient constancy needs side >= 5, got {patch.side}"
         )
-    I0 = to_gray(frame_t)
-    I1 = to_gray(frame_t1)
-    if I0.shape != I1.shape:
-        raise ConfigError(f"frame shape mismatch: {I0.shape} vs {I1.shape}")
-    gx0, gy0 = _gradient_fields(I0)
-    gx1, gy1 = _gradient_fields(I1)
-
-    rows = np.arange(patch.row + 1, patch.row + patch.side - 1)
-    cols = np.arange(patch.col + 1, patch.col + patch.side - 1)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    rr = rr.reshape(-1)
-    cc = cc.reshape(-1)
-    u = flow[rr, cc, 0]
-    v = flow[rr, cc, 1]
-    tx, valid_x = bilinear_sample(gx1, rr + v, cc + u)
-    ty, valid_y = bilinear_sample(gy1, rr + v, cc + u)
-    src_ok = np.isfinite(gx0[rr, cc]) & np.isfinite(gy0[rr, cc])
-    keep = valid_x & valid_y & src_ok & np.isfinite(tx) & np.isfinite(ty)
-    if exclude_occluded:
-        if occlusion is None:
-            raise ConfigError("exclude_occluded requires an occlusion mask")
-        keep = keep & ~occlusion[rr, cc]
-    if not keep.any():
-        raise AllOccludedError(
-            f"patch at ({patch.row}, {patch.col}) side {patch.side}: no usable pixels"
-        )
-    res_x = tx[keep] - gx0[rr, cc][keep]
-    res_y = ty[keep] - gy0[rr, cc][keep]
-    return population_variance(np.concatenate([res_x, res_y]))
+    return _one_patch(gc_values, gradient_fields, frame_t, frame_t1, flow, patch, 1,
+                      exclude_occluded, occlusion)
 
 
 def ps_variance(flow_prev, flow, flow_next, patch) -> float:
@@ -244,8 +277,8 @@ def ps_variance(flow_prev, flow, flow_next, patch) -> float:
             "spatio-temporal smoothness requires both flow_prev and flow_next"
         )
     f = np.asarray(flow, dtype=float)
-    ux, uy = _gradient_fields(f[:, :, 0])
-    vx, vy = _gradient_fields(f[:, :, 1])
+    ux, uy = gradient_fields(f[:, :, 0])
+    vx, vy = gradient_fields(f[:, :, 1])
     r = ux * ux + uy * uy + vx * vx + vy * vy
     if flow_prev is not None:
         fp = np.asarray(flow_prev, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -42,6 +43,22 @@ class TestProtocolConfig:
         again = ProtocolConfig.from_dict(p.to_dict())
         assert again == p
         assert again.content_hash() == p.content_hash()
+
+    def test_documents_share_no_state_with_the_protocol(self):
+        p = default_protocol("PS")
+        digest = p.content_hash()
+        doc = p.to_dict()
+        doc["sensor"]["bits"] = 4
+        doc["scene"]["weather"] = "Fog"
+        assert p.sensor_config().quantization_bits == 8
+        assert p.scene.get("weather", "Clear") == "Clear"
+        assert p.content_hash() == digest
+        doc = default_protocol("PS").to_dict()
+        q = ProtocolConfig.from_dict(doc)
+        doc["sensor"]["bits"] = 4
+        doc["scene"]["weather"] = "Fog"
+        assert q.sensor_config().quantization_bits == 8
+        assert q.content_hash() == digest
 
     def test_default_oc_uses_40_levels(self):
         p = default_protocol("OC")
@@ -320,7 +337,48 @@ class TestRanking:
         assert exc.value.only_b == ["c"]
 
 
+#: sha256 of manifold.csv of the stock ramp sweeps at their default seeds
+STOCK_MANIFOLD_SHA256 = {
+    "OC": "72f9ed6f935c604690b539529f8c045fe461ee7e6d1f5e1a3e27771e05747d57",
+    "BC": "080abfa878171e735d3421afe30f1db0efd081bc9169777151cdee690d272429",
+    "GC": "78d4a244563cb5028adba898102cd4671450323169f30c61810dabd99b9e1e5b",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STOCK_MANIFOLD_SHA256))
+def stock_sweep(request):
+    """One fresh sweep of a stock ramp protocol, shared by this module."""
+    return request.param, run_sweep(default_protocol(request.param))
+
+
 class TestSweep:
+    def test_stock_manifold_bytes_are_pinned(self, stock_sweep):
+        # a change that moves a cell value must bump CACHE_EPOCH and re-pin
+        model, manifold = stock_sweep
+        digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
+        assert digest == STOCK_MANIFOLD_SHA256[model]
+
+    @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
+    def test_each_frame_is_measured_once(self, model, monkeypatch):
+        from invarsim import characterize
+
+        calls = {"to_gray": 0, "average_ranks": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(characterize, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(characterize, name, counted)
+        p = tiny_oc_protocol(model=model)
+        m = run_sweep(p)
+        # the reference frame once, then one frame per level
+        assert calls["to_gray"] == 1 + len(p.illumination_levels)
+        # OC ranks each cell's reference patches once and its current
+        # patches once per level, all patches of a cell in one call
+        if model == "OC":
+            assert 0 < calls["average_ranks"] <= 2 * len(m.records)
+        else:
+            assert calls["average_ranks"] == 0
+
     def test_identical_frames_give_rho_one(self):
         # sun at zero and no dynamic objects: current frame equals the
         # reference exactly when the sensor is noise-free
@@ -612,6 +670,36 @@ class TestIngest:
             doc["refrence_frame"] = 1
         else:
             doc["patches"][1]["contxt"] = "Diffuse"
+        apath.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            ingest_sequence(tmp_path, apath)
+        assert err.value.json_path == path
+
+    @pytest.mark.parametrize("key,value,path", [
+        ("reference_frame", "abc", "reference_frame"),
+        ("reference_frame", True, "reference_frame"),
+        ("reference_frame", 1.0, "reference_frame"),
+        ("zero_flow", "no", "zero_flow"),
+        ("zero_flow", 0, "zero_flow"),
+        ("flo_files", "f", "flo_files"),  # one name per frame pair, but a string
+        ("flo_files", [7], "flo_files[0]"),
+        ("patches", [{"x": "0", "y": 0, "width": 5, "height": 5, "context": "Diffuse"}],
+         "patches[0].x"),
+        ("patches", [{"x": 0, "y": 0, "width": 5.5, "height": 5, "context": "Diffuse"}],
+         "patches[0].width"),
+        ("patches", [{"x": 0, "y": 0, "width": 5, "context": "Diffuse"}],
+         "patches[0].height"),
+    ], ids=["ref-str", "ref-bool", "ref-float", "zero_flow-str", "zero_flow-int",
+            "flo_files-str", "flo_files-int-item", "patch-x-str", "patch-width-float",
+            "patch-height-missing"])
+    def test_bad_annotation_value_rejected_with_its_path(self, tmp_path, key, value, path):
+        from invarsim.imgio import write_ppm
+
+        for t in range(2):
+            write_ppm(tmp_path / f"frame_{t}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        apath = tmp_path / "annotation.json"
+        doc = {"patches": [{"x": 0, "y": 0, "width": 5, "height": 5, "context": "Diffuse"}]}
+        doc[key] = value
         apath.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as err:
             ingest_sequence(tmp_path, apath)

@@ -5,15 +5,15 @@ import pytest
 
 from invarsim.errors import ConfigError, MissingBufferError, PatchSamplingError
 from invarsim.patches import (
-    ContextMap,
     Patch,
     classify_contexts,
     eligible_centers,
-    patch_purity,
     sample_patches,
 )
 from invarsim.render import RenderConfig, compute_flow, render_ground_truth
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
+
+from oracles import patch_purity
 
 
 GT_CFG = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=1)
@@ -127,24 +127,6 @@ class TestClassify:
         small = classify_contexts(validation_gt, window=3)
         large = classify_contexts(validation_gt, window=13)
         assert large["ShadowBoundary"].sum() > small["ShadowBoundary"].sum()
-
-    def test_rle_round_trip(self, validation_gt):
-        cmap = classify_contexts(validation_gt, window=3)
-        text = cmap.to_rle_json()
-        back = ContextMap.from_rle_json(text)
-        assert back.available() == cmap.available()
-        for name in cmap.labels:
-            assert np.array_equal(back[name], cmap[name])
-
-    def test_label_ppm_export(self, validation_gt, tmp_path):
-        from invarsim.imgio import read_ppm
-
-        cmap = classify_contexts(validation_gt, window=3)
-        path = tmp_path / "labels.ppm"
-        cmap.to_label_ppm(path)
-        img, maxval = read_ppm(path)
-        assert maxval == 255
-        assert img.shape == cmap.shape + (3,)
 
 
 class TestSamplePatches:

@@ -178,6 +178,19 @@ class TestSampling:
             SceneConfig.from_dict(doc)
         assert err.value.json_path == path
 
+
+    @pytest.mark.parametrize("key,value", [
+        ("counts", 5), ("counts", "all"), ("camera", []), ("camera", "front"),
+    ])
+    def test_block_that_is_not_an_object_rejected(self, key, value):
+        from invarsim.scenegen import validation_scene_config
+
+        doc = validation_scene_config()
+        doc[key] = value
+        with pytest.raises(ConfigError) as err:
+            SceneConfig.from_dict(doc)
+        assert err.value.json_path == key
+
     def test_scene_json_round_trip(self, validation_scene):
         from invarsim.scene import SceneGraph
 

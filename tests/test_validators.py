@@ -13,18 +13,31 @@ from invarsim.errors import (
 )
 from invarsim.patches import Patch
 from invarsim.validators import (
+    Trajectories,
     average_ranks,
+    bc_values,
     bc_variance,
-    bilinear_sample,
     ds_angular_error,
     fit_dichromatic_plane,
+    gc_values,
     gc_variance,
+    gradient_fields,
     oc_measure,
+    oc_values,
+    patch_pixels,
     population_variance,
     ps_variance,
     spearman_rho,
+    to_gray,
 )
-from oracles import exact_spearman, loop_average_ranks, plane_residual
+from oracles import (
+    exact_spearman,
+    loop_average_ranks,
+    patch_bc_variance,
+    patch_gc_variance,
+    patch_oc_measure,
+    plane_residual,
+)
 
 
 def random_monotone_map(rng):
@@ -227,6 +240,151 @@ class TestGcVariance:
             assert gc_variance(f, a * f, flow, p) <= bc_variance(f, a * f, flow, p)
 
 
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def kernel_frames(rng, h=24, w=30):
+    """Two RGB frames with heavy ties, an inverted block, a constant block
+    and NaN/+-inf pixels."""
+    f0 = rng.integers(0, 5, size=(h, w, 3)) / 4.0
+    f0[:, :10] = rng.uniform(0.0, 1.0, size=(h, 10, 3))
+    f1 = 1.3 * f0 + np.where(rng.uniform(size=(h, w, 1)) < 0.5,
+                             rng.normal(0.0, 0.05, size=(h, w, 3)), 0.0)
+    f1[12:21, :10] = 1.0 - f0[12:21, :10]
+    for f in (f0, f1):
+        bad = rng.uniform(size=(h, w)) < 0.008
+        f[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.sum())[:, None]
+    f0[2:9, 20:27] = 0.5
+    f1[2:9, 20:27] = 0.25
+    return f0, f1
+
+
+def kernel_patches(rng, side, h=24, w=30, n=10):
+    """Random patches of one side plus one on the frames' inverted block and
+    one on their constant block."""
+    rows = rng.integers(0, h - side + 1, size=n)
+    cols = rng.integers(0, w - side + 1, size=n)
+    return ([Patch(int(r), int(c), side, "Diffuse") for r, c in zip(rows, cols)]
+            + [Patch(12, 0, side, "Diffuse"), Patch(2, 20, side, "Homogeneous")])
+
+
+def kernel_flow(rng, h=24, w=30):
+    """Fractional and integer motion, none on the constant block; targets
+    near the border leave the frame."""
+    flow = rng.uniform(-2.5, 2.5, size=(h, w, 2))
+    flow[::3] = np.round(flow[::3])
+    flow[2:9, 20:27] = 0.0
+    return flow
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in residuals
+class TestBatchedKernels:
+    """Frame-once, batched kernels against the per-patch oracles, bit for bit."""
+
+    def test_average_ranks_rows_equal_loop_oracle(self):
+        rng = np.random.default_rng(30)
+        rows = rng.integers(0, 4, size=(50, 25)).astype(float)
+        rows[rng.uniform(size=rows.shape) < 0.05] = np.inf
+        rows[rng.uniform(size=rows.shape) < 0.05] = -np.inf
+        rows[rng.uniform(size=rows.shape) < 0.05] = np.nan
+        rows[7] = 2.0
+        got = average_ranks(rows)
+        for row, ranks in zip(rows, got):
+            assert np.array_equal(ranks, loop_average_ranks(row))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("side", [3, 5, 7])
+    def test_oc_values_equal_per_patch_oracle(self, seed, side):
+        rng = np.random.default_rng(seed)
+        f0, f1 = kernel_frames(rng)
+        patches = kernel_patches(rng, side)
+        pixels = patch_pixels(patches)
+        got = oc_values(average_ranks(to_gray(f0)[pixels]), to_gray(f1)[pixels])
+        want = [patch_oc_measure(p.extract(f0), p.extract(f1)) for p in patches]
+        assert np.isnan(want[-1])  # the constant block
+        assert_same_bits(got, want)
+        assert_same_bits([oc_measure(p.extract(f0), p.extract(f1)) for p in patches], want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    @pytest.mark.parametrize("occluded", [False, True])
+    def test_bc_values_equal_per_patch_oracle(self, seed, side, occluded):
+        rng = np.random.default_rng(seed)
+        f0, f1 = kernel_frames(rng)
+        flow = kernel_flow(rng)
+        occl = rng.uniform(size=flow.shape[:2]) < 0.3 if occluded else None
+        # a patch without usable pixels raises (tested below)
+        patches = [p for p in kernel_patches(rng, side)
+                   if patch_bc_variance(f0, f1, flow, p, occl) is not None]
+        got = bc_values(to_gray(f0), to_gray(f1),
+                        Trajectories(flow, patches, occlusion=occl))
+        want = [patch_bc_variance(f0, f1, flow, p, occl) for p in patches]
+        assert_same_bits(got, want)
+        assert_same_bits([bc_variance(f0, f1, flow, p, exclude_occluded=occluded,
+                                      occlusion=occl) for p in patches], want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("side", [5, 7, 9])
+    @pytest.mark.parametrize("occluded", [False, True])
+    def test_gc_values_equal_per_patch_oracle(self, seed, side, occluded):
+        rng = np.random.default_rng(seed)
+        f0, f1 = kernel_frames(rng)
+        flow = kernel_flow(rng)
+        occl = rng.uniform(size=flow.shape[:2]) < 0.3 if occluded else None
+        patches = [p for p in kernel_patches(rng, side)
+                   if patch_gc_variance(f0, f1, flow, p, occl) is not None]
+        grads = [gradient_fields(to_gray(f)) for f in (f0, f1)]
+        got = gc_values(*grads, Trajectories(flow, patches, inset=1, occlusion=occl))
+        want = [patch_gc_variance(f0, f1, flow, p, occl) for p in patches]
+        assert_same_bits(got, want)
+        assert_same_bits([gc_variance(f0, f1, flow, p, exclude_occluded=occluded,
+                                      occlusion=occl) for p in patches], want)
+
+    @pytest.mark.parametrize("how", ["out-of-frame", "occluded"])
+    def test_patch_without_usable_pixels_raises_for_that_patch(self, how):
+        rng = np.random.default_rng(40)
+        f0, f1 = kernel_frames(rng)
+        flow = kernel_flow(rng)
+        occl = np.zeros(flow.shape[:2], dtype=bool)
+        bad = Patch(10, 12, 5, "Diffuse")
+        if how == "out-of-frame":
+            flow[bad.slices()] = 100.0
+        else:
+            occl[bad.slices()] = True
+        patches = [Patch(3, 3, 5, "Diffuse"), bad, Patch(15, 20, 5, "Diffuse")]
+        for oracle, kernel, inset, grads in (
+                (patch_bc_variance, bc_values, 0, to_gray),
+                (patch_gc_variance, gc_values, 1,
+                 lambda f: gradient_fields(to_gray(f)))):
+            assert [oracle(f0, f1, flow, p, occl) is None for p in patches] == [
+                False, True, False]
+            traj = Trajectories(flow, patches, inset=inset, occlusion=occl)
+            with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
+                kernel(grads(f0), grads(f1), traj)
+
+    def test_gray_of_frame_slices_to_gray_of_patch(self):
+        # frame-once gray conversion relies on this equality
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            h, w = (int(v) for v in rng.integers(3, 120, size=2))
+            frame = rng.uniform(0.0, 1.0, size=(h, w, 3))
+            if rng.uniform() < 0.5:
+                frame = np.floor(frame * 255.0 + 0.5) / 255.0
+            frame[rng.uniform(size=(h, w)) < 0.02] = np.nan
+            gray = to_gray(frame)
+            for _ in range(10):
+                side = 2 * int(rng.integers(1, (min(h, w) - 1) // 2 + 1)) + 1
+                p = Patch(int(rng.integers(0, h - side + 1)),
+                          int(rng.integers(0, w - side + 1)), side, "Diffuse")
+                assert_same_bits(p.extract(gray), to_gray(p.extract(frame)))
+
+
 class TestPsVariance:
     def test_constant_flow_zero(self):
         flow = np.tile([1.5, -0.5], (16, 16, 1))
@@ -342,15 +500,19 @@ class TestHelpers:
     def test_bilinear_integer_positions_exact(self):
         rng = np.random.default_rng(18)
         f = rng.uniform(0, 1, size=(10, 10))
-        rows, cols = np.mgrid[0:10, 0:10]
-        vals, valid = bilinear_sample(f, rows.reshape(-1), cols.reshape(-1))
-        assert np.all(valid)
-        assert np.array_equal(vals, f.reshape(-1))
+        traj = Trajectories(zero_flow(f.shape), [Patch(0, 0, 9, "Diffuse")])
+        assert np.all(traj.usable)
+        assert np.array_equal(traj.sample(f), f[:9, :9].reshape(1, -1))
 
     def test_bilinear_out_of_bounds_flagged(self):
         f = np.zeros((4, 4))
-        _, valid = bilinear_sample(f, np.array([-0.1, 3.2]), np.array([0.0, 1.0]))
-        assert list(valid) == [False, False]
+        flow = zero_flow(f.shape)
+        flow[0, 0] = (0.0, -0.1)  # to row -0.1
+        flow[1, 0] = (-0.5, 0.0)  # to col -0.5
+        flow[0, 2] = (0.8, 0.0)  # to col 2.8, inside
+        flow[2, 1] = (0.0, 1.2)  # to row 3.2
+        traj = Trajectories(flow, [Patch(0, 0, 3, "Diffuse")])
+        assert np.flatnonzero(~traj.usable[0]).tolist() == [0, 3, 7]
 
     def test_variance_order_invariant(self):
         rng = np.random.default_rng(19)

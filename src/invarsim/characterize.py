@@ -62,11 +62,12 @@ from .validators import (
     average_ranks,
     bc_values,
     ds_angular_error,
+    energy_variance,
     gc_values,
     gradient_fields,
     oc_values,
     patch_pixels,
-    ps_variance,
+    smoothness_energy,
     spearman_rho,
     to_gray,
 )
@@ -757,8 +758,9 @@ def _eval_speed(protocol, base, speed):
     cmaps = {s: classify_contexts(gt1, gt_next=gt2, window=s)
              for s in protocol.patch_sizes}
     patches = _collect_patches(protocol, cmaps, speed)
+    energy = smoothness_energy(flow_prev, flow_t, flow_next)
     return _cell_records(protocol, {"speed": speed}, patches, lambda key: [
-        ps_variance(flow_prev, flow_t, flow_next, p) for p in patches[key]])
+        energy_variance(energy, p) for p in patches[key]])
 
 
 def _eval_weather(protocol, base, tag):

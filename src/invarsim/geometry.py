@@ -2,9 +2,12 @@
 
 The scene's primitives are flattened into struct-of-arrays (one array bundle
 per primitive family) so a whole batch of rays is intersected with numpy
-ops, no per-ray Python.  Window rectangles are coplanar with the faces they
-decorate, so rectangles win ties against volume primitives within a small
-epsilon.
+ops, no per-ray Python.  Tracing has two levels: rays are first slab-tested
+against each object's padded axis-aligned bounds, and only the primitives of
+the objects a ray meets are tested exactly.  The cull is conservative, so it
+only skips work: every hit equals testing every ray against every primitive.
+Window rectangles are coplanar with the faces they decorate, so rectangles
+win ties against volume primitives within a small epsilon.
 """
 
 from __future__ import annotations
@@ -15,12 +18,25 @@ import numpy as np
 
 INF = np.inf
 _TIE_EPS = 1e-9
-#: max ray x primitive pairs handled in one vectorized block
-_CHUNK_PAIRS = 4_000_000
+#: object bounds are padded by this fraction of (1 + their largest absolute
+#: coordinate), far above the rounding of any hit formula, so that a ray the
+#: exact test hits is never culled
+_BOUNDS_EPS = 1e-7
+#: max ray x object, and ray x primitive, candidates handled in one block
+_CHUNK_PAIRS = 250_000
+
+#: primitive families in the order their hits are resolved
+FAMILIES = ("box", "sphere", "cylinder", "rect")
 
 
 class PrimitiveSoup:
-    """Flattened primitives of a scene, ready for batched intersection."""
+    """Flattened primitives of a scene, ready for batched intersection.
+
+    Each object's primitives are contiguous within each family, in scene
+    order.  ``obj_lo``/``obj_hi`` are the padded bounds of every object that
+    has primitives, and ``ranges[family]`` holds, per such object, the index
+    of its first primitive in that family and their count.
+    """
 
     def __init__(self):
         self.box_lo = np.zeros((0, 3))
@@ -41,44 +57,88 @@ class PrimitiveSoup:
         self.rect_off = np.zeros(0)
         self.rect_u = np.zeros((0, 2))
         self.rect_v = np.zeros((0, 2))
+        self.rect_ua = np.zeros(0, dtype=np.intp)
+        self.rect_va = np.zeros(0, dtype=np.intp)
         self.rect_obj = np.zeros(0, dtype=np.int32)
         self.rect_mat = np.zeros(0, dtype=np.int32)
+        self.obj_lo = np.zeros((0, 3))
+        self.obj_hi = np.zeros((0, 3))
+        self.obj_prims = np.zeros(0, dtype=np.intp)
+        self.ranges = {f: (np.zeros(0, dtype=np.intp),) * 2 for f in FAMILIES}
 
     @classmethod
     def from_scene(cls, scene) -> "PrimitiveSoup":
         soup = cls()
-        boxes, sphs, cyls, rects = [], [], [], []
-        for obj in scene.objects:
+        fams = {f: [] for f in FAMILIES}
+        objects = [obj for obj in scene.objects if obj.primitives]
+        for k, obj in enumerate(objects):
             for p in obj.primitives:
-                entry = (p, obj.object_id)
-                {"box": boxes, "sphere": sphs, "cylinder": cyls, "rect": rects}[
-                    p["kind"]
-                ].append(entry)
+                fams[p["kind"]].append((p, obj.object_id, k))
+        boxes, sphs, cyls, rects = (fams[f] for f in FAMILIES)
         if boxes:
-            soup.box_lo = np.array([p["lo"] for p, _ in boxes], dtype=float)
-            soup.box_hi = np.array([p["hi"] for p, _ in boxes], dtype=float)
-            soup.box_obj = np.array([o for _, o in boxes], dtype=np.int32)
-            soup.box_mat = np.array([p["material"] for p, _ in boxes], dtype=np.int32)
+            soup.box_lo = np.array([p["lo"] for p, _, _ in boxes], dtype=float)
+            soup.box_hi = np.array([p["hi"] for p, _, _ in boxes], dtype=float)
+            soup.box_obj = np.array([o for _, o, _ in boxes], dtype=np.int32)
+            soup.box_mat = np.array([p["material"] for p, _, _ in boxes], dtype=np.int32)
         if sphs:
-            soup.sph_c = np.array([p["center"] for p, _ in sphs], dtype=float)
-            soup.sph_r = np.array([p["radius"] for p, _ in sphs], dtype=float)
-            soup.sph_obj = np.array([o for _, o in sphs], dtype=np.int32)
-            soup.sph_mat = np.array([p["material"] for p, _ in sphs], dtype=np.int32)
+            soup.sph_c = np.array([p["center"] for p, _, _ in sphs], dtype=float)
+            soup.sph_r = np.array([p["radius"] for p, _, _ in sphs], dtype=float)
+            soup.sph_obj = np.array([o for _, o, _ in sphs], dtype=np.int32)
+            soup.sph_mat = np.array([p["material"] for p, _, _ in sphs], dtype=np.int32)
         if cyls:
-            soup.cyl_c = np.array([p["center"] for p, _ in cyls], dtype=float)
-            soup.cyl_r = np.array([p["radius"] for p, _ in cyls], dtype=float)
-            soup.cyl_y0 = np.array([p["y0"] for p, _ in cyls], dtype=float)
-            soup.cyl_y1 = np.array([p["y1"] for p, _ in cyls], dtype=float)
-            soup.cyl_obj = np.array([o for _, o in cyls], dtype=np.int32)
-            soup.cyl_mat = np.array([p["material"] for p, _ in cyls], dtype=np.int32)
+            soup.cyl_c = np.array([p["center"] for p, _, _ in cyls], dtype=float)
+            soup.cyl_r = np.array([p["radius"] for p, _, _ in cyls], dtype=float)
+            soup.cyl_y0 = np.array([p["y0"] for p, _, _ in cyls], dtype=float)
+            soup.cyl_y1 = np.array([p["y1"] for p, _, _ in cyls], dtype=float)
+            soup.cyl_obj = np.array([o for _, o, _ in cyls], dtype=np.int32)
+            soup.cyl_mat = np.array([p["material"] for p, _, _ in cyls], dtype=np.int32)
         if rects:
-            soup.rect_axis = np.array([p["axis"] for p, _ in rects], dtype=np.int32)
-            soup.rect_off = np.array([p["offset"] for p, _ in rects], dtype=float)
-            soup.rect_u = np.array([p["u"] for p, _ in rects], dtype=float)
-            soup.rect_v = np.array([p["v"] for p, _ in rects], dtype=float)
-            soup.rect_obj = np.array([o for _, o in rects], dtype=np.int32)
-            soup.rect_mat = np.array([p["material"] for p, _ in rects], dtype=np.int32)
+            soup.rect_axis = np.array([p["axis"] for p, _, _ in rects], dtype=np.int32)
+            soup.rect_off = np.array([p["offset"] for p, _, _ in rects], dtype=float)
+            soup.rect_u = np.array([p["u"] for p, _, _ in rects], dtype=float)
+            soup.rect_v = np.array([p["v"] for p, _, _ in rects], dtype=float)
+            soup.rect_obj = np.array([o for _, o, _ in rects], dtype=np.int32)
+            soup.rect_mat = np.array([p["material"] for p, _, _ in rects], dtype=np.int32)
+            soup.rect_ua = _RECT_U[soup.rect_axis]
+            soup.rect_va = _RECT_V[soup.rect_axis]
+        owners = {f: np.array([k for _, _, k in fams[f]], dtype=np.intp) for f in FAMILIES}
+        soup._bound_objects(len(objects), owners)
         return soup
+
+    def _bound_objects(self, n_obj, owners):
+        """Per-object padded bounds and per-family primitive ranges, from the
+        owning object of every primitive (nondecreasing within a family)."""
+        lo = np.full((n_obj, 3), INF)
+        hi = np.full((n_obj, 3), -INF)
+        self.obj_prims = np.zeros(n_obj, dtype=np.intp)
+        for fam, (plo, phi) in zip(FAMILIES, self._primitive_bounds()):
+            owner = owners[fam]
+            np.minimum.at(lo, owner, plo)
+            np.maximum.at(hi, owner, phi)
+            count = np.bincount(owner, minlength=n_obj)
+            self.ranges[fam] = (np.cumsum(count) - count, count)
+            self.obj_prims += count
+        pad = _BOUNDS_EPS * (1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1))
+        self.obj_lo = lo - pad[:, None]
+        self.obj_hi = hi + pad[:, None]
+
+    def _primitive_bounds(self):
+        """(lo, hi) corners of every primitive's axis-aligned bounds, per family."""
+        yield np.minimum(self.box_lo, self.box_hi), np.maximum(self.box_lo, self.box_hi)
+        r = np.abs(self.sph_r)[:, None]
+        yield self.sph_c - r, self.sph_c + r
+        r = np.abs(self.cyl_r)
+        x, z = self.cyl_c[:, 0], self.cyl_c[:, 1]
+        y0, y1 = np.minimum(self.cyl_y0, self.cyl_y1), np.maximum(self.cyl_y0, self.cyl_y1)
+        yield np.stack([x - r, y0, z - r], axis=1), np.stack([x + r, y1, z + r], axis=1)
+        rows = np.arange(len(self.rect_off))
+        lo = np.empty((len(rows), 3))
+        hi = np.empty((len(rows), 3))
+        for corner, pick in ((lo, np.min), (hi, np.max)):
+            corner[rows, self.rect_axis] = self.rect_off
+            corner[rows, self.rect_ua] = pick(self.rect_u, axis=1)
+            corner[rows, self.rect_va] = pick(self.rect_v, axis=1)
+        yield lo, hi
 
     @property
     def n_primitives(self):
@@ -89,41 +149,63 @@ class PrimitiveSoup:
 
 #: (u, v) world axes spanned by a rect whose normal is along each axis
 RECT_UV = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+_RECT_U = np.array([RECT_UV[a][0] for a in range(3)], dtype=np.intp)
+_RECT_V = np.array([RECT_UV[a][1] for a in range(3)], dtype=np.intp)
 
 
-def _box_hits(soup, O, D, tmin):
-    """(t, near_axis, far_axis, index) of nearest box per ray."""
-    n = len(soup.box_lo)
-    if n == 0:
-        shape = len(O)
-        return (np.full(shape, INF), None)
+def _cull(soup, O, D, tmin):
+    """(objects, rays) mask of the rays whose part beyond ``tmin`` may meet
+    each object's padded bounds.
+
+    A slab test, one axis at a time.  NaN from a ray lying in a slab plane
+    counts as inside: ``fmax``/``fmin`` skip it, and a ray that is NaN on
+    every axis is kept.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / D.T
+        for k, (o, i) in enumerate(zip(O.T, inv)):
+            a = (soup.obj_lo[:, k, None] - o) * i
+            b = (soup.obj_hi[:, k, None] - o) * i
+            near = np.minimum(a, b)
+            far = np.maximum(a, b)
+            enter = near if k == 0 else np.fmax(enter, near)
+            exit_ = far if k == 0 else np.fmin(exit_, far)
+    return ~(enter > exit_) & ~(exit_ <= tmin)
+
+
+def _box_slabs(lo, hi, O, D):
+    """Per-axis near and far slab distances of rays to boxes, row by row."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / D
-        t1 = (soup.box_lo[None, :, :] - O[:, None, :]) * inv[:, None, :]
-        t2 = (soup.box_hi[None, :, :] - O[:, None, :]) * inv[:, None, :]
+        t1 = (lo - O) * inv
+        t2 = (hi - O) * inv
     tn = np.minimum(t1, t2)
     tf = np.maximum(t1, t2)
     # parallel ray lying exactly on a slab plane: treat as inside that slab
     np.nan_to_num(tn, copy=False, nan=-INF, posinf=INF, neginf=-INF)
     np.nan_to_num(tf, copy=False, nan=INF, posinf=INF, neginf=-INF)
-    enter = tn.max(axis=2)
-    exit_ = tf.min(axis=2)
+    return tn, tf
+
+
+# The ``*_hits`` functions test ray ``r`` against primitive ``p`` for the
+# candidate pairs (r, p): O and D hold the pairs' rays.  A miss is t = inf.
+
+def _box_hits(soup, p, O, D, tmin):
+    tn, tf = _box_slabs(soup.box_lo[p], soup.box_hi[p], O, D)
+    enter = np.maximum(np.maximum(tn[:, 0], tn[:, 1]), tn[:, 2])
+    exit_ = np.minimum(np.minimum(tf[:, 0], tf[:, 1]), tf[:, 2])
     t = np.where(enter > tmin, enter, exit_)
     valid = (enter <= exit_) & (t > tmin)
-    t = np.where(valid, t, INF)
-    idx = np.argmin(t, axis=1)
-    rows = np.arange(len(O))
-    tbest = t[rows, idx]
-    return tbest, (idx, tn, tf, enter)
+    return np.where(valid, t, INF)
 
 
-def _box_normals(soup, O, D, tbest, payload, sel):
-    idx, tn, tf, enter = payload
+def _box_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     bidx = idx[rows]
-    entered = enter[rows, bidx] > 1e-6  # else the ray started inside
-    ax_in = np.argmax(tn[rows, bidx], axis=1)
-    ax_out = np.argmin(tf[rows, bidx], axis=1)
+    tn, tf = _box_slabs(soup.box_lo[bidx], soup.box_hi[bidx], O[rows], D[rows])
+    entered = tn.max(axis=1) > 1e-6  # else the ray started inside
+    ax_in = np.argmax(tn, axis=1)
+    ax_out = np.argmin(tf, axis=1)
     axis = np.where(entered, ax_in, ax_out)
     normals = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axis])
@@ -131,13 +213,10 @@ def _box_normals(soup, O, D, tbest, payload, sel):
     return normals, soup.box_obj[bidx], soup.box_mat[bidx]
 
 
-def _sphere_hits(soup, O, D, tmin):
-    n = len(soup.sph_r)
-    if n == 0:
-        return np.full(len(O), INF), None
-    oc = O[:, None, :] - soup.sph_c[None, :, :]
-    b = np.einsum("rpk,rk->rp", oc, D)
-    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.sph_r[None, :] ** 2
+def _sphere_hits(soup, p, O, D, tmin):
+    oc = O - soup.sph_c[p]
+    b = np.einsum("pk,pk->p", oc, D)
+    c = np.einsum("pk,pk->p", oc, oc) - soup.sph_r[p] ** 2
     disc = b * b - c
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
@@ -145,10 +224,7 @@ def _sphere_hits(soup, O, D, tmin):
     t_far = -b + sq
     t = np.where(t_near > tmin, t_near, t_far)
     valid = hit & (t > tmin)
-    t = np.where(valid, t, INF)
-    idx = np.argmin(t, axis=1)
-    rows = np.arange(len(O))
-    return t[rows, idx], idx
+    return np.where(valid, t, INF)
 
 
 def _sphere_normals(soup, O, D, tbest, idx, sel):
@@ -161,31 +237,27 @@ def _sphere_normals(soup, O, D, tbest, idx, sel):
     return n, soup.sph_obj[si], soup.sph_mat[si]
 
 
-def _cylinder_hits(soup, O, D, tmin):
-    n = len(soup.cyl_r)
-    if n == 0:
-        return np.full(len(O), INF), None
+def _cylinder_hits(soup, p, O, D, tmin):
     oxz = O[:, [0, 2]]
     dxz = D[:, [0, 2]]
-    oc = oxz[:, None, :] - soup.cyl_c[None, :, :]
-    a = np.einsum("rk,rk->r", dxz, dxz)[:, None]
-    b = np.einsum("rpk,rk->rp", oc, dxz)
-    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.cyl_r[None, :] ** 2
+    oc = oxz - soup.cyl_c[p]
+    a = np.einsum("pk,pk->p", dxz, dxz)
+    b = np.einsum("pk,pk->p", oc, dxz)
+    c = np.einsum("pk,pk->p", oc, oc) - soup.cyl_r[p] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - a * c
         hit = disc >= 0.0
         sq = np.sqrt(np.where(hit, disc, 0.0))
         t1 = np.where(a > 0.0, (-b - sq) / a, INF)
         t2 = np.where(a > 0.0, (-b + sq) / a, INF)
-    y = O[:, None, 1]
-    dy = D[:, None, 1]
+    y0 = soup.cyl_y0[p]
+    y1 = soup.cyl_y1[p]
+    y = O[:, 1]
+    dy = D[:, 1]
     y_at = lambda t: y + t * dy
-    ok1 = hit & (t1 > tmin) & (y_at(t1) >= soup.cyl_y0) & (y_at(t1) <= soup.cyl_y1)
-    ok2 = hit & (t2 > tmin) & (y_at(t2) >= soup.cyl_y0) & (y_at(t2) <= soup.cyl_y1)
-    t = np.where(ok1, t1, np.where(ok2, t2, INF))
-    idx = np.argmin(t, axis=1)
-    rows = np.arange(len(O))
-    return t[rows, idx], idx
+    ok1 = hit & (t1 > tmin) & (y_at(t1) >= y0) & (y_at(t1) <= y1)
+    ok2 = hit & (t2 > tmin) & (y_at(t2) >= y0) & (y_at(t2) <= y1)
+    return np.where(ok1, t1, np.where(ok2, t2, INF))
 
 
 def _cylinder_normals(soup, O, D, tbest, idx, sel):
@@ -202,31 +274,24 @@ def _cylinder_normals(soup, O, D, tbest, idx, sel):
     return n, soup.cyl_obj[ci], soup.cyl_mat[ci]
 
 
-def _rect_hits(soup, O, D, tmin):
-    n = len(soup.rect_off)
-    if n == 0:
-        return np.full(len(O), INF), None
-    axes = soup.rect_axis
-    o_ax = O[:, axes]
-    d_ax = D[:, axes]
+def _rect_hits(soup, p, O, D, tmin):
+    rows = np.arange(len(p))
+    axes = soup.rect_axis[p]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (soup.rect_off[None, :] - o_ax) / d_ax
+        t = (soup.rect_off[p] - O[rows, axes]) / D[rows, axes]
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
-    ua = np.array([RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
-    va = np.array([RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
-    u = O[:, ua] + t * D[:, ua]
-    v = O[:, va] + t * D[:, va]
+    ua = soup.rect_ua[p]
+    va = soup.rect_va[p]
+    u = O[rows, ua] + t * D[rows, ua]
+    v = O[rows, va] + t * D[rows, va]
     valid = (
         (t > tmin)
-        & (u >= soup.rect_u[None, :, 0])
-        & (u <= soup.rect_u[None, :, 1])
-        & (v >= soup.rect_v[None, :, 0])
-        & (v <= soup.rect_v[None, :, 1])
+        & (u >= soup.rect_u[p, 0])
+        & (u <= soup.rect_u[p, 1])
+        & (v >= soup.rect_v[p, 0])
+        & (v <= soup.rect_v[p, 1])
     )
-    t = np.where(valid, t, INF)
-    idx = np.argmin(t, axis=1)
-    rows = np.arange(len(O))
-    return t[rows, idx], idx
+    return np.where(valid, t, INF)
 
 
 def _rect_normals(soup, O, D, tbest, idx, sel):
@@ -237,6 +302,53 @@ def _rect_normals(soup, O, D, tbest, idx, sel):
     sign = -np.sign(D[rows, axes])
     n[np.arange(len(rows)), axes] = np.where(sign == 0.0, 1.0, sign)
     return n, soup.rect_obj[ri], soup.rect_mat[ri]
+
+
+_HITS = (_box_hits, _sphere_hits, _cylinder_hits, _rect_hits)
+_NORMALS = (_box_normals, _sphere_normals, _cylinder_normals, _rect_normals)
+
+
+def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
+    """Each ray's nearest hit t in one family, and the lowest primitive index
+    attaining it (0 on a miss), over the primitives of the (ray ``ri``,
+    object ``oj``) candidates."""
+    n = len(O)
+    cnt = count[oj]
+    ray = np.repeat(ri, cnt)
+    prim = np.arange(len(ray)) + np.repeat(first[oj] - (np.cumsum(cnt) - cnt), cnt)
+    t = hits(soup, prim, O[ray], D[ray], tmin)
+    tbest = np.full(n, INF)
+    np.minimum.at(tbest, ray, t)
+    won = (t == tbest[ray]) & (t < INF)
+    idx = np.full(n, np.iinfo(np.intp).max)
+    np.minimum.at(idx, ray[won], prim[won])
+    idx[tbest == INF] = 0
+    return tbest, idx
+
+
+def _family_minima(soup, O, D, tmin):
+    """Per family in ``FAMILIES`` order, ``_nearest`` over the rays.
+
+    Rays go in blocks whose ray x object and ray x primitive candidates
+    stay within ``_CHUNK_PAIRS``; a block of one ray is never split.
+    """
+    n = len(O)
+    step = max(1, _CHUNK_PAIRS // max(1, len(soup.obj_lo)))
+    oj, ri = (None, None) if n > step else np.nonzero(_cull(soup, O, D, tmin))
+    if n > step or (n > 1 and soup.obj_prims[oj].sum() > _CHUNK_PAIRS):
+        step = min(step, (n + 1) // 2)
+        parts = [_family_minima(soup, O[i : i + step], D[i : i + step], tmin)
+                 for i in range(0, n, step)]
+        return [tuple(np.concatenate(a) for a in zip(*fam)) for fam in zip(*parts)]
+    return [_nearest(hits, soup, *soup.ranges[fam], O, D, tmin, ri, oj)
+            for fam, hits in zip(FAMILIES, _HITS)]
+
+
+def _resolve(t_box, t_sph, t_cyl, t_rect):
+    """The scene hit distance from the family minima; rects win near-ties."""
+    t_vol = np.minimum(np.minimum(t_box, t_sph), t_cyl)
+    rect_wins = t_rect <= t_vol * (1.0 + _TIE_EPS) + _TIE_EPS
+    return np.where(rect_wins, t_rect, t_vol), t_vol, rect_wins
 
 
 class Hit:
@@ -264,29 +376,9 @@ def trace(soup: PrimitiveSoup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6)
     overlays are visible.
     """
     n_rays = len(O)
-    n_prims = max(1, soup.n_primitives)
-    chunk = max(256, _CHUNK_PAIRS // n_prims)
-    if n_rays > chunk:
-        parts = [
-            trace(soup, O[i : i + chunk], D[i : i + chunk], tmin)
-            for i in range(0, n_rays, chunk)
-        ]
-        return Hit(
-            np.concatenate([p.t for p in parts]),
-            np.concatenate([p.obj_id for p in parts]),
-            np.concatenate([p.mat_id for p in parts]),
-            np.concatenate([p.normal for p in parts]),
-            np.concatenate([p.point for p in parts]),
-        )
-
-    t_box, pay_box = _box_hits(soup, O, D, tmin)
-    t_sph, pay_sph = _sphere_hits(soup, O, D, tmin)
-    t_cyl, pay_cyl = _cylinder_hits(soup, O, D, tmin)
-    t_rect, pay_rect = _rect_hits(soup, O, D, tmin)
-
-    t_vol = np.minimum(np.minimum(t_box, t_sph), t_cyl)
-    rect_wins = t_rect <= t_vol * (1.0 + _TIE_EPS) + _TIE_EPS
-    t = np.where(rect_wins, t_rect, t_vol)
+    minima = _family_minima(soup, O, D, tmin)
+    (t_box, _), (t_sph, _), (t_cyl, _), (t_rect, _) = minima
+    t, t_vol, rect_wins = _resolve(t_box, t_sph, t_cyl, t_rect)
 
     obj = np.full(n_rays, -1, dtype=np.int32)
     mat = np.full(n_rays, -1, dtype=np.int32)
@@ -297,15 +389,10 @@ def trace(soup: PrimitiveSoup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6)
     sel_sph = ~sel_rect & ~sel_box & np.isfinite(t_sph) & (t_sph == t_vol)
     sel_cyl = ~sel_rect & ~sel_box & ~sel_sph & np.isfinite(t_cyl) & (t_cyl == t_vol)
 
-    for sel, tfam, payload, fn in (
-        (sel_rect, t_rect, pay_rect, _rect_normals),
-        (sel_box, t_box, pay_box, _box_normals),
-        (sel_sph, t_sph, pay_sph, _sphere_normals),
-        (sel_cyl, t_cyl, pay_cyl, _cylinder_normals),
-    ):
-        if payload is None or not sel.any():
+    for sel, (tfam, idx), fn in zip((sel_box, sel_sph, sel_cyl, sel_rect), minima, _NORMALS):
+        if not sel.any():
             continue
-        n_sel, o_sel, m_sel = fn(soup, O, D, tfam, payload, sel)
+        n_sel, o_sel, m_sel = fn(soup, O, D, tfam, idx, sel)
         normal[sel] = n_sel
         obj[sel] = o_sel
         mat[sel] = m_sel
@@ -315,9 +402,10 @@ def trace(soup: PrimitiveSoup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6)
 
 
 def occluded(soup: PrimitiveSoup, O, D, tmax, tmin: float = 1e-6) -> np.ndarray:
-    """Whether anything blocks each ray before ``tmax`` (scalar or array)."""
-    hit = trace(soup, O, D, tmin)
-    return hit.t < tmax
+    """Whether anything blocks each ray before ``tmax`` (scalar or array);
+    equal to ``trace(soup, O, D, tmin).t < tmax``."""
+    t, _, _ = _resolve(*(t for t, _ in _family_minima(soup, O, D, tmin)))
+    return t < tmax
 
 
 class Camera:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .geometry import RECT_UV
 
 SKY_OBJECT_ID = -1
@@ -375,6 +375,59 @@ def _translate_primitive(p, dx, dy, dz):
 
 
 
+#: (required, optional) keys of the top level and of each block of a scene
+#: document; a primitive's keys depend on its kind
+_DOC_KEYS = {
+    None: (("seed", "world_bounds", "manhattan", "objects", "materials", "lights",
+            "medium", "camera", "dynamics"), ()),
+    "objects": (("object_id", "class", "position", "length", "breadth", "height",
+                 "primitives"), ("yaw", "dynamic", "y_offset")),
+    "materials": (("name", "kind", "albedo", "specular", "emissive", "texture"), ()),
+    "lights": (("kind", "color", "intensity"), ("direction", "position", "cone_deg", "name")),
+    "medium": (("beta", "anisotropy", "airlight_color", "weather_tag"), ("layer_height",)),
+    "camera": (("position", "look_at", "up", "vfov_deg"), ()),
+}
+_PRIMITIVE_KEYS = {
+    "box": ("lo", "hi"),
+    "sphere": ("center", "radius"),
+    "cylinder": ("center", "radius", "y0", "y1"),
+    "rect": ("axis", "offset", "u", "v"),
+}
+
+
+def _check_keys(doc, required, optional=(), path=None):
+    """Raise ConfigError at the first unknown or missing key of ``doc``."""
+    reject_unknown_keys(doc, dict.fromkeys(required + optional), path)
+    for key in required:
+        if key not in doc:
+            raise ConfigError("required key is missing",
+                              json_path=f"{path}.{key}" if path else key)
+
+
+def _check_scene_doc(doc):
+    """Raise ConfigError, naming its json_path, at the first unknown or
+    missing key of a scene document."""
+    _check_keys(doc, *_DOC_KEYS[None])
+    items = [(block, block, doc[block]) for block in ("medium", "camera")]
+    for block, kind in (("objects", list), ("lights", list), ("materials", dict)):
+        if not isinstance(doc[block], kind):
+            raise ConfigError(f"expected a JSON {kind.__name__}", json_path=block)
+    items += [("objects", f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
+    items += [("lights", f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
+    items += [("materials", f"materials.{k}", m) for k, m in doc["materials"].items()]
+    for block, path, item in items:
+        _check_keys(item, *_DOC_KEYS[block], path)
+    for i, obj in enumerate(doc["objects"]):
+        if not isinstance(obj["primitives"], list):
+            raise ConfigError("expected a JSON list", json_path=f"objects[{i}].primitives")
+        for j, prim in enumerate(obj["primitives"]):
+            path = f"objects[{i}].primitives[{j}]"
+            kind = prim.get("kind") if isinstance(prim, dict) else None
+            if kind not in _PRIMITIVE_KEYS:
+                raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
+            _check_keys(prim, ("kind", "material") + _PRIMITIVE_KEYS[kind], (), path)
+
+
 @dataclass(frozen=True)
 class SceneGraph:
     """A fully realized world sample, deterministic in (config, seed)."""
@@ -479,6 +532,7 @@ class SceneGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid scene JSON: {exc}") from exc
+        _check_scene_doc(doc)
         objects = tuple(
             SceneObject(
                 object_id=o["object_id"],

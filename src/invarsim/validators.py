@@ -264,13 +264,13 @@ def gc_variance(frame_t, frame_t1, flow, patch, *,
                       exclude_occluded, occlusion)
 
 
-def ps_variance(flow_prev, flow, flow_next, patch) -> float:
-    """Piecewise-smoothness deviation: variance of the smoothness energy.
+def smoothness_energy(flow_prev, flow, flow_next) -> np.ndarray:
+    """Per-pixel smoothness energy of a flow field, NaN on the frame border.
 
     r = |grad3 u|^2 + |grad3 v|^2 with grad3 = (d/dx, d/dy, d/dt) by central
     differences.  Pass ``flow_prev = flow_next = None`` for the
     spatial-only form; providing exactly one temporal neighbour is an
-    error.  The one-pixel patch border is excluded.
+    error.
     """
     if (flow_prev is None) != (flow_next is None):
         raise MissingTemporalError(
@@ -286,10 +286,15 @@ def ps_variance(flow_prev, flow, flow_next, patch) -> float:
         ut = (fn[:, :, 0] - fp[:, :, 0]) / 2.0
         vt = (fn[:, :, 1] - fp[:, :, 1]) / 2.0
         r = r + ut * ut + vt * vt
+    return r
 
+
+def energy_variance(energy, patch) -> float:
+    """Variance of a ``smoothness_energy`` field over the patch, leaving out
+    the one-pixel patch border and non-finite values."""
     rows = slice(patch.row + 1, patch.row + patch.side - 1)
     cols = slice(patch.col + 1, patch.col + patch.side - 1)
-    vals = r[rows, cols].reshape(-1)
+    vals = energy[rows, cols].reshape(-1)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         raise AllOccludedError(
@@ -297,6 +302,12 @@ def ps_variance(flow_prev, flow, flow_next, patch) -> float:
             "no finite smoothness values"
         )
     return population_variance(vals)
+
+
+def ps_variance(flow_prev, flow, flow_next, patch) -> float:
+    """Piecewise-smoothness deviation: variance of the smoothness energy
+    over one patch (see ``smoothness_energy`` and ``energy_variance``)."""
+    return energy_variance(smoothness_energy(flow_prev, flow, flow_next), patch)
 
 
 # -- dichromatic scattering ------------------------------------------------

@@ -3,14 +3,18 @@
 Everything here is deliberately written against the definitions, not the
 package code paths: exact rational arithmetic for rank correlation,
 brute-force O(n^2) rectangle intersection, Gauss-Legendre quadrature for
-phase-function normalization, and the OC/BC/GC measures one patch at a time
-from whole frames, which the package evaluates per frame and per batch.
+phase-function normalization, the OC/BC/GC measures one patch at a time
+from whole frames, which the package evaluates per frame and per batch, and
+a ray tracer that tests every ray against every primitive, where the package
+first culls rays against object bounds.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from invarsim.geometry import INF, RECT_UV, Hit, _TIE_EPS
 
 
 def exact_average_ranks(values):
@@ -211,3 +215,222 @@ def plane_residual(observations, normal):
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
     return float(np.sum((obs @ n) ** 2))
+
+
+# -- brute-force ray tracer ---------------------------------------------------
+
+#: max ray x primitive pairs the brute-force tracer handles in one block
+_CHUNK_PAIRS = 4_000_000
+
+
+def _box_hits(soup, O, D, tmin):
+    """(t, near_axis, far_axis, index) of nearest box per ray."""
+    n = len(soup.box_lo)
+    if n == 0:
+        shape = len(O)
+        return (np.full(shape, INF), None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / D
+        t1 = (soup.box_lo[None, :, :] - O[:, None, :]) * inv[:, None, :]
+        t2 = (soup.box_hi[None, :, :] - O[:, None, :]) * inv[:, None, :]
+    tn = np.minimum(t1, t2)
+    tf = np.maximum(t1, t2)
+    # parallel ray lying exactly on a slab plane: treat as inside that slab
+    np.nan_to_num(tn, copy=False, nan=-INF, posinf=INF, neginf=-INF)
+    np.nan_to_num(tf, copy=False, nan=INF, posinf=INF, neginf=-INF)
+    enter = tn.max(axis=2)
+    exit_ = tf.min(axis=2)
+    t = np.where(enter > tmin, enter, exit_)
+    valid = (enter <= exit_) & (t > tmin)
+    t = np.where(valid, t, INF)
+    idx = np.argmin(t, axis=1)
+    rows = np.arange(len(O))
+    tbest = t[rows, idx]
+    return tbest, (idx, tn, tf, enter)
+
+
+def _box_normals(soup, O, D, tbest, payload, sel):
+    idx, tn, tf, enter = payload
+    rows = np.where(sel)[0]
+    bidx = idx[rows]
+    entered = enter[rows, bidx] > 1e-6  # else the ray started inside
+    ax_in = np.argmax(tn[rows, bidx], axis=1)
+    ax_out = np.argmin(tf[rows, bidx], axis=1)
+    axis = np.where(entered, ax_in, ax_out)
+    normals = np.zeros((len(rows), 3))
+    sign = -np.sign(D[rows, axis])
+    normals[np.arange(len(rows)), axis] = np.where(sign == 0.0, 1.0, sign)
+    return normals, soup.box_obj[bidx], soup.box_mat[bidx]
+
+
+def _sphere_hits(soup, O, D, tmin):
+    n = len(soup.sph_r)
+    if n == 0:
+        return np.full(len(O), INF), None
+    oc = O[:, None, :] - soup.sph_c[None, :, :]
+    b = np.einsum("rpk,rk->rp", oc, D)
+    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.sph_r[None, :] ** 2
+    disc = b * b - c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t_near = -b - sq
+    t_far = -b + sq
+    t = np.where(t_near > tmin, t_near, t_far)
+    valid = hit & (t > tmin)
+    t = np.where(valid, t, INF)
+    idx = np.argmin(t, axis=1)
+    rows = np.arange(len(O))
+    return t[rows, idx], idx
+
+
+def _sphere_normals(soup, O, D, tbest, idx, sel):
+    rows = np.where(sel)[0]
+    si = idx[rows]
+    p = O[rows] + tbest[rows, None] * D[rows]
+    n = (p - soup.sph_c[si]) / soup.sph_r[si][:, None]
+    flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
+    n[flip] *= -1.0
+    return n, soup.sph_obj[si], soup.sph_mat[si]
+
+
+def _cylinder_hits(soup, O, D, tmin):
+    n = len(soup.cyl_r)
+    if n == 0:
+        return np.full(len(O), INF), None
+    oxz = O[:, [0, 2]]
+    dxz = D[:, [0, 2]]
+    oc = oxz[:, None, :] - soup.cyl_c[None, :, :]
+    a = np.einsum("rk,rk->r", dxz, dxz)[:, None]
+    b = np.einsum("rpk,rk->rp", oc, dxz)
+    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.cyl_r[None, :] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - a * c
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t1 = np.where(a > 0.0, (-b - sq) / a, INF)
+        t2 = np.where(a > 0.0, (-b + sq) / a, INF)
+    y = O[:, None, 1]
+    dy = D[:, None, 1]
+    y_at = lambda t: y + t * dy
+    ok1 = hit & (t1 > tmin) & (y_at(t1) >= soup.cyl_y0) & (y_at(t1) <= soup.cyl_y1)
+    ok2 = hit & (t2 > tmin) & (y_at(t2) >= soup.cyl_y0) & (y_at(t2) <= soup.cyl_y1)
+    t = np.where(ok1, t1, np.where(ok2, t2, INF))
+    idx = np.argmin(t, axis=1)
+    rows = np.arange(len(O))
+    return t[rows, idx], idx
+
+
+def _cylinder_normals(soup, O, D, tbest, idx, sel):
+    rows = np.where(sel)[0]
+    ci = idx[rows]
+    p = O[rows] + tbest[rows, None] * D[rows]
+    radial = p[:, [0, 2]] - soup.cyl_c[ci]
+    r = soup.cyl_r[ci]
+    n = np.zeros((len(rows), 3))
+    n[:, 0] = radial[:, 0] / r
+    n[:, 2] = radial[:, 1] / r
+    flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
+    n[flip] *= -1.0
+    return n, soup.cyl_obj[ci], soup.cyl_mat[ci]
+
+
+def _rect_hits(soup, O, D, tmin):
+    n = len(soup.rect_off)
+    if n == 0:
+        return np.full(len(O), INF), None
+    axes = soup.rect_axis
+    o_ax = O[:, axes]
+    d_ax = D[:, axes]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (soup.rect_off[None, :] - o_ax) / d_ax
+    np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
+    ua = np.array([RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
+    va = np.array([RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
+    u = O[:, ua] + t * D[:, ua]
+    v = O[:, va] + t * D[:, va]
+    valid = (
+        (t > tmin)
+        & (u >= soup.rect_u[None, :, 0])
+        & (u <= soup.rect_u[None, :, 1])
+        & (v >= soup.rect_v[None, :, 0])
+        & (v <= soup.rect_v[None, :, 1])
+    )
+    t = np.where(valid, t, INF)
+    idx = np.argmin(t, axis=1)
+    rows = np.arange(len(O))
+    return t[rows, idx], idx
+
+
+def _rect_normals(soup, O, D, tbest, idx, sel):
+    rows = np.where(sel)[0]
+    ri = idx[rows]
+    axes = soup.rect_axis[ri]
+    n = np.zeros((len(rows), 3))
+    sign = -np.sign(D[rows, axes])
+    n[np.arange(len(rows)), axes] = np.where(sign == 0.0, 1.0, sign)
+    return n, soup.rect_obj[ri], soup.rect_mat[ri]
+
+
+def brute_trace(soup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6) -> Hit:
+    """Nearest intersection of each ray with the scene, every ray tested
+    against every primitive of a ``PrimitiveSoup``.
+
+    Misses get t=inf, ids -1 and zero normals.  Rectangles take priority
+    over volume primitives at (near-)equal distance so coplanar window
+    overlays are visible.
+    """
+    n_rays = len(O)
+    n_prims = max(1, soup.n_primitives)
+    chunk = max(256, _CHUNK_PAIRS // n_prims)
+    if n_rays > chunk:
+        parts = [
+            brute_trace(soup, O[i : i + chunk], D[i : i + chunk], tmin)
+            for i in range(0, n_rays, chunk)
+        ]
+        return Hit(
+            np.concatenate([p.t for p in parts]),
+            np.concatenate([p.obj_id for p in parts]),
+            np.concatenate([p.mat_id for p in parts]),
+            np.concatenate([p.normal for p in parts]),
+            np.concatenate([p.point for p in parts]),
+        )
+
+    t_box, pay_box = _box_hits(soup, O, D, tmin)
+    t_sph, pay_sph = _sphere_hits(soup, O, D, tmin)
+    t_cyl, pay_cyl = _cylinder_hits(soup, O, D, tmin)
+    t_rect, pay_rect = _rect_hits(soup, O, D, tmin)
+
+    t_vol = np.minimum(np.minimum(t_box, t_sph), t_cyl)
+    rect_wins = t_rect <= t_vol * (1.0 + _TIE_EPS) + _TIE_EPS
+    t = np.where(rect_wins, t_rect, t_vol)
+
+    obj = np.full(n_rays, -1, dtype=np.int32)
+    mat = np.full(n_rays, -1, dtype=np.int32)
+    normal = np.zeros((n_rays, 3))
+
+    sel_rect = rect_wins & np.isfinite(t_rect)
+    sel_box = ~sel_rect & np.isfinite(t_box) & (t_box == t_vol)
+    sel_sph = ~sel_rect & ~sel_box & np.isfinite(t_sph) & (t_sph == t_vol)
+    sel_cyl = ~sel_rect & ~sel_box & ~sel_sph & np.isfinite(t_cyl) & (t_cyl == t_vol)
+
+    for sel, tfam, payload, fn in (
+        (sel_rect, t_rect, pay_rect, _rect_normals),
+        (sel_box, t_box, pay_box, _box_normals),
+        (sel_sph, t_sph, pay_sph, _sphere_normals),
+        (sel_cyl, t_cyl, pay_cyl, _cylinder_normals),
+    ):
+        if payload is None or not sel.any():
+            continue
+        n_sel, o_sel, m_sel = fn(soup, O, D, tfam, payload, sel)
+        normal[sel] = n_sel
+        obj[sel] = o_sel
+        mat[sel] = m_sel
+
+    point = O + np.where(np.isfinite(t), t, 0.0)[:, None] * D
+    return Hit(t, obj, mat, normal, point)
+
+
+def brute_occluded(soup, O, D, tmax, tmin: float = 1e-6) -> np.ndarray:
+    """Whether anything blocks each ray before ``tmax`` (scalar or array)."""
+    hit = brute_trace(soup, O, D, tmin)
+    return hit.t < tmax

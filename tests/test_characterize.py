@@ -337,17 +337,19 @@ class TestRanking:
         assert exc.value.only_b == ["c"]
 
 
-#: sha256 of manifold.csv of the stock ramp sweeps at their default seeds
+#: sha256 of manifold.csv of the stock sweeps at their default seeds
 STOCK_MANIFOLD_SHA256 = {
     "OC": "72f9ed6f935c604690b539529f8c045fe461ee7e6d1f5e1a3e27771e05747d57",
     "BC": "080abfa878171e735d3421afe30f1db0efd081bc9169777151cdee690d272429",
     "GC": "78d4a244563cb5028adba898102cd4671450323169f30c61810dabd99b9e1e5b",
+    "PS": "bf4b25731094f573148de0302f322512613fed5503104cd23aa99eb517652883",
+    "DS": "1effe65f54eeb6b4e03645664ce88bfd83b0906f4999aa04a375b6f56d9de651",
 }
 
 
 @pytest.fixture(scope="module", params=sorted(STOCK_MANIFOLD_SHA256))
 def stock_sweep(request):
-    """One fresh sweep of a stock ramp protocol, shared by this module."""
+    """One fresh sweep of a stock protocol, shared by this module."""
     return request.param, run_sweep(default_protocol(request.param))
 
 
@@ -378,6 +380,20 @@ class TestSweep:
             assert 0 < calls["average_ranks"] <= 2 * len(m.records)
         else:
             assert calls["average_ranks"] == 0
+
+    def test_ps_smoothness_energy_is_computed_once_per_speed(self, monkeypatch):
+        from invarsim import validators
+
+        calls = []
+
+        def counted(I, _fn=validators.gradient_fields):
+            calls.append(I.shape)
+            return _fn(I)
+        monkeypatch.setattr(validators, "gradient_fields", counted)
+        p = default_protocol("PS")
+        run_sweep(p)
+        # one call per flow component (u, v) of each speed's energy field
+        assert len(calls) == 2 * len(p.speed_scales)
 
     def test_identical_frames_give_rho_one(self):
         # sun at zero and no dynamic objects: current frame equals the

@@ -152,6 +152,29 @@ class TestRender:
                  if p.name != "manifest.json"}
         assert first == again
 
+    @pytest.mark.parametrize("edit,json_path", [
+        (lambda d: d["camera"].pop("vfov_deg"), "camera.vfov_deg"),
+        (lambda d: d.pop("seed"), "seed"),
+        (lambda d: d["objects"][1].pop("height"), "objects[1].height"),
+        (lambda d: d["objects"][0]["primitives"][0].pop("hi"), "objects[0].primitives[0].hi"),
+        (lambda d: d["medium"].update(layer_hight=10.0), "medium.layer_hight"),
+        (lambda d: d["lights"][0].update(colour=[1, 1, 1]), "lights[0].colour"),
+        (lambda d: d["materials"]["0"].update(albdo=0.5), "materials.0.albdo"),
+        (lambda d: d["objects"][0]["primitives"][0].update(kind="cone"),
+         "objects[0].primitives[0].kind"),
+        (lambda d: d.update(lights={}), "lights"),
+    ])
+    def test_bad_scene_keys_exit_2_with_path(self, scene_json, tmp_path, capsys,
+                                             edit, json_path):
+        doc = json.loads(scene_json.read_text())
+        edit(doc)
+        bad = tmp_path / "bad_scene.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["render", str(bad), "--out-dir", str(tmp_path / "render"),
+                     "--frames", "0..0", "--spp", "1", "--width", "8", "--height", "6"])
+        assert code == 2
+        assert f"invarsim: {json_path}: " in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_outputs(self, tmp_path):

@@ -86,7 +86,8 @@ class TestRenderFrame:
         cfg = RenderConfig(width=32, height=24, samples_per_pixel=3,
                            max_bounces=1, rng_seed=17)
         a = render_frame(validation_scene, cfg)
-        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 5000)
+        # 6 objects: blocks of 100 rays, so each 768-ray pass takes 8 blocks
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 600)
         b = render_frame(validation_scene, cfg)
         assert np.array_equal(a.data, b.data)
 

@@ -54,6 +54,7 @@ from .render import (
     render_frame,
     render_ground_truth,
     render_media,
+    render_setups,
 )
 from .scene import WEATHER_PRESETS, DynamicsScript
 from .scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
@@ -567,26 +568,27 @@ def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
 
 
 def _sun_basis(scene, rcfg, levels):
-    """Two renders that give the scene's radiance at every level of a sun ramp.
+    """One render pass that gives the scene's radiance at every level of a
+    sun ramp.
 
     Radiance (surface, bounce and airlight alike) is affine in the intensity
     of the first directional light, so with ``hdr0`` rendered with that
     light off, the radiance at ``level`` times its intensity is
-    ``hdr0 + level * hdr_sun``.  A scene without a directional light allows
-    only levels of 1, where ``hdr_sun`` is zero.
+    ``hdr0 + level * hdr_sun``.  The sun-off and sun-on setups share every
+    ray of one pass.  A scene without a directional light allows only
+    levels of 1, where ``hdr_sun`` is zero.
     """
     lights = tuple(scene.lights)
-    dark = scene
+    dark = lights
     for i, light in enumerate(lights):
         if light.kind == "directional":
-            off = dataclasses.replace(light, intensity=0.0)
-            dark = dataclasses.replace(scene, lights=lights[:i] + (off,) + lights[i + 1:])
+            dark = lights[:i] + (light.at_intensity(0.0),) + lights[i + 1:]
             break
     else:
         if any(level != 1.0 for level in levels):
             raise ConfigError("protocol requires a directional light in the scene")
-    hdr0 = render_frame(dark, rcfg).data
-    return hdr0, render_frame(scene, rcfg).data - hdr0
+    hdr0, hdr1 = render_setups(scene, [(scene.medium, dark), (scene.medium, lights)], rcfg)
+    return hdr0.data, hdr1.data - hdr0.data
 
 
 def _ambient_only(scene):
@@ -700,8 +702,9 @@ def _prepare_ramp(protocol):
     """OC/BC/GC: the reference frame, patches and sun basis of a ramp.
 
     Radiance is affine in the sun's intensity, so the lit geometry is
-    rendered twice, with the sun off and at full strength, and each level's
-    frame is the affine combination of the two before the sensor stage.
+    rendered with the sun off and at full strength, in one pass, and each
+    level's frame is the affine combination of the two before the sensor
+    stage.
     The reference frame and the flow are the same at every level.
     """
     rcfg = protocol.render_config()
@@ -1044,9 +1047,9 @@ class _SweepSpec:
     theta_v_axes: tuple = ("s",)
 
 
-# reference frame, sun off, sun on
+# the reference frame; the sun off and on, in one pass
 _RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
-                        _prepare_ramp, _eval_level, passes=(3, 0))
+                        _prepare_ramp, _eval_level, passes=(2, 0))
 
 _SWEEP_SPECS = {
     "OC": _RAMP_SPEC,

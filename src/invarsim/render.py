@@ -20,7 +20,7 @@ import numpy as np
 
 from . import medium as medium_mod
 from .errors import ConfigError, IdentityMismatchError
-from .geometry import Camera, PrimitiveSoup, occluded, trace
+from .geometry import Camera, occluded, trace
 from .scene import SKY_MATERIAL_ID, SKY_OBJECT_ID, SceneGraph
 
 _SHADOW_EPS = 1e-4
@@ -269,12 +269,12 @@ def _cosine_dirs(normals, u1, u2):
     return local[:, 0:1] * t + local[:, 1:2] * n + local[:, 2:3] * b
 
 
-def _shade_sample(setups, lights, soup, mtab, O, D, bounce=None):
-    """Radiance along one sample's rays, one array per (medium, light table)
-    setup: direct light, plus with ``bounce`` = (rng, spp, sample index), as
-    for camera rays, one diffuse and one mirror bounce shaded without a
-    further bounce.  Rays, hits and shadow rays are shared by all setups, so
-    each setup's estimate is bit-identical to rendering it alone.
+def _shade_sample(setups, soup, mtab, O, D, bounce=None):
+    """Radiance along one sample's rays, one array per (medium, lights, light
+    table) setup: direct light, plus with ``bounce`` = (rng, spp, sample
+    index), as for camera rays, one diffuse and one mirror bounce shaded
+    without a further bounce.  Rays, hits and shadow rays are shared by all
+    setups, so each setup's estimate is bit-identical to rendering it alone.
     """
     hit = trace(soup, O, D)
     m = hit.mask
@@ -283,16 +283,16 @@ def _shade_sample(setups, lights, soup, mtab, O, D, bounce=None):
         nrm = hit.normal[m]
         rows = mtab.row(hit.mat_id[m])
         alb = albedo_at(mtab, hit.mat_id[m], pts)
-        factors = _light_factors(soup, setups[0][1], pts, nrm)
+        factors = _light_factors(soup, setups[0][2], pts, nrm)
         Ls = [mtab.emissive[rows] + _direct_light(ltab, alb, factors)
-              for _, ltab in setups]
+              for _, _, ltab in setups]
         if bounce is not None:
             # one diffuse bounce, cosine sampled, stratified over the spp
             rng, spp, sample_index = bounce
             u = rng.random((int(m.sum()), 2))
             u1 = (sample_index + u[:, 0]) / spp
             dirs = _cosine_dirs(nrm, u1, u[:, 1])
-            Lin = _shade_sample(setups, lights, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
+            Lin = _shade_sample(setups, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
             Ls = [Ls_k + alb * Lin_k for Ls_k, Lin_k in zip(Ls, Lin)]
             spec = mtab.specular[rows]
             sp = spec > 0.0
@@ -300,13 +300,11 @@ def _shade_sample(setups, lights, soup, mtab, O, D, bounce=None):
                 d_in = D[m][sp]
                 n_sp = nrm[sp]
                 refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
-                Lr = _shade_sample(
-                    setups, lights, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl
-                )
+                Lr = _shade_sample(setups, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl)
                 for Ls_k, Lr_k in zip(Ls, Lr):
                     Ls_k[sp] += spec[sp, None] * Lr_k
     out = []
-    for k, (medium, ltab) in enumerate(setups):
+    for k, (medium, lights, ltab) in enumerate(setups):
         L = np.zeros((len(O), 3))
         if m.any():
             L[m] = Ls[k]
@@ -315,12 +313,23 @@ def _shade_sample(setups, lights, soup, mtab, O, D, bounce=None):
     return out
 
 
-def _render_pass(scene, media, cfg, return_variance):
-    """One Monte Carlo pass over the camera, one image per medium."""
+def _placement(lights):
+    """Kind, direction, position and cone of each direct source."""
+    return [(l.kind, l.direction, l.position, l.cone_deg)
+            for l in lights if l.kind != "ambient"]
+
+
+def _render_pass(scene, setups, cfg, return_variance):
+    """One Monte Carlo pass over the camera, one image per (medium, lights)
+    setup.  The shadowed light factors of the first setup serve them all, so
+    every setup must place its direct sources alike."""
+    if any(_placement(lights) != _placement(setups[0][1]) for _, lights in setups[1:]):
+        raise ConfigError("the setups of one render pass must place their "
+                          "direct light sources alike")
     cam = Camera(scene.camera, cfg.width, cfg.height)
-    soup = PrimitiveSoup.from_scene(scene)
+    soup = scene.soup
     mtab = _MaterialTable(scene)
-    setups = [(medium, _LightTable(scene.lights, medium)) for medium in media]
+    setups = [(medium, lights, _LightTable(lights, medium)) for medium, lights in setups]
     h, w = cfg.height, cfg.width
     acc = [np.zeros((h * w, 3)) for _ in setups]
     acc_sq = [np.zeros((h * w, 3)) for _ in setups] if return_variance else None
@@ -330,7 +339,7 @@ def _render_pass(scene, media, cfg, return_variance):
         jitter = rng.random((h, w, 2)) - 0.5
         O, D = cam.rays(jitter)
         bounce = (rng, spp, s) if cfg.max_bounces >= 1 else None
-        Ls = _shade_sample(setups, scene.lights, soup, mtab, O, D, bounce)
+        Ls = _shade_sample(setups, soup, mtab, O, D, bounce)
         for k, L in enumerate(Ls):
             acc[k] += L
             if acc_sq is not None:
@@ -355,7 +364,7 @@ def render_frame(scene: SceneGraph, cfg: RenderConfig,
     ``return_variance`` the per-pixel variance of the mean estimate is
     attached (None when samples_per_pixel == 1).
     """
-    return _render_pass(scene, [scene.medium], cfg, return_variance)[0]
+    return _render_pass(scene, [(scene.medium, scene.lights)], cfg, return_variance)[0]
 
 
 def render_media(scene: SceneGraph, media, cfg: RenderConfig) -> list:
@@ -366,13 +375,26 @@ def render_media(scene: SceneGraph, media, cfg: RenderConfig) -> list:
     depends on the medium; each image is bit-identical to ``render_frame``
     of the scene with that medium.
     """
-    return _render_pass(scene, list(media), cfg, False)
+    return _render_pass(scene, [(medium, scene.lights) for medium in media], cfg, False)
+
+
+def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
+    """HDR estimates of one geometry under each (medium, lights) setup, from
+    one Monte Carlo pass.
+
+    The scene's own medium and lights are ignored.  The setups may differ in
+    the media and in the lights' colors and intensities, but must place
+    their direct sources alike (a source turned off keeps intensity 0), so
+    camera, bounce and shadow rays are traced once for all of them; each
+    image is bit-identical to ``render_frame`` of the scene with that setup.
+    """
+    return _render_pass(scene, list(setups), cfg, False)
 
 
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
     """Exact buffers from the deterministic center-of-pixel ray."""
     cam = Camera(scene.camera, cfg.width, cfg.height)
-    soup = PrimitiveSoup.from_scene(scene)
+    soup = scene.soup
     ltab = _LightTable(scene.lights, scene.medium)
     mtab = _MaterialTable(scene)
     h, w = cfg.height, cfg.width
@@ -438,13 +460,10 @@ def compute_flow(scene_t: SceneGraph, scene_t1: SceneGraph, cfg: RenderConfig):
     h, w = cfg.height, cfg.width
     cam_t = Camera(scene_t.camera, w, h)
     cam_t1 = Camera(scene_t1.camera, w, h)
-    soup_t = PrimitiveSoup.from_scene(scene_t)
-    soup_t1 = PrimitiveSoup.from_scene(scene_t1)
-
     O, D = cam_t.rays()
-    hit = trace(soup_t, O, D)
+    hit = trace(scene_t.soup, O, D)
     O1, D1 = cam_t1.rays()
-    hit1 = trace(soup_t1, O1, D1)
+    hit1 = trace(scene_t1.soup, O1, D1)
     ids1 = np.where(hit1.mask, hit1.obj_id, SKY_OBJECT_ID).reshape(h, w)
 
     max_id = max(ids_t, default=-1)

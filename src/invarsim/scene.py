@@ -5,18 +5,25 @@ value object: construction validates invariants, after which instances are
 treated as immutable and are safe to share across threads.  Everything a
 renderer needs is derivable from it, and the JSON export is canonical (sorted
 keys) so two exports of the same graph are byte-identical and diffable.
+
+What a renderer or an export derives from one state is derived once: each
+``SceneObject`` encodes its own JSON entry once, and each ``SceneGraph``
+builds its ``PrimitiveSoup`` once.  States of one scene share the objects
+that did not move, so each unmoved object is encoded once for all of them.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, reject_unknown_keys
-from .geometry import RECT_UV
+from .geometry import RECT_UV, PrimitiveSoup
 
 SKY_OBJECT_ID = -1
 SKY_MATERIAL_ID = -1
@@ -157,6 +164,18 @@ class LightSpec:
         if self.kind == "spot":
             if self.position is None or self.cone_deg is None:
                 raise ConfigError("spot light requires position and cone_deg")
+
+    def at_intensity(self, intensity: float) -> "LightSpec":
+        """This light at another intensity, placed exactly as before.
+
+        ``dataclasses.replace`` would normalize the direction again, which
+        can move its last bit.
+        """
+        if intensity < 0:
+            raise ConfigError("light intensity must be >= 0")
+        light = copy.copy(self)
+        object.__setattr__(light, "intensity", intensity)
+        return light
 
 
 @dataclass(frozen=True)
@@ -347,6 +366,24 @@ class SceneObject:
             self, mark=mark, primitives=prims, y_offset=self.y_offset + dy
         )
 
+    @functools.cached_property
+    def json_fragment(self) -> str:
+        """This object's entry in ``SceneGraph.to_json``, encoded once and
+        indented for its place in the document's ``objects`` list."""
+        doc = {
+            "object_id": self.object_id,
+            "class": self.mark.object_class.value,
+            "position": list(self.mark.position),
+            "length": self.mark.length,
+            "breadth": self.mark.breadth,
+            "height": self.mark.height,
+            "yaw": self.mark.yaw,
+            "dynamic": self.dynamic,
+            "y_offset": self.y_offset,
+            "primitives": list(self.primitives),
+        }
+        return json.dumps(doc, sort_keys=True, indent=1).replace("\n", "\n  ")
+
 
 def _translate_primitive(p, dx, dy, dz):
     kind = p["kind"]
@@ -374,58 +411,122 @@ def _translate_primitive(p, dx, dy, dz):
     return q
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(n):
+    return (f"a list of {n} numbers",
+            lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)))
+
+
+def _or_null(kind):
+    name, test = kind
+    return f"{name} or null", lambda v: v is None or test(v)
+
+
+#: kinds of JSON value in a scene document, as (description, test)
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", _is_int)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+_LIST = ("a JSON list", lambda v: isinstance(v, list))
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+_VEC2, _VEC3, _VEC4 = _numbers(2), _numbers(3), _numbers(4)
+_CLASS_NAMES = tuple(c.value for c in ObjectClass)
+_CLASS = ("one of " + ", ".join(_CLASS_NAMES), lambda v: v in _CLASS_NAMES)
+_AXIS = ("0, 1 or 2", lambda v: _is_int(v) and 0 <= v <= 2)
+_KEYFRAME = ("a [frame, path, value] list",
+             lambda v: isinstance(v, list) and len(v) == 3 and _is_int(v[0])
+             and isinstance(v[1], str))
 
 #: (required, optional) keys of the top level and of each block of a scene
-#: document; a primitive's keys depend on its kind
+#: document, each with the kind of its value; a primitive's keys depend on
+#: its kind
 _DOC_KEYS = {
-    None: (("seed", "world_bounds", "manhattan", "objects", "materials", "lights",
-            "medium", "camera", "dynamics"), ()),
-    "objects": (("object_id", "class", "position", "length", "breadth", "height",
-                 "primitives"), ("yaw", "dynamic", "y_offset")),
-    "materials": (("name", "kind", "albedo", "specular", "emissive", "texture"), ()),
-    "lights": (("kind", "color", "intensity"), ("direction", "position", "cone_deg", "name")),
-    "medium": (("beta", "anisotropy", "airlight_color", "weather_tag"), ("layer_height",)),
-    "camera": (("position", "look_at", "up", "vfov_deg"), ()),
+    None: ({"seed": _INTEGER, "world_bounds": _VEC4, "manhattan": _BOOLEAN,
+            "objects": _LIST, "materials": _OBJECT, "lights": _LIST,
+            "medium": _OBJECT, "camera": _OBJECT, "dynamics": _LIST}, {}),
+    "objects": ({"object_id": _INTEGER, "class": _CLASS, "position": _VEC2,
+                 "length": _NUMBER, "breadth": _NUMBER, "height": _NUMBER,
+                 "primitives": _LIST},
+                {"yaw": _NUMBER, "dynamic": _BOOLEAN, "y_offset": _NUMBER}),
+    "materials": ({"name": _STRING, "kind": _STRING, "albedo": _VEC3,
+                   "specular": _NUMBER, "emissive": _VEC3,
+                   "texture": _or_null(_OBJECT)}, {}),
+    "lights": ({"kind": _STRING, "color": _VEC3, "intensity": _NUMBER},
+               {"direction": _or_null(_VEC3), "position": _or_null(_VEC3),
+                "cone_deg": _or_null(_NUMBER), "name": _STRING}),
+    "medium": ({"beta": _VEC3, "anisotropy": _NUMBER, "airlight_color": _VEC3,
+                "weather_tag": _STRING}, {"layer_height": _NUMBER}),
+    "camera": ({"position": _VEC3, "look_at": _VEC3, "up": _VEC3,
+                "vfov_deg": _NUMBER}, {}),
 }
 _PRIMITIVE_KEYS = {
-    "box": ("lo", "hi"),
-    "sphere": ("center", "radius"),
-    "cylinder": ("center", "radius", "y0", "y1"),
-    "rect": ("axis", "offset", "u", "v"),
+    "box": {"lo": _VEC3, "hi": _VEC3},
+    "sphere": {"center": _VEC3, "radius": _NUMBER},
+    "cylinder": {"center": _VEC2, "radius": _NUMBER, "y0": _NUMBER, "y1": _NUMBER},
+    "rect": {"axis": _AXIS, "offset": _NUMBER, "u": _VEC2, "v": _VEC2},
 }
 
 
-def _check_keys(doc, required, optional=(), path=None):
-    """Raise ConfigError at the first unknown or missing key of ``doc``."""
-    reject_unknown_keys(doc, dict.fromkeys(required + optional), path)
+def _check_value(value, kind, path):
+    name, test = kind
+    if not test(value):
+        raise ConfigError(f"expected {name}, got {value!r:.60}", json_path=path)
+
+
+def _check_keys(doc, required, optional, path=None):
+    """Raise ConfigError at the first unknown or missing key of ``doc``, or
+    at the first value of the wrong kind."""
+    kinds = {**required, **optional}
+    reject_unknown_keys(doc, dict.fromkeys(kinds), path)
     for key in required:
         if key not in doc:
             raise ConfigError("required key is missing",
                               json_path=f"{path}.{key}" if path else key)
+    for key, value in doc.items():
+        _check_value(value, kinds[key], f"{path}.{key}" if path else key)
 
 
 def _check_scene_doc(doc):
     """Raise ConfigError, naming its json_path, at the first unknown or
-    missing key of a scene document."""
+    missing key of a scene document, or value of the wrong kind."""
     _check_keys(doc, *_DOC_KEYS[None])
     items = [(block, block, doc[block]) for block in ("medium", "camera")]
-    for block, kind in (("objects", list), ("lights", list), ("materials", dict)):
-        if not isinstance(doc[block], kind):
-            raise ConfigError(f"expected a JSON {kind.__name__}", json_path=block)
     items += [("objects", f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
     items += [("lights", f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
     items += [("materials", f"materials.{k}", m) for k, m in doc["materials"].items()]
     for block, path, item in items:
         _check_keys(item, *_DOC_KEYS[block], path)
+    for key in doc["materials"]:
+        try:
+            int(key)
+        except ValueError:
+            raise ConfigError("material id must be an integer",
+                              json_path=f"materials.{key}") from None
     for i, obj in enumerate(doc["objects"]):
-        if not isinstance(obj["primitives"], list):
-            raise ConfigError("expected a JSON list", json_path=f"objects[{i}].primitives")
         for j, prim in enumerate(obj["primitives"]):
             path = f"objects[{i}].primitives[{j}]"
             kind = prim.get("kind") if isinstance(prim, dict) else None
-            if kind not in _PRIMITIVE_KEYS:
+            if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
                 raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
-            _check_keys(prim, ("kind", "material") + _PRIMITIVE_KEYS[kind], (), path)
+            _check_keys(prim, {"kind": _STRING, "material": _INTEGER,
+                               **_PRIMITIVE_KEYS[kind]}, {}, path)
+    for i, key in enumerate(doc["dynamics"]):
+        _check_value(key, _KEYFRAME, f"dynamics[{i}]")
+
+
+def _at(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, naming ``path`` in a ConfigError it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), json_path=path) from exc
 
 
 @dataclass(frozen=True)
@@ -464,28 +565,21 @@ class SceneGraph:
     def material_kinds(self) -> dict[int, str]:
         return {mid: m.kind for mid, m in self.materials.items()}
 
+    @functools.cached_property
+    def soup(self) -> PrimitiveSoup:
+        """The objects' primitives flattened for tracing, built once."""
+        return PrimitiveSoup.from_scene(self)
+
     # -- canonical JSON ---------------------------------------------------
 
     def to_json(self) -> str:
+        """Sorted keys, one-space indent: ``json.dumps(doc, sort_keys=True,
+        indent=1)`` of the whole document, with each object's entry taken
+        from its ``json_fragment``."""
         doc = {
             "seed": self.seed,
             "world_bounds": list(self.world_bounds),
             "manhattan": self.manhattan,
-            "objects": [
-                {
-                    "object_id": o.object_id,
-                    "class": o.mark.object_class.value,
-                    "position": list(o.mark.position),
-                    "length": o.mark.length,
-                    "breadth": o.mark.breadth,
-                    "height": o.mark.height,
-                    "yaw": o.mark.yaw,
-                    "dynamic": o.dynamic,
-                    "y_offset": o.y_offset,
-                    "primitives": [dict(p) for p in o.primitives],
-                }
-                for o in self.objects
-            ],
             "materials": {
                 str(mid): {
                     "name": m.name,
@@ -524,7 +618,12 @@ class SceneGraph:
             },
             "dynamics": [list(k) for k in self.dynamics.keyframes],
         }
-        return json.dumps(doc, sort_keys=True, indent=1)
+        # a value nested one level down is indented one space deeper
+        texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+                 for key, value in doc.items()}
+        texts["objects"] = ("[\n  " + ",\n  ".join(o.json_fragment for o in self.objects)
+                            + "\n ]") if self.objects else "[]"
+        return "{\n" + ",\n".join(f' "{key}": {texts[key]}' for key in sorted(texts)) + "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "SceneGraph":
@@ -536,7 +635,8 @@ class SceneGraph:
         objects = tuple(
             SceneObject(
                 object_id=o["object_id"],
-                mark=CuboidMark(
+                mark=_at(
+                    f"objects[{i}]", CuboidMark,
                     position=tuple(o["position"]),
                     length=o["length"],
                     breadth=o["breadth"],
@@ -548,10 +648,11 @@ class SceneGraph:
                 dynamic=o.get("dynamic", False),
                 y_offset=o.get("y_offset", 0.0),
             )
-            for o in doc["objects"]
+            for i, o in enumerate(doc["objects"])
         )
         materials = {
-            int(mid): Material(
+            int(mid): _at(
+                f"materials.{mid}", Material,
                 name=m["name"],
                 kind=m["kind"],
                 albedo=tuple(m["albedo"]),
@@ -562,7 +663,8 @@ class SceneGraph:
             for mid, m in doc["materials"].items()
         }
         lights = tuple(
-            LightSpec(
+            _at(
+                f"lights[{i}]", LightSpec,
                 kind=l["kind"],
                 color=tuple(l["color"]),
                 intensity=l["intensity"],
@@ -571,7 +673,7 @@ class SceneGraph:
                 cone_deg=l.get("cone_deg"),
                 name=l.get("name", ""),
             )
-            for l in doc["lights"]
+            for i, l in enumerate(doc["lights"])
         )
         med = doc["medium"]
         cam = doc["camera"]
@@ -579,20 +681,23 @@ class SceneGraph:
             objects=objects,
             materials=materials,
             lights=lights,
-            medium=MediumSpec(
+            medium=_at(
+                "medium", MediumSpec,
                 beta=tuple(med["beta"]),
                 anisotropy=med["anisotropy"],
                 airlight_color=tuple(med["airlight_color"]),
                 weather_tag=med["weather_tag"],
                 layer_height=med.get("layer_height", 60.0),
             ),
-            camera=CameraSpec(
+            camera=_at(
+                "camera", CameraSpec,
                 position=tuple(cam["position"]),
                 look_at=tuple(cam["look_at"]),
                 up=tuple(cam["up"]),
                 vfov_deg=cam["vfov_deg"],
             ),
-            dynamics=DynamicsScript(tuple((k[0], k[1], k[2]) for k in doc["dynamics"])),
+            dynamics=_at("dynamics", DynamicsScript,
+                         tuple((k[0], k[1], k[2]) for k in doc["dynamics"])),
             seed=doc["seed"],
             world_bounds=tuple(doc["world_bounds"]),
             manhattan=doc["manhattan"],

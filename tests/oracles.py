@@ -6,9 +6,11 @@ brute-force O(n^2) rectangle intersection, Gauss-Legendre quadrature for
 phase-function normalization, the OC/BC/GC measures one patch at a time
 from whole frames, which the package evaluates per frame and per batch, and
 a ray tracer that tests every ray against every primitive, where the package
-first culls rays against object bounds.
+first culls rays against object bounds, and the scene JSON encoded as one
+document, where the package encodes each object once and reuses its text.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -434,3 +436,65 @@ def brute_occluded(soup, O, D, tmax, tmin: float = 1e-6) -> np.ndarray:
     """Whether anything blocks each ray before ``tmax`` (scalar or array)."""
     hit = brute_trace(soup, O, D, tmin)
     return hit.t < tmax
+
+
+def scene_json(scene) -> str:
+    """A scene graph's canonical JSON, encoded in one ``json.dumps`` call."""
+    doc = {
+        "seed": scene.seed,
+        "world_bounds": list(scene.world_bounds),
+        "manhattan": scene.manhattan,
+        "objects": [
+            {
+                "object_id": o.object_id,
+                "class": o.mark.object_class.value,
+                "position": list(o.mark.position),
+                "length": o.mark.length,
+                "breadth": o.mark.breadth,
+                "height": o.mark.height,
+                "yaw": o.mark.yaw,
+                "dynamic": o.dynamic,
+                "y_offset": o.y_offset,
+                "primitives": [dict(p) for p in o.primitives],
+            }
+            for o in scene.objects
+        ],
+        "materials": {
+            str(mid): {
+                "name": m.name,
+                "kind": m.kind,
+                "albedo": list(m.albedo),
+                "specular": m.specular,
+                "emissive": list(m.emissive),
+                "texture": m.texture,
+            }
+            for mid, m in scene.materials.items()
+        },
+        "lights": [
+            {
+                "kind": l.kind,
+                "color": list(l.color),
+                "intensity": l.intensity,
+                "direction": list(l.direction) if l.direction else None,
+                "position": list(l.position) if l.position else None,
+                "cone_deg": l.cone_deg,
+                "name": l.name,
+            }
+            for l in scene.lights
+        ],
+        "medium": {
+            "beta": list(scene.medium.beta),
+            "anisotropy": scene.medium.anisotropy,
+            "airlight_color": list(scene.medium.airlight_color),
+            "weather_tag": scene.medium.weather_tag,
+            "layer_height": scene.medium.layer_height,
+        },
+        "camera": {
+            "position": list(scene.camera.position),
+            "look_at": list(scene.camera.look_at),
+            "up": list(scene.camera.up),
+            "vfov_deg": scene.camera.vfov_deg,
+        },
+        "dynamics": [list(k) for k in scene.dynamics.keyframes],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)

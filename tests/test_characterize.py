@@ -514,8 +514,9 @@ class TestSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a resumed finished sweep must not render")
 
-        for name in ("render_frame", "render_media", "render_ground_truth",
-                     "compute_flow", "sample_scene", "classify_contexts"):
+        for name in ("render_frame", "render_media", "render_setups",
+                     "render_ground_truth", "compute_flow", "sample_scene",
+                     "classify_contexts"):
             monkeypatch.setattr(characterize, name, forbidden)
         for m, p in protocols.items():
             assert run_sweep(p, cache_dir=tmp_path / m).to_csv() == fresh[m]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 from invarsim.characterize import default_protocol
 from invarsim.cli import main
+from invarsim.geometry import PrimitiveSoup
 from invarsim.imgio import read_flo, read_pfm, read_ppm
-from invarsim.scenegen import validation_scene_config
+from invarsim.scene import SceneGraph
+from invarsim.scenegen import apply_dynamics, validation_scene_config
+import oracles
 
 
 def write_scene_config(tmp_path, overrides=None):
@@ -88,6 +92,18 @@ def scene_json(tmp_path):
     return out
 
 
+def assert_bad_scene_exits_2(scene_json, tmp_path, capsys, edit, json_path):
+    """``render`` of the scene file after ``edit`` exits 2 naming ``json_path``."""
+    doc = json.loads(scene_json.read_text())
+    edit(doc)
+    bad = tmp_path / "bad_scene.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["render", str(bad), "--out-dir", str(tmp_path / "render"),
+                 "--frames", "0..0", "--spp", "1", "--width", "8", "--height", "6"])
+    assert code == 2
+    assert f"invarsim: {json_path}: " in capsys.readouterr().err
+
+
 class TestRender:
     def test_frame_pair_outputs(self, scene_json, tmp_path):
         out_dir = tmp_path / "render"
@@ -166,14 +182,37 @@ class TestRender:
     ])
     def test_bad_scene_keys_exit_2_with_path(self, scene_json, tmp_path, capsys,
                                              edit, json_path):
-        doc = json.loads(scene_json.read_text())
-        edit(doc)
-        bad = tmp_path / "bad_scene.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["render", str(bad), "--out-dir", str(tmp_path / "render"),
-                     "--frames", "0..0", "--spp", "1", "--width", "8", "--height", "6"])
-        assert code == 2
-        assert f"invarsim: {json_path}: " in capsys.readouterr().err
+        assert_bad_scene_exits_2(scene_json, tmp_path, capsys, edit, json_path)
+
+    @pytest.mark.parametrize("edit,json_path", [
+        (lambda d: d["objects"][0].update({"class": "Buildng"}), "objects[0].class"),
+        (lambda d: d["objects"][1].update(height="tall"), "objects[1].height"),
+    ])
+    def test_bad_scene_values_exit_2_with_path(self, scene_json, tmp_path, capsys,
+                                               edit, json_path):
+        assert_bad_scene_exits_2(scene_json, tmp_path, capsys, edit, json_path)
+
+
+    def test_two_frames_build_two_soups_and_hash_the_canonical_json(
+            self, scene_json, tmp_path, monkeypatch):
+        builds = []
+        from_scene = PrimitiveSoup.from_scene.__func__
+
+        def counting(cls, scene):
+            builds.append(scene)
+            return from_scene(cls, scene)
+
+        monkeypatch.setattr(PrimitiveSoup, "from_scene", classmethod(counting))
+        out_dir = tmp_path / "render"
+        assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                     "--frames", "0..1", "--spp", "1", "--width", "16",
+                     "--height", "12", "--max-bounces", "0"]) == 0
+        assert len(builds) == 2  # one soup per frame state
+        scene = SceneGraph.from_json(scene_json.read_text())
+        for t in (0, 1):
+            sidecar = json.loads((out_dir / f"frame_{t:04d}.json").read_text())
+            text = oracles.scene_json(apply_dynamics(scene, t))
+            assert sidecar["scene_hash"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestSweep:
@@ -198,11 +237,11 @@ class TestSweep:
         assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
                      "--porcelain", "--dry-run"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"cells": 4, "renders": 3}
+        assert payload == {"cells": 4, "renders": 2}
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("model,cells,renders", [
-        ("OC", 40 * 3 * 8, 3),  # reference, sun off, sun on; not 40 + 1
+        ("OC", 40 * 3 * 8, 2),  # reference; sun off and on in one pass; not 40 + 1
         ("DS", 5, 5),  # one pass per weather tag; not 5 tags x 5 densities
     ])
     def test_dry_run_counts_stock_render_passes(self, tmp_path, capsys,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import invarsim.geometry as geometry
-from invarsim.errors import IdentityMismatchError
+from invarsim.errors import ConfigError, IdentityMismatchError
 from invarsim.geometry import Camera
 from invarsim.render import (
     RenderConfig,
@@ -15,6 +15,7 @@ from invarsim.render import (
     render_frame,
     render_ground_truth,
     render_media,
+    render_setups,
 )
 from invarsim.scene import WEATHER_PRESETS, LightSpec
 from invarsim.scenegen import SceneConfig, sample_scene
@@ -125,6 +126,41 @@ class TestRenderFrame:
         for medium, img in zip(media, images):
             alone = render_frame(dataclasses.replace(scene, medium=medium), cfg)
             assert np.array_equal(img.data, alone.data)
+
+    @pytest.mark.parametrize("max_bounces", [0, 1])
+    def test_render_setups_equal_per_setup_frames(self, validation_scene, max_bounces):
+        # a spot and the sun, each also turned off or dimmed, in fog and clear air
+        spot = LightSpec(kind="spot", position=(0.0, 20.0, 0.0),
+                         direction=(0.0, -1.0, 0.5), cone_deg=70.0, intensity=100.0)
+        lights = validation_scene.lights + (spot,)
+        sun = next(i for i, l in enumerate(lights) if l.kind == "directional")
+
+        def scaled(i, factor):
+            return tuple(l.at_intensity(l.intensity * factor) if k == i else l
+                         for k, l in enumerate(lights))
+
+        fog = WEATHER_PRESETS["Fog"].scaled(0.5)
+        setups = [(WEATHER_PRESETS["Clear"], lights), (fog, scaled(sun, 0.0)),
+                  (fog, lights), (WEATHER_PRESETS["Clear"], scaled(len(lights) - 1, 0.3))]
+        cfg = RenderConfig(width=24, height=18, samples_per_pixel=3,
+                           max_bounces=max_bounces, rng_seed=13)
+        images = render_setups(validation_scene, setups, cfg)
+        assert len(images) == len(setups)
+        for (medium, setup_lights), img in zip(setups, images):
+            alone = render_frame(dataclasses.replace(
+                validation_scene, medium=medium, lights=setup_lights), cfg)
+            assert np.array_equal(img.data, alone.data)
+
+    def test_render_setups_reject_direct_sources_placed_differently(self, validation_scene):
+        lights = validation_scene.lights
+        moved = tuple(dataclasses.replace(l, direction=(0.2, -1.0, 0.1))
+                      if l.kind == "directional" else l for l in lights)
+        medium = validation_scene.medium
+        cfg = RenderConfig(width=8, height=6, samples_per_pixel=1, max_bounces=0)
+        with pytest.raises(ConfigError):
+            render_setups(validation_scene, [(medium, lights), (medium, moved)], cfg)
+        with pytest.raises(ConfigError):
+            render_setups(validation_scene, [(medium, lights), (medium, lights[:1])], cfg)
 
     def test_hdr_non_negative_finite(self, validation_hdr):
         assert np.all(np.isfinite(validation_hdr.data))

@@ -1,0 +1,177 @@
+"""The scene JSON and what each scene state derives once.
+
+``SceneGraph.to_json`` takes each object's entry from the object's cached
+``json_fragment``; ``oracles.scene_json`` encodes the whole document in one
+``json.dumps`` call.  The two must be equal byte for byte.  ``from_json``
+must reject a value of the wrong kind with a ``ConfigError`` naming its
+``json_path``.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from invarsim.characterize import MODELS, default_protocol
+from invarsim.errors import ConfigError
+from invarsim.geometry import PrimitiveSoup
+from invarsim.scene import SceneGraph
+from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
+from oracles import scene_json
+
+#: the explicit vehicle of ``city_config``: ground and road come first
+CITY_VEHICLE = 2
+
+
+def city_config(rng):
+    """A sampled city, with one explicit vehicle on the road that moves."""
+    return {
+        "world_bounds": [-40.0, -40.0, 40.0, 40.0],
+        "cell_size": 1.0,
+        "classes": [
+            {"class": "Building", "probability": 0.5, "length": [12.0, 3.0],
+             "breadth": [9.0, 2.0], "height": [14.0, 5.0]},
+            {"class": "Tree", "probability": 0.3, "length": [3.0, 0.5],
+             "breadth": [3.0, 0.5], "height": [6.0, 1.0]},
+            {"class": "Pedestrian", "probability": 0.2, "length": [0.6, 0.1],
+             "breadth": [0.6, 0.1], "height": [1.7, 0.1]},
+        ],
+        "counts": {"total": int(rng.integers(4, 30))},
+        "roads": [[-40.0, -3.0, 40.0, 3.0]],
+        "objects": [{"class": "Vehicle", "position": [float(rng.uniform(-30, 30)), 0.0],
+                     "length": 4.5, "breadth": 2.0, "height": 1.6, "dynamic": True}],
+        "camera": {"position": [float(rng.uniform(-10, 10)), float(rng.uniform(2, 30)), -45.0],
+                   "look_at": [0.0, 0.0, 0.0], "vfov_deg": 50.0},
+        "dynamics": [[0, f"objects.{CITY_VEHICLE}.velocity",
+                      [float(rng.uniform(-1, 1)), 0.0, float(rng.uniform(-0.3, 0.3))]]],
+    }
+
+
+def assert_canonical(scene):
+    text = scene.to_json()
+    assert text == scene_json(scene)
+    assert SceneGraph.from_json(text).to_json() == text
+
+
+class TestSceneJson:
+    def test_validation_scene(self, validation_scene):
+        assert_canonical(validation_scene)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_stock_scene_states(self, model):
+        p = default_protocol(model)
+        base = sample_scene(p.scene_config(), p.scene_seed)
+        for t in range(4):
+            assert_canonical(apply_dynamics(base, t))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_city_with_a_moved_vehicle(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        base = sample_scene(SceneConfig.from_dict(city_config(rng)), seed)
+        base.to_json()
+        moved = apply_dynamics(base, 1)
+        vehicle = moved.objects[CITY_VEHICLE]
+        assert vehicle.anchor() != base.objects[CITY_VEHICLE].anchor()
+        # every other object is the base's, its entry already encoded
+        assert [o for o in moved.objects if "json_fragment" not in vars(o)] == [vehicle]
+        assert_canonical(base)
+        assert_canonical(moved)
+
+    def test_scene_without_objects(self, validation_scene):
+        empty = dataclasses.replace(validation_scene, objects=())
+        assert_canonical(empty)
+        assert '\n "objects": [],\n' in empty.to_json()
+
+    def test_material_name_with_quotes_brackets_and_a_newline(self, validation_scene):
+        name = 'a "quoted" [bracketed] {braced},\n"objects": []'
+        materials = dict(validation_scene.materials)
+        mid = min(materials)
+        materials[mid] = dataclasses.replace(materials[mid], name=name)
+        scene = dataclasses.replace(validation_scene, materials=materials)
+        assert_canonical(scene)
+        assert SceneGraph.from_json(scene.to_json()).materials[mid].name == name
+
+
+class TestSoup:
+    def test_built_once_per_state(self, validation_scene, monkeypatch):
+        builds = []
+        from_scene = PrimitiveSoup.from_scene.__func__
+
+        def counting(cls, scene):
+            builds.append(scene)
+            return from_scene(cls, scene)
+
+        monkeypatch.setattr(PrimitiveSoup, "from_scene", classmethod(counting))
+        scene = dataclasses.replace(validation_scene)
+        assert scene.soup is scene.soup
+        other = dataclasses.replace(scene)
+        assert other.soup is not scene.soup
+        assert builds == [scene, other]
+
+
+def edit_primitive(kind, key, value):
+    """An edit that sets ``key`` of the first primitive of ``kind``, and
+    returns that primitive's json_path."""
+    def edit(doc):
+        for i, obj in enumerate(doc["objects"]):
+            for j, prim in enumerate(obj["primitives"]):
+                if prim["kind"] == kind:
+                    prim[key] = value
+                    return f"objects[{i}].primitives[{j}].{key}"
+        raise AssertionError(f"no {kind} primitive")
+    return edit
+
+
+def edit_at(path, value):
+    """An edit that sets the value at ``path``, a list of keys and indices."""
+    def edit(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return edit
+
+
+class TestSceneValues:
+    @pytest.mark.parametrize("edit,json_path", [
+        (edit_at(["objects", 0, "class"], "Buildng"), "objects[0].class"),
+        (edit_at(["objects", 1, "height"], "tall"), "objects[1].height"),
+        (edit_at(["objects", 1, "height"], -2.0), "objects[1]"),
+        (edit_at(["objects", 0, "position"], [1.0]), "objects[0].position"),
+        (edit_at(["objects", 0, "dynamic"], "no"), "objects[0].dynamic"),
+        (edit_at(["objects", 0, "primitives"], {}), "objects[0].primitives"),
+        (edit_at(["lights", 0, "kind"], "spto"), "lights[0]"),
+        (edit_at(["lights", 0, "intensity"], "bright"), "lights[0].intensity"),
+        (edit_at(["lights", 1, "direction"], [0.0, 0.0, 0.0]), "lights[1]"),
+        (edit_at(["materials", "0", "specular"], 2.0), "materials.0"),
+        (edit_at(["materials", "0", "albedo"], "red"), "materials.0.albedo"),
+        (lambda d: d["materials"].update(abc=d["materials"]["0"]), "materials.abc"),
+        (edit_at(["medium", "beta"], [-1.0, 0.0, 0.0]), "medium"),
+        (edit_at(["camera", "vfov_deg"], 200.0), "camera"),
+        (edit_at(["camera", "up"], None), "camera.up"),
+        (edit_at(["dynamics"], [[0, "objects.5.velocity"]]), "dynamics[0]"),
+        (edit_at(["dynamics"], [[0, "objects.5.velocity", 1], [0, "objects.5.velocity", 2]]),
+         "dynamics"),
+        (edit_at(["seed"], "7"), "seed"),
+        (edit_at(["manhattan"], 1), "manhattan"),
+        (edit_at(["world_bounds"], [0.0, 0.0, 1.0]), "world_bounds"),
+    ])
+    def test_bad_value_names_its_path(self, validation_scene, edit, json_path):
+        doc = json.loads(validation_scene.to_json())
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            SceneGraph.from_json(json.dumps(doc))
+        assert err.value.json_path == json_path
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("rect", "axis", 3), ("rect", "axis", True), ("box", "lo", [0.0, 1.0]),
+        ("sphere", "radius", "big"), ("cylinder", "center", [0.0, 0.0, 0.0]),
+        ("box", "material", 1.5),
+    ])
+    def test_bad_primitive_value_names_its_path(self, validation_scene, kind, key, value):
+        doc = json.loads(validation_scene.to_json())
+        json_path = edit_primitive(kind, key, value)(doc)
+        with pytest.raises(ConfigError) as err:
+            SceneGraph.from_json(json.dumps(doc))
+        assert err.value.json_path == json_path

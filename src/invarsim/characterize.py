@@ -53,7 +53,6 @@ from .render import (
     compute_flow,
     render_frame,
     render_ground_truth,
-    render_media,
     render_setups,
 )
 from .scene import WEATHER_PRESETS, DynamicsScript
@@ -582,7 +581,7 @@ def _sun_basis(scene, rcfg, levels):
     dark = lights
     for i, light in enumerate(lights):
         if light.kind == "directional":
-            dark = lights[:i] + (light.at_intensity(0.0),) + lights[i + 1:]
+            dark = lights[:i] + (dataclasses.replace(light, intensity=0.0),) + lights[i + 1:]
             break
     else:
         if any(level != 1.0 for level in levels):
@@ -770,10 +769,10 @@ def _eval_weather(protocol, base, tag):
     """DS: each weather tag's density ramp rendered in one Monte Carlo pass."""
     preset = WEATHER_PRESETS[tag]
     scene = base if tag in protocol.sunny_tags else _ambient_only(base)
-    media = [preset.scaled(density) for density in protocol.density_scales]
+    setups = [(preset.scaled(density), scene.lights) for density in protocol.density_scales]
     observations = []
     for density, hdr in zip(protocol.density_scales,
-                            render_media(scene, media, protocol.render_config())):
+                            render_setups(scene, setups, protocol.render_config())):
         img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
         observations.append(img.reshape(-1, 3))
     samples = np.stack(observations, axis=1)  # (P, k, 3)

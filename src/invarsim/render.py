@@ -367,17 +367,6 @@ def render_frame(scene: SceneGraph, cfg: RenderConfig,
     return _render_pass(scene, [(scene.medium, scene.lights)], cfg, return_variance)[0]
 
 
-def render_media(scene: SceneGraph, media, cfg: RenderConfig) -> list:
-    """HDR estimates of one scene under each medium, from one Monte Carlo pass.
-
-    The scene's own medium is ignored.  Every sample traces its camera rays,
-    bounce rays and shadow rays once for all media, because none of them
-    depends on the medium; each image is bit-identical to ``render_frame``
-    of the scene with that medium.
-    """
-    return _render_pass(scene, [(medium, scene.lights) for medium in media], cfg, False)
-
-
 def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
     """HDR estimates of one geometry under each (medium, lights) setup, from
     one Monte Carlo pass.

@@ -4,7 +4,9 @@ A ``SceneGraph`` is the full description of one sampled world.  It is a plain
 value object: construction validates invariants, after which instances are
 treated as immutable and are safe to share across threads.  Everything a
 renderer needs is derivable from it, and the JSON export is canonical (sorted
-keys) so two exports of the same graph are byte-identical and diffable.
+keys) so two exports of the same graph are byte-identical and diffable.  The
+JSON codec is derived from the dataclass fields and their type hints, so each
+key of a scene document is named once, on its dataclass.
 
 What a renderer or an export derives from one state is derived once: each
 ``SceneObject`` encodes its own JSON entry once, and each ``SceneGraph``
@@ -14,12 +16,13 @@ that did not move, so each unmoved object is encoded once for all of them.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import functools
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError, reject_unknown_keys
@@ -65,7 +68,8 @@ class CuboidMark:
     length: float
     breadth: float
     height: float
-    object_class: ObjectClass
+    #: named "class" in the object entries of a scene document
+    object_class: ObjectClass = dataclasses.field(metadata={"json_key": "class"})
     yaw: float = 0.0
 
     def __post_init__(self):
@@ -160,22 +164,13 @@ class LightSpec:
             n = math.sqrt(sum(c * c for c in self.direction))
             if n == 0:
                 raise ConfigError("light direction must be nonzero")
+            # a unit direction keeps its bits however often the light is rebuilt
+            if abs(n - 1.0) <= 4 * sys.float_info.epsilon:
+                n = 1.0
             object.__setattr__(self, "direction", tuple(c / n for c in self.direction))
         if self.kind == "spot":
             if self.position is None or self.cone_deg is None:
                 raise ConfigError("spot light requires position and cone_deg")
-
-    def at_intensity(self, intensity: float) -> "LightSpec":
-        """This light at another intensity, placed exactly as before.
-
-        ``dataclasses.replace`` would normalize the direction again, which
-        can move its last bit.
-        """
-        if intensity < 0:
-            raise ConfigError("light intensity must be >= 0")
-        light = copy.copy(self)
-        object.__setattr__(light, "intensity", intensity)
-        return light
 
 
 @dataclass(frozen=True)
@@ -370,18 +365,8 @@ class SceneObject:
     def json_fragment(self) -> str:
         """This object's entry in ``SceneGraph.to_json``, encoded once and
         indented for its place in the document's ``objects`` list."""
-        doc = {
-            "object_id": self.object_id,
-            "class": self.mark.object_class.value,
-            "position": list(self.mark.position),
-            "length": self.mark.length,
-            "breadth": self.mark.breadth,
-            "height": self.mark.height,
-            "yaw": self.mark.yaw,
-            "dynamic": self.dynamic,
-            "y_offset": self.y_offset,
-            "primitives": list(self.primitives),
-        }
+        doc = _encode(self, mark=_encode(self.mark))
+        doc.update(doc.pop("mark"))
         return json.dumps(doc, sort_keys=True, indent=1).replace("\n", "\n  ")
 
 
@@ -411,61 +396,36 @@ def _translate_primitive(p, dx, dy, dz):
     return q
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+class _Kind(typing.NamedTuple):
+    """A kind of JSON value in a scene document."""
 
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    name: str  #: what the value must be, for the error message
+    test: typing.Callable  #: whether a JSON value is of this kind
+    load: typing.Callable = lambda value: value  #: a checked value as a field value
 
 
 def _numbers(n):
-    return (f"a list of {n} numbers",
-            lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)))
+    return _Kind(f"a list of {n} numbers",
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(_NUMBER.test, v)),
+                 tuple)
 
 
-def _or_null(kind):
-    name, test = kind
-    return f"{name} or null", lambda v: v is None or test(v)
-
-
-#: kinds of JSON value in a scene document, as (description, test)
-_NUMBER = ("a number", _is_number)
-_INTEGER = ("an integer", _is_int)
-_STRING = ("a string", lambda v: isinstance(v, str))
-_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
-_LIST = ("a JSON list", lambda v: isinstance(v, list))
-_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
-_VEC2, _VEC3, _VEC4 = _numbers(2), _numbers(3), _numbers(4)
+_NUMBER = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_INTEGER = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STRING = _Kind("a string", lambda v: isinstance(v, str))
+_LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
+_OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
+_SIMPLE = {float: _NUMBER, int: _INTEGER, str: _STRING, dict: _OBJECT,
+           bool: _Kind("true or false", lambda v: isinstance(v, bool))}
 _CLASS_NAMES = tuple(c.value for c in ObjectClass)
-_CLASS = ("one of " + ", ".join(_CLASS_NAMES), lambda v: v in _CLASS_NAMES)
-_AXIS = ("0, 1 or 2", lambda v: _is_int(v) and 0 <= v <= 2)
-_KEYFRAME = ("a [frame, path, value] list",
-             lambda v: isinstance(v, list) and len(v) == 3 and _is_int(v[0])
-             and isinstance(v[1], str))
+_CLASS = _Kind("one of " + ", ".join(_CLASS_NAMES), lambda v: v in _CLASS_NAMES, ObjectClass)
+_VEC2, _VEC3 = _numbers(2), _numbers(3)
+_AXIS = _Kind("0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)
+_KEYFRAME = _Kind("a [frame, path, value] list",
+                  lambda v: isinstance(v, list) and len(v) == 3 and _INTEGER.test(v[0])
+                  and isinstance(v[1], str))
 
-#: (required, optional) keys of the top level and of each block of a scene
-#: document, each with the kind of its value; a primitive's keys depend on
-#: its kind
-_DOC_KEYS = {
-    None: ({"seed": _INTEGER, "world_bounds": _VEC4, "manhattan": _BOOLEAN,
-            "objects": _LIST, "materials": _OBJECT, "lights": _LIST,
-            "medium": _OBJECT, "camera": _OBJECT, "dynamics": _LIST}, {}),
-    "objects": ({"object_id": _INTEGER, "class": _CLASS, "position": _VEC2,
-                 "length": _NUMBER, "breadth": _NUMBER, "height": _NUMBER,
-                 "primitives": _LIST},
-                {"yaw": _NUMBER, "dynamic": _BOOLEAN, "y_offset": _NUMBER}),
-    "materials": ({"name": _STRING, "kind": _STRING, "albedo": _VEC3,
-                   "specular": _NUMBER, "emissive": _VEC3,
-                   "texture": _or_null(_OBJECT)}, {}),
-    "lights": ({"kind": _STRING, "color": _VEC3, "intensity": _NUMBER},
-               {"direction": _or_null(_VEC3), "position": _or_null(_VEC3),
-                "cone_deg": _or_null(_NUMBER), "name": _STRING}),
-    "medium": ({"beta": _VEC3, "anisotropy": _NUMBER, "airlight_color": _VEC3,
-                "weather_tag": _STRING}, {"layer_height": _NUMBER}),
-    "camera": ({"position": _VEC3, "look_at": _VEC3, "up": _VEC3,
-                "vfov_deg": _NUMBER}, {}),
-}
+#: the keys of a primitive besides ``kind`` and ``material``, by its kind
 _PRIMITIVE_KEYS = {
     "box": {"lo": _VEC3, "hi": _VEC3},
     "sphere": {"center": _VEC3, "radius": _NUMBER},
@@ -474,35 +434,86 @@ _PRIMITIVE_KEYS = {
 }
 
 
-def _check_value(value, kind, path):
-    name, test = kind
-    if not test(value):
-        raise ConfigError(f"expected {name}, got {value!r:.60}", json_path=path)
+def _kind(hint):
+    """The kind of JSON value that holds a field of type ``hint``.  A nested
+    dataclass is a JSON object, except the dynamics, a list of keyframes."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        name, test, load = _kind(next(a for a in args if a is not type(None)))
+        return _Kind(f"{name} or null", lambda v: v is None or test(v),
+                     lambda v: None if v is None else load(v))
+    if hint is ObjectClass:
+        return _CLASS
+    if hint is DynamicsScript or hint is tuple:
+        return _LIST
+    if typing.get_origin(hint) is tuple:
+        return _numbers(len(args))
+    if dataclasses.is_dataclass(hint):
+        return _OBJECT
+    return _SIMPLE[typing.get_origin(hint) or hint]
 
 
-def _check_keys(doc, required, optional, path=None):
-    """Raise ConfigError at the first unknown or missing key of ``doc``, or
-    at the first value of the wrong kind."""
-    kinds = {**required, **optional}
+@functools.cache
+def _block(cls):
+    """(JSON key, field name, kind) of each field of dataclass ``cls``, in
+    the scene document's block of it."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.metadata.get("json_key", f.name), f.name, _kind(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
+def _kinds(*classes):
+    """The kind of each key of a block holding the fields of ``classes``."""
+    return {key: kind for cls in classes for key, _, kind in _block(cls)}
+
+
+def _encode(spec, **given):
+    """The JSON block of dataclass ``spec``: tuples become lists and enums
+    their values, and each field named in ``given`` takes the given value."""
+    doc = {}
+    for key, name, _ in _block(type(spec)):
+        value = given[name] if name in given else getattr(spec, name)
+        doc[key] = (list(value) if isinstance(value, tuple)
+                    else value.value if isinstance(value, enum.Enum) else value)
+    return doc
+
+
+def _decode(cls, doc, path, **given):
+    """Dataclass ``cls`` built from its checked JSON block ``doc``, with each
+    field named in ``given`` taking the given value; a ConfigError the
+    constructor raises names ``path``."""
+    values = {name: kind.load(doc[key]) for key, name, kind in _block(cls) if name not in given}
+    try:
+        return cls(**values, **given)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), json_path=path) from exc
+
+
+def _check(doc, kinds, path=None):
+    """Raise ConfigError at the first unknown or missing key of the JSON
+    object ``doc``, or at the first value not of its key's kind."""
     reject_unknown_keys(doc, dict.fromkeys(kinds), path)
-    for key in required:
+    for key, (name, test, _) in kinds.items():
+        where = f"{path}.{key}" if path else key
         if key not in doc:
-            raise ConfigError("required key is missing",
-                              json_path=f"{path}.{key}" if path else key)
-    for key, value in doc.items():
-        _check_value(value, kinds[key], f"{path}.{key}" if path else key)
+            raise ConfigError("required key is missing", json_path=where)
+        if not test(doc[key]):
+            raise ConfigError(f"expected {name}, got {doc[key]!r:.60}", json_path=where)
 
 
 def _check_scene_doc(doc):
     """Raise ConfigError, naming its json_path, at the first unknown or
     missing key of a scene document, or value of the wrong kind."""
-    _check_keys(doc, *_DOC_KEYS[None])
-    items = [(block, block, doc[block]) for block in ("medium", "camera")]
-    items += [("objects", f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
-    items += [("lights", f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
-    items += [("materials", f"materials.{k}", m) for k, m in doc["materials"].items()]
-    for block, path, item in items:
-        _check_keys(item, *_DOC_KEYS[block], path)
+    _check(doc, _kinds(SceneGraph))
+    items = [(_kinds(MediumSpec), "medium", doc["medium"]),
+             (_kinds(CameraSpec), "camera", doc["camera"])]
+    entry = _kinds(SceneObject, CuboidMark)
+    del entry["mark"]  # an object entry holds its mark's fields as its own
+    items += [(entry, f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
+    items += [(_kinds(LightSpec), f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
+    items += [(_kinds(Material), f"materials.{k}", m) for k, m in doc["materials"].items()]
+    for kinds, path, item in items:
+        _check(item, kinds, path)
     for key in doc["materials"]:
         try:
             int(key)
@@ -515,18 +526,11 @@ def _check_scene_doc(doc):
             kind = prim.get("kind") if isinstance(prim, dict) else None
             if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
                 raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
-            _check_keys(prim, {"kind": _STRING, "material": _INTEGER,
-                               **_PRIMITIVE_KEYS[kind]}, {}, path)
+            _check(prim, {"kind": _STRING, "material": _INTEGER, **_PRIMITIVE_KEYS[kind]}, path)
     for i, key in enumerate(doc["dynamics"]):
-        _check_value(key, _KEYFRAME, f"dynamics[{i}]")
-
-
-def _at(path, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, naming ``path`` in a ConfigError it raises."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), json_path=path) from exc
+        if not _KEYFRAME.test(key):
+            raise ConfigError(f"expected {_KEYFRAME.name}, got {key!r:.60}",
+                              json_path=f"dynamics[{i}]")
 
 
 @dataclass(frozen=True)
@@ -576,48 +580,15 @@ class SceneGraph:
         """Sorted keys, one-space indent: ``json.dumps(doc, sort_keys=True,
         indent=1)`` of the whole document, with each object's entry taken
         from its ``json_fragment``."""
-        doc = {
-            "seed": self.seed,
-            "world_bounds": list(self.world_bounds),
-            "manhattan": self.manhattan,
-            "materials": {
-                str(mid): {
-                    "name": m.name,
-                    "kind": m.kind,
-                    "albedo": list(m.albedo),
-                    "specular": m.specular,
-                    "emissive": list(m.emissive),
-                    "texture": m.texture,
-                }
-                for mid, m in self.materials.items()
-            },
-            "lights": [
-                {
-                    "kind": l.kind,
-                    "color": list(l.color),
-                    "intensity": l.intensity,
-                    "direction": list(l.direction) if l.direction else None,
-                    "position": list(l.position) if l.position else None,
-                    "cone_deg": l.cone_deg,
-                    "name": l.name,
-                }
-                for l in self.lights
-            ],
-            "medium": {
-                "beta": list(self.medium.beta),
-                "anisotropy": self.medium.anisotropy,
-                "airlight_color": list(self.medium.airlight_color),
-                "weather_tag": self.medium.weather_tag,
-                "layer_height": self.medium.layer_height,
-            },
-            "camera": {
-                "position": list(self.camera.position),
-                "look_at": list(self.camera.look_at),
-                "up": list(self.camera.up),
-                "vfov_deg": self.camera.vfov_deg,
-            },
-            "dynamics": [list(k) for k in self.dynamics.keyframes],
-        }
+        doc = _encode(
+            self,
+            objects=None,  # joined from the objects' fragments below
+            materials={str(mid): _encode(m) for mid, m in self.materials.items()},
+            lights=[_encode(light) for light in self.lights],
+            medium=_encode(self.medium),
+            camera=_encode(self.camera),
+            dynamics=[list(k) for k in self.dynamics.keyframes],
+        )
         # a value nested one level down is indented one space deeper
         texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
                  for key, value in doc.items()}
@@ -632,73 +603,17 @@ class SceneGraph:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid scene JSON: {exc}") from exc
         _check_scene_doc(doc)
-        objects = tuple(
-            SceneObject(
-                object_id=o["object_id"],
-                mark=_at(
-                    f"objects[{i}]", CuboidMark,
-                    position=tuple(o["position"]),
-                    length=o["length"],
-                    breadth=o["breadth"],
-                    height=o["height"],
-                    object_class=ObjectClass(o["class"]),
-                    yaw=o.get("yaw", 0.0),
-                ),
-                primitives=tuple(o["primitives"]),
-                dynamic=o.get("dynamic", False),
-                y_offset=o.get("y_offset", 0.0),
-            )
-            for i, o in enumerate(doc["objects"])
-        )
-        materials = {
-            int(mid): _at(
-                f"materials.{mid}", Material,
-                name=m["name"],
-                kind=m["kind"],
-                albedo=tuple(m["albedo"]),
-                specular=m["specular"],
-                emissive=tuple(m["emissive"]),
-                texture=m["texture"],
-            )
-            for mid, m in doc["materials"].items()
-        }
-        lights = tuple(
-            _at(
-                f"lights[{i}]", LightSpec,
-                kind=l["kind"],
-                color=tuple(l["color"]),
-                intensity=l["intensity"],
-                direction=tuple(l["direction"]) if l.get("direction") else None,
-                position=tuple(l["position"]) if l.get("position") else None,
-                cone_deg=l.get("cone_deg"),
-                name=l.get("name", ""),
-            )
-            for i, l in enumerate(doc["lights"])
-        )
-        med = doc["medium"]
-        cam = doc["camera"]
-        return cls(
-            objects=objects,
-            materials=materials,
-            lights=lights,
-            medium=_at(
-                "medium", MediumSpec,
-                beta=tuple(med["beta"]),
-                anisotropy=med["anisotropy"],
-                airlight_color=tuple(med["airlight_color"]),
-                weather_tag=med["weather_tag"],
-                layer_height=med.get("layer_height", 60.0),
-            ),
-            camera=_at(
-                "camera", CameraSpec,
-                position=tuple(cam["position"]),
-                look_at=tuple(cam["look_at"]),
-                up=tuple(cam["up"]),
-                vfov_deg=cam["vfov_deg"],
-            ),
-            dynamics=_at("dynamics", DynamicsScript,
-                         tuple((k[0], k[1], k[2]) for k in doc["dynamics"])),
-            seed=doc["seed"],
-            world_bounds=tuple(doc["world_bounds"]),
-            manhattan=doc["manhattan"],
+        return _decode(
+            cls, doc, None,
+            objects=tuple(_decode(SceneObject, o, f"objects[{i}]",
+                                  mark=_decode(CuboidMark, o, f"objects[{i}]"))
+                          for i, o in enumerate(doc["objects"])),
+            materials={int(mid): _decode(Material, m, f"materials.{mid}")
+                       for mid, m in doc["materials"].items()},
+            lights=tuple(_decode(LightSpec, light, f"lights[{i}]")
+                         for i, light in enumerate(doc["lights"])),
+            medium=_decode(MediumSpec, doc["medium"], "medium"),
+            camera=_decode(CameraSpec, doc["camera"], "camera"),
+            dynamics=_decode(DynamicsScript, {}, "dynamics",
+                             keyframes=tuple(map(tuple, doc["dynamics"]))),
         )

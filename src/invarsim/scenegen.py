@@ -10,6 +10,7 @@ deterministic function of (config, seed).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -334,18 +335,18 @@ class SceneConfig:
             if priors is None:
                 raise ConfigError("counts.total requires classes[]", json_path="counts")
         explicit = tuple(dict(o) for o in doc.get("objects", []))
-        lights = tuple(
-            LightSpec(
-                kind=l["kind"],
-                color=tuple(l.get("color", (1.0, 1.0, 1.0))),
-                intensity=float(l.get("intensity", 1.0)),
-                direction=tuple(l["direction"]) if l.get("direction") else None,
-                position=tuple(l["position"]) if l.get("position") else None,
-                cone_deg=l.get("cone_deg"),
-                name=l.get("name", ""),
-            )
-            for l in doc.get("lights", default_lights_doc())
-        )
+        lights = []
+        for i, l in enumerate(doc.get("lights", default_lights_doc())):
+            with _config_at(f"lights[{i}]"):
+                lights.append(LightSpec(
+                    kind=l["kind"],
+                    color=tuple(l.get("color", (1.0, 1.0, 1.0))),
+                    intensity=float(l.get("intensity", 1.0)),
+                    direction=tuple(l["direction"]) if l.get("direction") else None,
+                    position=tuple(l["position"]) if l.get("position") else None,
+                    cone_deg=l.get("cone_deg"),
+                    name=l.get("name", ""),
+                ))
         weather = doc.get("weather", "Clear")
         if isinstance(weather, str):
             if weather not in WEATHER_PRESETS:
@@ -359,16 +360,20 @@ class SceneConfig:
                 weather_tag=weather.get("weather_tag", "Fog"),
             )
         cam = doc.get("camera")
-        camera = (
-            CameraSpec(
-                position=tuple(cam["position"]),
-                look_at=tuple(cam["look_at"]),
-                up=tuple(cam.get("up", (0.0, 1.0, 0.0))),
-                vfov_deg=float(cam.get("vfov_deg", 55.0)),
-            )
-            if cam
-            else SceneConfig.__dataclass_fields__["camera"].default
-        )
+        camera = SceneConfig.__dataclass_fields__["camera"].default
+        if cam:
+            with _config_at("camera"):
+                camera = CameraSpec(
+                    position=tuple(cam["position"]),
+                    look_at=tuple(cam["look_at"]),
+                    up=tuple(cam.get("up", (0.0, 1.0, 0.0))),
+                    vfov_deg=float(cam.get("vfov_deg", 55.0)),
+                )
+        roads = []
+        for i, r in enumerate(doc.get("roads", ())):
+            with _config_at(f"roads[{i}]"):
+                x0, z0, x1, z1 = map(float, r)
+            roads.append((x0, z0, x1, z1))
         dynamics = DynamicsScript(
             tuple((int(k[0]), str(k[1]), _keyvalue(k[2])) for k in doc.get("dynamics", ()))
         )
@@ -381,12 +386,21 @@ class SceneConfig:
             count_total=count_total,
             explicit_objects=explicit,
             ground=bool(doc.get("ground", True)),
-            roads=tuple(tuple(float(v) for v in r) for r in doc.get("roads", ())),
-            lights=lights,
+            roads=tuple(roads),
+            lights=tuple(lights),
             medium=medium,
             camera=camera,
             dynamics=dynamics,
         )
+
+
+@contextlib.contextmanager
+def _config_at(path):
+    """Name ``path`` in the ConfigError for a bad scene-config value under it."""
+    try:
+        yield
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid scene config: {exc}", json_path=path) from exc
 
 
 def _keyvalue(v):

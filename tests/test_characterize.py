@@ -514,7 +514,7 @@ class TestSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a resumed finished sweep must not render")
 
-        for name in ("render_frame", "render_media", "render_setups",
+        for name in ("render_frame", "render_setups",
                      "render_ground_truth", "compute_flow", "sample_scene",
                      "classify_contexts"):
             monkeypatch.setattr(characterize, name, forbidden)

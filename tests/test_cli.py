@@ -61,6 +61,17 @@ class TestSample:
         err = capsys.readouterr().err
         assert ":2:" in err  # line and column reported
 
+    @pytest.mark.parametrize("overrides,json_path", [
+        ({"roads": [[1.0, 2.0, 3.0]]}, "roads[0]"),
+        ({"lights": [{"kind": "ambient", "intensity": "bright"}]}, "lights[0]"),
+        ({"camera": {"position": [0.0, 2.0, -9.0], "look_at": [0.0, 0.0, 0.0],
+                     "vfov_deg": "wide"}}, "camera"),
+    ])
+    def test_bad_config_value_exit_2_with_path(self, tmp_path, capsys, overrides, json_path):
+        cfg = write_scene_config(tmp_path, overrides)
+        assert main(["sample", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+        assert f"invarsim: {json_path}: " in capsys.readouterr().err
+
     def test_placement_failure_exit_3(self, tmp_path):
         cfg = write_scene_config(tmp_path, {
             "world_bounds": [-4, -4, 4, 4],
@@ -179,6 +190,15 @@ class TestRender:
         (lambda d: d["objects"][0]["primitives"][0].update(kind="cone"),
          "objects[0].primitives[0].kind"),
         (lambda d: d.update(lights={}), "lights"),
+        # every key the canonical JSON writes is required
+        (lambda d: d["objects"][0].pop("yaw"), "objects[0].yaw"),
+        (lambda d: d["objects"][0].pop("dynamic"), "objects[0].dynamic"),
+        (lambda d: d["objects"][0].pop("y_offset"), "objects[0].y_offset"),
+        (lambda d: d["lights"][0].pop("direction"), "lights[0].direction"),
+        (lambda d: d["lights"][0].pop("position"), "lights[0].position"),
+        (lambda d: d["lights"][0].pop("cone_deg"), "lights[0].cone_deg"),
+        (lambda d: d["lights"][0].pop("name"), "lights[0].name"),
+        (lambda d: d["medium"].pop("layer_height"), "medium.layer_height"),
     ])
     def test_bad_scene_keys_exit_2_with_path(self, scene_json, tmp_path, capsys,
                                              edit, json_path):

@@ -14,7 +14,6 @@ from invarsim.render import (
     compute_flow,
     render_frame,
     render_ground_truth,
-    render_media,
     render_setups,
 )
 from invarsim.scene import WEATHER_PRESETS, LightSpec
@@ -121,7 +120,7 @@ class TestRenderFrame:
             for tag, d in (("Fog", 0.4), ("Fog", 1.0), ("MildHaze", 0.7))]
         cfg = RenderConfig(width=24, height=18, samples_per_pixel=3,
                            max_bounces=max_bounces, rng_seed=13)
-        images = render_media(scene, media, cfg)
+        images = render_setups(scene, [(m, scene.lights) for m in media], cfg)
         assert len(images) == len(media)
         for medium, img in zip(media, images):
             alone = render_frame(dataclasses.replace(scene, medium=medium), cfg)
@@ -136,7 +135,7 @@ class TestRenderFrame:
         sun = next(i for i, l in enumerate(lights) if l.kind == "directional")
 
         def scaled(i, factor):
-            return tuple(l.at_intensity(l.intensity * factor) if k == i else l
+            return tuple(dataclasses.replace(l, intensity=l.intensity * factor) if k == i else l
                          for k, l in enumerate(lights))
 
         fog = WEATHER_PRESETS["Fog"].scaled(0.5)

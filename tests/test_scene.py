@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invarsim.characterize import MODELS, default_protocol
 from invarsim.errors import ConfigError
@@ -82,6 +84,26 @@ class TestSceneJson:
         empty = dataclasses.replace(validation_scene, objects=())
         assert_canonical(empty)
         assert '\n "objects": [],\n' in empty.to_json()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_city_with_a_random_sun_and_a_light_keyframe(self, seed):
+        # a rebuilt light keeps its direction's bits: read from the sampled
+        # scene's JSON, and given another intensity by the keyframe
+        rng = np.random.default_rng(seed)
+        doc = city_config(rng)
+        doc["lights"] = [{"kind": "ambient", "intensity": 0.35},
+                         {"kind": "directional", "intensity": 0.9,
+                          "direction": rng.normal(size=3).tolist()}]
+        doc["dynamics"].append([1, "lights.1.intensity_scale", 0.5])
+        base = sample_scene(SceneConfig.from_dict(doc), seed)
+        scene = SceneGraph.from_json(base.to_json())
+        assert scene.to_json() == base.to_json()
+        for t in range(3):
+            state = apply_dynamics(scene, t)
+            assert state.lights[1].direction == base.lights[1].direction
+            text = state.to_json()
+            assert SceneGraph.from_json(text).to_json() == text
 
     def test_material_name_with_quotes_brackets_and_a_newline(self, validation_scene):
         name = 'a "quoted" [bracketed] {braced},\n"objects": []'

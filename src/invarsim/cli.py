@@ -105,7 +105,7 @@ def _emit(args, payload):
 def cmd_sample(args):
     doc, text = _load_json_file(args.config)
     config = SceneConfig.from_dict(doc)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = args.seed if args.seed is not None else config.seed
     scene = sample_scene(config, seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

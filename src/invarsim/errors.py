@@ -52,7 +52,7 @@ class OutOfBoundsError(InvarsimError):
     """A footprint or rectangle falls outside the world/image bounds."""
 
 
-class DynamicsPathError(InvarsimError):
+class DynamicsPathError(ConfigError):
     """A dynamics keyframe references a parameter path that does not resolve."""
 
 

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+import types
 import typing
 from dataclasses import dataclass
 
@@ -102,7 +103,6 @@ class ClassPrior:
     length: tuple[float, float]
     breadth: tuple[float, float]
     height: tuple[float, float]
-    count_range: tuple[int, int] | None = None
 
     def __post_init__(self):
         for name in ("length", "breadth", "height"):
@@ -297,9 +297,14 @@ class DynamicsScript:
         for entry in self.keyframes:
             if len(entry) != 3:
                 raise ConfigError(f"keyframe must be (t, path, value), got {entry!r}")
-            t, path, _ = entry
+            t, path, value = entry
             if not isinstance(t, int) or t < 0:
                 raise ConfigError(f"keyframe time must be a non-negative int, got {t!r}")
+            # a velocity is a per-frame displacement, every other parameter a scale
+            size = 3 if path.endswith(".velocity") else None
+            if (len(value) if isinstance(value, tuple) else None) != size:
+                raise ConfigError(f"keyframe value of {path!r} must be "
+                                  f"{'3 numbers' if size else 'a number'}, got {value!r}")
             if path in last_t and t <= last_t[path]:
                 raise ConfigError(
                     f"keyframe times for {path!r} must be strictly increasing"
@@ -397,20 +402,22 @@ def _translate_primitive(p, dx, dy, dz):
 
 
 class _Kind(typing.NamedTuple):
-    """A kind of JSON value in a scene document."""
+    """A kind of JSON value in a scene document or scene config."""
 
     name: str  #: what the value must be, for the error message
     test: typing.Callable  #: whether a JSON value is of this kind
     load: typing.Callable = lambda value: value  #: a checked value as a field value
 
 
-def _numbers(n):
-    return _Kind(f"a list of {n} numbers",
-                 lambda v: isinstance(v, list) and len(v) == n and all(map(_NUMBER.test, v)),
-                 tuple)
+def _list_of(n, item):
+    """A list of ``n`` values of kind ``item``, loaded as a tuple."""
+    return _Kind(f"a list of {n} {item.name.split()[-1]}s",
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(item.test, v)),
+                 lambda v: tuple(map(item.load, v)))
 
 
-_NUMBER = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_NUMBER = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                float)
 _INTEGER = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STRING = _Kind("a string", lambda v: isinstance(v, str))
 _LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
@@ -419,11 +426,13 @@ _SIMPLE = {float: _NUMBER, int: _INTEGER, str: _STRING, dict: _OBJECT,
            bool: _Kind("true or false", lambda v: isinstance(v, bool))}
 _CLASS_NAMES = tuple(c.value for c in ObjectClass)
 _CLASS = _Kind("one of " + ", ".join(_CLASS_NAMES), lambda v: v in _CLASS_NAMES, ObjectClass)
-_VEC2, _VEC3 = _numbers(2), _numbers(3)
+_VEC2, _VEC3 = _list_of(2, _NUMBER), _list_of(3, _NUMBER)
 _AXIS = _Kind("0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)
-_KEYFRAME = _Kind("a [frame, path, value] list",
-                  lambda v: isinstance(v, list) and len(v) == 3 and _INTEGER.test(v[0])
-                  and isinstance(v[1], str))
+_KEYFRAME = _Kind(
+    "a [frame, path, value] list, its value a number or a list of numbers",
+    lambda v: isinstance(v, list) and len(v) == 3 and _INTEGER.test(v[0]) and isinstance(v[1], str)
+    and (_NUMBER.test(v[2]) or isinstance(v[2], list) and all(map(_NUMBER.test, v[2]))),
+    lambda v: (v[0], v[1], tuple(map(float, v[2])) if isinstance(v[2], list) else float(v[2])))
 
 #: the keys of a primitive besides ``kind`` and ``material``, by its kind
 _PRIMITIVE_KEYS = {
@@ -447,7 +456,7 @@ def _kind(hint):
     if hint is DynamicsScript or hint is tuple:
         return _LIST
     if typing.get_origin(hint) is tuple:
-        return _numbers(len(args))
+        return _list_of(len(args), _kind(args[0]))
     if dataclasses.is_dataclass(hint):
         return _OBJECT
     return _SIMPLE[typing.get_origin(hint) or hint]
@@ -455,23 +464,35 @@ def _kind(hint):
 
 @functools.cache
 def _block(cls):
-    """(JSON key, field name, kind) of each field of dataclass ``cls``, in
-    the scene document's block of it."""
+    """(JSON key, field name, kind, whether the field has no default) of each
+    field of dataclass ``cls``, in a JSON block of it."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.metadata.get("json_key", f.name), f.name, _kind(hints[f.name]))
+    return tuple((f.metadata.get("json_key", f.name), f.name, _kind(hints[f.name]),
+                  f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
                  for f in dataclasses.fields(cls))
 
 
-def _kinds(*classes):
-    """The kind of each key of a block holding the fields of ``classes``."""
-    return {key: kind for cls in classes for key, _, kind in _block(cls)}
+@functools.cache
+def _kinds(*classes, omit=()):
+    """The kind of each key of a block holding the fields of ``classes``,
+    less the keys in ``omit``; built once, and read-only."""
+    return types.MappingProxyType({key: kind for cls in classes
+                                   for key, _, kind, _ in _block(cls) if key not in omit})
+
+
+@functools.cache
+def _required(*classes, omit=()):
+    """The keys a scene config must give in a block holding the fields of
+    ``classes``, less the keys in ``omit``: those whose field has no default."""
+    return frozenset(key for cls in classes for key, _, _, required in _block(cls)
+                     if required and key not in omit)
 
 
 def _encode(spec, **given):
     """The JSON block of dataclass ``spec``: tuples become lists and enums
     their values, and each field named in ``given`` takes the given value."""
     doc = {}
-    for key, name, _ in _block(type(spec)):
+    for key, name, _, _ in _block(type(spec)):
         value = given[name] if name in given else getattr(spec, name)
         doc[key] = (list(value) if isinstance(value, tuple)
                     else value.value if isinstance(value, enum.Enum) else value)
@@ -480,25 +501,43 @@ def _encode(spec, **given):
 
 def _decode(cls, doc, path, **given):
     """Dataclass ``cls`` built from its checked JSON block ``doc``, with each
-    field named in ``given`` taking the given value; a ConfigError the
-    constructor raises names ``path``."""
-    values = {name: kind.load(doc[key]) for key, name, kind in _block(cls) if name not in given}
+    field named in ``given`` taking the given value, and a key ``doc`` lacks
+    its field's default; a pathless ConfigError it raises names ``path``."""
+    values = {name: kind.load(doc[key]) for key, name, kind, _ in _block(cls)
+              if key in doc and name not in given}
     try:
         return cls(**values, **given)
     except ConfigError as exc:
+        if exc.json_path is not None:
+            raise
         raise ConfigError(str(exc), json_path=path) from exc
 
 
-def _check(doc, kinds, path=None):
-    """Raise ConfigError at the first unknown or missing key of the JSON
-    object ``doc``, or at the first value not of its key's kind."""
+def _expect(kind, value, where):
+    """Raise ConfigError, naming json_path ``where``, unless ``value`` is of ``kind``."""
+    if not kind.test(value):
+        raise ConfigError(f"expected {kind.name}, got {value!r:.60}", json_path=where)
+
+
+def _check(doc, kinds, path=None, required=None):
+    """Raise ConfigError at the first unknown key of the JSON object ``doc``,
+    the first key of ``required`` (every key when None) it lacks, or the
+    first value not of its key's kind."""
     reject_unknown_keys(doc, dict.fromkeys(kinds), path)
-    for key, (name, test, _) in kinds.items():
+    for key, kind in kinds.items():
         where = f"{path}.{key}" if path else key
-        if key not in doc:
+        if key in doc:
+            _expect(kind, doc[key], where)
+        elif required is None or key in required:
             raise ConfigError("required key is missing", json_path=where)
-        if not test(doc[key]):
-            raise ConfigError(f"expected {name}, got {doc[key]!r:.60}", json_path=where)
+
+
+def _items(kind, values, path):
+    """The items of the JSON list ``values`` at ``path``, each checked and
+    loaded as ``kind``."""
+    for i, value in enumerate(values):
+        _expect(kind, value, f"{path}[{i}]")
+    return tuple(map(kind.load, values))
 
 
 def _check_scene_doc(doc):
@@ -507,8 +546,8 @@ def _check_scene_doc(doc):
     _check(doc, _kinds(SceneGraph))
     items = [(_kinds(MediumSpec), "medium", doc["medium"]),
              (_kinds(CameraSpec), "camera", doc["camera"])]
-    entry = _kinds(SceneObject, CuboidMark)
-    del entry["mark"]  # an object entry holds its mark's fields as its own
+    # an object entry holds its mark's fields as its own
+    entry = _kinds(SceneObject, CuboidMark, omit=("mark",))
     items += [(entry, f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
     items += [(_kinds(LightSpec), f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
     items += [(_kinds(Material), f"materials.{k}", m) for k, m in doc["materials"].items()]
@@ -527,10 +566,6 @@ def _check_scene_doc(doc):
             if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
                 raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
             _check(prim, {"kind": _STRING, "material": _INTEGER, **_PRIMITIVE_KEYS[kind]}, path)
-    for i, key in enumerate(doc["dynamics"]):
-        if not _KEYFRAME.test(key):
-            raise ConfigError(f"expected {_KEYFRAME.name}, got {key!r:.60}",
-                              json_path=f"dynamics[{i}]")
 
 
 @dataclass(frozen=True)
@@ -615,5 +650,5 @@ class SceneGraph:
             medium=_decode(MediumSpec, doc["medium"], "medium"),
             camera=_decode(CameraSpec, doc["camera"], "camera"),
             dynamics=_decode(DynamicsScript, {}, "dynamics",
-                             keyframes=tuple(map(tuple, doc["dynamics"]))),
+                             keyframes=_items(_KEYFRAME, doc["dynamics"], "dynamics")),
         )

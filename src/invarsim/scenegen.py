@@ -10,15 +10,13 @@ deterministic function of (config, seed).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError,
-                     reject_unknown_keys)
+from .errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
 from .scene import (
     COLLIDING_CLASSES,
     DYNAMIC_CLASSES,
@@ -35,6 +33,8 @@ from .scene import (
     SceneGraph,
     SceneObject,
 )
+from .scene import (_CLASS, _KEYFRAME, _LIST, _NUMBER, _OBJECT, _check, _decode, _items,
+                    _kind, _Kind, _kinds, _list_of, _required)
 
 DEFAULT_CELL_SIZE = 0.5
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -49,11 +49,7 @@ class OccupancyMap:
     """
 
     def __init__(self, bounds, cell_size=DEFAULT_CELL_SIZE):
-        x0, z0, x1, z1 = bounds
-        if not (x1 > x0 and z1 > z0):
-            raise ConfigError(f"degenerate world bounds {bounds!r}")
-        if cell_size <= 0:
-            raise ConfigError("cell_size must be > 0")
+        x0, z0, x1, z1 = bounds  # checked by SceneConfig, as is cell_size
         self.bounds = (float(x0), float(z0), float(x1), float(z1))
         self.cell_size = float(cell_size)
         self.nx = int(math.ceil((x1 - x0) / cell_size))
@@ -139,10 +135,20 @@ _VEHICLE_PALETTE = [
 ]
 
 
-def instantiate_geometry(mark: CuboidMark, shape_style: int, registry: MaterialRegistry,
-                         window_grid: tuple[int, int] | None = None,
-                         facade_contrast: float | None = None):
-    """Parametric primitives for one mark, fitted inside its cuboid.
+@dataclass(frozen=True)
+class ObjectSpec:
+    """An object to instantiate: its mark, shape style, whether it moves (None:
+    as its class does), and a building's window grid and facade contrast."""
+
+    mark: CuboidMark
+    style: int = 0
+    dynamic: bool | None = None
+    window_grid: tuple[int, int] | None = None
+    facade_contrast: float | None = None
+
+
+def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
+    """Parametric primitives for one object, fitted inside its mark's cuboid.
 
     Buildings get a diffuse facade box plus a regular grid of glassy window
     rectangles on the -z face (a rows*cols == 0 grid disables them); trees
@@ -150,15 +156,15 @@ def instantiate_geometry(mark: CuboidMark, shape_style: int, registry: MaterialR
     diffuse boxes, vehicles with an emissive rear patch on odd styles.
     Returns a tuple of primitive dicts.
     """
+    mark, style = spec.mark, spec.style
     x, z = mark.position
     l, b, h = mark.length, mark.breadth, mark.height
     x0, z0, x1, z1 = mark.footprint()
     cls = mark.object_class
-    style = int(shape_style)
 
     if cls is ObjectClass.BUILDING:
         base, label = _FACADE_PALETTE[style % len(_FACADE_PALETTE)]
-        contrast = 0.35 if facade_contrast is None else float(facade_contrast)
+        contrast = 0.35 if spec.facade_contrast is None else spec.facade_contrast
         facade = registry.add(Material(
             name=f"facade_{label}_{contrast:g}",
             albedo=base,
@@ -171,8 +177,8 @@ def instantiate_geometry(mark: CuboidMark, shape_style: int, registry: MaterialR
             specular=0.70,
         ))
         prims = [{"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, h, z1], "material": facade}]
-        if window_grid is not None:
-            rows, cols = window_grid
+        if spec.window_grid is not None:
+            rows, cols = spec.window_grid
         else:
             rows = max(1, min(8, int(h // 3)))
             cols = max(1, min(10, int(l // 3)))
@@ -260,153 +266,97 @@ def instantiate_geometry(mark: CuboidMark, shape_style: int, registry: MaterialR
     raise ConfigError(f"no geometry template for class {cls!s}")
 
 
-#: the ``reject_unknown_keys`` table of a scene config; ``invarsim sample`` reads seed
-_SCENE_KEYS = {
-    **dict.fromkeys(("world_bounds", "manhattan", "cell_size", "max_attempts", "ground",
-                     "roads", "dynamics", "seed")),
-    "classes": dict.fromkeys(("class", "probability", "length", "breadth", "height",
-                              "count_range")),
-    "objects": dict.fromkeys(("class", "position", "length", "breadth", "height", "style",
-                              "dynamic", "window_grid", "facade_contrast")),
-    "lights": dict.fromkeys(("kind", "color", "intensity", "direction", "position",
-                             "cone_deg", "name")),
-    "weather": dict.fromkeys(("beta", "anisotropy", "airlight_color", "weather_tag")),
-    "camera": dict.fromkeys(("position", "look_at", "up", "vfov_deg")), "counts": {"total": None},
-}
-
-
 @dataclass(frozen=True)
 class SceneConfig:
-    """Parsed scene configuration: priors, bounds, fixtures, photometry."""
+    """Parsed scene configuration: priors, bounds, fixtures, photometry.  Each
+    field holds a top-level key of a scene config: its ``json_key``, or its name."""
 
     world_bounds: tuple[float, float, float, float]
     manhattan: bool = True
     cell_size: float = DEFAULT_CELL_SIZE
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    priors: ClassPriors | None = None
-    count_total: int | None = None
-    explicit_objects: tuple = ()
+    priors: ClassPriors | None = dataclasses.field(default=None, metadata={"json_key": "classes"})
+    count_total: int | None = dataclasses.field(default=None, metadata={"json_key": "counts"})
+    explicit_objects: tuple = dataclasses.field(default=(), metadata={"json_key": "objects"})
     ground: bool = True
     roads: tuple = ()
     lights: tuple = ()
-    medium: MediumSpec = MediumSpec()
+    medium: MediumSpec = dataclasses.field(default=MediumSpec(), metadata={"json_key": "weather"})
     camera: CameraSpec = CameraSpec(position=(0.0, 4.0, -20.0), look_at=(0.0, 4.0, 10.0))
     dynamics: DynamicsScript = DynamicsScript()
+    seed: int = 0  #: read by ``invarsim sample`` unless ``--seed`` is given
+
+    def __post_init__(self):
+        rects = [("world_bounds", self.world_bounds)]
+        rects += [(f"roads[{i}]", road) for i, road in enumerate(self.roads)]
+        for path, (x0, z0, x1, z1) in rects:
+            if not (x1 > x0 and z1 > z0):
+                raise ConfigError("[x0, z0, x1, z1] must have x1 > x0 and z1 > z0",
+                                  json_path=path)
+        if self.cell_size <= 0:
+            raise ConfigError("cell_size must be > 0", json_path="cell_size")
+        if self.count_total is not None:
+            if self.count_total < 0:
+                raise ConfigError("counts.total must be >= 0", json_path="counts.total")
+            if self.priors is None:
+                raise ConfigError("counts.total requires classes[]", json_path="counts")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneConfig":
-        reject_unknown_keys(doc, _SCENE_KEYS)
-        try:
-            return cls._parse(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid scene config: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, doc):
-        bounds = tuple(float(v) for v in doc["world_bounds"])
-        if len(bounds) != 4:
-            raise ConfigError("world_bounds must be [x0, z0, x1, z1]",
-                              json_path="world_bounds")
-        priors = None
-        if doc.get("classes"):
-            entries = {}
-            for i, entry in enumerate(doc["classes"]):
-                try:
-                    oc = ObjectClass(entry["class"])
-                except ValueError:
-                    raise ConfigError(f"unknown class {entry['class']!r}",
-                                      json_path=f"classes[{i}].class")
-                entries[oc] = ClassPrior(
-                    probability=float(entry["probability"]),
-                    length=tuple(entry["length"]),
-                    breadth=tuple(entry["breadth"]),
-                    height=tuple(entry["height"]),
-                    count_range=tuple(entry["count_range"]) if entry.get("count_range") else None,
-                )
-            priors = ClassPriors(entries)
-        for key in ("counts", "camera"):
-            if key in doc and not isinstance(doc[key], dict):
-                raise ConfigError("expected a JSON object", json_path=key)
-        count_total = doc.get("counts", {}).get("total")
-        if count_total is not None:
-            count_total = int(count_total)
-            if count_total < 0:
-                raise ConfigError("counts.total must be >= 0", json_path="counts.total")
-            if priors is None:
-                raise ConfigError("counts.total requires classes[]", json_path="counts")
-        explicit = tuple(dict(o) for o in doc.get("objects", []))
-        lights = []
-        for i, l in enumerate(doc.get("lights", default_lights_doc())):
-            with _config_at(f"lights[{i}]"):
-                lights.append(LightSpec(
-                    kind=l["kind"],
-                    color=tuple(l.get("color", (1.0, 1.0, 1.0))),
-                    intensity=float(l.get("intensity", 1.0)),
-                    direction=tuple(l["direction"]) if l.get("direction") else None,
-                    position=tuple(l["position"]) if l.get("position") else None,
-                    cone_deg=l.get("cone_deg"),
-                    name=l.get("name", ""),
-                ))
+        """The scene config of JSON object ``doc``, in which a key is optional
+        when its field has a default; ConfigError names a bad value's path."""
+        _check(doc, _CONFIG_KINDS, None, _required(cls))
+        classes = {}
+        for i, entry in enumerate(doc.get("classes", ())):
+            _check(entry, _CLASS_ENTRY, f"classes[{i}]")
+            classes[ObjectClass(entry["class"])] = _decode(ClassPrior, entry, f"classes[{i}]")
+        objects = []
+        for i, entry in enumerate(doc.get("objects", ())):
+            where = f"objects[{i}]"
+            _check(entry, _OBJECT_ENTRY, where, _OBJECT_REQUIRED)
+            mark = _decode(CuboidMark, entry, where)
+            objects.append(_decode(ObjectSpec, entry, where, mark=mark))
+        counts = doc.get("counts", {})
+        _check(counts, _COUNTS, "counts", ())
         weather = doc.get("weather", "Clear")
-        if isinstance(weather, str):
-            if weather not in WEATHER_PRESETS:
-                raise ConfigError(f"unknown weather tag {weather!r}", json_path="weather")
-            medium = WEATHER_PRESETS[weather]
-        else:
-            medium = MediumSpec(
-                beta=tuple(weather["beta"]),
-                anisotropy=float(weather.get("anisotropy", 0.0)),
-                airlight_color=tuple(weather.get("airlight_color", (1.0, 1.0, 1.0))),
-                weather_tag=weather.get("weather_tag", "Fog"),
-            )
-        cam = doc.get("camera")
-        camera = SceneConfig.__dataclass_fields__["camera"].default
-        if cam:
-            with _config_at("camera"):
-                camera = CameraSpec(
-                    position=tuple(cam["position"]),
-                    look_at=tuple(cam["look_at"]),
-                    up=tuple(cam.get("up", (0.0, 1.0, 0.0))),
-                    vfov_deg=float(cam.get("vfov_deg", 55.0)),
-                )
-        roads = []
-        for i, r in enumerate(doc.get("roads", ())):
-            with _config_at(f"roads[{i}]"):
-                x0, z0, x1, z1 = map(float, r)
-            roads.append((x0, z0, x1, z1))
-        dynamics = DynamicsScript(
-            tuple((int(k[0]), str(k[1]), _keyvalue(k[2])) for k in doc.get("dynamics", ()))
-        )
-        return cls(
-            world_bounds=bounds,
-            manhattan=bool(doc.get("manhattan", True)),
-            cell_size=float(doc.get("cell_size", DEFAULT_CELL_SIZE)),
-            max_attempts=int(doc.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
-            priors=priors,
-            count_total=count_total,
-            explicit_objects=explicit,
-            ground=bool(doc.get("ground", True)),
-            roads=tuple(roads),
-            lights=tuple(lights),
+        # a weather block is a medium whose beta must be given, Fog unless tagged
+        medium = (WEATHER_PRESETS[weather] if isinstance(weather, str) else
+                  _read(MediumSpec, {"weather_tag": "Fog", **weather}, "weather", ("beta",)))
+        return _decode(
+            cls, doc, None,
+            priors=_decode(ClassPriors, {}, "classes", classes=classes) if classes else None,
+            count_total=counts.get("total"),
+            explicit_objects=tuple(objects),
+            roads=_items(_ROAD, doc.get("roads", []), "roads"),
+            lights=tuple(_read(LightSpec, light, f"lights[{i}]")
+                         for i, light in enumerate(doc.get("lights", default_lights_doc()))),
             medium=medium,
-            camera=camera,
-            dynamics=dynamics,
+            camera=_read(CameraSpec, doc["camera"], "camera") if doc.get("camera") else cls.camera,
+            dynamics=_decode(DynamicsScript, {}, "dynamics",
+                             keyframes=_items(_KEYFRAME, doc.get("dynamics", []), "dynamics")),
         )
 
 
-@contextlib.contextmanager
-def _config_at(path):
-    """Name ``path`` in the ConfigError for a bad scene-config value under it."""
-    try:
-        yield
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scene config: {exc}", json_path=path) from exc
+def _read(cls, doc, path, required=None):
+    """Dataclass ``cls`` of its scene-config block ``doc``, which must give the
+    ``required`` keys: by default, those whose field has no default."""
+    _check(doc, _kinds(cls), path, _required(cls) if required is None else required)
+    return _decode(cls, doc, path)
 
 
-def _keyvalue(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(float(c) for c in v)
-    return float(v)
+#: the top-level keys of a scene config, three of them in a form of their own
+_CONFIG_KINDS = {**_kinds(SceneConfig), "classes": _LIST, "counts": _OBJECT,
+                 "weather": _Kind(f"one of {', '.join(WEATHER_PRESETS)} or a JSON object",
+                                  lambda v: isinstance(v, dict)
+                                  or isinstance(v, str) and v in WEATHER_PRESETS)}
+_COUNTS = {"total": _kind(int | None)}
+_CLASS_ENTRY = {"class": _CLASS, **_kinds(ClassPrior)}
+#: an ``objects[]`` entry holds the fields its mark requires as its own: a
+#: scene config gives no yaw
+_NOT_IN_ENTRY = ("mark", *(_kinds(CuboidMark).keys() - _required(CuboidMark)))
+_OBJECT_ENTRY = _kinds(ObjectSpec, CuboidMark, omit=_NOT_IN_ENTRY)
+_OBJECT_REQUIRED = _required(ObjectSpec, CuboidMark, omit=_NOT_IN_ENTRY)
+_ROAD = _list_of(4, _NUMBER)  #: [x0, z0, x1, z1]
 
 
 def default_lights_doc():
@@ -445,58 +395,30 @@ def sample_scene(config: SceneConfig, seed: int) -> SceneGraph:
     occupancy = OccupancyMap(config.world_bounds, config.cell_size)
     registry = MaterialRegistry()
     objects = []
-    next_id = 0
 
-    def add_object(mark, style, dynamic=None, window_grid=None, facade_contrast=None):
-        nonlocal next_id
-        prims = instantiate_geometry(mark, style, registry, window_grid=window_grid,
-                                     facade_contrast=facade_contrast)
+    def add_object(spec):
+        prims = instantiate_geometry(spec, registry)
+        dynamic = spec.dynamic
         if dynamic is None:
-            dynamic = mark.object_class in DYNAMIC_CLASSES
-        objects.append(SceneObject(object_id=next_id, mark=mark,
+            dynamic = spec.mark.object_class in DYNAMIC_CLASSES
+        objects.append(SceneObject(object_id=len(objects), mark=spec.mark,
                                    primitives=prims, dynamic=dynamic))
-        next_id += 1
 
     x0, z0, x1, z1 = config.world_bounds
-    if config.ground:
-        mark = CuboidMark(
-            position=((x0 + x1) / 2.0, (z0 + z1) / 2.0),
-            length=x1 - x0,
-            breadth=z1 - z0,
-            height=0.2,
-            object_class=ObjectClass.GROUND,
-        )
-        add_object(mark, 0, dynamic=False)
-    for rx0, rz0, rx1, rz1 in config.roads:
-        mark = CuboidMark(
-            position=((rx0 + rx1) / 2.0, (rz0 + rz1) / 2.0),
-            length=rx1 - rx0,
-            breadth=rz1 - rz0,
-            height=0.02,
-            object_class=ObjectClass.ROAD,
-        )
-        add_object(mark, 0, dynamic=False)
+    slabs = [(config.world_bounds, 0.2, ObjectClass.GROUND)] if config.ground else []
+    slabs += [(road, 0.02, ObjectClass.ROAD) for road in config.roads]
+    for (sx0, sz0, sx1, sz1), height, object_class in slabs:
+        add_object(ObjectSpec(CuboidMark(((sx0 + sx1) / 2.0, (sz0 + sz1) / 2.0),
+                                         sx1 - sx0, sz1 - sz0, height, object_class)))
 
-    for i, entry in enumerate(config.explicit_objects):
-        try:
-            oc = ObjectClass(entry["class"])
-            mark = CuboidMark(
-                position=tuple(entry["position"]),
-                length=float(entry["length"]),
-                breadth=float(entry["breadth"]),
-                height=float(entry["height"]),
-                object_class=oc,
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(str(exc), json_path=f"objects[{i}]") from exc
-        if oc in COLLIDING_CLASSES:
-            if not occupancy.in_bounds(mark.footprint()):
+    for i, spec in enumerate(config.explicit_objects):
+        footprint = spec.mark.footprint()
+        if spec.mark.object_class in COLLIDING_CLASSES:
+            if not occupancy.in_bounds(footprint):
                 raise ConfigError("explicit footprint outside world bounds",
                                   json_path=f"objects[{i}]")
-            occupancy.mark(mark.footprint())
-        wg = tuple(entry["window_grid"]) if entry.get("window_grid") is not None else None
-        add_object(mark, int(entry.get("style", 0)), dynamic=entry.get("dynamic"),
-                   window_grid=wg, facade_contrast=entry.get("facade_contrast"))
+            occupancy.mark(footprint)
+        add_object(spec)
 
     if config.priors is not None and config.count_total:
         class_list = config.priors.class_list()
@@ -512,7 +434,7 @@ def sample_scene(config: SceneConfig, seed: int) -> SceneGraph:
             if oc not in COLLIDING_CLASSES:
                 px = rng.uniform(x0 + l / 2.0, x1 - l / 2.0)
                 pz = rng.uniform(z0 + b / 2.0, z1 - b / 2.0)
-                add_object(CuboidMark((px, pz), l, b, h, oc), style)
+                add_object(ObjectSpec(CuboidMark((px, pz), l, b, h, oc), style))
                 continue
             if x1 - x0 < l or z1 - z0 < b:
                 raise PlacementError(oc, 0)
@@ -523,13 +445,13 @@ def sample_scene(config: SceneConfig, seed: int) -> SceneGraph:
                 mark = CuboidMark((px, pz), l, b, h, oc)
                 if check_placement(occupancy, mark.footprint()):
                     occupancy.mark(mark.footprint())
-                    add_object(mark, style)
+                    add_object(ObjectSpec(mark, style))
                     placed = True
                     break
             if not placed:
                 raise PlacementError(oc, config.max_attempts)
 
-    return SceneGraph(
+    scene = SceneGraph(
         objects=tuple(objects),
         materials=registry.materials,
         lights=config.lights,
@@ -540,6 +462,9 @@ def sample_scene(config: SceneConfig, seed: int) -> SceneGraph:
         world_bounds=config.world_bounds,
         manhattan=config.manhattan,
     )
+    for i, (_, path, _) in enumerate(scene.dynamics.keyframes):
+        _target(scene, path, f"dynamics[{i}]")
+    return scene
 
 
 def apply_dynamics(scene: SceneGraph, t: int) -> SceneGraph:
@@ -559,35 +484,43 @@ def apply_dynamics(scene: SceneGraph, t: int) -> SceneGraph:
     objects = list(scene.objects)
 
     for path in sorted(script.paths()):
-        parts = path.split(".")
-        if len(parts) == 3 and parts[0] == "lights" and parts[2] == "intensity_scale":
-            idx = _parse_index(parts[1], len(lights), path)
+        block, idx = _target(scene, path)
+        if block == "lights":
             scale = script.value_at(path, t, 1.0)
             base = lights[idx]
             lights[idx] = dataclasses.replace(base, intensity=base.intensity * scale)
-        elif path == "medium.density_scale":
+        elif block == "medium":
             medium = scene.medium.scaled(script.value_at(path, t, 1.0))
-        elif len(parts) == 3 and parts[0] == "objects" and parts[2] == "velocity":
-            idx = _parse_index(parts[1], len(objects), path)
+        else:
             offset = script.displacement_at(path, t)
             if offset != (0.0, 0.0, 0.0):
                 objects[idx] = objects[idx].translated(offset)
-        else:
-            raise DynamicsPathError(f"unresolved parameter path {path!r}")
 
     return dataclasses.replace(
         scene, lights=tuple(lights), medium=medium, objects=tuple(objects)
     )
 
 
-def _parse_index(token, length, path):
+#: the parameter of each indexed block that a keyframe path may set
+_PARAMETERS = {"lights": "intensity_scale", "objects": "velocity"}
+
+
+def _target(scene, path, where=None):
+    """(block, index) of the value of ``scene`` that keyframe ``path`` sets:
+    ("lights", i), ("medium", None) or ("objects", i); DynamicsPathError,
+    naming json_path ``where``, if it sets none."""
+    if path == "medium.density_scale":
+        return "medium", None
+    parts = path.split(".")
+    if len(parts) != 3 or _PARAMETERS.get(parts[0]) != parts[2]:
+        raise DynamicsPathError(f"unresolved parameter path {path!r}", json_path=where)
     try:
-        idx = int(token)
+        idx = int(parts[1])
     except ValueError:
-        raise DynamicsPathError(f"bad index in parameter path {path!r}")
-    if not 0 <= idx < length:
-        raise DynamicsPathError(f"index out of range in parameter path {path!r}")
-    return idx
+        raise DynamicsPathError(f"bad index in parameter path {path!r}", json_path=where) from None
+    if not 0 <= idx < len(getattr(scene, parts[0])):
+        raise DynamicsPathError(f"index out of range in parameter path {path!r}", json_path=where)
+    return parts[0], idx
 
 
 def validation_scene_config() -> dict:

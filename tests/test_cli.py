@@ -63,9 +63,24 @@ class TestSample:
 
     @pytest.mark.parametrize("overrides,json_path", [
         ({"roads": [[1.0, 2.0, 3.0]]}, "roads[0]"),
-        ({"lights": [{"kind": "ambient", "intensity": "bright"}]}, "lights[0]"),
+        ({"lights": [{"kind": "ambient", "intensity": "bright"}]}, "lights[0].intensity"),
         ({"camera": {"position": [0.0, 2.0, -9.0], "look_at": [0.0, 0.0, 0.0],
-                     "vfov_deg": "wide"}}, "camera"),
+                     "vfov_deg": "wide"}}, "camera.vfov_deg"),
+        ({"dynamics": [[0, "lights.0.intensity_scale"]]}, "dynamics[0]"),
+        ({"dynamics": [[0, "objects.99.velocity", [1.0, 0.0, 0.0]]]}, "dynamics[0]"),
+        ({"objects": [{"class": "Vehicle", "position": [1.0], "length": 4.0,
+                       "breadth": 2.0, "height": 1.5}]}, "objects[0].position"),
+        ({"objects": [{"class": "Vehicle", "position": [1.0, -9.0], "length": 4.0,
+                       "breadth": 2.0, "height": 1.5, "style": "x"}]}, "objects[0].style"),
+        ({"objects": [{"class": "Building", "position": [2.0, 24.0], "length": 30.0,
+                       "breadth": 12.0, "height": 18.0, "window_grid": [2]}]},
+         "objects[0].window_grid"),
+        ({"ground": "no"}, "ground"),
+        ({"roads": [[1.0, 2.0, -3.0, 4.0]]}, "roads[0]"),
+        ({"classes": [{"class": "Tree", "probability": 0.7, "length": [2.0, 0.4],
+                       "breadth": [2.0, 0.4], "height": [3.0, 0.5]}]}, "classes"),
+        ({"world_bounds": [0.0, -50.0, 0.0, 50.0]}, "world_bounds"),
+        ({"cell_size": 0}, "cell_size"),
     ])
     def test_bad_config_value_exit_2_with_path(self, tmp_path, capsys, overrides, json_path):
         cfg = write_scene_config(tmp_path, overrides)

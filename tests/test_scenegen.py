@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from invarsim.errors import ConfigError, DynamicsPathError, OutOfBoundsError, Pl
 from invarsim.scene import ClassPrior, ClassPriors, CuboidMark, DynamicsScript, ObjectClass
 from invarsim.scenegen import (
     MaterialRegistry,
+    ObjectSpec,
     OccupancyMap,
     SceneConfig,
     apply_dynamics,
@@ -191,6 +194,75 @@ class TestSampling:
             SceneConfig.from_dict(doc)
         assert err.value.json_path == key
 
+    @pytest.mark.parametrize("value", ["x", None, True, [], {}, [1.0], 1.5, 2], ids=repr)
+    def test_every_substituted_value_is_a_config_error_or_a_scene_render_reads(self, value):
+        """Set each value of a config using every block in turn to ``value``:
+        the config is rejected naming a json_path, or it samples a scene whose
+        document ``invarsim render`` reads."""
+        from invarsim.scene import SceneGraph
+        from invarsim.scenegen import validation_scene_config
+
+        base = validation_scene_config()
+        base.update(seed=3, cell_size=0.5, max_attempts=100, counts={"total": 2},
+                    classes=priors_doc(("Tree", "Pedestrian")),
+                    weather={"beta": [0.01, 0.01, 0.01], "anisotropy": 0.2,
+                             "airlight_color": [0.9, 0.9, 0.9], "weather_tag": "Mist"},
+                    dynamics=[[0, "objects.5.velocity", [0.5, 0.0, 0.0]],
+                              [2, "lights.1.intensity_scale", 1.5]])
+        sample_scene(SceneConfig.from_dict(base), 3)
+
+        def paths(node, path=()):
+            if path:
+                yield path
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                yield from paths(child, path + (key,))
+
+        for path in paths(base):
+            doc = copy.deepcopy(base)
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = copy.deepcopy(value)
+            try:
+                cfg = SceneConfig.from_dict(doc)
+                scene = sample_scene(cfg, cfg.seed)
+            except ConfigError as err:
+                assert err.json_path is not None, (path, err)
+                continue
+            SceneGraph.from_json(scene.to_json())
+
+    def test_config_keys_left_out_take_their_defaults(self):
+        from invarsim.scenegen import default_lights_doc
+
+        cfg = SceneConfig.from_dict({"world_bounds": [-10, -10, 10, 10], "camera": {},
+                                     "weather": {"beta": [0.01, 0.01, 0.01]}})
+        assert cfg.camera == SceneConfig.camera and cfg.seed == 0
+        assert [light.name for light in cfg.lights] == [d["name"] for d in default_lights_doc()]
+        assert cfg.medium.weather_tag == "Fog" and cfg.medium.layer_height == 60.0
+        assert SceneConfig.from_dict({"world_bounds": [-10, -10, 10, 10]}).camera == cfg.camera
+
+    @pytest.mark.parametrize("edit,path", [
+        ({"weather": {}}, "weather.beta"),
+        ({"weather": "Fgo"}, "weather"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"manhattan": "no"}, "manhattan"),
+        ({"max_attempts": 2.5}, "max_attempts"),
+        ({"lights": [{"kind": "ambient", "intensity": "0.5"}]}, "lights[0].intensity"),
+        ({"counts": {"total": 2}}, "counts"),
+        ({"counts": {"total": -1}, "classes": priors_doc(("Tree",))}, "counts.total"),
+        ({"classes": [dict(priors_doc(("Tree",))[0], count_range=[1, 2])]},
+         "classes[0].count_range"),
+        ({"dynamics": [["0", "medium.density_scale", 1.0]]}, "dynamics[0]"),
+        ({"dynamics": [[0, "objects.0.velocity", 1.0]]}, "dynamics"),
+    ])
+    def test_config_value_rejected_with_its_path(self, edit, path):
+        with pytest.raises(ConfigError) as err:
+            SceneConfig.from_dict({"world_bounds": [-10, -10, 10, 10], **edit})
+        assert err.value.json_path == path
+
     def test_scene_json_round_trip(self, validation_scene):
         from invarsim.scene import SceneGraph
 
@@ -204,7 +276,7 @@ class TestGeometryInstantiation:
         reg = MaterialRegistry()
         mark = CuboidMark(position=(0.0, 0.0), length=10.0, breadth=10.0,
                           height=30.0, object_class=ObjectClass.BUILDING)
-        prims = instantiate_geometry(mark, 0, reg)
+        prims = instantiate_geometry(ObjectSpec(mark), reg)
         lo = np.array([np.inf] * 3)
         hi = -lo.copy()
         for p in prims:
@@ -227,7 +299,7 @@ class TestGeometryInstantiation:
         reg = MaterialRegistry()
         mark = CuboidMark(position=(0.0, 0.0), length=12.0, breadth=8.0,
                           height=20.0, object_class=ObjectClass.BUILDING)
-        prims = instantiate_geometry(mark, 0, reg, window_grid=(4, 6))
+        prims = instantiate_geometry(ObjectSpec(mark, window_grid=(4, 6)), reg)
         rects = [p for p in prims if p["kind"] == "rect"]
         assert len(rects) == 24
         for r in rects:
@@ -240,7 +312,7 @@ class TestGeometryInstantiation:
         reg = MaterialRegistry()
         mark = CuboidMark(position=(1.0, 2.0), length=4.0, breadth=4.0,
                           height=8.0, object_class=ObjectClass.TREE)
-        prims = instantiate_geometry(mark, 0, reg)
+        prims = instantiate_geometry(ObjectSpec(mark), reg)
         assert len(prims) == 2
         kinds = {p["kind"] for p in prims}
         assert kinds == {"cylinder", "sphere"}

@@ -25,19 +25,15 @@ import math
 import os
 import re
 import threading
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    IngestError,
-    LabelMismatchError,
-    PatchSamplingError,
-    reject_unknown_keys,
-)
+from .codec import (_LIST, _NUMBER, _STRING, _block, _check, _decode, _encode, _items, _Kind,
+                    _kinds, _read, _required)
+from .errors import ConfigError, IngestError, LabelMismatchError, PatchSamplingError
 from .patches import (
     CONTEXT_NAMES,
     Patch,
@@ -45,7 +41,6 @@ from .patches import (
     sample_patches,
 )
 from .render import (
-    SENSOR_KEYS,
     RadianceImage,
     RenderConfig,
     SensorConfig,
@@ -81,58 +76,22 @@ HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": Fal
 #: measuring moves cell values, so no resumed run mixes old cells in
 CACHE_EPOCH = 1
 
-#: where each ProtocolConfig field lives in the JSON document, "block.key" or
-#: a top-level "key"; errors name a bad value by this path
-_PATHS = {
-    "model": "model", "source": "source", "scene": "scene", "contexts": "contexts",
-    "patches_per_cell": "patches_per_cell", "exclude_occluded": "exclude_occluded",
-    "sensor": "sensor", "ds_angle_threshold_deg": "thresholds.ds_angle_deg",
-    "illumination_levels": "theta_w.illumination_levels",
-    "weather_tags": "theta_w.weather_tags", "density_scales": "theta_w.density_scales",
-    "speed_scales": "theta_w.speed_scales", "sunny_tags": "theta_w.sunny_tags",
-    "patch_sizes": "theta_v.patch_sizes",
-    "scene_seed": "seeds.scene", "render_seed": "seeds.render",
-    "patch_seed": "seeds.patch", "sensor_seed": "seeds.sensor",
-    "width": "render.width", "height": "render.height",
-    "samples_per_pixel": "render.spp", "max_bounces": "render.max_bounces",
-    "ingest_dir": "ingest.directory", "ingest_annotation": "ingest.annotation",
-}
-
-
-def _nest(pairs):
-    """A JSON document from (path, value) pairs."""
-    doc = {}
-    for path, value in pairs:
-        block, _, key = path.rpartition(".")
-        (doc.setdefault(block, {}) if block else doc)[key] = value
-    return doc
-
-
-#: the ``reject_unknown_keys`` table of a protocol document
-_PROTOCOL_KEYS = {**_nest((path, None) for path in _PATHS.values()),
-                  "sensor": dict.fromkeys(SENSOR_KEYS)}
-
-#: the JSON value types a field accepts, by the type of its default
-_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,)}
-
 #: the names a name-valued field accepts; Clear has no density for DS to ramp
 _KNOWN_NAMES = {"contexts": CONTEXT_NAMES, "sunny_tags": tuple(WEATHER_PRESETS),
                 "weather_tags": tuple(t for t in WEATHER_PRESETS if t != "Clear")}
 
+#: the values of a theta_W axis: finite numbers, each kept an int or a float
+#: as given, since the manifold CSV prints a coordinate as it was given
+_AXIS_VALUES = _Kind("a list of finite numbers",
+                     lambda v: isinstance(v, list) and all(map(_NUMBER.test, v)), tuple)
 
-def _cast(value, default, path):
-    """A field's JSON value, checked against and cast to its default's type."""
-    if (default is None or default is MISSING
-            or value is None and isinstance(default, dict)):
-        return value
-    try:
-        if isinstance(default, dict):
-            return {k: _cast(v, default[k], f"{path}.{k}") for k, v in value.items()}
-        if type(value) not in _ACCEPTS[type(default)]:
-            raise TypeError(f"expected {_ACCEPTS[type(default)][-1].__name__}")
-        return type(default)(value)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value {value!r}: {exc}", json_path=path) from exc
+#: the keys of a protocol's sensor block, each optional: SensorConfig's, less its seed
+_SENSOR = _kinds(SensorConfig, omit=("noise_seed",))
+
+
+def _at(json_key, default, **metadata):
+    """A ProtocolConfig field held at dotted ``json_key`` of the document."""
+    return field(default=default, metadata={"json_key": json_key, **metadata})
 
 
 def _mix(*parts) -> int:
@@ -149,60 +108,57 @@ class ProtocolConfig:
     model: str
     source: str = "simulate"
     scene: dict | None = None
-    illumination_levels: tuple = ()
-    weather_tags: tuple = ()
-    density_scales: tuple = ()
-    speed_scales: tuple = ()
-    sunny_tags: tuple = ("MildHaze",)
-    patch_sizes: tuple = (5, 9, 13)
+    illumination_levels: tuple = _at("theta_w.illumination_levels", (), kind=_AXIS_VALUES)
+    weather_tags: tuple = _at("theta_w.weather_tags", ())
+    density_scales: tuple = _at("theta_w.density_scales", (), kind=_AXIS_VALUES)
+    speed_scales: tuple = _at("theta_w.speed_scales", (), kind=_AXIS_VALUES)
+    sunny_tags: tuple = _at("theta_w.sunny_tags", ("MildHaze",))
+    patch_sizes: tuple = _at("theta_v.patch_sizes", (5, 9, 13))
     contexts: tuple = ()
     patches_per_cell: int = 6
-    scene_seed: int = 7
-    render_seed: int = 11
-    patch_seed: int = 13
-    sensor_seed: int = 17
-    width: int = 64
-    height: int = 48
-    samples_per_pixel: int = 16
-    max_bounces: int = 1
+    scene_seed: int = _at("seeds.scene", 7)
+    render_seed: int = _at("seeds.render", 11)
+    patch_seed: int = _at("seeds.patch", 13)
+    sensor_seed: int = _at("seeds.sensor", 17)
+    width: int = _at("render.width", 64)
+    height: int = _at("render.height", 48)
+    samples_per_pixel: int = _at("render.spp", 16)
+    max_bounces: int = _at("render.max_bounces", 1)
     sensor: dict | None = field(default_factory=lambda: {
-        key: getattr(SensorConfig(), name) for key, name in SENSOR_KEYS.items()})
-    ds_angle_threshold_deg: float = 3.0
+        key: value for key, value in _encode(SensorConfig()).items() if key in _SENSOR})
+    ds_angle_threshold_deg: float = _at("thresholds.ds_angle_deg", 3.0)
     exclude_occluded: bool = False
-    ingest_dir: str | None = None
-    ingest_annotation: str | None = None
+    ingest_dir: str | None = _at("ingest.directory", None)
+    ingest_annotation: str | None = _at("ingest.annotation", None)
 
     def __post_init__(self):
+        where = {name: key for key, name, _, _ in _block(ProtocolConfig)}
         if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}", json_path=_PATHS["model"])
+            raise ConfigError(f"unknown model {self.model!r}", json_path=where["model"])
         if self.source not in ("simulate", "ingest"):
             raise ConfigError(f"unknown source {self.source!r}",
-                              json_path=_PATHS["source"])
+                              json_path=where["source"])
         if self.patches_per_cell < 1:
             raise ConfigError("patches_per_cell must be >= 1",
-                              json_path=_PATHS["patches_per_cell"])
-        for name in ("illumination_levels", "density_scales", "speed_scales"):
-            for v in getattr(self, name):  # ints stay ints: the manifold CSV prints them
-                if type(v) not in _ACCEPTS[float]:
-                    raise ConfigError(f"{v!r} is not a number", json_path=_PATHS[name])
+                              json_path=where["patches_per_cell"])
         for s in self.patch_sizes:
             if not isinstance(s, int) or s % 2 == 0 or s < 3:
                 raise ConfigError(f"patch size {s!r} must be an odd integer >= 3",
-                                  json_path=_PATHS["patch_sizes"])
+                                  json_path=where["patch_sizes"])
             if self.model in ("GC",) and s < 5:
                 raise ConfigError("GC needs patch sizes >= 5",
-                                  json_path=_PATHS["patch_sizes"])
+                                  json_path=where["patch_sizes"])
         for name, known in _KNOWN_NAMES.items():
             for v in getattr(self, name):
                 if v not in known:
-                    raise ConfigError(f"unknown name {v!r}", json_path=_PATHS[name])
+                    raise ConfigError(f"unknown name {v!r}", json_path=where[name])
         if self.source == "simulate":
             if self.scene is None:
                 raise ConfigError("simulate mode requires a scene config",
-                                  json_path=_PATHS["scene"])
+                                  json_path=where["scene"])
             if self.model in ("OC", "BC", "GC") and not self.illumination_levels:
                 raise ConfigError("illumination_levels required",
-                                  json_path=_PATHS["illumination_levels"])
+                                  json_path=where["illumination_levels"])
             if self.model == "DS" and (not self.weather_tags or
                                        len(self.density_scales) < 3):
                 raise ConfigError(
@@ -216,39 +172,32 @@ class ProtocolConfig:
                                   "ingest.annotation", json_path="ingest")
             if self.exclude_occluded:
                 raise ConfigError("ingested frames have no occlusion mask",
-                                  json_path=_PATHS["exclude_occluded"])
+                                  json_path=where["exclude_occluded"])
         if not self.contexts and self.model != "DS":
-            raise ConfigError("contexts must not be empty", json_path=_PATHS["contexts"])
+            raise ConfigError("contexts must not be empty", json_path=where["contexts"])
         for path, build in (("render", self.render_config),
-                            (_PATHS["scene"], self.scene_config),
-                            (_PATHS["sensor"], self.sensor_config)):
+                            (where["scene"], self.scene_config)):
             try:
                 build()
             except ConfigError as exc:
                 raise ConfigError(str(exc), json_path=path) from exc
+        self.sensor_config()  # its errors name the sensor block
 
     # -- JSON ------------------------------------------------------------
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
-        reject_unknown_keys(doc, _PROTOCOL_KEYS)
-        doc = copy.deepcopy(doc)  # the protocol must not share the caller's dicts
-        values = {}
-        for f in dataclasses.fields(cls):
-            block, _, key = _PATHS[f.name].rpartition(".")
-            part = doc.get(block, {}) if block else doc
-            if not isinstance(part, dict):
-                raise ConfigError("expected a JSON object", json_path=block)
-            default = f.default if f.default_factory is MISSING else f.default_factory()
-            if key in part:
-                values[f.name] = _cast(part[key], default, _PATHS[f.name])
-            elif default is MISSING:
-                raise ConfigError("required key is missing", json_path=_PATHS[f.name])
-        return cls(**values)
+        """The protocol of JSON document ``doc``, sharing no dict with it; a
+        ConfigError names the path of a bad value."""
+        doc = copy.deepcopy(doc)
+        _check(doc, _kinds(cls), None, _required(cls))
+        if doc.get("sensor") is not None:  # a partial block: SensorConfig has the rest
+            _check(doc["sensor"], _SENSOR, "sensor", ())
+            doc["sensor"] = {key: _SENSOR[key].load(value) for key, value in doc["sensor"].items()}
+        return _decode(cls, doc, None)
 
     def to_dict(self) -> dict:
-        values = ((path, copy.deepcopy(getattr(self, name))) for name, path in _PATHS.items())
-        return _nest((path, list(v) if isinstance(v, tuple) else v) for path, v in values)
+        return copy.deepcopy(_encode(self))
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -269,8 +218,8 @@ class ProtocolConfig:
         """Sensor stage for one frame; None means evaluate raw radiance."""
         if self.sensor is None:
             return None
-        return SensorConfig(**{SENSOR_KEYS[k]: v for k, v in self.sensor.items()},
-                            noise_seed=_mix(self.sensor_seed, *tags))
+        return _decode(SensorConfig, self.sensor, "sensor",
+                       noise_seed=_mix(self.sensor_seed, *tags))
 
 
 _RAMP_40 = tuple(1.0 + 4.0 * i / 39.0 for i in range(40))
@@ -872,6 +821,28 @@ def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
 # -- real-sequence ingestion --------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LabelledRect:
+    """An annotated rectangle: its top-left pixel, its size and its context."""
+
+    x: int
+    y: int
+    width: int
+    height: int
+    context: str
+
+
+@dataclass(frozen=True)
+class Annotation:
+    """An ingest annotation: labelled rectangles, the reference frame, the
+    static-camera flag, and one .flo file name per consecutive frame pair."""
+
+    patches: tuple = ()
+    reference_frame: int = 0
+    zero_flow: bool = False
+    flo_files: tuple | None = field(default=None, metadata={"kind": _LIST})
+
+
 @dataclass
 class IngestedSequence:
     frames: list
@@ -884,17 +855,10 @@ class IngestedSequence:
 
 _FRAME_RE = re.compile(r"(\d+)")
 
-#: the fields of an annotated rectangle, each with a value of its JSON type
-_PATCH_FIELDS = (("x", 0), ("y", 0), ("width", 0), ("height", 0), ("context", ""))
-
-#: the ``reject_unknown_keys`` table of an ingest annotation
-_ANNOTATION_KEYS = {**dict.fromkeys(("reference_frame", "zero_flow", "flo_files")),
-                    "patches": dict.fromkeys(k for k, _ in _PATCH_FIELDS)}
-
 
 def _sequence_layout(directory, annotation_path):
-    """A sequence's sorted frame paths, its annotation and its reference
-    index: everything but the pixels."""
+    """A sequence's sorted frame paths and its annotation: everything but
+    the pixels."""
     directory = Path(directory)
     if not directory.is_dir():
         raise IngestError(f"not a directory: {directory}")
@@ -908,16 +872,17 @@ def _sequence_layout(directory, annotation_path):
         doc = json.loads(Path(annotation_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read annotation: {exc}") from exc
-    reject_unknown_keys(doc, _ANNOTATION_KEYS)
-    ref = _cast(doc.get("reference_frame", 0), 0, "reference_frame")
-    _cast(doc.get("zero_flow", False), False, "zero_flow")
-    for i, name in enumerate(_cast(doc.get("flo_files", []), (), "flo_files")):
-        _cast(name, "", f"flo_files[{i}]")
-    if not 0 <= ref < len(frame_paths):
-        raise IngestError(f"reference_frame {ref} out of range "
+    _check(doc, _kinds(Annotation), None, ())
+    annotation = _decode(
+        Annotation, doc, None,
+        patches=tuple(_read(LabelledRect, entry, f"patches[{i}]")
+                      for i, entry in enumerate(doc.get("patches", ()))),
+        flo_files=_items(_STRING, doc["flo_files"], "flo_files") if "flo_files" in doc else None)
+    if not 0 <= annotation.reference_frame < len(frame_paths):
+        raise IngestError(f"reference_frame {annotation.reference_frame} out of range "
                           f"(have {len(frame_paths)} frames)",
                           json_path="reference_frame")
-    return frame_paths, doc, ref
+    return frame_paths, annotation
 
 
 def ingest_sequence(directory, annotation_path) -> IngestedSequence:
@@ -931,7 +896,7 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     from .imgio import read_ppm
 
     directory = Path(directory)
-    frame_paths, doc, ref = _sequence_layout(directory, annotation_path)
+    frame_paths, annotation = _sequence_layout(directory, annotation_path)
     frames = []
     for p in frame_paths:
         arr, maxval = read_ppm(p)
@@ -941,22 +906,18 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
         raise IngestError(f"frame size mismatch: {sorted(shapes)}")
 
     h, w = frames[0].shape[:2]
-    patches = []
-    for i, entry in enumerate(_cast(doc.get("patches", []), (), "patches")):
-        x, y, pw, ph, context = (_cast(entry.get(k), default, f"patches[{i}].{k}")
-                                 for k, default in _PATCH_FIELDS)
-        if context not in CONTEXT_NAMES:
-            raise IngestError(f"unknown context {context!r}",
+    for i, rect in enumerate(annotation.patches):
+        if rect.context not in CONTEXT_NAMES:
+            raise IngestError(f"unknown context {rect.context!r}",
                               json_path=f"patches[{i}].context")
+        x, y, pw, ph = rect.x, rect.y, rect.width, rect.height
         if x < 0 or y < 0 or x + pw > w or y + ph > h or pw < 3 or ph < 3:
             raise IngestError(
                 f"rectangle ({x},{y},{pw}x{ph}) outside {w}x{h} frame",
                 json_path=f"patches[{i}]")
-        patches.append({"x": x, "y": y, "width": pw, "height": ph,
-                        "context": context})
-    if not patches:
+    if not annotation.patches:
         raise IngestError("annotation lists no patches", json_path="patches")
-    flo_files = doc.get("flo_files")
+    flo_files = annotation.flo_files
     if flo_files is not None:
         if len(flo_files) != len(frames) - 1:
             raise IngestError("need one .flo per consecutive frame pair",
@@ -964,9 +925,9 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
         flo_files = [str(directory / f) for f in flo_files]
     return IngestedSequence(
         frames=frames,
-        reference_index=ref,
-        zero_flow=doc.get("zero_flow", False),
-        patches=patches,
+        reference_index=annotation.reference_frame,
+        zero_flow=annotation.zero_flow,
+        patches=list(annotation.patches),
         flow_files=flo_files,
         directory=str(directory),
     )
@@ -975,10 +936,10 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
 def _ingest_frames(protocol):
     """The frames an ingest sweep evaluates: all but the reference for OC,
     all with a predecessor for BC/GC."""
-    frame_paths, _, ref = _sequence_layout(protocol.ingest_dir,
-                                           protocol.ingest_annotation)
+    frame_paths, annotation = _sequence_layout(protocol.ingest_dir,
+                                               protocol.ingest_annotation)
     if protocol.model == "OC":
-        indices = [i for i in range(len(frame_paths)) if i != ref]
+        indices = [i for i in range(len(frame_paths)) if i != annotation.reference_frame]
     else:
         indices = list(range(1, len(frame_paths)))
     if not indices:
@@ -998,13 +959,12 @@ def _prepare_ingest(protocol):
     patches = {(context, s): [] for s in protocol.patch_sizes
                for context in protocol.contexts}
     for s in protocol.patch_sizes:
-        for entry in seq.patches:
-            key = (entry["context"], s)
-            if key in patches and s <= min(entry["width"], entry["height"]):
-                row = entry["y"] + (entry["height"] - s) // 2
-                col = entry["x"] + (entry["width"] - s) // 2
-                patches[key].append(Patch(row=row, col=col, side=s,
-                                          context=entry["context"]))
+        for rect in seq.patches:
+            key = (rect.context, s)
+            if key in patches and s <= min(rect.width, rect.height):
+                row = rect.y + (rect.height - s) // 2
+                col = rect.x + (rect.width - s) // 2
+                patches[key].append(Patch(row=row, col=col, side=s, context=rect.context))
     batches = ref = None
     if protocol.model == "OC":
         batches = _cell_batches(protocol, patches)

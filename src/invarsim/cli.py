@@ -31,9 +31,10 @@ from .characterize import (
     run_sweep,
     sweep_size,
 )
+from .codec import _encode
 from .errors import ConfigError, InvarsimError, LabelMismatchError, PlacementError
 from .imgio import write_flo, write_pfm, write_ppm
-from .render import SENSOR_KEYS, RenderConfig, SensorConfig, apply_sensor, compute_flow, render_frame, render_ground_truth
+from .render import RenderConfig, SensorConfig, apply_sensor, compute_flow, render_frame, render_ground_truth
 from .scene import SceneGraph
 from .scenegen import SceneConfig, apply_dynamics, sample_scene
 
@@ -179,8 +180,7 @@ def cmd_render(args):
                         "spp": cfg.samples_per_pixel,
                         "max_bounces": cfg.max_bounces,
                         "rng_seed": cfg.rng_seed},
-            "sensor": {**{k: getattr(sensor, f) for k, f in SENSOR_KEYS.items()},
-                       "noise_seed": sensor.noise_seed + t},
+            "sensor": _encode(sensor, noise_seed=sensor.noise_seed + t),
             "scene_seed": scene.seed,
             "scene_hash": _sha256(st.to_json().encode()),
             "medium": {"weather": st.medium.weather_tag,
@@ -277,7 +277,7 @@ def cmd_ingest(args):
         "resolution": list(seq.frames[0].shape[:2]),
         "reference_index": seq.reference_index,
         "zero_flow": seq.zero_flow,
-        "patches": seq.patches,
+        "patches": [_encode(rect) for rect in seq.patches],
         "flow_files": seq.flow_files,
     }
     out = Path(args.out) if args.out else None

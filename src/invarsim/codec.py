@@ -1,0 +1,186 @@
+"""The JSON codec of every document invarsim reads: the scene document, the
+scene config, the characterization protocol and the ingest annotation.
+
+A dataclass is its own schema.  Each field is one key of the dataclass's
+JSON block: its ``json_key`` metadata, or else its name.  A dotted key such
+as ``"render.spp"`` is the ``spp`` key of the nested block ``render``.  The
+kind of JSON value the key holds is the field's ``kind`` metadata, or else
+the kind its type hint gives.  A number must be finite: RFC 8259 allows no
+NaN or Infinity, though Python's ``json`` reads both.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import functools
+import sys
+import types
+import typing
+
+from .errors import ConfigError
+
+
+class _Kind(typing.NamedTuple):
+    """A kind of JSON value in a document."""
+
+    name: str  #: what the value must be, for the error message
+    test: typing.Callable  #: whether a JSON value is of this kind
+    load: typing.Callable = lambda value: value  #: a checked value as a field value
+
+
+def _list_of(n, item):
+    """A list of ``n`` values of kind ``item``, loaded as a tuple."""
+    return _Kind(f"a list of {n} {item.name.split()[-1]}s",
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(item.test, v)),
+                 lambda v: tuple(map(item.load, v)))
+
+
+#: a comparison, not math.isfinite, so that an int beyond float range cannot overflow
+_NUMBER = _Kind("a finite number",
+                lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                and -sys.float_info.max <= v <= sys.float_info.max, float)
+_INTEGER = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STRING = _Kind("a string", lambda v: isinstance(v, str))
+_LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
+_OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
+_SIMPLE = {float: _NUMBER, int: _INTEGER, str: _STRING, dict: _OBJECT,
+           bool: _Kind("true or false", lambda v: isinstance(v, bool))}
+
+
+def _kind(hint):
+    """The kind of JSON value that holds a field of type ``hint``.  A nested
+    dataclass is a JSON object, and an enum one of its members' values."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        name, test, load = _kind(next(a for a in args if a is not type(None)))
+        return _Kind(f"{name} or null", lambda v: v is None or test(v),
+                     lambda v: None if v is None else load(v))
+    if isinstance(hint, enum.EnumMeta):
+        values = tuple(member.value for member in hint)
+        return _Kind("one of " + ", ".join(map(str, values)), lambda v: v in values, hint)
+    if hint is tuple:
+        return _LIST
+    if typing.get_origin(hint) is tuple:
+        return _list_of(len(args), _kind(args[0]))
+    if dataclasses.is_dataclass(hint):
+        return _OBJECT
+    return _SIMPLE[typing.get_origin(hint) or hint]
+
+
+@functools.cache
+def _block(cls):
+    """(JSON key, field name, kind, whether the field has no default) of each
+    field of dataclass ``cls``, in a JSON block of it."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.metadata.get("json_key", f.name), f.name,
+                  f.metadata.get("kind") or _kind(hints[f.name]),
+                  f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls))
+
+
+def _parent(doc, key, step=dict.get):
+    """The block of ``doc`` that holds dotted ``key``, and the key's last
+    part; ``step(block, name, {})`` opens each nested block in turn."""
+    *names, leaf = key.split(".")
+    for name in names:
+        doc = step(doc, name, {})
+    return doc, leaf
+
+
+def _read_only(tree):
+    """``tree``, a dict of dicts, as read-only mappings."""
+    return types.MappingProxyType({key: _read_only(value) if isinstance(value, dict) else value
+                                   for key, value in tree.items()})
+
+
+@functools.cache
+def _kinds(*classes, omit=()):
+    """The kind of each key of a block holding the fields of ``classes``,
+    less the keys in ``omit``; the keys of a nested block are a mapping of
+    their own.  Built once, and read-only."""
+    kinds = {}
+    for cls in classes:
+        for key, _, kind, _ in _block(cls):
+            if key not in omit:
+                block, leaf = _parent(kinds, key, dict.setdefault)
+                block[leaf] = kind
+    return _read_only(kinds)
+
+
+@functools.cache
+def _required(*classes, omit=()):
+    """The keys a document must give in a block holding the fields of
+    ``classes``, less the keys in ``omit``: those whose field has no default."""
+    return frozenset(key for cls in classes for key, _, _, required in _block(cls)
+                     if required and key not in omit)
+
+
+def _encode(spec, **given):
+    """The JSON block of dataclass ``spec``: tuples become lists and enums
+    their values, and each field named in ``given`` takes the given value."""
+    doc = {}
+    for key, name, _, _ in _block(type(spec)):
+        value = given[name] if name in given else getattr(spec, name)
+        block, leaf = _parent(doc, key, dict.setdefault)
+        block[leaf] = (list(value) if isinstance(value, tuple)
+                       else value.value if isinstance(value, enum.Enum) else value)
+    return doc
+
+
+def _decode(cls, doc, path, **given):
+    """Dataclass ``cls`` built from its checked JSON block ``doc``, with each
+    field named in ``given`` taking the given value, and a key ``doc`` lacks
+    its field's default; a pathless ConfigError it raises names ``path``."""
+    values = {}
+    for key, name, kind, _ in _block(cls):
+        block, leaf = _parent(doc, key)
+        if leaf in block and name not in given:
+            values[name] = kind.load(block[leaf])
+    try:
+        return cls(**values, **given)
+    except ConfigError as exc:
+        if exc.json_path is not None:
+            raise
+        raise ConfigError(str(exc), json_path=path) from exc
+
+
+def _expect(kind, value, where):
+    """Raise ConfigError, naming json_path ``where``, unless ``value`` is of ``kind``."""
+    if not kind.test(value):
+        raise ConfigError(f"expected {kind.name}, got {value!r:.60}", json_path=where)
+
+
+def _check(doc, kinds, path=None, required=None):
+    """Raise ConfigError at the first unknown key of the JSON object ``doc``,
+    the first key of ``required`` (every key when None) it lacks, or the
+    first value not of its key's kind.  A key whose kinds are a mapping
+    holds a nested block, checked in turn; ``required`` names its keys dotted."""
+    _expect(_OBJECT, doc, path)
+    for key in doc:
+        if key not in kinds:
+            raise ConfigError(f"unknown key {key!r}", json_path=f"{path}.{key}" if path else key)
+    for key, kind in kinds.items():
+        where = f"{path}.{key}" if path else key
+        if not isinstance(kind, _Kind):
+            _check(doc.get(key, {}), kind, where,
+                   required and {k.split(".", 1)[1] for k in required if k.startswith(key + ".")})
+        elif key in doc:
+            _expect(kind, doc[key], where)
+        elif required is None or key in required:
+            raise ConfigError("required key is missing", json_path=where)
+
+
+def _items(kind, values, path):
+    """The items of the JSON list ``values`` at ``path``, each checked and
+    loaded as ``kind``."""
+    for i, value in enumerate(values):
+        _expect(kind, value, f"{path}[{i}]")
+    return tuple(map(kind.load, values))
+
+
+def _read(cls, doc, path, required=None):
+    """Dataclass ``cls`` of its JSON block ``doc`` at ``path``, which must
+    give the ``required`` keys: by default, those whose field has no default."""
+    _check(doc, _kinds(cls), path, _required(cls) if required is None else required)
+    return _decode(cls, doc, path)

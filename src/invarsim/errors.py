@@ -19,23 +19,6 @@ class ConfigError(InvarsimError):
         super().__init__(message)
 
 
-def reject_unknown_keys(doc, keys, path=None):
-    """Raise ConfigError at the first key of the JSON object ``doc`` not in
-    ``keys``, which maps each allowed key to None or to the key table that the
-    object, or each item of the list, under it must pass."""
-    if not isinstance(doc, dict):
-        raise ConfigError("expected a JSON object", json_path=path)
-    for key, value in doc.items():
-        where = f"{path}.{key}" if path else key
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r}", json_path=where)
-        if keys[key] is not None and isinstance(value, dict):
-            reject_unknown_keys(value, keys[key], where)
-        elif keys[key] is not None and isinstance(value, list):
-            for i, item in enumerate(value):
-                reject_unknown_keys(item, keys[key], f"{where}[{i}]")
-
-
 class PlacementError(InvarsimError):
     """An object could not be placed after the configured number of attempts."""
 

@@ -14,7 +14,7 @@ they carry no Monte Carlo noise and never depend on sampling fidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,16 +49,14 @@ class RenderConfig:
             raise ConfigError("resolution must be positive")
 
 
-#: JSON key of each value in a ``sensor`` block -> SensorConfig field
-SENSOR_KEYS = {"sigma": "gaussian_noise_sigma", "bits": "quantization_bits", "gamma": "gamma"}
-
-
 @dataclass(frozen=True)
 class SensorConfig:
-    """Sensor processing: gamma map, additive Gaussian noise, quantization."""
+    """Sensor processing: gamma map, additive Gaussian noise, quantization.
+    Each field's ``json_key`` names it in a protocol's ``sensor`` block and
+    in a rendered frame's sidecar."""
 
-    gaussian_noise_sigma: float = 0.002
-    quantization_bits: int = 8
+    gaussian_noise_sigma: float = field(default=0.002, metadata={"json_key": "sigma"})
+    quantization_bits: int = field(default=8, metadata={"json_key": "bits"})
     gamma: float = 1.0
     noise_seed: int = 0
 

@@ -5,8 +5,8 @@ value object: construction validates invariants, after which instances are
 treated as immutable and are safe to share across threads.  Everything a
 renderer needs is derivable from it, and the JSON export is canonical (sorted
 keys) so two exports of the same graph are byte-identical and diffable.  The
-JSON codec is derived from the dataclass fields and their type hints, so each
-key of a scene document is named once, on its dataclass.
+codec of ``codec`` reads it from the dataclass fields and their type hints,
+so each key of a scene document is named once, on its dataclass.
 
 What a renderer or an export derives from one state is derived once: each
 ``SceneObject`` encodes its own JSON entry once, and each ``SceneGraph``
@@ -22,11 +22,11 @@ import functools
 import json
 import math
 import sys
-import types
-import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError, reject_unknown_keys
+from .codec import (_INTEGER, _LIST, _NUMBER, _STRING, _check, _decode, _encode, _items, _Kind,
+                    _kinds, _list_of)
+from .errors import ConfigError
 from .geometry import RECT_UV, PrimitiveSoup
 
 SKY_OBJECT_ID = -1
@@ -401,37 +401,14 @@ def _translate_primitive(p, dx, dy, dz):
     return q
 
 
-class _Kind(typing.NamedTuple):
-    """A kind of JSON value in a scene document or scene config."""
-
-    name: str  #: what the value must be, for the error message
-    test: typing.Callable  #: whether a JSON value is of this kind
-    load: typing.Callable = lambda value: value  #: a checked value as a field value
-
-
-def _list_of(n, item):
-    """A list of ``n`` values of kind ``item``, loaded as a tuple."""
-    return _Kind(f"a list of {n} {item.name.split()[-1]}s",
-                 lambda v: isinstance(v, list) and len(v) == n and all(map(item.test, v)),
-                 lambda v: tuple(map(item.load, v)))
-
-
-_NUMBER = _Kind("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-                float)
-_INTEGER = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_STRING = _Kind("a string", lambda v: isinstance(v, str))
-_LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
-_OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
-_SIMPLE = {float: _NUMBER, int: _INTEGER, str: _STRING, dict: _OBJECT,
-           bool: _Kind("true or false", lambda v: isinstance(v, bool))}
-_CLASS_NAMES = tuple(c.value for c in ObjectClass)
-_CLASS = _Kind("one of " + ", ".join(_CLASS_NAMES), lambda v: v in _CLASS_NAMES, ObjectClass)
 _VEC2, _VEC3 = _list_of(2, _NUMBER), _list_of(3, _NUMBER)
 _AXIS = _Kind("0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)
+#: a keyframe's value is a velocity, a list of numbers, or else a scale
 _KEYFRAME = _Kind(
-    "a [frame, path, value] list, its value a number or a list of numbers",
+    "a [frame, path, value] list, its value a number >= 0 or a list of numbers",
     lambda v: isinstance(v, list) and len(v) == 3 and _INTEGER.test(v[0]) and isinstance(v[1], str)
-    and (_NUMBER.test(v[2]) or isinstance(v[2], list) and all(map(_NUMBER.test, v[2]))),
+    and (_NUMBER.test(v[2]) and v[2] >= 0
+         or isinstance(v[2], list) and all(map(_NUMBER.test, v[2]))),
     lambda v: (v[0], v[1], tuple(map(float, v[2])) if isinstance(v[2], list) else float(v[2])))
 
 #: the keys of a primitive besides ``kind`` and ``material``, by its kind
@@ -442,102 +419,10 @@ _PRIMITIVE_KEYS = {
     "rect": {"axis": _AXIS, "offset": _NUMBER, "u": _VEC2, "v": _VEC2},
 }
 
-
-def _kind(hint):
-    """The kind of JSON value that holds a field of type ``hint``.  A nested
-    dataclass is a JSON object, except the dynamics, a list of keyframes."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        name, test, load = _kind(next(a for a in args if a is not type(None)))
-        return _Kind(f"{name} or null", lambda v: v is None or test(v),
-                     lambda v: None if v is None else load(v))
-    if hint is ObjectClass:
-        return _CLASS
-    if hint is DynamicsScript or hint is tuple:
-        return _LIST
-    if typing.get_origin(hint) is tuple:
-        return _list_of(len(args), _kind(args[0]))
-    if dataclasses.is_dataclass(hint):
-        return _OBJECT
-    return _SIMPLE[typing.get_origin(hint) or hint]
-
-
-@functools.cache
-def _block(cls):
-    """(JSON key, field name, kind, whether the field has no default) of each
-    field of dataclass ``cls``, in a JSON block of it."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.metadata.get("json_key", f.name), f.name, _kind(hints[f.name]),
-                  f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-                 for f in dataclasses.fields(cls))
-
-
-@functools.cache
-def _kinds(*classes, omit=()):
-    """The kind of each key of a block holding the fields of ``classes``,
-    less the keys in ``omit``; built once, and read-only."""
-    return types.MappingProxyType({key: kind for cls in classes
-                                   for key, _, kind, _ in _block(cls) if key not in omit})
-
-
-@functools.cache
-def _required(*classes, omit=()):
-    """The keys a scene config must give in a block holding the fields of
-    ``classes``, less the keys in ``omit``: those whose field has no default."""
-    return frozenset(key for cls in classes for key, _, _, required in _block(cls)
-                     if required and key not in omit)
-
-
-def _encode(spec, **given):
-    """The JSON block of dataclass ``spec``: tuples become lists and enums
-    their values, and each field named in ``given`` takes the given value."""
-    doc = {}
-    for key, name, _, _ in _block(type(spec)):
-        value = given[name] if name in given else getattr(spec, name)
-        doc[key] = (list(value) if isinstance(value, tuple)
-                    else value.value if isinstance(value, enum.Enum) else value)
-    return doc
-
-
-def _decode(cls, doc, path, **given):
-    """Dataclass ``cls`` built from its checked JSON block ``doc``, with each
-    field named in ``given`` taking the given value, and a key ``doc`` lacks
-    its field's default; a pathless ConfigError it raises names ``path``."""
-    values = {name: kind.load(doc[key]) for key, name, kind, _ in _block(cls)
-              if key in doc and name not in given}
-    try:
-        return cls(**values, **given)
-    except ConfigError as exc:
-        if exc.json_path is not None:
-            raise
-        raise ConfigError(str(exc), json_path=path) from exc
-
-
-def _expect(kind, value, where):
-    """Raise ConfigError, naming json_path ``where``, unless ``value`` is of ``kind``."""
-    if not kind.test(value):
-        raise ConfigError(f"expected {kind.name}, got {value!r:.60}", json_path=where)
-
-
-def _check(doc, kinds, path=None, required=None):
-    """Raise ConfigError at the first unknown key of the JSON object ``doc``,
-    the first key of ``required`` (every key when None) it lacks, or the
-    first value not of its key's kind."""
-    reject_unknown_keys(doc, dict.fromkeys(kinds), path)
-    for key, kind in kinds.items():
-        where = f"{path}.{key}" if path else key
-        if key in doc:
-            _expect(kind, doc[key], where)
-        elif required is None or key in required:
-            raise ConfigError("required key is missing", json_path=where)
-
-
-def _items(kind, values, path):
-    """The items of the JSON list ``values`` at ``path``, each checked and
-    loaded as ``kind``."""
-    for i, value in enumerate(values):
-        _expect(kind, value, f"{path}[{i}]")
-    return tuple(map(kind.load, values))
+#: the metadata of a DynamicsScript field: a document holds the script as
+#: the JSON list of its keyframes, at its "dynamics" key
+DYNAMICS_FIELD = {"kind": _LIST._replace(load=lambda keyframes: _decode(
+    DynamicsScript, {}, "dynamics", keyframes=_items(_KEYFRAME, keyframes, "dynamics")))}
 
 
 def _check_scene_doc(doc):
@@ -577,7 +462,7 @@ class SceneGraph:
     lights: tuple
     medium: MediumSpec
     camera: CameraSpec
-    dynamics: DynamicsScript
+    dynamics: DynamicsScript = dataclasses.field(metadata=DYNAMICS_FIELD)
     seed: int
     world_bounds: tuple[float, float, float, float]
     manhattan: bool = True
@@ -649,6 +534,4 @@ class SceneGraph:
                          for i, light in enumerate(doc["lights"])),
             medium=_decode(MediumSpec, doc["medium"], "medium"),
             camera=_decode(CameraSpec, doc["camera"], "camera"),
-            dynamics=_decode(DynamicsScript, {}, "dynamics",
-                             keyframes=_items(_KEYFRAME, doc["dynamics"], "dynamics")),
         )

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import (_LIST, _NUMBER, _check, _decode, _items, _kind, _Kind, _kinds, _list_of,
+                    _read, _required)
 from .errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
 from .scene import (
     COLLIDING_CLASSES,
     DYNAMIC_CLASSES,
+    DYNAMICS_FIELD,
     WEATHER_PRESETS,
     CameraSpec,
     ClassPrior,
@@ -33,8 +36,6 @@ from .scene import (
     SceneGraph,
     SceneObject,
 )
-from .scene import (_CLASS, _KEYFRAME, _LIST, _NUMBER, _OBJECT, _check, _decode, _items,
-                    _kind, _Kind, _kinds, _list_of, _required)
 
 DEFAULT_CELL_SIZE = 0.5
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -269,21 +270,22 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
 @dataclass(frozen=True)
 class SceneConfig:
     """Parsed scene configuration: priors, bounds, fixtures, photometry.  Each
-    field holds a top-level key of a scene config: its ``json_key``, or its name."""
+    field holds a key of a scene config: its ``json_key``, or its name."""
 
     world_bounds: tuple[float, float, float, float]
     manhattan: bool = True
     cell_size: float = DEFAULT_CELL_SIZE
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     priors: ClassPriors | None = dataclasses.field(default=None, metadata={"json_key": "classes"})
-    count_total: int | None = dataclasses.field(default=None, metadata={"json_key": "counts"})
+    count_total: int | None = dataclasses.field(default=None,
+                                                metadata={"json_key": "counts.total"})
     explicit_objects: tuple = dataclasses.field(default=(), metadata={"json_key": "objects"})
     ground: bool = True
     roads: tuple = ()
     lights: tuple = ()
     medium: MediumSpec = dataclasses.field(default=MediumSpec(), metadata={"json_key": "weather"})
     camera: CameraSpec = CameraSpec(position=(0.0, 4.0, -20.0), look_at=(0.0, 4.0, 10.0))
-    dynamics: DynamicsScript = DynamicsScript()
+    dynamics: DynamicsScript = dataclasses.field(default=DynamicsScript(), metadata=DYNAMICS_FIELD)
     seed: int = 0  #: read by ``invarsim sample`` unless ``--seed`` is given
 
     def __post_init__(self):
@@ -316,8 +318,6 @@ class SceneConfig:
             _check(entry, _OBJECT_ENTRY, where, _OBJECT_REQUIRED)
             mark = _decode(CuboidMark, entry, where)
             objects.append(_decode(ObjectSpec, entry, where, mark=mark))
-        counts = doc.get("counts", {})
-        _check(counts, _COUNTS, "counts", ())
         weather = doc.get("weather", "Clear")
         # a weather block is a medium whose beta must be given, Fog unless tagged
         medium = (WEATHER_PRESETS[weather] if isinstance(weather, str) else
@@ -325,32 +325,21 @@ class SceneConfig:
         return _decode(
             cls, doc, None,
             priors=_decode(ClassPriors, {}, "classes", classes=classes) if classes else None,
-            count_total=counts.get("total"),
             explicit_objects=tuple(objects),
             roads=_items(_ROAD, doc.get("roads", []), "roads"),
             lights=tuple(_read(LightSpec, light, f"lights[{i}]")
                          for i, light in enumerate(doc.get("lights", default_lights_doc()))),
             medium=medium,
             camera=_read(CameraSpec, doc["camera"], "camera") if doc.get("camera") else cls.camera,
-            dynamics=_decode(DynamicsScript, {}, "dynamics",
-                             keyframes=_items(_KEYFRAME, doc.get("dynamics", []), "dynamics")),
         )
 
 
-def _read(cls, doc, path, required=None):
-    """Dataclass ``cls`` of its scene-config block ``doc``, which must give the
-    ``required`` keys: by default, those whose field has no default."""
-    _check(doc, _kinds(cls), path, _required(cls) if required is None else required)
-    return _decode(cls, doc, path)
-
-
-#: the top-level keys of a scene config, three of them in a form of their own
-_CONFIG_KINDS = {**_kinds(SceneConfig), "classes": _LIST, "counts": _OBJECT,
+#: the top-level keys of a scene config, two of them in a form of their own
+_CONFIG_KINDS = {**_kinds(SceneConfig), "classes": _LIST,
                  "weather": _Kind(f"one of {', '.join(WEATHER_PRESETS)} or a JSON object",
                                   lambda v: isinstance(v, dict)
                                   or isinstance(v, str) and v in WEATHER_PRESETS)}
-_COUNTS = {"total": _kind(int | None)}
-_CLASS_ENTRY = {"class": _CLASS, **_kinds(ClassPrior)}
+_CLASS_ENTRY = {"class": _kind(ObjectClass), **_kinds(ClassPrior)}
 #: an ``objects[]`` entry holds the fields its mark requires as its own: a
 #: scene config gives no yaw
 _NOT_IN_ENTRY = ("mark", *(_kinds(CuboidMark).keys() - _required(CuboidMark)))

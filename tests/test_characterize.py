@@ -127,12 +127,21 @@ class TestProtocolConfig:
         ({"theta_w": {"illumination_levels": ["1.0"]}}, "theta_w.illumination_levels"),
         ({"theta_v": {"patch_sizes": [5.0]}}, "theta_v.patch_sizes"),
         ({"scene": {**validation_scene_config(), "weathr": "Fog"}}, "scene"),
+        ({"sensor": {"sigma": float("nan")}}, "sensor.sigma"),
+        ({"theta_w": {"illumination_levels": [float("inf"), 3.0]}}, "theta_w.illumination_levels"),
+        ({"thresholds": {"ds_angle_deg": 10**400}}, "thresholds.ds_angle_deg"),
     ], ids=["spp-0", "bits-40", "sigma-a", "patches_per_cell-six", "exclude_occluded-str",
-            "levels-not-a-list", "levels-str", "patch_sizes-float", "scene-unknown-key"])
+            "levels-not-a-list", "levels-str", "patch_sizes-float", "scene-unknown-key",
+            "sigma-nan", "levels-infinity", "ds_angle-beyond-float-range"])
     def test_bad_value_rejected_at_parse_with_its_path(self, overrides, path):
         with pytest.raises(ConfigError) as err:
             tiny_oc_protocol(**overrides)
         assert err.value.json_path == path
+
+    def test_integer_beyond_float_range_is_an_integer(self):
+        # only a number must fit a float: the finite-number check leaves integers alone
+        p = tiny_oc_protocol(render={"width": 64, "height": 48, "spp": 10**400})
+        assert p.samples_per_pixel == 10**400
 
     def test_axis_ints_stay_ints(self):
         # the manifold CSV prints a coordinate as it was given

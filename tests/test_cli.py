@@ -81,6 +81,8 @@ class TestSample:
                        "breadth": [2.0, 0.4], "height": [3.0, 0.5]}]}, "classes"),
         ({"world_bounds": [0.0, -50.0, 0.0, 50.0]}, "world_bounds"),
         ({"cell_size": 0}, "cell_size"),
+        ({"dynamics": [[1, "lights.1.intensity_scale", -1.0]]}, "dynamics[0]"),
+        ({"dynamics": [[1, "medium.density_scale", -1.0]]}, "dynamics[0]"),
     ])
     def test_bad_config_value_exit_2_with_path(self, tmp_path, capsys, overrides, json_path):
         cfg = write_scene_config(tmp_path, overrides)

@@ -12,11 +12,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invarsim.characterize import MODELS, default_protocol
-from invarsim.errors import ConfigError
+from invarsim.errors import ConfigError, PlacementError
 from invarsim.geometry import PrimitiveSoup
 from invarsim.scene import SceneGraph
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
@@ -96,7 +96,12 @@ class TestSceneJson:
                          {"kind": "directional", "intensity": 0.9,
                           "direction": rng.normal(size=3).tolist()}]
         doc["dynamics"].append([1, "lights.1.intensity_scale", 0.5])
-        base = sample_scene(SceneConfig.from_dict(doc), seed)
+        try:
+            base = sample_scene(SceneConfig.from_dict(doc), seed)
+        except PlacementError:
+            # a few seeds draw more building area than the city holds; see
+            # test_a_saturated_city_raises_placement_error
+            assume(False)
         scene = SceneGraph.from_json(base.to_json())
         assert scene.to_json() == base.to_json()
         for t in range(3):
@@ -104,6 +109,12 @@ class TestSceneJson:
             assert state.lights[1].direction == base.lights[1].direction
             text = state.to_json()
             assert SceneGraph.from_json(text).to_json() == text
+
+    def test_a_saturated_city_raises_placement_error(self):
+        # seed 11524 draws 27 objects, too many buildings to place in the city
+        doc = city_config(np.random.default_rng(11524))
+        with pytest.raises(PlacementError):
+            sample_scene(SceneConfig.from_dict(doc), 11524)
 
     def test_material_name_with_quotes_brackets_and_a_newline(self, validation_scene):
         name = 'a "quoted" [bracketed] {braced},\n"objects": []'
@@ -165,6 +176,7 @@ class TestSceneValues:
         (edit_at(["objects", 0, "primitives"], {}), "objects[0].primitives"),
         (edit_at(["lights", 0, "kind"], "spto"), "lights[0]"),
         (edit_at(["lights", 0, "intensity"], "bright"), "lights[0].intensity"),
+        (edit_at(["lights", 1, "intensity"], float("nan")), "lights[1].intensity"),
         (edit_at(["lights", 1, "direction"], [0.0, 0.0, 0.0]), "lights[1]"),
         (edit_at(["materials", "0", "specular"], 2.0), "materials.0"),
         (edit_at(["materials", "0", "albedo"], "red"), "materials.0.albedo"),

@@ -1,9 +1,12 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
+from invarsim.characterize import ProtocolConfig, default_protocol, ingest_sequence
 from invarsim.errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
+from invarsim.imgio import write_ppm
 from invarsim.scene import ClassPrior, ClassPriors, CuboidMark, DynamicsScript, ObjectClass
 from invarsim.scenegen import (
     MaterialRegistry,
@@ -25,6 +28,31 @@ def priors_doc(classes):
          "breadth": [2.0, 0.4], "height": [3.0, 0.5]}
         for c in classes
     ]
+
+
+#: the values each substitution probe sets: every kind of JSON value, and NaN,
+#: which Python's json reads though RFC 8259 allows none
+SUBSTITUTES = ["x", None, True, [], {}, [1.0], 1.5, 2, float("nan")]
+
+
+def substitutions(doc, value):
+    """(path, copy of JSON document ``doc`` with the value at that path set to
+    ``value``) for the path of each value inside ``doc``."""
+    def paths(node, path=()):
+        if path:
+            yield path
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            yield from paths(child, path + (key,))
+
+    for path in paths(doc):
+        edited = copy.deepcopy(doc)
+        node = edited
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = copy.deepcopy(value)
+        yield path, edited
 
 
 def make_config(n_total=10, classes=("Building", "Tree", "Vehicle", "Pedestrian"),
@@ -194,7 +222,7 @@ class TestSampling:
             SceneConfig.from_dict(doc)
         assert err.value.json_path == key
 
-    @pytest.mark.parametrize("value", ["x", None, True, [], {}, [1.0], 1.5, 2], ids=repr)
+    @pytest.mark.parametrize("value", SUBSTITUTES, ids=repr)
     def test_every_substituted_value_is_a_config_error_or_a_scene_render_reads(self, value):
         """Set each value of a config using every block in turn to ``value``:
         the config is rejected naming a json_path, or it samples a scene whose
@@ -211,20 +239,7 @@ class TestSampling:
                               [2, "lights.1.intensity_scale", 1.5]])
         sample_scene(SceneConfig.from_dict(base), 3)
 
-        def paths(node, path=()):
-            if path:
-                yield path
-            items = (node.items() if isinstance(node, dict)
-                     else enumerate(node) if isinstance(node, list) else ())
-            for key, child in items:
-                yield from paths(child, path + (key,))
-
-        for path in paths(base):
-            doc = copy.deepcopy(base)
-            node = doc
-            for step in path[:-1]:
-                node = node[step]
-            node[path[-1]] = copy.deepcopy(value)
+        for path, doc in substitutions(base, value):
             try:
                 cfg = SceneConfig.from_dict(doc)
                 scene = sample_scene(cfg, cfg.seed)
@@ -232,6 +247,38 @@ class TestSampling:
                 assert err.json_path is not None, (path, err)
                 continue
             SceneGraph.from_json(scene.to_json())
+
+    @pytest.mark.parametrize("value", SUBSTITUTES, ids=repr)
+    def test_every_substituted_protocol_value_is_a_config_error_or_a_protocol(self, value):
+        """Set each value of a stock protocol to ``value``: the protocol is
+        rejected naming a json_path, or it reads back from its document,
+        which is RFC 8259 JSON."""
+        for path, doc in substitutions(default_protocol("BC").to_dict(), value):
+            try:
+                protocol = ProtocolConfig.from_dict(doc)
+            except ConfigError as err:
+                assert err.json_path is not None, (path, err)
+                continue
+            text = json.dumps(protocol.to_dict(), allow_nan=False)
+            assert ProtocolConfig.from_dict(json.loads(text)) == protocol, path
+
+    @pytest.mark.parametrize("value", SUBSTITUTES, ids=repr)
+    def test_every_substituted_annotation_value_is_a_config_error_or_a_sequence(
+            self, tmp_path, value):
+        """Set each value of an ingest annotation to ``value``: the sequence
+        is rejected naming a json_path, or it is ingested."""
+        for t in range(2):
+            write_ppm(tmp_path / f"frame_{t}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        base = {"reference_frame": 0, "zero_flow": True, "flo_files": ["flow_0.flo"],
+                "patches": [{"x": 0, "y": 0, "width": 5, "height": 5, "context": "Diffuse"},
+                            {"x": 2, "y": 1, "width": 6, "height": 7, "context": "Edge"}]}
+        apath = tmp_path / "annotation.json"
+        for path, doc in substitutions(base, value):
+            apath.write_text(json.dumps(doc))
+            try:
+                ingest_sequence(tmp_path, apath)
+            except ConfigError as err:
+                assert err.json_path is not None, (path, err)
 
     def test_config_keys_left_out_take_their_defaults(self):
         from invarsim.scenegen import default_lights_doc
@@ -257,6 +304,9 @@ class TestSampling:
          "classes[0].count_range"),
         ({"dynamics": [["0", "medium.density_scale", 1.0]]}, "dynamics[0]"),
         ({"dynamics": [[0, "objects.0.velocity", 1.0]]}, "dynamics"),
+        # RFC 8259 has no NaN or Infinity, and a float no integer beyond its range
+        ({"lights": [{"kind": "ambient", "intensity": float("nan")}]}, "lights[0].intensity"),
+        ({"cell_size": 10**400}, "cell_size"),
     ])
     def test_config_value_rejected_with_its_path(self, edit, path):
         with pytest.raises(ConfigError) as err:

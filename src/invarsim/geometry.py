@@ -2,10 +2,15 @@
 
 The scene's primitives are flattened into struct-of-arrays (one array bundle
 per primitive family) so a whole batch of rays is intersected with numpy
-ops, no per-ray Python.  Tracing has two levels: rays are first slab-tested
+ops, no per-ray Python.  Tracing culls before it tests: rays are slab-tested
 against each object's padded axis-aligned bounds, and only the primitives of
-the objects a ray meets are tested exactly.  The cull is conservative, so it
-only skips work: every hit equals testing every ray against every primitive.
+the objects a ray meets are tested exactly.  A scene of 16 objects or more
+first groups its objects into clusters on a coarse grid over the ground
+(x, z), so a ray is slab-tested against a few cluster bounds and then only
+against the objects of the clusters it meets.  A cluster's bounds hold its
+members' bounds, so the cluster level drops only (ray, object) pairs the
+object slab test would drop too.  Each level is conservative, so it only
+skips work: every hit equals testing every ray against every primitive.
 Window rectangles are coplanar with the faces they decorate, so rectangles
 win ties against volume primitives within a small epsilon.
 """
@@ -22,8 +27,12 @@ _TIE_EPS = 1e-9
 #: coordinate), far above the rounding of any hit formula, so that a ray the
 #: exact test hits is never culled
 _BOUNDS_EPS = 1e-7
-#: max ray x object, and ray x primitive, candidates handled in one block
+#: max ray x cluster, ray x object and ray x primitive candidates handled in
+#: one block
 _CHUNK_PAIRS = 250_000
+#: objects per cluster the grid aims at; a scene whose grid would have fewer
+#: than 2 cells a side has no cluster level
+_CLUSTER_OBJECTS = 4
 
 #: primitive families in the order their hits are resolved
 FAMILIES = ("box", "sphere", "cylinder", "rect")
@@ -35,7 +44,10 @@ class PrimitiveSoup:
     Each object's primitives are contiguous within each family, in scene
     order.  ``obj_lo``/``obj_hi`` are the padded bounds of every object that
     has primitives, and ``ranges[family]`` holds, per such object, the index
-    of its first primitive in that family and their count.
+    of its first primitive in that family and their count.  ``clu_lo``/
+    ``clu_hi`` are the bounds of each cluster of objects (none in a small
+    scene), and ``clu_obj[clu_first[c]:clu_first[c] + clu_count[c]]`` are
+    the objects of cluster ``c``.
     """
 
     def __init__(self):
@@ -65,6 +77,11 @@ class PrimitiveSoup:
         self.obj_hi = np.zeros((0, 3))
         self.obj_prims = np.zeros(0, dtype=np.intp)
         self.ranges = {f: (np.zeros(0, dtype=np.intp),) * 2 for f in FAMILIES}
+        self.clu_lo = np.zeros((0, 3))
+        self.clu_hi = np.zeros((0, 3))
+        self.clu_obj = np.zeros(0, dtype=np.intp)
+        self.clu_first = np.zeros(0, dtype=np.intp)
+        self.clu_count = np.zeros(0, dtype=np.intp)
 
     @classmethod
     def from_scene(cls, scene) -> "PrimitiveSoup":
@@ -121,6 +138,27 @@ class PrimitiveSoup:
         pad = _BOUNDS_EPS * (1.0 + np.maximum(np.abs(lo), np.abs(hi)).max(axis=1))
         self.obj_lo = lo - pad[:, None]
         self.obj_hi = hi + pad[:, None]
+        side = math.isqrt(n_obj // _CLUSTER_OBJECTS)
+        if side >= 2:
+            self._cluster_objects(side)
+
+    def _cluster_objects(self, side):
+        """Group the objects on a ``side`` x ``side`` grid over the (x, z)
+        extent of their bounds, by the centre of their bounds.  An object
+        wider than a cell along x or z is a cluster of its own."""
+        xz = [0, 2]
+        lo, hi = self.obj_lo[:, xz], self.obj_hi[:, xz]
+        origin = lo.min(axis=0)
+        cell = (hi.max(axis=0) - origin) / side
+        ij = np.clip(((0.5 * (lo + hi) - origin) / cell).astype(np.intp), 0, side - 1)
+        wide = (hi - lo > cell).any(axis=1)
+        key = np.where(wide, side * side + np.arange(len(lo)), ij[:, 0] * side + ij[:, 1])
+        self.clu_obj = np.argsort(key, kind="stable")
+        key = key[self.clu_obj]
+        self.clu_first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.clu_count = np.diff(np.r_[self.clu_first, len(key)])
+        self.clu_lo = np.minimum.reduceat(self.obj_lo[self.clu_obj], self.clu_first)
+        self.clu_hi = np.maximum.reduceat(self.obj_hi[self.clu_obj], self.clu_first)
 
     def _primitive_bounds(self):
         """(lo, hi) corners of every primitive's axis-aligned bounds, per family."""
@@ -153,24 +191,59 @@ _RECT_U = np.array([RECT_UV[a][0] for a in range(3)], dtype=np.intp)
 _RECT_V = np.array([RECT_UV[a][1] for a in range(3)], dtype=np.intp)
 
 
-def _cull(soup, O, D, tmin):
-    """(objects, rays) mask of the rays whose part beyond ``tmin`` may meet
-    each object's padded bounds.
+def _slab(axes, tmin):
+    """Whether the part beyond ``tmin`` of each ray may meet each box, from
+    the arrays ``(lo, hi, origin, 1 / direction)`` that ``axes`` gives for
+    x, y and z in turn; they broadcast against each other.
 
     A slab test, one axis at a time.  NaN from a ray lying in a slab plane
     counts as inside: ``fmax``/``fmin`` skip it, and a ray that is NaN on
     every axis is kept.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / D.T
-        for k, (o, i) in enumerate(zip(O.T, inv)):
-            a = (soup.obj_lo[:, k, None] - o) * i
-            b = (soup.obj_hi[:, k, None] - o) * i
+    with np.errstate(invalid="ignore"):
+        for k, (lo, hi, o, i) in enumerate(axes):
+            a = (lo - o) * i
+            b = (hi - o) * i
             near = np.minimum(a, b)
             far = np.maximum(a, b)
             enter = near if k == 0 else np.fmax(enter, near)
             exit_ = far if k == 0 else np.fmin(exit_, far)
     return ~(enter > exit_) & ~(exit_ <= tmin)
+
+
+def _expand(first, count, groups, along):
+    """Each entry of ``along`` repeated once per member of its group in
+    ``groups``, and those members: ``first[g]``, ..., ``first[g] + count[g] - 1``."""
+    cnt = count[groups]
+    offset = np.repeat(first[groups] - (np.cumsum(cnt) - cnt), cnt)
+    return np.repeat(along, cnt), np.arange(len(offset)) + offset
+
+
+def _cull(soup, O, D, tmin):
+    """(objects, rays): the pairs whose ray, beyond ``tmin``, may meet the
+    object's padded bounds; None if a block of several rays has more ray x
+    object candidates than ``_CHUNK_PAIRS``.
+
+    With a cluster level, only the objects of the clusters a ray meets are
+    slab-tested.  A cluster's bounds hold its members', and the slab test
+    is monotone in the bounds, so the pairs are those of testing every
+    object.
+    """
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / D.T
+    if not len(soup.clu_lo):
+        return np.nonzero(_slab(zip(soup.obj_lo.T[..., None], soup.obj_hi.T[..., None], O.T, inv),
+                                tmin))
+    ci, ri = np.nonzero(_slab(zip(soup.clu_lo.T[..., None], soup.clu_hi.T[..., None], O.T, inv),
+                              tmin))
+    if len(O) > 1 and soup.clu_count[ci].sum() > _CHUNK_PAIRS:
+        return None
+    ri, members = _expand(soup.clu_first, soup.clu_count, ci, ri)
+    oj = soup.clu_obj[members]
+    # one axis at a time: gathering 1-D columns is faster than (pairs, 3) rows
+    keep = _slab(((lo[oj], hi[oj], o[ri], i[ri])
+                  for lo, hi, o, i in zip(soup.obj_lo.T, soup.obj_hi.T, O.T, inv)), tmin)
+    return oj[keep], ri[keep]
 
 
 def _box_slabs(lo, hi, O, D):
@@ -313,9 +386,7 @@ def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
     attaining it (0 on a miss), over the primitives of the (ray ``ri``,
     object ``oj``) candidates."""
     n = len(O)
-    cnt = count[oj]
-    ray = np.repeat(ri, cnt)
-    prim = np.arange(len(ray)) + np.repeat(first[oj] - (np.cumsum(cnt) - cnt), cnt)
+    ray, prim = _expand(first, count, oj, ri)
     t = hits(soup, prim, O[ray], D[ray], tmin)
     tbest = np.full(n, INF)
     np.minimum.at(tbest, ray, t)
@@ -329,17 +400,19 @@ def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
 def _family_minima(soup, O, D, tmin):
     """Per family in ``FAMILIES`` order, ``_nearest`` over the rays.
 
-    Rays go in blocks whose ray x object and ray x primitive candidates
-    stay within ``_CHUNK_PAIRS``; a block of one ray is never split.
+    Rays go in blocks whose ray x cluster (or, with no cluster level, ray x
+    object), ray x object and ray x primitive candidates stay within
+    ``_CHUNK_PAIRS``; a block of one ray is never split.
     """
     n = len(O)
-    step = max(1, _CHUNK_PAIRS // max(1, len(soup.obj_lo)))
-    oj, ri = (None, None) if n > step else np.nonzero(_cull(soup, O, D, tmin))
-    if n > step or (n > 1 and soup.obj_prims[oj].sum() > _CHUNK_PAIRS):
+    step = max(1, _CHUNK_PAIRS // max(1, len(soup.clu_lo) or len(soup.obj_lo)))
+    pairs = None if n > step else _cull(soup, O, D, tmin)
+    if pairs is None or (n > 1 and soup.obj_prims[pairs[0]].sum() > _CHUNK_PAIRS):
         step = min(step, (n + 1) // 2)
         parts = [_family_minima(soup, O[i : i + step], D[i : i + step], tmin)
                  for i in range(0, n, step)]
         return [tuple(np.concatenate(a) for a in zip(*fam)) for fam in zip(*parts)]
+    oj, ri = pairs
     return [_nearest(hits, soup, *soup.ranges[fam], O, D, tmin, ri, oj)
             for fam, hits in zip(FAMILIES, _HITS)]
 
@@ -408,6 +481,23 @@ def occluded(soup: PrimitiveSoup, O, D, tmax, tmin: float = 1e-6) -> np.ndarray:
     return t < tmax
 
 
+def camera_basis(position, look_at, up):
+    """Unit (forward, right, up) vectors of a camera at ``position`` aimed at
+    ``look_at``, with ``up`` as the up hint; ValueError if ``up`` is zero or
+    parallel to the view direction."""
+    pos = np.asarray(position, dtype=float)
+    fwd = np.asarray(look_at, dtype=float) - pos
+    fwd = fwd / np.linalg.norm(fwd)
+    # right-handed basis: right x up = forward, so +x world maps to
+    # image right for the default forward=+z, up=+y setup
+    right = np.cross(np.asarray(up, dtype=float), fwd)
+    nr = np.linalg.norm(right)
+    if not nr >= 1e-12:
+        raise ValueError("camera up must be nonzero and not parallel to look_at - position")
+    right /= nr
+    return fwd, right, np.cross(fwd, right)
+
+
 class Camera:
     """Pinhole camera resolved against a pixel grid.
 
@@ -419,22 +509,8 @@ class Camera:
     def __init__(self, spec, width: int, height: int):
         self.width = int(width)
         self.height = int(height)
-        pos = np.asarray(spec.position, dtype=float)
-        fwd = np.asarray(spec.look_at, dtype=float) - pos
-        fwd = fwd / np.linalg.norm(fwd)
-        up_hint = np.asarray(spec.up, dtype=float)
-        # right-handed basis: right x up = forward, so +x world maps to
-        # image right for the default forward=+z, up=+y setup
-        right = np.cross(up_hint, fwd)
-        nr = np.linalg.norm(right)
-        if nr < 1e-12:
-            raise ValueError("camera up vector parallel to view direction")
-        right /= nr
-        up = np.cross(fwd, right)
-        self.position = pos
-        self.forward = fwd
-        self.right = right
-        self.up = up
+        self.position = np.asarray(spec.position, dtype=float)
+        self.forward, self.right, self.up = camera_basis(spec.position, spec.look_at, spec.up)
         self.tan_half = math.tan(math.radians(spec.vfov_deg) / 2.0)
         self.aspect = self.width / self.height
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import medium as medium_mod
 from .errors import ConfigError, IdentityMismatchError
 from .geometry import Camera, occluded, trace
-from .scene import SKY_MATERIAL_ID, SKY_OBJECT_ID, SceneGraph
+from .scene import SKY_MATERIAL_ID, SKY_OBJECT_ID, TEXTURE_PATTERNS, SceneGraph
 
 _SHADOW_EPS = 1e-4
 
@@ -131,18 +131,18 @@ class _MaterialTable:
         self.albedo = np.zeros((n + 1, 3))
         self.specular = np.zeros(n + 1)
         self.emissive = np.zeros((n + 1, 3))
-        self.pattern = np.zeros(n + 1, dtype=np.int32)  # 0 none 1 checker 2 stripes 3 bands
+        # 0 none, else 1 + the index in TEXTURE_PATTERNS: 1 checker 2 stripes 3 bands
+        self.pattern = np.zeros(n + 1, dtype=np.int32)
         self.scale = np.ones(n + 1)
         self.contrast = np.zeros(n + 1)
-        codes = {"checker": 1, "stripes": 2, "bands": 3}
         for mid, m in scene.materials.items():
             self.albedo[mid] = m.albedo
             self.specular[mid] = m.specular
             self.emissive[mid] = m.emissive
             if m.texture:
-                self.pattern[mid] = codes.get(m.texture.get("pattern", ""), 0)
-                self.scale[mid] = float(m.texture.get("scale", 1.0))
-                self.contrast[mid] = float(m.texture.get("contrast", 0.0))
+                self.pattern[mid] = 1 + TEXTURE_PATTERNS.index(m.texture.pattern)
+                self.scale[mid] = m.texture.scale
+                self.contrast[mid] = m.texture.contrast
         self.sentinel = n  # row used for the sky id (-1)
 
     def row(self, mat_id):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .codec import (_INTEGER, _LIST, _NUMBER, _STRING, _check, _decode, _encode, _items, _Kind,
                     _kinds, _list_of)
 from .errors import ConfigError
-from .geometry import RECT_UV, PrimitiveSoup
+from .geometry import RECT_UV, PrimitiveSoup, camera_basis
 
 SKY_OBJECT_ID = -1
 SKY_MATERIAL_ID = -1
@@ -249,6 +249,34 @@ class CameraSpec:
             raise ConfigError("vfov_deg must be in (0, 180)")
         if self.position == self.look_at:
             raise ConfigError("camera position and look_at coincide")
+        try:
+            camera_basis(self.position, self.look_at, self.up)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+#: the albedo patterns ``render.albedo_at`` draws
+TEXTURE_PATTERNS = ("checker", "stripes", "bands")
+
+
+@dataclass(frozen=True)
+class Texture:
+    """A smooth deterministic modulation of a material's albedo: ``pattern``
+    repeats every ``scale`` metres and scales the albedo by up to
+    ``1 ± contrast``; see ``render.albedo_at``."""
+
+    pattern: str
+    scale: float
+    contrast: float
+
+    def __post_init__(self):
+        if self.pattern not in TEXTURE_PATTERNS:
+            raise ConfigError(f"texture pattern must be one of {', '.join(TEXTURE_PATTERNS)}, "
+                              f"got {self.pattern!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError("texture scale must be finite and > 0")
+        if not 0.0 <= self.contrast < math.inf:
+            raise ConfigError("texture contrast must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -257,8 +285,7 @@ class Material:
 
     ``kind`` classifies the surface for patch taxonomy purposes:
     ``"diffuse"`` or ``"specular"``.  ``texture`` optionally modulates the
-    albedo as a deterministic function of the hit point; see
-    ``render.albedo_at`` for the supported patterns.
+    albedo as a deterministic function of the hit point.
     """
 
     name: str
@@ -266,7 +293,7 @@ class Material:
     albedo: tuple[float, float, float] = (0.5, 0.5, 0.5)
     specular: float = 0.0
     emissive: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    texture: dict | None = None
+    texture: Texture | None = None
 
     def __post_init__(self):
         if self.kind not in ("diffuse", "specular"):
@@ -438,6 +465,9 @@ def _check_scene_doc(doc):
     items += [(_kinds(Material), f"materials.{k}", m) for k, m in doc["materials"].items()]
     for kinds, path, item in items:
         _check(item, kinds, path)
+    for k, m in doc["materials"].items():
+        if m["texture"] is not None:
+            _check(m["texture"], _kinds(Texture), f"materials.{k}.texture")
     for key in doc["materials"]:
         try:
             int(key)
@@ -451,6 +481,13 @@ def _check_scene_doc(doc):
             if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
                 raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
             _check(prim, {"kind": _STRING, "material": _INTEGER, **_PRIMITIVE_KEYS[kind]}, path)
+
+
+def _decode_material(doc, path):
+    """The Material of its checked JSON block ``doc`` at ``path``."""
+    texture = doc["texture"]
+    return _decode(Material, doc, path, texture=None if texture is None
+                   else _decode(Texture, texture, f"{path}.texture"))
 
 
 @dataclass(frozen=True)
@@ -503,7 +540,8 @@ class SceneGraph:
         doc = _encode(
             self,
             objects=None,  # joined from the objects' fragments below
-            materials={str(mid): _encode(m) for mid, m in self.materials.items()},
+            materials={str(mid): _encode(m, texture=m.texture and _encode(m.texture))
+                       for mid, m in self.materials.items()},
             lights=[_encode(light) for light in self.lights],
             medium=_encode(self.medium),
             camera=_encode(self.camera),
@@ -528,7 +566,7 @@ class SceneGraph:
             objects=tuple(_decode(SceneObject, o, f"objects[{i}]",
                                   mark=_decode(CuboidMark, o, f"objects[{i}]"))
                           for i, o in enumerate(doc["objects"])),
-            materials={int(mid): _decode(Material, m, f"materials.{mid}")
+            materials={int(mid): _decode_material(m, f"materials.{mid}")
                        for mid, m in doc["materials"].items()},
             lights=tuple(_decode(LightSpec, light, f"lights[{i}]")
                          for i, light in enumerate(doc["lights"])),

@@ -35,6 +35,7 @@ from .scene import (
     ObjectClass,
     SceneGraph,
     SceneObject,
+    Texture,
 )
 
 DEFAULT_CELL_SIZE = 0.5
@@ -147,6 +148,10 @@ class ObjectSpec:
     window_grid: tuple[int, int] | None = None
     facade_contrast: float | None = None
 
+    def __post_init__(self):
+        if self.facade_contrast is not None and not self.facade_contrast >= 0.0:
+            raise ConfigError("facade_contrast must be >= 0")
+
 
 def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
     """Parametric primitives for one object, fitted inside its mark's cuboid.
@@ -169,7 +174,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         facade = registry.add(Material(
             name=f"facade_{label}_{contrast:g}",
             albedo=base,
-            texture={"pattern": "bands", "scale": 4.0, "contrast": contrast},
+            texture=Texture("bands", 4.0, contrast),
         ))
         glass = registry.add(Material(
             name="window_glass",
@@ -208,7 +213,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         crown = registry.add(Material(
             name="tree_crown",
             albedo=(0.14, 0.32, 0.13),
-            texture={"pattern": "checker", "scale": 0.4, "contrast": 0.25},
+            texture=Texture("checker", 0.4, 0.25),
         ))
         radius = min(l, b) / 2.0
         radius = min(radius, h / 2.0)
@@ -225,7 +230,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         body = registry.add(Material(
             name=f"vehicle_body_{style % len(_VEHICLE_PALETTE)}",
             albedo=_VEHICLE_PALETTE[style % len(_VEHICLE_PALETTE)],
-            texture={"pattern": "stripes", "scale": 1.2, "contrast": 0.30},
+            texture=Texture("stripes", 1.2, 0.30),
         ))
         prims = [{"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, h, z1], "material": body}]
         if style % 2 == 1:
@@ -252,7 +257,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         mat = registry.add(Material(
             name="ground",
             albedo=(0.42, 0.40, 0.37),
-            texture={"pattern": "checker", "scale": 3.5, "contrast": 0.35},
+            texture=Texture("checker", 3.5, 0.35),
         ))
         return ({"kind": "box", "lo": [x0, -h, z0], "hi": [x1, 0.0, z1], "material": mat},)
 
@@ -260,7 +265,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         mat = registry.add(Material(
             name="road",
             albedo=(0.19, 0.19, 0.20),
-            texture={"pattern": "stripes", "scale": 3.0, "contrast": 0.30},
+            texture=Texture("stripes", 3.0, 0.30),
         ))
         return ({"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, 0.02, z1], "material": mat},)
 

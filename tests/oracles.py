@@ -466,7 +466,11 @@ def scene_json(scene) -> str:
                 "albedo": list(m.albedo),
                 "specular": m.specular,
                 "emissive": list(m.emissive),
-                "texture": m.texture,
+                "texture": None if m.texture is None else {
+                    "pattern": m.texture.pattern,
+                    "scale": m.texture.scale,
+                    "contrast": m.texture.contrast,
+                },
             }
             for mid, m in scene.materials.items()
         },

@@ -83,6 +83,8 @@ class TestSample:
         ({"cell_size": 0}, "cell_size"),
         ({"dynamics": [[1, "lights.1.intensity_scale", -1.0]]}, "dynamics[0]"),
         ({"dynamics": [[1, "medium.density_scale", -1.0]]}, "dynamics[0]"),
+        # straight down, with the default up hint
+        ({"camera": {"position": [0.0, 20.0, 0.0], "look_at": [0.0, 0.0, 0.0]}}, "camera"),
     ])
     def test_bad_config_value_exit_2_with_path(self, tmp_path, capsys, overrides, json_path):
         cfg = write_scene_config(tmp_path, overrides)
@@ -224,6 +226,9 @@ class TestRender:
     @pytest.mark.parametrize("edit,json_path", [
         (lambda d: d["objects"][0].update({"class": "Buildng"}), "objects[0].class"),
         (lambda d: d["objects"][1].update(height="tall"), "objects[1].height"),
+        (lambda d: d["materials"]["0"]["texture"].update(contrast=float("nan")),
+         "materials.0.texture.contrast"),
+        (lambda d: d["materials"]["0"]["texture"].update(scale=0), "materials.0.texture"),
     ])
     def test_bad_scene_values_exit_2_with_path(self, scene_json, tmp_path, capsys,
                                                edit, json_path):

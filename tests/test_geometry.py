@@ -1,10 +1,11 @@
 """The culled tracer against the brute-force oracle, bit for bit.
 
-``geometry.trace`` slab-tests rays against object bounds and tests only the
-primitives of the objects a ray meets; ``oracles.brute_trace`` tests every
-ray against every primitive.  Every ``Hit`` field and every ``occluded``
-answer must be equal, with the default block size and with blocks forced
-down to a few rays.
+``geometry.trace`` slab-tests rays against cluster bounds (in a scene of 16
+objects or more), then against object bounds, and tests only the primitives
+of the objects a ray meets; ``oracles.brute_trace`` tests every ray against
+every primitive.  Every ``Hit`` field and every ``occluded`` answer must be
+equal, with the default block size and with blocks forced down to a few
+rays.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import invarsim.geometry as geometry
 from invarsim.characterize import MODELS, default_protocol
 from invarsim.geometry import Camera, PrimitiveSoup, occluded, trace
+from invarsim.scene import ObjectClass
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 from oracles import brute_occluded, brute_trace
 
@@ -91,6 +93,27 @@ def city_config(rng):
     }
 
 
+def big_city_config():
+    """A city of the size the ``city`` benchmark renders: 130 buildings on a
+    300 m square, one vehicle and the ground slab."""
+    return {
+        "world_bounds": [-150.0, 0.0, 150.0, 300.0],
+        "cell_size": 1.0,
+        "classes": [{"class": "Building", "probability": 1.0, "length": [13.5, 0.3],
+                     "breadth": [10.0, 1.0], "height": [16.5, 0.3]}],
+        "counts": {"total": 130},
+        "objects": [{"class": "Vehicle", "position": [1.5, 5.0], "length": 5.0,
+                     "breadth": 2.2, "height": 1.8, "style": 2}],
+        "camera": {"position": [0.0, 20.0, -25.0], "look_at": [0.0, 0.0, 30.0],
+                   "vfov_deg": 30.0},
+    }
+
+
+@pytest.fixture(scope="module")
+def big_city():
+    return sample_scene(SceneConfig.from_dict(big_city_config()), 3)
+
+
 class TestAgainstBruteForce:
     def test_validation_scene(self, validation_scene, chunking):
         soup = PrimitiveSoup.from_scene(validation_scene)
@@ -124,6 +147,80 @@ class TestAgainstBruteForce:
         assert_same_as_brute(soup, O, D)
         assert_same_as_brute(soup, *secondary_rays(rng, soup, O, D))
         assert_same_as_brute(soup, *random_rays(rng, soup, 200))
+
+
+    def test_big_city(self, big_city, chunking):
+        soup = big_city.soup
+        assert len(soup.clu_lo)
+        rng = np.random.default_rng(8)
+        O, D = Camera(big_city.camera, 20, 15).rays()
+        assert_same_as_brute(soup, O, D)
+        assert_same_as_brute(soup, *secondary_rays(rng, soup, O, D))
+        assert_same_as_brute(soup, *random_rays(rng, soup, 300))
+
+
+class TestClusterRays:
+    """Rays that probe the cluster level of a city: along cluster faces,
+    through the gaps between clusters and from inside a cluster's bounds."""
+
+    def cells(self, soup):
+        """Bounds of the clusters that share a grid cell; the ground slab
+        spans the whole world and is a cluster of its own."""
+        small = soup.clu_hi[:, 0] - soup.clu_lo[:, 0] < 200.0
+        return soup.clu_lo[small], soup.clu_hi[small]
+
+    def test_rays_in_cluster_face_planes(self, big_city, chunking):
+        soup = big_city.soup
+        rng = np.random.default_rng(9)
+        span_lo, span_hi = soup.clu_lo.min(axis=0), soup.clu_hi.max(axis=0)
+        span_hi[1] = 20.0
+        O, D = [], []
+        for lo, hi in zip(soup.clu_lo, soup.clu_hi):
+            for a, b in ((lo, hi), (hi, lo)):
+                for k in range(3):
+                    # in the face plane of axis k: slanted, and along each other axis
+                    for axis in range(3):
+                        o = rng.uniform(span_lo, span_hi)
+                        o[k] = a[k]
+                        d = (rng.normal(size=3) if axis == k
+                             else np.eye(3)[axis] * rng.choice([-1.0, 1.0]))
+                        d[k] = 0.0
+                        O.append(o)
+                        D.append(d)
+                    # along the edge where faces of the two other axes meet
+                    o = a.copy()
+                    o[(k + 1) % 3] = b[(k + 1) % 3]
+                    d = np.eye(3)[k]
+                    O.append(o - 500.0 * d)
+                    D.append(d)
+        assert_same_as_brute(soup, np.array(O), unit(np.array(D)))
+
+    def test_rays_through_gaps_between_clusters(self, big_city, chunking):
+        soup = big_city.soup
+        rng = np.random.default_rng(10)
+        lo, hi = self.cells(soup)
+        x, z = np.meshgrid(np.linspace(-150.0, 150.0, 121), np.linspace(0.0, 300.0, 121))
+        pts = np.stack([x.ravel(), np.zeros(x.size), z.ravel()], axis=1)
+        inside = ((pts[:, None] >= lo) & (pts[:, None] <= hi))[..., [0, 2]].all(axis=2)
+        gaps = pts[~inside.any(axis=1)]
+        assert len(gaps) > 200
+        gaps = gaps[rng.choice(len(gaps), 200, replace=False)]
+        gaps[:, 1] = rng.uniform(0.0, 20.0, len(gaps))
+        O = np.concatenate([gaps + rng.normal(scale=40.0, size=gaps.shape),
+                            gaps - [300.0, 0.0, 0.0], gaps - [0.0, 0.0, 300.0]])
+        O[:, 1] = np.abs(O[:, 1])
+        T = np.concatenate([gaps] * 3)
+        assert_same_as_brute(soup, O, unit(T - O))
+
+    def test_origins_in_cluster_bounds_outside_every_member(self, big_city, chunking):
+        soup = big_city.soup
+        rng = np.random.default_rng(11)
+        lo, hi = self.cells(soup)
+        O = (lo[:, None] + rng.random((len(lo), 40, 3)) * (hi - lo)[:, None]).reshape(-1, 3)
+        inside = ((O[:, None] >= soup.obj_lo) & (O[:, None] <= soup.obj_hi)).all(axis=2)
+        O = O[~inside.any(axis=1)]
+        assert len(O) > 200
+        assert_same_as_brute(soup, O, unit(rng.normal(size=O.shape)))
 
 
 class TestAdversarialRays:
@@ -244,6 +341,7 @@ class TestBlocks:
             "camera": {"position": [0.0, 9.0, -20.0], "look_at": [0.0, 9.0, 10.0]},
         }), 1)
         soup = PrimitiveSoup.from_scene(scene)
+        assert not len(soup.clu_lo)  # every ray is slab-tested against every object
         O, D = Camera(scene.camera, 16, 12).rays()
         want = brute_trace(soup, O, D)
         culls = []
@@ -255,6 +353,28 @@ class TestBlocks:
             assert np.array_equal(getattr(got, field), getattr(want, field))
         # blocks of 4 rays, halved while their primitive candidates overflow
         assert set(culls) == {4, 2, 1}
+
+    def test_cluster_and_object_pairs_split_into_blocks(self, big_city, monkeypatch):
+        # horizontal rays across the city meet many clusters of several objects
+        soup = big_city.soup
+        rng = np.random.default_rng(12)
+        O = np.stack([np.full(64, -160.0), rng.uniform(0.5, 15.0, 64),
+                      rng.uniform(0.0, 100.0, 64)], axis=1)
+        D = unit(np.stack([np.ones(64), np.zeros(64), rng.uniform(0.3, 1.5, 64)], axis=1))
+        want = brute_trace(soup, O, D)
+        culls = []
+        cull = geometry._cull
+        monkeypatch.setattr(geometry, "_cull",
+                            lambda *a: culls.append((len(a[1]), cull(*a))) or culls[-1][1])
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 8 * len(soup.clu_lo))
+        got = trace(soup, O, D)
+        for field in HIT_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        # blocks of 8 rays, halved while their object candidates overflow,
+        # then while their primitive candidates do
+        assert max(n for n, _ in culls) == 8
+        assert any(pairs is None for n, pairs in culls if n == 8)
+        assert all(pairs is not None for n, pairs in culls if n == 1)
 
     def test_empty_inputs(self, validation_scene):
         soup = PrimitiveSoup.from_scene(validation_scene)
@@ -287,3 +407,30 @@ class TestSoup:
         ):
             k = np.searchsorted([o.object_id for o in objects], ids)
             assert np.all(soup.obj_lo[k] < fam_lo) and np.all(fam_hi < soup.obj_hi[k])
+
+    def test_clusters_partition_the_objects(self, big_city):
+        soup = big_city.soup
+        n = len(soup.obj_lo)
+        side = int(np.sqrt(n / 4))
+        assert side >= 2
+        assert np.array_equal(np.sort(soup.clu_obj), np.arange(n))
+        assert np.array_equal(soup.clu_first, np.cumsum(soup.clu_count) - soup.clu_count)
+        assert soup.clu_count.sum() == n and soup.clu_count.min() >= 1
+        assert len(soup.clu_lo) <= side * side + np.sum(soup.clu_count == 1)
+        for c, (first, count) in enumerate(zip(soup.clu_first, soup.clu_count)):
+            members = soup.clu_obj[first:first + count]
+            assert np.array_equal(soup.clu_lo[c], soup.obj_lo[members].min(axis=0))
+            assert np.array_equal(soup.clu_hi[c], soup.obj_hi[members].max(axis=0))
+        # the ground slab is wider than a cell, so it is a cluster of its own
+        objects = [o for o in big_city.objects if o.primitives]
+        ground = next(k for k, o in enumerate(objects)
+                      if o.mark.object_class is ObjectClass.GROUND)
+        at = np.flatnonzero(soup.clu_obj == ground)[0]
+        assert soup.clu_count[np.searchsorted(soup.clu_first, at, side="right") - 1] == 1
+
+    def test_small_scenes_have_no_cluster_level(self, validation_scene):
+        p = default_protocol("OC")
+        stock = sample_scene(p.scene_config(), p.scene_seed).soup
+        assert len(stock.obj_lo) == 6
+        for soup in (stock, validation_scene.soup):
+            assert not len(soup.clu_lo) and not len(soup.clu_obj)

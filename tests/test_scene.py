@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from invarsim.characterize import MODELS, default_protocol
 from invarsim.errors import ConfigError, PlacementError
 from invarsim.geometry import PrimitiveSoup
-from invarsim.scene import SceneGraph
+from invarsim.scene import TEXTURE_PATTERNS, SceneGraph, Texture
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 from oracles import scene_json
 
@@ -184,6 +184,18 @@ class TestSceneValues:
         (edit_at(["medium", "beta"], [-1.0, 0.0, 0.0]), "medium"),
         (edit_at(["camera", "vfov_deg"], 200.0), "camera"),
         (edit_at(["camera", "up"], None), "camera.up"),
+        (edit_at(["camera", "up"], [0.0, 0.0, 0.0]), "camera"),
+        (edit_at(["camera", "up"], [0.0, -1.0, 32.0]), "camera"),  # along the view
+        (edit_at(["materials", "0", "texture", "contrast"], float("nan")),
+         "materials.0.texture.contrast"),
+        (edit_at(["materials", "0", "texture", "contrast"], -0.1), "materials.0.texture"),
+        (edit_at(["materials", "0", "texture", "scale"], 0.0), "materials.0.texture"),
+        (edit_at(["materials", "0", "texture", "scale"], "x"), "materials.0.texture.scale"),
+        (edit_at(["materials", "0", "texture", "pattern"], "zigzag"), "materials.0.texture"),
+        (lambda d: d["materials"]["0"]["texture"].update(contrst=0.3),
+         "materials.0.texture.contrst"),
+        (lambda d: d["materials"]["0"]["texture"].pop("scale"), "materials.0.texture.scale"),
+        (edit_at(["materials", "0", "texture"], []), "materials.0.texture"),
         (edit_at(["dynamics"], [[0, "objects.5.velocity"]]), "dynamics[0]"),
         (edit_at(["dynamics"], [[0, "objects.5.velocity", 1], [0, "objects.5.velocity", 2]]),
          "dynamics"),
@@ -197,6 +209,21 @@ class TestSceneValues:
         with pytest.raises(ConfigError) as err:
             SceneGraph.from_json(json.dumps(doc))
         assert err.value.json_path == json_path
+
+    @pytest.mark.parametrize("pattern,scale,contrast", [
+        ("zigzag", 1.0, 0.1), ("checker", 0.0, 0.1), ("checker", -1.0, 0.1),
+        ("stripes", float("nan"), 0.1), ("stripes", float("inf"), 0.1),
+        ("bands", 1.0, float("nan")), ("bands", 1.0, -0.1), ("bands", 1.0, float("inf")),
+    ])
+    def test_texture_checks_its_values(self, pattern, scale, contrast):
+        with pytest.raises(ConfigError):
+            Texture(pattern, scale, contrast)
+
+    def test_texture_round_trips(self, validation_scene):
+        textures = {m.texture for m in validation_scene.materials.values()}
+        assert {t.pattern for t in textures - {None}} == set(TEXTURE_PATTERNS)
+        again = SceneGraph.from_json(validation_scene.to_json())
+        assert again.materials == validation_scene.materials
 
     @pytest.mark.parametrize("kind,key,value", [
         ("rect", "axis", 3), ("rect", "axis", True), ("box", "lo", [0.0, 1.0]),

@@ -82,6 +82,8 @@ def _block(cls):
 def _parent(doc, key, step=dict.get):
     """The block of ``doc`` that holds dotted ``key``, and the key's last
     part; ``step(block, name, {})`` opens each nested block in turn."""
+    if "." not in key:
+        return doc, key
     *names, leaf = key.split(".")
     for name in names:
         doc = step(doc, name, {})
@@ -151,6 +153,11 @@ def _expect(kind, value, where):
         raise ConfigError(f"expected {kind.name}, got {value!r:.60}", json_path=where)
 
 
+def _key_path(path, key):
+    """The json_path of ``key`` in the block at ``path``, for an error."""
+    return f"{path}.{key}" if path else key
+
+
 def _check(doc, kinds, path=None, required=None):
     """Raise ConfigError at the first unknown key of the JSON object ``doc``,
     the first key of ``required`` (every key when None) it lacks, or the
@@ -159,16 +166,16 @@ def _check(doc, kinds, path=None, required=None):
     _expect(_OBJECT, doc, path)
     for key in doc:
         if key not in kinds:
-            raise ConfigError(f"unknown key {key!r}", json_path=f"{path}.{key}" if path else key)
+            raise ConfigError(f"unknown key {key!r}", json_path=_key_path(path, key))
     for key, kind in kinds.items():
-        where = f"{path}.{key}" if path else key
         if not isinstance(kind, _Kind):
-            _check(doc.get(key, {}), kind, where,
+            _check(doc.get(key, {}), kind, _key_path(path, key),
                    required and {k.split(".", 1)[1] for k in required if k.startswith(key + ".")})
         elif key in doc:
-            _expect(kind, doc[key], where)
+            if not kind.test(doc[key]):
+                _expect(kind, doc[key], _key_path(path, key))
         elif required is None or key in required:
-            raise ConfigError("required key is missing", json_path=where)
+            raise ConfigError("required key is missing", json_path=_key_path(path, key))
 
 
 def _items(kind, values, path):

@@ -1,13 +1,17 @@
-"""Ray/primitive intersection and the pinhole camera.
+"""The primitive types, ray/primitive intersection and the pinhole camera.
 
-The scene's primitives are flattened into struct-of-arrays (one array bundle
-per primitive family) so a whole batch of rays is intersected with numpy
-ops, no per-ray Python.  Tracing culls before it tests: rays are slab-tested
-against each object's padded axis-aligned bounds, and only the primitives of
-the objects a ray meets are tested exactly.  A scene of 16 objects or more
-first groups its objects into clusters on a coarse grid over the ground
-(x, z), so a ray is slab-tested against a few cluster bounds and then only
-against the objects of the clusters it meets.  A cluster's bounds hold its
+A primitive is a frozen dataclass, ``Box``, ``Sphere``, ``Cylinder`` or
+``Rect``, tagged in a scene document by its ``kind``; its
+``translated(offset)`` is a copy shifted by (dx, dy, dz).  The scene's
+primitives are flattened into struct-of-arrays, each field of a family's
+type one column ``<family>_<field>`` such as ``sphere_radius``, so a whole
+batch of rays is intersected with numpy ops, no per-ray Python.  Tracing
+culls before it tests: rays are slab-tested against each object's padded
+axis-aligned bounds, and only the primitives of the objects a ray meets are
+tested exactly.  A scene of 16 objects or more first groups its objects
+into clusters on a coarse grid over the ground (x, z), so a ray is
+slab-tested against a few cluster bounds and then only against the objects
+of the clusters it meets.  A cluster's bounds hold its
 members' bounds, so the cluster level drops only (ray, object) pairs the
 object slab test would drop too.  Each level is conservative, so it only
 skips work: every hit equals testing every ray against every primitive.
@@ -17,9 +21,17 @@ win ties against volume primitives within a small epsilon.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import operator
+import typing
+from dataclasses import dataclass
 
 import numpy as np
+
+from .codec import _INTEGER, _Kind
+from .errors import ConfigError
 
 INF = np.inf
 _TIE_EPS = 1e-9
@@ -34,13 +46,116 @@ _CHUNK_PAIRS = 250_000
 #: than 2 cells a side has no cluster level
 _CLUSTER_OBJECTS = 4
 
-#: primitive families in the order their hits are resolved
-FAMILIES = ("box", "sphere", "cylinder", "rect")
+#: (u, v) world axes spanned by a rect whose normal is along each axis
+RECT_UV = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+_RECT_U = np.array([RECT_UV[a][0] for a in range(3)], dtype=np.intp)
+_RECT_V = np.array([RECT_UV[a][1] for a in range(3)], dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class Box:
+    """The axis-aligned box with opposite corners ``lo`` and ``hi``."""
+
+    lo: tuple[float, float, float]
+    hi: tuple[float, float, float]
+    material: int
+    kind: str = "box"
+
+    def translated(self, offset) -> "Box":
+        return dataclasses.replace(self, lo=tuple(map(operator.add, self.lo, offset)),
+                                   hi=tuple(map(operator.add, self.hi, offset)))
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """The sphere of ``radius`` > 0 about ``center``."""
+
+    center: tuple[float, float, float]
+    radius: float
+    material: int
+    kind: str = "sphere"
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ConfigError(f"sphere radius must be > 0, got {self.radius}")
+
+    def translated(self, offset) -> "Sphere":
+        return dataclasses.replace(self, center=tuple(map(operator.add, self.center, offset)))
+
+
+@dataclass(frozen=True)
+class Cylinder:
+    """The side of the upright cylinder of ``radius`` > 0 about the (x, z)
+    ``center``, from height ``y0`` up to ``y1``."""
+
+    center: tuple[float, float]
+    radius: float
+    y0: float
+    y1: float
+    material: int
+    kind: str = "cylinder"
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ConfigError(f"cylinder radius must be > 0, got {self.radius}")
+        if not self.y0 <= self.y1:
+            raise ConfigError(f"cylinder y0 must be <= y1, got y0={self.y0} y1={self.y1}")
+
+    def translated(self, offset) -> "Cylinder":
+        dx, dy, dz = offset
+        return dataclasses.replace(self, center=(self.center[0] + dx, self.center[1] + dz),
+                                   y0=self.y0 + dy, y1=self.y1 + dy)
+
+
+@dataclass(frozen=True)
+class Rect:
+    """The rectangle in the plane where world axis ``axis`` is ``offset``,
+    spanning ``u`` and ``v``, each (low, high), along the world axes
+    ``RECT_UV[axis]``."""
+
+    axis: int = dataclasses.field(metadata={"kind": _Kind(
+        "0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)})
+    offset: float
+    u: tuple[float, float]
+    v: tuple[float, float]
+    material: int
+    kind: str = "rect"
+
+    def __post_init__(self):
+        if not (self.u[0] <= self.u[1] and self.v[0] <= self.v[1]):
+            raise ConfigError(f"rect u and v must each be (low, high), got u={self.u} v={self.v}")
+
+    def translated(self, offset) -> "Rect":
+        u_axis, v_axis = RECT_UV[self.axis]
+        du, dv = offset[u_axis], offset[v_axis]
+        return dataclasses.replace(self, offset=self.offset + offset[self.axis],
+                                   u=(self.u[0] + du, self.u[1] + du),
+                                   v=(self.v[0] + dv, self.v[1] + dv))
+
+
+#: the primitive type of each family's tag, in the order hits are resolved
+PRIMITIVES = {cls.kind: cls for cls in (Box, Sphere, Cylinder, Rect)}
+FAMILIES = tuple(PRIMITIVES)
+
+
+@functools.cache
+def _columns(cls):
+    """(field, dtype, array shape) of each soup column of primitive type ``cls``."""
+    columns = []
+    for name, hint in typing.get_type_hints(cls).items():
+        if name != "kind":
+            items = typing.get_args(hint)  # of a tuple field
+            columns.append((name, np.int32 if hint is int else float,
+                            (-1, len(items)) if items else (-1,)))
+    return tuple(columns)
 
 
 class PrimitiveSoup:
-    """Flattened primitives of a scene, ready for batched intersection.
+    """Flattened primitives of scene objects, ready for batched intersection.
 
+    Each field of a family's type is a column ``<family>_<field>``, one row
+    per primitive, and ``<family>_obj`` holds each primitive's object id;
+    ``rect_ua``/``rect_va`` are the world axes a rect's ``u``/``v`` span.
     Each object's primitives are contiguous within each family, in scene
     order.  ``obj_lo``/``obj_hi`` are the padded bounds of every object that
     has primitives, and ``ranges[family]`` holds, per such object, the index
@@ -50,77 +165,27 @@ class PrimitiveSoup:
     the objects of cluster ``c``.
     """
 
-    def __init__(self):
-        self.box_lo = np.zeros((0, 3))
-        self.box_hi = np.zeros((0, 3))
-        self.box_obj = np.zeros(0, dtype=np.int32)
-        self.box_mat = np.zeros(0, dtype=np.int32)
-        self.sph_c = np.zeros((0, 3))
-        self.sph_r = np.zeros(0)
-        self.sph_obj = np.zeros(0, dtype=np.int32)
-        self.sph_mat = np.zeros(0, dtype=np.int32)
-        self.cyl_c = np.zeros((0, 2))
-        self.cyl_r = np.zeros(0)
-        self.cyl_y0 = np.zeros(0)
-        self.cyl_y1 = np.zeros(0)
-        self.cyl_obj = np.zeros(0, dtype=np.int32)
-        self.cyl_mat = np.zeros(0, dtype=np.int32)
-        self.rect_axis = np.zeros(0, dtype=np.int32)
-        self.rect_off = np.zeros(0)
-        self.rect_u = np.zeros((0, 2))
-        self.rect_v = np.zeros((0, 2))
-        self.rect_ua = np.zeros(0, dtype=np.intp)
-        self.rect_va = np.zeros(0, dtype=np.intp)
-        self.rect_obj = np.zeros(0, dtype=np.int32)
-        self.rect_mat = np.zeros(0, dtype=np.int32)
-        self.obj_lo = np.zeros((0, 3))
-        self.obj_hi = np.zeros((0, 3))
-        self.obj_prims = np.zeros(0, dtype=np.intp)
-        self.ranges = {f: (np.zeros(0, dtype=np.intp),) * 2 for f in FAMILIES}
-        self.clu_lo = np.zeros((0, 3))
-        self.clu_hi = np.zeros((0, 3))
-        self.clu_obj = np.zeros(0, dtype=np.intp)
-        self.clu_first = np.zeros(0, dtype=np.intp)
-        self.clu_count = np.zeros(0, dtype=np.intp)
+    def __init__(self, objects=()):
+        objects = [obj for obj in objects if obj.primitives]
+        fams = {f: [] for f in FAMILIES}
+        for k, obj in enumerate(objects):
+            for p in obj.primitives:
+                fams[p.kind].append((p, obj.object_id, k))
+        owners = {}
+        for fam, members in fams.items():
+            prims = [p for p, _, _ in members]
+            for name, dtype, shape in _columns(PRIMITIVES[fam]):
+                column = np.array(list(map(operator.attrgetter(name), prims)), dtype=dtype)
+                setattr(self, f"{fam}_{name}", column.reshape(shape))
+            setattr(self, f"{fam}_obj", np.array([o for _, o, _ in members], dtype=np.int32))
+            owners[fam] = np.array([k for _, _, k in members], dtype=np.intp)
+        self.rect_ua = _RECT_U[self.rect_axis]
+        self.rect_va = _RECT_V[self.rect_axis]
+        self._bound_objects(len(objects), owners)
 
     @classmethod
     def from_scene(cls, scene) -> "PrimitiveSoup":
-        soup = cls()
-        fams = {f: [] for f in FAMILIES}
-        objects = [obj for obj in scene.objects if obj.primitives]
-        for k, obj in enumerate(objects):
-            for p in obj.primitives:
-                fams[p["kind"]].append((p, obj.object_id, k))
-        boxes, sphs, cyls, rects = (fams[f] for f in FAMILIES)
-        if boxes:
-            soup.box_lo = np.array([p["lo"] for p, _, _ in boxes], dtype=float)
-            soup.box_hi = np.array([p["hi"] for p, _, _ in boxes], dtype=float)
-            soup.box_obj = np.array([o for _, o, _ in boxes], dtype=np.int32)
-            soup.box_mat = np.array([p["material"] for p, _, _ in boxes], dtype=np.int32)
-        if sphs:
-            soup.sph_c = np.array([p["center"] for p, _, _ in sphs], dtype=float)
-            soup.sph_r = np.array([p["radius"] for p, _, _ in sphs], dtype=float)
-            soup.sph_obj = np.array([o for _, o, _ in sphs], dtype=np.int32)
-            soup.sph_mat = np.array([p["material"] for p, _, _ in sphs], dtype=np.int32)
-        if cyls:
-            soup.cyl_c = np.array([p["center"] for p, _, _ in cyls], dtype=float)
-            soup.cyl_r = np.array([p["radius"] for p, _, _ in cyls], dtype=float)
-            soup.cyl_y0 = np.array([p["y0"] for p, _, _ in cyls], dtype=float)
-            soup.cyl_y1 = np.array([p["y1"] for p, _, _ in cyls], dtype=float)
-            soup.cyl_obj = np.array([o for _, o, _ in cyls], dtype=np.int32)
-            soup.cyl_mat = np.array([p["material"] for p, _, _ in cyls], dtype=np.int32)
-        if rects:
-            soup.rect_axis = np.array([p["axis"] for p, _, _ in rects], dtype=np.int32)
-            soup.rect_off = np.array([p["offset"] for p, _, _ in rects], dtype=float)
-            soup.rect_u = np.array([p["u"] for p, _, _ in rects], dtype=float)
-            soup.rect_v = np.array([p["v"] for p, _, _ in rects], dtype=float)
-            soup.rect_obj = np.array([o for _, o, _ in rects], dtype=np.int32)
-            soup.rect_mat = np.array([p["material"] for p, _, _ in rects], dtype=np.int32)
-            soup.rect_ua = _RECT_U[soup.rect_axis]
-            soup.rect_va = _RECT_V[soup.rect_axis]
-        owners = {f: np.array([k for _, _, k in fams[f]], dtype=np.intp) for f in FAMILIES}
-        soup._bound_objects(len(objects), owners)
-        return soup
+        return cls(scene.objects)
 
     def _bound_objects(self, n_obj, owners):
         """Per-object padded bounds and per-family primitive ranges, from the
@@ -128,6 +193,7 @@ class PrimitiveSoup:
         lo = np.full((n_obj, 3), INF)
         hi = np.full((n_obj, 3), -INF)
         self.obj_prims = np.zeros(n_obj, dtype=np.intp)
+        self.ranges = {}
         for fam, (plo, phi) in zip(FAMILIES, self._primitive_bounds()):
             owner = owners[fam]
             np.minimum.at(lo, owner, plo)
@@ -141,6 +207,9 @@ class PrimitiveSoup:
         side = math.isqrt(n_obj // _CLUSTER_OBJECTS)
         if side >= 2:
             self._cluster_objects(side)
+        else:
+            self.clu_lo = self.clu_hi = np.zeros((0, 3))
+            self.clu_obj = self.clu_first = self.clu_count = np.zeros(0, dtype=np.intp)
 
     def _cluster_objects(self, side):
         """Group the objects on a ``side`` x ``side`` grid over the (x, z)
@@ -163,32 +232,24 @@ class PrimitiveSoup:
     def _primitive_bounds(self):
         """(lo, hi) corners of every primitive's axis-aligned bounds, per family."""
         yield np.minimum(self.box_lo, self.box_hi), np.maximum(self.box_lo, self.box_hi)
-        r = np.abs(self.sph_r)[:, None]
-        yield self.sph_c - r, self.sph_c + r
-        r = np.abs(self.cyl_r)
-        x, z = self.cyl_c[:, 0], self.cyl_c[:, 1]
-        y0, y1 = np.minimum(self.cyl_y0, self.cyl_y1), np.maximum(self.cyl_y0, self.cyl_y1)
-        yield np.stack([x - r, y0, z - r], axis=1), np.stack([x + r, y1, z + r], axis=1)
-        rows = np.arange(len(self.rect_off))
+        r = self.sphere_radius[:, None]
+        yield self.sphere_center - r, self.sphere_center + r
+        r = self.cylinder_radius
+        x, z = self.cylinder_center[:, 0], self.cylinder_center[:, 1]
+        yield (np.stack([x - r, self.cylinder_y0, z - r], axis=1),
+               np.stack([x + r, self.cylinder_y1, z + r], axis=1))
+        rows = np.arange(len(self.rect_offset))
         lo = np.empty((len(rows), 3))
         hi = np.empty((len(rows), 3))
-        for corner, pick in ((lo, np.min), (hi, np.max)):
-            corner[rows, self.rect_axis] = self.rect_off
-            corner[rows, self.rect_ua] = pick(self.rect_u, axis=1)
-            corner[rows, self.rect_va] = pick(self.rect_v, axis=1)
+        for corner, end in ((lo, 0), (hi, 1)):
+            corner[rows, self.rect_axis] = self.rect_offset
+            corner[rows, self.rect_ua] = self.rect_u[:, end]
+            corner[rows, self.rect_va] = self.rect_v[:, end]
         yield lo, hi
 
     @property
     def n_primitives(self):
-        return (
-            len(self.box_lo) + len(self.sph_r) + len(self.cyl_r) + len(self.rect_off)
-        )
-
-
-#: (u, v) world axes spanned by a rect whose normal is along each axis
-RECT_UV = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-_RECT_U = np.array([RECT_UV[a][0] for a in range(3)], dtype=np.intp)
-_RECT_V = np.array([RECT_UV[a][1] for a in range(3)], dtype=np.intp)
+        return int(self.obj_prims.sum())
 
 
 def _slab(axes, tmin):
@@ -283,13 +344,13 @@ def _box_normals(soup, O, D, tbest, idx, sel):
     normals = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axis])
     normals[np.arange(len(rows)), axis] = np.where(sign == 0.0, 1.0, sign)
-    return normals, soup.box_obj[bidx], soup.box_mat[bidx]
+    return normals, soup.box_obj[bidx], soup.box_material[bidx]
 
 
 def _sphere_hits(soup, p, O, D, tmin):
-    oc = O - soup.sph_c[p]
+    oc = O - soup.sphere_center[p]
     b = np.einsum("pk,pk->p", oc, D)
-    c = np.einsum("pk,pk->p", oc, oc) - soup.sph_r[p] ** 2
+    c = np.einsum("pk,pk->p", oc, oc) - soup.sphere_radius[p] ** 2
     disc = b * b - c
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
@@ -304,27 +365,27 @@ def _sphere_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     si = idx[rows]
     p = O[rows] + tbest[rows, None] * D[rows]
-    n = (p - soup.sph_c[si]) / soup.sph_r[si][:, None]
+    n = (p - soup.sphere_center[si]) / soup.sphere_radius[si][:, None]
     flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
     n[flip] *= -1.0
-    return n, soup.sph_obj[si], soup.sph_mat[si]
+    return n, soup.sphere_obj[si], soup.sphere_material[si]
 
 
 def _cylinder_hits(soup, p, O, D, tmin):
     oxz = O[:, [0, 2]]
     dxz = D[:, [0, 2]]
-    oc = oxz - soup.cyl_c[p]
+    oc = oxz - soup.cylinder_center[p]
     a = np.einsum("pk,pk->p", dxz, dxz)
     b = np.einsum("pk,pk->p", oc, dxz)
-    c = np.einsum("pk,pk->p", oc, oc) - soup.cyl_r[p] ** 2
+    c = np.einsum("pk,pk->p", oc, oc) - soup.cylinder_radius[p] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - a * c
         hit = disc >= 0.0
         sq = np.sqrt(np.where(hit, disc, 0.0))
         t1 = np.where(a > 0.0, (-b - sq) / a, INF)
         t2 = np.where(a > 0.0, (-b + sq) / a, INF)
-    y0 = soup.cyl_y0[p]
-    y1 = soup.cyl_y1[p]
+    y0 = soup.cylinder_y0[p]
+    y1 = soup.cylinder_y1[p]
     y = O[:, 1]
     dy = D[:, 1]
     y_at = lambda t: y + t * dy
@@ -337,21 +398,21 @@ def _cylinder_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     ci = idx[rows]
     p = O[rows] + tbest[rows, None] * D[rows]
-    radial = p[:, [0, 2]] - soup.cyl_c[ci]
-    r = soup.cyl_r[ci]
+    radial = p[:, [0, 2]] - soup.cylinder_center[ci]
+    r = soup.cylinder_radius[ci]
     n = np.zeros((len(rows), 3))
     n[:, 0] = radial[:, 0] / r
     n[:, 2] = radial[:, 1] / r
     flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
     n[flip] *= -1.0
-    return n, soup.cyl_obj[ci], soup.cyl_mat[ci]
+    return n, soup.cylinder_obj[ci], soup.cylinder_material[ci]
 
 
 def _rect_hits(soup, p, O, D, tmin):
     rows = np.arange(len(p))
     axes = soup.rect_axis[p]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (soup.rect_off[p] - O[rows, axes]) / D[rows, axes]
+        t = (soup.rect_offset[p] - O[rows, axes]) / D[rows, axes]
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
     ua = soup.rect_ua[p]
     va = soup.rect_va[p]
@@ -374,7 +435,7 @@ def _rect_normals(soup, O, D, tbest, idx, sel):
     n = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axes])
     n[np.arange(len(rows)), axes] = np.where(sign == 0.0, 1.0, sign)
-    return n, soup.rect_obj[ri], soup.rect_mat[ri]
+    return n, soup.rect_obj[ri], soup.rect_material[ri]
 
 
 _HITS = (_box_hits, _sphere_hits, _cylinder_hits, _rect_hits)

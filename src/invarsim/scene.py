@@ -24,10 +24,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .codec import (_INTEGER, _LIST, _NUMBER, _STRING, _check, _decode, _encode, _items, _Kind,
-                    _kinds, _list_of)
+from .codec import _INTEGER, _LIST, _NUMBER, _check, _decode, _encode, _items, _Kind, _kinds
 from .errors import ConfigError
-from .geometry import RECT_UV, PrimitiveSoup, camera_basis
+from .geometry import PRIMITIVES, PrimitiveSoup, camera_basis
 
 SKY_OBJECT_ID = -1
 SKY_MATERIAL_ID = -1
@@ -388,7 +387,7 @@ class SceneObject:
         mark = dataclasses.replace(
             self.mark, position=(self.mark.position[0] + dx, self.mark.position[1] + dz)
         )
-        prims = tuple(_translate_primitive(p, dx, dy, dz) for p in self.primitives)
+        prims = tuple(p.translated(offset) for p in self.primitives)
         return dataclasses.replace(
             self, mark=mark, primitives=prims, y_offset=self.y_offset + dy
         )
@@ -397,39 +396,12 @@ class SceneObject:
     def json_fragment(self) -> str:
         """This object's entry in ``SceneGraph.to_json``, encoded once and
         indented for its place in the document's ``objects`` list."""
-        doc = _encode(self, mark=_encode(self.mark))
+        doc = _encode(self, mark=_encode(self.mark),
+                      primitives=[_encode(p) for p in self.primitives])
         doc.update(doc.pop("mark"))
         return json.dumps(doc, sort_keys=True, indent=1).replace("\n", "\n  ")
 
 
-def _translate_primitive(p, dx, dy, dz):
-    kind = p["kind"]
-    q = dict(p)
-    if kind == "box":
-        q["lo"] = [p["lo"][0] + dx, p["lo"][1] + dy, p["lo"][2] + dz]
-        q["hi"] = [p["hi"][0] + dx, p["hi"][1] + dy, p["hi"][2] + dz]
-    elif kind == "sphere":
-        c = p["center"]
-        q["center"] = [c[0] + dx, c[1] + dy, c[2] + dz]
-    elif kind == "cylinder":
-        q["center"] = [p["center"][0] + dx, p["center"][1] + dz]
-        q["y0"] = p["y0"] + dy
-        q["y1"] = p["y1"] + dy
-    elif kind == "rect":
-        # axis is the normal axis; offset moves along it, u/v along the others
-        axis = p["axis"]
-        d = (dx, dy, dz)
-        u_axis, v_axis = RECT_UV[axis]
-        q["offset"] = p["offset"] + d[axis]
-        q["u"] = [p["u"][0] + d[u_axis], p["u"][1] + d[u_axis]]
-        q["v"] = [p["v"][0] + d[v_axis], p["v"][1] + d[v_axis]]
-    else:
-        raise ConfigError(f"unknown primitive kind {kind!r}")
-    return q
-
-
-_VEC2, _VEC3 = _list_of(2, _NUMBER), _list_of(3, _NUMBER)
-_AXIS = _Kind("0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)
 #: a keyframe's value is a velocity, a list of numbers, or else a scale
 _KEYFRAME = _Kind(
     "a [frame, path, value] list, its value a number >= 0 or a list of numbers",
@@ -437,14 +409,6 @@ _KEYFRAME = _Kind(
     and (_NUMBER.test(v[2]) and v[2] >= 0
          or isinstance(v[2], list) and all(map(_NUMBER.test, v[2]))),
     lambda v: (v[0], v[1], tuple(map(float, v[2])) if isinstance(v[2], list) else float(v[2])))
-
-#: the keys of a primitive besides ``kind`` and ``material``, by its kind
-_PRIMITIVE_KEYS = {
-    "box": {"lo": _VEC3, "hi": _VEC3},
-    "sphere": {"center": _VEC3, "radius": _NUMBER},
-    "cylinder": {"center": _VEC2, "radius": _NUMBER, "y0": _NUMBER, "y1": _NUMBER},
-    "rect": {"axis": _AXIS, "offset": _NUMBER, "u": _VEC2, "v": _VEC2},
-}
 
 #: the metadata of a DynamicsScript field: a document holds the script as
 #: the JSON list of its keyframes, at its "dynamics" key
@@ -478,9 +442,16 @@ def _check_scene_doc(doc):
         for j, prim in enumerate(obj["primitives"]):
             path = f"objects[{i}].primitives[{j}]"
             kind = prim.get("kind") if isinstance(prim, dict) else None
-            if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
+            if not isinstance(kind, str) or kind not in PRIMITIVES:
                 raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
-            _check(prim, {"kind": _STRING, "material": _INTEGER, **_PRIMITIVE_KEYS[kind]}, path)
+            _check(prim, _kinds(PRIMITIVES[kind]), path)
+
+
+def _decode_object(doc, path):
+    """The SceneObject of its checked JSON entry ``doc`` at ``path``."""
+    prims = tuple(_decode(PRIMITIVES[entry["kind"]], entry, f"{path}.primitives[{j}]")
+                  for j, entry in enumerate(doc["primitives"]))
+    return _decode(SceneObject, doc, path, mark=_decode(CuboidMark, doc, path), primitives=prims)
 
 
 def _decode_material(doc, path):
@@ -507,10 +478,10 @@ class SceneGraph:
     def __post_init__(self):
         for obj in self.objects:
             for prim in obj.primitives:
-                if prim["material"] not in self.materials:
+                if prim.material not in self.materials:
                     raise ConfigError(
                         f"object {obj.object_id} references unknown material "
-                        f"id {prim['material']}"
+                        f"id {prim.material}"
                     )
         if self.manhattan:
             for obj in self.objects:
@@ -563,9 +534,7 @@ class SceneGraph:
         _check_scene_doc(doc)
         return _decode(
             cls, doc, None,
-            objects=tuple(_decode(SceneObject, o, f"objects[{i}]",
-                                  mark=_decode(CuboidMark, o, f"objects[{i}]"))
-                          for i, o in enumerate(doc["objects"])),
+            objects=tuple(_decode_object(o, f"objects[{i}]") for i, o in enumerate(doc["objects"])),
             materials={int(mid): _decode_material(m, f"materials.{mid}")
                        for mid, m in doc["materials"].items()},
             lights=tuple(_decode(LightSpec, light, f"lights[{i}]")

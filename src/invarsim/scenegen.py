@@ -19,6 +19,7 @@ import numpy as np
 from .codec import (_LIST, _NUMBER, _check, _decode, _items, _kind, _Kind, _kinds, _list_of,
                     _read, _required)
 from .errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
+from .geometry import Box, Cylinder, Rect, Sphere
 from .scene import (
     COLLIDING_CLASSES,
     DYNAMIC_CLASSES,
@@ -160,7 +161,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
     rectangles on the -z face (a rows*cols == 0 grid disables them); trees
     are a trunk cylinder plus a crown sphere; vehicles and pedestrians are
     diffuse boxes, vehicles with an emissive rear patch on odd styles.
-    Returns a tuple of primitive dicts.
+    Returns a tuple of primitives.
     """
     mark, style = spec.mark, spec.style
     x, z = mark.position
@@ -182,7 +183,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
             albedo=(0.04, 0.05, 0.06),
             specular=0.70,
         ))
-        prims = [{"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, h, z1], "material": facade}]
+        prims = [Box((x0, 0.0, z0), (x1, h, z1), facade)]
         if spec.window_grid is not None:
             rows, cols = spec.window_grid
         else:
@@ -198,14 +199,8 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
             cy = (r + 0.5) * cell_h
             for c in range(cols):
                 cx = x0 + (c + 0.5) * cell_w
-                prims.append({
-                    "kind": "rect",
-                    "axis": 2,
-                    "offset": z0,
-                    "u": [cx - win_w / 2.0, cx + win_w / 2.0],
-                    "v": [cy - win_h / 2.0, cy + win_h / 2.0],
-                    "material": glass,
-                })
+                prims.append(Rect(axis=2, offset=z0, u=(cx - win_w / 2.0, cx + win_w / 2.0),
+                                  v=(cy - win_h / 2.0, cy + win_h / 2.0), material=glass))
         return tuple(prims)
 
     if cls is ObjectClass.TREE:
@@ -219,12 +214,8 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
         radius = min(radius, h / 2.0)
         trunk_r = max(0.05, 0.08 * min(l, b))
         center_y = h - radius
-        return (
-            {"kind": "cylinder", "center": [x, z], "radius": trunk_r,
-             "y0": 0.0, "y1": center_y, "material": trunk},
-            {"kind": "sphere", "center": [x, center_y, z], "radius": radius,
-             "material": crown},
-        )
+        return (Cylinder(center=(x, z), radius=trunk_r, y0=0.0, y1=center_y, material=trunk),
+                Sphere(center=(x, center_y, z), radius=radius, material=crown))
 
     if cls is ObjectClass.VEHICLE:
         body = registry.add(Material(
@@ -232,26 +223,20 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
             albedo=_VEHICLE_PALETTE[style % len(_VEHICLE_PALETTE)],
             texture=Texture("stripes", 1.2, 0.30),
         ))
-        prims = [{"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, h, z1], "material": body}]
+        prims = [Box((x0, 0.0, z0), (x1, h, z1), body)]
         if style % 2 == 1:
             lamp = registry.add(Material(
                 name="brake_light",
                 albedo=(0.10, 0.02, 0.02),
                 emissive=(0.80, 0.04, 0.04),
             ))
-            prims.append({
-                "kind": "rect",
-                "axis": 0,
-                "offset": x0,
-                "u": [0.30 * h, 0.50 * h],
-                "v": [z0 + 0.15 * b, z1 - 0.15 * b],
-                "material": lamp,
-            })
+            prims.append(Rect(axis=0, offset=x0, u=(0.30 * h, 0.50 * h),
+                              v=(z0 + 0.15 * b, z1 - 0.15 * b), material=lamp))
         return tuple(prims)
 
     if cls is ObjectClass.PEDESTRIAN:
         mat = registry.add(Material(name="pedestrian", albedo=(0.36, 0.26, 0.22)))
-        return ({"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, h, z1], "material": mat},)
+        return (Box((x0, 0.0, z0), (x1, h, z1), mat),)
 
     if cls is ObjectClass.GROUND:
         mat = registry.add(Material(
@@ -259,7 +244,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
             albedo=(0.42, 0.40, 0.37),
             texture=Texture("checker", 3.5, 0.35),
         ))
-        return ({"kind": "box", "lo": [x0, -h, z0], "hi": [x1, 0.0, z1], "material": mat},)
+        return (Box((x0, -h, z0), (x1, 0.0, z1), mat),)
 
     if cls is ObjectClass.ROAD:
         mat = registry.add(Material(
@@ -267,7 +252,7 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
             albedo=(0.19, 0.19, 0.20),
             texture=Texture("stripes", 3.0, 0.30),
         ))
-        return ({"kind": "box", "lo": [x0, 0.0, z0], "hi": [x1, 0.02, z1], "material": mat},)
+        return (Box((x0, 0.0, z0), (x1, 0.02, z1), mat),)
 
     raise ConfigError(f"no geometry template for class {cls!s}")
 

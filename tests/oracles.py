@@ -10,6 +10,7 @@ first culls rays against object bounds, and the scene JSON encoded as one
 document, where the package encodes each object once and reuses its text.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -262,16 +263,16 @@ def _box_normals(soup, O, D, tbest, payload, sel):
     normals = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axis])
     normals[np.arange(len(rows)), axis] = np.where(sign == 0.0, 1.0, sign)
-    return normals, soup.box_obj[bidx], soup.box_mat[bidx]
+    return normals, soup.box_obj[bidx], soup.box_material[bidx]
 
 
 def _sphere_hits(soup, O, D, tmin):
-    n = len(soup.sph_r)
+    n = len(soup.sphere_radius)
     if n == 0:
         return np.full(len(O), INF), None
-    oc = O[:, None, :] - soup.sph_c[None, :, :]
+    oc = O[:, None, :] - soup.sphere_center[None, :, :]
     b = np.einsum("rpk,rk->rp", oc, D)
-    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.sph_r[None, :] ** 2
+    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.sphere_radius[None, :] ** 2
     disc = b * b - c
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
@@ -289,22 +290,22 @@ def _sphere_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     si = idx[rows]
     p = O[rows] + tbest[rows, None] * D[rows]
-    n = (p - soup.sph_c[si]) / soup.sph_r[si][:, None]
+    n = (p - soup.sphere_center[si]) / soup.sphere_radius[si][:, None]
     flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
     n[flip] *= -1.0
-    return n, soup.sph_obj[si], soup.sph_mat[si]
+    return n, soup.sphere_obj[si], soup.sphere_material[si]
 
 
 def _cylinder_hits(soup, O, D, tmin):
-    n = len(soup.cyl_r)
+    n = len(soup.cylinder_radius)
     if n == 0:
         return np.full(len(O), INF), None
     oxz = O[:, [0, 2]]
     dxz = D[:, [0, 2]]
-    oc = oxz[:, None, :] - soup.cyl_c[None, :, :]
+    oc = oxz[:, None, :] - soup.cylinder_center[None, :, :]
     a = np.einsum("rk,rk->r", dxz, dxz)[:, None]
     b = np.einsum("rpk,rk->rp", oc, dxz)
-    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.cyl_r[None, :] ** 2
+    c = np.einsum("rpk,rpk->rp", oc, oc) - soup.cylinder_radius[None, :] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - a * c
         hit = disc >= 0.0
@@ -314,8 +315,8 @@ def _cylinder_hits(soup, O, D, tmin):
     y = O[:, None, 1]
     dy = D[:, None, 1]
     y_at = lambda t: y + t * dy
-    ok1 = hit & (t1 > tmin) & (y_at(t1) >= soup.cyl_y0) & (y_at(t1) <= soup.cyl_y1)
-    ok2 = hit & (t2 > tmin) & (y_at(t2) >= soup.cyl_y0) & (y_at(t2) <= soup.cyl_y1)
+    ok1 = hit & (t1 > tmin) & (y_at(t1) >= soup.cylinder_y0) & (y_at(t1) <= soup.cylinder_y1)
+    ok2 = hit & (t2 > tmin) & (y_at(t2) >= soup.cylinder_y0) & (y_at(t2) <= soup.cylinder_y1)
     t = np.where(ok1, t1, np.where(ok2, t2, INF))
     idx = np.argmin(t, axis=1)
     rows = np.arange(len(O))
@@ -326,25 +327,25 @@ def _cylinder_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     ci = idx[rows]
     p = O[rows] + tbest[rows, None] * D[rows]
-    radial = p[:, [0, 2]] - soup.cyl_c[ci]
-    r = soup.cyl_r[ci]
+    radial = p[:, [0, 2]] - soup.cylinder_center[ci]
+    r = soup.cylinder_radius[ci]
     n = np.zeros((len(rows), 3))
     n[:, 0] = radial[:, 0] / r
     n[:, 2] = radial[:, 1] / r
     flip = np.einsum("rk,rk->r", n, D[rows]) > 0.0
     n[flip] *= -1.0
-    return n, soup.cyl_obj[ci], soup.cyl_mat[ci]
+    return n, soup.cylinder_obj[ci], soup.cylinder_material[ci]
 
 
 def _rect_hits(soup, O, D, tmin):
-    n = len(soup.rect_off)
+    n = len(soup.rect_offset)
     if n == 0:
         return np.full(len(O), INF), None
     axes = soup.rect_axis
     o_ax = O[:, axes]
     d_ax = D[:, axes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (soup.rect_off[None, :] - o_ax) / d_ax
+        t = (soup.rect_offset[None, :] - o_ax) / d_ax
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
     ua = np.array([RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
     va = np.array([RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
@@ -370,7 +371,7 @@ def _rect_normals(soup, O, D, tbest, idx, sel):
     n = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axes])
     n[np.arange(len(rows)), axes] = np.where(sign == 0.0, 1.0, sign)
-    return n, soup.rect_obj[ri], soup.rect_mat[ri]
+    return n, soup.rect_obj[ri], soup.rect_material[ri]
 
 
 def brute_trace(soup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6) -> Hit:
@@ -455,7 +456,7 @@ def scene_json(scene) -> str:
                 "yaw": o.mark.yaw,
                 "dynamic": o.dynamic,
                 "y_offset": o.y_offset,
-                "primitives": [dict(p) for p in o.primitives],
+                "primitives": [dataclasses.asdict(p) for p in o.primitives],
             }
             for o in scene.objects
         ],

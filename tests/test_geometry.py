@@ -118,8 +118,8 @@ class TestAgainstBruteForce:
     def test_validation_scene(self, validation_scene, chunking):
         soup = PrimitiveSoup.from_scene(validation_scene)
         # the validation scene holds every primitive family
-        assert min(len(soup.box_lo), len(soup.sph_r), len(soup.cyl_r),
-                   len(soup.rect_off)) > 0
+        assert min(len(soup.box_lo), len(soup.sphere_radius), len(soup.cylinder_radius),
+                   len(soup.rect_offset)) > 0
         rng = np.random.default_rng(1)
         O, D = Camera(validation_scene.camera, 32, 24).rays()
         assert_same_as_brute(soup, O, D)
@@ -277,13 +277,13 @@ class TestAdversarialRays:
     def test_rays_grazing_rect_and_bounds_edges(self, soup, chunking):
         rng = np.random.default_rng(6)
         targets = []
-        for i in range(len(soup.rect_off)):
+        for i in range(len(soup.rect_offset)):
             k = int(soup.rect_axis[i])
             ua, va = geometry.RECT_UV[k]
             for u in soup.rect_u[i]:
                 for v in soup.rect_v[i]:
                     p = np.zeros(3)
-                    p[k], p[ua], p[va] = soup.rect_off[i], u, v
+                    p[k], p[ua], p[va] = soup.rect_offset[i], u, v
                     targets.append(p)  # a rect corner
                     q = p.copy()
                     q[va] = 0.5 * (soup.rect_v[i, 0] + soup.rect_v[i, 1])
@@ -303,12 +303,12 @@ class TestAdversarialRays:
     def test_coplanar_window_and_facade_ties(self, soup, chunking):
         rng = np.random.default_rng(7)
         O, D = [], []
-        for i in range(len(soup.rect_off)):
+        for i in range(len(soup.rect_offset)):
             k = int(soup.rect_axis[i])
             ua, va = geometry.RECT_UV[k]
             for _ in range(40):
                 p = np.zeros(3)
-                p[k] = soup.rect_off[i]
+                p[k] = soup.rect_offset[i]
                 p[ua] = rng.uniform(*soup.rect_u[i])
                 p[va] = rng.uniform(*soup.rect_v[i])
                 o = p + rng.normal(scale=15.0, size=3)
@@ -394,8 +394,8 @@ class TestSoup:
         objects = [o for o in validation_scene.objects if o.primitives]
         assert len(soup.obj_lo) == len(objects)
         assert np.array_equal(soup.obj_prims, [len(o.primitives) for o in objects])
-        for fam, owner_ids in (("box", soup.box_obj), ("sphere", soup.sph_obj),
-                               ("cylinder", soup.cyl_obj), ("rect", soup.rect_obj)):
+        for fam, owner_ids in (("box", soup.box_obj), ("sphere", soup.sphere_obj),
+                               ("cylinder", soup.cylinder_obj), ("rect", soup.rect_obj)):
             first, count = soup.ranges[fam]
             for k, obj in enumerate(objects):
                 ids = owner_ids[first[k]:first[k] + count[k]]
@@ -403,7 +403,7 @@ class TestSoup:
             assert count.sum() == len(owner_ids)
         for fam_lo, fam_hi, ids in (
             (soup.box_lo, soup.box_hi, soup.box_obj),
-            (soup.sph_c - soup.sph_r[:, None], soup.sph_c + soup.sph_r[:, None], soup.sph_obj),
+            (soup.sphere_center - soup.sphere_radius[:, None], soup.sphere_center + soup.sphere_radius[:, None], soup.sphere_obj),
         ):
             k = np.searchsorted([o.object_id for o in objects], ids)
             assert np.all(soup.obj_lo[k] < fam_lo) and np.all(fam_hi < soup.obj_hi[k])

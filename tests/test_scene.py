@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from invarsim.characterize import MODELS, default_protocol
 from invarsim.errors import ConfigError, PlacementError
-from invarsim.geometry import PrimitiveSoup
-from invarsim.scene import TEXTURE_PATTERNS, SceneGraph, Texture
+from invarsim.geometry import FAMILIES, Box, Camera, Cylinder, PrimitiveSoup, Rect, Sphere, trace
+from invarsim.scene import (TEXTURE_PATTERNS, CuboidMark, ObjectClass, SceneGraph, SceneObject,
+                            Texture)
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 from oracles import scene_json
 
@@ -142,6 +143,37 @@ class TestSoup:
         assert other.soup is not scene.soup
         assert builds == [scene, other]
 
+    def test_translation_moves_every_column_by_the_offset(self, validation_scene):
+        """Every family, rects on all three axes, dy != 0, and a distinct
+        shift per axis, so a dropped or swapped component shows."""
+        offset = (0.75, -1.5, 2.25)
+        mat = min(validation_scene.materials)
+        obj = SceneObject(90, CuboidMark((1.0, 2.0), 4.0, 3.0, 5.0, ObjectClass.VEHICLE), (
+            Box((-1.0, 0.0, 0.5), (3.0, 5.0, 3.5), mat),
+            Sphere((1.0, 3.0, 2.0), 1.25, mat),
+            Cylinder((1.5, 2.5), 0.5, 0.25, 4.0, mat),
+            *(Rect(axis, 0.5 + axis, (-1.0, 1.5), (2.0, 4.5), mat) for axis in range(3)),
+        ))
+        moved = obj.translated(offset)
+        before, after = PrimitiveSoup([obj]), PrimitiveSoup([moved])
+        d = np.array(offset)
+        shift = {"box_lo": d, "box_hi": d, "sphere_center": d,
+                 "cylinder_center": d[[0, 2]], "cylinder_y0": d[1], "cylinder_y1": d[1],
+                 "rect_offset": d[before.rect_axis],
+                 "rect_u": d[before.rect_ua][:, None], "rect_v": d[before.rect_va][:, None]}
+        families = tuple(f"{fam}_" for fam in FAMILIES)
+        columns = [name for name in vars(before) if name.startswith(families)]
+        assert len(columns) == 22
+        for name in columns:
+            expected = getattr(before, name) + shift.get(name, 0)
+            assert np.array_equal(getattr(after, name), expected), name
+        assert moved.anchor() == (1.75, -1.5, 4.25)
+        scene = dataclasses.replace(validation_scene,
+                                    objects=(obj, dataclasses.replace(moved, object_id=91)))
+        again = SceneGraph.from_json(scene.to_json())
+        assert again.objects == scene.objects
+        assert again.to_json() == scene.to_json()
+
 
 def edit_primitive(kind, key, value):
     """An edit that sets ``key`` of the first primitive of ``kind``, and
@@ -236,3 +268,26 @@ class TestSceneValues:
         with pytest.raises(ConfigError) as err:
             SceneGraph.from_json(json.dumps(doc))
         assert err.value.json_path == json_path
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("sphere", "radius", 0.0), ("sphere", "radius", -1.5), ("cylinder", "radius", 0.0),
+        ("cylinder", "y0", 1e3), ("rect", "u", [1.0, -1.0]), ("rect", "v", [5.0, 4.0]),
+    ])
+    def test_primitive_out_of_range_names_its_block(self, validation_scene, kind, key, value):
+        doc = json.loads(validation_scene.to_json())
+        json_path = edit_primitive(kind, key, value)(doc)
+        with pytest.raises(ConfigError) as err:
+            SceneGraph.from_json(json.dumps(doc))
+        assert err.value.json_path == json_path.rsplit(".", 1)[0]
+
+    def test_box_with_swapped_corners_traces_the_same(self, validation_scene):
+        doc = json.loads(validation_scene.to_json())
+        boxes = [p for o in doc["objects"] for p in o["primitives"] if p["kind"] == "box"]
+        for box in boxes:
+            box["lo"], box["hi"] = box["hi"], box["lo"]
+        swapped = SceneGraph.from_json(json.dumps(doc))
+        O, D = Camera(validation_scene.camera, 32, 24).rays()
+        hit, again = trace(validation_scene.soup, O, D), trace(swapped.soup, O, D)
+        assert boxes and again.mask.any()
+        for field in ("t", "obj_id", "mat_id", "normal"):
+            assert np.array_equal(getattr(hit, field), getattr(again, field))

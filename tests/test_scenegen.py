@@ -330,16 +330,16 @@ class TestGeometryInstantiation:
         lo = np.array([np.inf] * 3)
         hi = -lo.copy()
         for p in prims:
-            if p["kind"] == "box":
-                lo = np.minimum(lo, p["lo"])
-                hi = np.maximum(hi, p["hi"])
-            elif p["kind"] == "rect":
-                ua, va = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[p["axis"]]
+            if p.kind == "box":
+                lo = np.minimum(lo, p.lo)
+                hi = np.maximum(hi, p.hi)
+            elif p.kind == "rect":
+                ua, va = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[p.axis]
                 corner_lo = np.zeros(3)
                 corner_hi = np.zeros(3)
-                corner_lo[p["axis"]] = corner_hi[p["axis"]] = p["offset"]
-                corner_lo[ua], corner_hi[ua] = p["u"]
-                corner_lo[va], corner_hi[va] = p["v"]
+                corner_lo[p.axis] = corner_hi[p.axis] = p.offset
+                corner_lo[ua], corner_hi[ua] = p.u
+                corner_lo[va], corner_hi[va] = p.v
                 lo = np.minimum(lo, corner_lo)
                 hi = np.maximum(hi, corner_hi)
         assert np.allclose(lo, [-5, 0, -5])
@@ -350,13 +350,13 @@ class TestGeometryInstantiation:
         mark = CuboidMark(position=(0.0, 0.0), length=12.0, breadth=8.0,
                           height=20.0, object_class=ObjectClass.BUILDING)
         prims = instantiate_geometry(ObjectSpec(mark, window_grid=(4, 6)), reg)
-        rects = [p for p in prims if p["kind"] == "rect"]
+        rects = [p for p in prims if p.kind == "rect"]
         assert len(rects) == 24
         for r in rects:
-            assert r["axis"] == 2 and r["offset"] == mark.footprint()[1]
-            assert -6.0 <= r["u"][0] < r["u"][1] <= 6.0   # inside facade width
-            assert 0.0 <= r["v"][0] < r["v"][1] <= 20.0   # inside facade height
-            assert reg.materials[r["material"]].kind == "specular"
+            assert r.axis == 2 and r.offset == mark.footprint()[1]
+            assert -6.0 <= r.u[0] < r.u[1] <= 6.0   # inside facade width
+            assert 0.0 <= r.v[0] < r.v[1] <= 20.0   # inside facade height
+            assert reg.materials[r.material].kind == "specular"
 
     def test_tree_two_primitives_inside_cuboid(self):
         reg = MaterialRegistry()
@@ -364,11 +364,11 @@ class TestGeometryInstantiation:
                           height=8.0, object_class=ObjectClass.TREE)
         prims = instantiate_geometry(ObjectSpec(mark), reg)
         assert len(prims) == 2
-        kinds = {p["kind"] for p in prims}
+        kinds = {p.kind for p in prims}
         assert kinds == {"cylinder", "sphere"}
-        sph = next(p for p in prims if p["kind"] == "sphere")
-        cx, cy, cz = sph["center"]
-        r = sph["radius"]
+        sph = next(p for p in prims if p.kind == "sphere")
+        cx, cy, cz = sph.center
+        r = sph.radius
         x0, z0, x1, z1 = mark.footprint()
         assert x0 <= cx - r and cx + r <= x1
         assert z0 <= cz - r and cz + r <= z1

@@ -7,6 +7,23 @@ as ``"render.spp"`` is the ``spp`` key of the nested block ``render``.  The
 kind of JSON value the key holds is the field's ``kind`` metadata, or else
 the kind its type hint gives.  A number must be finite: RFC 8259 allows no
 NaN or Infinity, though Python's ``json`` reads both.
+
+The scene document, which every ``invarsim render`` reads and writes, goes
+through a reader and a writer compiled once per dataclass from its block:
+
+- ``_reader(cls)`` checks a block's key set and each value's kind, loads
+  the values and builds ``cls``, in one pass.  It words no error: at the
+  first key or value it cannot read it raises ``_Invalid``, and the caller
+  then runs ``_check`` over the whole document.  So every error, with its
+  message and its ``json_path``, is the one a check of the whole document
+  before any decoding gives, and ``_check`` alone words it.
+- ``_writer(cls, depth)`` is the block's layout in ``json.dumps(doc,
+  sort_keys=True, indent=1)`` at one nesting depth: a ``%``-template with
+  one slot per key, in key order.  A slot is filled as ``json.dumps``
+  writes its value's type; a value of variable shape, such as an optional
+  block or a list of blocks, by ``_text``, which writes each block it holds
+  by that block's compiled writer.  The text is that of ``json.dumps``,
+  byte for byte.
 """
 
 from __future__ import annotations
@@ -14,9 +31,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import operator
 import sys
 import types
 import typing
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError
 
@@ -36,11 +55,15 @@ def _list_of(n, item):
                  lambda v: tuple(map(item.load, v)))
 
 
-#: a comparison, not math.isfinite, so that an int beyond float range cannot overflow
+_MAX = sys.float_info.max
+#: a comparison, not math.isfinite, so that an int beyond float range cannot
+#: overflow; a float, the common case, is tested first
 _NUMBER = _Kind("a finite number",
-                lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-                and -sys.float_info.max <= v <= sys.float_info.max, float)
-_INTEGER = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+                lambda v: type(v) is float and -_MAX <= v <= _MAX
+                or isinstance(v, (int, float)) and not isinstance(v, bool) and -_MAX <= v <= _MAX,
+                float)
+_INTEGER = _Kind("an integer",
+                 lambda v: type(v) is int or isinstance(v, int) and not isinstance(v, bool))
 _STRING = _Kind("a string", lambda v: isinstance(v, str))
 _LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
 _OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
@@ -139,8 +162,13 @@ def _decode(cls, doc, path, **given):
         block, leaf = _parent(doc, key)
         if leaf in block and name not in given:
             values[name] = kind.load(block[leaf])
+    return _construct(cls, {**values, **given}, path)
+
+
+def _construct(cls, values, path):
+    """``cls(**values)``; a pathless ConfigError it raises names ``path``."""
     try:
-        return cls(**values, **given)
+        return cls(**values)
     except ConfigError as exc:
         if exc.json_path is not None:
             raise
@@ -191,3 +219,151 @@ def _read(cls, doc, path, required=None):
     give the ``required`` keys: by default, those whose field has no default."""
     _check(doc, _kinds(cls), path, _required(cls) if required is None else required)
     return _decode(cls, doc, path)
+
+
+class _Invalid(Exception):
+    """A compiled reader met a key or value ``_check`` rejects; ``_check``
+    words why."""
+
+
+def _fields(cls, omit=None):
+    """(key, field name, kind test, kind load) of each field of dataclass
+    ``cls`` but the one named ``omit``."""
+    return tuple((key, name, kind.test, kind.load)
+                 for key, name, kind, _ in _block(cls) if name != omit)
+
+
+def _values(fields, doc, path, loads):
+    """The field values of the JSON object ``doc`` at ``path``, each field of
+    ``fields`` loaded by its kind, or by ``loads[name](value, json_path)``."""
+    values = {}
+    for key, name, test, load in fields:
+        value = doc[key]
+        if not test(value):
+            raise _Invalid
+        values[name] = loads[name](value, _key_path(path, key)) if name in loads else load(value)
+    return values
+
+
+@functools.cache
+def _reader(cls, inline=None):
+    """The compiled reader of dataclass ``cls``: ``read(doc, path, **loads)``
+    is the ``cls`` of its JSON block ``doc`` at ``path``, which must hold
+    every key of the block and no other.  The field named ``inline``, a
+    dataclass, has no key: the block holds its fields as its own, and it is
+    built after the other fields.  Each field named in ``loads`` is loaded
+    by ``loads[name](value, json_path)`` once its value is of its kind.
+    Raises ``_Invalid`` at the first key or value ``_check`` would reject; a
+    pathless ConfigError of a constructor names the block's ``path``."""
+    fields = _fields(cls, inline)
+    inner_cls = inline and typing.get_type_hints(cls)[inline]
+    inner = _fields(inner_cls) if inline else ()
+    keys = frozenset(key for key, *_ in fields + inner)
+
+    def read(doc, path, **loads):
+        if not isinstance(doc, dict) or doc.keys() != keys:
+            raise _Invalid
+        values = _values(fields, doc, path, loads)
+        if inline:
+            values[inline] = _construct(inner_cls, _values(inner, doc, path, {}), path)
+        return _construct(cls, values, path)
+    return read
+
+
+def _each(read):
+    """A load of a JSON list of blocks, each read by ``read`` at its index."""
+    return lambda docs, path: tuple(read(doc, f"{path}[{i}]") for i, doc in enumerate(docs))
+
+
+#: the text of a non-finite float, as ``json.dumps`` writes it
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value):
+    """The JSON text of a scalar, as ``json.dumps`` writes it: an enum member
+    is its value."""
+    if type(value) is float:  # the common case first
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _scalar(float(value))
+    if isinstance(value, enum.Enum):
+        return _scalar(value.value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _layout(opening, items, closing, depth):
+    """The JSON text of a list or object at nesting ``depth`` holding the
+    texts ``items``, one a line."""
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + " " * depth + closing
+
+
+def _text(value, depth):
+    """The JSON text of ``value`` at nesting ``depth`` of ``json.dumps(doc,
+    sort_keys=True, indent=1)``: a dataclass is its block, a tuple a list,
+    and a dict's keys must be strings."""
+    if isinstance(value, (list, tuple)):
+        return _layout("[", [_text(item, depth + 1) for item in value], "]", depth)
+    if isinstance(value, dict):
+        return _layout("{", [f"{encode_basestring_ascii(key)}: {_text(item, depth + 1)}"
+                             for key, item in sorted(value.items())], "}", depth)
+    if dataclasses.is_dataclass(value):
+        return _writer(type(value), depth)(value)
+    return _scalar(value)
+
+
+def _slot(hint, depth):
+    """The writer of a value of type ``hint`` at nesting ``depth``: a scalar
+    and a tuple of scalars are written by their own layout, any other value
+    by ``_text``."""
+    scalars = (float, int, str, bool)
+    if hint in scalars or isinstance(hint, enum.EnumMeta):
+        return _scalar
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args and all(arg in scalars for arg in args):
+        head = "[\n" + " " * (depth + 1)
+        sep, tail = "," + head[1:], "\n" + " " * depth + "]"
+        return lambda values: head + sep.join(map(_scalar, values)) + tail if values else "[]"
+    return lambda value: _text(value, depth)
+
+
+@functools.cache
+def _writer(cls, depth, inline=None):
+    """The compiled writer of dataclass ``cls``'s JSON block at nesting
+    ``depth``: ``write(spec, **texts)`` is the block of ``spec``, with the
+    given JSON text in the slot of each field named in ``texts``.  The field
+    named ``inline``, a dataclass, has no key: the block holds its fields
+    as its own.  Keys are sorted, and each is one ``%s`` slot of the
+    block's template."""
+    hints = typing.get_type_hints(cls)
+    slots = [(key, name, hints[name]) for key, name, _, _ in _block(cls) if name != inline]
+    if inline:
+        inner = typing.get_type_hints(hints[inline])
+        slots += [(key, f"{inline}.{name}", inner[name])
+                  for key, name, _, _ in _block(hints[inline])]
+    slots.sort()
+    template = _layout("{", [encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                             for key, _, _ in slots], "}", depth)
+    names = tuple(name for _, name, _ in slots)
+    writers = tuple(_slot(hint, depth + 1) for _, _, hint in slots)
+    get = operator.attrgetter(*names)
+    if len(names) == 1:  # attrgetter gives a tuple for two names or more
+        get = lambda spec, one=get: (one(spec),)
+
+    def write(spec, **texts):
+        return template % tuple([texts[name] if name in texts else write_slot(value)
+                                 for name, write_slot, value in zip(names, writers, get(spec))])
+    return write

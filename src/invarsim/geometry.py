@@ -280,15 +280,40 @@ def _expand(first, count, groups, along):
     return np.repeat(along, cnt), np.arange(len(offset)) + offset
 
 
+def _ray_blocks(ri, weight, n):
+    """(first ray, end ray, pairs) of each block of consecutive rays of the
+    ``n`` rays that the pairs of rays ``ri``, of ``weight`` candidates each,
+    fall in: a block holds as many rays as fit within ``_CHUNK_PAIRS``
+    candidates, and at least one ray.  ``pairs`` indexes ``ri``."""
+    cum = np.cumsum(np.bincount(ri, weights=weight, minlength=n))
+    ends = [0]
+    while ends[-1] < n:
+        base = cum[ends[-1] - 1] if ends[-1] else 0.0
+        ends.append(max(ends[-1] + 1, int(np.searchsorted(cum, base + _CHUNK_PAIRS, "right"))))
+    if len(ends) <= 2:
+        return [(0, n, slice(None))]
+    # the pairs in ray order, so that each block's pairs are one slice
+    order = np.argsort(ri)
+    cuts = np.searchsorted(ri[order], ends)
+    return [(a, b, order[p:q]) for a, b, p, q in zip(ends, ends[1:], cuts, cuts[1:])]
+
+
+def _joined(parts):
+    """The family minima of consecutive blocks of rays, joined."""
+    if len(parts) == 1:
+        return parts[0]
+    return [tuple(np.concatenate(a) for a in zip(*fam)) for fam in zip(*parts)]
+
+
 def _cull(soup, O, D, tmin):
     """(objects, rays): the pairs whose ray, beyond ``tmin``, may meet the
-    object's padded bounds; None if a block of several rays has more ray x
-    object candidates than ``_CHUNK_PAIRS``.
+    object's padded bounds.
 
     With a cluster level, only the objects of the clusters a ray meets are
-    slab-tested.  A cluster's bounds hold its members', and the slab test
-    is monotone in the bounds, so the pairs are those of testing every
-    object.
+    slab-tested, in blocks of rays whose ray x object candidates stay
+    within ``_CHUNK_PAIRS``.  A cluster's bounds hold its members', and the
+    slab test is monotone in the bounds, so the pairs are those of testing
+    every object.
     """
     with np.errstate(divide="ignore"):
         inv = 1.0 / D.T
@@ -297,14 +322,15 @@ def _cull(soup, O, D, tmin):
                                 tmin))
     ci, ri = np.nonzero(_slab(zip(soup.clu_lo.T[..., None], soup.clu_hi.T[..., None], O.T, inv),
                               tmin))
-    if len(O) > 1 and soup.clu_count[ci].sum() > _CHUNK_PAIRS:
-        return None
-    ri, members = _expand(soup.clu_first, soup.clu_count, ci, ri)
-    oj = soup.clu_obj[members]
-    # one axis at a time: gathering 1-D columns is faster than (pairs, 3) rows
-    keep = _slab(((lo[oj], hi[oj], o[ri], i[ri])
-                  for lo, hi, o, i in zip(soup.obj_lo.T, soup.obj_hi.T, O.T, inv)), tmin)
-    return oj[keep], ri[keep]
+    parts = []
+    for _, _, pairs in _ray_blocks(ri, soup.clu_count[ci], len(O)):
+        r, members = _expand(soup.clu_first, soup.clu_count, ci[pairs], ri[pairs])
+        oj = soup.clu_obj[members]
+        # one axis at a time: gathering 1-D columns is faster than (pairs, 3) rows
+        keep = _slab(((lo[oj], hi[oj], o[r], i[r])
+                      for lo, hi, o, i in zip(soup.obj_lo.T, soup.obj_hi.T, O.T, inv)), tmin)
+        parts.append((oj[keep], r[keep]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _box_slabs(lo, hi, O, D):
@@ -461,21 +487,24 @@ def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
 def _family_minima(soup, O, D, tmin):
     """Per family in ``FAMILIES`` order, ``_nearest`` over the rays.
 
-    Rays go in blocks whose ray x cluster (or, with no cluster level, ray x
-    object), ray x object and ray x primitive candidates stay within
-    ``_CHUNK_PAIRS``; a block of one ray is never split.
+    Rays are culled once each, in blocks whose ray x cluster (or, with no
+    cluster level, ray x object) candidates stay within ``_CHUNK_PAIRS``.
+    The culled pairs are then tested in blocks of rays whose ray x
+    primitive candidates stay within it too; a block of one ray is never
+    split.
     """
     n = len(O)
     step = max(1, _CHUNK_PAIRS // max(1, len(soup.clu_lo) or len(soup.obj_lo)))
-    pairs = None if n > step else _cull(soup, O, D, tmin)
-    if pairs is None or (n > 1 and soup.obj_prims[pairs[0]].sum() > _CHUNK_PAIRS):
-        step = min(step, (n + 1) // 2)
-        parts = [_family_minima(soup, O[i : i + step], D[i : i + step], tmin)
-                 for i in range(0, n, step)]
-        return [tuple(np.concatenate(a) for a in zip(*fam)) for fam in zip(*parts)]
-    oj, ri = pairs
-    return [_nearest(hits, soup, *soup.ranges[fam], O, D, tmin, ri, oj)
-            for fam, hits in zip(FAMILIES, _HITS)]
+    if n > step:
+        return _joined([_family_minima(soup, O[i : i + step], D[i : i + step], tmin)
+                        for i in range(0, n, step)])
+    oj, ri = _cull(soup, O, D, tmin)
+    blocks = []
+    for a, b, pairs in _ray_blocks(ri, soup.obj_prims[oj], n):
+        r, o = ri[pairs] - a, oj[pairs]
+        blocks.append([_nearest(hits, soup, *soup.ranges[fam], O[a:b], D[a:b], tmin, r, o)
+                       for fam, hits in zip(FAMILIES, _HITS)])
+    return _joined(blocks)
 
 
 def _resolve(t_box, t_sph, t_cyl, t_rect):

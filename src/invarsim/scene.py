@@ -24,7 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .codec import _INTEGER, _LIST, _NUMBER, _check, _decode, _encode, _items, _Kind, _kinds
+from .codec import (_INTEGER, _LIST, _NUMBER, _check, _decode, _each, _Invalid, _items, _Kind,
+                    _kinds, _layout, _reader, _text, _writer)
 from .errors import ConfigError
 from .geometry import PRIMITIVES, PrimitiveSoup, camera_basis
 
@@ -394,12 +395,10 @@ class SceneObject:
 
     @functools.cached_property
     def json_fragment(self) -> str:
-        """This object's entry in ``SceneGraph.to_json``, encoded once and
-        indented for its place in the document's ``objects`` list."""
-        doc = _encode(self, mark=_encode(self.mark),
-                      primitives=[_encode(p) for p in self.primitives])
-        doc.update(doc.pop("mark"))
-        return json.dumps(doc, sort_keys=True, indent=1).replace("\n", "\n  ")
+        """This object's entry in ``SceneGraph.to_json``, encoded once at its
+        place in the document's ``objects`` list.  The entry holds its
+        mark's fields as its own."""
+        return _writer(SceneObject, 2, "mark")(self)
 
 
 #: a keyframe's value is a velocity, a list of numbers, or else a scale
@@ -447,18 +446,37 @@ def _check_scene_doc(doc):
             _check(prim, _kinds(PRIMITIVES[kind]), path)
 
 
-def _decode_object(doc, path):
-    """The SceneObject of its checked JSON entry ``doc`` at ``path``."""
-    prims = tuple(_decode(PRIMITIVES[entry["kind"]], entry, f"{path}.primitives[{j}]")
-                  for j, entry in enumerate(doc["primitives"]))
-    return _decode(SceneObject, doc, path, mark=_decode(CuboidMark, doc, path), primitives=prims)
+def _read_primitive(doc, path):
+    """The primitive of its JSON entry ``doc`` at ``path``, read by the
+    compiled reader of the type its ``kind`` names."""
+    try:
+        cls = PRIMITIVES[doc["kind"]]
+    except (TypeError, KeyError):
+        raise _Invalid from None
+    return _reader(cls)(doc, path)
 
 
-def _decode_material(doc, path):
-    """The Material of its checked JSON block ``doc`` at ``path``."""
-    texture = doc["texture"]
-    return _decode(Material, doc, path, texture=None if texture is None
-                   else _decode(Texture, texture, f"{path}.texture"))
+def _read_object(doc, path):
+    """The SceneObject of its JSON entry ``doc`` at ``path``, which holds
+    its mark's fields as its own."""
+    return _reader(SceneObject, "mark")(doc, path, primitives=_each(_read_primitive))
+
+
+def _read_texture(doc, path):
+    """The Texture of its JSON block ``doc`` at ``path``, or None."""
+    return None if doc is None else _reader(Texture)(doc, path)
+
+
+def _read_materials(docs, path):
+    """The materials of the JSON object ``docs`` at ``path``, by their ids."""
+    materials = {}
+    for key, doc in docs.items():
+        try:
+            mid = int(key)
+        except ValueError:
+            raise _Invalid from None
+        materials[mid] = _reader(Material)(doc, f"{path}.{key}", texture=_read_texture)
+    return materials
 
 
 @dataclass(frozen=True)
@@ -476,17 +494,18 @@ class SceneGraph:
     manhattan: bool = True
 
     def __post_init__(self):
-        for obj in self.objects:
-            for prim in obj.primitives:
+        for i, obj in enumerate(self.objects):
+            for j, prim in enumerate(obj.primitives):
                 if prim.material not in self.materials:
                     raise ConfigError(
                         f"object {obj.object_id} references unknown material "
-                        f"id {prim.material}"
+                        f"id {prim.material}", json_path=f"objects[{i}].primitives[{j}].material"
                     )
         if self.manhattan:
-            for obj in self.objects:
+            for i, obj in enumerate(self.objects):
                 if obj.mark.yaw != 0.0:
-                    raise ConfigError("manhattan scene requires yaw = 0 on all marks")
+                    raise ConfigError("manhattan scene requires yaw = 0 on all marks",
+                                      json_path=f"objects[{i}].yaw")
 
     def object_by_id(self, object_id: int) -> SceneObject:
         for obj in self.objects:
@@ -508,22 +527,10 @@ class SceneGraph:
         """Sorted keys, one-space indent: ``json.dumps(doc, sort_keys=True,
         indent=1)`` of the whole document, with each object's entry taken
         from its ``json_fragment``."""
-        doc = _encode(
-            self,
-            objects=None,  # joined from the objects' fragments below
-            materials={str(mid): _encode(m, texture=m.texture and _encode(m.texture))
-                       for mid, m in self.materials.items()},
-            lights=[_encode(light) for light in self.lights],
-            medium=_encode(self.medium),
-            camera=_encode(self.camera),
-            dynamics=[list(k) for k in self.dynamics.keyframes],
-        )
-        # a value nested one level down is indented one space deeper
-        texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
-                 for key, value in doc.items()}
-        texts["objects"] = ("[\n  " + ",\n  ".join(o.json_fragment for o in self.objects)
-                            + "\n ]") if self.objects else "[]"
-        return "{\n" + ",\n".join(f' "{key}": {texts[key]}' for key in sorted(texts)) + "\n}"
+        return _writer(SceneGraph, 0)(
+            self, objects=_layout("[", [o.json_fragment for o in self.objects], "]", 1),
+            materials=_text({str(mid): m for mid, m in self.materials.items()}, 1),
+            dynamics=_text(self.dynamics.keyframes, 1))
 
     @classmethod
     def from_json(cls, text: str) -> "SceneGraph":
@@ -531,14 +538,13 @@ class SceneGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid scene JSON: {exc}") from exc
+        try:
+            return _reader(cls)(doc, None, objects=_each(_read_object),
+                                materials=_read_materials, lights=_each(_reader(LightSpec)),
+                                medium=_reader(MediumSpec), camera=_reader(CameraSpec))
+        except (_Invalid, ConfigError) as exc:
+            error = exc
+        # an error in the document's keys or kinds, worded by the check,
+        # comes before any that a constructor raises
         _check_scene_doc(doc)
-        return _decode(
-            cls, doc, None,
-            objects=tuple(_decode_object(o, f"objects[{i}]") for i, o in enumerate(doc["objects"])),
-            materials={int(mid): _decode_material(m, f"materials.{mid}")
-                       for mid, m in doc["materials"].items()},
-            lights=tuple(_decode(LightSpec, light, f"lights[{i}]")
-                         for i, light in enumerate(doc["lights"])),
-            medium=_decode(MediumSpec, doc["medium"], "medium"),
-            camera=_decode(CameraSpec, doc["camera"], "camera"),
-        )
+        raise error

@@ -330,6 +330,16 @@ class TestAdversarialRays:
             assert_same_as_brute(soup, O[m], D[m], float(np.median(hit.t[m])))
 
 
+def count_blocks(monkeypatch):
+    """The number of rays of each ``_cull`` call, and of each block of rays
+    whose culled pairs one ``_nearest`` call tests, as they are made."""
+    culls, tested = [], []
+    cull, nearest = geometry._cull, geometry._nearest
+    monkeypatch.setattr(geometry, "_cull", lambda *a: culls.append(len(a[1])) or cull(*a))
+    monkeypatch.setattr(geometry, "_nearest", lambda *a: tested.append(len(a[4])) or nearest(*a))
+    return culls, tested
+
+
 class TestBlocks:
     def test_rays_and_pairs_split_into_blocks(self, monkeypatch):
         # one facade of 8 x 6 windows: every ray that meets the building's
@@ -343,16 +353,15 @@ class TestBlocks:
         soup = PrimitiveSoup.from_scene(scene)
         assert not len(soup.clu_lo)  # every ray is slab-tested against every object
         O, D = Camera(scene.camera, 16, 12).rays()
-        want = brute_trace(soup, O, D)
-        culls = []
-        cull = geometry._cull
-        monkeypatch.setattr(geometry, "_cull", lambda *a: culls.append(len(a[1])) or cull(*a))
+        culls, tested = count_blocks(monkeypatch)
         monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 4 * len(soup.obj_lo))
-        got = trace(soup, O, D)
-        for field in HIT_FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        # blocks of 4 rays, halved while their primitive candidates overflow
-        assert set(culls) == {4, 2, 1}
+        assert_same_as_brute(soup, O, D)
+        # one trace and five occluded calls: each culls every ray once, in
+        # blocks of 4 rays, and tests each ray once per family: one ray at a
+        # time where a ray's 49 facade candidates fill a block
+        assert culls == [4] * (6 * len(O) // 4)
+        assert sum(tested) == 6 * len(O) * len(geometry.FAMILIES)
+        assert min(tested) == 1 and max(tested) == 4
 
     def test_cluster_and_object_pairs_split_into_blocks(self, big_city, monkeypatch):
         # horizontal rays across the city meet many clusters of several objects
@@ -361,20 +370,20 @@ class TestBlocks:
         O = np.stack([np.full(64, -160.0), rng.uniform(0.5, 15.0, 64),
                       rng.uniform(0.0, 100.0, 64)], axis=1)
         D = unit(np.stack([np.ones(64), np.zeros(64), rng.uniform(0.3, 1.5, 64)], axis=1))
-        want = brute_trace(soup, O, D)
-        culls = []
-        cull = geometry._cull
-        monkeypatch.setattr(geometry, "_cull",
-                            lambda *a: culls.append((len(a[1]), cull(*a))) or culls[-1][1])
+        expand = geometry._expand
+        expanded = []
+        monkeypatch.setattr(geometry, "_expand",
+                            lambda *a: expanded.append(len(a[3])) or expand(*a))
+        culls, tested = count_blocks(monkeypatch)
         monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 8 * len(soup.clu_lo))
-        got = trace(soup, O, D)
-        for field in HIT_FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        # blocks of 8 rays, halved while their object candidates overflow,
-        # then while their primitive candidates do
-        assert max(n for n, _ in culls) == 8
-        assert any(pairs is None for n, pairs in culls if n == 8)
-        assert all(pairs is not None for n, pairs in culls if n == 1)
+        assert_same_as_brute(soup, O, D)
+        # blocks of 8 rays, each ray culled once per call; a block's ray x
+        # cluster pairs expand to objects, and its culled pairs to
+        # primitives, a few rays at a time
+        assert culls == [8] * (6 * len(O) // 8)
+        assert sum(tested) == 6 * len(O) * len(geometry.FAMILIES)
+        assert len(expanded) > len(culls) + len(tested)
+        assert max(tested) < 8
 
     def test_empty_inputs(self, validation_scene):
         soup = PrimitiveSoup.from_scene(validation_scene)

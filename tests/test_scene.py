@@ -127,6 +127,46 @@ class TestSceneJson:
         assert SceneGraph.from_json(scene.to_json()).materials[mid].name == name
 
 
+#: numbers of every shape ``json.dumps`` writes its own way: finite floats,
+#: with -0.0, subnormals and the bounds of repr's exponent form among them,
+#: and ints, which a scene built in code may hold in a float field
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 9999999999999998.0,
+                                     1e-7, 0.0001, 0.1]),
+                    st.integers(-2**53, 2**53))
+#: names with quotes, backslashes, control characters and non-ASCII text
+NAMES = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028'),
+                          st.characters()), max_size=8)
+
+
+class TestEncoder:
+    @settings(max_examples=80, deadline=None)
+    @given(xs=st.lists(NUMBERS, min_size=12, max_size=12), size=NUMBERS.filter(lambda v: v > 0),
+           name=NAMES)
+    def test_to_json_is_json_dumps(self, validation_scene, xs, size, name):
+        """A scene built in code, with any numbers in its primitives, mark,
+        material and bounds, writes what ``json.dumps`` writes, and reads
+        back as the same scene, whose document then reads back byte for
+        byte: an int in a float field is read as a float."""
+        mat = min(validation_scene.materials)
+        low, high = sorted(xs[:2])
+        obj = SceneObject(99, CuboidMark(tuple(xs[6:8]), size, size, size, ObjectClass.VEHICLE), (
+            Box(tuple(xs[:3]), tuple(xs[3:6]), mat),
+            Sphere(tuple(xs[6:9]), size, mat),
+            Cylinder(tuple(xs[9:11]), size, low, high, mat),
+            Rect(1, xs[11], (low, high), tuple(sorted(xs[2:4])), mat),
+        ), y_offset=xs[8])
+        materials = dict(validation_scene.materials)
+        materials[mat] = dataclasses.replace(materials[mat], name=name, albedo=tuple(xs[9:]))
+        scene = dataclasses.replace(validation_scene, objects=(*validation_scene.objects, obj),
+                                    materials=materials, world_bounds=tuple(xs[:4]))
+        text = scene.to_json()
+        assert text == scene_json(scene)
+        again = SceneGraph.from_json(text)
+        assert again == scene
+        assert_canonical(again)
+
+
 class TestSoup:
     def test_built_once_per_state(self, validation_scene, monkeypatch):
         builds = []

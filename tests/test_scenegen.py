@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from invarsim.scenegen import (
     instantiate_geometry,
     sample_scene,
 )
-from oracles import any_footprint_overlap
+from oracles import any_footprint_overlap, scene_json
 
 
 def priors_doc(classes):
@@ -279,6 +280,31 @@ class TestSampling:
                 ingest_sequence(tmp_path, apath)
             except ConfigError as err:
                 assert err.json_path is not None, (path, err)
+
+    @pytest.mark.parametrize("value", SUBSTITUTES, ids=repr)
+    def test_every_substituted_scene_document_value_is_a_config_error_or_a_scene(
+            self, validation_scene, value):
+        """Set each value of a scene document to ``value``: the document is
+        rejected naming a json_path, or it reads as a scene whose document
+        is ``json.dumps`` of it and reads back byte for byte.  The scene
+        holds every primitive family, materials with and without a
+        texture, and a velocity and a scale keyframe."""
+        from invarsim.scene import SceneGraph
+
+        scene = dataclasses.replace(validation_scene, dynamics=DynamicsScript((
+            (0, "objects.5.velocity", (0.5, 0.0, 0.0)), (2, "lights.1.intensity_scale", 1.5))))
+        families = {type(p).__name__ for o in scene.objects for p in o.primitives}
+        assert families == {"Box", "Sphere", "Cylinder", "Rect"}
+        assert {m.texture is None for m in scene.materials.values()} == {True, False}
+        for path, doc in substitutions(json.loads(scene.to_json()), value):
+            try:
+                edited = SceneGraph.from_json(json.dumps(doc))
+            except ConfigError as err:
+                assert err.json_path is not None, (path, err)
+                continue
+            text = edited.to_json()
+            assert text == scene_json(edited), path
+            assert SceneGraph.from_json(text).to_json() == text, path
 
     def test_config_keys_left_out_take_their_defaults(self):
         from invarsim.scenegen import default_lights_doc

@@ -586,19 +586,20 @@ def _collect_patches(protocol, cmaps, *seed_parts):
     return patches
 
 
-def _cell_records(protocol, theta_w, patches, measure):
+def _cell_records(protocol, theta_w, measured):
     """One record per (side, context) cell at one theta_w coordinate.
 
-    ``measure((context, side))`` is the criterion value of each patch of a
-    cell, NaN where the measure is degenerate; NaN values are left out of
-    the statistics and counted.  A cell without patches is a gap: n=0 and
-    NaN statistics.  Returns the records and the count of left-out values.
+    ``measured`` maps the key (context, side) of each cell with patches to
+    the criterion value of each of its patches, NaN where the measure is
+    degenerate; NaN values are left out of the statistics and counted.  A
+    cell without patches is a gap: n=0 and NaN statistics.  Returns the
+    records and the count of left-out values.
     """
     records = []
     skipped = 0
     for s in protocol.patch_sizes:
         for context in protocol.contexts:
-            values = np.asarray(measure((context, s)) if patches[(context, s)] else [])
+            values = np.asarray(measured.get((context, s), ()), dtype=float)
             vals = values[~np.isnan(values)]
             skipped += len(values) - len(vals)
             if len(vals) == 0:
@@ -611,14 +612,23 @@ def _cell_records(protocol, theta_w, patches, measure):
 
 
 def _cell_batches(protocol, patches, flow=None, occlusion=None):
-    """What the OC, BC or GC measure gathers from every frame, per cell with
-    patches: its patch pixels (OC) or their trajectories under ``flow``."""
-    if protocol.model == "OC":
-        return {key: patch_pixels(ps) for key, ps in patches.items() if ps}
+    """What the OC, BC or GC measure gathers from every frame, one batch per
+    patch side: the keys of the side's cells with patches, their patch
+    counts, and the pixels (OC) or the trajectories under ``flow`` of all
+    their patches, cell after cell."""
+    keys_by_side = {}
+    for key, ps in patches.items():
+        if ps:
+            keys_by_side.setdefault(key[1], []).append(key)
     occlusion = occlusion if protocol.exclude_occluded else None
     inset = 1 if protocol.model == "GC" else 0  # central differences need neighbours
-    return {key: Trajectories(flow, ps, inset=inset, occlusion=occlusion)
-            for key, ps in patches.items() if ps}
+    batches = []
+    for keys in keys_by_side.values():
+        ps = [p for key in keys for p in patches[key]]
+        gathered = (patch_pixels(ps) if protocol.model == "OC" else
+                    Trajectories(flow, ps, inset=inset, occlusion=occlusion))
+        batches.append((keys, [len(patches[key]) for key in keys], gathered))
+    return batches
 
 
 def _features(protocol, frame):
@@ -629,25 +639,33 @@ def _features(protocol, frame):
 
 def _reference(protocol, batches, frame):
     """What the measure keeps of its first frame: the frame's features, or
-    for OC each cell's ranked gray patches."""
+    for OC each batch's ranked gray patches."""
     features = _features(protocol, frame)
     if protocol.model == "OC":
-        return {key: average_ranks(features[pixels]) for key, pixels in batches.items()}
+        return [average_ranks(features[pixels]) for _, _, pixels in batches]
     return features
 
 
 def _pair_measure(protocol, batches, ref, cur):
     """Cell key -> the OC, BC or GC criterion of each of its patches between
-    the ``_reference`` of one frame and the frame ``cur``."""
+    the ``_reference`` of one frame and the frame ``cur``.
+
+    One kernel call measures a whole batch.  The kernels work row by row,
+    so each patch's value has the same bits as when measured alone."""
     features = _features(protocol, cur)
     if protocol.model == "OC":
-        return lambda key: oc_values(ref[key], features[batches[key]])
-    constancy = bc_values if protocol.model == "BC" else gc_values
-    return lambda key: constancy(ref, features, batches[key])
+        values = [oc_values(ranks, features[pixels])
+                  for ranks, (_, _, pixels) in zip(ref, batches)]
+    else:
+        constancy = bc_values if protocol.model == "BC" else gc_values
+        values = [constancy(ref, features, traj) for _, _, traj in batches]
+    return {key: cell
+            for (keys, counts, _), batch in zip(batches, values)
+            for key, cell in zip(keys, np.split(batch, np.cumsum(counts)[:-1]))}
 
 
 def _prepare_ramp(protocol):
-    """OC/BC/GC: the reference frame, patches and sun basis of a ramp.
+    """OC/BC/GC: the cell batches, reference and sun basis of a ramp.
 
     Radiance is affine in the sun's intensity, so the lit geometry is
     rendered with the sun off and at full strength, in one pass, and each
@@ -680,14 +698,14 @@ def _prepare_ramp(protocol):
     hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
     # gathered after the renders, so they do not add to the renders' peak memory
     batches = _cell_batches(protocol, patches, flow, occl)
-    return patches, batches, _reference(protocol, batches, ref_img), hdr0, hdr_sun
+    return batches, _reference(protocol, batches, ref_img), hdr0, hdr_sun
 
 
 def _eval_level(protocol, state, level):
-    patches, batches, ref, hdr0, hdr_sun = state
+    batches, ref, hdr0, hdr_sun = state
     cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
                          "level", float(level).hex())
-    return _cell_records(protocol, {"illumination": level}, patches,
+    return _cell_records(protocol, {"illumination": level},
                          _pair_measure(protocol, batches, ref, cur_img))
 
 
@@ -710,8 +728,8 @@ def _eval_speed(protocol, base, speed):
              for s in protocol.patch_sizes}
     patches = _collect_patches(protocol, cmaps, speed)
     energy = smoothness_energy(flow_prev, flow_t, flow_next)
-    return _cell_records(protocol, {"speed": speed}, patches, lambda key: [
-        energy_variance(energy, p) for p in patches[key]])
+    return _cell_records(protocol, {"speed": speed}, {
+        key: [energy_variance(energy, p) for p in ps] for key, ps in patches.items() if ps})
 
 
 def _eval_weather(protocol, base, tag):
@@ -785,7 +803,8 @@ class CellCache:
     def store(self, coord, result):
         path = self._path(coord)
         records, extra = result
-        doc = {"records": [dataclasses.asdict(r) for r in records], "extra": extra}
+        # json.dumps only reads the records' field dicts: no deep copy needed
+        doc = {"records": [vars(r) for r in records], "extra": extra}
         # readers see the old file or the whole new one, never a part
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, sort_keys=True))
@@ -985,7 +1004,7 @@ def _eval_frame(protocol, state, idx):
         if seq.flow_files:
             batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
         ref = _reference(protocol, batches, seq.frames[idx - 1])
-    return _cell_records(protocol, {"frame": idx}, patches,
+    return _cell_records(protocol, {"frame": idx},
                          _pair_measure(protocol, batches, ref, seq.frames[idx]))
 
 

@@ -79,6 +79,25 @@ class ContextMap:
         return self.labels[name]
 
 
+def _window_reduce(op, arr: np.ndarray, window: int) -> np.ndarray:
+    """``op`` over every window x window block that lies inside ``arr``,
+    (h - window + 1, w - window + 1) of them: along rows, then along columns.
+
+    Each pass folds ``window`` shifted views with the binary ufunc ``op``, so
+    a pixel costs O(2 window) operations instead of O(window²).  Exact when
+    ``op`` is associative and commutative without rounding: logical or/and,
+    and minimum/maximum, which also propagate NaN from any pixel of the block.
+    """
+    h, w = arr.shape
+    rows = arr[:, : w - window + 1]
+    for k in range(1, window):
+        rows = op(rows, arr[:, k : k + w - window + 1])
+    out = rows[: h - window + 1]
+    for k in range(1, window):
+        out = op(out, rows[k : k + h - window + 1])
+    return out
+
+
 def _window_all(mask: np.ndarray, window: int) -> np.ndarray:
     """True where every pixel of the centered window satisfies ``mask``.
 
@@ -89,8 +108,7 @@ def _window_all(mask: np.ndarray, window: int) -> np.ndarray:
     out = np.zeros_like(mask)
     if h < window or w < window:
         return out
-    view = np.lib.stride_tricks.sliding_window_view(mask, (window, window))
-    out[half : h - half, half : w - half] = view.all(axis=(2, 3))
+    out[half : h - half, half : w - half] = _window_reduce(np.logical_and, mask, window)
     return out
 
 
@@ -99,22 +117,21 @@ def _window_any(mask: np.ndarray, window: int) -> np.ndarray:
 
     Windows are clipped at the image border (morphological dilation).
     """
-    half = window // 2
-    padded = np.pad(mask, half, constant_values=False)
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    return view.any(axis=(2, 3))
+    padded = np.pad(mask, window // 2, constant_values=False)
+    return _window_reduce(np.logical_or, padded, window)
 
 
 def _window_minmax(arr: np.ndarray, window: int):
+    """Minimum and maximum of the centered window, NaN where the window
+    leaves the image or holds a NaN."""
     h, w = arr.shape
     half = window // 2
     mn = np.full_like(arr, np.nan, dtype=float)
     mx = np.full_like(arr, np.nan, dtype=float)
     if h < window or w < window:
         return mn, mx
-    view = np.lib.stride_tricks.sliding_window_view(arr, (window, window))
-    mn[half : h - half, half : w - half] = view.min(axis=(2, 3))
-    mx[half : h - half, half : w - half] = view.max(axis=(2, 3))
+    mn[half : h - half, half : w - half] = _window_reduce(np.minimum, arr, window)
+    mx[half : h - half, half : w - half] = _window_reduce(np.maximum, arr, window)
     return mn, mx
 
 
@@ -277,8 +294,12 @@ def eligible_centers(cmap: ContextMap, context: str, side: int,
     h, w = mask.shape
     if h < side or w < side:
         return np.zeros((0, 2), dtype=int)
-    view = np.lib.stride_tricks.sliding_window_view(mask, (side, side))
-    counts = view.sum(axis=(2, 3))
+    # labelled pixels per side x side block from an integer summed-area table
+    # (Crow 1984): exact counts, four lookups per block
+    table = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
+    counts = (table[side:, side:] - table[:-side, side:]
+              - table[side:, :-side] + table[:-side, :-side])
     ok = counts >= purity * side * side
     rows, cols = np.nonzero(ok)
     return np.stack([rows, cols], axis=1)

@@ -181,13 +181,25 @@ class Trajectories:
 
     def variances(self, residuals, keep):
         """One population variance per patch of its kept residual values,
-        pooled over the ``residuals`` arrays."""
+        pooled over the ``residuals`` arrays.
+
+        Patches that keep every value are sorted and reduced as one 2-D
+        stack: ``np.var(axis=1)`` sums each contiguous row with the same
+        pairwise summation as ``population_variance`` sums it alone, so each
+        row gives the same bits.  The other patches take their kept values
+        one patch at a time."""
+        empty = np.flatnonzero(~keep.any(axis=1))
+        if empty.size:
+            p = self.patches[empty[0]]
+            raise AllOccludedError(
+                f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
         out = np.empty(len(self.patches))
-        for i, (p, row) in enumerate(zip(self.patches, keep)):
-            if not row.any():
-                raise AllOccludedError(
-                    f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
-            out[i] = population_variance(np.concatenate([r[i][row] for r in residuals]))
+        full = keep.all(axis=1)
+        v = np.sort(np.concatenate([r[full] for r in residuals], axis=1), axis=1)
+        out[full] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
+        for i in np.flatnonzero(~full):
+            out[i] = population_variance(
+                np.concatenate([r[i][keep[i]] for r in residuals]))
         return out
 
 

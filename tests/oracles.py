@@ -4,7 +4,9 @@ Everything here is deliberately written against the definitions, not the
 package code paths: exact rational arithmetic for rank correlation,
 brute-force O(n^2) rectangle intersection, Gauss-Legendre quadrature for
 phase-function normalization, the OC/BC/GC measures one patch at a time
-from whole frames, which the package evaluates per frame and per batch, and
+from whole frames, which the package evaluates per frame and per batch,
+window filters one window at a time, where the package reduces rows and
+then columns or reads a summed-area table, and
 a ray tracer that tests every ray against every primitive, where the package
 first culls rays against object bounds, and the scene JSON encoded as one
 document, where the package encodes each object once and reuses its text.
@@ -199,6 +201,57 @@ def any_footprint_overlap(rects):
             if rects_overlap(rects[i], rects[j]):
                 return True
     return False
+
+
+def brute_window_any(mask, window):
+    """Any of each pixel's centered window, clipped at the image border."""
+    h, w = mask.shape
+    half = window // 2
+    out = np.zeros((h, w), dtype=bool)
+    for i in range(h):
+        for j in range(w):
+            block = mask[max(i - half, 0):i + half + 1, max(j - half, 0):j + half + 1]
+            out[i, j] = any(block.ravel().tolist())
+    return out
+
+
+def _inside_windows(arr, window):
+    """(i, j, block) of each pixel whose centered window lies in the image."""
+    h, w = arr.shape
+    half = window // 2
+    for i in range(half, h - half):
+        for j in range(half, w - half):
+            yield i, j, arr[i - half:i + half + 1, j - half:j + half + 1].ravel().tolist()
+
+
+def brute_window_all(mask, window):
+    """All of each pixel's centered window; False where it leaves the image."""
+    out = np.zeros(mask.shape, dtype=bool)
+    for i, j, block in _inside_windows(mask, window):
+        out[i, j] = all(block)
+    return out
+
+
+def brute_window_minmax(arr, window):
+    """Min and max of each pixel's centered window; NaN where the window
+    leaves the image or holds a NaN."""
+    mn = np.full(arr.shape, np.nan)
+    mx = np.full(arr.shape, np.nan)
+    for i, j, block in _inside_windows(arr, window):
+        if not any(math.isnan(v) for v in block):
+            mn[i, j], mx[i, j] = min(block), max(block)
+    return mn, mx
+
+
+def brute_block_counts(mask, side):
+    """Labelled pixels of each side x side block inside the image, indexed
+    by the block's top-left corner."""
+    h, w = mask.shape
+    counts = np.zeros((max(h - side + 1, 0), max(w - side + 1, 0)), dtype=int)
+    for i in range(counts.shape[0]):
+        for j in range(counts.shape[1]):
+            counts[i, j] = sum(mask[i:i + side, j:j + side].ravel().tolist())
+    return counts
 
 
 def patch_purity(cmap, patch):

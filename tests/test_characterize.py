@@ -371,24 +371,110 @@ class TestSweep:
 
     @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
     def test_each_frame_is_measured_once(self, model, monkeypatch):
-        from invarsim import characterize
+        from invarsim import characterize, validators
 
         calls = {"to_gray": 0, "average_ranks": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(characterize, name), _name=name):
+        for module, name in ((characterize, "to_gray"), (characterize, "average_ranks"),
+                             (validators, "average_ranks")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(characterize, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        sampled = []
+
+        def collect(*args, _fn=characterize._collect_patches):
+            sampled.append(_fn(*args))
+            return sampled[-1]
+        monkeypatch.setattr(characterize, "_collect_patches", collect)
         p = tiny_oc_protocol(model=model)
-        m = run_sweep(p)
+        run_sweep(p)
         # the reference frame once, then one frame per level
         assert calls["to_gray"] == 1 + len(p.illumination_levels)
-        # OC ranks each cell's reference patches once and its current
-        # patches once per level, all patches of a cell in one call
+        # OC ranks the reference patches of each side once and its current
+        # patches once per level, every context of a side in one call
+        sides = {s for (_, s), ps in sampled[0].items() if ps}
+        assert sides and len(p.contexts) > 1
         if model == "OC":
-            assert 0 < calls["average_ranks"] <= 2 * len(m.records)
+            assert calls["average_ranks"] == len(sides) * (1 + len(p.illumination_levels))
         else:
             assert calls["average_ranks"] == 0
+
+    @pytest.mark.parametrize("model, exclude_occluded",
+                             [("OC", False), ("BC", False), ("BC", True),
+                              ("GC", False), ("GC", True)])
+    def test_cells_equal_the_per_patch_measures(self, model, exclude_occluded, monkeypatch):
+        # each side's patches are measured in one batch; every cell's values
+        # must equal the one-patch definitions bit for bit
+        from invarsim import characterize, validators
+        from invarsim.patches import Patch
+        from invarsim.validators import bc_variance, gc_variance, oc_measure
+
+        seen = {"flow": [], "frames": [], "patches": [], "measured": []}
+
+        def compute_flow(*args, _fn=characterize.compute_flow):
+            flow, occl = _fn(*args)
+            flow = flow.copy()
+            flow[:2, :, 1] -= 3.0  # the top two rows move out of the frame
+            seen["flow"].append((flow, occl))
+            return flow, occl
+
+        def collect(*args, _fn=characterize._collect_patches):
+            patches = _fn(*args)
+            for (context, s), ps in patches.items():
+                if ps:  # one patch whose top rows leave the frame
+                    ps.append(Patch(0, 0, s, context))
+            seen["patches"].append(patches)
+            return patches
+
+        def reference(protocol, batches, frame, _fn=characterize._reference):
+            seen["frames"].append(frame)
+            return _fn(protocol, batches, frame)
+
+        def pair_measure(protocol, batches, ref, cur, _fn=characterize._pair_measure):
+            measured = _fn(protocol, batches, ref, cur)
+            seen["measured"].append((cur, measured))
+            return measured
+
+        one_patch = []
+
+        def population_variance(values, _fn=validators.population_variance):
+            one_patch.append(values)
+            return _fn(values)
+
+        for name, fn in (("compute_flow", compute_flow), ("_collect_patches", collect),
+                         ("_reference", reference), ("_pair_measure", pair_measure)):
+            monkeypatch.setattr(characterize, name, fn)
+        monkeypatch.setattr(validators, "population_variance", population_variance)
+        scene = validation_scene_config()
+        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+        p = tiny_oc_protocol(model=model, scene=scene, exclude_occluded=exclude_occluded,
+                             contexts=["Diffuse", "ShadowBoundary", "Edge"])
+        run_sweep(p)
+        one_patch_calls = len(one_patch)
+        (patches,), (ref_img,) = seen["patches"], seen["frames"]
+        flow, occl = seen["flow"][0] if seen["flow"] else (None, None)
+        cells = {key: ps for key, ps in patches.items() if ps}
+        n_patches = sum(map(len, cells.values()))
+        assert len({s for _, s in cells}) == 2 and len(cells) > 2
+        assert len(seen["measured"]) == len(p.illumination_levels)
+        for cur, measured in seen["measured"]:
+            assert set(measured) == set(cells)
+            for key, ps in cells.items():
+                if model == "OC":
+                    want = [oc_measure(q.extract(ref_img), q.extract(cur)) for q in ps]
+                else:
+                    kernel = bc_variance if model == "BC" else gc_variance
+                    want = [kernel(ref_img, cur, flow, q, exclude_occluded=exclude_occluded,
+                                   occlusion=occl) for q in ps]
+                got, want = measured[key], np.asarray(want)
+                assert got.shape == want.shape
+                finite = ~np.isnan(want)
+                assert np.array_equal(np.isnan(got), ~finite)
+                assert got[finite].tobytes() == want[finite].tobytes()
+        if model != "OC":
+            # the sweep took the one-patch path of Trajectories.variances for
+            # the patches with dropped pixels and the whole-batch path for the rest
+            assert 0 < one_patch_calls < len(p.illumination_levels) * n_patches
 
     def test_ps_smoothness_energy_is_computed_once_per_speed(self, monkeypatch):
         from invarsim import validators
@@ -475,6 +561,38 @@ class TestSweep:
             run_sweep(p, cache_dir=tmp_path / name)
             for cell in (tmp_path / name).glob("cell_*.json"):
                 assert set(json.loads(cell.read_text())) == {"records", "extra"}
+
+    def test_cell_file_is_json_dumps_of_asdict(self, tmp_path, monkeypatch):
+        from invarsim import characterize
+
+        stored = []
+
+        def store(cache, coord, result, _fn=characterize.CellCache.store):
+            _fn(cache, coord, result)
+            stored.append((cache._path(coord), result))
+        monkeypatch.setattr(characterize.CellCache, "store", store)
+        scene = validation_scene_config()
+        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+        protocols = {
+            "OC": tiny_oc_protocol(),
+            "PS": ProtocolConfig.from_dict({
+                "model": "PS", "scene": scene,
+                "theta_w": {"speed_scales": [1.0]}, "theta_v": {"patch_sizes": [9]},
+                "contexts": ["SameSurface", "Homogeneous"],
+                "render": {"width": 32, "height": 24, "spp": 1, "max_bounces": 0}}),
+            "DS": ProtocolConfig.from_dict({
+                "model": "DS", "scene": validation_scene_config(),
+                "theta_w": {"weather_tags": ["Fog"], "density_scales": [0.3, 0.6, 1.0]},
+                "render": {"width": 16, "height": 12, "spp": 1, "max_bounces": 0}}),
+        }
+        for name, p in protocols.items():
+            stored.clear()
+            run_sweep(p, cache_dir=tmp_path / name)
+            assert stored
+            for path, (records, extra) in stored:
+                want = json.dumps({"records": [dataclasses.asdict(r) for r in records],
+                                   "extra": extra}, sort_keys=True)
+                assert path.read_text() == want
 
     def test_cell_in_an_older_document_shape_is_evaluated_again(self, tmp_path):
         p = tiny_oc_protocol()

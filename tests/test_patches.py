@@ -2,10 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invarsim.errors import ConfigError, MissingBufferError, PatchSamplingError
 from invarsim.patches import (
+    ContextMap,
     Patch,
+    _window_all,
+    _window_any,
+    _window_minmax,
     classify_contexts,
     eligible_centers,
     sample_patches,
@@ -13,7 +19,13 @@ from invarsim.patches import (
 from invarsim.render import RenderConfig, compute_flow, render_ground_truth
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 
-from oracles import patch_purity
+from oracles import (
+    brute_block_counts,
+    brute_window_all,
+    brute_window_any,
+    brute_window_minmax,
+    patch_purity,
+)
 
 
 GT_CFG = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=1)
@@ -176,3 +188,45 @@ class TestSamplePatches:
             sample_patches(cmap, "Diffuse", 4, 1, seed=1)
         with pytest.raises(ConfigError):
             Patch(0, 0, 4, "Diffuse")
+
+
+class TestWindowFilters:
+    """The separable window filters and the summed-area counts against one
+    window at a time, on shapes down to images smaller than the window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 30), w=st.integers(1, 30),
+           window=st.sampled_from(range(3, 26, 2)),
+           density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_boolean_windows_equal_brute(self, h, w, window, density, seed):
+        mask = np.random.default_rng(seed).uniform(size=(h, w)) < density
+        assert np.array_equal(_window_any(mask, window), brute_window_any(mask, window))
+        assert np.array_equal(_window_all(mask, window), brute_window_all(mask, window))
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 30), w=st.integers(1, 30),
+           window=st.sampled_from(range(3, 26, 2)),
+           nan_share=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_minmax_equals_brute_with_nan(self, h, w, window, nan_share, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so windows tie; signed zeros and infinities
+        arr = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf], size=(h, w))
+        arr[rng.uniform(size=(h, w)) < nan_share] = np.nan
+        for got, want in zip(_window_minmax(arr, window), brute_window_minmax(arr, window)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 30), w=st.integers(1, 30),
+           side=st.sampled_from(range(3, 26, 2)),
+           density=st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]),
+           purity=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eligible_centers_equal_brute_counts(self, h, w, side, density, purity, seed):
+        mask = np.random.default_rng(seed).uniform(size=(h, w)) < density
+        cmap = ContextMap({"Diffuse": mask}, side, mask.shape)
+        want = np.argwhere(brute_block_counts(mask, side) >= purity * side * side)
+        got = eligible_centers(cmap, "Diffuse", side, purity)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

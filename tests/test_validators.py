@@ -37,6 +37,7 @@ from oracles import (
     patch_gc_variance,
     patch_oc_measure,
     plane_residual,
+    sorted_population_variance,
 )
 
 
@@ -345,6 +346,29 @@ class TestBatchedKernels:
         assert_same_bits(got, want)
         assert_same_bits([gc_variance(f0, f1, flow, p, exclude_occluded=occluded,
                                       occlusion=occl) for p in patches], want)
+
+    @pytest.mark.parametrize("pooled", [1, 2])
+    def test_batch_variances_equal_one_patch_at_a_time(self, pooled):
+        # kept rows are sorted and reduced as one stack with np.var(axis=1);
+        # each must give the bits of its values taken alone, for rows of 9
+        # to 578 values (past numpy's 128-element pairwise block)
+        rng = np.random.default_rng(43)
+        for side in range(3, 19, 2):
+            patches = [Patch(0, 0, side, "Diffuse")] * 8
+            traj = Trajectories(np.zeros((side, side, 2)), patches)
+            scale = 10.0 ** rng.uniform(-3, 3, size=(8, 1))
+            residuals = [rng.standard_normal((8, side * side)) * scale
+                         for _ in range(pooled)]
+            for r in residuals:
+                r[3] = 0.25  # a constant row
+            keep = np.ones((8, side * side), dtype=bool)
+            keep[5, ::3] = False  # a row with dropped values
+            keep[6, 1:] = False  # a row of one kept value per residual
+            got = traj.variances(residuals, keep)
+            want = [sorted_population_variance(np.concatenate([r[i][k] for r in residuals]))
+                    for i, k in enumerate(keep)]
+            assert got[3] == want[3] == 0.0
+            assert_same_bits(got, want)
 
     @pytest.mark.parametrize("how", ["out-of-frame", "occluded"])
     def test_patch_without_usable_pixels_raises_for_that_patch(self, how):

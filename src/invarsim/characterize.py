@@ -301,9 +301,6 @@ class Manifold:
     def missing(self):
         return [r for r in self.records if r.n == 0]
 
-    def contexts(self):
-        return sorted({r.context for r in self.records})
-
     def axis_values(self, axis):
         if axis in self.theta_w_axes:
             return sorted({r.theta_w[axis] for r in self.records})
@@ -732,14 +729,33 @@ def _eval_speed(protocol, base, speed):
         key: [energy_variance(energy, p) for p in ps] for key, ps in patches.items() if ps})
 
 
-def _eval_weather(protocol, base, tag):
-    """DS: each weather tag's density ramp rendered in one Monte Carlo pass."""
-    preset = WEATHER_PRESETS[tag]
-    scene = base if tag in protocol.sunny_tags else _ambient_only(base)
-    setups = [(preset.scaled(density), scene.lights) for density in protocol.density_scales]
+def _prepare_weather(protocol):
+    """DS: every (weather tag, density) setup rendered in one Monte Carlo
+    pass, as tag -> its density ramp's images.
+
+    A tag outside ``sunny_tags`` sees the scene under its ambient light
+    only: its direct sources keep their placement at intensity 0, where
+    they add +0.0 and draw no random numbers, so every setup shares the
+    pass's rays and each image has the bits of rendering that tag alone.
+    """
+    base = sample_scene(protocol.scene_config(), protocol.scene_seed)
+    tags, sunny = protocol.weather_tags, protocol.sunny_tags
+    if any(tag not in sunny for tag in tags):
+        _ambient_only(base)  # raises when there is no ambient light to see by
+    off = tuple(l if l.kind == "ambient" else dataclasses.replace(l, intensity=0.0)
+                for l in base.lights)
+    setups = [(WEATHER_PRESETS[tag].scaled(density), base.lights if tag in sunny else off)
+              for tag in tags for density in protocol.density_scales]
+    images = render_setups(base, setups, protocol.render_config())
+    k = len(protocol.density_scales)
+    return {tag: images[i * k : (i + 1) * k] for i, tag in enumerate(tags)}
+
+
+def _eval_weather(protocol, images, tag):
+    """DS: the dichromatic plane fit over one tag's density ramp, as the
+    sensor sees it."""
     observations = []
-    for density, hdr in zip(protocol.density_scales,
-                            render_setups(scene, setups, protocol.render_config())):
+    for density, hdr in zip(protocol.density_scales, images[tag]):
         img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
         observations.append(img.reshape(-1, 3))
     samples = np.stack(observations, axis=1)  # (P, k, 3)
@@ -1035,9 +1051,9 @@ _SWEEP_SPECS = {
     "GC": _RAMP_SPEC,
     "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
                      _eval_speed, passes=(0, 4)),
-    # one pass renders all densities of a tag
-    "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_scene,
-                     _eval_weather, passes=(0, 1), theta_v_axes=()),
+    # all tags and densities in one pass
+    "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
+                     _eval_weather, passes=(1, 0), theta_v_axes=()),
 }
 
 _INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frame,
@@ -1094,19 +1110,29 @@ def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
 # -- SVG emission -------------------------------------------------------------
 
 
-def heatmap_svg(manifold: Manifold, context: str, x_axis: str, y_axis: str) -> str:
-    """A self-contained SVG heatmap of mean_E for one context slice."""
+def heatmap_svg(manifold: Manifold, x_axis: str, y_axis: str) -> dict:
+    """Context -> a self-contained SVG heatmap of mean_E for that context's
+    slice, for every context of the manifold.  The axes' values are found
+    and the records grouped by context in one pass."""
     xs = manifold.axis_values(x_axis)
     ys = manifold.axis_values(y_axis)
-    grid = np.full((len(ys), len(xs)), np.nan)
+    col = {v: j for j, v in enumerate(xs)}
+    row = {v: i for i, v in enumerate(ys)}
+    grids = {}
     for r in manifold.records:
-        if r.context != context:
-            continue
-        coords = {**r.theta_w, **r.theta_v}
-        i = ys.index(coords[y_axis])
-        j = xs.index(coords[x_axis])
+        grid = grids.get(r.context)
+        if grid is None:
+            grid = grids[r.context] = np.full((len(ys), len(xs)), np.nan)
         if r.n > 0:
-            grid[i, j] = r.mean
+            coords = {**r.theta_w, **r.theta_v}
+            grid[row[coords[y_axis]], col[coords[x_axis]]] = r.mean
+    # the records are sorted by context first, so the contexts come in order
+    return {context: _heatmap(manifold.model, context, x_axis, y_axis, xs, ys, grid)
+            for context, grid in grids.items()}
+
+
+def _heatmap(model, context, x_axis, y_axis, xs, ys, grid):
+    """One context's SVG from its (y, x) grid of mean_E, NaN at gaps."""
     finite = grid[np.isfinite(grid)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
@@ -1118,7 +1144,7 @@ def heatmap_svg(manifold: Manifold, context: str, x_axis: str, y_axis: str) -> s
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{margin}" y="16" font-size="12" font-family="monospace">'
-        f'{manifold.model} {context}: mean_E over ({x_axis}, {y_axis}), '
+        f'{model} {context}: mean_E over ({x_axis}, {y_axis}), '
         f'range [{lo:.6g}, {hi:.6g}]</text>',
     ]
     for i, yv in enumerate(ys):

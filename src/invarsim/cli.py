@@ -258,8 +258,7 @@ def _emit_heatmaps(manifold, out_dir):
         return paths
     x_axis = manifold.theta_w_axes[0]
     y_axis = (manifold.theta_v_axes + manifold.theta_w_axes[1:])[0]
-    for context in manifold.contexts():
-        svg = heatmap_svg(manifold, context, x_axis, y_axis)
+    for context, svg in heatmap_svg(manifold, x_axis, y_axis).items():
         path = out_dir / f"heatmap_{context}.svg"
         path.write_text(svg)
         paths.append(path)

@@ -610,7 +610,10 @@ class Camera:
         return (self.height / 2.0) / self.tan_half
 
     def rays(self, jitter=None):
-        """Origins (N,3) and unit directions (N,3), row-major pixel order."""
+        """Origins (N,3) and unit directions (N,3), row-major pixel order.
+
+        ``jitter`` is (H, W, 2), or (S, H, W, 2) for S samples' rays one
+        sample after another."""
         h, w = self.height, self.width
         jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
         px = ii.astype(float) + 0.5

@@ -58,45 +58,51 @@ def sun_transmittance(medium, direction):
     return transmittance(medium, slant)
 
 
-def airlight(medium, ray_dirs, lights, depth):
-    """Radiance scattered into the view path over ``depth`` meters.
+def source_colors(medium, lights):
+    """The summed color of the ambient sources, and per directional source
+    its direction and its color in the layer, after slant-path extinction.
+    Spot sources are not scattered (their airlight is negligible at scene
+    scale and is documented as out of model)."""
+    ambient = np.zeros(3)
+    suns = []
+    for light in lights:
+        rgb = np.asarray(light.color, dtype=float) * light.intensity
+        if light.kind == "ambient":
+            ambient = ambient + rgb
+        elif light.kind == "directional":
+            suns.append((np.asarray(light.direction, dtype=float),
+                         rgb * sun_transmittance(medium, light.direction)))
+    return ambient, suns
 
+
+def airlight(medium, ray_dirs, ambient, suns, one_minus_t):
+    """Radiance scattered into view paths that lose the fraction
+    ``one_minus_t`` = 1 - T(d) of their light, per channel.
+
+    ``ambient`` and ``suns`` are the ``source_colors`` of the lights.
     Ambient sources contribute ``airlight_color * ambient * (1 - T(d))``;
     each directional source contributes the closed-form homogeneous
-    single-scattering integral, i.e. its in-layer color (after slant-path
-    extinction) weighted by the phase function at the light/view angle
-    times ``(1 - T(d))`` per channel.  Spot sources are not scattered
-    (their airlight is negligible at scene scale and is documented as out
-    of model).
+    single-scattering integral, i.e. its in-layer color weighted by the
+    phase function at the light/view angle times ``(1 - T(d))``.
     """
-    d = np.asarray(depth, dtype=float)
-    dirs = np.asarray(ray_dirs, dtype=float)
-    one_minus_t = 1.0 - transmittance(medium, d)
-    out = np.zeros(one_minus_t.shape)
-    if medium.is_clear:
-        return out
-
-    ambient = np.zeros(3)
-    for light in lights:
-        if light.kind == "ambient":
-            ambient += np.asarray(light.color) * light.intensity
-    a_color = np.asarray(medium.airlight_color) * ambient
-    out += one_minus_t * a_color
-
-    for light in lights:
-        if light.kind != "directional":
-            continue
-        sun = np.asarray(light.direction)
+    out = one_minus_t * (np.asarray(medium.airlight_color) * ambient)
+    for sun, rgb in suns:
         # angle between the light's travel direction and the scattered
         # (toward-camera) travel direction; forward scattering looks sunward
-        cos_theta = -(dirs @ sun)
+        cos_theta = -(ray_dirs @ sun)
         phase = schlick_phase(medium.anisotropy, np.clip(cos_theta, -1.0, 1.0))
-        rgb = np.asarray(light.color) * light.intensity * sun_transmittance(medium, sun)
         out += one_minus_t * (phase[..., None] * rgb)
     return out
 
 
-def observed_radiance(medium, ray_dirs, lights, depth, surface_radiance):
-    """Attenuated surface radiance plus airlight: what the camera sees."""
+def observed_radiance(medium, ray_dirs, ambient, suns, depth, surface_radiance):
+    """Attenuated surface radiance plus airlight: what the camera sees.
+
+    ``ambient`` and ``suns`` are the ``source_colors`` of the lights.  The
+    transmittance is computed once and serves both terms; a clear medium
+    returns ``surface_radiance`` itself.
+    """
+    if medium.is_clear:
+        return surface_radiance
     T = transmittance(medium, depth)
-    return T * surface_radiance + airlight(medium, ray_dirs, lights, depth)
+    return T * surface_radiance + airlight(medium, ray_dirs, ambient, suns, 1.0 - T)

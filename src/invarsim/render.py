@@ -29,6 +29,10 @@ _SHADOW_EPS = 1e-4
 _STREAM_SAMPLE = 1
 _STREAM_SENSOR = 2
 
+# camera rays per trace call: a pass traces this many pixels' worth of
+# whole samples at once (at least one sample), so small frames share calls
+_WAVEFRONT_RAYS = 6144
+
 
 @dataclass(frozen=True)
 class RenderConfig:
@@ -178,22 +182,16 @@ def albedo_at(table: _MaterialTable, mat_id, points) -> np.ndarray:
 
 class _LightTable:
     def __init__(self, lights, medium):
-        self.ambient = np.zeros(3)
-        self.directional = []  # (dir, rgb at the scene after layer extinction)
+        # ambient rgb; (dir, rgb at the scene after layer extinction) per sun
+        self.ambient, self.directional = medium_mod.source_colors(medium, lights)
         self.spots = []  # (pos, dir, cos_cone, rgb)
         for light in lights:
-            rgb = np.asarray(light.color, dtype=float) * light.intensity
-            if light.kind == "ambient":
-                self.ambient = self.ambient + rgb
-            elif light.kind == "directional":
-                rgb = rgb * medium_mod.sun_transmittance(medium, light.direction)
-                self.directional.append((np.asarray(light.direction, dtype=float), rgb))
-            else:
+            if light.kind == "spot":
                 self.spots.append((
                     np.asarray(light.position, dtype=float),
                     np.asarray(light.direction, dtype=float),
                     math.cos(math.radians(light.cone_deg)),
-                    rgb,
+                    np.asarray(light.color, dtype=float) * light.intensity,
                 ))
 
     @property
@@ -245,14 +243,6 @@ def _light_factors(soup, ltab, points, normals):
     return factors
 
 
-def _direct_light(ltab, alb, factors):
-    """Ambient plus the light-weighted sum of the direct factors."""
-    L = alb * ltab.ambient
-    for g, rgb in zip(factors, ltab.direct_rgb):
-        L = L + (alb / math.pi) * g[:, None] * rgb
-    return L
-
-
 def _cosine_dirs(normals, u1, u2):
     """Cosine-weighted hemisphere directions about per-ray normals."""
     r = np.sqrt(u1)
@@ -267,48 +257,96 @@ def _cosine_dirs(normals, u1, u2):
     return local[:, 0:1] * t + local[:, 1:2] * n + local[:, 2:3] * b
 
 
-def _shade_sample(setups, soup, mtab, O, D, bounce=None):
-    """Radiance along one sample's rays, one array per (medium, lights, light
-    table) setup: direct light, plus with ``bounce`` = (rng, spp, sample
-    index), as for camera rays, one diffuse and one mirror bounce shaded
-    without a further bounce.  Rays, hits and shadow rays are shared by all
-    setups, so each setup's estimate is bit-identical to rendering it alone.
+class _Traced:
+    """What shading reads of a batch of traced rays, whatever the setup:
+    the hit distances ``t``, the directions ``D`` and the hit ``mask``; at
+    the hits the albedo ``alb``, the ``emission`` and, per direct source,
+    ``lit``: albedo / pi times its shadowed light factor; and the traces of
+    the ``diffuse`` bounce and of the ``mirror`` bounce (with the mirror
+    hits' mask and specular weights), or None."""
+
+    __slots__ = ("t", "D", "mask", "alb", "emission", "lit", "diffuse", "mirror")
+
+    def __init__(self, t, D, mask):
+        self.t, self.D, self.mask = t, D, mask
+        self.alb = self.emission = self.lit = self.diffuse = self.mirror = None
+
+
+def _trace_rays(soup, mtab, ltab, O, D, bounce=None):
+    """Trace rays and gather what shading reads at their hits.
+
+    With ``bounce`` = (streams, sample indices, spp), as for the camera rays
+    of consecutive whole samples, one diffuse and one mirror bounce are
+    traced too, without a further bounce.
     """
     hit = trace(soup, O, D)
     m = hit.mask
-    if m.any():
-        pts = hit.point[m]
-        nrm = hit.normal[m]
-        rows = mtab.row(hit.mat_id[m])
-        alb = albedo_at(mtab, hit.mat_id[m], pts)
-        factors = _light_factors(soup, setups[0][2], pts, nrm)
-        Ls = [mtab.emissive[rows] + _direct_light(ltab, alb, factors)
-              for _, _, ltab in setups]
-        if bounce is not None:
-            # one diffuse bounce, cosine sampled, stratified over the spp
-            rng, spp, sample_index = bounce
-            u = rng.random((int(m.sum()), 2))
-            u1 = (sample_index + u[:, 0]) / spp
-            dirs = _cosine_dirs(nrm, u1, u[:, 1])
-            Lin = _shade_sample(setups, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
-            Ls = [Ls_k + alb * Lin_k for Ls_k, Lin_k in zip(Ls, Lin)]
-            spec = mtab.specular[rows]
-            sp = spec > 0.0
-            if sp.any():
-                d_in = D[m][sp]
-                n_sp = nrm[sp]
-                refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
-                Lr = _shade_sample(setups, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl)
-                for Ls_k, Lr_k in zip(Ls, Lr):
-                    Ls_k[sp] += spec[sp, None] * Lr_k
-    out = []
-    for k, (medium, lights, ltab) in enumerate(setups):
-        L = np.zeros((len(O), 3))
-        if m.any():
-            L[m] = Ls[k]
-        L[~m] = ltab.ambient  # sky
-        out.append(medium_mod.observed_radiance(medium, D, lights, hit.t, L))
-    return out
+    tr = _Traced(hit.t, D, m)
+    if not m.any():
+        return tr
+    pts = hit.point[m]
+    nrm = hit.normal[m]
+    mat = hit.mat_id[m]
+    del hit  # shading reads no hit point, normal or id: free them before the shadow rays
+    rows = mtab.row(mat)
+    tr.alb = albedo_at(mtab, mat, pts)
+    tr.emission = mtab.emissive[rows]
+    tr.lit = [(tr.alb / math.pi) * g[:, None] for g in _light_factors(soup, ltab, pts, nrm)]
+    if bounce is None:
+        return tr
+    diffuse, mirror = _bounce_rays(m, mtab.specular[rows], pts, nrm, D, bounce)
+    del pts, nrm  # nor are they held while the bounces are traced
+    tr.diffuse = _trace_rays(soup, mtab, ltab, *diffuse)
+    if mirror is not None:
+        sp, weight, origins, dirs = mirror
+        tr.mirror = (sp, weight, _trace_rays(soup, mtab, ltab, origins, dirs))
+    return tr
+
+
+def _bounce_rays(m, spec, pts, nrm, D, bounce):
+    """The (origins, dirs) of one diffuse bounce from the hits ``m`` of rays
+    ``D``, cosine sampled and stratified over the spp; and the mirror hits'
+    mask, specular weights, origins and dirs, or None without one.
+
+    Each sample draws the randoms for its own hits from its own stream, so
+    a sample's rays get the same randoms whichever samples share the trace.
+    """
+    streams, samples, spp = bounce
+    counts = m.reshape(len(streams), -1).sum(axis=1)
+    u = np.concatenate([rng.random((int(c), 2)) for rng, c in zip(streams, counts)])
+    u1 = (np.repeat(samples, counts) + u[:, 0]) / spp
+    origins = pts + nrm * _SHADOW_EPS
+    sp = spec > 0.0
+    mirror = None
+    if sp.any():
+        d_in = D[m][sp]
+        n_sp = nrm[sp]
+        refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
+        mirror = (sp, spec[sp, None], origins[sp], refl)
+    return (origins, _cosine_dirs(nrm, u1, u[:, 1])), mirror
+
+
+def _shade(tr, medium, ltab):
+    """One setup's radiance along traced rays: emission, ambient and the
+    direct sources at the hits, plus the bounces' radiance; ambient on the
+    sky; then the medium's attenuation and airlight.  The operations run in
+    the order of shading each setup alone, so the bits do not depend on
+    which setups share the trace."""
+    m = tr.mask
+    L = np.empty((len(m), 3))
+    if tr.alb is not None:
+        Lm = tr.alb * ltab.ambient
+        for lit, rgb in zip(tr.lit, ltab.direct_rgb):
+            Lm += lit * rgb
+        Lm += tr.emission
+        if tr.diffuse is not None:
+            Lm += tr.alb * _shade(tr.diffuse, medium, ltab)
+        if tr.mirror is not None:
+            sp, weight, mirror = tr.mirror
+            Lm[sp] += weight * _shade(mirror, medium, ltab)
+        L[m] = Lm
+    L[~m] = ltab.ambient  # sky
+    return medium_mod.observed_radiance(medium, tr.D, ltab.ambient, ltab.directional, tr.t, L)
 
 
 def _placement(lights):
@@ -319,37 +357,50 @@ def _placement(lights):
 
 def _render_pass(scene, setups, cfg, return_variance):
     """One Monte Carlo pass over the camera, one image per (medium, lights)
-    setup.  The shadowed light factors of the first setup serve them all, so
-    every setup must place its direct sources alike."""
+    setup.
+
+    Each trace call takes the camera rays of ``_WAVEFRONT_RAYS // pixels``
+    consecutive whole samples (at least one), with their bounce and shadow
+    rays; then each setup in turn is shaded from that trace and added, one
+    sample after another, to its own accumulator.  The shadowed light
+    factors of the first setup serve them all, so every setup must place
+    its direct sources alike."""
     if any(_placement(lights) != _placement(setups[0][1]) for _, lights in setups[1:]):
         raise ConfigError("the setups of one render pass must place their "
                           "direct light sources alike")
     cam = Camera(scene.camera, cfg.width, cfg.height)
     soup = scene.soup
     mtab = _MaterialTable(scene)
-    setups = [(medium, lights, _LightTable(lights, medium)) for medium, lights in setups]
+    setups = [(medium, _LightTable(lights, medium)) for medium, lights in setups]
     h, w = cfg.height, cfg.width
-    acc = [np.zeros((h * w, 3)) for _ in setups]
-    acc_sq = [np.zeros((h * w, 3)) for _ in setups] if return_variance else None
+    n = h * w
+    acc = [np.zeros((n, 3)) for _ in setups]
+    acc_sq = [np.zeros((n, 3)) for _ in setups] if return_variance else None
     spp = cfg.samples_per_pixel
-    for s in range(spp):
-        rng = _sample_stream(cfg.rng_seed, s)
-        jitter = rng.random((h, w, 2)) - 0.5
+    per_trace = max(1, _WAVEFRONT_RAYS // n)
+    for first in range(0, spp, per_trace):
+        samples = range(first, min(spp, first + per_trace))
+        streams = [_sample_stream(cfg.rng_seed, s) for s in samples]
+        jitter = np.stack([rng.random((h, w, 2)) for rng in streams]) - 0.5
         O, D = cam.rays(jitter)
-        bounce = (rng, spp, s) if cfg.max_bounces >= 1 else None
-        Ls = _shade_sample(setups, soup, mtab, O, D, bounce)
-        for k, L in enumerate(Ls):
-            acc[k] += L
-            if acc_sq is not None:
-                acc_sq[k] += L * L
+        bounce = (streams, samples, spp) if cfg.max_bounces >= 1 else None
+        tr = _trace_rays(soup, mtab, setups[0][1], O, D, bounce)
+        for k, (medium, ltab) in enumerate(setups):
+            L = _shade(tr, medium, ltab)
+            for j in range(0, len(L), n):
+                sample = L[j : j + n]
+                acc[k] += sample
+                if acc_sq is not None:
+                    acc_sq[k] += sample * sample
+        del tr, L, sample  # not held while the next wavefront is traced
     images = []
     for k in range(len(setups)):
-        mean = (acc[k] / spp).reshape(h, w, 3)
         variance = None
         if return_variance and spp > 1:
             sample_var = (acc_sq[k] - acc[k] * acc[k] / spp) / (spp - 1)
             variance = np.maximum(sample_var, 0.0).reshape(h, w, 3) / spp
-        images.append(RadianceImage(mean, variance))
+        acc[k] /= spp
+        images.append(RadianceImage(acc[k].reshape(h, w, 3), variance))
     return images
 
 

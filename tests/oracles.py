@@ -8,8 +8,12 @@ from whole frames, which the package evaluates per frame and per batch,
 window filters one window at a time, where the package reduces rows and
 then columns or reads a summed-area table, and
 a ray tracer that tests every ray against every primitive, where the package
-first culls rays against object bounds, and the scene JSON encoded as one
-document, where the package encodes each object once and reuses its text.
+first culls rays against object bounds, the scene JSON encoded as one
+document, where the package encodes each object once and reuses its text,
+a Monte Carlo pass that traces one sample at a time and holds every
+setup's buffers through the bounces, where the package traces whole
+samples together and shades one setup at a time, and a heatmap that scans
+every record for its context, where the package groups them once.
 """
 
 import dataclasses
@@ -19,7 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from invarsim.geometry import INF, RECT_UV, Hit, _TIE_EPS
+from invarsim.geometry import INF, RECT_UV, Camera, Hit, _TIE_EPS, trace
+from invarsim.medium import schlick_phase, sun_transmittance, transmittance
+from invarsim.render import (_SHADOW_EPS, _cosine_dirs, _LightTable, _light_factors,
+                             _MaterialTable, _sample_stream, albedo_at)
 
 
 def exact_average_ranks(values):
@@ -556,3 +563,144 @@ def scene_json(scene) -> str:
         "dynamics": [list(k) for k in scene.dynamics.keyframes],
     }
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _loop_airlight(medium, dirs, lights, depth):
+    """In-scattered radiance, recomputing the source colors per call."""
+    one_minus_t = 1.0 - transmittance(medium, depth)
+    out = np.zeros(one_minus_t.shape)
+    if medium.is_clear:
+        return out
+    ambient = np.zeros(3)
+    for light in lights:
+        if light.kind == "ambient":
+            ambient += np.asarray(light.color) * light.intensity
+    out += one_minus_t * (np.asarray(medium.airlight_color) * ambient)
+    for light in lights:
+        if light.kind != "directional":
+            continue
+        sun = np.asarray(light.direction)
+        phase = schlick_phase(medium.anisotropy, np.clip(-(dirs @ sun), -1.0, 1.0))
+        rgb = np.asarray(light.color) * light.intensity * sun_transmittance(medium, sun)
+        out += one_minus_t * (phase[..., None] * rgb)
+    return out
+
+
+def _loop_shade_sample(setups, soup, mtab, O, D, bounce=None):
+    """Every setup's radiance along one sample's rays, traced and shaded
+    together, per-setup buffers held through the bounces."""
+    hit = trace(soup, O, D)
+    m = hit.mask
+    if m.any():
+        pts, nrm = hit.point[m], hit.normal[m]
+        rows = mtab.row(hit.mat_id[m])
+        alb = albedo_at(mtab, hit.mat_id[m], pts)
+        factors = _light_factors(soup, setups[0][2], pts, nrm)
+        Ls = []
+        for _, _, ltab in setups:
+            L = alb * ltab.ambient
+            for g, rgb in zip(factors, ltab.direct_rgb):
+                L = L + (alb / math.pi) * g[:, None] * rgb
+            Ls.append(mtab.emissive[rows] + L)
+        if bounce is not None:
+            rng, spp, sample_index = bounce
+            u = rng.random((int(m.sum()), 2))
+            dirs = _cosine_dirs(nrm, (sample_index + u[:, 0]) / spp, u[:, 1])
+            Lin = _loop_shade_sample(setups, soup, mtab, pts + nrm * _SHADOW_EPS, dirs)
+            Ls = [Ls_k + alb * Lin_k for Ls_k, Lin_k in zip(Ls, Lin)]
+            spec = mtab.specular[rows]
+            sp = spec > 0.0
+            if sp.any():
+                d_in, n_sp = D[m][sp], nrm[sp]
+                refl = d_in - 2.0 * np.einsum("rk,rk->r", d_in, n_sp)[:, None] * n_sp
+                Lr = _loop_shade_sample(setups, soup, mtab, pts[sp] + n_sp * _SHADOW_EPS, refl)
+                for Ls_k, Lr_k in zip(Ls, Lr):
+                    Ls_k[sp] += spec[sp, None] * Lr_k
+    out = []
+    for k, (medium, lights, ltab) in enumerate(setups):
+        L = np.zeros((len(O), 3))
+        if m.any():
+            L[m] = Ls[k]
+        L[~m] = ltab.ambient
+        T = transmittance(medium, hit.t)
+        out.append(T * L + _loop_airlight(medium, D, lights, hit.t))
+    return out
+
+
+def loop_render_setups(scene, setups, cfg, return_variance=False):
+    """(mean, variance or None) per (medium, lights) setup from a Monte Carlo
+    pass that traces one sample at a time and shades every setup from it."""
+    cam = Camera(scene.camera, cfg.width, cfg.height)
+    mtab = _MaterialTable(scene)
+    setups = [(medium, lights, _LightTable(lights, medium)) for medium, lights in setups]
+    h, w, spp = cfg.height, cfg.width, cfg.samples_per_pixel
+    acc = [np.zeros((h * w, 3)) for _ in setups]
+    acc_sq = [np.zeros((h * w, 3)) for _ in setups]
+    for s in range(spp):
+        rng = _sample_stream(cfg.rng_seed, s)
+        O, D = cam.rays(rng.random((h, w, 2)) - 0.5)
+        bounce = (rng, spp, s) if cfg.max_bounces >= 1 else None
+        for k, L in enumerate(_loop_shade_sample(setups, scene.soup, mtab, O, D, bounce)):
+            acc[k] += L
+            acc_sq[k] += L * L
+    out = []
+    for k in range(len(setups)):
+        variance = None
+        if return_variance and spp > 1:
+            sample_var = (acc_sq[k] - acc[k] * acc[k] / spp) / (spp - 1)
+            variance = np.maximum(sample_var, 0.0).reshape(h, w, 3) / spp
+        out.append(((acc[k] / spp).reshape(h, w, 3), variance))
+    return out
+
+
+def loop_heatmap_svg(manifold, context, x_axis, y_axis):
+    """One context's heatmap SVG, scanning every record for it."""
+    xs = manifold.axis_values(x_axis)
+    ys = manifold.axis_values(y_axis)
+    grid = np.full((len(ys), len(xs)), np.nan)
+    for r in manifold.records:
+        if r.context != context:
+            continue
+        coords = {**r.theta_w, **r.theta_v}
+        if r.n > 0:
+            grid[ys.index(coords[y_axis]), xs.index(coords[x_axis])] = r.mean
+    finite = grid[np.isfinite(grid)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
+    span = hi - lo if hi > lo else 1.0
+
+    def short(v):
+        return f"{v:.3g}" if isinstance(v, float) else str(v)
+
+    cell, margin = 14, 60
+    width = margin + cell * len(xs) + 20
+    height = margin + cell * len(ys) + 40
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<text x="{margin}" y="16" font-size="12" font-family="monospace">'
+        f'{manifold.model} {context}: mean_E over ({x_axis}, {y_axis}), '
+        f'range [{lo:.6g}, {hi:.6g}]</text>',
+    ]
+    for i, yv in enumerate(ys):
+        for j, xv in enumerate(xs):
+            v = grid[i, j]
+            if math.isnan(v):
+                fill = "#b0b0b0"
+            else:
+                t = (v - lo) / span
+                fill = (f"#{int(40 + 215 * t):02x}{int(60 + 80 * (1 - abs(2 * t - 1))):02x}"
+                        f"{int(255 - 215 * t):02x}")
+            parts.append(f'<rect x="{margin + j * cell}" y="{margin - 20 + i * cell}" '
+                         f'width="{cell}" height="{cell}" '
+                         f'fill="{fill}"><title>{x_axis}={xv!r} {y_axis}={yv!r} '
+                         f'mean_E={v!r}</title></rect>')
+    for i, yv in enumerate(ys):
+        parts.append(f'<text x="4" y="{margin - 10 + i * cell}" font-size="9" '
+                     f'font-family="monospace">{short(yv)}</text>')
+    step = max(1, len(xs) // 8)
+    for j in range(0, len(xs), step):
+        parts.append(f'<text x="{margin + j * cell}" '
+                     f'y="{margin - 24 + len(ys) * cell + 14}" font-size="9" '
+                     f'font-family="monospace">{short(xs[j])}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from invarsim.characterize import (
     rank_manifold_contexts,
     run_sweep,
 )
+import invarsim.characterize as characterize
 from invarsim.errors import ConfigError, IngestError, LabelMismatchError
-from invarsim.scenegen import validation_scene_config
+from invarsim.render import RenderConfig, render_frame, render_setups
+from invarsim.scene import WEATHER_PRESETS
+from invarsim.scenegen import default_lights_doc, sample_scene, validation_scene_config
+from oracles import loop_heatmap_svg
 
 
 def tiny_oc_protocol(**overrides):
@@ -371,7 +376,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
     def test_each_frame_is_measured_once(self, model, monkeypatch):
-        from invarsim import characterize, validators
+        from invarsim import validators
 
         calls = {"to_gray": 0, "average_ranks": 0}
         for module, name in ((characterize, "to_gray"), (characterize, "average_ranks"),
@@ -405,7 +410,7 @@ class TestSweep:
     def test_cells_equal_the_per_patch_measures(self, model, exclude_occluded, monkeypatch):
         # each side's patches are measured in one batch; every cell's values
         # must equal the one-patch definitions bit for bit
-        from invarsim import characterize, validators
+        from invarsim import validators
         from invarsim.patches import Patch
         from invarsim.validators import bc_variance, gc_variance, oc_measure
 
@@ -563,8 +568,6 @@ class TestSweep:
                 assert set(json.loads(cell.read_text())) == {"records", "extra"}
 
     def test_cell_file_is_json_dumps_of_asdict(self, tmp_path, monkeypatch):
-        from invarsim import characterize
-
         stored = []
 
         def store(cache, coord, result, _fn=characterize.CellCache.store):
@@ -607,8 +610,6 @@ class TestSweep:
         assert cell.read_bytes() == whole
 
     def test_cache_key_carries_epoch_and_version(self, tmp_path, monkeypatch):
-        import invarsim.characterize as characterize
-
         p = tiny_oc_protocol()
         prefixes = {characterize.CellCache(tmp_path, p).prefix}
         monkeypatch.setattr(characterize, "CACHE_EPOCH", characterize.CACHE_EPOCH + 1)
@@ -618,8 +619,6 @@ class TestSweep:
         assert len(prefixes) == 3
 
     def test_resuming_finished_sweeps_renders_nothing(self, tmp_path, monkeypatch):
-        import invarsim.characterize as characterize
-
         ps_scene = validation_scene_config()
         ps_scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
         protocols = {
@@ -714,6 +713,55 @@ class TestSweep:
         assert len(m.aux["ds"]) == 2
         fog = next(i for i in m.aux["ds"] if i["weather"] == "Fog")
         assert 0.0 <= fog["fraction_below"] <= 1.0
+
+    def test_ds_one_pass_equals_each_tag_rendered_alone(self):
+        # a spot light too: the ambient-only tags keep it, and the sun, at
+        # intensity 0 in the shared pass, and drop both when rendered alone
+        scene_doc = validation_scene_config()
+        scene_doc["lights"] = default_lights_doc() + [
+            {"kind": "spot", "position": [0.0, 20.0, 0.0], "direction": [0.0, -1.0, 0.5],
+             "cone_deg": 70.0, "intensity": 100.0}]
+        p = ProtocolConfig.from_dict(dict(
+            default_protocol("DS").to_dict(), scene=scene_doc,
+            render={"width": 24, "height": 18, "spp": 3, "max_bounces": 1}))
+        assert set(p.weather_tags) - set(p.sunny_tags)
+        images = characterize._prepare_weather(p)
+        base = sample_scene(p.scene_config(), p.scene_seed)
+        assert any(l.kind == "spot" for l in base.lights)
+        for tag in p.weather_tags:
+            scene = base if tag in p.sunny_tags else characterize._ambient_only(base)
+            assert len(images[tag]) == len(p.density_scales)
+            for density, img in zip(p.density_scales, images[tag]):
+                medium = WEATHER_PRESETS[tag].scaled(density)
+                alone = render_frame(dataclasses.replace(scene, medium=medium),
+                                     p.render_config())
+                assert np.array_equal(img.data, alone.data), (tag, density)
+
+    def test_render_pass_holds_one_accumulator_per_setup(self):
+        # a 64x48 16-spp pass with the stock DS protocol's 25 setups peaks no
+        # higher than with 1 setup plus 24 accumulators (64 * 48 * 3
+        # float64 each) and a slack of one more: per-setup buffers held
+        # through the bounces would add at least 24 per traced sample
+        p = default_protocol("DS")
+        scene = sample_scene(p.scene_config(), p.scene_seed)
+        setups = [(WEATHER_PRESETS[tag].scaled(d), scene.lights)
+                  for tag in p.weather_tags for d in p.density_scales]
+        assert len(setups) == 25
+        cfg = RenderConfig(width=64, height=48, samples_per_pixel=16, max_bounces=1,
+                           rng_seed=3)
+        accumulator = 64 * 48 * 3 * 8
+        peaks = []
+        tracemalloc.start()
+        try:
+            for some in (setups[:1], setups):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                images = render_setups(scene, some, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                del images
+        finally:
+            tracemalloc.stop()
+        assert 24 * accumulator <= peaks[1] - peaks[0] <= 25 * accumulator
 
     def test_ps_sweep_boundary_exceeds_surface(self):
         scene = validation_scene_config()
@@ -868,8 +916,6 @@ class TestIngest:
             run_sweep(p)
 
     def test_ps_with_flo_files_fails_before_reading_frames(self, tmp_path, monkeypatch):
-        import invarsim.characterize as characterize
-
         frames, apath = self.export_sequence(tmp_path)
         doc = json.loads(apath.read_text())
         doc["flo_files"] = ["flow_0.flo", "flow_1.flo"]
@@ -893,10 +939,10 @@ class TestIngest:
 class TestHeatmap:
     def test_svg_structure(self):
         m = TestMarginalize().constant_manifold()
-        svg = heatmap_svg(m, "Diffuse", "illumination", "s")
+        svg = heatmap_svg(m, "illumination", "s")["Diffuse"]
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 8
-        assert heatmap_svg(m, "Diffuse", "illumination", "s") == svg
+        assert heatmap_svg(m, "illumination", "s")["Diffuse"] == svg
 
     def test_gap_cells_gray(self):
         records = [
@@ -906,8 +952,36 @@ class TestHeatmap:
                             float("nan"), float("nan"), 0),
         ]
         m = Manifold("OC", ("illumination",), ("s",), records)
-        svg = heatmap_svg(m, "Diffuse", "illumination", "s")
+        svg = heatmap_svg(m, "illumination", "s")["Diffuse"]
         assert "#b0b0b0" in svg
+
+    def test_svgs_equal_one_context_at_a_time(self, tmp_path):
+        oc = run_sweep(tiny_oc_protocol())
+        ps = run_sweep(ProtocolConfig.from_dict({
+            "model": "PS",
+            "scene": validation_scene_config(),
+            "theta_w": {"speed_scales": [0.5, 1.0, 2.0]},
+            "theta_v": {"patch_sizes": [5, 9]},
+            "contexts": ["SameSurface", "MotionBoundary", "Diffuse"],
+            "patches_per_cell": 2,
+            "render": {"width": 64, "height": 48, "spp": 1, "max_bounces": 0},
+        }))
+        _, apath = TestIngest().export_sequence(tmp_path, n_frames=4)
+        # side 13 fits neither rectangle and Occluded has none: gaps
+        ingested = run_sweep(ProtocolConfig.from_dict({
+            "model": "OC",
+            "source": "ingest",
+            "ingest": {"directory": str(tmp_path), "annotation": str(apath)},
+            "theta_v": {"patch_sizes": [5, 9, 13]},
+            "contexts": ["Diffuse", "ShadowRegion", "Occluded"],
+            "patches_per_cell": 1,
+        }))
+        assert ingested.missing and len(ingested.missing) < len(ingested.records)
+        for m, x_axis in ((oc, "illumination"), (ps, "speed"), (ingested, "frame")):
+            svgs = heatmap_svg(m, x_axis, "s")
+            assert list(svgs) == sorted({r.context for r in m.records})
+            for context, svg in svgs.items():
+                assert svg == loop_heatmap_svg(m, context, x_axis, "s")
 
 
 class TestContextRanking:

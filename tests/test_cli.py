@@ -284,7 +284,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("model,cells,renders", [
         ("OC", 40 * 3 * 8, 2),  # reference; sun off and on in one pass; not 40 + 1
-        ("DS", 5, 5),  # one pass per weather tag; not 5 tags x 5 densities
+        ("DS", 5, 1),  # all tags and densities in one pass
     ])
     def test_dry_run_counts_stock_render_passes(self, tmp_path, capsys,
                                                 model, cells, renders):

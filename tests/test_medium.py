@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from invarsim.medium import airlight, observed_radiance, schlick_phase, transmittance
+from invarsim.medium import (airlight, observed_radiance, schlick_phase, source_colors,
+                             transmittance)
 from invarsim.scene import LightSpec, MediumSpec, WEATHER_PRESETS
 from oracles import sphere_integral
 
@@ -63,16 +64,22 @@ class TestSchlickPhase:
             schlick_phase(k, 0.0)
 
 
+def scattered(medium, dirs, lights, depth):
+    """Airlight over ``depth`` meters under ``lights``."""
+    one_minus_t = 1.0 - transmittance(medium, depth)
+    return airlight(medium, dirs, *source_colors(medium, lights), one_minus_t)
+
+
 class TestAirlight:
     def test_clear_medium_no_airlight(self):
         dirs = np.array([[0.0, 0.0, 1.0]])
-        out = airlight(MediumSpec(), dirs, AMBIENT_WHITE, np.array([50.0]))
+        out = scattered(MediumSpec(), dirs, AMBIENT_WHITE, np.array([50.0]))
         assert np.all(out == 0.0)
 
     def test_ambient_only_saturates_to_airlight_color(self):
         m = fog(0.2, 0.0, airlight_color=(0.8, 0.9, 1.0))
         dirs = np.array([[0.0, 0.0, 1.0]])
-        out = airlight(m, dirs, AMBIENT_WHITE, np.array([np.inf]))
+        out = scattered(m, dirs, AMBIENT_WHITE, np.array([np.inf]))
         assert np.allclose(out[0], (0.8, 0.9, 1.0), atol=1e-15)
 
     def test_ambient_fog_coplanarity_exact(self):
@@ -83,7 +90,8 @@ class TestAirlight:
         a = np.asarray(m.airlight_color)
         dirs = np.tile([[0.0, 0.0, 1.0]], (64, 1))
         for d in (3.0, 12.0, 55.0):
-            obs = observed_radiance(m, dirs, AMBIENT_WHITE, np.full(64, d), surface)
+            obs = observed_radiance(m, dirs, *source_colors(m, AMBIENT_WHITE), np.full(64, d),
+                                    surface)
             for i in range(64):
                 basis = np.stack([surface[i], a])
                 coef, res, rank, _ = np.linalg.lstsq(basis.T, obs[i], rcond=None)
@@ -96,8 +104,8 @@ class TestAirlight:
         m = fog(0.1, 0.5)
         down = np.array([[0.0, -1.0, 0.0]])   # looking along the light travel
         up = np.array([[0.0, 1.0, 0.0]])      # looking into the sun
-        a_down = airlight(m, down, (sun,), np.array([30.0]))
-        a_up = airlight(m, up, (sun,), np.array([30.0]))
+        a_down = scattered(m, down, (sun,), np.array([30.0]))
+        a_up = scattered(m, up, (sun,), np.array([30.0]))
         # forward scattering: sunward view collects more in-scatter
         assert np.all(a_up > a_down)
         sun_extinction = math.exp(-0.1 * m.layer_height)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import invarsim.geometry as geometry
+import invarsim.render as render
 from invarsim.errors import ConfigError, IdentityMismatchError
 from invarsim.geometry import Camera
 from invarsim.render import (
@@ -18,6 +19,7 @@ from invarsim.render import (
 )
 from invarsim.scene import WEATHER_PRESETS, LightSpec
 from invarsim.scenegen import SceneConfig, sample_scene
+from oracles import loop_render_setups
 
 
 def scene_from(doc_overrides, seed=1):
@@ -193,6 +195,69 @@ class TestRenderFrame:
             sin_angle = np.abs(np.einsum("pc,pc->p", obs, normals)) / np.maximum(mags, 1e-300)
             angles = np.degrees(np.arcsin(np.clip(sin_angle, 0.0, 1.0)))
             assert angles.max() <= 1e-6
+
+
+class TestWavefronts:
+    """A pass traces whole samples together and shades one setup at a time;
+    it must equal tracing one sample at a time with every setup's buffers
+    held (``oracles.loop_render_setups``) bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def spot_scene(self, validation_scene):
+        spot = LightSpec(kind="spot", position=(0.0, 20.0, 0.0),
+                         direction=(0.0, -1.0, 0.5), cone_deg=70.0, intensity=100.0)
+        scene = dataclasses.replace(validation_scene, lights=validation_scene.lights + (spot,),
+                                    medium=WEATHER_PRESETS["Fog"].scaled(0.6))
+        # the mirror bounce is taken: a specular material is in view
+        gt = render_ground_truth(scene, RenderConfig(width=16, height=12))
+        specular = [mid for mid, m in scene.materials.items() if m.specular > 0.0]
+        assert np.isin(gt.material_id, specular).any()
+        return scene
+
+    # 64x48 traces 2 samples per call, so 3 and 5 spp end on a partial
+    # wavefront; one wavefront holds all 5 samples of a 16x12 frame
+    @pytest.mark.parametrize("width,height,spp", [(64, 48, 3), (64, 48, 5), (16, 12, 5)])
+    @pytest.mark.parametrize("max_bounces", [0, 1])
+    def test_render_frame_equals_one_sample_at_a_time(self, spot_scene, width, height,
+                                                       spp, max_bounces):
+        cfg = RenderConfig(width=width, height=height, samples_per_pixel=spp,
+                           max_bounces=max_bounces, rng_seed=spp + 10 * max_bounces)
+        assert render._WAVEFRONT_RAYS // (width * height) in (2, 32)
+        (mean, variance), = loop_render_setups(
+            spot_scene, [(spot_scene.medium, spot_scene.lights)], cfg, return_variance=True)
+        plain = render_frame(spot_scene, cfg)
+        assert plain.variance is None
+        assert np.array_equal(plain.data, mean)
+        with_variance = render_frame(spot_scene, cfg, return_variance=True)
+        assert np.array_equal(with_variance.data, mean)
+        assert np.array_equal(with_variance.variance, variance)
+
+    @pytest.mark.parametrize("width,height,spp", [(64, 48, 5), (16, 12, 3)])
+    @pytest.mark.parametrize("max_bounces", [0, 1])
+    def test_render_setups_equal_one_sample_at_a_time(self, spot_scene, width, height,
+                                                       spp, max_bounces):
+        lights = spot_scene.lights
+        off = tuple(l if l.kind == "ambient" else dataclasses.replace(l, intensity=0.0)
+                    for l in lights)
+        setups = [(WEATHER_PRESETS["Clear"], lights), (WEATHER_PRESETS["Fog"].scaled(0.4), off),
+                  (WEATHER_PRESETS["Rain"].scaled(1.0), lights),
+                  (WEATHER_PRESETS["MildHaze"].scaled(0.7), off)]
+        cfg = RenderConfig(width=width, height=height, samples_per_pixel=spp,
+                           max_bounces=max_bounces, rng_seed=5)
+        images = render_setups(spot_scene, setups, cfg)
+        for img, (mean, _) in zip(images, loop_render_setups(spot_scene, setups, cfg),
+                                  strict=True):
+            assert np.array_equal(img.data, mean)
+
+    def test_odd_wavefront_sizes(self, spot_scene, monkeypatch):
+        # 3 samples per trace call over 7 samples, and one sample per call
+        cfg = RenderConfig(width=16, height=12, samples_per_pixel=7, max_bounces=1,
+                           rng_seed=2)
+        (mean, _), = loop_render_setups(spot_scene, [(spot_scene.medium, spot_scene.lights)],
+                                        cfg)
+        for rays in (3 * 16 * 12, 1):
+            monkeypatch.setattr(render, "_WAVEFRONT_RAYS", rays)
+            assert np.array_equal(render_frame(spot_scene, cfg).data, mean)
 
 
 class TestGroundTruth:

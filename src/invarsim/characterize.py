@@ -880,12 +880,25 @@ class Annotation:
 
 @dataclass
 class IngestedSequence:
-    frames: list
+    """A checked sequence: P6 frame files that all share one size, checked
+    from their headers, and the annotation.  ``frame`` decodes one frame's
+    pixels when a cell measures it, so memory does not grow with the
+    sequence's length."""
+
+    frame_files: list
+    shape: tuple  # (height, width) of every frame
     reference_index: int
     zero_flow: bool
     patches: list
     flow_files: list | None
     directory: str
+
+    def frame(self, index):
+        """Frame ``index`` as float64 (H, W, 3): each sample over maxval."""
+        from .imgio import read_ppm
+
+        samples, maxval = read_ppm(self.frame_files[index])
+        return np.divide(samples, maxval, dtype=np.float64)
 
 
 _FRAME_RE = re.compile(r"(\d+)")
@@ -928,19 +941,15 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
     flow), a ``patches`` list of labeled rectangles, and optionally
     ``flo_files`` naming one flow file per consecutive frame pair.
     """
-    from .imgio import read_ppm
+    from .imgio import read_flo_header, read_ppm_header
 
     directory = Path(directory)
     frame_paths, annotation = _sequence_layout(directory, annotation_path)
-    frames = []
-    for p in frame_paths:
-        arr, maxval = read_ppm(p)
-        frames.append(arr.astype(np.float64) / maxval)
-    shapes = {f.shape for f in frames}
+    shapes = {read_ppm_header(p).shape for p in frame_paths}
     if len(shapes) != 1:
         raise IngestError(f"frame size mismatch: {sorted(shapes)}")
 
-    h, w = frames[0].shape[:2]
+    h, w = next(iter(shapes))[:2]
     for i, rect in enumerate(annotation.patches):
         if rect.context not in CONTEXT_NAMES:
             raise IngestError(f"unknown context {rect.context!r}",
@@ -954,12 +963,21 @@ def ingest_sequence(directory, annotation_path) -> IngestedSequence:
         raise IngestError("annotation lists no patches", json_path="patches")
     flo_files = annotation.flo_files
     if flo_files is not None:
-        if len(flo_files) != len(frames) - 1:
+        if len(flo_files) != len(frame_paths) - 1:
             raise IngestError("need one .flo per consecutive frame pair",
                               json_path="flo_files")
         flo_files = [str(directory / f) for f in flo_files]
+        for i, path in enumerate(flo_files):
+            try:
+                fw, fh = read_flo_header(path)
+            except (OSError, ConfigError) as exc:
+                raise IngestError(str(exc), json_path=f"flo_files[{i}]") from exc
+            if (fw, fh) != (w, h):
+                raise IngestError(f"{path} is {fw}x{fh}, the frames are {w}x{h}",
+                                  json_path=f"flo_files[{i}]")
     return IngestedSequence(
-        frames=frames,
+        frame_files=[str(p) for p in frame_paths],
+        shape=(h, w),
         reference_index=annotation.reference_frame,
         zero_flow=annotation.zero_flow,
         patches=list(annotation.patches),
@@ -1003,25 +1021,26 @@ def _prepare_ingest(protocol):
     batches = ref = None
     if protocol.model == "OC":
         batches = _cell_batches(protocol, patches)
-        ref = _reference(protocol, batches, seq.frames[seq.reference_index])
+        ref = _reference(protocol, batches, seq.frame(seq.reference_index))
     elif not seq.flow_files:
-        zero_flow = np.broadcast_to(0.0, seq.frames[0].shape[:2] + (2,))
+        zero_flow = np.broadcast_to(0.0, seq.shape + (2,))
         batches = _cell_batches(protocol, patches, zero_flow)
     return seq, patches, batches, ref
 
 
 def _eval_frame(protocol, state, idx):
     """Frame ``idx`` against the reference (OC) or its predecessor (BC/GC),
-    under the supplied flow or, for a static camera, zero flow."""
+    under the supplied flow or, for a static camera, zero flow.  Only the
+    frames the cell measures are decoded."""
     from .imgio import read_flo
 
     seq, patches, batches, ref = state
     if protocol.model != "OC":
         if seq.flow_files:
             batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
-        ref = _reference(protocol, batches, seq.frames[idx - 1])
+        ref = _reference(protocol, batches, seq.frame(idx - 1))
     return _cell_records(protocol, {"frame": idx},
-                         _pair_measure(protocol, batches, ref, seq.frames[idx]))
+                         _pair_measure(protocol, batches, ref, seq.frame(idx)))
 
 
 # -- the sweep driver ---------------------------------------------------------

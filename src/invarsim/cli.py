@@ -272,8 +272,8 @@ def cmd_ingest(args):
     seq = ingest_sequence(args.directory, args.annotation)
     summary = {
         "directory": seq.directory,
-        "frames": len(seq.frames),
-        "resolution": list(seq.frames[0].shape[:2]),
+        "frames": len(seq.frame_files),
+        "resolution": list(seq.shape),
         "reference_index": seq.reference_index,
         "zero_flow": seq.zero_flow,
         "patches": [_encode(rect) for rect in seq.patches],

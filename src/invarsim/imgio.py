@@ -2,14 +2,19 @@
 
 PFM files are written little-endian (scale -1.0) with bottom-up row order
 per the format convention.  PPM is the binary P6 variant; sample width
-follows maxval (1 byte up to 255, else 2 bytes big-endian).  Flow files use
+follows maxval (1 byte up to 255, else 2 bytes big-endian), and a ``#``
+comment in a header runs to the end of its line (Netpbm).  Flow files use
 the Middlebury magic 202021.25 with interleaved (u, v) float32 pairs.
-All writers round-trip exactly through the matching reader.
+All writers round-trip exactly through the matching reader.  The header
+readers check a file's header and its size without reading the payload.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,16 +41,26 @@ def write_pfm(path, data: np.ndarray) -> None:
 
 
 def _read_token(f):
+    """The next header token; a comment from ``#`` to the end of its line
+    delimits tokens like whitespace."""
     tok = b""
     while True:
         c = f.read(1)
         if not c:
             raise ConfigError("unexpected end of PFM/PPM header")
+        if c == b"#":
+            f.readline()
+            c = b" "
         if c.isspace():
             if tok:
                 return tok
             continue
         tok += c
+
+
+def _payload_left(f):
+    """The bytes of an open file after its read position."""
+    return os.fstat(f.fileno()).st_size - f.tell()
 
 
 def read_pfm(path) -> np.ndarray:
@@ -90,24 +105,60 @@ def write_ppm(path, data: np.ndarray, maxval: int | None = None) -> None:
             f.write(arr.astype(">u2").tobytes())
 
 
+class PpmHeader(NamedTuple):
+    """A binary PPM's size and maxval, read from its header."""
+
+    height: int
+    width: int
+    maxval: int
+
+    @property
+    def shape(self):
+        return (self.height, self.width, 3)
+
+    @property
+    def dtype(self):
+        """The stored sample type: one byte up to maxval 255, else two."""
+        return np.dtype(np.uint8 if self.maxval <= 255 else ">u2")
+
+
+def _ppm_header(f, path) -> PpmHeader:
+    """Read a P6 header from ``f`` and check that the payload is all there."""
+    magic = _read_token(f)
+    if magic != b"P6":
+        raise ConfigError(f"not a binary PPM: magic {magic!r} in {path}")
+    values = []
+    for _ in range(3):
+        tok = _read_token(f)
+        if not tok.isdigit():
+            raise ConfigError(f"bad PPM header value {tok!r} in {path}")
+        values.append(int(tok))
+    w, h, maxval = values
+    header = PpmHeader(h, w, maxval)
+    if not 1 <= header.maxval <= 65535:
+        raise ConfigError(f"PPM maxval {header.maxval} outside 1..65535 in {path}")
+    if _payload_left(f) < math.prod(header.shape) * header.dtype.itemsize:
+        raise ConfigError(f"truncated PPM payload in {path}")
+    return header
+
+
+def read_ppm_header(path) -> PpmHeader:
+    """A P6 file's header, checked against its size; no sample is read."""
+    with open(path, "rb") as f:
+        return _ppm_header(f, path)
+
+
 def read_ppm(path) -> tuple[np.ndarray, int]:
     """Read binary P6; returns (array, maxval), dtype uint8 or uint16."""
     with open(path, "rb") as f:
-        magic = _read_token(f)
-        if magic != b"P6":
-            raise ConfigError(f"not a binary PPM: magic {magic!r}")
-        w = int(_read_token(f))
-        h = int(_read_token(f))
-        maxval = int(_read_token(f))
-        nbytes = w * h * 3 * (1 if maxval <= 255 else 2)
-        raw = f.read(nbytes)
-        if len(raw) != nbytes:
-            raise ConfigError("truncated PPM payload")
-    if maxval <= 255:
-        arr = np.frombuffer(raw, dtype=np.uint8)
-    else:
-        arr = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
-    return arr.reshape(h, w, 3).copy(), maxval
+        header = _ppm_header(f, path)
+        arr = np.fromfile(f, dtype=header.dtype, count=math.prod(header.shape))
+    arr = arr.reshape(header.shape)
+    if header.maxval > 255:
+        arr = arr.astype(np.uint16)
+    if header.maxval not in (255, 65535) and arr.max(initial=0) > header.maxval:
+        raise ConfigError(f"PPM sample exceeds maxval {header.maxval} in {path}")
+    return arr, header.maxval
 
 
 def write_flo(path, flow: np.ndarray) -> None:
@@ -122,13 +173,32 @@ def write_flo(path, flow: np.ndarray) -> None:
         f.write(arr.astype("<f4").tobytes())
 
 
+def _flo_header(f, path) -> tuple[int, int]:
+    """Read a .flo header from ``f`` and check that the payload is all there:
+    (width, height)."""
+    head = f.read(12)
+    if len(head) != 12:
+        raise ConfigError(f"truncated .flo header in {path}")
+    magic = struct.unpack("<f", head[:4])[0]
+    if magic != FLO_MAGIC:
+        raise ConfigError(f"not a .flo file: magic {magic!r} in {path}")
+    w, h = struct.unpack("<ii", head[4:])
+    if w < 0 or h < 0:
+        raise ConfigError(f"negative .flo size {w}x{h} in {path}")
+    if _payload_left(f) < w * h * 2 * 4:
+        raise ConfigError(f"truncated .flo payload in {path}")
+    return w, h
+
+
+def read_flo_header(path) -> tuple[int, int]:
+    """A .flo file's (width, height), checked against its size; no flow
+    vector is read."""
+    with open(path, "rb") as f:
+        return _flo_header(f, path)
+
+
 def read_flo(path) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = struct.unpack("<f", f.read(4))[0]
-        if magic != FLO_MAGIC:
-            raise ConfigError(f"not a .flo file: magic {magic!r}")
-        w, h = struct.unpack("<ii", f.read(8))
-        raw = f.read(w * h * 2 * 4)
-        if len(raw) != w * h * 2 * 4:
-            raise ConfigError("truncated .flo payload")
-    return np.frombuffer(raw, dtype="<f4").reshape(h, w, 2).copy()
+        w, h = _flo_header(f, path)
+        arr = np.fromfile(f, dtype="<f4", count=w * h * 2)
+    return arr.reshape(h, w, 2)

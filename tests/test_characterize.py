@@ -936,6 +936,215 @@ class TestIngest:
             run_sweep(p)
 
 
+INGEST_CONTEXTS = ["Diffuse", "Edge", "ShadowRegion"]
+
+
+def write_sequence(directory, n_frames, maxval=255, flow=False):
+    """``n_frames`` random 64x48 frames, one rectangle per context of
+    ``INGEST_CONTEXTS``, and (``flow``) one random .flo per frame pair;
+    returns the annotation's path."""
+    from invarsim.imgio import write_flo, write_ppm
+
+    directory.mkdir(exist_ok=True)
+    rng = np.random.default_rng(0)
+    dtype = np.uint8 if maxval <= 255 else np.uint16
+    for t in range(n_frames):
+        img = rng.integers(0, maxval + 1, size=(48, 64, 3)).astype(dtype)
+        write_ppm(directory / f"frame_{t:03d}.ppm", img, maxval=maxval)
+    doc = {"reference_frame": 1, "zero_flow": not flow,
+           "patches": [{"x": 3 + 20 * i, "y": 5 + 8 * i, "width": 14, "height": 12,
+                        "context": c} for i, c in enumerate(INGEST_CONTEXTS)]}
+    if flow:
+        doc["flo_files"] = []
+        for t in range(n_frames - 1):
+            write_flo(directory / f"flow_{t}.flo", rng.normal(0.0, 1.5, size=(48, 64, 2)))
+            doc["flo_files"].append(f"flow_{t}.flo")
+    apath = directory / "annotation.json"
+    apath.write_text(json.dumps(doc))
+    return apath
+
+
+def ingest_protocol(model, apath, **overrides):
+    return ProtocolConfig.from_dict({
+        "model": model, "source": "ingest", "contexts": INGEST_CONTEXTS,
+        "theta_v": {"patch_sizes": [5, 9]},
+        "ingest": {"directory": str(apath.parent), "annotation": str(apath)},
+        **overrides})
+
+
+class TestStreamedIngest:
+    """An ingested sequence holds checked frame files; each cell decodes
+    only the frames it measures."""
+
+    @pytest.mark.parametrize("maxval", [255, 200, 1023, 65535])
+    def test_frame_has_the_bits_of_astype_then_divide(self, tmp_path, maxval):
+        from invarsim.imgio import read_ppm
+
+        seq = ingest_sequence(tmp_path, write_sequence(tmp_path, 2, maxval=maxval))
+        for i, path in enumerate(seq.frame_files):
+            samples, got_maxval = read_ppm(path)
+            want = samples.astype(np.float64) / got_maxval
+            got = seq.frame(i)
+            assert got.dtype == np.float64 and got.shape == (48, 64, 3)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model, flow, maxval", [
+        ("OC", False, 255), ("OC", False, 1023), ("BC", False, 255),
+        ("BC", True, 255), ("GC", False, 200), ("GC", True, 255)])
+    def test_cells_equal_the_per_patch_measures_of_decoded_frames(
+            self, tmp_path, model, flow, maxval):
+        # one patch per cell, so each cell's mean is its patch's value; the
+        # frames are decoded as a whole-sequence load decoded them
+        from invarsim.imgio import read_flo, read_ppm
+        from invarsim.patches import Patch
+        from invarsim.validators import bc_variance, gc_variance, oc_measure
+
+        apath = write_sequence(tmp_path, 4, maxval=maxval, flow=flow)
+        doc = json.loads(apath.read_text())
+        frames = []
+        for path in sorted(tmp_path.glob("*.ppm")):
+            samples, mv = read_ppm(path)
+            frames.append(samples.astype(np.float64) / mv)
+        m = run_sweep(ingest_protocol(model, apath))
+        frame_ids = ([i for i in range(4) if i != doc["reference_frame"]]
+                     if model == "OC" else [1, 2, 3])
+        assert len(m.records) == len(frame_ids) * 2 * len(INGEST_CONTEXTS)
+        for idx in frame_ids:
+            for rect in doc["patches"]:
+                for s in (5, 9):
+                    patch = Patch(row=rect["y"] + (rect["height"] - s) // 2,
+                                  col=rect["x"] + (rect["width"] - s) // 2,
+                                  side=s, context=rect["context"])
+                    if model == "OC":
+                        ref = frames[doc["reference_frame"]]
+                        want = oc_measure(patch.extract(ref), patch.extract(frames[idx]))
+                    else:
+                        field = (read_flo(tmp_path / doc["flo_files"][idx - 1]) if flow
+                                 else np.zeros((48, 64, 2)))
+                        kernel = bc_variance if model == "BC" else gc_variance
+                        want = kernel(frames[idx - 1], frames[idx], field, patch)
+                    rec = m.cell(rect["context"], {"frame": idx}, {"s": s})
+                    assert rec.n == 1
+                    assert np.float64(rec.mean).tobytes() == np.float64(want).tobytes()
+
+    def test_loading_decodes_no_frame(self, tmp_path, monkeypatch):
+        from invarsim import imgio
+
+        decoded = []
+
+        def read_ppm(path, _fn=imgio.read_ppm):
+            decoded.append(path)
+            return _fn(path)
+        monkeypatch.setattr(imgio, "read_ppm", read_ppm)
+        apath = write_sequence(tmp_path, 5)
+        seq = ingest_sequence(tmp_path, apath)
+        assert decoded == [] and len(seq.frame_files) == 5 and seq.shape == (48, 64)
+        # OC: the reference once, then each other frame once
+        run_sweep(ingest_protocol("OC", apath))
+        assert sorted(decoded) == sorted(seq.frame_files)
+        # BC: each cell decodes its frame and the one before it
+        decoded.clear()
+        run_sweep(ingest_protocol("BC", apath))
+        assert sorted(decoded) == sorted(seq.frame_files[:-1] + seq.frame_files[1:])
+
+    @pytest.mark.parametrize("model", ["OC", "GC"])
+    def test_sweep_peak_memory_does_not_grow_with_length(self, tmp_path, model):
+        # a whole-sequence load holds every decoded frame until the sweep
+        # ends: 28 frames more would add 28 frames to the peak
+        frame_bytes = 48 * 64 * 3 * 8
+        peaks = []
+        for n_frames in (4, 32):
+            apath = write_sequence(tmp_path / f"seq{n_frames}", n_frames)
+            p = ingest_protocol(model, apath, contexts=["Diffuse", "Edge"],
+                                theta_v={"patch_sizes": [9]})
+            run_sweep(p)  # lazy imports and caches settle outside the peak
+            tracemalloc.start()
+            try:
+                run_sweep(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < frame_bytes, peaks
+
+    def test_commented_headers_sweep_like_plain_ones(self, tmp_path):
+        plain = write_sequence(tmp_path / "plain", 3)
+        commented = write_sequence(tmp_path / "commented", 3)
+        for path in commented.parent.glob("*.ppm"):
+            raw = path.read_bytes()
+            path.write_bytes(raw.replace(b"P6\n", b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n", 1))
+        want = run_sweep(ingest_protocol("GC", plain)).to_csv()
+        assert run_sweep(ingest_protocol("GC", commented)).to_csv() == want
+
+    @pytest.mark.parametrize("header", [b"P6\n64 48\n0\n", b"P6\n64 48\n70000\n"],
+                             ids=["maxval-0", "maxval-70000"])
+    def test_maxval_out_of_range_rejected_at_load(self, tmp_path, header):
+        apath = write_sequence(tmp_path, 3)
+        bad = tmp_path / "frame_001.ppm"
+        bad.write_bytes(header + bad.read_bytes()[len(b"P6\n64 48\n255\n"):] * 2)
+        with pytest.raises(ConfigError, match="maxval") as err:
+            ingest_sequence(tmp_path, apath)
+        assert str(bad) in str(err.value)
+        with pytest.raises(ConfigError, match="maxval"):
+            run_sweep(ingest_protocol("OC", apath))
+
+    def test_sample_above_maxval_rejected_when_decoded(self, tmp_path):
+        apath = write_sequence(tmp_path, 3, maxval=200)
+        bad = tmp_path / "frame_002.ppm"
+        raw = bytearray(bad.read_bytes())
+        raw[-1] = 201
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="exceeds maxval 200") as err:
+            run_sweep(ingest_protocol("OC", apath))
+        assert str(bad) in str(err.value)
+
+    def test_mis_sized_flo_rejected_at_load(self, tmp_path):
+        from invarsim.imgio import write_flo
+
+        apath = write_sequence(tmp_path, 3, flow=True)
+        bad = tmp_path / "flow_1.flo"
+        write_flo(bad, np.zeros((10, 14, 2)))
+        with pytest.raises(IngestError) as err:
+            ingest_sequence(tmp_path, apath)
+        assert err.value.json_path == "flo_files[1]"
+        assert str(bad) in str(err.value)
+        assert "14x10" in str(err.value) and "64x48" in str(err.value)
+
+    @pytest.mark.parametrize("content", [None, b"\x00" * 16, b"\x00" * 5],
+                             ids=["missing", "bad-magic", "short-header"])
+    def test_missing_or_unreadable_flo_rejected_at_load(self, tmp_path, content):
+        apath = write_sequence(tmp_path, 3, flow=True)
+        bad = tmp_path / "flow_0.flo"
+        if content is None:
+            bad.unlink()
+        else:
+            bad.write_bytes(content)
+        with pytest.raises(IngestError) as err:
+            ingest_sequence(tmp_path, apath)
+        assert err.value.json_path == "flo_files[0]"
+        assert str(bad) in str(err.value)
+
+    @pytest.mark.parametrize("broken, message", [
+        ("frame_size", "frame size mismatch"), ("truncated", "truncated PPM payload"),
+        ("rectangle", "outside 64x48 frame"), ("flo_count", "one .flo per")])
+    def test_load_errors_keep_their_messages(self, tmp_path, broken, message):
+        from invarsim.imgio import write_ppm
+
+        apath = write_sequence(tmp_path, 3, flow=True)
+        doc = json.loads(apath.read_text())
+        if broken == "frame_size":
+            write_ppm(tmp_path / "frame_002.ppm", np.zeros((24, 32, 3), dtype=np.uint8))
+        elif broken == "truncated":
+            path = tmp_path / "frame_001.ppm"
+            path.write_bytes(path.read_bytes()[:-1])
+        elif broken == "rectangle":
+            doc["patches"][0]["x"] = 60
+        else:
+            doc["flo_files"].pop()
+        apath.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            ingest_sequence(tmp_path, apath)
+
+
 class TestHeatmap:
     def test_svg_structure(self):
         m = TestMarginalize().constant_manifold()

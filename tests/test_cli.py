@@ -487,6 +487,57 @@ class TestIngestSweep:
         assert len(rows) == 3 * 2 * 3
         assert not (out_dir / "cells").exists()
 
+    @pytest.mark.parametrize("model", ["OC", "BC"])
+    def test_manifold_bytes_do_not_depend_on_threads(self, tmp_path, model):
+        ppath = self.ingest_protocol(tmp_path, model)
+        texts = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"sweep_{threads}"
+            assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                         "--threads", str(threads)]) == 0
+            texts.append((out_dir / "manifold.csv").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_commented_headers_ingest_like_plain_ones(self, tmp_path):
+        ppath = self.ingest_protocol(tmp_path, "OC")
+        frames = tmp_path / "frames"
+        apath = tmp_path / "annotation.json"
+        assert main(["ingest", str(frames), str(apath), "--porcelain",
+                     "--out", str(tmp_path / "plain.json")]) == 0
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "plain")]) == 0
+        for path in frames.glob("*.ppm"):
+            path.write_bytes(path.read_bytes().replace(
+                b"P6\n", b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n", 1))
+        assert main(["ingest", str(frames), str(apath), "--porcelain",
+                     "--out", str(tmp_path / "commented.json")]) == 0
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "commented")]) == 0
+        summary = json.loads((tmp_path / "commented.json").read_text())
+        assert summary == json.loads((tmp_path / "plain.json").read_text())
+        assert summary["frames"] == 4 and summary["resolution"] == [24, 32]
+        assert ((tmp_path / "commented" / "manifold.csv").read_bytes()
+                == (tmp_path / "plain" / "manifold.csv").read_bytes())
+
+    def test_frame_with_maxval_0_exits_2(self, tmp_path):
+        ppath = self.ingest_protocol(tmp_path, "OC")
+        bad = tmp_path / "frames" / "f1.ppm"
+        bad.write_bytes(bad.read_bytes().replace(b"\n255\n", b"\n0\n", 1))
+        assert main(["ingest", str(tmp_path / "frames"), str(tmp_path / "annotation.json")]) == 2
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(ppath), "--out-dir", str(out_dir)]) == 2
+        assert not (out_dir / "manifold.csv").exists()
+
+    def test_mis_sized_flo_exits_2(self, tmp_path):
+        from invarsim.imgio import write_flo
+
+        ppath = self.ingest_protocol(tmp_path, "BC")
+        apath = tmp_path / "annotation.json"
+        doc = json.loads(apath.read_text())
+        doc.update(zero_flow=False, flo_files=["a.flo", "b.flo", "c.flo"])
+        apath.write_text(json.dumps(doc))
+        for name, shape in (("a.flo", (24, 32, 2)), ("b.flo", (10, 14, 2)), ("c.flo", (24, 32, 2))):
+            write_flo(tmp_path / "frames" / name, np.zeros(shape))
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep")]) == 2
+
 
 # every flag a subcommand does not read; argparse rejects each with exit 2
 _POSITIONALS = {

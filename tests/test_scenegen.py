@@ -7,7 +7,7 @@ import pytest
 
 from invarsim.characterize import ProtocolConfig, default_protocol, ingest_sequence
 from invarsim.errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
-from invarsim.imgio import write_ppm
+from invarsim.imgio import write_flo, write_ppm
 from invarsim.scene import ClassPrior, ClassPriors, CuboidMark, DynamicsScript, ObjectClass
 from invarsim.scenegen import (
     MaterialRegistry,
@@ -270,6 +270,7 @@ class TestSampling:
         is rejected naming a json_path, or it is ingested."""
         for t in range(2):
             write_ppm(tmp_path / f"frame_{t}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        write_flo(tmp_path / "flow_0.flo", np.zeros((8, 8, 2)))
         base = {"reference_frame": 0, "zero_flow": True, "flo_files": ["flow_0.flo"],
                 "patches": [{"x": 0, "y": 0, "width": 5, "height": 5, "context": "Diffuse"},
                             {"x": 2, "y": 1, "width": 6, "height": 7, "context": "Edge"}]}

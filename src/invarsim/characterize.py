@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import (_LIST, _NUMBER, _STRING, _block, _check, _decode, _encode, _items, _Kind,
-                    _kinds, _read, _required)
+from .codec import _LIST, _NUMBER, _STRING, _block, _each, _encode, _items, _Kind, _reader
 from .errors import ConfigError, IngestError, LabelMismatchError, PatchSamplingError
 from .patches import (
     CONTEXT_NAMES,
@@ -85,10 +84,6 @@ _KNOWN_NAMES = {"contexts": CONTEXT_NAMES, "sunny_tags": tuple(WEATHER_PRESETS),
 _AXIS_VALUES = _Kind("a list of finite numbers",
                      lambda v: isinstance(v, list) and all(map(_NUMBER.test, v)), tuple)
 
-#: the keys of a protocol's sensor block, each optional: SensorConfig's, less its seed
-_SENSOR = _kinds(SensorConfig, omit=("noise_seed",))
-
-
 def _at(json_key, default, **metadata):
     """A ProtocolConfig field held at dotted ``json_key`` of the document."""
     return field(default=default, metadata={"json_key": json_key, **metadata})
@@ -125,7 +120,7 @@ class ProtocolConfig:
     samples_per_pixel: int = _at("render.spp", 16)
     max_bounces: int = _at("render.max_bounces", 1)
     sensor: dict | None = field(default_factory=lambda: {
-        key: value for key, value in _encode(SensorConfig()).items() if key in _SENSOR})
+        key: value for key, value in _encode(SensorConfig()).items() if key != "noise_seed"})
     ds_angle_threshold_deg: float = _at("thresholds.ds_angle_deg", 3.0)
     exclude_occluded: bool = False
     ingest_dir: str | None = _at("ingest.directory", None)
@@ -189,12 +184,7 @@ class ProtocolConfig:
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
         """The protocol of JSON document ``doc``, sharing no dict with it; a
         ConfigError names the path of a bad value."""
-        doc = copy.deepcopy(doc)
-        _check(doc, _kinds(cls), None, _required(cls))
-        if doc.get("sensor") is not None:  # a partial block: SensorConfig has the rest
-            _check(doc["sensor"], _SENSOR, "sensor", ())
-            doc["sensor"] = {key: _SENSOR[key].load(value) for key, value in doc["sensor"].items()}
-        return _decode(cls, doc, None)
+        return _reader(cls, True)(copy.deepcopy(doc), None, sensor=_read_sensor)
 
     def to_dict(self) -> dict:
         return copy.deepcopy(_encode(self))
@@ -218,8 +208,17 @@ class ProtocolConfig:
         """Sensor stage for one frame; None means evaluate raw radiance."""
         if self.sensor is None:
             return None
-        return _decode(SensorConfig, self.sensor, "sensor",
-                       noise_seed=_mix(self.sensor_seed, *tags))
+        return _reader(SensorConfig, True)(
+            {**self.sensor, "noise_seed": _mix(self.sensor_seed, *tags)}, "sensor")
+
+
+def _read_sensor(block, path):
+    """A protocol's sensor block at ``path``: None, or the keys it gives,
+    each checked and loaded; SensorConfig has the rest, and a seed of its own."""
+    if block is None:
+        return None
+    sensor = _encode(_reader(SensorConfig, True, omit=("noise_seed",))(block, path))
+    return {key: sensor[key] for key in block}
 
 
 _RAMP_40 = tuple(1.0 + 4.0 * i / 39.0 for i in range(40))
@@ -920,12 +919,8 @@ def _sequence_layout(directory, annotation_path):
         doc = json.loads(Path(annotation_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read annotation: {exc}") from exc
-    _check(doc, _kinds(Annotation), None, ())
-    annotation = _decode(
-        Annotation, doc, None,
-        patches=tuple(_read(LabelledRect, entry, f"patches[{i}]")
-                      for i, entry in enumerate(doc.get("patches", ()))),
-        flo_files=_items(_STRING, doc["flo_files"], "flo_files") if "flo_files" in doc else None)
+    annotation = _reader(Annotation, True)(doc, None, patches=_each(_reader(LabelledRect, True)),
+                                           flo_files=functools.partial(_items, _STRING))
     if not 0 <= annotation.reference_frame < len(frame_paths):
         raise IngestError(f"reference_frame {annotation.reference_frame} out of range "
                           f"(have {len(frame_paths)} frames)",

@@ -3,20 +3,30 @@ scene config, the characterization protocol and the ingest annotation.
 
 A dataclass is its own schema.  Each field is one key of the dataclass's
 JSON block: its ``json_key`` metadata, or else its name.  A dotted key such
-as ``"render.spp"`` is the ``spp`` key of the nested block ``render``.  The
-kind of JSON value the key holds is the field's ``kind`` metadata, or else
-the kind its type hint gives.  A number must be finite: RFC 8259 allows no
-NaN or Infinity, though Python's ``json`` reads both.
+as ``"render.spp"`` is the ``spp`` key of the nested block ``render``; a
+nested block left out reads as ``{}``.  The kind of JSON value the key
+holds is the field's ``kind`` metadata, or else the kind its type hint
+gives.  A number must be finite: RFC 8259 allows no NaN or Infinity, though
+Python's ``json`` reads both.
 
-The scene document, which every ``invarsim render`` reads and writes, goes
-through a reader and a writer compiled once per dataclass from its block:
+Every document is read by a reader and the scene document is written by a
+writer, each compiled once per dataclass from its block:
 
-- ``_reader(cls)`` checks a block's key set and each value's kind, loads
-  the values and builds ``cls``, in one pass.  It words no error: at the
-  first key or value it cannot read it raises ``_Invalid``, and the caller
-  then runs ``_check`` over the whole document.  So every error, with its
-  message and its ``json_path``, is the one a check of the whole document
-  before any decoding gives, and ``_check`` alone words it.
+- ``_reader(cls, optional)`` checks a block's key set and each value's kind,
+  loads the values and builds ``cls``, in one pass.  Its key policy is
+  ``optional``: in the hand-written scene config, protocol and annotation a
+  key may be left out when its field has a default; in the scene document,
+  which the program writes, every key is required.  A valid block costs one
+  key-set test and one kind test per value.  Only a block that fails one
+  is walked again, by its ``word``, which raises the error naming its
+  json_path, in this order: a block that is no JSON object; its first
+  unknown key, in document order; then, field by field in declaration
+  order, a nested block's error, a value not of its field's kind or a
+  missing key.  Reading order across blocks: a block's fields are loaded in
+  declaration order, a nested block's after the block's own; a value that
+  holds blocks, such as a list of entries, is read through when its field
+  is loaded; and a block's constructor runs after all its fields.  Of a
+  document's errors, the one raised is the first met in that order.
 - ``_writer(cls, depth)`` is the block's layout in ``json.dumps(doc,
   sort_keys=True, indent=1)`` at one nesting depth: a ``%``-template with
   one slot per key, in key order.  A slot is filled as ``json.dumps``
@@ -24,6 +34,9 @@ through a reader and a writer compiled once per dataclass from its block:
   block or a list of blocks, by ``_text``, which writes each block it holds
   by that block's compiled writer.  The text is that of ``json.dumps``,
   byte for byte.
+
+``_encode`` gives the JSON block of a protocol's dataclasses, from which its
+``canonical_json`` and ``content_hash`` are made.
 """
 
 from __future__ import annotations
@@ -33,7 +46,6 @@ import enum
 import functools
 import operator
 import sys
-import types
 import typing
 from json.encoder import encode_basestring_ascii
 
@@ -102,67 +114,19 @@ def _block(cls):
                  for f in dataclasses.fields(cls))
 
 
-def _parent(doc, key, step=dict.get):
-    """The block of ``doc`` that holds dotted ``key``, and the key's last
-    part; ``step(block, name, {})`` opens each nested block in turn."""
-    if "." not in key:
-        return doc, key
-    *names, leaf = key.split(".")
-    for name in names:
-        doc = step(doc, name, {})
-    return doc, leaf
-
-
-def _read_only(tree):
-    """``tree``, a dict of dicts, as read-only mappings."""
-    return types.MappingProxyType({key: _read_only(value) if isinstance(value, dict) else value
-                                   for key, value in tree.items()})
-
-
-@functools.cache
-def _kinds(*classes, omit=()):
-    """The kind of each key of a block holding the fields of ``classes``,
-    less the keys in ``omit``; the keys of a nested block are a mapping of
-    their own.  Built once, and read-only."""
-    kinds = {}
-    for cls in classes:
-        for key, _, kind, _ in _block(cls):
-            if key not in omit:
-                block, leaf = _parent(kinds, key, dict.setdefault)
-                block[leaf] = kind
-    return _read_only(kinds)
-
-
-@functools.cache
-def _required(*classes, omit=()):
-    """The keys a document must give in a block holding the fields of
-    ``classes``, less the keys in ``omit``: those whose field has no default."""
-    return frozenset(key for cls in classes for key, _, _, required in _block(cls)
-                     if required and key not in omit)
-
-
 def _encode(spec, **given):
     """The JSON block of dataclass ``spec``: tuples become lists and enums
     their values, and each field named in ``given`` takes the given value."""
     doc = {}
     for key, name, _, _ in _block(type(spec)):
         value = given[name] if name in given else getattr(spec, name)
-        block, leaf = _parent(doc, key, dict.setdefault)
+        *names, leaf = key.split(".")
+        block = doc
+        for part in names:
+            block = block.setdefault(part, {})
         block[leaf] = (list(value) if isinstance(value, tuple)
                        else value.value if isinstance(value, enum.Enum) else value)
     return doc
-
-
-def _decode(cls, doc, path, **given):
-    """Dataclass ``cls`` built from its checked JSON block ``doc``, with each
-    field named in ``given`` taking the given value, and a key ``doc`` lacks
-    its field's default; a pathless ConfigError it raises names ``path``."""
-    values = {}
-    for key, name, kind, _ in _block(cls):
-        block, leaf = _parent(doc, key)
-        if leaf in block and name not in given:
-            values[name] = kind.load(block[leaf])
-    return _construct(cls, {**values, **given}, path)
 
 
 def _construct(cls, values, path):
@@ -186,26 +150,6 @@ def _key_path(path, key):
     return f"{path}.{key}" if path else key
 
 
-def _check(doc, kinds, path=None, required=None):
-    """Raise ConfigError at the first unknown key of the JSON object ``doc``,
-    the first key of ``required`` (every key when None) it lacks, or the
-    first value not of its key's kind.  A key whose kinds are a mapping
-    holds a nested block, checked in turn; ``required`` names its keys dotted."""
-    _expect(_OBJECT, doc, path)
-    for key in doc:
-        if key not in kinds:
-            raise ConfigError(f"unknown key {key!r}", json_path=_key_path(path, key))
-    for key, kind in kinds.items():
-        if not isinstance(kind, _Kind):
-            _check(doc.get(key, {}), kind, _key_path(path, key),
-                   required and {k.split(".", 1)[1] for k in required if k.startswith(key + ".")})
-        elif key in doc:
-            if not kind.test(doc[key]):
-                _expect(kind, doc[key], _key_path(path, key))
-        elif required is None or key in required:
-            raise ConfigError("required key is missing", json_path=_key_path(path, key))
-
-
 def _items(kind, values, path):
     """The items of the JSON list ``values`` at ``path``, each checked and
     loaded as ``kind``."""
@@ -214,65 +158,94 @@ def _items(kind, values, path):
     return tuple(map(kind.load, values))
 
 
-def _read(cls, doc, path, required=None):
-    """Dataclass ``cls`` of its JSON block ``doc`` at ``path``, which must
-    give the ``required`` keys: by default, those whose field has no default."""
-    _check(doc, _kinds(cls), path, _required(cls) if required is None else required)
-    return _decode(cls, doc, path)
+def _compile(fields):
+    """The loader of the JSON block of ``fields``, each (dotted key, field
+    name, kind, whether required): ``load(doc, path, values, loads)`` puts
+    the value of each field that the block ``doc`` at ``path`` holds in
+    ``values``, by field name, loaded by its kind or by ``loads[name](value,
+    json_path)``.  The fields of dotted keys with a common first part make
+    up one nested block, at the place of the first of them, loaded after
+    the block's own fields; left out, it reads as ``{}``."""
+    kinds, plain, required = {}, [], set()
+    for key, name, kind, needed in fields:
+        head, dot, rest = key.partition(".")
+        if dot:
+            kinds.setdefault(head, []).append((rest, name, kind, needed))
+        else:
+            kinds[key] = kind
+            plain.append((key, name, kind.test, kind.load))
+            if needed:
+                required.add(key)
+    nested = {key: _compile(group) for key, group in kinds.items() if isinstance(group, list)}
+    keys, required = frozenset(kinds), frozenset(required)
 
+    def word(doc, path):
+        """Raise the ConfigError, naming its json_path, of the first key or
+        value of ``doc`` the block rejects, in the order the module
+        docstring gives; return if it rejects none."""
+        _expect(_OBJECT, doc, path)
+        for key in doc:
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r}", json_path=_key_path(path, key))
+        for key, kind in kinds.items():
+            if key in nested:
+                nested[key].word(doc.get(key, {}), _key_path(path, key))
+            elif key in doc:
+                _expect(kind, doc[key], _key_path(path, key))
+            elif key in required:
+                raise ConfigError("required key is missing", json_path=_key_path(path, key))
 
-class _Invalid(Exception):
-    """A compiled reader met a key or value ``_check`` rejects; ``_check``
-    words why."""
-
-
-def _fields(cls, omit=None):
-    """(key, field name, kind test, kind load) of each field of dataclass
-    ``cls`` but the one named ``omit``."""
-    return tuple((key, name, kind.test, kind.load)
-                 for key, name, kind, _ in _block(cls) if name != omit)
-
-
-def _values(fields, doc, path, loads):
-    """The field values of the JSON object ``doc`` at ``path``, each field of
-    ``fields`` loaded by its kind, or by ``loads[name](value, json_path)``."""
-    values = {}
-    for key, name, test, load in fields:
-        value = doc[key]
-        if not test(value):
-            raise _Invalid
-        values[name] = loads[name](value, _key_path(path, key)) if name in loads else load(value)
-    return values
+    def load(doc, path, values, loads):
+        if not isinstance(doc, dict) or doc.keys() != keys and not required <= doc.keys() <= keys:
+            word(doc, path)
+        for key, name, test, load_value in plain:
+            try:
+                value = doc[key]
+            except KeyError:  # an optional key left out
+                continue
+            if not test(value):
+                word(doc, path)
+            values[name] = (loads[name](value, _key_path(path, key)) if name in loads
+                            else load_value(value))
+        for key, sub in nested.items():
+            sub(doc.get(key, {}), _key_path(path, key), values, loads)
+    load.word = word
+    return load
 
 
 @functools.cache
-def _reader(cls, inline=None):
+def _reader(cls, optional=False, inline=None, omit=(), require=()):
     """The compiled reader of dataclass ``cls``: ``read(doc, path, **loads)``
-    is the ``cls`` of its JSON block ``doc`` at ``path``, which must hold
-    every key of the block and no other.  The field named ``inline``, a
-    dataclass, has no key: the block holds its fields as its own, and it is
-    built after the other fields.  Each field named in ``loads`` is loaded
-    by ``loads[name](value, json_path)`` once its value is of its kind.
-    Raises ``_Invalid`` at the first key or value ``_check`` would reject; a
-    pathless ConfigError of a constructor names the block's ``path``."""
-    fields = _fields(cls, inline)
+    is the ``cls`` of its JSON block ``doc`` at ``path``.  Every key of the
+    block is required, or, when ``optional``, those whose field has no
+    default and those in ``require``.  The fields named in ``omit`` have no
+    key and keep their defaults.  The field named ``inline``, a dataclass,
+    has no key either: the block holds its fields as its own, and it is
+    built after the other fields are loaded.  Each field named in ``loads``
+    is loaded by ``loads[name](value, json_path)`` once its value is of its
+    kind; a pathless ConfigError of a constructor names the block's ``path``."""
+    def fields(of, leave_out):
+        return [(key, name, kind, required or not optional or key in require)
+                for key, name, kind, required in _block(of) if name not in leave_out]
+
     inner_cls = inline and typing.get_type_hints(cls)[inline]
-    inner = _fields(inner_cls) if inline else ()
-    keys = frozenset(key for key, *_ in fields + inner)
+    inner = fields(inner_cls, omit) if inline else []
+    load = _compile(fields(cls, (inline, *omit)) + inner)
+    inner_names = tuple(name for _, name, _, _ in inner)
 
     def read(doc, path, **loads):
-        if not isinstance(doc, dict) or doc.keys() != keys:
-            raise _Invalid
-        values = _values(fields, doc, path, loads)
+        values = {}
+        load(doc, path, values, loads)
         if inline:
-            values[inline] = _construct(inner_cls, _values(inner, doc, path, {}), path)
+            values[inline] = _construct(
+                inner_cls, {name: values.pop(name) for name in inner_names if name in values}, path)
         return _construct(cls, values, path)
     return read
 
 
 def _each(read):
     """A load of a JSON list of blocks, each read by ``read`` at its index."""
-    return lambda docs, path: tuple(read(doc, f"{path}[{i}]") for i, doc in enumerate(docs))
+    return lambda docs, path: tuple([read(doc, f"{path}[{i}]") for i, doc in enumerate(docs)])
 
 
 #: the text of a non-finite float, as ``json.dumps`` writes it

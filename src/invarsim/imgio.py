@@ -63,6 +63,14 @@ def _payload_left(f):
     return os.fstat(f.fileno()).st_size - f.tell()
 
 
+def _read_count(f, path, fmt):
+    """The next header token of a PPM or PFM file, a decimal integer."""
+    tok = _read_token(f)
+    if not tok.isdigit():
+        raise ConfigError(f"bad {fmt} header value {tok!r} in {path}")
+    return int(tok)
+
+
 def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = _read_token(f)
@@ -72,9 +80,16 @@ def read_pfm(path) -> np.ndarray:
             channels = 1
         else:
             raise ConfigError(f"not a PFM file: magic {magic!r}")
-        w = int(_read_token(f))
-        h = int(_read_token(f))
-        scale = float(_read_token(f))
+        w, h = (_read_count(f, path, "PFM") for _ in range(2))
+        if w < 1 or h < 1:
+            raise ConfigError(f"bad PFM size {w}x{h} in {path}: each must be >= 1")
+        tok = _read_token(f)
+        try:
+            scale = float(tok)
+        except ValueError:
+            scale = math.nan
+        if not (math.isfinite(scale) and scale != 0.0):
+            raise ConfigError(f"bad PFM scale {tok!r} in {path}: must be a finite nonzero number")
         dtype = "<f4" if scale < 0 else ">f4"
         raw = f.read(w * h * channels * 4)
         if len(raw) != w * h * channels * 4:
@@ -127,13 +142,7 @@ def _ppm_header(f, path) -> PpmHeader:
     magic = _read_token(f)
     if magic != b"P6":
         raise ConfigError(f"not a binary PPM: magic {magic!r} in {path}")
-    values = []
-    for _ in range(3):
-        tok = _read_token(f)
-        if not tok.isdigit():
-            raise ConfigError(f"bad PPM header value {tok!r} in {path}")
-        values.append(int(tok))
-    w, h, maxval = values
+    w, h, maxval = (_read_count(f, path, "PPM") for _ in range(3))
     header = PpmHeader(h, w, maxval)
     if not 1 <= header.maxval <= 65535:
         raise ConfigError(f"PPM maxval {header.maxval} outside 1..65535 in {path}")

@@ -24,8 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .codec import (_INTEGER, _LIST, _NUMBER, _check, _decode, _each, _Invalid, _items, _Kind,
-                    _kinds, _layout, _reader, _text, _writer)
+from .codec import (_INTEGER, _LIST, _NUMBER, _construct, _each, _items, _Kind, _layout,
+                    _reader, _text, _writer)
 from .errors import ConfigError
 from .geometry import PRIMITIVES, PrimitiveSoup, camera_basis
 
@@ -411,55 +411,29 @@ _KEYFRAME = _Kind(
 
 #: the metadata of a DynamicsScript field: a document holds the script as
 #: the JSON list of its keyframes, at its "dynamics" key
-DYNAMICS_FIELD = {"kind": _LIST._replace(load=lambda keyframes: _decode(
-    DynamicsScript, {}, "dynamics", keyframes=_items(_KEYFRAME, keyframes, "dynamics")))}
+DYNAMICS_FIELD = {"kind": _LIST._replace(load=lambda keyframes: _construct(
+    DynamicsScript, {"keyframes": _items(_KEYFRAME, keyframes, "dynamics")}, "dynamics"))}
 
 
-def _check_scene_doc(doc):
-    """Raise ConfigError, naming its json_path, at the first unknown or
-    missing key of a scene document, or value of the wrong kind."""
-    _check(doc, _kinds(SceneGraph))
-    items = [(_kinds(MediumSpec), "medium", doc["medium"]),
-             (_kinds(CameraSpec), "camera", doc["camera"])]
-    # an object entry holds its mark's fields as its own
-    entry = _kinds(SceneObject, CuboidMark, omit=("mark",))
-    items += [(entry, f"objects[{i}]", o) for i, o in enumerate(doc["objects"])]
-    items += [(_kinds(LightSpec), f"lights[{i}]", l) for i, l in enumerate(doc["lights"])]
-    items += [(_kinds(Material), f"materials.{k}", m) for k, m in doc["materials"].items()]
-    for kinds, path, item in items:
-        _check(item, kinds, path)
-    for k, m in doc["materials"].items():
-        if m["texture"] is not None:
-            _check(m["texture"], _kinds(Texture), f"materials.{k}.texture")
-    for key in doc["materials"]:
-        try:
-            int(key)
-        except ValueError:
-            raise ConfigError("material id must be an integer",
-                              json_path=f"materials.{key}") from None
-    for i, obj in enumerate(doc["objects"]):
-        for j, prim in enumerate(obj["primitives"]):
-            path = f"objects[{i}].primitives[{j}]"
-            kind = prim.get("kind") if isinstance(prim, dict) else None
-            if not isinstance(kind, str) or kind not in PRIMITIVES:
-                raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind")
-            _check(prim, _kinds(PRIMITIVES[kind]), path)
+#: the compiled reader of each primitive type, by its kind
+_PRIMITIVE_READERS = {kind: _reader(cls) for kind, cls in PRIMITIVES.items()}
 
 
 def _read_primitive(doc, path):
     """The primitive of its JSON entry ``doc`` at ``path``, read by the
     compiled reader of the type its ``kind`` names."""
     try:
-        cls = PRIMITIVES[doc["kind"]]
+        read = _PRIMITIVE_READERS[doc["kind"]]
     except (TypeError, KeyError):
-        raise _Invalid from None
-    return _reader(cls)(doc, path)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind") from None
+    return read(doc, path)
 
 
 def _read_object(doc, path):
     """The SceneObject of its JSON entry ``doc`` at ``path``, which holds
     its mark's fields as its own."""
-    return _reader(SceneObject, "mark")(doc, path, primitives=_each(_read_primitive))
+    return _reader(SceneObject, inline="mark")(doc, path, primitives=_each(_read_primitive))
 
 
 def _read_texture(doc, path):
@@ -468,13 +442,17 @@ def _read_texture(doc, path):
 
 
 def _read_materials(docs, path):
-    """The materials of the JSON object ``docs`` at ``path``, by their ids."""
+    """The materials of the JSON object ``docs`` at ``path``, by their ids:
+    each key is an id as ``str`` writes an int, so no two keys name one id."""
     materials = {}
     for key, doc in docs.items():
         try:
             mid = int(key)
         except ValueError:
-            raise _Invalid from None
+            mid = None
+        if mid is None or str(mid) != key:
+            raise ConfigError("material id must be an integer written without '+', spaces, "
+                              "underscores or leading zeros", json_path=f"{path}.{key}")
         materials[mid] = _reader(Material)(doc, f"{path}.{key}", texture=_read_texture)
     return materials
 
@@ -538,13 +516,6 @@ class SceneGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid scene JSON: {exc}") from exc
-        try:
-            return _reader(cls)(doc, None, objects=_each(_read_object),
-                                materials=_read_materials, lights=_each(_reader(LightSpec)),
-                                medium=_reader(MediumSpec), camera=_reader(CameraSpec))
-        except (_Invalid, ConfigError) as exc:
-            error = exc
-        # an error in the document's keys or kinds, worded by the check,
-        # comes before any that a constructor raises
-        _check_scene_doc(doc)
-        raise error
+        return _reader(cls)(doc, None, objects=_each(_read_object),
+                            materials=_read_materials, lights=_each(_reader(LightSpec)),
+                            medium=_reader(MediumSpec), camera=_reader(CameraSpec))

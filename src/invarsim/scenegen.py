@@ -11,13 +11,13 @@ deterministic function of (config, seed).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (_LIST, _NUMBER, _check, _decode, _items, _kind, _Kind, _kinds, _list_of,
-                    _read, _required)
+from .codec import _LIST, _NUMBER, _construct, _each, _items, _Kind, _list_of, _reader
 from .errors import ConfigError, DynamicsPathError, OutOfBoundsError, PlacementError
 from .geometry import Box, Cylinder, Rect, Sphere
 from .scene import (
@@ -257,6 +257,14 @@ def instantiate_geometry(spec: ObjectSpec, registry: MaterialRegistry):
     raise ConfigError(f"no geometry template for class {cls!s}")
 
 
+#: a scene config's weather: a preset's name, or a medium whose beta must be
+#: given, Fog unless tagged
+_WEATHER = _Kind(f"one of {', '.join(WEATHER_PRESETS)} or a JSON object",
+                 lambda v: isinstance(v, dict) or isinstance(v, str) and v in WEATHER_PRESETS,
+                 lambda v: WEATHER_PRESETS[v] if isinstance(v, str) else _reader(
+                     MediumSpec, True, require=("beta",))({"weather_tag": "Fog", **v}, "weather"))
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Parsed scene configuration: priors, bounds, fixtures, photometry.  Each
@@ -266,14 +274,17 @@ class SceneConfig:
     manhattan: bool = True
     cell_size: float = DEFAULT_CELL_SIZE
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    priors: ClassPriors | None = dataclasses.field(default=None, metadata={"json_key": "classes"})
+    priors: ClassPriors | None = dataclasses.field(
+        default=None, metadata={"json_key": "classes", "kind": _LIST})
     count_total: int | None = dataclasses.field(default=None,
                                                 metadata={"json_key": "counts.total"})
     explicit_objects: tuple = dataclasses.field(default=(), metadata={"json_key": "objects"})
     ground: bool = True
     roads: tuple = ()
-    lights: tuple = ()
-    medium: MediumSpec = dataclasses.field(default=MediumSpec(), metadata={"json_key": "weather"})
+    lights: tuple = dataclasses.field(default_factory=lambda: _read_lights(default_lights_doc(),
+                                                                           "lights"))
+    medium: MediumSpec = dataclasses.field(default=MediumSpec(),
+                                           metadata={"json_key": "weather", "kind": _WEATHER})
     camera: CameraSpec = CameraSpec(position=(0.0, 4.0, -20.0), look_at=(0.0, 4.0, 10.0))
     dynamics: DynamicsScript = dataclasses.field(default=DynamicsScript(), metadata=DYNAMICS_FIELD)
     seed: int = 0  #: read by ``invarsim sample`` unless ``--seed`` is given
@@ -296,45 +307,34 @@ class SceneConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneConfig":
         """The scene config of JSON object ``doc``, in which a key is optional
-        when its field has a default; ConfigError names a bad value's path."""
-        _check(doc, _CONFIG_KINDS, None, _required(cls))
-        classes = {}
-        for i, entry in enumerate(doc.get("classes", ())):
-            _check(entry, _CLASS_ENTRY, f"classes[{i}]")
-            classes[ObjectClass(entry["class"])] = _decode(ClassPrior, entry, f"classes[{i}]")
-        objects = []
-        for i, entry in enumerate(doc.get("objects", ())):
-            where = f"objects[{i}]"
-            _check(entry, _OBJECT_ENTRY, where, _OBJECT_REQUIRED)
-            mark = _decode(CuboidMark, entry, where)
-            objects.append(_decode(ObjectSpec, entry, where, mark=mark))
-        weather = doc.get("weather", "Clear")
-        # a weather block is a medium whose beta must be given, Fog unless tagged
-        medium = (WEATHER_PRESETS[weather] if isinstance(weather, str) else
-                  _read(MediumSpec, {"weather_tag": "Fog", **weather}, "weather", ("beta",)))
-        return _decode(
-            cls, doc, None,
-            priors=_decode(ClassPriors, {}, "classes", classes=classes) if classes else None,
-            explicit_objects=tuple(objects),
-            roads=_items(_ROAD, doc.get("roads", []), "roads"),
-            lights=tuple(_read(LightSpec, light, f"lights[{i}]")
-                         for i, light in enumerate(doc.get("lights", default_lights_doc()))),
-            medium=medium,
-            camera=_read(CameraSpec, doc["camera"], "camera") if doc.get("camera") else cls.camera,
-        )
+        when its field has a default, and a camera of ``{}`` is the default
+        camera; ConfigError names a bad value's path."""
+        return _reader(cls, True)(
+            doc, None, priors=_read_classes, roads=functools.partial(_items, _ROAD),
+            explicit_objects=_each(_reader(ObjectSpec, True, "mark", ("yaw",))),
+            lights=_read_lights, camera=lambda camera, path: (
+                _reader(CameraSpec, True)(camera, path) if camera else cls.camera))
 
 
-#: the top-level keys of a scene config, two of them in a form of their own
-_CONFIG_KINDS = {**_kinds(SceneConfig), "classes": _LIST,
-                 "weather": _Kind(f"one of {', '.join(WEATHER_PRESETS)} or a JSON object",
-                                  lambda v: isinstance(v, dict)
-                                  or isinstance(v, str) and v in WEATHER_PRESETS)}
-_CLASS_ENTRY = {"class": _kind(ObjectClass), **_kinds(ClassPrior)}
-#: an ``objects[]`` entry holds the fields its mark requires as its own: a
-#: scene config gives no yaw
-_NOT_IN_ENTRY = ("mark", *(_kinds(CuboidMark).keys() - _required(CuboidMark)))
-_OBJECT_ENTRY = _kinds(ObjectSpec, CuboidMark, omit=_NOT_IN_ENTRY)
-_OBJECT_REQUIRED = _required(ObjectSpec, CuboidMark, omit=_NOT_IN_ENTRY)
+@dataclass(frozen=True)
+class _ClassEntry:
+    """A ``classes[]`` entry of a scene config: a class, and its prior,
+    whose fields the entry holds as its own."""
+
+    object_class: ObjectClass = dataclasses.field(metadata={"json_key": "class"})
+    prior: ClassPrior
+
+
+def _read_classes(docs, path):
+    """The ClassPriors of a scene config's ``classes[]`` entries at
+    ``path``, or None for no entry; of two entries of a class, the later."""
+    entries = _each(_reader(_ClassEntry, True, "prior"))(docs, path)
+    classes = {entry.object_class: entry.prior for entry in entries}
+    return _construct(ClassPriors, {"classes": classes}, path) if classes else None
+
+
+#: the ``lights[]`` of a scene config
+_read_lights = _each(_reader(LightSpec, True))
 _ROAD = _list_of(4, _NUMBER)  #: [x0, z0, x1, z1]
 
 

@@ -55,6 +55,17 @@ class TestPfm:
         write_pfm(path, img)
         assert np.all(np.isinf(read_pfm(path)))
 
+    @pytest.mark.parametrize("header", [
+        b"PF\n2 -2\n-1.0\n", b"PF\n0 2\n-1.0\n", b"PF\n2 x\n-1.0\n", b"Pf\n2 2.5\n-1.0\n",
+        b"PF\n2 2\nabc\n", b"PF\n2 2\n0.0\n", b"Pf\n2 2\nnan\n", b"Pf\n2 2\n-inf\n",
+    ])
+    def test_bad_header_value_rejected_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(header + b"\x00" * 48)
+        with pytest.raises(ConfigError, match="bad PFM") as err:
+            read_pfm(path)
+        assert str(path) in str(err.value)
+
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"XX\n1 1\n-1.0\n" + b"\x00" * 4)

@@ -253,6 +253,10 @@ class TestSceneValues:
         (edit_at(["materials", "0", "specular"], 2.0), "materials.0"),
         (edit_at(["materials", "0", "albedo"], "red"), "materials.0.albedo"),
         (lambda d: d["materials"].update(abc=d["materials"]["0"]), "materials.abc"),
+        # an id written otherwise than str writes it would alias another id
+        (lambda d: d["materials"].update({"00": d["materials"]["0"]}), "materials.00"),
+        (lambda d: d["materials"].update({" 1": d["materials"]["1"]}), "materials. 1"),
+        (lambda d: d["materials"].update({"1_0": d["materials"]["1"]}), "materials.1_0"),
         (edit_at(["medium", "beta"], [-1.0, 0.0, 0.0]), "medium"),
         (edit_at(["camera", "vfov_deg"], 200.0), "camera"),
         (edit_at(["camera", "up"], None), "camera.up"),

@@ -281,8 +281,8 @@ class SceneConfig:
     explicit_objects: tuple = dataclasses.field(default=(), metadata={"json_key": "objects"})
     ground: bool = True
     roads: tuple = ()
-    lights: tuple = dataclasses.field(default_factory=lambda: _read_lights(default_lights_doc(),
-                                                                           "lights"))
+    lights: tuple = dataclasses.field(  # left out: the default sky and sun
+        default_factory=lambda: _read_lights(default_lights_doc(), "lights"))
     medium: MediumSpec = dataclasses.field(default=MediumSpec(),
                                            metadata={"json_key": "weather", "kind": _WEATHER})
     camera: CameraSpec = CameraSpec(position=(0.0, 4.0, -20.0), look_at=(0.0, 4.0, 10.0))

@@ -12,8 +12,9 @@ first culls rays against object bounds, the scene JSON encoded as one
 document, where the package encodes each object once and reuses its text,
 a Monte Carlo pass that traces one sample at a time and holds every
 setup's buffers through the bounces, where the package traces whole
-samples together and shades one setup at a time, and a heatmap that scans
-every record for its context, where the package groups them once.
+samples together and shades one setup at a time, a heatmap that scans
+every record for its context, where the package groups them once, and the
+forward flow of a frame pair traced from both scene states' center rays.
 """
 
 import dataclasses
@@ -23,10 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from invarsim.errors import IdentityMismatchError
 from invarsim.geometry import INF, RECT_UV, Camera, Hit, _TIE_EPS, trace
 from invarsim.medium import schlick_phase, sun_transmittance, transmittance
 from invarsim.render import (_SHADOW_EPS, _cosine_dirs, _LightTable, _light_factors,
                              _MaterialTable, _sample_stream, albedo_at)
+from invarsim.scene import SKY_OBJECT_ID
 
 
 def exact_average_ranks(values):
@@ -704,3 +707,79 @@ def loop_heatmap_svg(manifold, context, x_axis, y_axis):
                      f'font-family="monospace">{short(xs[j])}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def traced_flow(scene_t, scene_t1, cfg):
+    """Exact forward flow and occlusion mask between two scene states, each
+    state's center-of-pixel rays traced here.
+
+    Per hit pixel the 3-D hit point is moved by its object's rigid
+    displacement and reprojected through the frame-t+1 camera; flow is the
+    pixel-coordinate difference (u = columns, v = rows).  A pixel is
+    occluded when the object id found at the rounded target pixel in frame
+    t+1 differs (targets outside the image count as occluded).  Sky pixels
+    get zero flow and are compared in place.
+    """
+    ids_t = {o.object_id for o in scene_t.objects}
+    ids_t1 = {o.object_id for o in scene_t1.objects}
+    if ids_t != ids_t1:
+        raise IdentityMismatchError(
+            f"object identity sets differ: {sorted(ids_t ^ ids_t1)}"
+        )
+
+    h, w = cfg.height, cfg.width
+    cam_t = Camera(scene_t.camera, w, h)
+    cam_t1 = Camera(scene_t1.camera, w, h)
+    O, D = cam_t.rays()
+    hit = trace(scene_t.soup, O, D)
+    O1, D1 = cam_t1.rays()
+    hit1 = trace(scene_t1.soup, O1, D1)
+    ids1 = np.where(hit1.mask, hit1.obj_id, SKY_OBJECT_ID).reshape(h, w)
+
+    max_id = max(ids_t, default=-1)
+    disp = np.zeros((max_id + 1, 3))
+    for obj in scene_t.objects:
+        a0 = np.asarray(obj.anchor())
+        a1 = np.asarray(scene_t1.object_by_id(obj.object_id).anchor())
+        disp[obj.object_id] = a1 - a0
+
+    flow = np.zeros((h * w, 2))
+    occl = np.zeros(h * w, dtype=bool)
+    m = hit.mask
+    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    cols = ii.reshape(-1).astype(float)
+    rows = jj.reshape(-1).astype(float)
+
+    same_camera = scene_t.camera == scene_t1.camera
+    if m.any():
+        moved = hit.point[m] + disp[hit.obj_id[m]]
+        proj = cam_t1.project(moved)
+        fu = proj[:, 0] - cols[m]
+        fv = proj[:, 1] - rows[m]
+        if same_camera:
+            # a stationary point reprojects to its own pixel exactly
+            static = np.all(disp[hit.obj_id[m]] == 0.0, axis=1)
+            fu[static] = 0.0
+            fv[static] = 0.0
+            proj[static, 0] = cols[m][static]
+            proj[static, 1] = rows[m][static]
+        flow[m, 0] = fu
+        flow[m, 1] = fv
+        tc = np.rint(proj[:, 0])
+        tr = np.rint(proj[:, 1])
+        inside = (
+            np.isfinite(tc) & np.isfinite(tr)
+            & (tc >= 0) & (tc < w) & (tr >= 0) & (tr < h)
+        )
+        occ_hit = np.ones(int(m.sum()), dtype=bool)
+        ti = tc[inside].astype(int)
+        tj = tr[inside].astype(int)
+        occ_hit[inside] = ids1[tj, ti] != hit.obj_id[m][inside]
+        occl[m] = occ_hit
+
+    sky = ~m
+    if sky.any():
+        same_px_ids = ids1.reshape(-1)[sky]
+        occl[sky] = same_px_ids != SKY_OBJECT_ID
+
+    return flow.reshape(h, w, 2), occl.reshape(h, w)

@@ -134,6 +134,43 @@ def assert_bad_scene_exits_2(scene_json, tmp_path, capsys, edit, json_path):
     assert f"invarsim: {json_path}: " in capsys.readouterr().err
 
 
+#: sha256 of every file ``render`` writes but its manifest, for frames 0..2 of
+#: the ``scene_json`` fixture at 1 spp and 32x24
+RENDER_SHA256 = {
+    "flow_0000_0001.flo": "96f3293f8e1b224df3444b817600503bb3fd541f9407b582f43fbd35b86efbaf",
+    "flow_0001_0002.flo": "4f7a431373dc836b10af286c44ca0f8b9c0a6b5385716a9e83f21a5997d4a1b9",
+    "frame_0000.json": "22e2fd43ca9b4f1ee6790bd89afe592d128dc645a7bd89adb7c3a57f088f250f",
+    "frame_0000.pfm": "a697c493f6ba65316bb5e3b4496dceee7974e2a7b840e52c1c0656a23cf5f7d3",
+    "frame_0000.ppm": "3e1bb0068092c66bcc174389db684da5f33b45612738e7f95bd1393a2a8c15f5",
+    "frame_0000_depth.pfm": "0816225d3e6dfc49c512fb5c2a4251768cc8ddfc767eb605f917a865e819e259",
+    "frame_0000_material_id.pfm": "18a9ac226a2843918b338b4e0289cf0a8fb136424251ccdc5fe9c939b6b3dd98",
+    "frame_0000_normal.pfm": "e93fbe687247302dc6fc3d962b914c6032b2c187f2b0be44805ca3204cec11ad",
+    "frame_0000_object_id.pfm": "2af37d5ac56725f007b27b28c5c9836a94408a795e292585081d775f389ff314",
+    "frame_0000_reflectance.pfm": "309a5c233e0551decb98a2217fe3fd9566432420fa205cd205cb0cc445e5b0d3",
+    "frame_0000_shadow.pfm": "36fc982fc5cf0a2ad5a6c471b4ce71359aa2fe04d6fae6f717d9348a9aee277a",
+    "frame_0001.json": "dbe5c6dc72c510c98d0c59428ba0d0b830397f39e411aa8d872eeeddb781a047",
+    "frame_0001.pfm": "ba6906b3a95829d9a68adbf58a750cbb6582da051a280ab0930ce04e55612420",
+    "frame_0001.ppm": "3c143c93fc4f44cd42fd09128eb28054345acb65cbde7f43d430aed4379eb067",
+    "frame_0001_depth.pfm": "190621a9502d38979d0906f010abe1ed68ed7d575252c644363d15431faab86e",
+    "frame_0001_material_id.pfm": "79e92156ece79b750cb4611e2a2b290d1f04e982c4a1c0b6fd4aa883e2845516",
+    "frame_0001_normal.pfm": "c1f66797ff25971a2602988a0f017489b8cc58f48edf961e784d82212c925bc4",
+    "frame_0001_object_id.pfm": "e652122712f70559b089e8c1063d039914f129db94bbfedee0178a95fbcb2872",
+    "frame_0001_reflectance.pfm": "e2f457a907fd9dd1a2308aea5292724afc16f2270d6b62db26d6501a3fff14b0",
+    "frame_0001_shadow.pfm": "55a172f18b5360e62a029fd153bda803684969a207248a6c9ad2c973e18c105b",
+    "frame_0002.json": "23ae8e2137702e18b1c56c097810e9e1a9d606ca0341f5f5d59228dde25be4e3",
+    "frame_0002.pfm": "a5a9af599eb91c1f5d4f77a054e7a26802d1ed707847a3314e4b58e5ec848bff",
+    "frame_0002.ppm": "07daf4ae76a1b4dc83fb8bc5b3af571c91b6ff362e46ad5da7e8652faa791c7d",
+    "frame_0002_depth.pfm": "e13e30bfdbb0c507bcb85c47e762fa0ac640f3eb1f7a582a4b20886f3263c897",
+    "frame_0002_material_id.pfm": "6d3a1930ac0954d754fbcacb7c761dbfafe54f7a926fbff366a8388c0a3082e7",
+    "frame_0002_normal.pfm": "87433cdf3ae5d59d994b3f502ccae0541b498a75af2208ddc525c587875971bb",
+    "frame_0002_object_id.pfm": "56978266cc4bd5b4b809754c07b26932e4f6952e60c301260c20811d54951553",
+    "frame_0002_reflectance.pfm": "8039fed8fcf89d1fb43bb9bc63edb1203c411cf093d1398fd402403648cedc0e",
+    "frame_0002_shadow.pfm": "ee0bc4f448d0dd7e3ddea6697cf8427a3a87da3b2a02a5771d81af22b34173df",
+    "occlusion_0000_0001.pfm": "56d020fbfb8bb01daa19b1cbd4a8ada32ce84789b0669dd5b104ecc1da7501fb",
+    "occlusion_0001_0002.pfm": "34d88b65f0dafe9db12b77d6659ea449e69a64023bac00082171bfcc3b6d45ba",
+}
+
+
 class TestRender:
     def test_frame_pair_outputs(self, scene_json, tmp_path):
         out_dir = tmp_path / "render"
@@ -153,6 +190,23 @@ class TestRender:
         assert hdr.shape == (36, 48, 3)
         ldr, maxval = read_ppm(out_dir / "frame_0000.ppm")
         assert maxval == 255
+
+    def test_three_frames_pin_every_output(self, scene_json, tmp_path):
+        out_dir = tmp_path / "render"
+        assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                     "--frames", "0..2", "--spp", "1", "--width", "32",
+                     "--height", "24"]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out_dir.iterdir() if p.name != "manifest.json"}
+        assert got == RENDER_SHA256
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        frames = [f"frame_{t:04d}{suffix}" for t in range(3) for suffix in
+                  (".pfm", ".ppm", "_depth.pfm", "_normal.pfm", "_object_id.pfm",
+                   "_material_id.pfm", "_shadow.pfm", "_reflectance.pfm", ".json")]
+        flow = [f"{kind}_{a:04d}_{a + 1:04d}.{ext}" for a in range(2)
+                for kind, ext in (("flow", "flo"), ("occlusion", "pfm"))]
+        assert manifest["outputs"] == {"frames": [str(out_dir / n) for n in frames],
+                                       "flow": [str(out_dir / n) for n in flow]}
 
     def test_gt_independent_of_spp(self, scene_json, tmp_path):
         d1 = tmp_path / "r1"

@@ -18,8 +18,8 @@ from invarsim.render import (
     render_setups,
 )
 from invarsim.scene import WEATHER_PRESETS, LightSpec
-from invarsim.scenegen import SceneConfig, sample_scene
-from oracles import loop_render_setups
+from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
+from oracles import loop_render_setups, traced_flow
 
 
 def scene_from(doc_overrides, seed=1):
@@ -383,6 +383,36 @@ class TestFlow:
         # vehicle pixels whose forward-warped target is still the vehicle stay visible
         vehicle_kept = (gt0.object_id == 1) & ~occl
         assert vehicle_kept.any()
+
+    def oracle_pairs(self, validation_scene):
+        """(name, scene_t, scene_t1, cfg) of every pair checked against the
+        traced oracle: a static scene, a moving vehicle, a moved camera and
+        the three pairs of one PS speed."""
+        cfg = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=1)
+        pairs = [("static", validation_scene, validation_scene, cfg),
+                 ("vehicle", *self.flow_pair(dx=2.5), cfg)]
+        s0, s1 = self.flow_pair(dx=1.5)
+        moved = dataclasses.replace(s1, camera=dataclasses.replace(
+            s1.camera, position=(0.5, 2.25, -9.5)))
+        pairs.append(("camera", s0, moved, cfg))
+        from invarsim.characterize import _scale_velocities, default_protocol
+
+        ps = default_protocol("PS")
+        base = _scale_velocities(sample_scene(ps.scene_config(), ps.scene_seed), 2.0)
+        frames = [apply_dynamics(base, t) for t in range(4)]
+        pairs += [(f"ps_{t}", frames[t], frames[t + 1], ps.render_config())
+                  for t in range(3)]
+        return pairs
+
+    def test_flow_and_occlusion_equal_the_traced_oracle(self, validation_scene):
+        for name, s0, s1, cfg in self.oracle_pairs(validation_scene):
+            flow, occl = compute_flow(s0, s1, cfg)
+            want_flow, want_occl = traced_flow(s0, s1, cfg)
+            assert flow.dtype == np.float64 and occl.dtype == bool, name
+            assert np.array_equal(flow, want_flow), name
+            assert np.array_equal(occl, want_occl), name
+            if name != "static":
+                assert np.any(flow != 0.0) and occl.any(), name
 
     def test_identity_mismatch_raises(self, validation_scene):
         cfg = RenderConfig(width=16, height=12, samples_per_pixel=1, rng_seed=1)

@@ -566,15 +566,17 @@ def _ldr_float(hdr, protocol, *sensor_tags):
     return apply_sensor(hdr, scfg).to_float()
 
 
-def _collect_patches(protocol, cmaps, *seed_parts):
-    """Patches per (context, side); None marks a cell without enough eligible
-    centers, which becomes a gap."""
+def _collect_patches(protocol, gt, *seed_parts):
+    """Patches per (context, side), sampled from the contexts of ground truth
+    ``gt`` classified at that side; None marks a cell without enough
+    eligible centers, which becomes a gap."""
     patches = {}
     for s in protocol.patch_sizes:
+        cmap = classify_contexts(gt, window=s)
         for context in protocol.contexts:
             try:
                 patches[(context, s)] = sample_patches(
-                    cmaps[s], context, s, protocol.patches_per_cell,
+                    cmap, context, s, protocol.patches_per_cell,
                     seed=_mix(protocol.patch_seed, context, s, *seed_parts),
                 )
             except PatchSamplingError:
@@ -676,21 +678,19 @@ def _prepare_ramp(protocol):
         ref_scene = _ambient_only(_without_dynamic_objects(base))
         lit = apply_dynamics(base, 0)
         gt_t = render_ground_truth(lit, rcfg)
-        gt_next = render_ground_truth(ref_scene, rcfg)  # contexts vs. the reference
+        # contexts vs. the reference: occluded where the object ids differ
+        gt_t.occlusion = gt_t.object_id != render_ground_truth(ref_scene, rcfg).object_id
         flow = occl = None
         ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
     else:
         scene_t = apply_dynamics(base, 0)
         lit = apply_dynamics(base, 1)
-        flow, occl = compute_flow(scene_t, lit, rcfg)
         gt_t = render_ground_truth(scene_t, rcfg)
+        flow, occl = compute_flow(gt_t, render_ground_truth(lit, rcfg), scene_t, lit)
         gt_t.flow = flow
         gt_t.occlusion = occl
-        gt_next = render_ground_truth(lit, rcfg)
         ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
-    cmaps = {s: classify_contexts(gt_t, gt_next=gt_next, window=s)
-             for s in protocol.patch_sizes}
-    patches = _collect_patches(protocol, cmaps)
+    patches = _collect_patches(protocol, gt_t)
     hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
     # gathered after the renders, so they do not add to the renders' peak memory
     batches = _cell_batches(protocol, patches, flow, occl)
@@ -714,16 +714,12 @@ def _eval_speed(protocol, base, speed):
     rcfg = protocol.render_config()
     scaled = _scale_velocities(base, speed)
     frames = [apply_dynamics(scaled, t) for t in range(4)]
-    (flow_prev, _), (flow_t, occl_t), (flow_next, _) = [
-        compute_flow(a, b, rcfg) for a, b in zip(frames[:-1], frames[1:])]
-    gt1 = render_ground_truth(frames[1], rcfg)
-    gt1.flow = flow_t
-    gt1.occlusion = occl_t
-    gt2 = render_ground_truth(frames[2], rcfg)
-    cmaps = {s: classify_contexts(gt1, gt_next=gt2, window=s)
-             for s in protocol.patch_sizes}
-    patches = _collect_patches(protocol, cmaps, speed)
-    energy = smoothness_energy(flow_prev, flow_t, flow_next)
+    gts = [render_ground_truth(f, rcfg) for f in frames]
+    gt1 = gts[1]
+    (flow_prev, _), (gt1.flow, gt1.occlusion), (flow_next, _) = [
+        compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
+    patches = _collect_patches(protocol, gt1, speed)
+    energy = smoothness_energy(flow_prev, gt1.flow, flow_next)
     return _cell_records(protocol, {"speed": speed}, {
         key: [energy_variance(energy, p) for p in ps] for key, ps in patches.items() if ps})
 
@@ -1063,8 +1059,9 @@ _SWEEP_SPECS = {
     "OC": _RAMP_SPEC,
     "BC": _RAMP_SPEC,
     "GC": _RAMP_SPEC,
+    # ground truth and flow only: no Monte Carlo pass
     "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
-                     _eval_speed, passes=(0, 4)),
+                     _eval_speed, passes=(0, 0)),
     # all tags and densities in one pass
     "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
                      _eval_weather, passes=(1, 0), theta_v_axes=()),

@@ -157,10 +157,10 @@ def cmd_render(args):
                      "rays": len(frames) * cfg.width * cfg.height * cfg.samples_per_pixel})
         return EXIT_OK
 
-    states = {t: apply_dynamics(scene, t) for t in frames}
-    outputs = []
+    outputs, flow_outputs = [], []
+    prev = None  # the previous frame's (t, state, ground truth): all a pair's flow reads
     for t in frames:
-        st = states[t]
+        st = apply_dynamics(scene, t)
         hdr = render_frame(st, cfg)
         gt = render_ground_truth(st, cfg)
         ldr = apply_sensor(hdr, dataclasses.replace(
@@ -193,16 +193,16 @@ def cmd_render(args):
                     (".pfm", ".ppm", "_depth.pfm", "_normal.pfm",
                      "_object_id.pfm", "_material_id.pfm", "_shadow.pfm",
                      "_reflectance.pfm", ".json")]
+        if prev is not None:
+            a, st_a, gt_a = prev
+            flow, occl = compute_flow(gt_a, gt, st_a, st)
+            fpath = out_dir / f"flow_{a:04d}_{t:04d}.flo"
+            write_flo(fpath, flow)
+            opath = out_dir / f"occlusion_{a:04d}_{t:04d}.pfm"
+            write_pfm(opath, occl.astype(np.float32))
+            flow_outputs += [fpath, opath]
+        prev = t, st, gt
     manifest.stage("frames", outputs)
-
-    flow_outputs = []
-    for a, b in zip(frames[:-1], frames[1:]):
-        flow, occl = compute_flow(states[a], states[b], cfg)
-        fpath = out_dir / f"flow_{a:04d}_{b:04d}.flo"
-        write_flo(fpath, flow)
-        opath = out_dir / f"occlusion_{a:04d}_{b:04d}.pfm"
-        write_pfm(opath, occl.astype(np.float32))
-        flow_outputs += [fpath, opath]
     manifest.stage("flow", flow_outputs)
     mpath = manifest.write(out_dir / "manifest.json")
     _emit(args, {"out_dir": str(out_dir), "frames": [str(p) for p in outputs[:1]],

@@ -168,10 +168,9 @@ def _normal_discontinuities(normal: np.ndarray, valid: np.ndarray, angle_deg: fl
     return h_disc, v_disc
 
 
-def classify_contexts(gt, gt_next=None, window: int = 3,
-                      tau_h: float = TAU_HOMOGENEOUS,
-                      edge_angle_deg: float = EDGE_ANGLE_DEG) -> ContextMap:
-    """Label every pixel with the spatial contexts it belongs to.
+def classify_contexts(gt, window: int = 3) -> ContextMap:
+    """Label every pixel with the spatial contexts it belongs to, from the
+    ground-truth buffers alone.
 
     Areal labels (homogeneous, diffuse, specular, shadow region, occluded,
     same-surface) use a fixed 3-pixel local window; the purity rule at
@@ -179,9 +178,9 @@ def classify_contexts(gt, gt_next=None, window: int = 3,
     transition labels (shadow boundary, edge, corner, motion boundary)
     instead dilate with ``window``: pass the patch scale you intend to
     sample at, and the labeled band covers every pixel of a patch that can
-    contain the transition.  Occlusion-dependent labels appear when the
-    buffers carry flow/occlusion data or ``gt_next`` allows an in-place id
-    comparison.
+    contain the transition.  The occlusion-dependent labels (occluded and
+    same-surface, and motion boundary with flow) appear when the caller has
+    set ``gt.occlusion``.
     """
     for name in ("depth", "object_id", "material_id", "normal",
                  "shadow_fraction", "reflectance"):
@@ -227,22 +226,19 @@ def classify_contexts(gt, gt_next=None, window: int = 3,
     sf_const = np.isfinite(sf_mn) & (sf_mx - sf_mn < 1e-9)
     all_valid = _window_all(valid, local)
     refl_var = _window_var_gray(gt.reflectance, local)
-    uniform = refl_var < tau_h
+    uniform = refl_var < TAU_HOMOGENEOUS
     labels["Homogeneous"] = all_valid & same_mat & sf_const & uniform
 
     # edge / corner from normal-buffer discontinuities, window-dilated
-    h_disc, v_disc = _normal_discontinuities(gt.normal, valid, edge_angle_deg)
+    h_disc, v_disc = _normal_discontinuities(gt.normal, valid, EDGE_ANGLE_DEG)
     h_any = _window_any(h_disc, window)
     v_any = _window_any(v_disc, window)
     labels["Corner"] = h_any & v_any
     labels["Edge"] = (h_any | v_any) & ~labels["Corner"]
 
     # occlusion-dependent labels
-    occlusion = gt.occlusion
-    if occlusion is None and gt_next is not None:
-        occlusion = gt.object_id != gt_next.object_id
-    if occlusion is not None:
-        labels["Occluded"] = occlusion.astype(bool)
+    if gt.occlusion is not None:
+        labels["Occluded"] = gt.occlusion.astype(bool)
         # same-surface pixels keep a patch-scale margin from occlusions and
         # from true motion boundaries; a static object adjacency carries the
         # same (zero) flow and does not break surface smoothness
@@ -269,7 +265,7 @@ def classify_contexts(gt, gt_next=None, window: int = 3,
         mn, mx = _window_minmax(comp, local)
         flat &= np.isfinite(mn) & (mx - mn < 0.1)
     diffuse = (code == 1) & _window_all(lit, local) & flat & ~uniform
-    if occlusion is not None:
+    if gt.occlusion is not None:
         # stay a patch-scale margin away from the geometric-change region:
         # interreflection from an appearing/moving object contaminates a
         # halo around it, not just its own pixels

@@ -9,6 +9,7 @@ bit-identical regardless of how work is scheduled.
 
 Ground-truth buffers come from the deterministic center-of-pixel ray only;
 they carry no Monte Carlo noise and never depend on sampling fidelity.
+Flow and occlusion are derived from two states' buffers, tracing no ray.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ class GroundTruthBuffers:
 
     ``depth`` is the ray-path distance in meters (inf on sky),
     ``shadow_fraction`` the fraction of direct sources occluded, and
-    ``reflectance`` the textured albedo at the hit.  ``flow``/``occlusion``
-    are filled by ``compute_flow`` for frame pairs.  ``material_kinds`` maps
+    ``reflectance`` the textured albedo at the hit.  ``material_kinds`` maps
     material id to its taxonomy kind so context classification never has to
-    consult rendered appearance.
+    consult rendered appearance.  ``flow``/``occlusion`` are None until the
+    caller pairing two states sets them: from ``compute_flow``, or for OC
+    ``occlusion`` alone, where the object ids differ from its reference's.
     """
 
     depth: np.ndarray
@@ -430,7 +432,8 @@ def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
 
 
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
-    """Exact buffers from the deterministic center-of-pixel ray."""
+    """Exact buffers from the deterministic center-of-pixel ray: the only
+    place a scene state's center rays are traced."""
     cam = Camera(scene.camera, cfg.width, cfg.height)
     soup = scene.soup
     ltab = _LightTable(scene.lights, scene.medium)
@@ -478,15 +481,17 @@ def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuff
     )
 
 
-def compute_flow(scene_t: SceneGraph, scene_t1: SceneGraph, cfg: RenderConfig):
-    """Exact forward flow and occlusion mask between two scene states.
+def compute_flow(gt_t: GroundTruthBuffers, gt_t1: GroundTruthBuffers,
+                 scene_t: SceneGraph, scene_t1: SceneGraph):
+    """Exact forward flow and occlusion mask between two scene states, read
+    from their ground truth: no ray is traced.
 
-    Per hit pixel the 3-D hit point is moved by its object's rigid
-    displacement and reprojected through the frame-t+1 camera; flow is the
-    pixel-coordinate difference (u = columns, v = rows).  A pixel is
-    occluded when the object id found at the rounded target pixel in frame
-    t+1 differs (targets outside the image count as occluded).  Sky pixels
-    get zero flow and are compared in place.
+    Per hit pixel the 3-D hit point, at ``depth`` along its center ray, is
+    moved by its object's rigid displacement and reprojected through the
+    frame-t+1 camera; flow is the pixel-coordinate difference (u = columns,
+    v = rows).  A pixel is occluded when ``gt_t1.object_id`` at the rounded
+    target pixel differs (targets outside the image count as occluded).
+    Sky pixels get zero flow and are compared in place.
     """
     ids_t = {o.object_id for o in scene_t.objects}
     ids_t1 = {o.object_id for o in scene_t1.objects}
@@ -495,14 +500,13 @@ def compute_flow(scene_t: SceneGraph, scene_t1: SceneGraph, cfg: RenderConfig):
             f"object identity sets differ: {sorted(ids_t ^ ids_t1)}"
         )
 
-    h, w = cfg.height, cfg.width
-    cam_t = Camera(scene_t.camera, w, h)
+    h, w = gt_t.shape
+    O, D = Camera(scene_t.camera, w, h).rays()
     cam_t1 = Camera(scene_t1.camera, w, h)
-    O, D = cam_t.rays()
-    hit = trace(scene_t.soup, O, D)
-    O1, D1 = cam_t1.rays()
-    hit1 = trace(scene_t1.soup, O1, D1)
-    ids1 = np.where(hit1.mask, hit1.obj_id, SKY_OBJECT_ID).reshape(h, w)
+    depth = gt_t.depth.reshape(-1)
+    m = np.isfinite(depth)
+    hit_ids = gt_t.object_id.reshape(-1)[m]
+    ids1 = gt_t1.object_id
 
     max_id = max(ids_t, default=-1)
     disp = np.zeros((max_id + 1, 3))
@@ -513,42 +517,34 @@ def compute_flow(scene_t: SceneGraph, scene_t1: SceneGraph, cfg: RenderConfig):
 
     flow = np.zeros((h * w, 2))
     occl = np.zeros(h * w, dtype=bool)
-    m = hit.mask
     jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     cols = ii.reshape(-1).astype(float)
     rows = jj.reshape(-1).astype(float)
 
-    same_camera = scene_t.camera == scene_t1.camera
-    if m.any():
-        moved = hit.point[m] + disp[hit.obj_id[m]]
-        proj = cam_t1.project(moved)
-        fu = proj[:, 0] - cols[m]
-        fv = proj[:, 1] - rows[m]
-        if same_camera:
-            # a stationary point reprojects to its own pixel exactly
-            static = np.all(disp[hit.obj_id[m]] == 0.0, axis=1)
-            fu[static] = 0.0
-            fv[static] = 0.0
-            proj[static, 0] = cols[m][static]
-            proj[static, 1] = rows[m][static]
-        flow[m, 0] = fu
-        flow[m, 1] = fv
-        tc = np.rint(proj[:, 0])
-        tr = np.rint(proj[:, 1])
-        inside = (
-            np.isfinite(tc) & np.isfinite(tr)
-            & (tc >= 0) & (tc < w) & (tr >= 0) & (tr < h)
-        )
-        occ_hit = np.ones(int(m.sum()), dtype=bool)
-        ti = tc[inside].astype(int)
-        tj = tr[inside].astype(int)
-        occ_hit[inside] = ids1[tj, ti] != hit.obj_id[m][inside]
-        occl[m] = occ_hit
-
-    sky = ~m
-    if sky.any():
-        same_px_ids = ids1.reshape(-1)[sky]
-        occl[sky] = same_px_ids != SKY_OBJECT_ID
+    # the hit point as ``trace`` computes it
+    moved = O[m] + depth[m][:, None] * D[m] + disp[hit_ids]
+    proj = cam_t1.project(moved)
+    fu = proj[:, 0] - cols[m]
+    fv = proj[:, 1] - rows[m]
+    if scene_t.camera == scene_t1.camera:
+        # a stationary point reprojects to its own pixel exactly
+        static = np.all(disp[hit_ids] == 0.0, axis=1)
+        fu[static] = 0.0
+        fv[static] = 0.0
+        proj[static, 0] = cols[m][static]
+        proj[static, 1] = rows[m][static]
+    flow[m, 0] = fu
+    flow[m, 1] = fv
+    tc = np.rint(proj[:, 0])
+    tr = np.rint(proj[:, 1])
+    inside = (
+        np.isfinite(tc) & np.isfinite(tr)
+        & (tc >= 0) & (tc < w) & (tr >= 0) & (tr < h)
+    )
+    occ_hit = np.ones(len(hit_ids), dtype=bool)
+    occ_hit[inside] = ids1[tr[inside].astype(int), tc[inside].astype(int)] != hit_ids[inside]
+    occl[m] = occ_hit
+    occl[~m] = ids1.reshape(-1)[~m] != SKY_OBJECT_ID
 
     return flow.reshape(h, w, 2), occl.reshape(h, w)
 

@@ -327,9 +327,14 @@ class _ClassEntry:
 
 def _read_classes(docs, path):
     """The ClassPriors of a scene config's ``classes[]`` entries at
-    ``path``, or None for no entry; of two entries of a class, the later."""
-    entries = _each(_reader(_ClassEntry, True, "prior"))(docs, path)
-    classes = {entry.object_class: entry.prior for entry in entries}
+    ``path``, or None for no entry; a second entry of a class is a
+    ConfigError at its ``class``."""
+    classes = {}
+    for i, entry in enumerate(_each(_reader(_ClassEntry, True, "prior"))(docs, path)):
+        if entry.object_class in classes:
+            raise ConfigError(f"class {entry.object_class.value!r} has two entries",
+                              json_path=f"{path}[{i}].class")
+        classes[entry.object_class] = entry.prior
     return _construct(ClassPriors, {"classes": classes}, path) if classes else None
 
 

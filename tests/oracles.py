@@ -14,7 +14,8 @@ a Monte Carlo pass that traces one sample at a time and holds every
 setup's buffers through the bounces, where the package traces whole
 samples together and shades one setup at a time, a heatmap that scans
 every record for its context, where the package groups them once, and the
-forward flow of a frame pair traced from both scene states' center rays.
+forward flow of a frame pair traced from both scene states' center rays,
+where the package reads it from the two states' ground truth.
 """
 
 import dataclasses

@@ -225,16 +225,16 @@ def test_c6_ps_nulls_and_boundary():
     scene = sample_scene(SceneConfig.from_dict(doc), seed=7)
     cfg = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=3)
     frames = [apply_dynamics(scene, t) for t in range(4)]
-    flows = [compute_flow(a, b, cfg) for a, b in zip(frames[:-1], frames[1:])]
+    gts = [render_ground_truth(f, cfg) for f in frames]
+    flows = [compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
     flow_prev = flows[0][0]
     flow_t, occl_t = flows[1]
     flow_next = flows[2][0]
-    gt1 = render_ground_truth(frames[1], cfg)
+    gt1 = gts[1]
     gt1.flow = flow_t
     gt1.occlusion = occl_t
-    gt2 = render_ground_truth(frames[2], cfg)
     for s in (5, 9, 13):
-        cmap = classify_contexts(gt1, gt_next=gt2, window=s)
+        cmap = classify_contexts(gt1, window=s)
         surface = sample_patches(cmap, "SameSurface", s, 6, seed=21)
         boundary = sample_patches(cmap, "MotionBoundary", s, 6, seed=22)
         vs = [ps_variance(flow_prev, flow_t, flow_next, p) for p in surface]

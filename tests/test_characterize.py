@@ -19,10 +19,12 @@ from invarsim.characterize import (
     rank_items,
     rank_manifold_contexts,
     run_sweep,
+    sweep_size,
 )
 import invarsim.characterize as characterize
+import invarsim.render as render
 from invarsim.errors import ConfigError, IngestError, LabelMismatchError
-from invarsim.render import RenderConfig, render_frame, render_setups
+from invarsim.render import RenderConfig, render_frame, render_ground_truth, render_setups
 from invarsim.scene import WEATHER_PRESETS
 from invarsim.scenegen import default_lights_doc, sample_scene, validation_scene_config
 from oracles import loop_heatmap_svg
@@ -363,16 +365,54 @@ STOCK_MANIFOLD_SHA256 = {
 
 @pytest.fixture(scope="module", params=sorted(STOCK_MANIFOLD_SHA256))
 def stock_sweep(request):
-    """One fresh sweep of a stock protocol, shared by this module."""
-    return request.param, run_sweep(default_protocol(request.param))
+    """One fresh sweep of a stock protocol, shared by this module, and the
+    Monte Carlo render passes it made."""
+    passes = []
+
+    def counted(*args, _fn=render._render_pass):
+        passes.append(args)
+        return _fn(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_render_pass", counted)
+        manifold = run_sweep(default_protocol(request.param))
+    return request.param, manifold, len(passes)
 
 
 class TestSweep:
     def test_stock_manifold_bytes_are_pinned(self, stock_sweep):
         # a change that moves a cell value must bump CACHE_EPOCH and re-pin
-        model, manifold = stock_sweep
+        model, manifold, _ = stock_sweep
         digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
         assert digest == STOCK_MANIFOLD_SHA256[model]
+
+    def test_dry_run_renders_equal_the_passes_of_a_fresh_sweep(self, stock_sweep):
+        model, _, passes = stock_sweep
+        assert sweep_size(default_protocol(model))[1] == passes
+
+    def test_oc_occlusion_compares_ids_with_its_reference(self, monkeypatch):
+        # OC measures against the ambient reference without the dynamic
+        # objects: a pixel is occluded where its object id differs from the
+        # reference's, and there is no flow, so no motion boundary
+        seen = []
+
+        def collect(protocol, gt, *seed_parts, _fn=characterize._collect_patches):
+            seen.append(gt)
+            return _fn(protocol, gt, *seed_parts)
+        monkeypatch.setattr(characterize, "_collect_patches", collect)
+        p = tiny_oc_protocol()
+        characterize._prepare_ramp(p)
+        (gt,) = seen
+        base = sample_scene(p.scene_config(), p.scene_seed)
+        ref = render_ground_truth(characterize._ambient_only(
+            characterize._without_dynamic_objects(base)), p.render_config())
+        oracle = gt.object_id != ref.object_id
+        assert oracle.any() and gt.flow is None
+        assert np.array_equal(gt.occlusion, oracle)
+        cmap = characterize.classify_contexts(gt, window=5)
+        assert np.array_equal(cmap["Occluded"], oracle)
+        assert "MotionBoundary" not in cmap.labels
+        assert cmap["SameSurface"].any()
 
     @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
     def test_each_frame_is_measured_once(self, model, monkeypatch):

@@ -79,6 +79,10 @@ class TestSample:
         ({"roads": [[1.0, 2.0, -3.0, 4.0]]}, "roads[0]"),
         ({"classes": [{"class": "Tree", "probability": 0.7, "length": [2.0, 0.4],
                        "breadth": [2.0, 0.4], "height": [3.0, 0.5]}]}, "classes"),
+        ({"classes": [{"class": c, "probability": 1.0, "length": [2.0, 0.4],
+                       "breadth": [2.0, 0.4], "height": [h, 0.5]}
+                      for c, h in (("Tree", 3.0), ("Building", 9.0), ("Tree", 9.0))]},
+         "classes[2].class"),
         ({"world_bounds": [0.0, -50.0, 0.0, 50.0]}, "world_bounds"),
         ({"cell_size": 0}, "cell_size"),
         ({"dynamics": [[1, "lights.1.intensity_scale", -1.0]]}, "dynamics[0]"),
@@ -339,6 +343,7 @@ class TestSweep:
     @pytest.mark.parametrize("model,cells,renders", [
         ("OC", 40 * 3 * 8, 2),  # reference; sun off and on in one pass; not 40 + 1
         ("DS", 5, 1),  # all tags and densities in one pass
+        ("PS", 4 * 3 * 2, 0),  # ground truth and flow only
     ])
     def test_dry_run_counts_stock_render_passes(self, tmp_path, capsys,
                                                 model, cells, renders):

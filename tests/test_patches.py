@@ -50,7 +50,7 @@ def moving_pair():
     s1 = apply_dynamics(base, 1)
     gt0 = render_ground_truth(s0, GT_CFG)
     gt1 = render_ground_truth(s1, GT_CFG)
-    flow, occl = compute_flow(s0, s1, GT_CFG)
+    flow, occl = compute_flow(gt0, gt1, s0, s1)
     gt0.flow = flow
     gt0.occlusion = occl
     return s0, s1, gt0, gt1
@@ -110,7 +110,7 @@ class TestClassify:
 
     def test_occlusion_labels_from_frame_pair(self, moving_pair):
         s0, s1, gt0, gt1 = moving_pair
-        cmap = classify_contexts(gt0, gt_next=gt1, window=3)
+        cmap = classify_contexts(gt0, window=3)
         assert "Occluded" in cmap.labels
         assert "SameSurface" in cmap.labels
         assert "MotionBoundary" in cmap.labels
@@ -121,14 +121,6 @@ class TestClassify:
         assert cmap["MotionBoundary"].sum() > 0
         # same-surface pixels never straddle the moving object's silhouette
         assert not (cmap["SameSurface"] & cmap["MotionBoundary"]).any()
-
-    def test_id_compare_fallback_without_flow(self, moving_pair):
-        s0, s1, gt0, gt1 = moving_pair
-        bare = dataclasses.replace(gt0, flow=None, occlusion=None)
-        cmap = classify_contexts(bare, gt_next=gt1, window=3)
-        oracle = gt0.object_id != gt1.object_id
-        assert np.array_equal(cmap["Occluded"], oracle)
-        assert "MotionBoundary" not in cmap.labels  # needs flow
 
     def test_missing_buffer_raises(self, validation_gt):
         broken = dataclasses.replace(validation_gt, shadow_fraction=None)
@@ -158,7 +150,7 @@ class TestSamplePatches:
     def test_unknown_context_raises(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=5)
         with pytest.raises(PatchSamplingError):
-            sample_patches(cmap, "Occluded", 5, 1, seed=1)  # needs gt_next
+            sample_patches(cmap, "Occluded", 5, 1, seed=1)  # needs gt.occlusion
 
     def test_deterministic_replay(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=5)

@@ -350,15 +350,16 @@ class TestFlow:
 
     def test_static_scene_zero_flow(self, validation_scene):
         cfg = RenderConfig(width=32, height=24, samples_per_pixel=1, rng_seed=1)
-        flow, occl = compute_flow(validation_scene, validation_scene, cfg)
+        gt = render_ground_truth(validation_scene, cfg)
+        flow, occl = compute_flow(gt, gt, validation_scene, validation_scene)
         assert np.all(flow == 0.0)
         assert not occl.any()
 
     def test_lateral_translation_pinhole_closed_form(self):
         s0, s1 = self.flow_pair(dx=1.5)
         cfg = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=1)
-        flow, _ = compute_flow(s0, s1, cfg)
         gt = render_ground_truth(s0, cfg)
+        flow, _ = compute_flow(gt, render_ground_truth(s1, cfg), s0, s1)
         cam = Camera(s0.camera, 64, 48)
         vehicle = gt.object_id == 1
         assert vehicle.sum() > 20
@@ -373,9 +374,9 @@ class TestFlow:
     def test_occlusion_mask_id_compare_oracle(self):
         s0, s1 = self.flow_pair(dx=2.5)
         cfg = RenderConfig(width=64, height=48, samples_per_pixel=1, rng_seed=1)
-        flow, occl = compute_flow(s0, s1, cfg)
         gt0 = render_ground_truth(s0, cfg)
         gt1 = render_ground_truth(s1, cfg)
+        flow, occl = compute_flow(gt0, gt1, s0, s1)
         # static background pixels newly covered by the vehicle are occluded
         newly_covered = (gt0.object_id != 1) & (gt1.object_id == 1)
         assert newly_covered.any()
@@ -406,7 +407,8 @@ class TestFlow:
 
     def test_flow_and_occlusion_equal_the_traced_oracle(self, validation_scene):
         for name, s0, s1, cfg in self.oracle_pairs(validation_scene):
-            flow, occl = compute_flow(s0, s1, cfg)
+            gt0, gt1 = render_ground_truth(s0, cfg), render_ground_truth(s1, cfg)
+            flow, occl = compute_flow(gt0, gt1, s0, s1)
             want_flow, want_occl = traced_flow(s0, s1, cfg)
             assert flow.dtype == np.float64 and occl.dtype == bool, name
             assert np.array_equal(flow, want_flow), name
@@ -414,12 +416,27 @@ class TestFlow:
             if name != "static":
                 assert np.any(flow != 0.0) and occl.any(), name
 
+    def test_flow_traces_no_ray(self, monkeypatch):
+        s0, s1 = self.flow_pair(dx=2.5)
+        cfg = RenderConfig(width=32, height=24, samples_per_pixel=1, rng_seed=1)
+        gt0, gt1 = render_ground_truth(s0, cfg), render_ground_truth(s1, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compute_flow must read the ground truth, not trace")
+
+        for module in (geometry, render):
+            monkeypatch.setattr(module, "trace", forbidden)
+            monkeypatch.setattr(module, "occluded", forbidden)
+        flow, occl = compute_flow(gt0, gt1, s0, s1)
+        assert np.any(flow != 0.0) and occl.any()
+
     def test_identity_mismatch_raises(self, validation_scene):
         cfg = RenderConfig(width=16, height=12, samples_per_pixel=1, rng_seed=1)
         smaller = dataclasses.replace(validation_scene,
                                       objects=validation_scene.objects[:-1])
+        gt = render_ground_truth(validation_scene, cfg)
         with pytest.raises(IdentityMismatchError):
-            compute_flow(validation_scene, smaller, cfg)
+            compute_flow(gt, gt, validation_scene, smaller)
 
 
 class TestSensor:

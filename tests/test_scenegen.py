@@ -329,6 +329,10 @@ class TestSampling:
         ({"counts": {"total": -1}, "classes": priors_doc(("Tree",))}, "counts.total"),
         ({"classes": [dict(priors_doc(("Tree",))[0], count_range=[1, 2])]},
          "classes[0].count_range"),
+        # one prior per class: a second entry would silently replace the first
+        ({"classes": [dict(priors_doc(("Tree",))[0]),
+                      dict(priors_doc(("Tree",))[0], height=[9.0, 0.1])]},
+         "classes[1].class"),
         ({"dynamics": [["0", "medium.density_scale", 1.0]]}, "dynamics[0]"),
         ({"dynamics": [[0, "objects.0.velocity", 1.0]]}, "dynamics"),
         # RFC 8259 has no NaN or Infinity, and a float no integer beyond its range

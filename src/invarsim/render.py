@@ -500,6 +500,8 @@ def compute_flow(gt_t: GroundTruthBuffers, gt_t1: GroundTruthBuffers,
             f"object identity sets differ: {sorted(ids_t ^ ids_t1)}"
         )
 
+    if gt_t1.shape != gt_t.shape:
+        raise ConfigError(f"ground truths of two sizes: {gt_t.shape} and {gt_t1.shape}")
     h, w = gt_t.shape
     O, D = Camera(scene_t.camera, w, h).rays()
     cam_t1 = Camera(scene_t1.camera, w, h)

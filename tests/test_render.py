@@ -430,6 +430,14 @@ class TestFlow:
         flow, occl = compute_flow(gt0, gt1, s0, s1)
         assert np.any(flow != 0.0) and occl.any()
 
+    def test_ground_truths_of_two_sizes_raise(self):
+        s0, s1 = self.flow_pair()
+        small = render_ground_truth(s0, RenderConfig(width=16, height=12))
+        large = render_ground_truth(s1, RenderConfig(width=32, height=24))
+        for gt0, gt1 in ((small, large), (large, small)):
+            with pytest.raises(ConfigError):
+                compute_flow(gt0, gt1, s0, s1)
+
     def test_identity_mismatch_raises(self, validation_scene):
         cfg = RenderConfig(width=16, height=12, samples_per_pixel=1, rng_seed=1)
         smaller = dataclasses.replace(validation_scene,

@@ -73,7 +73,7 @@ HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": Fal
 
 #: part of every cell-cache key; bump it whenever a change to rendering or
 #: measuring moves cell values, so no resumed run mixes old cells in
-CACHE_EPOCH = 1
+CACHE_EPOCH = 2
 
 #: the names a name-valued field accepts; Clear has no density for DS to ramp
 _KNOWN_NAMES = {"contexts": CONTEXT_NAMES, "sunny_tags": tuple(WEATHER_PRESETS),

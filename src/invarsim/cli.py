@@ -76,9 +76,7 @@ class Manifest:
 
     def stage(self, name, paths):
         now = time.monotonic()
-        existing = {p for ps in self.doc["outputs"].values() for p in ps}
-        fresh = [str(p) for p in paths if str(p) not in existing]
-        self.doc["outputs"][name] = fresh
+        self.doc["outputs"][name] = [str(p) for p in paths]
         self.doc["wall_clock_s"][name] = round(now - self._stage_start, 6)
         self._stage_start = now
 
@@ -153,8 +151,9 @@ def cmd_render(args):
     manifest = Manifest("render", config_hash,
                         {"render": cfg.rng_seed, "sensor": sensor.noise_seed})
     if args.dry_run:
+        # camera samples only: bounce, center and shadow rays come on top
         _emit(args, {"frames": len(frames),
-                     "rays": len(frames) * cfg.width * cfg.height * cfg.samples_per_pixel})
+                     "pixel_samples": len(frames) * cfg.width * cfg.height * cfg.samples_per_pixel})
         return EXIT_OK
 
     outputs, flow_outputs = [], []

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingBufferError, PatchSamplingError
 from .scene import SKY_OBJECT_ID
+from .validators import GRAY_WEIGHTS
 
 #: minimum fraction of in-patch pixels that must carry the context label
 PURITY_THRESHOLD = 0.8
@@ -137,7 +138,7 @@ def _window_minmax(arr: np.ndarray, window: int):
 
 def _window_var_gray(refl: np.ndarray, window: int) -> np.ndarray:
     """Windowed population variance of gray reflectance."""
-    gray = refl @ np.array([0.2126, 0.7152, 0.0722])
+    gray = refl @ GRAY_WEIGHTS
     h, w = gray.shape
     half = window // 2
     out = np.full((h, w), np.inf)

@@ -37,7 +37,8 @@ _WAVEFRONT_RAYS = 6144
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Rendering fidelity knobs: sampling rate, bounce depth, resolution."""
+    """Rendering fidelity knobs: sampling rate, bounce depth (0 or 1: the
+    renderer traces at most one indirect bounce), resolution."""
 
     width: int = 320
     height: int = 240
@@ -48,8 +49,8 @@ class RenderConfig:
     def __post_init__(self):
         if self.samples_per_pixel < 1:
             raise ConfigError("samples_per_pixel must be >= 1")
-        if self.max_bounces < 0:
-            raise ConfigError("max_bounces must be >= 0")
+        if self.max_bounces not in (0, 1):
+            raise ConfigError("max_bounces must be 0 or 1")
         if self.width < 1 or self.height < 1:
             raise ConfigError("resolution must be positive")
 
@@ -106,12 +107,16 @@ class GroundTruthBuffers:
     """Pixel-exact ground truth from the center-of-pixel ray.
 
     ``depth`` is the ray-path distance in meters (inf on sky),
-    ``shadow_fraction`` the fraction of direct sources occluded, and
-    ``reflectance`` the textured albedo at the hit.  ``material_kinds`` maps
-    material id to its taxonomy kind so context classification never has to
-    consult rendered appearance.  ``flow``/``occlusion`` are None until the
-    caller pairing two states sets them: from ``compute_flow``, or for OC
-    ``occlusion`` alone, where the object ids differ from its reference's.
+    ``shadow_fraction`` the share of direct sources that do not reach the
+    hit: those whose ``_light_factors`` factor, the one shading uses, is
+    exactly 0 (the hit faces away, lies outside a spot's cone or is
+    occluded); it is 0 on sky and without a direct source.
+    ``reflectance`` is the textured albedo at the hit.  ``material_kinds``
+    maps material id to its taxonomy kind so context classification never
+    has to consult rendered appearance.  ``flow``/``occlusion`` are None
+    until the caller pairing two states sets them: from ``compute_flow``,
+    or for OC ``occlusion`` alone, where the object ids differ from its
+    reference's.
     """
 
     depth: np.ndarray
@@ -195,10 +200,6 @@ class _LightTable:
                     math.cos(math.radians(light.cone_deg)),
                     np.asarray(light.color, dtype=float) * light.intensity,
                 ))
-
-    @property
-    def n_direct(self):
-        return len(self.directional) + len(self.spots)
 
     @property
     def direct_rgb(self):
@@ -433,7 +434,8 @@ def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
 
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
     """Exact buffers from the deterministic center-of-pixel ray: the only
-    place a scene state's center rays are traced."""
+    place a scene state's center rays are traced.  Light reach at the hits
+    is decided by ``_light_factors``, as for shading."""
     cam = Camera(scene.camera, cfg.width, cfg.height)
     soup = scene.soup
     ltab = _LightTable(scene.lights, scene.medium)
@@ -454,20 +456,9 @@ def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuff
     refl = refl.reshape(h, w, 3)
 
     shadow = np.zeros(h * w)
-    if ltab.n_direct > 0 and m.any():
-        origins = hit.point[m] + hit.normal[m] * _SHADOW_EPS
-        occ_count = np.zeros(int(m.sum()))
-        for sun_dir, _ in ltab.directional:
-            occ = occluded(soup, origins, np.broadcast_to(-sun_dir, origins.shape), np.inf)
-            occ_count += occ.astype(float)
-        for pos, sdir, cos_cone, _ in ltab.spots:
-            to_light = pos[None, :] - hit.point[m]
-            dist = np.linalg.norm(to_light, axis=1)
-            wi = to_light / np.maximum(dist, 1e-12)[:, None]
-            out_cone = (-(wi @ sdir)) < cos_cone
-            occ = occluded(soup, origins, wi, dist - 2.0 * _SHADOW_EPS)
-            occ_count += (occ | out_cone).astype(float)
-        shadow[m] = occ_count / ltab.n_direct
+    factors = _light_factors(soup, ltab, hit.point[m], hit.normal[m])
+    if factors:
+        shadow[m] = (np.array(factors) == 0.0).mean(axis=0)
     shadow = shadow.reshape(h, w)
 
     return GroundTruthBuffers(

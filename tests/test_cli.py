@@ -151,7 +151,7 @@ RENDER_SHA256 = {
     "frame_0000_normal.pfm": "e93fbe687247302dc6fc3d962b914c6032b2c187f2b0be44805ca3204cec11ad",
     "frame_0000_object_id.pfm": "2af37d5ac56725f007b27b28c5c9836a94408a795e292585081d775f389ff314",
     "frame_0000_reflectance.pfm": "309a5c233e0551decb98a2217fe3fd9566432420fa205cd205cb0cc445e5b0d3",
-    "frame_0000_shadow.pfm": "36fc982fc5cf0a2ad5a6c471b4ce71359aa2fe04d6fae6f717d9348a9aee277a",
+    "frame_0000_shadow.pfm": "4a373739b40987bd74eb8e86940939cb502f08f71068d2b52aa5b3eee1049fbf",
     "frame_0001.json": "dbe5c6dc72c510c98d0c59428ba0d0b830397f39e411aa8d872eeeddb781a047",
     "frame_0001.pfm": "ba6906b3a95829d9a68adbf58a750cbb6582da051a280ab0930ce04e55612420",
     "frame_0001.ppm": "3c143c93fc4f44cd42fd09128eb28054345acb65cbde7f43d430aed4379eb067",
@@ -160,7 +160,7 @@ RENDER_SHA256 = {
     "frame_0001_normal.pfm": "c1f66797ff25971a2602988a0f017489b8cc58f48edf961e784d82212c925bc4",
     "frame_0001_object_id.pfm": "e652122712f70559b089e8c1063d039914f129db94bbfedee0178a95fbcb2872",
     "frame_0001_reflectance.pfm": "e2f457a907fd9dd1a2308aea5292724afc16f2270d6b62db26d6501a3fff14b0",
-    "frame_0001_shadow.pfm": "55a172f18b5360e62a029fd153bda803684969a207248a6c9ad2c973e18c105b",
+    "frame_0001_shadow.pfm": "9f056c11256b6ae41cb8149b04aa77deb1e534b07e5656d748705487e4efc917",
     "frame_0002.json": "23ae8e2137702e18b1c56c097810e9e1a9d606ca0341f5f5d59228dde25be4e3",
     "frame_0002.pfm": "a5a9af599eb91c1f5d4f77a054e7a26802d1ed707847a3314e4b58e5ec848bff",
     "frame_0002.ppm": "07daf4ae76a1b4dc83fb8bc5b3af571c91b6ff362e46ad5da7e8652faa791c7d",
@@ -169,7 +169,7 @@ RENDER_SHA256 = {
     "frame_0002_normal.pfm": "87433cdf3ae5d59d994b3f502ccae0541b498a75af2208ddc525c587875971bb",
     "frame_0002_object_id.pfm": "56978266cc4bd5b4b809754c07b26932e4f6952e60c301260c20811d54951553",
     "frame_0002_reflectance.pfm": "8039fed8fcf89d1fb43bb9bc63edb1203c411cf093d1398fd402403648cedc0e",
-    "frame_0002_shadow.pfm": "ee0bc4f448d0dd7e3ddea6697cf8427a3a87da3b2a02a5771d81af22b34173df",
+    "frame_0002_shadow.pfm": "7c8dd4da21ee35bae4a5b0291af00731923ea9b2ec38dd45478c85057f6b4b22",
     "occlusion_0000_0001.pfm": "56d020fbfb8bb01daa19b1cbd4a8ada32ce84789b0669dd5b104ecc1da7501fb",
     "occlusion_0001_0002.pfm": "34d88b65f0dafe9db12b77d6659ea449e69a64023bac00082171bfcc3b6d45ba",
 }
@@ -240,8 +240,17 @@ class TestRender:
                      "--frames", "0..1", "--dry-run", "--porcelain"])
         assert code == 0
         assert not any(out_dir.glob("*.pfm"))
+        # frames x W x H x spp camera samples at the default size and spp
         payload = json.loads(capsys.readouterr().out)
-        assert payload["frames"] == 2
+        assert payload == {"frames": 2, "pixel_samples": 2 * 320 * 240 * 200}
+
+    def test_max_bounces_above_one_exits_2(self, scene_json, tmp_path, capsys):
+        out_dir = tmp_path / "render"
+        assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                     "--frames", "0..0", "--spp", "1", "--width", "8", "--height", "6",
+                     "--max-bounces", "2"]) == 2
+        assert capsys.readouterr().err == "invarsim: max_bounces must be 0 or 1\n"
+        assert not out_dir.exists()
 
     def test_idempotent_artifacts(self, scene_json, tmp_path):
         out_dir = tmp_path / "render"
@@ -356,6 +365,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("block,key,value", [
         ("render", "spp", 0),
+        ("render", "max_bounces", 2),  # the renderer traces at most one bounce
         ("sensor", "bits", 40),
         ("sensor", "sigma", "a"),
     ])

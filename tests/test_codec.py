@@ -21,8 +21,8 @@ from test_scenegen import SUBSTITUTES, priors_doc, substitutions
 PINNED = {
     "scene_config": (1278, 1109,
                     "fc2ca6cd5d44ff33571f9c1118e76c136ea3ea245af5cb48ba8c90b55ab96175"),
-    "protocols": (7389, 6361,
-                 "373b288816d4f21091387730d3c44e444cea6c2b2d40b97166c15c0cf82cf7c1"),
+    "protocols": (7389, 6366,
+                 "ac006dad7ac7cdc1315d987716691a397660f785d45e659f74317daf58477bcd"),
     "annotation": (153, 149,
                   "7f4b84f9a19d1acc47126950b48f8b4dd037990c4c266f36299cb274df9d955c"),
     "scene_document": (3519, 3083,

@@ -35,7 +35,7 @@ COMMON = {
     "patches_per_cell": st.integers(1, 20),
     "seeds": optional(scene=seeds, render=seeds, patch=seeds, sensor=seeds),
     "render": optional(width=st.integers(1, 64), height=st.integers(1, 64),
-                       spp=st.integers(1, 64), max_bounces=st.integers(0, 2)),
+                       spp=st.integers(1, 64), max_bounces=st.integers(0, 1)),
     # null: no sensor stage
     "sensor": st.one_of(st.none(), optional(sigma=st.floats(0.0, 0.1),
                                             bits=st.integers(1, 16),

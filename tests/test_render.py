@@ -298,6 +298,37 @@ class TestGroundTruth:
         assert set(np.round(vals, 6)).issubset({0.0, 1.0})
         assert (validation_gt.shadow_fraction == 1.0).any()
 
+    @pytest.mark.parametrize("spot", [False, True], ids=["sun", "sun-and-spot"])
+    def test_shadow_fraction_is_the_share_of_zero_light_factors(self, validation_scene, spot):
+        """Ground truth sees light as shading does: per pixel, the share of
+        direct sources whose ``_light_factors`` factor at the center-ray hit
+        is exactly 0, so a hit facing away from an unoccluded sun is dark."""
+        width, height = 320, 240
+        scene = validation_scene
+        if spot:
+            lamp = LightSpec(kind="spot", position=(0.0, 20.0, 0.0),
+                             direction=(0.0, -1.0, 0.5), cone_deg=70.0, intensity=100.0)
+            scene = dataclasses.replace(scene, lights=scene.lights + (lamp,))
+        gt = render_ground_truth(scene, RenderConfig(width=width, height=height))
+        O, D = Camera(scene.camera, width, height).rays()
+        hit = geometry.trace(scene.soup, O, D)
+        m = hit.mask
+        pts, nrm = hit.point[m], hit.normal[m]
+        factors = render._light_factors(scene.soup, render._LightTable(scene.lights, scene.medium),
+                                        pts, nrm)
+        assert len(factors) == 1 + spot
+        dark = np.zeros(width * height)
+        for g in factors:
+            dark[m] += g == 0.0
+        assert np.array_equal(gt.shadow_fraction, (dark / len(factors)).reshape(height, width))
+        # the scene has the case a shadow ray alone misjudges: a hit that
+        # faces away from the sun, with nothing between it and the sun
+        sun = np.asarray(scene.lights[1].direction)
+        away = nrm @ sun > 0.0
+        free = ~geometry.occluded(scene.soup, pts[away] + nrm[away] * render._SHADOW_EPS,
+                                  np.broadcast_to(-sun, (int(away.sum()), 3)), np.inf)
+        assert free.any()
+
     def test_gt_independent_of_sampling_fidelity(self, validation_scene):
         lo = render_ground_truth(validation_scene,
                                  RenderConfig(width=48, height=36,

@@ -646,11 +646,15 @@ def _reference(protocol, batches, frame):
 
 def _pair_measure(protocol, batches, ref, cur):
     """Cell key -> the OC, BC or GC criterion of each of its patches between
-    the ``_reference`` of one frame and the frame ``cur``.
+    the ``_reference`` of one frame and the frame ``cur``."""
+    return _features_measure(protocol, batches, ref, _features(protocol, cur))
+
+
+def _features_measure(protocol, batches, ref, features):
+    """``_pair_measure`` of a frame whose ``_features`` are already computed.
 
     One kernel call measures a whole batch.  The kernels work row by row,
     so each patch's value has the same bits as when measured alone."""
-    features = _features(protocol, cur)
     if protocol.model == "OC":
         values = [oc_values(ranks, features[pixels])
                   for ranks, (_, _, pixels) in zip(ref, batches)]
@@ -1009,29 +1013,67 @@ def _prepare_ingest(protocol):
                 row = rect.y + (rect.height - s) // 2
                 col = rect.x + (rect.width - s) // 2
                 patches[key].append(Patch(row=row, col=col, side=s, context=rect.context))
-    batches = ref = None
+    batches = ref = carry = None
     if protocol.model == "OC":
         batches = _cell_batches(protocol, patches)
         ref = _reference(protocol, batches, seq.frame(seq.reference_index))
-    elif not seq.flow_files:
-        zero_flow = np.broadcast_to(0.0, seq.shape + (2,))
-        batches = _cell_batches(protocol, patches, zero_flow)
-    return seq, patches, batches, ref
+    else:
+        carry = _FeatureCarry()
+        if not seq.flow_files:
+            zero_flow = np.broadcast_to(0.0, seq.shape + (2,))
+            batches = _cell_batches(protocol, patches, zero_flow)
+    return seq, patches, batches, ref, carry
+
+
+class _FeatureCarry:
+    """The ``_features`` of the frame a BC/GC ingest cell measured last,
+    kept for the cell of the next frame, which takes them as its reference
+    instead of decoding that frame again.
+
+    Each worker thread keeps its own, one frame's features at most, so
+    threads share nothing.  Kept arrays are read-only: a cell that takes
+    them cannot change them."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def take(self, index):
+        """The features this thread kept of frame ``index``, or None; the
+        thread keeps nothing afterwards."""
+        kept = getattr(self._local, "kept", None)
+        self._local.kept = None
+        return kept[1] if kept is not None and kept[0] == index else None
+
+    def keep(self, index, features):
+        for array in features if isinstance(features, tuple) else (features,):
+            array.flags.writeable = False
+        self._local.kept = (index, features)
 
 
 def _eval_frame(protocol, state, idx):
     """Frame ``idx`` against the reference (OC) or its predecessor (BC/GC),
-    under the supplied flow or, for a static camera, zero flow.  Only the
-    frames the cell measures are decoded."""
+    under the supplied flow or, for a static camera, zero flow.
+
+    Only the frames the cell measures are decoded, and a BC/GC cell keeps
+    its frame's features in the carry for the next frame's cell.  It takes
+    its predecessor's features from the carry when this thread's last cell
+    measured that frame, and decodes the predecessor otherwise (the first
+    cell, a cell evaluated alone or after another thread's cell); the
+    bytes are the same either way."""
     from .imgio import read_flo
 
-    seq, patches, batches, ref = state
+    seq, patches, batches, ref, carry = state
     if protocol.model != "OC":
         if seq.flow_files:
             batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
-        ref = _reference(protocol, batches, seq.frame(idx - 1))
+        ref = carry.take(idx - 1)
+        if ref is None:
+            ref = _features(protocol, seq.frame(idx - 1))
+    features = _features(protocol, seq.frame(idx))
+    if carry is not None:
+        carry.keep(idx, features)
     return _cell_records(protocol, {"frame": idx},
-                         _pair_measure(protocol, batches, ref, seq.frame(idx)))
+                         _features_measure(protocol, batches, ref, features))
 
 
 # -- the sweep driver ---------------------------------------------------------

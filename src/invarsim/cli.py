@@ -107,12 +107,12 @@ def cmd_sample(args):
     seed = args.seed if args.seed is not None else config.seed
     scene = sample_scene(config, seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("sample", _sha256(text.encode() + str(seed).encode()),
-                        {"scene": seed})
     if args.dry_run:
         _emit(args, {"objects": len(scene.objects), "out": str(out)})
         return EXIT_OK
+    out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest("sample", _sha256(text.encode() + str(seed).encode()),
+                        {"scene": seed})
     out.write_text(scene.to_json() + "\n")
     manifest.stage("sample", [out])
     mpath = manifest.write(out.with_suffix(".manifest.json"))
@@ -143,6 +143,11 @@ def cmd_render(args):
     sensor = SensorConfig(gaussian_noise_sigma=args.sensor_sigma,
                           quantization_bits=args.bits, gamma=args.gamma,
                           noise_seed=args.sensor_seed)
+    if args.dry_run:
+        # camera samples only: bounce, center and shadow rays come on top
+        _emit(args, {"frames": len(frames),
+                     "pixel_samples": len(frames) * cfg.width * cfg.height * cfg.samples_per_pixel})
+        return EXIT_OK
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = _sha256(
@@ -150,11 +155,6 @@ def cmd_render(args):
     )
     manifest = Manifest("render", config_hash,
                         {"render": cfg.rng_seed, "sensor": sensor.noise_seed})
-    if args.dry_run:
-        # camera samples only: bounce, center and shadow rays come on top
-        _emit(args, {"frames": len(frames),
-                     "pixel_samples": len(frames) * cfg.width * cfg.height * cfg.samples_per_pixel})
-        return EXIT_OK
 
     outputs, flow_outputs = [], []
     prev = None  # the previous frame's (t, state, ground truth): all a pair's flow reads

@@ -442,8 +442,9 @@ def _rect_hits(soup, p, O, D, tmin):
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
     ua = soup.rect_ua[p]
     va = soup.rect_va[p]
-    u = O[rows, ua] + t * D[rows, ua]
-    v = O[rows, va] + t * D[rows, va]
+    with np.errstate(invalid="ignore"):  # inf * 0 where a ray misses a rect's plane
+        u = O[rows, ua] + t * D[rows, ua]
+        v = O[rows, va] + t * D[rows, va]
     valid = (
         (t > tmin)
         & (u >= soup.rect_u[p, 0])

@@ -413,8 +413,9 @@ def _rect_hits(soup, O, D, tmin):
     np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
     ua = np.array([RECT_UV[int(a)][0] for a in axes], dtype=np.int64)
     va = np.array([RECT_UV[int(a)][1] for a in axes], dtype=np.int64)
-    u = O[:, ua] + t * D[:, ua]
-    v = O[:, va] + t * D[:, va]
+    with np.errstate(invalid="ignore"):  # inf * 0 where a ray misses a rect's plane
+        u = O[:, ua] + t * D[:, ua]
+        v = O[:, va] + t * D[:, va]
     valid = (
         (t > tmin)
         & (u >= soup.rect_u[None, :, 0])

@@ -1067,7 +1067,9 @@ class TestStreamedIngest:
                     assert rec.n == 1
                     assert np.float64(rec.mean).tobytes() == np.float64(want).tobytes()
 
-    def test_loading_decodes_no_frame(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_decodes(monkeypatch):
+        """The paths of the frames decoded from now on, one entry per decode."""
         from invarsim import imgio
 
         decoded = []
@@ -1076,16 +1078,102 @@ class TestStreamedIngest:
             decoded.append(path)
             return _fn(path)
         monkeypatch.setattr(imgio, "read_ppm", read_ppm)
-        apath = write_sequence(tmp_path, 5)
+        return decoded
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
+    def test_loading_decodes_no_frame(self, tmp_path, monkeypatch, flow):
+        decoded = self.count_decodes(monkeypatch)
+        apath = write_sequence(tmp_path, 5, flow=flow)
         seq = ingest_sequence(tmp_path, apath)
         assert decoded == [] and len(seq.frame_files) == 5 and seq.shape == (48, 64)
-        # OC: the reference once, then each other frame once
-        run_sweep(ingest_protocol("OC", apath))
-        assert sorted(decoded) == sorted(seq.frame_files)
-        # BC: each cell decodes its frame and the one before it
+        # OC: the reference once, then each other frame once; BC/GC: each
+        # frame once, its features carried to the next frame's cell
+        for model in ("OC", "BC", "GC"):
+            decoded.clear()
+            run_sweep(ingest_protocol(model, apath))
+            assert sorted(decoded) == sorted(seq.frame_files), model
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
+    def test_gc_takes_each_frames_gradients_once(self, tmp_path, monkeypatch, flow):
+        calls = []
+
+        def counted(I, _fn=characterize.gradient_fields):
+            calls.append(I.shape)
+            return _fn(I)
+        monkeypatch.setattr(characterize, "gradient_fields", counted)
+        run_sweep(ingest_protocol("GC", write_sequence(tmp_path, 6, flow=flow)))
+        assert calls == [(48, 64)] * 6
+
+    @pytest.mark.parametrize("model", ["BC", "GC"])
+    @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
+    def test_cells_alone_or_out_of_order_give_the_sweeps_bytes(
+            self, tmp_path, monkeypatch, model, flow):
+        p = ingest_protocol(model, write_sequence(tmp_path, 6, flow=flow))
+        swept = {}
+        for r in run_sweep(p).records:
+            swept.setdefault(r.theta_w["frame"], []).append(repr(r))
+        decoded = self.count_decodes(monkeypatch)
+
+        def cells(order):
+            state = characterize._prepare_ingest(p)
+            for idx in order:
+                records, _ = characterize._eval_frame(p, state, idx)
+                assert sorted(map(repr, records)) == sorted(swept[idx]), idx
+            return [int(path[-7:-4]) for path in decoded]
+
+        # alone, with an empty carry: the frame before and the frame
+        for idx in (1, 3, 5):
+            decoded.clear()
+            assert cells([idx]) == [idx - 1, idx]
+        # out of order: only cell 2 follows the frame the last cell measured
         decoded.clear()
-        run_sweep(ingest_protocol("BC", apath))
-        assert sorted(decoded) == sorted(seq.frame_files[:-1] + seq.frame_files[1:])
+        assert cells([3, 1, 2, 5, 4]) == [2, 3, 0, 1, 2, 4, 5, 3, 4]
+
+    @pytest.mark.parametrize("model", ["BC", "GC"])
+    def test_carried_features_are_read_only(self, tmp_path, model):
+        p = ingest_protocol(model, write_sequence(tmp_path, 3))
+        state = characterize._prepare_ingest(p)
+        characterize._eval_frame(p, state, 1)
+        carry = state[-1]
+        kept = carry.take(1)
+        arrays = kept if isinstance(kept, tuple) else (kept,)
+        assert len(arrays) == (2 if model == "GC" else 1)
+        for array in arrays:
+            assert array.shape == (48, 64) and not array.flags.writeable
+        assert carry.take(1) is None  # taken: the thread keeps nothing
+
+    @pytest.mark.parametrize("model", ["BC", "GC"])
+    @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
+    def test_more_threads_than_cores_give_the_bytes_of_one(
+            self, tmp_path, model, flow):
+        # each worker carries its own features: the workers interleave the
+        # cells, so a cell whose predecessor ran on another worker decodes both
+        import os
+        import threading
+
+        from invarsim.cli import main
+
+        apath = write_sequence(tmp_path / "seq", 9, flow=flow)
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(ingest_protocol(model, apath).to_dict()))
+        outputs = {}
+
+        def sweep(threads):
+            out_dir = tmp_path / f"threads_{threads}"
+            assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                         "--threads", str(threads)]) == 0
+            outputs[threads] = {path.name: path.read_bytes() for path in out_dir.iterdir()
+                                if path.name != "manifest.json"}
+
+        many = max(4, (os.cpu_count() or 1) + 1)
+        for threads in (1, many):
+            worker = threading.Thread(target=sweep, args=(threads,), daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), f"--threads {threads} did not finish in 60 s"
+        assert sorted(outputs) == [1, many]
+        assert "manifold.csv" in outputs[1] and "report.json" in outputs[1]
+        assert outputs[many] == outputs[1]
 
     @pytest.mark.parametrize("model", ["OC", "GC"])
     def test_sweep_peak_memory_does_not_grow_with_length(self, tmp_path, model):

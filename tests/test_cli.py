@@ -115,6 +115,13 @@ class TestSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scene"] == str(out)
 
+    def test_dry_run_writes_nothing(self, tmp_path, capsys):
+        cfg = write_scene_config(tmp_path)
+        out = tmp_path / "new_dir" / "scene.json"
+        assert main(["sample", str(cfg), "--out", str(out), "--dry-run", "--porcelain"]) == 0
+        assert json.loads(capsys.readouterr().out)["out"] == str(out)
+        assert not out.parent.exists()
+
 
 @pytest.fixture()
 def scene_json(tmp_path):
@@ -239,7 +246,7 @@ class TestRender:
         code = main(["render", str(scene_json), "--out-dir", str(out_dir),
                      "--frames", "0..1", "--dry-run", "--porcelain"])
         assert code == 0
-        assert not any(out_dir.glob("*.pfm"))
+        assert not out_dir.exists()
         # frames x W x H x spp camera samples at the default size and spp
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"frames": 2, "pixel_samples": 2 * 320 * 240 * 200}

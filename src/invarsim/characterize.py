@@ -15,7 +15,6 @@ parameter changes produce purely photometric image changes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import dataclasses
 import functools
@@ -23,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import queue
 import re
 import threading
 from dataclasses import dataclass, field
@@ -774,15 +774,59 @@ def _eval_weather(protocol, images, tag):
 
 
 def _parallel_map(fn, items, threads, progress):
-    """``fn`` over ``items``, results in item order; one thread runs inline."""
+    """``fn`` over ``items``, results in item order; one thread runs inline.
+
+    Each of ``threads`` threads runs one contiguous run of the items in
+    order, so an item follows its predecessor on the same thread except
+    at the start of a run (a BC/GC ingest cell then finds the features of
+    its predecessor's frame in the carry).  ``progress(done, total)`` is
+    called on the calling thread once per item, as items finish.  The
+    first failure in item order is raised once every thread has ended.
+    """
     items = list(items)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = pool.map(fn, items) if threads > 1 else map(fn, items)
+    n = len(items)
+    threads = max(1, min(threads, n))
+    if threads == 1:
         out = []
-        for i, result in enumerate(results):
-            out.append(result)
+        for i, item in enumerate(items):
+            out.append(fn(item))
             if progress:
-                progress(i + 1, len(items))
+                progress(i + 1, n)
+        return out
+    out = [None] * n
+    errors = [None] * threads
+    finished = queue.SimpleQueue()  # True per item done, False per run ended
+
+    def run(k, a, b):
+        try:
+            for i in range(a, b):
+                out[i] = fn(items[i])
+                finished.put(True)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[k] = exc
+        finally:
+            finished.put(False)
+
+    bounds = [n * k // threads for k in range(threads + 1)]
+    workers = [threading.Thread(target=run, args=(k, a, b))
+               for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    for w in workers:
+        w.start()
+    done = ended = 0
+    try:
+        while ended < threads:
+            if finished.get():
+                done += 1
+                if progress:
+                    progress(done, n)
+            else:
+                ended += 1
+    finally:
+        for w in workers:
+            w.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
 
 

@@ -10,7 +10,9 @@ failure, 4 ranking label mismatch, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -42,6 +44,34 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PLACEMENT = 3
 EXIT_MISMATCH = 4
+
+# glibc ``mallopt`` parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap():
+    """Tell glibc's malloc to keep freed memory in this process's heap.
+
+    A render pass allocates and frees the same large temporaries once per
+    wavefront.  By default glibc maps each block of 128 KiB or more on its
+    own and returns the free top of the heap to the kernel, so the next
+    wavefront faults the same pages in again.  Blocks up to 32 MiB now come
+    from the heap, which keeps up to 64 MiB of free memory at its top.
+    Both are set because fixing the trim threshold alone also fixes the
+    mmap threshold at its 128 KiB default.  A no-op without a C library
+    that has ``mallopt``; only ``main`` calls it, so library callers keep
+    their own process's settings.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library, or one without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _load_json_file(path):
@@ -411,6 +441,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

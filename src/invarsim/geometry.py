@@ -261,15 +261,20 @@ def _slab(axes, tmin):
     counts as inside: ``fmax``/``fmin`` skip it, and a ray that is NaN on
     every axis is kept.
     """
+    a = b = near = None  # every axis broadcasts to one shape: reuse the buffers
     with np.errstate(invalid="ignore"):
         for k, (lo, hi, o, i) in enumerate(axes):
-            a = (lo - o) * i
-            b = (hi - o) * i
-            near = np.minimum(a, b)
-            far = np.maximum(a, b)
-            enter = near if k == 0 else np.fmax(enter, near)
-            exit_ = far if k == 0 else np.fmin(exit_, far)
-    return ~(enter > exit_) & ~(exit_ <= tmin)
+            a = np.multiply(np.subtract(lo, o, out=a), i, out=a)
+            b = np.multiply(np.subtract(hi, o, out=b), i, out=b)
+            if k == 0:
+                enter, exit_ = np.minimum(a, b), np.maximum(a, b)
+            else:
+                near = np.minimum(a, b, out=near)
+                np.fmax(enter, near, out=enter)
+                np.fmin(exit_, np.maximum(a, b, out=a), out=exit_)
+        miss = enter > exit_
+        miss |= exit_ <= tmin
+    return np.logical_not(miss, out=miss)
 
 
 def _expand(first, count, groups, along):
@@ -333,17 +338,19 @@ def _cull(soup, O, D, tmin):
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _box_slabs(lo, hi, O, D):
-    """Per-axis near and far slab distances of rays to boxes, row by row."""
+def _box_slabs(soup, p, O, D):
+    """Per-axis near and far slab distances of rays to boxes ``p``, row by row."""
+    t1, t2 = soup.box_lo[p], soup.box_hi[p]  # gathered copies: overwritten
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / D
-        t1 = (lo - O) * inv
-        t2 = (hi - O) * inv
-    tn = np.minimum(t1, t2)
-    tf = np.maximum(t1, t2)
+        inv = np.divide(1.0, D)
+        for t in (t1, t2):
+            t -= O
+            t *= inv
+    tn = np.minimum(t1, t2, out=inv)
+    tf = np.maximum(t1, t2, out=t1)
     # parallel ray lying exactly on a slab plane: treat as inside that slab
-    np.nan_to_num(tn, copy=False, nan=-INF, posinf=INF, neginf=-INF)
-    np.nan_to_num(tf, copy=False, nan=INF, posinf=INF, neginf=-INF)
+    np.copyto(tn, -INF, where=np.isnan(tn))
+    np.copyto(tf, INF, where=np.isnan(tf))
     return tn, tf
 
 
@@ -351,7 +358,7 @@ def _box_slabs(lo, hi, O, D):
 # candidate pairs (r, p): O and D hold the pairs' rays.  A miss is t = inf.
 
 def _box_hits(soup, p, O, D, tmin):
-    tn, tf = _box_slabs(soup.box_lo[p], soup.box_hi[p], O, D)
+    tn, tf = _box_slabs(soup, p, O, D)
     enter = np.maximum(np.maximum(tn[:, 0], tn[:, 1]), tn[:, 2])
     exit_ = np.minimum(np.minimum(tf[:, 0], tf[:, 1]), tf[:, 2])
     t = np.where(enter > tmin, enter, exit_)
@@ -362,7 +369,7 @@ def _box_hits(soup, p, O, D, tmin):
 def _box_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
     bidx = idx[rows]
-    tn, tf = _box_slabs(soup.box_lo[bidx], soup.box_hi[bidx], O[rows], D[rows])
+    tn, tf = _box_slabs(soup, bidx, O[rows], D[rows])
     entered = tn.max(axis=1) > 1e-6  # else the ray started inside
     ax_in = np.argmax(tn, axis=1)
     ax_out = np.argmin(tf, axis=1)
@@ -438,8 +445,9 @@ def _rect_hits(soup, p, O, D, tmin):
     rows = np.arange(len(p))
     axes = soup.rect_axis[p]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (soup.rect_offset[p] - O[rows, axes]) / D[rows, axes]
-    np.nan_to_num(t, copy=False, nan=INF, posinf=INF, neginf=INF)
+        t = np.subtract(soup.rect_offset[p], O[rows, axes])
+        t /= D[rows, axes]
+    np.copyto(t, INF, where=~np.isfinite(t))
     ua = soup.rect_ua[p]
     va = soup.rect_va[p]
     with np.errstate(invalid="ignore"):  # inf * 0 where a ray misses a rect's plane
@@ -469,15 +477,17 @@ _HITS = (_box_hits, _sphere_hits, _cylinder_hits, _rect_hits)
 _NORMALS = (_box_normals, _sphere_normals, _cylinder_normals, _rect_normals)
 
 
-def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
-    """Each ray's nearest hit t in one family, and the lowest primitive index
-    attaining it (0 on a miss), over the primitives of the (ray ``ri``,
-    object ``oj``) candidates."""
+def _nearest(hits, soup, first, count, O, D, tmin, ri, oj, index):
+    """Each ray's nearest hit t in one family, over the primitives of the
+    (ray ``ri``, object ``oj``) candidates, as ``(t,)``; with ``index``,
+    ``(t, the lowest primitive index attaining it (0 on a miss))``."""
     n = len(O)
     ray, prim = _expand(first, count, oj, ri)
     t = hits(soup, prim, O[ray], D[ray], tmin)
     tbest = np.full(n, INF)
     np.minimum.at(tbest, ray, t)
+    if not index:
+        return (tbest,)
     won = (t == tbest[ray]) & (t < INF)
     idx = np.full(n, np.iinfo(np.intp).max)
     np.minimum.at(idx, ray[won], prim[won])
@@ -485,7 +495,7 @@ def _nearest(hits, soup, first, count, O, D, tmin, ri, oj):
     return tbest, idx
 
 
-def _family_minima(soup, O, D, tmin):
+def _family_minima(soup, O, D, tmin, index=True):
     """Per family in ``FAMILIES`` order, ``_nearest`` over the rays.
 
     Rays are culled once each, in blocks whose ray x cluster (or, with no
@@ -497,14 +507,14 @@ def _family_minima(soup, O, D, tmin):
     n = len(O)
     step = max(1, _CHUNK_PAIRS // max(1, len(soup.clu_lo) or len(soup.obj_lo)))
     if n > step:
-        return _joined([_family_minima(soup, O[i : i + step], D[i : i + step], tmin)
+        return _joined([_family_minima(soup, O[i : i + step], D[i : i + step], tmin, index)
                         for i in range(0, n, step)])
     oj, ri = _cull(soup, O, D, tmin)
     blocks = []
     for a, b, pairs in _ray_blocks(ri, soup.obj_prims[oj], n):
         r, o = ri[pairs] - a, oj[pairs]
-        blocks.append([_nearest(hits, soup, *soup.ranges[fam], O[a:b], D[a:b], tmin, r, o)
-                       for fam, hits in zip(FAMILIES, _HITS)])
+        blocks.append([_nearest(hits, soup, *soup.ranges[fam], O[a:b], D[a:b], tmin, r, o,
+                                index) for fam, hits in zip(FAMILIES, _HITS)])
     return _joined(blocks)
 
 
@@ -568,7 +578,7 @@ def trace(soup: PrimitiveSoup, O: np.ndarray, D: np.ndarray, tmin: float = 1e-6)
 def occluded(soup: PrimitiveSoup, O, D, tmax, tmin: float = 1e-6) -> np.ndarray:
     """Whether anything blocks each ray before ``tmax`` (scalar or array);
     equal to ``trace(soup, O, D, tmin).t < tmax``."""
-    t, _, _ = _resolve(*(t for t, _ in _family_minima(soup, O, D, tmin)))
+    t, _, _ = _resolve(*(t for (t,) in _family_minima(soup, O, D, tmin, index=False)))
     return t < tmax
 
 

@@ -571,6 +571,15 @@ class TestSweep:
         b = run_sweep(p, threads=4).to_csv()
         assert a == b
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_cells_raise_the_first_failure_in_cell_order(self, threads):
+        def cell(i):
+            if i in (5, 2):
+                raise ValueError(i)
+            return i
+        with pytest.raises(ValueError, match="^2$"):
+            characterize._parallel_map(cell, range(8), threads, None)
+
     def test_empty_context_recorded_as_gap(self):
         p = tiny_oc_protocol(contexts=["Diffuse", "MotionBoundary"])
         m = run_sweep(p)  # OC has no flow, so MotionBoundary is unavailable
@@ -1092,6 +1101,23 @@ class TestStreamedIngest:
             decoded.clear()
             run_sweep(ingest_protocol(model, apath))
             assert sorted(decoded) == sorted(seq.frame_files), model
+
+    @pytest.mark.parametrize("model", ["BC", "GC"])
+    def test_threads_decode_one_frame_again_per_extra_run(self, tmp_path, monkeypatch,
+                                                          model):
+        # each thread sweeps one contiguous run of the 8 cells, so only the
+        # first cell of a later run decodes its predecessor's frame again
+        p = ingest_protocol(model, write_sequence(tmp_path, 9))
+        decoded = self.count_decodes(monkeypatch)
+        csv = {}
+        for threads in (1, 2, 4):
+            decoded.clear()
+            calls = []
+            m = run_sweep(p, threads=threads, progress=lambda *a: calls.append(a))
+            assert len(decoded) == 9 + (threads - 1) and len(set(decoded)) == 9, threads
+            assert calls == [(k, 8) for k in range(1, 9)], threads
+            csv[threads] = m.to_csv()
+        assert csv[2] == csv[1] and csv[4] == csv[1]
 
     @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
     def test_gc_takes_each_frames_gradients_once(self, tmp_path, monkeypatch, flow):

@@ -1,9 +1,17 @@
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from invarsim import cli
 from invarsim.characterize import default_protocol
 from invarsim.cli import main
 from invarsim.geometry import PrimitiveSoup
@@ -639,3 +647,76 @@ def test_ignored_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+class TestHeapSetting:
+    """``main`` asks the C library's malloc to keep freed heap memory; the
+    library never does, and commands run alike without ``mallopt``."""
+
+    @pytest.fixture(autouse=True)
+    def unset(self):
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    @staticmethod
+    def sample_and_render(tmp_path, name):
+        """Every byte ``sample`` and ``render`` write but their manifests."""
+        out = tmp_path / name
+        out.mkdir()
+        scene = out / "scene.json"
+        assert main(["sample", str(write_scene_config(tmp_path)), "--out", str(scene),
+                     "--seed", "3"]) == 0
+        assert main(["render", str(scene), "--out-dir", str(out / "render"),
+                     "--frames", "0..1", "--spp", "2", "--width", "16",
+                     "--height", "12"]) == 0
+        return {p.name: p.read_bytes() for p in (scene, *(out / "render").iterdir())
+                if "manifest" not in p.name}
+
+    @pytest.mark.parametrize("library", ["no C library", "no mallopt"])
+    def test_commands_write_the_same_bytes_without_mallopt(self, tmp_path, monkeypatch,
+                                                           library):
+        want = self.sample_and_render(tmp_path, "with")
+        opened = []
+
+        def cdll(name, *args, **kwargs):
+            opened.append(name)
+            if library == "no C library":
+                raise OSError(library)
+            return types.SimpleNamespace()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_heap.cache_clear()
+        assert self.sample_and_render(tmp_path, "without") == want
+        assert opened == [None]
+
+    def test_only_the_cli_calls_mallopt(self, tmp_path):
+        # a fresh interpreter, so the import itself is recorded
+        protocol = tmp_path / "protocol.json"
+        protocol.write_text(json.dumps(tiny_protocol_doc()))
+        script = textwrap.dedent("""
+            import ctypes, json, sys, types
+            calls = []
+            def mallopt(param, value):
+                calls.append([param, value])
+                return 1
+            ctypes.CDLL = lambda name, *a, **k: types.SimpleNamespace(mallopt=mallopt)
+            import invarsim
+            from invarsim.characterize import ProtocolConfig
+            doc = json.loads(open(sys.argv[1]).read())
+            invarsim.run_sweep(ProtocolConfig.from_dict(doc), threads=2)
+            library = list(calls)
+            from invarsim import cli
+            code = cli.main(["sweep", sys.argv[1], "--out-dir", sys.argv[2], "--dry-run"])
+            cli.main(["sweep", sys.argv[1], "--out-dir", sys.argv[2], "--dry-run"])
+            print(json.dumps({"library": library, "cli": calls, "code": code}))
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", script, str(protocol),
+                              str(tmp_path / "sweep")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        got = json.loads(run.stdout.splitlines()[-1])
+        # set once per process: the mmap threshold (-3), then the trim threshold (-1)
+        assert got == {"library": [], "cli": [[-3, 32 << 20], [-1, 64 << 20]], "code": 0}

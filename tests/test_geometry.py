@@ -8,6 +8,8 @@ equal, with the default block size and with blocks forced down to a few
 rays.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -443,3 +445,50 @@ class TestSoup:
         assert len(stock.obj_lo) == 6
         for soup in (stock, validation_scene.soup):
             assert not len(soup.clu_lo) and not len(soup.clu_obj)
+
+
+class TestTransientMemory:
+    """The tracer's peak allocations per ray, measured with ``tracemalloc``
+    on one wavefront of the stock OC render: 2 samples of 64x48 jittered
+    camera rays, then the sun's shadow rays from their hits.  The cull of
+    the scene's 6 objects sets the peak; its slab test works in five
+    (objects x rays) float64 buffers, 240 B a ray, where temporaries of
+    every step took about 400 B."""
+
+    #: peak bytes a ray allowed, for trace and occluded alike
+    BOUND = 340
+
+    @pytest.fixture(scope="class")
+    def wavefront(self):
+        p = default_protocol("OC")
+        scene = sample_scene(p.scene_config(), p.scene_seed)
+        jitter = np.random.default_rng(5).random((2, p.height, p.width, 2)) - 0.5
+        O, D = Camera(scene.camera, p.width, p.height).rays(jitter)
+        return scene, O, D
+
+    @staticmethod
+    def peak_per_ray(fn, n_rays):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - before) / n_rays
+        finally:
+            tracemalloc.stop()
+
+    def test_trace(self, wavefront):
+        scene, O, D = wavefront
+        assert len(O) == 6144
+        assert self.peak_per_ray(lambda: trace(scene.soup, O, D), len(O)) < self.BOUND
+
+    def test_occluded_sun_shadow_rays(self, wavefront):
+        scene, O, D = wavefront
+        hit = trace(scene.soup, O, D)
+        sun = next(light for light in scene.lights if light.kind == "directional")
+        to_sun = -np.asarray(sun.direction) / np.linalg.norm(sun.direction)
+        lit = hit.mask & (hit.normal @ to_sun > 0.0)
+        So = hit.point[lit] + hit.normal[lit] * 1e-4
+        Sd = np.broadcast_to(to_sun, So.shape)
+        assert len(So) > 3000
+        assert self.peak_per_ray(lambda: occluded(scene.soup, So, Sd, np.inf),
+                                 len(So)) < self.BOUND

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import queue
 import re
 import threading
 from dataclasses import dataclass, field
@@ -630,9 +629,13 @@ def _cell_batches(protocol, patches, flow=None, occlusion=None):
 
 
 def _features(protocol, frame):
-    """A frame's gray image, or for GC its gradient fields: computed once."""
+    """A frame's gray image, or for GC its gradient fields: computed once,
+    and read-only, so the cells that measure with them cannot change them."""
     gray = to_gray(frame)
-    return gradient_fields(gray) if protocol.model == "GC" else gray
+    features = gradient_fields(gray) if protocol.model == "GC" else gray
+    for array in features if isinstance(features, tuple) else (features,):
+        array.flags.writeable = False
+    return features
 
 
 def _reference(protocol, batches, frame):
@@ -773,63 +776,6 @@ def _eval_weather(protocol, images, tag):
     }
 
 
-def _parallel_map(fn, items, threads, progress):
-    """``fn`` over ``items``, results in item order; one thread runs inline.
-
-    Each of ``threads`` threads runs one contiguous run of the items in
-    order, so an item follows its predecessor on the same thread except
-    at the start of a run (a BC/GC ingest cell then finds the features of
-    its predecessor's frame in the carry).  ``progress(done, total)`` is
-    called on the calling thread once per item, as items finish.  The
-    first failure in item order is raised once every thread has ended.
-    """
-    items = list(items)
-    n = len(items)
-    threads = max(1, min(threads, n))
-    if threads == 1:
-        out = []
-        for i, item in enumerate(items):
-            out.append(fn(item))
-            if progress:
-                progress(i + 1, n)
-        return out
-    out = [None] * n
-    errors = [None] * threads
-    finished = queue.SimpleQueue()  # True per item done, False per run ended
-
-    def run(k, a, b):
-        try:
-            for i in range(a, b):
-                out[i] = fn(items[i])
-                finished.put(True)
-        except BaseException as exc:  # raised again on the calling thread
-            errors[k] = exc
-        finally:
-            finished.put(False)
-
-    bounds = [n * k // threads for k in range(threads + 1)]
-    workers = [threading.Thread(target=run, args=(k, a, b))
-               for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    for w in workers:
-        w.start()
-    done = ended = 0
-    try:
-        while ended < threads:
-            if finished.get():
-                done += 1
-                if progress:
-                    progress(done, n)
-            else:
-                ended += 1
-    finally:
-        for w in workers:
-            w.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
-
-
 class CellCache:
     """Per-cell result cache keyed by protocol content hash plus cell coordinate.
 
@@ -871,28 +817,57 @@ class CellCache:
 
 
 def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
-    """``evaluate(state, coord)`` per coordinate, in order, through the cache.
+    """Every coordinate's ``(records, extra)``, in order, through the cache.
 
     ``prepare()`` builds the state every cell shares (renders, ground truth,
     patches); it runs only when some cell misses the cache, so resuming a
-    finished sweep renders nothing.  Returns the results and the state
-    (None when every cell came from the cache).
+    finished sweep renders nothing.  The missing cells are split into
+    ``min(threads, missing)`` contiguous runs, and ``evaluate(state, run)``
+    yields one result per coordinate of a run, in order: the first run on
+    the calling thread, each other on a thread of its own.  Each result is
+    stored as it comes, and ``progress(done, missing)`` is called under one
+    lock, on the thread that evaluated the cell.  The first failure in cell
+    order is raised once every thread has ended.  Returns the results and
+    the state (None when every cell came from the cache).
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     coords = list(coords)
     results = [cache.load(c) if cache is not None else None for c in coords]
     missing = [i for i, r in enumerate(results) if r is None]
     if not missing:
         return results, None
     state = prepare()
+    runs = min(threads, len(missing))
+    bounds = [len(missing) * k // runs for k in range(runs + 1)]
+    failures = [None] * runs
+    lock = threading.Lock()
+    done = 0
 
-    def run(i):
-        out = evaluate(state, coords[i])
-        if cache is not None:
-            cache.store(coords[i], out)
-        return out
+    def run(k):
+        nonlocal done
+        cells = missing[bounds[k]:bounds[k + 1]]
+        try:
+            for i, out in zip(cells, evaluate(state, [coords[i] for i in cells])):
+                if cache is not None:
+                    cache.store(coords[i], out)
+                with lock:
+                    results[i] = out
+                    done += 1
+                    if progress:
+                        progress(done, len(missing))
+        except BaseException as exc:  # raised again once every run has ended
+            failures[k] = exc
 
-    for i, out in zip(missing, _parallel_map(run, missing, threads, progress)):
-        results[i] = out
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, runs)]
+    for w in workers:
+        w.start()
+    run(0)
+    for w in workers:
+        w.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
     return results, state
 
 
@@ -1057,67 +1032,40 @@ def _prepare_ingest(protocol):
                 row = rect.y + (rect.height - s) // 2
                 col = rect.x + (rect.width - s) // 2
                 patches[key].append(Patch(row=row, col=col, side=s, context=rect.context))
-    batches = ref = carry = None
+    batches = ref = None
     if protocol.model == "OC":
         batches = _cell_batches(protocol, patches)
         ref = _reference(protocol, batches, seq.frame(seq.reference_index))
-    else:
-        carry = _FeatureCarry()
-        if not seq.flow_files:
-            zero_flow = np.broadcast_to(0.0, seq.shape + (2,))
-            batches = _cell_batches(protocol, patches, zero_flow)
-    return seq, patches, batches, ref, carry
+    elif not seq.flow_files:
+        zero_flow = np.broadcast_to(0.0, seq.shape + (2,))
+        batches = _cell_batches(protocol, patches, zero_flow)
+    return seq, patches, batches, ref
 
 
-class _FeatureCarry:
-    """The ``_features`` of the frame a BC/GC ingest cell measured last,
-    kept for the cell of the next frame, which takes them as its reference
-    instead of decoding that frame again.
+def _eval_frames(protocol, state, indices):
+    """Each frame of ``indices``, in order, against the reference (OC) or
+    its predecessor (BC/GC), under the supplied flow or, for a static
+    camera, zero flow.
 
-    Each worker thread keeps its own, one frame's features at most, so
-    threads share nothing.  Kept arrays are read-only: a cell that takes
-    them cannot change them."""
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def take(self, index):
-        """The features this thread kept of frame ``index``, or None; the
-        thread keeps nothing afterwards."""
-        kept = getattr(self._local, "kept", None)
-        self._local.kept = None
-        return kept[1] if kept is not None and kept[0] == index else None
-
-    def keep(self, index, features):
-        for array in features if isinstance(features, tuple) else (features,):
-            array.flags.writeable = False
-        self._local.kept = (index, features)
-
-
-def _eval_frame(protocol, state, idx):
-    """Frame ``idx`` against the reference (OC) or its predecessor (BC/GC),
-    under the supplied flow or, for a static camera, zero flow.
-
-    Only the frames the cell measures are decoded, and a BC/GC cell keeps
-    its frame's features in the carry for the next frame's cell.  It takes
-    its predecessor's features from the carry when this thread's last cell
-    measured that frame, and decodes the predecessor otherwise (the first
-    cell, a cell evaluated alone or after another thread's cell); the
-    bytes are the same either way."""
+    Only the frames a cell measures are decoded.  A BC/GC cell takes its
+    predecessor's features from the cell before it when that cell measured
+    the predecessor, and decodes the predecessor otherwise (the first cell
+    of a run, or one that does not follow its predecessor); the bytes are
+    the same either way."""
     from .imgio import read_flo
 
-    seq, patches, batches, ref, carry = state
-    if protocol.model != "OC":
-        if seq.flow_files:
-            batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
-        ref = carry.take(idx - 1)
-        if ref is None:
-            ref = _features(protocol, seq.frame(idx - 1))
-    features = _features(protocol, seq.frame(idx))
-    if carry is not None:
-        carry.keep(idx, features)
-    return _cell_records(protocol, {"frame": idx},
-                         _features_measure(protocol, batches, ref, features))
+    seq, patches, batches, ref = state
+    last = None  # (index, features) of the frame the cell before measured
+    for idx in indices:
+        if protocol.model != "OC":
+            if seq.flow_files:
+                batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
+            ref = (last[1] if last is not None and last[0] == idx - 1
+                   else _features(protocol, seq.frame(idx - 1)))
+        features = _features(protocol, seq.frame(idx))
+        last = idx, features
+        yield _cell_records(protocol, {"frame": idx},
+                            _features_measure(protocol, batches, ref, features))
 
 
 # -- the sweep driver ---------------------------------------------------------
@@ -1126,20 +1074,26 @@ def _eval_frame(protocol, state, idx):
 @dataclass(frozen=True)
 class _SweepSpec:
     """How one model sweeps: the theta_w axis and its coordinates, the state
-    every cell shares, one cell's ``(records, extra)``, and the Monte Carlo
-    render passes of a fresh sweep as (per sweep, per coordinate)."""
+    every cell shares, the ``(records, extra)`` of each cell of a run, and
+    the Monte Carlo render passes of a fresh sweep as (per sweep, per
+    coordinate)."""
 
     axis: str
     coords: object  # protocol -> coordinates along ``axis``
     prepare: object  # protocol -> shared state
-    evaluate: object  # (protocol, state, coord) -> (records, extra)
+    evaluate: object  # (protocol, state, coords) -> one (records, extra) per coord
     passes: tuple
     theta_v_axes: tuple = ("s",)
 
 
+def _cellwise(evaluate):
+    """A run evaluator that evaluates each cell of the run on its own."""
+    return lambda protocol, state, coords: (evaluate(protocol, state, c) for c in coords)
+
+
 # the reference frame; the sun off and on, in one pass
 _RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
-                        _prepare_ramp, _eval_level, passes=(2, 0))
+                        _prepare_ramp, _cellwise(_eval_level), passes=(2, 0))
 
 _SWEEP_SPECS = {
     "OC": _RAMP_SPEC,
@@ -1147,13 +1101,13 @@ _SWEEP_SPECS = {
     "GC": _RAMP_SPEC,
     # ground truth and flow only: no Monte Carlo pass
     "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
-                     _eval_speed, passes=(0, 0)),
+                     _cellwise(_eval_speed), passes=(0, 0)),
     # all tags and densities in one pass
     "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
-                     _eval_weather, passes=(1, 0), theta_v_axes=()),
+                     _cellwise(_eval_weather), passes=(1, 0), theta_v_axes=()),
 }
 
-_INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frame,
+_INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frames,
                           passes=(0, 0))
 
 
@@ -1181,8 +1135,11 @@ def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
     """Evaluate the full (theta_w x theta_v x context) grid for a protocol.
 
     Grid cells are independent: they may be evaluated concurrently, in any
-    order, or alone, and always produce the same bytes.  Empty-context
-    cells are recorded as gaps; render failures abort.
+    order, or alone, and always produce the same bytes.  Each of ``threads``
+    (at least 1) workers sweeps one contiguous run of the cells that miss
+    the cache, in order; ``progress(done, total)`` is called once per cell
+    evaluated, from the thread that evaluated it.  Empty-context cells are
+    recorded as gaps; render failures abort.
     """
     spec = _sweep_spec(protocol)
     # the bytes of ingested frames are not in the protocol hash, so a cached

@@ -154,12 +154,13 @@ def cmd_sample(args):
 
 
 def _parse_frames(spec: str):
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        start, stop = int(a), int(b)
-    else:
-        start = stop = int(spec)
-    if stop < start:
+    a, dots, b = spec.partition("..")
+    try:
+        start = int(a)
+        stop = int(b) if dots else start
+    except ValueError:
+        raise ConfigError(f"bad frame range {spec!r}") from None
+    if start < 0 or stop < start:
         raise ConfigError(f"bad frame range {spec!r}")
     return list(range(start, stop + 1))
 

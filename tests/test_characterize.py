@@ -573,12 +573,73 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_cells_raise_the_first_failure_in_cell_order(self, threads):
-        def cell(i):
-            if i in (5, 2):
-                raise ValueError(i)
-            return i
+        def cells(state, run):
+            for i in run:
+                if i in (5, 2):
+                    raise ValueError(i)
+                yield i
         with pytest.raises(ValueError, match="^2$"):
-            characterize._parallel_map(cell, range(8), threads, None)
+            characterize._sweep_cells(range(8), lambda: None, cells, None, threads, None)
+
+    def test_more_threads_than_cores_lose_no_cell_and_no_count(self):
+        import sys
+        import threading
+        import time
+
+        def cells(state, run):
+            for c in run:
+                time.sleep(0)  # let the other runs in
+                yield c * 2
+        calls, out = [], []
+        worker = threading.Thread(target=lambda: out.append(characterize._sweep_cells(
+            range(300), lambda: None, cells, None, 8, lambda *a: calls.append(a))),
+            daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "8 threads did not finish in 60 s"
+        assert out == [([c * 2 for c in range(300)], None)]
+        assert calls == [(k, 300) for k in range(1, 301)]
+
+    def test_a_half_cached_sweep_evaluates_only_the_missing_cells(self, tmp_path,
+                                                                  monkeypatch):
+        p = tiny_oc_protocol(theta_w={"illumination_levels": [0.5, 1.0, 1.5, 2.0,
+                                                              3.0, 4.0, 5.0]})
+        cells = tmp_path / "cells"
+        fresh = run_sweep(p, cache_dir=cells).to_csv()
+        files = {path.name: path.read_bytes() for path in cells.glob("cell_*.json")}
+        evaluated, stored = [], []
+        cell_records = characterize._cell_records
+        store = characterize.CellCache.store
+
+        def counted_records(protocol, theta_w, measured):
+            evaluated.append(theta_w["illumination"])
+            return cell_records(protocol, theta_w, measured)
+
+        def counted_store(cache, coord, result):
+            stored.append(coord)
+            store(cache, coord, result)
+        monkeypatch.setattr(characterize, "_cell_records", counted_records)
+        monkeypatch.setattr(characterize.CellCache, "store", counted_store)
+        cache = characterize.CellCache(cells, p)
+        missing = list(p.illumination_levels[::2])
+        for threads in (1, 2, 3):
+            for level in missing:
+                cache._path(level).unlink()
+            evaluated.clear()
+            stored.clear()
+            calls = []
+            m = run_sweep(p, threads=threads, cache_dir=cells,
+                          progress=lambda *a: calls.append(a))
+            assert sorted(evaluated) == missing and sorted(stored) == missing, threads
+            assert calls == [(k, 4) for k in range(1, 5)], threads
+            assert m.to_csv() == fresh, threads
+            assert {path.name: path.read_bytes()
+                    for path in cells.glob("cell_*.json")} == files, threads
 
     def test_empty_context_recorded_as_gap(self):
         p = tiny_oc_protocol(contexts=["Diffuse", "MotionBoundary"])
@@ -1142,38 +1203,35 @@ class TestStreamedIngest:
 
         def cells(order):
             state = characterize._prepare_ingest(p)
-            for idx in order:
-                records, _ = characterize._eval_frame(p, state, idx)
+            for idx, (records, _) in zip(order, characterize._eval_frames(p, state, order)):
                 assert sorted(map(repr, records)) == sorted(swept[idx]), idx
             return [int(path[-7:-4]) for path in decoded]
 
-        # alone, with an empty carry: the frame before and the frame
+        # alone, a run of one cell: the frame before and the frame
         for idx in (1, 3, 5):
             decoded.clear()
             assert cells([idx]) == [idx - 1, idx]
-        # out of order: only cell 2 follows the frame the last cell measured
+        # one run out of order: only cell 2 follows the frame the cell
+        # before it measured
         decoded.clear()
         assert cells([3, 1, 2, 5, 4]) == [2, 3, 0, 1, 2, 4, 5, 3, 4]
 
     @pytest.mark.parametrize("model", ["BC", "GC"])
     def test_carried_features_are_read_only(self, tmp_path, model):
         p = ingest_protocol(model, write_sequence(tmp_path, 3))
-        state = characterize._prepare_ingest(p)
-        characterize._eval_frame(p, state, 1)
-        carry = state[-1]
-        kept = carry.take(1)
+        seq = ingest_sequence(p.ingest_dir, p.ingest_annotation)
+        kept = characterize._features(p, seq.frame(1))
         arrays = kept if isinstance(kept, tuple) else (kept,)
         assert len(arrays) == (2 if model == "GC" else 1)
         for array in arrays:
             assert array.shape == (48, 64) and not array.flags.writeable
-        assert carry.take(1) is None  # taken: the thread keeps nothing
 
     @pytest.mark.parametrize("model", ["BC", "GC"])
     @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
     def test_more_threads_than_cores_give_the_bytes_of_one(
             self, tmp_path, model, flow):
-        # each worker carries its own features: the workers interleave the
-        # cells, so a cell whose predecessor ran on another worker decodes both
+        # each worker sweeps its own run of the cells, so the first cell of
+        # each later run decodes its predecessor's frame too
         import os
         import threading
 

@@ -267,6 +267,16 @@ class TestRender:
         assert capsys.readouterr().err == "invarsim: max_bounces must be 0 or 1\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("frames", ["x", "-1..0", "0..y", "0..", "2..1"])
+    def test_bad_frames_exit_2_before_any_directory(self, scene_json, tmp_path, capsys,
+                                                    frames):
+        out_dir = tmp_path / "render"
+        assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                     f"--frames={frames}", "--spp", "1", "--width", "8",
+                     "--height", "6"]) == 2
+        assert capsys.readouterr().err == f"invarsim: bad frame range {frames!r}\n"
+        assert not out_dir.exists()
+
     def test_idempotent_artifacts(self, scene_json, tmp_path):
         out_dir = tmp_path / "render"
         argv = ["render", str(scene_json), "--out-dir", str(out_dir),
@@ -392,6 +402,14 @@ class TestSweep:
         assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep"),
                      "--porcelain", "--dry-run"]) == 2
         assert capsys.readouterr().err.startswith(f"invarsim: {block}")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(tiny_protocol_doc()))
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep"),
+                     f"--threads={threads}"]) == 2
+        assert capsys.readouterr().err.startswith("invarsim: threads must be >= 1")
 
     def test_sweep_rejects_seed(self, tmp_path, capsys):
         # the protocol's seeds block decides every seed of a sweep

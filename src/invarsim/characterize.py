@@ -19,6 +19,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -53,10 +54,10 @@ from .scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scen
 from .validators import (
     Trajectories,
     average_ranks,
-    bc_values,
+    bc_residuals,
     ds_angular_error,
     energy_variance,
-    gc_values,
+    gc_residuals,
     gradient_fields,
     oc_values,
     patch_pixels,
@@ -73,6 +74,15 @@ HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": Fal
 #: part of every cell-cache key; bump it whenever a change to rendering or
 #: measuring moves cell values, so no resumed run mixes old cells in
 CACHE_EPOCH = 2
+
+#: the most float values (OC's gray patch pixels, BC's and GC's residuals)
+#: that a block of cells gathers: the consecutive cells of a run that fit
+#: share one kernel call per patch side and one statistics pass; a block
+#: holds at least one cell.  A block's measure temporaries grow with it: a
+#: stock OC run peaks at 0.6 MB of allocations a block of one level, 1.1 MB
+#: of two (this budget) and 2.7 MB of five, which no longer fit in the
+#: memory the render pass freed and raise a stock sweep's peak RSS
+_BLOCK_VALUES = 1 << 15
 
 #: the names a name-valued field accepts; Clear has no density for DS to ramp
 _KNOWN_NAMES = {"contexts": CONTEXT_NAMES, "sunny_tags": tuple(WEATHER_PRESETS),
@@ -583,29 +593,64 @@ def _collect_patches(protocol, gt, *seed_parts):
     return patches
 
 
-def _cell_records(protocol, theta_w, measured):
-    """One record per (side, context) cell at one theta_w coordinate.
+def _statistics(counts, values):
+    """Mean, std and count of the non-NaN values of each array that
+    ``values`` holds one after another, ``counts[i]`` values long, and the
+    count of NaN values left out of each.
 
-    ``measured`` maps the key (context, side) of each cell with patches to
-    the criterion value of each of its patches, NaN where the measure is
-    degenerate; NaN values are left out of the statistics and counted.  A
-    cell without patches is a gap: n=0 and NaN statistics.  Returns the
-    records and the count of left-out values.
+    The arrays are grouped by their count of kept values, and each group is
+    stacked and reduced along its rows.  A contiguous row sums as a 1-D
+    array does, so every array's mean and std have the bits of its own
+    ``mean()`` and ``std()``.  An array that keeps no value has NaN
+    statistics."""
+    counts = np.asarray(counts, dtype=int)
+    values = np.asarray(values, dtype=float)
+    nan = np.isnan(values)
+    skipped = np.bincount(np.repeat(np.arange(len(counts)), counts)[nan],
+                          minlength=len(counts))
+    n = counts - skipped
+    kept = values[~nan]
+    starts = np.cumsum(n) - n
+    mean = np.full(len(counts), np.nan)
+    std = np.full(len(counts), np.nan)
+    arrays_per_count = np.bincount(n, minlength=1)
+    for k in np.flatnonzero(arrays_per_count[1:]) + 1:
+        group = np.flatnonzero(n == k)
+        rows = kept[starts[group, None] + np.arange(k)]
+        mean[group] = rows.mean(axis=1)
+        std[group] = rows.std(axis=1)
+    return mean, std, n, skipped
+
+
+def _block_records(protocol, theta_ws, keys, counts, values):
+    """One ``(records, skipped)`` per coordinate of ``theta_ws``, from one
+    statistics pass over a block of cells.
+
+    At every coordinate the cells ``keys`` (context, side) measured
+    ``counts`` patches each, and ``values`` holds the criterion value of
+    each patch, coordinate after coordinate and key after key, NaN where
+    the measure is degenerate.  NaN values are left out of the statistics
+    and counted.  A (side, context) cell without patches is a gap: n=0 and
+    NaN statistics.  A coordinate has one record per side and context.
     """
-    records = []
-    skipped = 0
-    for s in protocol.patch_sizes:
-        for context in protocol.contexts:
-            values = np.asarray(measured.get((context, s), ()), dtype=float)
-            vals = values[~np.isnan(values)]
-            skipped += len(values) - len(vals)
-            if len(vals) == 0:
-                mean = std = float("nan")
-            else:
-                mean, std = float(vals.mean()), float(vals.std())
-            records.append(CriterionRecord(protocol.model, context, theta_w,
-                                           {"s": s}, mean, std, len(vals)))
-    return records, skipped
+    stats = _statistics(np.tile(counts, len(theta_ws)), values)
+    mean, std, n, skipped = (a.reshape(len(theta_ws), -1) for a in stats)
+    index = {key: i for i, key in enumerate(keys)}
+    cells = []
+    for c, theta_w in enumerate(theta_ws):
+        records, left_out = [], 0
+        for s in protocol.patch_sizes:
+            for context in protocol.contexts:
+                i = index.get((context, s))
+                if i is None:
+                    stat = float("nan"), float("nan"), 0
+                else:
+                    stat = float(mean[c, i]), float(std[c, i]), int(n[c, i])
+                    left_out += int(skipped[c, i])
+                records.append(CriterionRecord(protocol.model, context, theta_w,
+                                               {"s": s}, *stat))
+        cells.append((records, left_out))
+    return cells
 
 
 def _cell_batches(protocol, patches, flow=None, occlusion=None):
@@ -647,26 +692,62 @@ def _reference(protocol, batches, frame):
     return features
 
 
-def _pair_measure(protocol, batches, ref, cur):
-    """Cell key -> the OC, BC or GC criterion of each of its patches between
-    the ``_reference`` of one frame and the frame ``cur``."""
-    return _features_measure(protocol, batches, ref, _features(protocol, cur))
-
-
-def _features_measure(protocol, batches, ref, features):
-    """``_pair_measure`` of a frame whose ``_features`` are already computed.
-
-    One kernel call measures a whole batch.  The kernels work row by row,
-    so each patch's value has the same bits as when measured alone."""
+def _gather(protocol, batches, ref, features):
+    """What the measure reduces of one cell, per batch: a list of row stacks
+    and the mask of the values to keep.  OC gathers its patches' gray rows
+    (no mask); BC and GC their residual rows between the reference features
+    ``ref`` and ``features``, and the mask of the usable ones."""
     if protocol.model == "OC":
-        values = [oc_values(ranks, features[pixels])
-                  for ranks, (_, _, pixels) in zip(ref, batches)]
-    else:
-        constancy = bc_values if protocol.model == "BC" else gc_values
-        values = [constancy(ref, features, traj) for _, _, traj in batches]
-    return {key: cell
-            for (keys, counts, _), batch in zip(batches, values)
-            for key, cell in zip(keys, np.split(batch, np.cumsum(counts)[:-1]))}
+        return [([features[pixels]], None) for _, _, pixels in batches]
+    residuals = bc_residuals if protocol.model == "BC" else gc_residuals
+    return [residuals(ref, features, traj) for _, _, traj in batches]
+
+
+def _block_values(protocol, batches, ref, block):
+    """The criterion value of every patch of a block of cells, cell after
+    cell and, within a cell, batch after batch and key after key.
+
+    ``block`` holds each cell's ``_gather``; one kernel call measures the
+    stacked rows of a batch: OC ranks them against the batch's reference
+    ranks, BC and GC take ``Trajectories.variances``.  The kernels work row
+    by row, so each patch's value has the same bits as when measured alone.
+    """
+    per_batch = [np.empty((len(block), 0))]  # cells without patches measure nothing
+    for k, (_, _, gathered) in enumerate(batches):
+        parts = [cell[k] for cell in block]
+        rows = [np.concatenate(s) for s in zip(*(stacks for stacks, _ in parts))]
+        if protocol.model == "OC":
+            values = oc_values(ref[k], rows[0])
+        else:
+            values = gathered.variances(rows, np.concatenate([keep for _, keep in parts]))
+        per_batch.append(values.reshape(len(block), -1))
+    return np.concatenate(per_batch, axis=1).reshape(-1)
+
+
+def _in_blocks(protocol, axis, coords, cell, ref):
+    """``(records, skipped)`` of each coordinate of ``coords``, in order,
+    measured a block of cells at a time.
+
+    ``cell(coord)`` makes one cell's frame and returns its batches and its
+    ``_gather``, so a block keeps no frame.  A block is the consecutive
+    cells whose gathered values fit in ``_BLOCK_VALUES``, and at least one.
+    It is measured with the batches of its first cell (every cell has the
+    same patches) and, for OC, the reference ranks ``ref``: one kernel call
+    per batch, then one statistics pass (``_block_records``).
+    """
+    coords = iter(coords)
+    for first in coords:
+        batches, rows = cell(first)
+        block, gathered = [first], [rows]
+        size = sum(r.size for stacks, _ in rows for r in stacks)
+        for coord in itertools.islice(coords, max(1, _BLOCK_VALUES // max(1, size)) - 1):
+            block.append(coord)
+            gathered.append(cell(coord)[1])
+        yield from _block_records(
+            protocol, [{axis: c} for c in block],
+            [key for keys, _, _ in batches for key in keys],
+            [n for _, counts, _ in batches for n in counts],
+            _block_values(protocol, batches, ref, gathered))
 
 
 def _prepare_ramp(protocol):
@@ -704,12 +785,16 @@ def _prepare_ramp(protocol):
     return batches, _reference(protocol, batches, ref_img), hdr0, hdr_sun
 
 
-def _eval_level(protocol, state, level):
+def _eval_levels(protocol, state, levels):
+    """The cells of a run of sun levels, each level's frame the affine
+    combination of the sun basis as the sensor sees it."""
     batches, ref, hdr0, hdr_sun = state
-    cur_img = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
+
+    def cell(level):
+        cur = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
                          "level", float(level).hex())
-    return _cell_records(protocol, {"illumination": level},
-                         _pair_measure(protocol, batches, ref, cur_img))
+        return batches, _gather(protocol, batches, ref, _features(protocol, cur))
+    return _in_blocks(protocol, "illumination", levels, cell, ref)
 
 
 def _prepare_scene(protocol):
@@ -727,8 +812,11 @@ def _eval_speed(protocol, base, speed):
         compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
     patches = _collect_patches(protocol, gt1, speed)
     energy = smoothness_energy(flow_prev, gt1.flow, flow_next)
-    return _cell_records(protocol, {"speed": speed}, {
-        key: [energy_variance(energy, p) for p in ps] for key, ps in patches.items() if ps})
+    keys = [key for key, ps in patches.items() if ps]
+    (cell,) = _block_records(protocol, [{"speed": speed}], keys,
+                             [len(patches[key]) for key in keys],
+                             [energy_variance(energy, p) for key in keys for p in patches[key]])
+    return cell
 
 
 def _prepare_weather(protocol):
@@ -822,16 +910,18 @@ def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
     ``prepare()`` builds the state every cell shares (renders, ground truth,
     patches); it runs only when some cell misses the cache, so resuming a
     finished sweep renders nothing.  The missing cells are split into
-    ``min(threads, missing)`` contiguous runs, and ``evaluate(state, run)``
-    yields one result per coordinate of a run, in order: the first run on
-    the calling thread, each other on a thread of its own.  Each result is
-    stored as it comes, and ``progress(done, missing)`` is called under one
-    lock, on the thread that evaluated the cell.  The first failure in cell
-    order is raised once every thread has ended.  Returns the results and
-    the state (None when every cell came from the cache).
+    ``min(threads, missing)`` contiguous runs (``threads`` >= 1), and
+    ``evaluate(state, run)`` yields one result per coordinate of a run, in
+    order: the first run on the calling thread, each other on a thread of
+    its own.  An evaluator may measure several cells before it yields them
+    (OC, BC and GC measure a block of cells at a time, ``_in_blocks``).
+    Each result is stored as it comes, and ``progress(done, missing)`` is
+    called under one lock, on the thread that evaluated the cell, so an
+    interrupted sweep loses at most the block each worker was measuring.
+    The first failure in cell order is raised once every thread has ended.
+    Returns the results and the state (None when every cell came from the
+    cache).
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     coords = list(coords)
     results = [cache.load(c) if cache is not None else None for c in coords]
     missing = [i for i, r in enumerate(results) if r is None]
@@ -1056,7 +1146,9 @@ def _eval_frames(protocol, state, indices):
 
     seq, patches, batches, ref = state
     last = None  # (index, features) of the frame the cell before measured
-    for idx in indices:
+
+    def cell(idx):
+        nonlocal batches, ref, last
         if protocol.model != "OC":
             if seq.flow_files:
                 batches = _cell_batches(protocol, patches, read_flo(seq.flow_files[idx - 1]))
@@ -1064,8 +1156,9 @@ def _eval_frames(protocol, state, indices):
                    else _features(protocol, seq.frame(idx - 1)))
         features = _features(protocol, seq.frame(idx))
         last = idx, features
-        yield _cell_records(protocol, {"frame": idx},
-                            _features_measure(protocol, batches, ref, features))
+        return batches, _gather(protocol, batches, ref, features)
+    # OC's reference ranks; BC and GC measure their gathered residuals alone
+    return _in_blocks(protocol, "frame", indices, cell, ref)
 
 
 # -- the sweep driver ---------------------------------------------------------
@@ -1093,7 +1186,7 @@ def _cellwise(evaluate):
 
 # the reference frame; the sun off and on, in one pass
 _RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
-                        _prepare_ramp, _cellwise(_eval_level), passes=(2, 0))
+                        _prepare_ramp, _eval_levels, passes=(2, 0))
 
 _SWEEP_SPECS = {
     "OC": _RAMP_SPEC,
@@ -1137,10 +1230,15 @@ def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
     Grid cells are independent: they may be evaluated concurrently, in any
     order, or alone, and always produce the same bytes.  Each of ``threads``
     (at least 1) workers sweeps one contiguous run of the cells that miss
-    the cache, in order; ``progress(done, total)`` is called once per cell
-    evaluated, from the thread that evaluated it.  Empty-context cells are
-    recorded as gaps; render failures abort.
+    the cache, in order.  OC, BC and GC measure a run in blocks of
+    consecutive cells, as many as fit their gathered patch values in
+    ``_BLOCK_VALUES``: one kernel call per patch side and one statistics
+    pass per block.  ``progress(done, total)`` is called once per cell
+    evaluated, in order, from the thread that evaluated it.  Empty-context
+    cells are recorded as gaps; render failures abort.
     """
+    if threads < 1:  # before the cell cache makes its directory
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     spec = _sweep_spec(protocol)
     # the bytes of ingested frames are not in the protocol hash, so a cached
     # cell could not tell an edited sequence from the one it came from

@@ -68,14 +68,14 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _spearman_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Spearman rho of each row pair of two (n, m) average-rank stacks, NaN
-    where a row is constant.  Average ranks are half-integers with mean
-    exactly (m + 1) / 2, so the centred ranks are multiples of 0.5 and the
-    sums of their products are exact in any order: a row gives the same
-    bits alone or in a batch."""
-    rx = rx - rx.mean(axis=1, keepdims=True)
-    ry = ry - ry.mean(axis=1, keepdims=True)
-    vx, vy, sxy = (np.einsum("ij,ij->i", a, b) for a, b in ((rx, rx), (ry, ry), (rx, ry)))
+    """Spearman rho of each row pair of two (..., m) average-rank stacks that
+    broadcast against each other, NaN where a row is constant.  Average
+    ranks are half-integers with mean exactly (m + 1) / 2, so the centred
+    ranks are multiples of 0.5 and the sums of their products are exact in
+    any order: a row gives the same bits alone or in a batch."""
+    rx = rx - rx.mean(axis=-1, keepdims=True)
+    ry = ry - ry.mean(axis=-1, keepdims=True)
+    vx, vy, sxy = (np.einsum("...j,...j->...", a, b) for a, b in ((rx, rx), (ry, ry), (rx, ry)))
     with np.errstate(invalid="ignore"):  # 0 / 0 on a constant row
         return np.where((vx != 0.0) & (vy != 0.0), sxy / np.sqrt(vx * vy), np.nan)
 
@@ -96,9 +96,12 @@ def spearman_rho(x, y) -> float:
 
 
 def oc_values(ref_ranks: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Absolute Spearman rho of each row of gray patch pixels ``cur`` (n, m)
-    against the average ranks of the co-located reference pixels."""
-    return np.abs(_spearman_rows(ref_ranks, average_ranks(cur)))
+    """Absolute Spearman rho of each row of gray patch pixels ``cur`` against
+    the average ranks ``ref_ranks`` (n, m) of the co-located reference
+    pixels.  ``cur`` stacks the n patches of one or more frames, frame after
+    frame, as (k * n, m)."""
+    ranks = average_ranks(cur).reshape((-1,) + ref_ranks.shape)
+    return np.abs(_spearman_rows(ref_ranks, ranks)).reshape(-1)
 
 
 def oc_measure(ref_patch, cur_patch) -> float:
@@ -180,20 +183,21 @@ class Trajectories:
         return t00 + t01 + t10 + t11
 
     def variances(self, residuals, keep):
-        """One population variance per patch of its kept residual values,
-        pooled over the ``residuals`` arrays.
+        """One population variance per row of its kept residual values,
+        pooled over the ``residuals`` arrays.  A row is one patch: the rows
+        hold the patches of one or more frames, frame after frame.
 
-        Patches that keep every value are sorted and reduced as one 2-D
-        stack: ``np.var(axis=1)`` sums each contiguous row with the same
-        pairwise summation as ``population_variance`` sums it alone, so each
-        row gives the same bits.  The other patches take their kept values
-        one patch at a time."""
+        Rows that keep every value are sorted and reduced as one 2-D stack:
+        ``np.var(axis=1)`` sums each contiguous row with the same pairwise
+        summation as ``population_variance`` sums it alone, so each row
+        gives the same bits.  The other rows take their kept values one row
+        at a time."""
         empty = np.flatnonzero(~keep.any(axis=1))
         if empty.size:
-            p = self.patches[empty[0]]
+            p = self.patches[empty[0] % len(self.patches)]
             raise AllOccludedError(
                 f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
-        out = np.empty(len(self.patches))
+        out = np.empty(len(keep))
         full = keep.all(axis=1)
         v = np.sort(np.concatenate([r[full] for r in residuals], axis=1), axis=1)
         out[full] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
@@ -217,11 +221,17 @@ def _one_patch(kernel, features, frame_t, frame_t1, flow, patch, inset,
     return float(kernel(features(I0), features(I1), traj)[0])
 
 
+def bc_residuals(I0: np.ndarray, I1: np.ndarray, traj: Trajectories):
+    """The brightness residuals of each patch of ``traj`` between the gray
+    frames ``I0`` and ``I1``, and which of them to keep: the arguments of
+    ``traj.variances``."""
+    return [traj.sample(I1) - I0[traj.pixels]], traj.usable
+
+
 def bc_values(I0: np.ndarray, I1: np.ndarray, traj: Trajectories) -> np.ndarray:
     """Brightness-constancy deviation of each patch of ``traj`` between the
     gray frames ``I0`` and ``I1``."""
-    residual = traj.sample(I1) - I0[traj.pixels]
-    return traj.variances([residual], traj.usable)
+    return traj.variances(*bc_residuals(I0, I1, traj))
 
 
 def bc_variance(frame_t, frame_t1, flow, patch, *,
@@ -247,16 +257,23 @@ def gradient_fields(I: np.ndarray):
     return gx, gy
 
 
-def gc_values(grad0, grad1, traj: Trajectories) -> np.ndarray:
-    """Gradient-constancy deviation of each patch of ``traj`` between the
-    gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair;
-    ``traj`` leaves out the one-pixel patch border."""
+def gc_residuals(grad0, grad1, traj: Trajectories):
+    """The gradient residuals (x and y) of each patch of ``traj`` between
+    the gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair,
+    and which of them to keep: the arguments of ``traj.variances``."""
     src = [g[traj.pixels] for g in grad0]
     dst = [traj.sample(g) for g in grad1]
     keep = traj.usable
     for values in src + dst:
         keep = keep & np.isfinite(values)
-    return traj.variances([t - s for s, t in zip(src, dst)], keep)
+    return [t - s for s, t in zip(src, dst)], keep
+
+
+def gc_values(grad0, grad1, traj: Trajectories) -> np.ndarray:
+    """Gradient-constancy deviation of each patch of ``traj`` between the
+    gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair;
+    ``traj`` leaves out the one-pixel patch border."""
+    return traj.variances(*gc_residuals(grad0, grad1, traj))
 
 
 def gc_variance(frame_t, frame_t1, flow, patch, *,

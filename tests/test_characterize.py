@@ -431,18 +431,24 @@ class TestSweep:
             sampled.append(_fn(*args))
             return sampled[-1]
         monkeypatch.setattr(characterize, "_collect_patches", collect)
-        p = tiny_oc_protocol(model=model)
-        run_sweep(p)
-        # the reference frame once, then one frame per level
-        assert calls["to_gray"] == 1 + len(p.illumination_levels)
-        # OC ranks the reference patches of each side once and its current
-        # patches once per level, every context of a side in one call
-        sides = {s for (_, s), ps in sampled[0].items() if ps}
-        assert sides and len(p.contexts) > 1
-        if model == "OC":
-            assert calls["average_ranks"] == len(sides) * (1 + len(p.illumination_levels))
-        else:
-            assert calls["average_ranks"] == 0
+        p = tiny_oc_protocol(model=model, theta_w={"illumination_levels": [1.0, 2.0, 3.0]})
+        # a block of one level, and one block of every level
+        for block_values, blocks in ((1, len(p.illumination_levels)), (1 << 40, 1)):
+            monkeypatch.setattr(characterize, "_BLOCK_VALUES", block_values)
+            for name in calls:
+                calls[name] = 0
+            sampled.clear()
+            run_sweep(p)
+            # the reference frame once, then one frame per level
+            assert calls["to_gray"] == 1 + len(p.illumination_levels)
+            # OC ranks the reference patches of each side once and its current
+            # patches once per block, every context and level of a side in one call
+            sides = {s for (_, s), ps in sampled[0].items() if ps}
+            assert sides and len(p.contexts) > 1
+            if model == "OC":
+                assert calls["average_ranks"] == len(sides) * (1 + blocks)
+            else:
+                assert calls["average_ranks"] == 0
 
     @pytest.mark.parametrize("model, exclude_occluded",
                              [("OC", False), ("BC", False), ("BC", True),
@@ -454,7 +460,7 @@ class TestSweep:
         from invarsim.patches import Patch
         from invarsim.validators import bc_variance, gc_variance, oc_measure
 
-        seen = {"flow": [], "frames": [], "patches": [], "measured": []}
+        seen = {"flow": [], "frames": [], "patches": [], "measured": [], "levels": []}
 
         def compute_flow(*args, _fn=characterize.compute_flow):
             flow, occl = _fn(*args)
@@ -471,14 +477,19 @@ class TestSweep:
             seen["patches"].append(patches)
             return patches
 
-        def reference(protocol, batches, frame, _fn=characterize._reference):
+        def features(protocol, frame, _fn=characterize._features):
+            # the reference frame first, then each level's
             seen["frames"].append(frame)
-            return _fn(protocol, batches, frame)
+            return _fn(protocol, frame)
 
-        def pair_measure(protocol, batches, ref, cur, _fn=characterize._pair_measure):
-            measured = _fn(protocol, batches, ref, cur)
-            seen["measured"].append((cur, measured))
-            return measured
+        def block_records(protocol, theta_ws, keys, counts, values,
+                          _fn=characterize._block_records):
+            # each cell's values, split back into its keys
+            for cell, theta_w in zip(np.reshape(values, (len(theta_ws), -1)), theta_ws):
+                split = np.split(cell, np.cumsum(counts)[:-1])
+                seen["measured"].append(dict(zip(keys, split)))
+                seen["levels"].append(theta_w["illumination"])
+            return _fn(protocol, theta_ws, keys, counts, values)
 
         one_patch = []
 
@@ -487,7 +498,7 @@ class TestSweep:
             return _fn(values)
 
         for name, fn in (("compute_flow", compute_flow), ("_collect_patches", collect),
-                         ("_reference", reference), ("_pair_measure", pair_measure)):
+                         ("_features", features), ("_block_records", block_records)):
             monkeypatch.setattr(characterize, name, fn)
         monkeypatch.setattr(validators, "population_variance", population_variance)
         scene = validation_scene_config()
@@ -496,13 +507,13 @@ class TestSweep:
                              contexts=["Diffuse", "ShadowBoundary", "Edge"])
         run_sweep(p)
         one_patch_calls = len(one_patch)
-        (patches,), (ref_img,) = seen["patches"], seen["frames"]
+        (patches,), (ref_img, *frames) = seen["patches"], seen["frames"]
         flow, occl = seen["flow"][0] if seen["flow"] else (None, None)
         cells = {key: ps for key, ps in patches.items() if ps}
         n_patches = sum(map(len, cells.values()))
         assert len({s for _, s in cells}) == 2 and len(cells) > 2
-        assert len(seen["measured"]) == len(p.illumination_levels)
-        for cur, measured in seen["measured"]:
+        assert seen["levels"] == list(p.illumination_levels) and len(frames) == len(seen["levels"])
+        for cur, measured in zip(frames, seen["measured"]):
             assert set(measured) == set(cells)
             for key, ps in cells.items():
                 if model == "OC":
@@ -613,17 +624,17 @@ class TestSweep:
         fresh = run_sweep(p, cache_dir=cells).to_csv()
         files = {path.name: path.read_bytes() for path in cells.glob("cell_*.json")}
         evaluated, stored = [], []
-        cell_records = characterize._cell_records
+        block_records = characterize._block_records
         store = characterize.CellCache.store
 
-        def counted_records(protocol, theta_w, measured):
-            evaluated.append(theta_w["illumination"])
-            return cell_records(protocol, theta_w, measured)
+        def counted_records(protocol, theta_ws, *args):
+            evaluated.extend(theta_w["illumination"] for theta_w in theta_ws)
+            return block_records(protocol, theta_ws, *args)
 
         def counted_store(cache, coord, result):
             stored.append(coord)
             store(cache, coord, result)
-        monkeypatch.setattr(characterize, "_cell_records", counted_records)
+        monkeypatch.setattr(characterize, "_block_records", counted_records)
         monkeypatch.setattr(characterize.CellCache, "store", counted_store)
         cache = characterize.CellCache(cells, p)
         missing = list(p.illumination_levels[::2])
@@ -1260,10 +1271,15 @@ class TestStreamedIngest:
         assert outputs[many] == outputs[1]
 
     @pytest.mark.parametrize("model", ["OC", "GC"])
-    def test_sweep_peak_memory_does_not_grow_with_length(self, tmp_path, model):
+    def test_sweep_peak_memory_does_not_grow_with_length(self, tmp_path, monkeypatch, model):
         # a whole-sequence load holds every decoded frame until the sweep
         # ends: 28 frames more would add 28 frames to the peak
         frame_bytes = 48 * 64 * 3 * 8
+        # a block holds 3 cells, all that the shorter sequence has, so blocks
+        # add the same to both peaks: two side-9 patches per cell, and GC
+        # gathers two residuals of their 7x7 interiors
+        per_cell = 2 * 81 if model == "OC" else 2 * 2 * 49
+        monkeypatch.setattr(characterize, "_BLOCK_VALUES", 3 * per_cell)
         peaks = []
         for n_frames in (4, 32):
             apath = write_sequence(tmp_path / f"seq{n_frames}", n_frames)
@@ -1355,6 +1371,99 @@ class TestStreamedIngest:
         apath.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=message):
             ingest_sequence(tmp_path, apath)
+
+
+class TestBlocks:
+    """OC, BC and GC measure a run of cells a block at a time: one kernel
+    call per patch side and one statistics pass per block of cells."""
+
+    LEVELS = [0.5, 1.0, 2.0, 3.0, 4.5]
+
+    def ramp_protocol(self, model):
+        scene = validation_scene_config()
+        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+        return tiny_oc_protocol(model=model, scene=scene,
+                                theta_w={"illumination_levels": self.LEVELS},
+                                render={"width": 32, "height": 24, "spp": 2, "max_bounces": 1})
+
+    @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
+    @pytest.mark.parametrize("source", ["simulate", "ingest"])
+    def test_block_size_and_threads_do_not_change_bytes(self, tmp_path, monkeypatch,
+                                                        source, model):
+        # 5 cells either way: 5 levels, or 6 frames less the reference (OC)
+        # or the first frame (BC, GC)
+        p = (self.ramp_protocol(model) if source == "simulate"
+             else ingest_protocol(model, write_sequence(tmp_path, 6)))
+        blocks = []
+
+        def block_records(protocol, theta_ws, *args, _fn=characterize._block_records):
+            blocks.append(len(theta_ws))
+            return _fn(protocol, theta_ws, *args)
+        monkeypatch.setattr(characterize, "_block_records", block_records)
+        csv = {}
+        for block_values in (1, characterize._BLOCK_VALUES, 1 << 40):
+            monkeypatch.setattr(characterize, "_BLOCK_VALUES", block_values)
+            for threads in (1, 3):
+                blocks.clear()
+                m = run_sweep(p, threads=threads)
+                csv[block_values, threads] = m.to_csv()
+                assert any(r.n > 0 for r in m.records)
+                runs = [5 * (k + 1) // threads - 5 * k // threads for k in range(threads)]
+                assert sum(blocks) == 5
+                if block_values == 1:  # a block holds at least one cell
+                    assert blocks == [1] * 5
+                elif block_values == 1 << 40:  # and at most one run
+                    assert sorted(blocks) == sorted(runs)
+        assert len(set(csv.values())) == 1, sorted(csv)
+
+    def test_block_records_leave_out_and_count_nan_values(self):
+        p = tiny_oc_protocol()  # sides 5 and 9; Diffuse, ShadowBoundary, Occluded
+        keys = [("Diffuse", 5), ("Occluded", 9)]
+        nan = float("nan")
+        cells = [[1.0, nan, 2.5, nan, nan], [nan, nan, nan, -0.0, 4.0]]
+        got = characterize._block_records(p, [{"illumination": 1.0}, {"illumination": 2.0}],
+                                          keys, [3, 2], np.concatenate(cells))
+        for (records, skipped), values, level in zip(got, cells, (1.0, 2.0)):
+            assert skipped == sum(map(math.isnan, values))
+            want = {}
+            for key, part in zip(keys, (values[:3], values[3:])):
+                kept = np.array([v for v in part if not math.isnan(v)])
+                want[key] = ((float(kept.mean()), float(kept.std()), len(kept)) if len(kept)
+                             else (nan, nan, 0))
+            assert [(r.context, r.theta_v["s"]) for r in records] == [
+                (c, s) for s in (5, 9) for c in p.contexts]
+            for r in records:
+                assert r.theta_w == {"illumination": level}
+                stat = want.get((r.context, r.theta_v["s"]), (nan, nan, 0))
+                assert repr((r.mean, r.std, r.n)) == repr(stat)
+
+    @pytest.mark.parametrize("threads, failing, stored, raised", [
+        (1, (4, 6), (0, 1, 2), 4),  # blocks 0-2, 3-5 and 6; cell 6 is never made
+        (3, (3, 5), (0, 1), 3),  # runs 0-1, 2-3 and 4-6, one block each
+    ])
+    def test_a_failing_cell_stores_no_cell_of_its_block(self, tmp_path, monkeypatch,
+                                                        threads, failing, stored, raised):
+        levels = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
+        p = tiny_oc_protocol(theta_w={"illumination_levels": levels})
+        fresh = run_sweep(p).to_csv()
+        batches = characterize._prepare_ramp(p)[0]
+        per_cell = sum(pixels[0].size for _, _, pixels in batches)
+        monkeypatch.setattr(characterize, "_BLOCK_VALUES", 3 * per_cell)
+
+        def ldr_float(hdr, protocol, *tags, _fn=characterize._ldr_float):
+            for i in failing:
+                if tags == ("level", float(levels[i]).hex()):
+                    raise ValueError(f"cell {i}")
+            return _fn(hdr, protocol, *tags)
+        monkeypatch.setattr(characterize, "_ldr_float", ldr_float)
+        cells = tmp_path / "cells"
+        with pytest.raises(ValueError, match=f"^cell {raised}$"):
+            run_sweep(p, threads=threads, cache_dir=cells)
+        cache = characterize.CellCache(cells, p)
+        assert [i for i, level in enumerate(levels)
+                if cache._path(level).exists()] == list(stored)
+        monkeypatch.undo()
+        assert run_sweep(p, threads=threads, cache_dir=cells).to_csv() == fresh
 
 
 class TestHeatmap:

@@ -405,11 +405,38 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        # the count is checked before the out-dir or its cell cache is made
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps(tiny_protocol_doc()))
-        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "sweep"),
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
                      f"--threads={threads}"]) == 2
         assert capsys.readouterr().err.startswith("invarsim: threads must be >= 1")
+        assert not out_dir.exists()
+
+    def test_parser_is_built_once_and_keeps_no_flag(self, tmp_path, capsys, monkeypatch):
+        # main parses every command with one parser; a flag given to one
+        # call must not become the default of the next
+        from invarsim.characterize import CriterionRecord, Manifold
+
+        seen = []
+
+        def run_sweep(protocol, threads, cache_dir):
+            seen.append(threads)
+            record = CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
+                                     0.5, 0.0, 1)
+            return Manifold("OC", ("illumination",), ("s",), [record])
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(tiny_protocol_doc()))
+        parser = cli.build_parser()
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "a"),
+                     "--threads", "3", "--porcelain"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"manifold", "report", "manifest"}
+        assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out.startswith("manifold: ")
+        assert seen == [3, 1]
+        assert cli.build_parser() is parser
 
     def test_sweep_rejects_seed(self, tmp_path, capsys):
         # the protocol's seeds block decides every seed of a sweep
@@ -736,5 +763,7 @@ class TestHeapSetting:
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         got = json.loads(run.stdout.splitlines()[-1])
-        # set once per process: the mmap threshold (-3), then the trim threshold (-1)
-        assert got == {"library": [], "cli": [[-3, 32 << 20], [-1, 64 << 20]], "code": 0}
+        # set once per process: the mmap threshold (-3), the trim threshold
+        # (-1), then one arena for every thread (-8)
+        assert got == {"library": [], "cli": [[-3, 32 << 20], [-1, 64 << 20], [-8, 1]],
+                       "code": 0}

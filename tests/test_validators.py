@@ -15,10 +15,12 @@ from invarsim.patches import Patch
 from invarsim.validators import (
     Trajectories,
     average_ranks,
+    bc_residuals,
     bc_values,
     bc_variance,
     ds_angular_error,
     fit_dichromatic_plane,
+    gc_residuals,
     gc_values,
     gc_variance,
     gradient_fields,
@@ -311,6 +313,12 @@ class TestBatchedKernels:
         assert np.isnan(want[-1])  # the constant block
         assert_same_bits(got, want)
         assert_same_bits([oc_measure(p.extract(f0), p.extract(f1)) for p in patches], want)
+        # the patches of two frames in one call, frame after frame
+        f2 = kernel_frames(rng)[1]
+        both = oc_values(average_ranks(to_gray(f0)[pixels]),
+                         np.concatenate([to_gray(f1)[pixels], to_gray(f2)[pixels]]))
+        assert_same_bits(both, want + [patch_oc_measure(p.extract(f0), p.extract(f2))
+                                       for p in patches])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("side", [3, 5, 9])
@@ -323,12 +331,19 @@ class TestBatchedKernels:
         # a patch without usable pixels raises (tested below)
         patches = [p for p in kernel_patches(rng, side)
                    if patch_bc_variance(f0, f1, flow, p, occl) is not None]
-        got = bc_values(to_gray(f0), to_gray(f1),
-                        Trajectories(flow, patches, occlusion=occl))
+        traj = Trajectories(flow, patches, occlusion=occl)
+        got = bc_values(to_gray(f0), to_gray(f1), traj)
         want = [patch_bc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([bc_variance(f0, f1, flow, p, exclude_occluded=occluded,
                                       occlusion=occl) for p in patches], want)
+        # the residuals of two frame pairs in one call, pair after pair
+        f2 = kernel_frames(rng)[1]
+        pairs = [bc_residuals(to_gray(a), to_gray(b), traj) for a, b in ((f0, f1), (f1, f2))]
+        both = traj.variances([np.concatenate([r for (r,), _ in pairs])],
+                              np.concatenate([keep for _, keep in pairs]))
+        assert_same_bits(both, want + [patch_bc_variance(f1, f2, flow, p, occl)
+                                       for p in patches])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("side", [5, 7, 9])
@@ -341,11 +356,20 @@ class TestBatchedKernels:
         patches = [p for p in kernel_patches(rng, side)
                    if patch_gc_variance(f0, f1, flow, p, occl) is not None]
         grads = [gradient_fields(to_gray(f)) for f in (f0, f1)]
-        got = gc_values(*grads, Trajectories(flow, patches, inset=1, occlusion=occl))
+        traj = Trajectories(flow, patches, inset=1, occlusion=occl)
+        got = gc_values(*grads, traj)
         want = [patch_gc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([gc_variance(f0, f1, flow, p, exclude_occluded=occluded,
                                       occlusion=occl) for p in patches], want)
+        # the residuals of two frame pairs in one call, pair after pair
+        f2 = kernel_frames(rng)[1]
+        grads.append(gradient_fields(to_gray(f2)))
+        pairs = [gc_residuals(grads[t], grads[t + 1], traj) for t in (0, 1)]
+        both = traj.variances([np.concatenate(r) for r in zip(*(r for r, _ in pairs))],
+                              np.concatenate([keep for _, keep in pairs]))
+        assert_same_bits(both, want + [patch_gc_variance(f1, f2, flow, p, occl)
+                                       for p in patches])
 
     @pytest.mark.parametrize("pooled", [1, 2])
     def test_batch_variances_equal_one_patch_at_a_time(self, pooled):
@@ -382,15 +406,20 @@ class TestBatchedKernels:
         else:
             occl[bad.slices()] = True
         patches = [Patch(3, 3, 5, "Diffuse"), bad, Patch(15, 20, 5, "Diffuse")]
-        for oracle, kernel, inset, grads in (
-                (patch_bc_variance, bc_values, 0, to_gray),
-                (patch_gc_variance, gc_values, 1,
+        for oracle, kernel, residuals, inset, grads in (
+                (patch_bc_variance, bc_values, bc_residuals, 0, to_gray),
+                (patch_gc_variance, gc_values, gc_residuals, 1,
                  lambda f: gradient_fields(to_gray(f)))):
             assert [oracle(f0, f1, flow, p, occl) is None for p in patches] == [
                 False, True, False]
             traj = Trajectories(flow, patches, inset=inset, occlusion=occl)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
                 kernel(grads(f0), grads(f1), traj)
+            # the rows of two frame pairs, the first with every pixel kept
+            rows, keep = residuals(grads(f0), grads(f1), traj)
+            with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
+                traj.variances([np.concatenate([r, r]) for r in rows],
+                               np.concatenate([np.ones_like(keep), keep]))
 
     def test_gray_of_frame_slices_to_gray_of_patch(self):
         # frame-once gray conversion relies on this equality

@@ -7,10 +7,10 @@ sampled patches, and assembles the results into a criterion manifold.
 
 Determinism contract: every random choice is keyed by a stable hash of the
 protocol seeds plus the cell's own coordinates, never by enumeration order,
-so any cell evaluated in isolation equals its value inside a full sweep and
-thread count cannot change output bytes.  Renders across grid cells share
-one render seed (common random numbers), which makes purely photometric
-parameter changes produce purely photometric image changes.
+so any cell evaluated in isolation, or in any order, equals its value inside
+a full sweep.  Renders across grid cells share one render seed (common
+random numbers), which makes purely photometric parameter changes produce
+purely photometric image changes.
 """
 
 from __future__ import annotations
@@ -904,23 +904,19 @@ class CellCache:
         os.replace(tmp, path)
 
 
-def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
+def _sweep_cells(coords, prepare, evaluate, cache, progress):
     """Every coordinate's ``(records, extra)``, in order, through the cache.
 
     ``prepare()`` builds the state every cell shares (renders, ground truth,
     patches); it runs only when some cell misses the cache, so resuming a
-    finished sweep renders nothing.  The missing cells are split into
-    ``min(threads, missing)`` contiguous runs (``threads`` >= 1), and
-    ``evaluate(state, run)`` yields one result per coordinate of a run, in
-    order: the first run on the calling thread, each other on a thread of
-    its own.  An evaluator may measure several cells before it yields them
-    (OC, BC and GC measure a block of cells at a time, ``_in_blocks``).
-    Each result is stored as it comes, and ``progress(done, missing)`` is
-    called under one lock, on the thread that evaluated the cell, so an
-    interrupted sweep loses at most the block each worker was measuring.
-    The first failure in cell order is raised once every thread has ended.
-    Returns the results and the state (None when every cell came from the
-    cache).
+    finished sweep renders nothing.  ``evaluate(state, missing)`` yields one
+    result per coordinate that missed, in order, on the calling thread.  An
+    evaluator may measure several cells before it yields them (OC, BC and GC
+    measure a block of cells at a time, ``_in_blocks``).  Each result is
+    stored as it comes and ``progress(done, missing)`` is called, so an
+    interrupted sweep loses at most the block it was measuring, and a failure
+    propagates as raised, with every cell yielded before it stored.  Returns
+    the results and the state (None when every cell came from the cache).
     """
     coords = list(coords)
     results = [cache.load(c) if cache is not None else None for c in coords]
@@ -928,36 +924,13 @@ def _sweep_cells(coords, prepare, evaluate, cache, threads, progress):
     if not missing:
         return results, None
     state = prepare()
-    runs = min(threads, len(missing))
-    bounds = [len(missing) * k // runs for k in range(runs + 1)]
-    failures = [None] * runs
-    lock = threading.Lock()
-    done = 0
-
-    def run(k):
-        nonlocal done
-        cells = missing[bounds[k]:bounds[k + 1]]
-        try:
-            for i, out in zip(cells, evaluate(state, [coords[i] for i in cells])):
-                if cache is not None:
-                    cache.store(coords[i], out)
-                with lock:
-                    results[i] = out
-                    done += 1
-                    if progress:
-                        progress(done, len(missing))
-        except BaseException as exc:  # raised again once every run has ended
-            failures[k] = exc
-
-    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, runs)]
-    for w in workers:
-        w.start()
-    run(0)
-    for w in workers:
-        w.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    outs = evaluate(state, [coords[i] for i in missing])
+    for done, (i, out) in enumerate(zip(missing, outs), 1):
+        if cache is not None:
+            cache.store(coords[i], out)
+        results[i] = out
+        if progress:
+            progress(done, len(missing))
     return results, state
 
 
@@ -1140,8 +1113,9 @@ def _eval_frames(protocol, state, indices):
     Only the frames a cell measures are decoded.  A BC/GC cell takes its
     predecessor's features from the cell before it when that cell measured
     the predecessor, and decodes the predecessor otherwise (the first cell
-    of a run, or one that does not follow its predecessor); the bytes are
-    the same either way."""
+    of ``indices``, or one that does not follow its predecessor); the bytes
+    are the same either way, and a sweep in frame order decodes each frame
+    once."""
     from .imgio import read_flo
 
     seq, patches, batches, ref = state
@@ -1168,14 +1142,13 @@ def _eval_frames(protocol, state, indices):
 class _SweepSpec:
     """How one model sweeps: the theta_w axis and its coordinates, the state
     every cell shares, the ``(records, extra)`` of each cell of a run, and
-    the Monte Carlo render passes of a fresh sweep as (per sweep, per
-    coordinate)."""
+    the Monte Carlo render passes of a fresh sweep."""
 
     axis: str
     coords: object  # protocol -> coordinates along ``axis``
     prepare: object  # protocol -> shared state
     evaluate: object  # (protocol, state, coords) -> one (records, extra) per coord
-    passes: tuple
+    passes: int
     theta_v_axes: tuple = ("s",)
 
 
@@ -1186,7 +1159,7 @@ def _cellwise(evaluate):
 
 # the reference frame; the sun off and on, in one pass
 _RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
-                        _prepare_ramp, _eval_levels, passes=(2, 0))
+                        _prepare_ramp, _eval_levels, passes=2)
 
 _SWEEP_SPECS = {
     "OC": _RAMP_SPEC,
@@ -1194,14 +1167,14 @@ _SWEEP_SPECS = {
     "GC": _RAMP_SPEC,
     # ground truth and flow only: no Monte Carlo pass
     "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
-                     _cellwise(_eval_speed), passes=(0, 0)),
+                     _cellwise(_eval_speed), passes=0),
     # all tags and densities in one pass
     "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
-                     _cellwise(_eval_weather), passes=(1, 0), theta_v_axes=()),
+                     _cellwise(_eval_weather), passes=1, theta_v_axes=()),
 }
 
 _INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frames,
-                          passes=(0, 0))
+                          passes=0)
 
 
 def _sweep_spec(protocol):
@@ -1219,26 +1192,21 @@ def sweep_size(protocol: ProtocolConfig) -> tuple:
     n_w = len(spec.coords(protocol))
     per_coord = (len(protocol.patch_sizes) * len(protocol.contexts)
                  if spec.theta_v_axes else 1)
-    per_sweep, per_w = spec.passes
-    return n_w * per_coord, per_sweep + per_w * n_w
+    return n_w * per_coord, spec.passes
 
 
-def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
-              cache_dir=None) -> Manifold:
+def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifold:
     """Evaluate the full (theta_w x theta_v x context) grid for a protocol.
 
-    Grid cells are independent: they may be evaluated concurrently, in any
-    order, or alone, and always produce the same bytes.  Each of ``threads``
-    (at least 1) workers sweeps one contiguous run of the cells that miss
-    the cache, in order.  OC, BC and GC measure a run in blocks of
-    consecutive cells, as many as fit their gathered patch values in
-    ``_BLOCK_VALUES``: one kernel call per patch side and one statistics
-    pass per block.  ``progress(done, total)`` is called once per cell
-    evaluated, in order, from the thread that evaluated it.  Empty-context
-    cells are recorded as gaps; render failures abort.
+    Grid cells are independent: they may be evaluated in any order, or
+    alone, and always produce the same bytes.  The cells that miss the cache
+    are evaluated in order on the calling thread.  OC, BC and GC measure
+    them in blocks of consecutive cells, as many as fit their gathered patch
+    values in ``_BLOCK_VALUES``: one kernel call per patch side and one
+    statistics pass per block.  ``progress(done, total)`` is called once per
+    cell evaluated, in order.  Empty-context cells are recorded as gaps;
+    render failures abort.
     """
-    if threads < 1:  # before the cell cache makes its directory
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     spec = _sweep_spec(protocol)
     # the bytes of ingested frames are not in the protocol hash, so a cached
     # cell could not tell an edited sequence from the one it came from
@@ -1246,7 +1214,7 @@ def run_sweep(protocol: ProtocolConfig, threads: int = 1, progress=None,
              if cache_dir and protocol.source == "simulate" else None)
     results, state = _sweep_cells(
         spec.coords(protocol), functools.partial(spec.prepare, protocol),
-        functools.partial(spec.evaluate, protocol), cache, threads, progress)
+        functools.partial(spec.evaluate, protocol), cache, progress)
     records = [r for recs, _ in results for r in recs]
     extras = [extra for _, extra in results]
     if protocol.model == "DS":

@@ -48,7 +48,6 @@ EXIT_MISMATCH = 4
 # glibc ``mallopt`` parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 
 
 @functools.cache
@@ -61,12 +60,9 @@ def _keep_freed_heap():
     wavefront faults the same pages in again.  Blocks up to 32 MiB now come
     from the heap, which keeps up to 64 MiB of free memory at its top.
     Both are set because fixing the trim threshold alone also fixes the
-    mmap threshold at its 128 KiB default.  Sweep worker threads share that
-    one heap (one arena): with an arena of their own, each would grow it to
-    hold a block of measure temporaries that the render pass's freed memory
-    already has room for.  A no-op without a C library that has
-    ``mallopt``; only ``main`` calls it, so library callers keep their own
-    process's settings.
+    mmap threshold at its 128 KiB default.  A no-op without a C library
+    that has ``mallopt``; only ``main`` calls it, so library callers keep
+    their own process's settings.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -76,7 +72,6 @@ def _keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def _load_json_file(path):
@@ -257,9 +252,9 @@ def cmd_sweep(args):
         cells, renders = sweep_size(protocol)
         _emit(args, {"cells": cells, "renders": renders})
         return EXIT_OK
-    # run_sweep checks --threads before its cell cache makes the out-dir
-    manifold = run_sweep(protocol, threads=args.threads,
-                         cache_dir=out_dir / "cells")
+    if args.threads < 1:  # before the cell cache makes the out-dir
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    manifold = run_sweep(protocol, cache_dir=out_dir / "cells")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "manifold.csv"
     csv_path.write_text(manifold.to_csv())
@@ -393,7 +388,8 @@ def build_parser():
                       help="override the configured seed")
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=int, default=1,
-                         help="worker threads for grid evaluation")
+                         help="accepted if at least 1, and changes nothing: "
+                              "a sweep evaluates its cells on one thread")
     dry_run = argparse.ArgumentParser(add_help=False)
     dry_run.add_argument("--dry-run", action="store_true",
                          help="validate and report work size without writing")

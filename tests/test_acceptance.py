@@ -96,7 +96,7 @@ def test_c3_oc_diffuse_behavior():
     assert protocol.width == 64 and protocol.height == 48
     assert protocol.samples_per_pixel == 16
     assert len(protocol.illumination_levels) == 40
-    manifold = run_sweep(protocol, threads=1)
+    manifold = run_sweep(protocol)
 
     cells = {}
     for r in manifold.records:

@@ -578,43 +578,57 @@ class TestSweep:
 
     def test_threads_do_not_change_bytes(self):
         p = tiny_oc_protocol()
-        a = run_sweep(p, threads=1).to_csv()
-        b = run_sweep(p, threads=4).to_csv()
+        a = run_sweep(p).to_csv()
+        b = run_sweep(p).to_csv()
         assert a == b
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_cells_raise_the_first_failure_in_cell_order(self, threads):
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        # every cell is evaluated on the thread that called the sweep,
+        # whatever --threads says
+        import threading
+
+        from invarsim import cli
+
+        p = tiny_oc_protocol(theta_w={"illumination_levels": [0.5, 1.0, 1.5, 2.0,
+                                                              3.0, 4.0, 5.0]})
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(p.to_dict()))
+        evaluated, calls = [], []
+
+        def block_records(protocol, theta_ws, *args, _fn=characterize._block_records):
+            evaluated.extend((threading.get_ident(), theta_w["illumination"])
+                             for theta_w in theta_ws)
+            return _fn(protocol, theta_ws, *args)
+
+        def start(thread):
+            raise AssertionError("the sweep started a thread")
+        monkeypatch.setattr(characterize, "_block_records", block_records)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(cli, "run_sweep", lambda protocol, **kwargs: run_sweep(
+            protocol, progress=lambda *a: calls[-1].append(a), **kwargs))
+        outputs = {}
+        for threads in (1, 4):
+            evaluated.clear()
+            calls.append([])
+            out_dir = tmp_path / f"threads_{threads}"
+            assert cli.main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                             "--threads", str(threads)]) == 0
+            assert evaluated == [(threading.get_ident(), level)
+                                 for level in p.illumination_levels], threads
+            outputs[threads] = {str(path.relative_to(out_dir)): path.read_bytes()
+                                for path in out_dir.rglob("*")
+                                if path.is_file() and path.name != "manifest.json"}
+        assert calls == [[(k, 7) for k in range(1, 8)]] * 2
+        assert "manifold.csv" in outputs[1] and outputs[4] == outputs[1]
+
+    def test_cells_raise_the_first_failure_in_cell_order(self):
         def cells(state, run):
             for i in run:
                 if i in (5, 2):
                     raise ValueError(i)
                 yield i
         with pytest.raises(ValueError, match="^2$"):
-            characterize._sweep_cells(range(8), lambda: None, cells, None, threads, None)
-
-    def test_more_threads_than_cores_lose_no_cell_and_no_count(self):
-        import sys
-        import threading
-        import time
-
-        def cells(state, run):
-            for c in run:
-                time.sleep(0)  # let the other runs in
-                yield c * 2
-        calls, out = [], []
-        worker = threading.Thread(target=lambda: out.append(characterize._sweep_cells(
-            range(300), lambda: None, cells, None, 8, lambda *a: calls.append(a))),
-            daemon=True)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
-        try:
-            worker.start()
-            worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive(), "8 threads did not finish in 60 s"
-        assert out == [([c * 2 for c in range(300)], None)]
-        assert calls == [(k, 300) for k in range(1, 301)]
+            characterize._sweep_cells(range(8), lambda: None, cells, None, None)
 
     def test_a_half_cached_sweep_evaluates_only_the_missing_cells(self, tmp_path,
                                                                   monkeypatch):
@@ -638,19 +652,15 @@ class TestSweep:
         monkeypatch.setattr(characterize.CellCache, "store", counted_store)
         cache = characterize.CellCache(cells, p)
         missing = list(p.illumination_levels[::2])
-        for threads in (1, 2, 3):
-            for level in missing:
-                cache._path(level).unlink()
-            evaluated.clear()
-            stored.clear()
-            calls = []
-            m = run_sweep(p, threads=threads, cache_dir=cells,
-                          progress=lambda *a: calls.append(a))
-            assert sorted(evaluated) == missing and sorted(stored) == missing, threads
-            assert calls == [(k, 4) for k in range(1, 5)], threads
-            assert m.to_csv() == fresh, threads
-            assert {path.name: path.read_bytes()
-                    for path in cells.glob("cell_*.json")} == files, threads
+        for level in missing:
+            cache._path(level).unlink()
+        calls = []
+        m = run_sweep(p, cache_dir=cells, progress=lambda *a: calls.append(a))
+        assert evaluated == missing and stored == missing
+        assert calls == [(k, 4) for k in range(1, 5)]
+        assert m.to_csv() == fresh
+        assert {path.name: path.read_bytes()
+                for path in cells.glob("cell_*.json")} == files
 
     def test_empty_context_recorded_as_gap(self):
         p = tiny_oc_protocol(contexts=["Diffuse", "MotionBoundary"])
@@ -1175,20 +1185,23 @@ class TestStreamedIngest:
             assert sorted(decoded) == sorted(seq.frame_files), model
 
     @pytest.mark.parametrize("model", ["BC", "GC"])
-    def test_threads_decode_one_frame_again_per_extra_run(self, tmp_path, monkeypatch,
-                                                          model):
-        # each thread sweeps one contiguous run of the 8 cells, so only the
-        # first cell of a later run decodes its predecessor's frame again
-        p = ingest_protocol(model, write_sequence(tmp_path, 9))
+    def test_threads_flag_decodes_each_frame_once(self, tmp_path, monkeypatch, model):
+        # the 8 cells are swept in order whatever --threads says, each
+        # carrying its frame's features to the next cell
+        from invarsim.cli import main
+
+        apath = write_sequence(tmp_path / "seq", 9)
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(ingest_protocol(model, apath).to_dict()))
         decoded = self.count_decodes(monkeypatch)
         csv = {}
         for threads in (1, 2, 4):
             decoded.clear()
-            calls = []
-            m = run_sweep(p, threads=threads, progress=lambda *a: calls.append(a))
-            assert len(decoded) == 9 + (threads - 1) and len(set(decoded)) == 9, threads
-            assert calls == [(k, 8) for k in range(1, 9)], threads
-            csv[threads] = m.to_csv()
+            out_dir = tmp_path / f"threads_{threads}"
+            assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                         "--threads", str(threads)]) == 0
+            assert len(decoded) == 9 and len(set(decoded)) == 9, threads
+            csv[threads] = (out_dir / "manifold.csv").read_bytes()
         assert csv[2] == csv[1] and csv[4] == csv[1]
 
     @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
@@ -1241,8 +1254,7 @@ class TestStreamedIngest:
     @pytest.mark.parametrize("flow", [False, True], ids=["zero-flow", "flo"])
     def test_more_threads_than_cores_give_the_bytes_of_one(
             self, tmp_path, model, flow):
-        # each worker sweeps its own run of the cells, so the first cell of
-        # each later run decodes its predecessor's frame too
+        # the flag is accepted at any count and changes no byte
         import os
         import threading
 
@@ -1403,17 +1415,15 @@ class TestBlocks:
         csv = {}
         for block_values in (1, characterize._BLOCK_VALUES, 1 << 40):
             monkeypatch.setattr(characterize, "_BLOCK_VALUES", block_values)
-            for threads in (1, 3):
-                blocks.clear()
-                m = run_sweep(p, threads=threads)
-                csv[block_values, threads] = m.to_csv()
-                assert any(r.n > 0 for r in m.records)
-                runs = [5 * (k + 1) // threads - 5 * k // threads for k in range(threads)]
-                assert sum(blocks) == 5
-                if block_values == 1:  # a block holds at least one cell
-                    assert blocks == [1] * 5
-                elif block_values == 1 << 40:  # and at most one run
-                    assert sorted(blocks) == sorted(runs)
+            blocks.clear()
+            m = run_sweep(p)
+            csv[block_values] = m.to_csv()
+            assert any(r.n > 0 for r in m.records)
+            assert sum(blocks) == 5
+            if block_values == 1:  # a block holds at least one cell
+                assert blocks == [1] * 5
+            elif block_values == 1 << 40:  # and at most every missing cell
+                assert blocks == [5]
         assert len(set(csv.values())) == 1, sorted(csv)
 
     def test_block_records_leave_out_and_count_nan_values(self):
@@ -1437,12 +1447,9 @@ class TestBlocks:
                 stat = want.get((r.context, r.theta_v["s"]), (nan, nan, 0))
                 assert repr((r.mean, r.std, r.n)) == repr(stat)
 
-    @pytest.mark.parametrize("threads, failing, stored, raised", [
-        (1, (4, 6), (0, 1, 2), 4),  # blocks 0-2, 3-5 and 6; cell 6 is never made
-        (3, (3, 5), (0, 1), 3),  # runs 0-1, 2-3 and 4-6, one block each
-    ])
-    def test_a_failing_cell_stores_no_cell_of_its_block(self, tmp_path, monkeypatch,
-                                                        threads, failing, stored, raised):
+    def test_a_failing_cell_stores_no_cell_of_its_block(self, tmp_path, monkeypatch):
+        # blocks 0-2, 3-5 and 6; cell 6 is never made
+        failing, stored, raised = (4, 6), (0, 1, 2), 4
         levels = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
         p = tiny_oc_protocol(theta_w={"illumination_levels": levels})
         fresh = run_sweep(p).to_csv()
@@ -1458,12 +1465,12 @@ class TestBlocks:
         monkeypatch.setattr(characterize, "_ldr_float", ldr_float)
         cells = tmp_path / "cells"
         with pytest.raises(ValueError, match=f"^cell {raised}$"):
-            run_sweep(p, threads=threads, cache_dir=cells)
+            run_sweep(p, cache_dir=cells)
         cache = characterize.CellCache(cells, p)
         assert [i for i, level in enumerate(levels)
                 if cache._path(level).exists()] == list(stored)
         monkeypatch.undo()
-        assert run_sweep(p, threads=threads, cache_dir=cells).to_csv() == fresh
+        assert run_sweep(p, cache_dir=cells).to_csv() == fresh
 
 
 class TestHeatmap:

@@ -419,10 +419,7 @@ class TestSweep:
         # call must not become the default of the next
         from invarsim.characterize import CriterionRecord, Manifold
 
-        seen = []
-
-        def run_sweep(protocol, threads, cache_dir):
-            seen.append(threads)
+        def run_sweep(protocol, cache_dir):
             record = CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
                                      0.5, 0.0, 1)
             return Manifold("OC", ("illumination",), ("s",), [record])
@@ -435,7 +432,7 @@ class TestSweep:
         assert set(json.loads(capsys.readouterr().out)) == {"manifold", "report", "manifest"}
         assert main(["sweep", str(ppath), "--out-dir", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().out.startswith("manifold: ")
-        assert seen == [3, 1]
+        assert parser.parse_args(["sweep", str(ppath), "--out-dir", "c"]).threads == 1
         assert cli.build_parser() is parser
 
     def test_sweep_rejects_seed(self, tmp_path, capsys):
@@ -748,7 +745,7 @@ class TestHeapSetting:
             import invarsim
             from invarsim.characterize import ProtocolConfig
             doc = json.loads(open(sys.argv[1]).read())
-            invarsim.run_sweep(ProtocolConfig.from_dict(doc), threads=2)
+            invarsim.run_sweep(ProtocolConfig.from_dict(doc))
             library = list(calls)
             from invarsim import cli
             code = cli.main(["sweep", sys.argv[1], "--out-dir", sys.argv[2], "--dry-run"])
@@ -763,7 +760,6 @@ class TestHeapSetting:
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         got = json.loads(run.stdout.splitlines()[-1])
-        # set once per process: the mmap threshold (-3), the trim threshold
-        # (-1), then one arena for every thread (-8)
-        assert got == {"library": [], "cli": [[-3, 32 << 20], [-1, 64 << 20], [-8, 1]],
-                       "code": 0}
+        # set once per process: the mmap threshold (-3), then the trim
+        # threshold (-1)
+        assert got == {"library": [], "cli": [[-3, 32 << 20], [-1, 64 << 20]], "code": 0}

@@ -630,6 +630,64 @@ class TestSweep:
         with pytest.raises(ValueError, match="^2$"):
             characterize._sweep_cells(range(8), lambda: None, cells, None, None)
 
+    class DictCache:
+        """A ``CellCache`` stand-in that keeps its cells in a dict."""
+
+        def __init__(self, cells=()):
+            self.cells = dict(cells)
+            self.stored = []
+
+        def load(self, coord):
+            return self.cells.get(coord)
+
+        def store(self, coord, result):
+            self.cells[coord] = result
+            self.stored.append(coord)
+
+    def test_cells_before_a_failure_are_stored_and_counted(self):
+        def cells(state, run):
+            for c in run:
+                if c == 3:
+                    raise ValueError(c)
+                yield c * 10
+        cache, calls = self.DictCache(), []
+        with pytest.raises(ValueError, match="^3$"):
+            characterize._sweep_cells(range(8), lambda: None, cells, cache,
+                                      lambda *a: calls.append(a))
+        assert cache.stored == [0, 1, 2]
+        assert cache.cells == {0: 0, 1: 10, 2: 20}
+        assert calls == [(1, 8), (2, 8), (3, 8)]
+
+    def test_missing_cells_are_evaluated_as_one_run_in_order(self):
+        # cached cells are loaded, not evaluated; the rest go to one
+        # evaluate call, after one prepare
+        prepared, runs, calls = [], [], []
+
+        def prepare():
+            prepared.append(None)
+            return "state"
+
+        def cells(state, run):
+            runs.append((state, list(run)))
+            for c in run:
+                yield c * 10
+        cache = self.DictCache({c: -c for c in range(0, 300, 2)})
+        results, state = characterize._sweep_cells(
+            range(300), prepare, cells, cache, lambda *a: calls.append(a))
+        odd = list(range(1, 300, 2))
+        assert prepared == [None] and state == "state"
+        assert runs == [("state", odd)]
+        assert results == [c * 10 if c % 2 else -c for c in range(300)]
+        assert cache.stored == odd
+        assert calls == [(k, 150) for k in range(1, 151)]
+
+    def test_run_sweep_takes_no_threads(self):
+        import inspect
+
+        assert "threads" not in inspect.signature(run_sweep).parameters
+        with pytest.raises(TypeError):
+            run_sweep(tiny_oc_protocol(), threads=1)
+
     def test_a_half_cached_sweep_evaluates_only_the_missing_cells(self, tmp_path,
                                                                   monkeypatch):
         p = tiny_oc_protocol(theta_w={"illumination_levels": [0.5, 1.0, 1.5, 2.0,

@@ -72,8 +72,9 @@ MODELS = ("OC", "BC", "GC", "PS", "DS")
 HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": False}
 
 #: part of every cell-cache key; bump it whenever a change to rendering or
-#: measuring moves cell values, so no resumed run mixes old cells in
-CACHE_EPOCH = 2
+#: measuring moves cell values, or the cell document changes shape, so no
+#: resumed run mixes old cells in
+CACHE_EPOCH = 3
 
 #: the most float values (OC's gray patch pixels, BC's and GC's residuals)
 #: that a block of cells gathers: the consecutive cells of a run that fit
@@ -270,58 +271,54 @@ def default_protocol(model: str) -> ProtocolConfig:
 # -- manifold ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionRecord:
-    model: str
-    context: str
-    theta_w: dict
-    theta_v: dict
-    mean: float
-    std: float
-    n: int
-
-    def key(self, w_axes, v_axes):
-        return (self.context,
-                tuple(self.theta_w[a] for a in w_axes),
-                tuple(self.theta_v[a] for a in v_axes))
-
-
 class Manifold:
-    """Dense criterion grid: one record per (theta_w, theta_v, context) cell.
+    """Dense criterion grid in columns: one row per (context, theta_w,
+    theta_v) cell.
 
-    Cells that could not be evaluated (no eligible patches, degenerate
-    measure everywhere) stay in the grid with n=0 and NaN statistics; they
-    are never interpolated away.
+    The key columns are ``context`` and ``coords``, one per axis, theta_w
+    axes first: object arrays that keep each value as given, so the CSV
+    prints ``1`` and ``1.0`` as they came.  The value columns are ``mean``
+    and ``std`` (float64) and ``n``.  The rows are sorted by context, then by
+    each axis in order; rows that tie keep the order they came in.  Cells
+    that could not be evaluated (no eligible patches, degenerate measure
+    everywhere) stay in the grid with n=0 and NaN statistics; they are never
+    interpolated away.
     """
 
-    def __init__(self, model, theta_w_axes, theta_v_axes, records, aux=None):
+    def __init__(self, model, theta_w_axes, theta_v_axes, context, coords, mean, std, n,
+                 aux=None):
         self.model = model
         self.theta_w_axes = tuple(theta_w_axes)
         self.theta_v_axes = tuple(theta_v_axes)
-        self.records = list(records)
         self.aux = dict(aux or {})
-        self._sort()
-
-    def _sort(self):
-        self.records.sort(key=lambda r: r.key(self.theta_w_axes, self.theta_v_axes))
+        axes = self.theta_w_axes + self.theta_v_axes
+        keys = [np.array(column, dtype=object) for column in (context, *(coords[a] for a in axes))]
+        order = np.lexsort(keys[::-1])  # the last key is the primary one
+        self.context, *columns = (column[order] for column in keys)
+        self.coords = dict(zip(axes, columns))
+        self.mean = np.asarray(mean, dtype=float)[order]
+        self.std = np.asarray(std, dtype=float)[order]
+        self.n = np.asarray(n, dtype=int)[order]
 
     @property
     def missing(self):
-        return [r for r in self.records if r.n == 0]
+        """The count of cells without a value."""
+        return int(np.count_nonzero(self.n == 0))
 
     def axis_values(self, axis):
-        if axis in self.theta_w_axes:
-            return sorted({r.theta_w[axis] for r in self.records})
-        if axis in self.theta_v_axes:
-            return sorted({r.theta_v[axis] for r in self.records})
-        raise ConfigError(f"unknown axis {axis!r}")
+        if axis not in self.coords:
+            raise ConfigError(f"unknown axis {axis!r}")
+        return sorted(set(self.coords[axis]))
 
-    def cell(self, context, theta_w, theta_v):
-        for r in self.records:
-            if (r.context == context and r.theta_w == theta_w
-                    and r.theta_v == theta_v):
-                return r
-        raise KeyError((context, theta_w, theta_v))
+    def cell(self, context, **coords):
+        """The row of ``context`` at ``coords``, one value per axis."""
+        if set(coords) == set(self.coords):
+            hit = self.context == context
+            for axis, value in coords.items():
+                hit &= self.coords[axis] == value
+            for row in np.flatnonzero(hit):
+                return int(row)
+        raise KeyError((context, coords))
 
     # -- CSV (fixed schema, byte-deterministic) ------------------------
 
@@ -333,36 +330,40 @@ class Manifold:
         return ",".join(cols)
 
     def to_csv(self) -> str:
-        lines = [self.csv_header()]
-        for r in self.records:
-            cells = [self.model, r.context]
-            cells += [_fmt(r.theta_w[a]) for a in self.theta_w_axes]
-            cells += [_fmt(r.theta_v[a]) for a in self.theta_v_axes]
-            cells += [_fmt(r.mean), _fmt(r.std), str(r.n)]
-            lines.append(",".join(cells))
+        columns = (self.context, *self.coords.values(), self.mean, self.std, self.n)
+        rows = zip(*(column.tolist() for column in columns))
+        lines = [self.csv_header()] + [",".join([self.model, *map(_fmt, row)]) for row in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Manifold":
-        lines = [l for l in text.strip().split("\n") if l]
+        """The manifold of a CSV that ``to_csv`` wrote; a ConfigError names
+        the line of a row that does not fit its header."""
+        lines = [(number, line.strip()) for number, line in enumerate(text.split("\n"), 1)
+                 if line.strip()]
         if not lines:
             raise ConfigError("empty manifold CSV")
-        header = lines[0].split(",")
+        (_, head), *lines = lines
+        header = head.split(",")
         if header[:2] != ["model", "context"] or header[-3:] != ["mean_E", "std_E", "n"]:
-            raise ConfigError(f"unexpected manifold CSV header: {lines[0]!r}")
+            raise ConfigError(f"unexpected manifold CSV header: {head!r}")
         w_axes = [c[len("theta_w_"):] for c in header if c.startswith("theta_w_")]
         v_axes = [c[len("theta_v_"):] for c in header if c.startswith("theta_v_")]
-        records = []
-        model = None
-        for line in lines[1:]:
+        table = []
+        for number, line in lines:
             cells = line.split(",")
-            model, context = cells[:2]
-            coords = [_parse_coord(c) for c in cells[2:-3]]
-            tw = dict(zip(w_axes, coords))
-            tv = dict(zip(v_axes, coords[len(w_axes):]))
-            mean, std, n = float(cells[-3]), float(cells[-2]), int(cells[-1])
-            records.append(CriterionRecord(model, context, tw, tv, mean, std, n))
-        return cls(model, w_axes, v_axes, records)
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} fields, the header has {len(header)}")
+                if cells[0] not in MODELS:
+                    raise ValueError(f"unknown model {cells[0]!r}")
+                table.append([*cells[:2], *map(_parse_coord, cells[2:-3]),
+                              float(cells[-3]), float(cells[-2]), int(cells[-1])])
+            except ValueError as exc:
+                raise ConfigError(f"manifold CSV line {number}: {exc}") from None
+        models, context, *keys, mean, std, n = zip(*table) if table else [()] * len(header)
+        coords = {c[len("theta_w_"):]: k for c, k in zip(header[2:-3], keys)}  # as theta_v_
+        return cls(models[-1] if models else None, w_axes, v_axes, context, coords, mean, std, n)
 
 
 def _fmt(v) -> str:
@@ -416,20 +417,16 @@ def marginalize(manifold: Manifold, axis: str, exclude_contexts=(),
     """
     if method not in ("sum", "trapezoid"):
         raise ConfigError(f"unknown marginalization method {method!r}")
-    if axis not in manifold.theta_w_axes and axis not in manifold.theta_v_axes:
+    if axis not in manifold.coords:
         raise ConfigError(f"unknown axis {axis!r}")
-    other_w = [a for a in manifold.theta_w_axes if a != axis]
-    other_v = [a for a in manifold.theta_v_axes if a != axis]
-
+    others = [a for a in manifold.coords if a != axis]
+    columns = (manifold.context, manifold.coords[axis], manifold.mean, manifold.n,
+               *map(manifold.coords.get, others))
     groups: dict = {}
-    for r in manifold.records:
-        if r.context in exclude_contexts:
-            continue
-        coords = {a: r.theta_w[a] for a in other_w}
-        coords.update({a: r.theta_v[a] for a in other_v})
-        key = (r.context, tuple(sorted(coords.items())))
-        axis_val = r.theta_w.get(axis, r.theta_v.get(axis))
-        groups.setdefault(key, []).append((axis_val, r.mean, r.n))
+    for context, axis_val, mean, n, *coords in zip(*(c.tolist() for c in columns)):
+        if context not in exclude_contexts:
+            key = (context, tuple(sorted(zip(others, coords))))
+            groups.setdefault(key, []).append((axis_val, mean, n))
 
     entries = []
     for (context, coord_items), cells in sorted(groups.items()):
@@ -506,10 +503,11 @@ def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
     (say "weather"), the cell's coordinate on that axis.
     """
     pools: dict = {}
-    for r in manifold.records:
-        label = r.context if by == "context" else r.theta_w.get(by)
-        if label is not None and r.n > 0 and math.isfinite(r.mean):
-            pools.setdefault(label, []).append(r.mean)
+    if by == "context" or by in manifold.theta_w_axes:
+        labels = manifold.context if by == "context" else manifold.coords[by]
+        complete = (manifold.n > 0) & np.isfinite(manifold.mean)
+        for label, mean in zip(labels[complete].tolist(), manifold.mean[complete].tolist()):
+            pools.setdefault(label, []).append(mean)
     items = [(label, float(np.mean(v))) for label, v in sorted(pools.items())]
     if not items:
         raise ConfigError(f"manifold has no complete cells to rank by {by}")
@@ -622,35 +620,29 @@ def _statistics(counts, values):
     return mean, std, n, skipped
 
 
-def _block_records(protocol, theta_ws, keys, counts, values):
-    """One ``(records, skipped)`` per coordinate of ``theta_ws``, from one
-    statistics pass over a block of cells.
+def _cell_keys(protocol):
+    """The (context, side) of each row of a cell, in row order: sides outer."""
+    return [(context, s) for s in protocol.patch_sizes for context in protocol.contexts]
 
-    At every coordinate the cells ``keys`` (context, side) measured
-    ``counts`` patches each, and ``values`` holds the criterion value of
-    each patch, coordinate after coordinate and key after key, NaN where
-    the measure is degenerate.  NaN values are left out of the statistics
-    and counted.  A (side, context) cell without patches is a gap: n=0 and
-    NaN statistics.  A coordinate has one record per side and context.
+
+def _block_stats(protocol, block, keys, counts, values):
+    """One ``((mean, std, n), skipped)`` per cell of ``block``, each
+    statistic a list over the cell's rows (``_cell_keys``), from one
+    statistics pass over the block.
+
+    Every cell measured ``counts`` patches for each of ``keys`` (context,
+    side), and ``values`` holds the criterion value of each patch, cell
+    after cell and key after key, NaN where the measure is degenerate.  NaN
+    values are left out of the statistics and counted.  A row without
+    patches is a gap: n=0 and NaN statistics.
     """
-    stats = _statistics(np.tile(counts, len(theta_ws)), values)
-    mean, std, n, skipped = (a.reshape(len(theta_ws), -1) for a in stats)
+    # a last key of no patches: the statistics of every gap
+    stats = _statistics(np.tile([*counts, 0], len(block)), values)
     index = {key: i for i, key in enumerate(keys)}
-    cells = []
-    for c, theta_w in enumerate(theta_ws):
-        records, left_out = [], 0
-        for s in protocol.patch_sizes:
-            for context in protocol.contexts:
-                i = index.get((context, s))
-                if i is None:
-                    stat = float("nan"), float("nan"), 0
-                else:
-                    stat = float(mean[c, i]), float(std[c, i]), int(n[c, i])
-                    left_out += int(skipped[c, i])
-                records.append(CriterionRecord(protocol.model, context, theta_w,
-                                               {"s": s}, *stat))
-        cells.append((records, left_out))
-    return cells
+    rows = [index.get(key, len(keys)) for key in _cell_keys(protocol)]
+    mean, std, n, skipped = (a.reshape(len(block), -1)[:, rows] for a in stats)
+    return [((mean[c].tolist(), std[c].tolist(), n[c].tolist()), int(skipped[c].sum()))
+            for c in range(len(block))]
 
 
 def _cell_batches(protocol, patches, flow=None, occlusion=None):
@@ -724,16 +716,16 @@ def _block_values(protocol, batches, ref, block):
     return np.concatenate(per_batch, axis=1).reshape(-1)
 
 
-def _in_blocks(protocol, axis, coords, cell, ref):
-    """``(records, skipped)`` of each coordinate of ``coords``, in order,
-    measured a block of cells at a time.
+def _in_blocks(protocol, coords, cell, ref):
+    """``((mean, std, n), skipped)`` of each coordinate of ``coords``, in
+    order, measured a block of cells at a time.
 
     ``cell(coord)`` makes one cell's frame and returns its batches and its
     ``_gather``, so a block keeps no frame.  A block is the consecutive
     cells whose gathered values fit in ``_BLOCK_VALUES``, and at least one.
     It is measured with the batches of its first cell (every cell has the
     same patches) and, for OC, the reference ranks ``ref``: one kernel call
-    per batch, then one statistics pass (``_block_records``).
+    per batch, then one statistics pass (``_block_stats``).
     """
     coords = iter(coords)
     for first in coords:
@@ -743,8 +735,8 @@ def _in_blocks(protocol, axis, coords, cell, ref):
         for coord in itertools.islice(coords, max(1, _BLOCK_VALUES // max(1, size)) - 1):
             block.append(coord)
             gathered.append(cell(coord)[1])
-        yield from _block_records(
-            protocol, [{axis: c} for c in block],
+        yield from _block_stats(
+            protocol, block,
             [key for keys, _, _ in batches for key in keys],
             [n for _, counts, _ in batches for n in counts],
             _block_values(protocol, batches, ref, gathered))
@@ -794,7 +786,7 @@ def _eval_levels(protocol, state, levels):
         cur = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
                          "level", float(level).hex())
         return batches, _gather(protocol, batches, ref, _features(protocol, cur))
-    return _in_blocks(protocol, "illumination", levels, cell, ref)
+    return _in_blocks(protocol, levels, cell, ref)
 
 
 def _prepare_scene(protocol):
@@ -813,9 +805,8 @@ def _eval_speed(protocol, base, speed):
     patches = _collect_patches(protocol, gt1, speed)
     energy = smoothness_energy(flow_prev, gt1.flow, flow_next)
     keys = [key for key, ps in patches.items() if ps]
-    (cell,) = _block_records(protocol, [{"speed": speed}], keys,
-                             [len(patches[key]) for key in keys],
-                             [energy_variance(energy, p) for key in keys for p in patches[key]])
+    (cell,) = _block_stats(protocol, [speed], keys, [len(patches[key]) for key in keys],
+                           [energy_variance(energy, p) for key in keys for p in patches[key]])
     return cell
 
 
@@ -850,10 +841,7 @@ def _eval_weather(protocol, images, tag):
         observations.append(img.reshape(-1, 3))
     samples = np.stack(observations, axis=1)  # (P, k, 3)
     res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
-    rec = CriterionRecord(
-        protocol.model, "All", {"weather": tag}, {},
-        res.mean_deg, res.std_deg, res.n_pixels)
-    return [rec], {
+    return ([res.mean_deg], [res.std_deg], [res.n_pixels]), {
         "weather": tag,
         "mean_deg": res.mean_deg,
         "std_deg": res.std_deg,
@@ -869,8 +857,9 @@ class CellCache:
 
     Resume never trusts timestamps: a cache entry is only reused when the
     protocol content hash, the package version and ``CACHE_EPOCH`` embedded
-    in its name all match.  Every cell is one document: its records plus
-    its extra (the count of degenerate patch values, or the DS details).
+    in its name all match.  Every cell is one document: its value rows
+    (``mean``, ``std`` and ``n``, each a list in the cell's row order) plus
+    its ``extra`` (the count of degenerate patch values, or the DS details).
     Cells are written whole through a temporary file, and a cell that
     cannot be parsed (say, cut short by a crash from before that rule) counts
     as a miss, so it is evaluated and written again.
@@ -889,15 +878,14 @@ class CellCache:
     def load(self, coord):
         try:
             doc = json.loads(self._path(coord).read_text())
-            return [CriterionRecord(**r) for r in doc["records"]], doc["extra"]
-        except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+            return (doc["mean"], doc["std"], doc["n"]), doc["extra"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None  # missing, truncated or foreign: evaluate again
 
     def store(self, coord, result):
         path = self._path(coord)
-        records, extra = result
-        # json.dumps only reads the records' field dicts: no deep copy needed
-        doc = {"records": [vars(r) for r in records], "extra": extra}
+        (mean, std, n), extra = result
+        doc = {"mean": mean, "std": std, "n": n, "extra": extra}
         # readers see the old file or the whole new one, never a part
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, sort_keys=True))
@@ -905,7 +893,8 @@ class CellCache:
 
 
 def _sweep_cells(coords, prepare, evaluate, cache, progress):
-    """Every coordinate's ``(records, extra)``, in order, through the cache.
+    """Every coordinate's ``((mean, std, n), extra)``, in order, through
+    the cache.
 
     ``prepare()`` builds the state every cell shares (renders, ground truth,
     patches); it runs only when some cell misses the cache, so resuming a
@@ -1132,7 +1121,7 @@ def _eval_frames(protocol, state, indices):
         last = idx, features
         return batches, _gather(protocol, batches, ref, features)
     # OC's reference ranks; BC and GC measure their gathered residuals alone
-    return _in_blocks(protocol, "frame", indices, cell, ref)
+    return _in_blocks(protocol, indices, cell, ref)
 
 
 # -- the sweep driver ---------------------------------------------------------
@@ -1141,13 +1130,15 @@ def _eval_frames(protocol, state, indices):
 @dataclass(frozen=True)
 class _SweepSpec:
     """How one model sweeps: the theta_w axis and its coordinates, the state
-    every cell shares, the ``(records, extra)`` of each cell of a run, and
-    the Monte Carlo render passes of a fresh sweep."""
+    every cell shares, the ``((mean, std, n), extra)`` of each cell of a
+    run, and the Monte Carlo render passes of a fresh sweep.  A cell's
+    statistics are lists over its rows: one per ``_cell_keys`` (context,
+    side), or with no theta_v axis (DS) one row, context "All"."""
 
     axis: str
     coords: object  # protocol -> coordinates along ``axis``
     prepare: object  # protocol -> shared state
-    evaluate: object  # (protocol, state, coords) -> one (records, extra) per coord
+    evaluate: object  # (protocol, state, coords) -> one ((mean, std, n), extra) per coord
     passes: int
     theta_v_axes: tuple = ("s",)
 
@@ -1212,19 +1203,24 @@ def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifo
     # cell could not tell an edited sequence from the one it came from
     cache = (CellCache(cache_dir, protocol)
              if cache_dir and protocol.source == "simulate" else None)
+    coords = spec.coords(protocol)
     results, state = _sweep_cells(
-        spec.coords(protocol), functools.partial(spec.prepare, protocol),
+        coords, functools.partial(spec.prepare, protocol),
         functools.partial(spec.evaluate, protocol), cache, progress)
-    records = [r for recs, _ in results for r in recs]
+    mean, std, n = (np.concatenate(stat) for stat in zip(*(stats for stats, _ in results)))
     extras = [extra for _, extra in results]
+    # a cell's rows; DS has one, context "All", and no theta_v axis to read a side of
+    rows = _cell_keys(protocol) if spec.theta_v_axes else [("All", None)]
+    context = [context for context, _ in rows] * len(coords)
+    keys = {spec.axis: [c for c in coords for _ in rows], "s": [s for _, s in rows] * len(coords)}
     if protocol.model == "DS":
         aux = {"ds": extras}
     else:
         aux = {"degenerate_skipped": sum(extras)}
     if protocol.source == "ingest":
         aux["zero_flow"] = state[0].zero_flow  # state[0]: the sequence
-    return Manifold(protocol.model, (spec.axis,), spec.theta_v_axes, records,
-                    aux=aux)
+    return Manifold(protocol.model, (spec.axis,), spec.theta_v_axes, context, keys,
+                    mean, std, n, aux=aux)
 
 
 # -- SVG emission -------------------------------------------------------------
@@ -1232,23 +1228,21 @@ def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifo
 
 def heatmap_svg(manifold: Manifold, x_axis: str, y_axis: str) -> dict:
     """Context -> a self-contained SVG heatmap of mean_E for that context's
-    slice, for every context of the manifold.  The axes' values are found
-    and the records grouped by context in one pass."""
+    slice, for every context of the manifold."""
     xs = manifold.axis_values(x_axis)
     ys = manifold.axis_values(y_axis)
     col = {v: j for j, v in enumerate(xs)}
     row = {v: i for i, v in enumerate(ys)}
-    grids = {}
-    for r in manifold.records:
-        grid = grids.get(r.context)
-        if grid is None:
-            grid = grids[r.context] = np.full((len(ys), len(xs)), np.nan)
-        if r.n > 0:
-            coords = {**r.theta_w, **r.theta_v}
-            grid[row[coords[y_axis]], col[coords[x_axis]]] = r.mean
-    # the records are sorted by context first, so the contexts come in order
-    return {context: _heatmap(manifold.model, context, x_axis, y_axis, xs, ys, grid)
-            for context, grid in grids.items()}
+    y_at = np.array([row[v] for v in manifold.coords[y_axis]], dtype=int)
+    x_at = np.array([col[v] for v in manifold.coords[x_axis]], dtype=int)
+    svgs = {}
+    # the rows are sorted by context first, so the contexts come in order
+    for context in dict.fromkeys(manifold.context):
+        grid = np.full((len(ys), len(xs)), np.nan)
+        filled = (manifold.context == context) & (manifold.n > 0)
+        grid[y_at[filled], x_at[filled]] = manifold.mean[filled]
+        svgs[context] = _heatmap(manifold.model, context, x_axis, y_axis, xs, ys, grid)
+    return svgs
 
 
 def _heatmap(model, context, x_axis, y_axis, xs, ys, grid):

@@ -248,12 +248,12 @@ def cmd_sweep(args):
     protocol = ProtocolConfig.from_dict(doc)
     out_dir = Path(args.out_dir)
     manifest = Manifest("sweep", protocol.content_hash(), protocol.to_dict()["seeds"])
+    if args.threads < 1:  # before the cell cache makes the out-dir
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     if args.dry_run:
         cells, renders = sweep_size(protocol)
         _emit(args, {"cells": cells, "renders": renders})
         return EXIT_OK
-    if args.threads < 1:  # before the cell cache makes the out-dir
-        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     manifold = run_sweep(protocol, cache_dir=out_dir / "cells")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "manifold.csv"
@@ -275,7 +275,7 @@ def cmd_sweep(args):
 def _report(manifold):
     """The report fields that ``sweep`` and ``report`` share."""
     report = {"model": manifold.model, "aux": manifold.aux,
-              "missing_cells": len(manifold.missing)}
+              "missing_cells": manifold.missing}
     try:
         report["context_ranking"] = rank_manifold_contexts(manifold)
     except ConfigError:

@@ -12,8 +12,10 @@ first culls rays against object bounds, the scene JSON encoded as one
 document, where the package encodes each object once and reuses its text,
 a Monte Carlo pass that traces one sample at a time and holds every
 setup's buffers through the bounces, where the package traces whole
-samples together and shades one setup at a time, a heatmap that scans
-every record for its context, where the package groups them once, and the
+samples together and shades one setup at a time, a manifold one row at a
+time with its coordinates in dicts, where the package holds columns, a
+heatmap that scans every row for its context, where the package selects a
+context's rows at once, and the
 forward flow of a frame pair traced from both scene states' center rays,
 where the package reads it from the two states' ground truth.
 """
@@ -21,6 +23,7 @@ where the package reads it from the two states' ground truth.
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -658,12 +661,37 @@ def loop_render_setups(scene, setups, cfg, return_variance=False):
     return out
 
 
+#: one row of a manifold: its context, its coordinates as {axis: value}
+#: dicts, and its statistics
+Row = namedtuple("Row", "context theta_w theta_v mean std n")
+
+
+def manifold_of(model, theta_w_axes, theta_v_axes, rows):
+    """The Manifold of ``rows`` (at least one ``Row``), in columns."""
+    from invarsim.characterize import Manifold
+
+    context, theta_w, theta_v, mean, std, n = zip(*rows)
+    coords = {a: [c[a] for c in theta_w] for a in theta_w_axes}
+    coords.update({a: [c[a] for c in theta_v] for a in theta_v_axes})
+    return Manifold(model, theta_w_axes, theta_v_axes, context, coords, mean, std, n)
+
+
+def rows_of(manifold):
+    """The rows of ``manifold``, in order, one ``Row`` each."""
+    columns = [manifold.context, *manifold.coords.values(), manifold.mean, manifold.std,
+               manifold.n]
+    w = len(manifold.theta_w_axes)
+    return [Row(context, dict(zip(manifold.theta_w_axes, keys[:w])),
+                dict(zip(manifold.theta_v_axes, keys[w:])), mean, std, n)
+            for context, *keys, mean, std, n in zip(*(c.tolist() for c in columns))]
+
+
 def loop_heatmap_svg(manifold, context, x_axis, y_axis):
-    """One context's heatmap SVG, scanning every record for it."""
+    """One context's heatmap SVG, scanning every row for it."""
     xs = manifold.axis_values(x_axis)
     ys = manifold.axis_values(y_axis)
     grid = np.full((len(ys), len(xs)), np.nan)
-    for r in manifold.records:
+    for r in rows_of(manifold):
         if r.context != context:
             continue
         coords = {**r.theta_w, **r.theta_v}

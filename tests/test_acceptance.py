@@ -30,7 +30,7 @@ from invarsim.render import RenderConfig, compute_flow, render_frame, render_gro
 from invarsim.scene import MediumSpec
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
 from invarsim.validators import bc_variance, gc_variance, oc_measure, ps_variance, spearman_rho
-from oracles import any_footprint_overlap, exact_spearman, sphere_integral
+from oracles import any_footprint_overlap, exact_spearman, rows_of, sphere_integral
 
 
 def criterion(number, budget_s, summary):
@@ -99,7 +99,7 @@ def test_c3_oc_diffuse_behavior():
     manifold = run_sweep(protocol)
 
     cells = {}
-    for r in manifold.records:
+    for r in rows_of(manifold):
         cells.setdefault(r.context, {})[
             (r.theta_w["illumination"], r.theta_v["s"])] = r
     diffuse = {k: r for k, r in cells["Diffuse"].items() if r.n > 0}

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from invarsim.characterize import (
-    CriterionRecord,
     Manifold,
     ProtocolConfig,
     compare_rankings,
@@ -27,7 +26,7 @@ from invarsim.errors import ConfigError, IngestError, LabelMismatchError
 from invarsim.render import RenderConfig, render_frame, render_ground_truth, render_setups
 from invarsim.scene import WEATHER_PRESETS
 from invarsim.scenegen import default_lights_doc, sample_scene, validation_scene_config
-from oracles import loop_heatmap_svg
+from oracles import Row, loop_heatmap_svg, manifold_of, rows_of
 
 
 def tiny_oc_protocol(**overrides):
@@ -181,16 +180,12 @@ class TestProtocolConfig:
 class TestManifoldCsv:
     def make_manifold(self):
         records = [
-            CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
-                            0.99, 0.001, 6),
-            CriterionRecord("OC", "Diffuse", {"illumination": 2.0}, {"s": 5},
-                            0.98, 0.002, 6),
-            CriterionRecord("OC", "Edge", {"illumination": 1.0}, {"s": 5},
-                            float("nan"), float("nan"), 0),
-            CriterionRecord("OC", "Edge", {"illumination": 2.0}, {"s": 5},
-                            0.5, 0.1, 6),
+            Row("Diffuse", {"illumination": 1.0}, {"s": 5}, 0.99, 0.001, 6),
+            Row("Diffuse", {"illumination": 2.0}, {"s": 5}, 0.98, 0.002, 6),
+            Row("Edge", {"illumination": 1.0}, {"s": 5}, float("nan"), float("nan"), 0),
+            Row("Edge", {"illumination": 2.0}, {"s": 5}, 0.5, 0.1, 6),
         ]
-        return Manifold("OC", ("illumination",), ("s",), records)
+        return manifold_of("OC", ("illumination",), ("s",), records)
 
     def test_header_schema(self):
         m = self.make_manifold()
@@ -202,14 +197,20 @@ class TestManifoldCsv:
         text = m.to_csv()
         again = Manifold.from_csv(text)
         assert again.to_csv() == text
-        assert len(again.missing) == 1
+        assert again.missing == 1
 
     def test_byte_determinism(self):
         assert self.make_manifold().to_csv() == self.make_manifold().to_csv()
 
+    def test_coordinates_are_read_by_column_name(self):
+        m = Manifold.from_csv("model,context,theta_v_s,theta_w_illumination,mean_E,std_E,n\n"
+                              "OC,Diffuse,5,2.5,0.9,0.01,4\n")
+        assert {a: c.tolist() for a, c in m.coords.items()} == {"illumination": [2.5], "s": [5]}
+        assert m.to_csv().splitlines()[1] == "OC,Diffuse,2.5,5,0.9,0.01,4"
+
     def test_missing_cells_preserved_not_interpolated(self):
         m = Manifold.from_csv(self.make_manifold().to_csv())
-        gap = [r for r in m.records if r.n == 0]
+        gap = [r for r in rows_of(m) if r.n == 0]
         assert len(gap) == 1
         assert math.isnan(gap[0].mean)
 
@@ -217,12 +218,11 @@ class TestManifoldCsv:
 class TestMarginalize:
     def constant_manifold(self, value=2.0, n_levels=4):
         records = [
-            CriterionRecord("OC", "Diffuse", {"illumination": float(i)}, {"s": s},
-                            value, 0.0, 3)
+            Row("Diffuse", {"illumination": float(i)}, {"s": s}, value, 0.0, 3)
             for i in range(n_levels)
             for s in (5, 9)
         ]
-        return Manifold("OC", ("illumination",), ("s",), records)
+        return manifold_of("OC", ("illumination",), ("s",), records)
 
     def test_constant_manifold_sums_to_n_v(self):
         m = self.constant_manifold(value=2.0, n_levels=4)
@@ -235,12 +235,12 @@ class TestMarginalize:
     def test_fubini_property(self):
         rng = np.random.default_rng(5)
         records = [
-            CriterionRecord("OC", "Diffuse", {"illumination": float(i)}, {"s": s},
-                            float(rng.uniform(0, 1)), 0.0, 3)
+            Row("Diffuse", {"illumination": float(i)}, {"s": s},
+                float(rng.uniform(0, 1)), 0.0, 3)
             for i in range(5) for s in (5, 9, 13)
         ]
-        m = Manifold("OC", ("illumination",), ("s",), records)
-        total = sum(r.mean for r in m.records)
+        m = manifold_of("OC", ("illumination",), ("s",), records)
+        total = sum(r.mean for r in rows_of(m))
         t1 = marginalize(m, "illumination")
         assert sum(e.value for e in t1.entries) == pytest.approx(total)
         t2 = marginalize(m, "s")
@@ -248,9 +248,9 @@ class TestMarginalize:
 
     def test_gap_propagates(self):
         m = self.constant_manifold()
-        records = list(m.records)
-        records[0] = dataclasses.replace(records[0], mean=float("nan"), n=0)
-        m2 = Manifold("OC", ("illumination",), ("s",), records)
+        records = rows_of(m)
+        records[0] = records[0]._replace(mean=float("nan"), n=0)
+        m2 = manifold_of("OC", ("illumination",), ("s",), records)
         table = marginalize(m2, "illumination")
         gap_entry = [e for e in table.entries if not e.complete]
         assert len(gap_entry) == 1
@@ -262,8 +262,8 @@ class TestMarginalize:
 
     def test_exclude_contexts(self):
         m = self.constant_manifold()
-        extra = [dataclasses.replace(r, context="Occluded") for r in m.records]
-        m2 = Manifold("OC", ("illumination",), ("s",), list(m.records) + extra)
+        extra = [r._replace(context="Occluded") for r in rows_of(m)]
+        m2 = manifold_of("OC", ("illumination",), ("s",), rows_of(m) + extra)
         table = marginalize(m2, "illumination", exclude_contexts=("Occluded",))
         assert all(e.context == "Diffuse" for e in table.entries)
 
@@ -601,14 +601,14 @@ class TestSweep:
             seen["frames"].append(frame)
             return _fn(protocol, frame)
 
-        def block_records(protocol, theta_ws, keys, counts, values,
-                          _fn=characterize._block_records):
+        def block_stats(protocol, block, keys, counts, values,
+                        _fn=characterize._block_stats):
             # each cell's values, split back into its keys
-            for cell, theta_w in zip(np.reshape(values, (len(theta_ws), -1)), theta_ws):
+            for cell, level in zip(np.reshape(values, (len(block), -1)), block):
                 split = np.split(cell, np.cumsum(counts)[:-1])
                 seen["measured"].append(dict(zip(keys, split)))
-                seen["levels"].append(theta_w["illumination"])
-            return _fn(protocol, theta_ws, keys, counts, values)
+                seen["levels"].append(level)
+            return _fn(protocol, block, keys, counts, values)
 
         one_patch = []
 
@@ -617,7 +617,7 @@ class TestSweep:
             return _fn(values)
 
         for name, fn in (("compute_flow", compute_flow), ("_collect_patches", collect),
-                         ("_features", features), ("_block_records", block_records)):
+                         ("_features", features), ("_block_stats", block_stats)):
             monkeypatch.setattr(characterize, name, fn)
         monkeypatch.setattr(validators, "population_variance", population_variance)
         scene = validation_scene_config()
@@ -678,9 +678,9 @@ class TestSweep:
             sensor={"sigma": 0.0, "bits": 8, "gamma": 1.0},
         )
         m = run_sweep(p)
-        assert len(m.records) == 1
-        assert m.records[0].mean == 1.0
-        assert m.records[0].std == 0.0
+        assert len(rows_of(m)) == 1
+        assert rows_of(m)[0].mean == 1.0
+        assert rows_of(m)[0].std == 0.0
 
     def test_cell_independence(self):
         full = tiny_oc_protocol()
@@ -689,8 +689,8 @@ class TestSweep:
                                   theta_v={"patch_sizes": [9]},
                                   contexts=["Diffuse"])
         m_one = run_sweep(single)
-        ref = m_full.cell("Diffuse", {"illumination": 3.0}, {"s": 9})
-        got = m_one.cell("Diffuse", {"illumination": 3.0}, {"s": 9})
+        ref = rows_of(m_full)[m_full.cell("Diffuse", illumination=3.0, s=9)]
+        got = rows_of(m_one)[m_one.cell("Diffuse", illumination=3.0, s=9)]
         assert got.mean == ref.mean
         assert got.std == ref.std
         assert got.n == ref.n
@@ -714,14 +714,13 @@ class TestSweep:
         ppath.write_text(json.dumps(p.to_dict()))
         evaluated, calls = [], []
 
-        def block_records(protocol, theta_ws, *args, _fn=characterize._block_records):
-            evaluated.extend((threading.get_ident(), theta_w["illumination"])
-                             for theta_w in theta_ws)
-            return _fn(protocol, theta_ws, *args)
+        def block_stats(protocol, block, *args, _fn=characterize._block_stats):
+            evaluated.extend((threading.get_ident(), level) for level in block)
+            return _fn(protocol, block, *args)
 
         def start(thread):
             raise AssertionError("the sweep started a thread")
-        monkeypatch.setattr(characterize, "_block_records", block_records)
+        monkeypatch.setattr(characterize, "_block_stats", block_stats)
         monkeypatch.setattr(threading.Thread, "start", start)
         monkeypatch.setattr(cli, "run_sweep", lambda protocol, **kwargs: run_sweep(
             protocol, progress=lambda *a: calls[-1].append(a), **kwargs))
@@ -815,17 +814,17 @@ class TestSweep:
         fresh = run_sweep(p, cache_dir=cells).to_csv()
         files = {path.name: path.read_bytes() for path in cells.glob("cell_*.json")}
         evaluated, stored = [], []
-        block_records = characterize._block_records
+        block_stats = characterize._block_stats
         store = characterize.CellCache.store
 
-        def counted_records(protocol, theta_ws, *args):
-            evaluated.extend(theta_w["illumination"] for theta_w in theta_ws)
-            return block_records(protocol, theta_ws, *args)
+        def counted_stats(protocol, block, *args):
+            evaluated.extend(block)
+            return block_stats(protocol, block, *args)
 
         def counted_store(cache, coord, result):
             stored.append(coord)
             store(cache, coord, result)
-        monkeypatch.setattr(characterize, "_block_records", counted_records)
+        monkeypatch.setattr(characterize, "_block_stats", counted_stats)
         monkeypatch.setattr(characterize.CellCache, "store", counted_store)
         cache = characterize.CellCache(cells, p)
         missing = list(p.illumination_levels[::2])
@@ -842,9 +841,9 @@ class TestSweep:
     def test_empty_context_recorded_as_gap(self):
         p = tiny_oc_protocol(contexts=["Diffuse", "MotionBoundary"])
         m = run_sweep(p)  # OC has no flow, so MotionBoundary is unavailable
-        gaps = [r for r in m.records if r.context == "MotionBoundary"]
+        gaps = [r for r in rows_of(m) if r.context == "MotionBoundary"]
         assert gaps and all(r.n == 0 for r in gaps)
-        assert all(r.n > 0 for r in m.records if r.context == "Diffuse")
+        assert all(r.n > 0 for r in rows_of(m) if r.context == "Diffuse")
 
     def test_cell_cache_resume(self, tmp_path):
         p = tiny_oc_protocol()
@@ -873,9 +872,9 @@ class TestSweep:
         for name, p in (("OC", tiny_oc_protocol()), ("DS", ds)):
             run_sweep(p, cache_dir=tmp_path / name)
             for cell in (tmp_path / name).glob("cell_*.json"):
-                assert set(json.loads(cell.read_text())) == {"records", "extra"}
+                assert set(json.loads(cell.read_text())) == {"mean", "std", "n", "extra"}
 
-    def test_cell_file_is_json_dumps_of_asdict(self, tmp_path, monkeypatch):
+    def test_cell_file_is_json_dumps_of_its_columns(self, tmp_path, monkeypatch):
         stored = []
 
         def store(cache, coord, result, _fn=characterize.CellCache.store):
@@ -900,20 +899,29 @@ class TestSweep:
             stored.clear()
             run_sweep(p, cache_dir=tmp_path / name)
             assert stored
-            for path, (records, extra) in stored:
-                want = json.dumps({"records": [dataclasses.asdict(r) for r in records],
-                                   "extra": extra}, sort_keys=True)
+            for path, ((mean, std, n), extra) in stored:
+                want = json.dumps({"mean": mean, "std": std, "n": n, "extra": extra},
+                                  sort_keys=True)
                 assert path.read_text() == want
 
-    def test_cell_in_an_older_document_shape_is_evaluated_again(self, tmp_path):
+    @pytest.mark.parametrize("shape", ["epoch-2", "kind-skipped"])
+    def test_cell_in_an_older_document_shape_is_evaluated_again(self, tmp_path, shape):
+        # an older document under a current cell name is a miss: the cell is
+        # evaluated again and overwritten, and the sweep keeps its bytes
         p = tiny_oc_protocol()
         cells = tmp_path / "cells"
         fresh = run_sweep(p, cache_dir=cells).to_csv()
-        cell = sorted(cells.glob("cell_*.json"))[0]
+        level = p.illumination_levels[0]
+        cell = characterize.CellCache(cells, p)._path(level)
         whole = cell.read_bytes()
         doc = json.loads(whole)
-        cell.write_text(json.dumps({"kind": "records", "records": doc["records"],
-                                    "skipped": doc["extra"]}))
+        records = [{"model": p.model, "context": context, "theta_w": {"illumination": level},
+                    "theta_v": {"s": s}, "mean": mean, "std": std, "n": n}
+                   for (context, s), mean, std, n in zip(characterize._cell_keys(p),
+                                                         doc["mean"], doc["std"], doc["n"])]
+        cell.write_text(json.dumps(
+            {"records": records, "extra": doc["extra"]} if shape == "epoch-2" else
+            {"kind": "records", "records": records, "skipped": doc["extra"]}))
         assert run_sweep(p, cache_dir=cells).to_csv() == fresh
         assert cell.read_bytes() == whole
 
@@ -1003,7 +1011,7 @@ class TestSweep:
             run_sweep(tiny_oc_protocol(scene=sunless))
         m = run_sweep(tiny_oc_protocol(scene=sunless,
                                        theta_w={"illumination_levels": [1.0]}))
-        assert any(r.n > 0 for r in m.records)
+        assert any(r.n > 0 for r in rows_of(m))
 
     def test_ds_sweep_records_and_aux(self):
         p = ProtocolConfig.from_dict({
@@ -1016,8 +1024,8 @@ class TestSweep:
             "render": {"width": 32, "height": 24, "spp": 2, "max_bounces": 0},
         })
         m = run_sweep(p)
-        assert [r.theta_w["weather"] for r in m.records] == ["Fog", "MildHaze"]
-        assert all(r.mean >= 0 for r in m.records)
+        assert [r.theta_w["weather"] for r in rows_of(m)] == ["Fog", "MildHaze"]
+        assert all(r.mean >= 0 for r in rows_of(m))
         assert len(m.aux["ds"]) == 2
         fog = next(i for i in m.aux["ds"] if i["weather"] == "Fog")
         assert 0.0 <= fog["fraction_below"] <= 1.0
@@ -1084,8 +1092,8 @@ class TestSweep:
             "render": {"width": 64, "height": 48, "spp": 1, "max_bounces": 0},
         })
         m = run_sweep(p)
-        same = m.cell("SameSurface", {"speed": 1.0}, {"s": 9})
-        boundary = m.cell("MotionBoundary", {"speed": 1.0}, {"s": 9})
+        same = rows_of(m)[m.cell("SameSurface", speed=1.0, s=9)]
+        boundary = rows_of(m)[m.cell("MotionBoundary", speed=1.0, s=9)]
         assert same.n > 0 and boundary.n > 0
         assert boundary.mean > same.mean
 
@@ -1133,7 +1141,7 @@ class TestIngest:
         from invarsim.patches import Patch
         from invarsim.validators import oc_measure
 
-        rec = m.cell("Diffuse", {"frame": 1}, {"s": 9})
+        rec = rows_of(m)[m.cell("Diffuse", frame=1, s=9)]
         patch = Patch(row=36, col=41, side=9, context="Diffuse")
         want = oc_measure(patch.extract(frames[0]), patch.extract(frames[1]))
         assert rec.mean == pytest.approx(want, abs=1e-12)
@@ -1150,7 +1158,7 @@ class TestIngest:
         })
         m = run_sweep(p)
         assert m.aux["zero_flow"] is True
-        recs = [r for r in m.records if r.n > 0]
+        recs = [r for r in rows_of(m) if r.n > 0]
         assert recs and all(r.mean >= 0.0 for r in recs)
 
     def test_ingest_validation_errors(self, tmp_path):
@@ -1365,7 +1373,7 @@ class TestStreamedIngest:
         m = run_sweep(ingest_protocol(model, apath))
         frame_ids = ([i for i in range(4) if i != doc["reference_frame"]]
                      if model == "OC" else [1, 2, 3])
-        assert len(m.records) == len(frame_ids) * 2 * len(INGEST_CONTEXTS)
+        assert len(rows_of(m)) == len(frame_ids) * 2 * len(INGEST_CONTEXTS)
         for idx in frame_ids:
             for rect in doc["patches"]:
                 for s in (5, 9):
@@ -1380,7 +1388,7 @@ class TestStreamedIngest:
                                  else np.zeros((48, 64, 2)))
                         kernel = bc_variance if model == "BC" else gc_variance
                         want = kernel(frames[idx - 1], frames[idx], field, patch)
-                    rec = m.cell(rect["context"], {"frame": idx}, {"s": s})
+                    rec = rows_of(m)[m.cell(rect["context"], frame=idx, s=s)]
                     assert rec.n == 1
                     assert np.float64(rec.mean).tobytes() == np.float64(want).tobytes()
 
@@ -1447,14 +1455,17 @@ class TestStreamedIngest:
             self, tmp_path, monkeypatch, model, flow):
         p = ingest_protocol(model, write_sequence(tmp_path, 6, flow=flow))
         swept = {}
-        for r in run_sweep(p).records:
-            swept.setdefault(r.theta_w["frame"], []).append(repr(r))
+        for r in rows_of(run_sweep(p)):
+            swept.setdefault(r.theta_w["frame"], []).append(
+                repr((r.context, r.theta_v["s"], r.mean, r.std, r.n)))
         decoded = self.count_decodes(monkeypatch)
 
         def cells(order):
             state = characterize._prepare_ingest(p)
-            for idx, (records, _) in zip(order, characterize._eval_frames(p, state, order)):
-                assert sorted(map(repr, records)) == sorted(swept[idx]), idx
+            for idx, (stats, _) in zip(order, characterize._eval_frames(p, state, order)):
+                rows = [repr((*key, *stat))
+                        for key, *stat in zip(characterize._cell_keys(p), *stats)]
+                assert sorted(rows) == sorted(swept[idx]), idx
             return [int(path[-7:-4]) for path in decoded]
 
         # alone, a run of one cell: the frame before and the frame
@@ -1634,17 +1645,17 @@ class TestBlocks:
              else ingest_protocol(model, write_sequence(tmp_path, 6)))
         blocks = []
 
-        def block_records(protocol, theta_ws, *args, _fn=characterize._block_records):
-            blocks.append(len(theta_ws))
-            return _fn(protocol, theta_ws, *args)
-        monkeypatch.setattr(characterize, "_block_records", block_records)
+        def block_stats(protocol, block, *args, _fn=characterize._block_stats):
+            blocks.append(len(block))
+            return _fn(protocol, block, *args)
+        monkeypatch.setattr(characterize, "_block_stats", block_stats)
         csv = {}
         for block_values in (1, characterize._BLOCK_VALUES, 1 << 40):
             monkeypatch.setattr(characterize, "_BLOCK_VALUES", block_values)
             blocks.clear()
             m = run_sweep(p)
             csv[block_values] = m.to_csv()
-            assert any(r.n > 0 for r in m.records)
+            assert any(r.n > 0 for r in rows_of(m))
             assert sum(blocks) == 5
             if block_values == 1:  # a block holds at least one cell
                 assert blocks == [1] * 5
@@ -1652,26 +1663,25 @@ class TestBlocks:
                 assert blocks == [5]
         assert len(set(csv.values())) == 1, sorted(csv)
 
-    def test_block_records_leave_out_and_count_nan_values(self):
+    def test_block_stats_leave_out_and_count_nan_values(self):
         p = tiny_oc_protocol()  # sides 5 and 9; Diffuse, ShadowBoundary, Occluded
         keys = [("Diffuse", 5), ("Occluded", 9)]
         nan = float("nan")
         cells = [[1.0, nan, 2.5, nan, nan], [nan, nan, nan, -0.0, 4.0]]
-        got = characterize._block_records(p, [{"illumination": 1.0}, {"illumination": 2.0}],
-                                          keys, [3, 2], np.concatenate(cells))
-        for (records, skipped), values, level in zip(got, cells, (1.0, 2.0)):
+        got = characterize._block_stats(p, [1.0, 2.0], keys, [3, 2], np.concatenate(cells))
+        assert len(got) == 2
+        for (stats, skipped), values in zip(got, cells):
             assert skipped == sum(map(math.isnan, values))
             want = {}
             for key, part in zip(keys, (values[:3], values[3:])):
                 kept = np.array([v for v in part if not math.isnan(v)])
                 want[key] = ((float(kept.mean()), float(kept.std()), len(kept)) if len(kept)
                              else (nan, nan, 0))
-            assert [(r.context, r.theta_v["s"]) for r in records] == [
-                (c, s) for s in (5, 9) for c in p.contexts]
-            for r in records:
-                assert r.theta_w == {"illumination": level}
-                stat = want.get((r.context, r.theta_v["s"]), (nan, nan, 0))
-                assert repr((r.mean, r.std, r.n)) == repr(stat)
+            rows = characterize._cell_keys(p)
+            assert rows == [(c, s) for s in (5, 9) for c in p.contexts]
+            assert all(len(stat) == len(rows) for stat in stats)
+            for key, *stat in zip(rows, *stats):
+                assert repr(tuple(stat)) == repr(want.get(key, (nan, nan, 0)))
 
     def test_a_failing_cell_stores_no_cell_of_its_block(self, tmp_path, monkeypatch):
         # blocks 0-2, 3-5 and 6; cell 6 is never made
@@ -1709,12 +1719,10 @@ class TestHeatmap:
 
     def test_gap_cells_gray(self):
         records = [
-            CriterionRecord("OC", "Diffuse", {"illumination": 0.0}, {"s": 5},
-                            1.0, 0.0, 3),
-            CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
-                            float("nan"), float("nan"), 0),
+            Row("Diffuse", {"illumination": 0.0}, {"s": 5}, 1.0, 0.0, 3),
+            Row("Diffuse", {"illumination": 1.0}, {"s": 5}, float("nan"), float("nan"), 0),
         ]
-        m = Manifold("OC", ("illumination",), ("s",), records)
+        m = manifold_of("OC", ("illumination",), ("s",), records)
         svg = heatmap_svg(m, "illumination", "s")["Diffuse"]
         assert "#b0b0b0" in svg
 
@@ -1739,10 +1747,10 @@ class TestHeatmap:
             "contexts": ["Diffuse", "ShadowRegion", "Occluded"],
             "patches_per_cell": 1,
         }))
-        assert ingested.missing and len(ingested.missing) < len(ingested.records)
+        assert 0 < ingested.missing < len(rows_of(ingested))
         for m, x_axis in ((oc, "illumination"), (ps, "speed"), (ingested, "frame")):
             svgs = heatmap_svg(m, x_axis, "s")
-            assert list(svgs) == sorted({r.context for r in m.records})
+            assert list(svgs) == sorted({r.context for r in rows_of(m)})
             for context, svg in svgs.items():
                 assert svg == loop_heatmap_svg(m, context, x_axis, "s")
 
@@ -1750,23 +1758,20 @@ class TestHeatmap:
 class TestContextRanking:
     def test_rank_manifold_contexts_direction(self):
         records = [
-            CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
-                            0.9, 0.0, 3),
-            CriterionRecord("OC", "Occluded", {"illumination": 1.0}, {"s": 5},
-                            0.2, 0.0, 3),
+            Row("Diffuse", {"illumination": 1.0}, {"s": 5}, 0.9, 0.0, 3),
+            Row("Occluded", {"illumination": 1.0}, {"s": 5}, 0.2, 0.0, 3),
         ]
-        m = Manifold("OC", ("illumination",), ("s",), records)
+        m = manifold_of("OC", ("illumination",), ("s",), records)
         assert rank_manifold_contexts(m) == {"Diffuse": 1.0, "Occluded": 2.0}
-        records = [dataclasses.replace(r, model="BC") for r in records]
-        m2 = Manifold("BC", ("illumination",), ("s",), records)
+        m2 = manifold_of("BC", ("illumination",), ("s",), records)
         assert rank_manifold_contexts(m2) == {"Diffuse": 2.0, "Occluded": 1.0}
 
     def test_rank_by_theta_w_axis(self):
         records = [
-            CriterionRecord("DS", "All", {"weather": w}, {}, v, 0.0, n)
+            Row("All", {"weather": w}, {}, v, 0.0, n)
             for w, v, n in (("Fog", 0.1, 9), ("Mist", 0.4, 9), ("Rain", 0.2, 0))
         ]
-        m = Manifold("DS", ("weather",), (), records)
+        m = manifold_of("DS", ("weather",), (), records)
         assert rank_manifold_contexts(m, by="weather") == {"Fog": 1.0, "Mist": 2.0}
         assert rank_manifold_contexts(m) == {"All": 1.0}
         with pytest.raises(ConfigError, match="no complete cells to rank by speed"):

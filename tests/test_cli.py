@@ -405,24 +405,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
-        # the count is checked before the out-dir or its cell cache is made
+        # the count is checked before the out-dir or its cell cache is made,
+        # and by a dry run as well
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps(tiny_protocol_doc()))
         out_dir = tmp_path / "sweep"
-        assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
-                     f"--threads={threads}"]) == 2
-        assert capsys.readouterr().err.startswith("invarsim: threads must be >= 1")
-        assert not out_dir.exists()
+        for dry_run in ([], ["--dry-run"]):
+            assert main(["sweep", str(ppath), "--out-dir", str(out_dir),
+                         f"--threads={threads}", *dry_run]) == 2
+            assert capsys.readouterr().err.startswith("invarsim: threads must be >= 1")
+            assert not out_dir.exists()
 
     def test_parser_is_built_once_and_keeps_no_flag(self, tmp_path, capsys, monkeypatch):
         # main parses every command with one parser; a flag given to one
         # call must not become the default of the next
-        from invarsim.characterize import CriterionRecord, Manifold
+        from invarsim.characterize import Manifold
 
         def run_sweep(protocol, cache_dir):
-            record = CriterionRecord("OC", "Diffuse", {"illumination": 1.0}, {"s": 5},
-                                     0.5, 0.0, 1)
-            return Manifold("OC", ("illumination",), ("s",), [record])
+            return Manifold("OC", ("illumination",), ("s",), ["Diffuse"],
+                            {"illumination": [1.0], "s": [5]}, [0.5], [0.0], [1])
         monkeypatch.setattr(cli, "run_sweep", run_sweep)
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps(tiny_protocol_doc()))
@@ -517,6 +518,26 @@ class TestCompareReport:
         assert main(["compare", str(a), str(b), "--by", "weather"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["correlation"] == 1.0  # same ordering in both sources
+
+    @pytest.mark.parametrize("row, error", [
+        ("OC,Edge,1.0,0.6,0.01,4", "6 fields, the header has 7"),
+        ("OC,Edge,1.0,5,0.6,0.01,x", "invalid literal for int() with base 10: 'x'"),
+        ("XX,Edge,1.0,5,0.6,0.01,4", "unknown model 'XX'"),
+    ], ids=["short-row", "bad-n", "unknown-model"])
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_bad_manifold_csv_exits_2_naming_the_line(self, tmp_path, capsys, command,
+                                                      row, error):
+        good = self.make_manifold_csv(tmp_path, "a.csv")
+        lines = good.read_text().splitlines()
+        lines[2] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "report"
+        argv = (["report", str(bad), "--out-dir", str(out_dir)] if command == "report" else
+                ["compare", str(good), str(bad), "--out", str(tmp_path / "comparison.json")])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"invarsim: manifold CSV line 3: {error}\n"
+        assert not out_dir.exists() and not (tmp_path / "comparison.json").exists()
 
     def test_report_rejects_dry_run(self, tmp_path):
         a = self.make_manifold_csv(tmp_path, "a.csv")

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import pytest
 
-from invarsim.characterize import Manifold, ProtocolConfig, run_sweep
+from invarsim.characterize import ProtocolConfig, run_sweep
 from invarsim.scenegen import validation_scene_config
+from oracles import manifold_of, rows_of
 
 RENDER = {"width": 32, "height": 24, "spp": 2, "max_bounces": 1}
 
@@ -54,8 +55,8 @@ def test_subset_sweep_equals_full_sweep_there(model, data):
     chosen = data.draw(st.lists(st.sampled_from(coords), min_size=1, unique=True))
     full = full_sweep(model)
     part = run_sweep(tiny_protocol(model, chosen))
-    kept = [r for r in full.records if r.theta_w[axis] in chosen]
-    assert kept and part.to_csv() == Manifold(
+    kept = [r for r in rows_of(full) if r.theta_w[axis] in chosen]
+    assert kept and part.to_csv() == manifold_of(
         model, full.theta_w_axes, full.theta_v_axes, kept).to_csv()
     if model == "DS":  # each tag's details, NaN included
         details = {e["weather"]: json.dumps(e) for e in full.aux["ds"]}

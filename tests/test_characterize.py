@@ -363,6 +363,14 @@ STOCK_MANIFOLD_SHA256 = {
 }
 
 
+#: sha256 of manifold.csv of the stock BC and GC sweeps at three sun levels
+#: with ``exclude_occluded`` set
+EXCLUDE_OCCLUDED_MANIFOLD_SHA256 = {
+    "BC": "d1e119473e33bfed70e6b71d585c3d37b468d4864f9ab9f71bec4f79246820c9",
+    "GC": "11d135fe9eb2959066602aede45e9ced13147adfb03e988fc7460992a9f10410",
+}
+
+
 def output_digests(manifold, tmp_path, capsys):
     """sha256 of what the CLI makes of ``manifold``: the ``sweep`` outputs but
     its manifest (manifold.csv, each heatmap, report.json), the ``report``
@@ -504,6 +512,17 @@ class TestSweep:
     def test_stock_outputs_are_pinned(self, stock_sweep, tmp_path, capsys):
         model, manifold, _ = stock_sweep
         assert output_digests(manifold, tmp_path, capsys) == STOCK_OUTPUT_SHA256[model]
+
+    @pytest.mark.parametrize("model", sorted(EXCLUDE_OCCLUDED_MANIFOLD_SHA256))
+    def test_exclude_occluded_manifold_bytes_are_pinned(self, model):
+        # rows that drop occluded or out-of-frame pixels are measured with
+        # the rows that keep every pixel
+        doc = default_protocol(model).to_dict()
+        doc["exclude_occluded"] = True
+        doc["theta_w"]["illumination_levels"] = [1.0, 3.0, 5.0]
+        manifold = run_sweep(ProtocolConfig.from_dict(doc))
+        digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
+        assert digest == EXCLUDE_OCCLUDED_MANIFOLD_SHA256[model]
 
     def test_dry_run_renders_equal_the_passes_of_a_fresh_sweep(self, stock_sweep):
         model, _, passes = stock_sweep

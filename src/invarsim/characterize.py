@@ -54,13 +54,13 @@ from .scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scen
 from .validators import (
     Trajectories,
     average_ranks,
-    bc_residuals,
     ds_angular_error,
     energy_variance,
-    gc_residuals,
     gradient_fields,
     oc_values,
     patch_pixels,
+    ragged_groups,
+    residuals,
     smoothness_energy,
     spearman_rho,
     to_gray,
@@ -608,13 +608,10 @@ def _statistics(counts, values):
                           minlength=len(counts))
     n = counts - skipped
     kept = values[~nan]
-    starts = np.cumsum(n) - n
     mean = np.full(len(counts), np.nan)
     std = np.full(len(counts), np.nan)
-    arrays_per_count = np.bincount(n, minlength=1)
-    for k in np.flatnonzero(arrays_per_count[1:]) + 1:
-        group = np.flatnonzero(n == k)
-        rows = kept[starts[group, None] + np.arange(k)]
+    for group, index in ragged_groups(n):
+        rows = kept[index]
         mean[group] = rows.mean(axis=1)
         std[group] = rows.std(axis=1)
     return mean, std, n, skipped
@@ -666,11 +663,11 @@ def _cell_batches(protocol, patches, flow=None, occlusion=None):
 
 
 def _features(protocol, frame):
-    """A frame's gray image, or for GC its gradient fields: computed once,
-    and read-only, so the cells that measure with them cannot change them."""
+    """A frame's feature fields, ``(gray,)`` or for GC its gradients: computed
+    once, and read-only, so the cells that measure with them cannot change them."""
     gray = to_gray(frame)
-    features = gradient_fields(gray) if protocol.model == "GC" else gray
-    for array in features if isinstance(features, tuple) else (features,):
+    features = gradient_fields(gray) if protocol.model == "GC" else (gray,)
+    for array in features:
         array.flags.writeable = False
     return features
 
@@ -680,7 +677,7 @@ def _reference(protocol, batches, frame):
     for OC each batch's ranked gray patches."""
     features = _features(protocol, frame)
     if protocol.model == "OC":
-        return [average_ranks(features[pixels]) for _, _, pixels in batches]
+        return [average_ranks(features[0][pixels]) for _, _, pixels in batches]
     return features
 
 
@@ -690,8 +687,7 @@ def _gather(protocol, batches, ref, features):
     (no mask); BC and GC their residual rows between the reference features
     ``ref`` and ``features``, and the mask of the usable ones."""
     if protocol.model == "OC":
-        return [([features[pixels]], None) for _, _, pixels in batches]
-    residuals = bc_residuals if protocol.model == "BC" else gc_residuals
+        return [([features[0][pixels]], None) for _, _, pixels in batches]
     return [residuals(ref, features, traj) for _, _, traj in batches]
 
 
@@ -842,14 +838,7 @@ def _eval_weather(protocol, images, tag):
     samples = np.stack(observations, axis=1)  # (P, k, 3)
     res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
     return ([res.mean_deg], [res.std_deg], [res.n_pixels]), {
-        "weather": tag,
-        "mean_deg": res.mean_deg,
-        "std_deg": res.std_deg,
-        "fraction_below": res.fraction_below,
-        "threshold_deg": res.threshold_deg,
-        "n_pixels": res.n_pixels,
-        "n_excluded": res.n_excluded,
-    }
+        "weather": tag, **dataclasses.asdict(res)}
 
 
 class CellCache:

@@ -323,9 +323,16 @@ def cmd_ingest(args):
 # -- compare ------------------------------------------------------------------
 
 
+def _read_manifold(path):
+    """The manifold of a CSV file; a ConfigError names the file."""
+    try:
+        return Manifold.from_csv(Path(path).read_text())
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_compare(args):
-    a = Manifold.from_csv(Path(args.manifold_a).read_text())
-    b = Manifold.from_csv(Path(args.manifold_b).read_text())
+    a, b = map(_read_manifold, (args.manifold_a, args.manifold_b))
     comparison = compare_rankings(rank_manifold_contexts(a, by=args.by),
                                   rank_manifold_contexts(b, by=args.by))
     doc = comparison.to_dict()
@@ -344,7 +351,7 @@ def cmd_compare(args):
 
 
 def cmd_report(args):
-    manifold = Manifold.from_csv(Path(args.manifold).read_text())
+    manifold = _read_manifold(args.manifold)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("report", _sha256(Path(args.manifold).read_bytes()), {})

@@ -2,8 +2,9 @@
 
 * order consistency: absolute Spearman rank correlation between co-located
   patches (monotone photometric transforms leave it at 1);
-* brightness / gradient constancy: population variance of the pixel or
-  gradient residual along ground-truth motion trajectories;
+* brightness / gradient constancy: population variance of one residual
+  kernel (``residuals``) along ground-truth motion trajectories, over the
+  gray image (BC) or its two gradient fields (GC);
 * piecewise-smooth flow: population variance of the spatio-temporal
   smoothness energy |grad3 u|^2 + |grad3 v|^2 over a patch;
 * dichromatic scattering: angular deviation of weather-varied color
@@ -187,29 +188,52 @@ class Trajectories:
         pooled over the ``residuals`` arrays.  A row is one patch: the rows
         hold the patches of one or more frames, frame after frame.
 
-        Rows that keep every value are sorted and reduced as one 2-D stack:
+        The rows are grouped by their count of kept values (``ragged_groups``)
+        and each group is sorted and reduced as one 2-D stack:
         ``np.var(axis=1)`` sums each contiguous row with the same pairwise
         summation as ``population_variance`` sums it alone, so each row
-        gives the same bits.  The other rows take their kept values one row
-        at a time."""
+        gives the same bits."""
         empty = np.flatnonzero(~keep.any(axis=1))
         if empty.size:
             p = self.patches[empty[0] % len(self.patches)]
             raise AllOccludedError(
                 f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
+        pooled = np.tile(keep, len(residuals))
+        kept = np.concatenate(residuals, axis=1)[pooled]
         out = np.empty(len(keep))
-        full = keep.all(axis=1)
-        v = np.sort(np.concatenate([r[full] for r in residuals], axis=1), axis=1)
-        out[full] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
-        for i in np.flatnonzero(~full):
-            out[i] = population_variance(
-                np.concatenate([r[i][keep[i]] for r in residuals]))
+        for rows, index in ragged_groups(pooled.sum(axis=1)):
+            v = np.sort(kept[index], axis=1)
+            out[rows] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
         return out
 
 
-def _one_patch(kernel, features, frame_t, frame_t1, flow, patch, inset,
+def ragged_groups(counts):
+    """For arrays laid end to end, ``counts[i]`` values long: for each
+    distinct count k > 0, the indices of the arrays of that count and the
+    (arrays, k) indices of their values."""
+    counts = np.asarray(counts, dtype=int)
+    starts = np.cumsum(counts) - counts
+    for k in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == k)
+        yield rows, starts[rows, None] + np.arange(k)
+
+
+def residuals(fields0, fields1, traj: Trajectories):
+    """The residual rows of each patch of ``traj`` between two frames'
+    tuples of feature fields, ``(gray,)`` (BC) or ``gradient_fields`` (GC),
+    and the mask of the values to keep: a usable trajectory with two finite
+    ends.  These are the arguments of ``traj.variances``."""
+    src = [f[traj.pixels] for f in fields0]
+    dst = [traj.sample(f) for f in fields1]
+    keep = traj.usable
+    for values in src + dst:
+        keep = keep & np.isfinite(values)
+    return [t - s for s, t in zip(src, dst)], keep
+
+
+def _one_patch(features, frame_t, frame_t1, flow, patch, inset,
                exclude_occluded, occlusion):
-    """A constancy kernel on one patch, straight from two frames."""
+    """A constancy deviation of one patch, straight from two frames."""
     if exclude_occluded and occlusion is None:
         raise ConfigError("exclude_occluded requires an occlusion mask")
     I0 = to_gray(frame_t)
@@ -218,20 +242,7 @@ def _one_patch(kernel, features, frame_t, frame_t1, flow, patch, inset,
         raise ConfigError(f"frame shape mismatch: {I0.shape} vs {I1.shape}")
     traj = Trajectories(flow, [patch], inset=inset,
                         occlusion=occlusion if exclude_occluded else None)
-    return float(kernel(features(I0), features(I1), traj)[0])
-
-
-def bc_residuals(I0: np.ndarray, I1: np.ndarray, traj: Trajectories):
-    """The brightness residuals of each patch of ``traj`` between the gray
-    frames ``I0`` and ``I1``, and which of them to keep: the arguments of
-    ``traj.variances``."""
-    return [traj.sample(I1) - I0[traj.pixels]], traj.usable
-
-
-def bc_values(I0: np.ndarray, I1: np.ndarray, traj: Trajectories) -> np.ndarray:
-    """Brightness-constancy deviation of each patch of ``traj`` between the
-    gray frames ``I0`` and ``I1``."""
-    return traj.variances(*bc_residuals(I0, I1, traj))
+    return float(traj.variances(*residuals(features(I0), features(I1), traj))[0])
 
 
 def bc_variance(frame_t, frame_t1, flow, patch, *,
@@ -240,11 +251,11 @@ def bc_variance(frame_t, frame_t1, flow, patch, *,
 
     The residual is I(i+u, j+v, t+1) - I(i, j, t) over the patch, with
     bilinear sampling at subpixel targets.  Pixels whose target leaves the
-    image are dropped; occluded pixels are dropped only when
-    ``exclude_occluded`` is set (the default keeps them, matching protocols
-    that treat occlusion as part of the measured deviation).
+    image or with a non-finite end are dropped; occluded pixels are dropped
+    only when ``exclude_occluded`` is set (the default keeps them, matching
+    protocols that treat occlusion as part of the measured deviation).
     """
-    return _one_patch(bc_values, lambda I: I, frame_t, frame_t1, flow, patch, 0,
+    return _one_patch(lambda I: (I,), frame_t, frame_t1, flow, patch, 0,
                       exclude_occluded, occlusion)
 
 
@@ -255,25 +266,6 @@ def gradient_fields(I: np.ndarray):
     gx[:, 1:-1] = (I[:, 2:] - I[:, :-2]) / 2.0
     gy[1:-1, :] = (I[2:, :] - I[:-2, :]) / 2.0
     return gx, gy
-
-
-def gc_residuals(grad0, grad1, traj: Trajectories):
-    """The gradient residuals (x and y) of each patch of ``traj`` between
-    the gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair,
-    and which of them to keep: the arguments of ``traj.variances``."""
-    src = [g[traj.pixels] for g in grad0]
-    dst = [traj.sample(g) for g in grad1]
-    keep = traj.usable
-    for values in src + dst:
-        keep = keep & np.isfinite(values)
-    return [t - s for s, t in zip(src, dst)], keep
-
-
-def gc_values(grad0, grad1, traj: Trajectories) -> np.ndarray:
-    """Gradient-constancy deviation of each patch of ``traj`` between the
-    gradient fields ``grad0`` and ``grad1``, each a ``(gx, gy)`` pair;
-    ``traj`` leaves out the one-pixel patch border."""
-    return traj.variances(*gc_residuals(grad0, grad1, traj))
 
 
 def gc_variance(frame_t, frame_t1, flow, patch, *,
@@ -289,7 +281,7 @@ def gc_variance(frame_t, frame_t1, flow, patch, *,
         raise PatchTooSmallError(
             f"gradient constancy needs side >= 5, got {patch.side}"
         )
-    return _one_patch(gc_values, gradient_fields, frame_t, frame_t1, flow, patch, 1,
+    return _one_patch(gradient_fields, frame_t, frame_t1, flow, patch, 1,
                       exclude_occluded, occlusion)
 
 

@@ -163,11 +163,13 @@ def patch_oc_measure(ref_patch, cur_patch):
 
 def patch_bc_variance(frame_t, frame_t1, flow, patch, occlusion=None):
     """Brightness-constancy variance of one patch from whole frames; None
-    when no pixel is usable.  ``occlusion`` (a mask) drops occluded pixels."""
+    when no pixel is usable.  A pixel with a non-finite end is dropped, and
+    ``occlusion`` (a mask) drops occluded pixels."""
     I0 = gray(frame_t)
     I1 = gray(frame_t1)
     rr, cc = _patch_positions(patch, 0)
-    target, keep = point_bilinear_sample(I1, rr + flow[rr, cc, 1], cc + flow[rr, cc, 0])
+    target, valid = point_bilinear_sample(I1, rr + flow[rr, cc, 1], cc + flow[rr, cc, 0])
+    keep = valid & np.isfinite(I0[rr, cc]) & np.isfinite(target)
     if occlusion is not None:
         keep = keep & ~occlusion[rr, cc]
     if not keep.any():

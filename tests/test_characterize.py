@@ -594,7 +594,6 @@ class TestSweep:
     def test_cells_equal_the_per_patch_measures(self, model, exclude_occluded, monkeypatch):
         # each side's patches are measured in one batch; every cell's values
         # must equal the one-patch definitions bit for bit
-        from invarsim import validators
         from invarsim.patches import Patch
         from invarsim.validators import bc_variance, gc_variance, oc_measure
 
@@ -629,22 +628,22 @@ class TestSweep:
                 seen["levels"].append(level)
             return _fn(protocol, block, keys, counts, values)
 
-        one_patch = []
+        kept = []
 
-        def population_variance(values, _fn=validators.population_variance):
-            one_patch.append(values)
-            return _fn(values)
+        def residuals(*args, _fn=characterize.residuals):
+            rows, keep = _fn(*args)
+            kept.append(keep)
+            return rows, keep
 
         for name, fn in (("compute_flow", compute_flow), ("_collect_patches", collect),
-                         ("_features", features), ("_block_stats", block_stats)):
+                         ("_features", features), ("_block_stats", block_stats),
+                         ("residuals", residuals)):
             monkeypatch.setattr(characterize, name, fn)
-        monkeypatch.setattr(validators, "population_variance", population_variance)
         scene = validation_scene_config()
         scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
         p = tiny_oc_protocol(model=model, scene=scene, exclude_occluded=exclude_occluded,
                              contexts=["Diffuse", "ShadowBoundary", "Edge"])
         run_sweep(p)
-        one_patch_calls = len(one_patch)
         (patches,), (ref_img, *frames) = seen["patches"], seen["frames"]
         flow, occl = seen["flow"][0] if seen["flow"] else (None, None)
         cells = {key: ps for key, ps in patches.items() if ps}
@@ -666,9 +665,10 @@ class TestSweep:
                 assert np.array_equal(np.isnan(got), ~finite)
                 assert got[finite].tobytes() == want[finite].tobytes()
         if model != "OC":
-            # the sweep took the one-patch path of Trajectories.variances for
-            # the patches with dropped pixels and the whole-batch path for the rest
-            assert 0 < one_patch_calls < len(p.illumination_levels) * n_patches
+            # some of the measured rows dropped pixels, and some kept every one
+            full = np.concatenate([keep.all(axis=1) for keep in kept])
+            assert len(full) == len(p.illumination_levels) * n_patches
+            assert 0 < full.sum() < len(full)
 
     def test_ps_smoothness_energy_is_computed_once_per_speed(self, monkeypatch):
         from invarsim import validators
@@ -1496,14 +1496,13 @@ class TestStreamedIngest:
         decoded.clear()
         assert cells([3, 1, 2, 5, 4]) == [2, 3, 0, 1, 2, 4, 5, 3, 4]
 
-    @pytest.mark.parametrize("model", ["BC", "GC"])
+    @pytest.mark.parametrize("model", ["OC", "BC", "GC"])
     def test_carried_features_are_read_only(self, tmp_path, model):
         p = ingest_protocol(model, write_sequence(tmp_path, 3))
         seq = ingest_sequence(p.ingest_dir, p.ingest_annotation)
         kept = characterize._features(p, seq.frame(1))
-        arrays = kept if isinstance(kept, tuple) else (kept,)
-        assert len(arrays) == (2 if model == "GC" else 1)
-        for array in arrays:
+        assert isinstance(kept, tuple) and len(kept) == (2 if model == "GC" else 1)
+        for array in kept:
             assert array.shape == (48, 64) and not array.flags.writeable
 
     @pytest.mark.parametrize("model", ["BC", "GC"])

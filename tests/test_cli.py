@@ -536,7 +536,7 @@ class TestCompareReport:
         argv = (["report", str(bad), "--out-dir", str(out_dir)] if command == "report" else
                 ["compare", str(good), str(bad), "--out", str(tmp_path / "comparison.json")])
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"invarsim: manifold CSV line 3: {error}\n"
+        assert capsys.readouterr().err == f"invarsim: {bad}: manifold CSV line 3: {error}\n"
         assert not out_dir.exists() and not (tmp_path / "comparison.json").exists()
 
     def test_report_rejects_dry_run(self, tmp_path):

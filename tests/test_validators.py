@@ -15,13 +15,9 @@ from invarsim.patches import Patch
 from invarsim.validators import (
     Trajectories,
     average_ranks,
-    bc_residuals,
-    bc_values,
     bc_variance,
     ds_angular_error,
     fit_dichromatic_plane,
-    gc_residuals,
-    gc_values,
     gc_variance,
     gradient_fields,
     oc_measure,
@@ -29,6 +25,7 @@ from invarsim.validators import (
     patch_pixels,
     population_variance,
     ps_variance,
+    residuals,
     spearman_rho,
     to_gray,
 )
@@ -252,6 +249,12 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def constancy_values(fields0, fields1, traj):
+    """The constancy deviation of each patch of ``traj`` between two
+    frames' feature fields."""
+    return traj.variances(*residuals(fields0, fields1, traj))
+
+
 def kernel_frames(rng, h=24, w=30):
     """Two RGB frames with heavy ties, an inverted block, a constant block
     and NaN/+-inf pixels."""
@@ -332,14 +335,14 @@ class TestBatchedKernels:
         patches = [p for p in kernel_patches(rng, side)
                    if patch_bc_variance(f0, f1, flow, p, occl) is not None]
         traj = Trajectories(flow, patches, occlusion=occl)
-        got = bc_values(to_gray(f0), to_gray(f1), traj)
+        got = constancy_values((to_gray(f0),), (to_gray(f1),), traj)
         want = [patch_bc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([bc_variance(f0, f1, flow, p, exclude_occluded=occluded,
                                       occlusion=occl) for p in patches], want)
         # the residuals of two frame pairs in one call, pair after pair
         f2 = kernel_frames(rng)[1]
-        pairs = [bc_residuals(to_gray(a), to_gray(b), traj) for a, b in ((f0, f1), (f1, f2))]
+        pairs = [residuals((to_gray(a),), (to_gray(b),), traj) for a, b in ((f0, f1), (f1, f2))]
         both = traj.variances([np.concatenate([r for (r,), _ in pairs])],
                               np.concatenate([keep for _, keep in pairs]))
         assert_same_bits(both, want + [patch_bc_variance(f1, f2, flow, p, occl)
@@ -357,7 +360,7 @@ class TestBatchedKernels:
                    if patch_gc_variance(f0, f1, flow, p, occl) is not None]
         grads = [gradient_fields(to_gray(f)) for f in (f0, f1)]
         traj = Trajectories(flow, patches, inset=1, occlusion=occl)
-        got = gc_values(*grads, traj)
+        got = constancy_values(*grads, traj)
         want = [patch_gc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([gc_variance(f0, f1, flow, p, exclude_occluded=occluded,
@@ -365,7 +368,7 @@ class TestBatchedKernels:
         # the residuals of two frame pairs in one call, pair after pair
         f2 = kernel_frames(rng)[1]
         grads.append(gradient_fields(to_gray(f2)))
-        pairs = [gc_residuals(grads[t], grads[t + 1], traj) for t in (0, 1)]
+        pairs = [residuals(grads[t], grads[t + 1], traj) for t in (0, 1)]
         both = traj.variances([np.concatenate(r) for r in zip(*(r for r, _ in pairs))],
                               np.concatenate([keep for _, keep in pairs]))
         assert_same_bits(both, want + [patch_gc_variance(f1, f2, flow, p, occl)
@@ -406,17 +409,16 @@ class TestBatchedKernels:
         else:
             occl[bad.slices()] = True
         patches = [Patch(3, 3, 5, "Diffuse"), bad, Patch(15, 20, 5, "Diffuse")]
-        for oracle, kernel, residuals, inset, grads in (
-                (patch_bc_variance, bc_values, bc_residuals, 0, to_gray),
-                (patch_gc_variance, gc_values, gc_residuals, 1,
-                 lambda f: gradient_fields(to_gray(f)))):
+        for oracle, inset, fields in (
+                (patch_bc_variance, 0, lambda f: (to_gray(f),)),
+                (patch_gc_variance, 1, lambda f: gradient_fields(to_gray(f)))):
             assert [oracle(f0, f1, flow, p, occl) is None for p in patches] == [
                 False, True, False]
             traj = Trajectories(flow, patches, inset=inset, occlusion=occl)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
-                kernel(grads(f0), grads(f1), traj)
+                constancy_values(fields(f0), fields(f1), traj)
             # the rows of two frame pairs, the first with every pixel kept
-            rows, keep = residuals(grads(f0), grads(f1), traj)
+            rows, keep = residuals(fields(f0), fields(f1), traj)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
                 traj.variances([np.concatenate([r, r]) for r in rows],
                                np.concatenate([np.ones_like(keep), keep]))

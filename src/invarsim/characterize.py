@@ -330,9 +330,10 @@ class Manifold:
         return ",".join(cols)
 
     def to_csv(self) -> str:
+        # a Python float's str is its repr, and a name prints bare
         columns = (self.context, *self.coords.values(), self.mean, self.std, self.n)
-        rows = zip(*(column.tolist() for column in columns))
-        lines = [self.csv_header()] + [",".join([self.model, *map(_fmt, row)]) for row in rows]
+        rows = zip(*(map(str, column.tolist()) for column in columns))
+        lines = [self.csv_header()] + [",".join([self.model, *row]) for row in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -366,14 +367,6 @@ class Manifold:
         return cls(models[-1] if models else None, w_axes, v_axes, context, coords, mean, std, n)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _parse_coord(text):
     try:
         f = float(text)
@@ -387,61 +380,31 @@ def _parse_coord(text):
 # -- marginalization --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginalEntry:
-    context: str
-    coords: dict
-    value: float
-    complete: bool
+def marginalize(manifold: Manifold, axis: str) -> list:
+    """The marginal of mean_E along one axis, as the rows ``report.json``
+    holds: one ``{"context", "coords", "value", "complete"}`` per context
+    and coordinates on the other axes, sorted by both.
 
-
-@dataclass
-class MarginalTable:
-    axis: str
-    method: str
-    entries: list
-
-    @property
-    def gaps(self):
-        return [e for e in self.entries if not e.complete]
-
-
-def marginalize(manifold: Manifold, axis: str, exclude_contexts=(),
-                method: str = "sum") -> MarginalTable:
-    """Integrate mean_E along one axis for every remaining cell.
-
-    Default is a plain grid-point sum; "trapezoid" integrates against the
-    axis coordinate values.  Cells with gaps propagate: the affected
-    marginal entries are flagged incomplete with NaN value, never silently
-    filled.
+    The value is the plain sum over the axis's grid points, in axis order.
+    A gap propagates: a row with a cell of n=0 is flagged incomplete with a
+    NaN value, never silently filled.
     """
-    if method not in ("sum", "trapezoid"):
-        raise ConfigError(f"unknown marginalization method {method!r}")
     if axis not in manifold.coords:
         raise ConfigError(f"unknown axis {axis!r}")
     others = [a for a in manifold.coords if a != axis]
-    columns = (manifold.context, manifold.coords[axis], manifold.mean, manifold.n,
-               *map(manifold.coords.get, others))
+    columns = (manifold.context, manifold.mean, manifold.n, *map(manifold.coords.get, others))
     groups: dict = {}
-    for context, axis_val, mean, n, *coords in zip(*(c.tolist() for c in columns)):
-        if context not in exclude_contexts:
-            key = (context, tuple(sorted(zip(others, coords))))
-            groups.setdefault(key, []).append((axis_val, mean, n))
-
-    entries = []
+    # the manifold's rows are sorted by each axis, so each group comes in axis order
+    for context, mean, n, *coords in zip(*(c.tolist() for c in columns)):
+        key = (context, tuple(sorted(zip(others, coords))))
+        groups.setdefault(key, []).append((mean, n))
+    rows = []
     for (context, coord_items), cells in sorted(groups.items()):
-        cells.sort(key=lambda c: c[0])
-        complete = all(n > 0 for _, _, n in cells)
-        if not complete:
-            value = float("nan")
-        elif method == "sum":
-            value = float(sum(m for _, m, _ in cells))
-        else:
-            xs = np.array([c[0] for c in cells], dtype=float)
-            ys = np.array([c[1] for c in cells], dtype=float)
-            value = float(np.trapezoid(ys, xs)) if len(xs) > 1 else float(ys[0])
-        entries.append(MarginalEntry(context, dict(coord_items), value, complete))
-    return MarginalTable(axis=axis, method=method, entries=entries)
+        complete = all(n > 0 for _, n in cells)
+        value = float(sum(mean for mean, _ in cells)) if complete else float("nan")
+        rows.append({"context": context, "coords": dict(coord_items), "value": value,
+                     "complete": complete})
+    return rows
 
 
 # -- ranking ----------------------------------------------------------------

@@ -258,18 +258,23 @@ def cmd_sweep(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "manifold.csv"
     csv_path.write_text(manifold.to_csv())
-    outputs = [csv_path]
-    manifest.stage("sweep", outputs)
-
-    svg_paths = _emit_heatmaps(manifold, out_dir)
-    report = _report(manifold)
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    manifest.stage("report", svg_paths + [report_path])
-    mpath = manifest.write(out_dir / "manifest.json")
+    manifest.stage("sweep", [csv_path])
+    report_path, mpath = _write_report(manifold, out_dir, manifest)
     _emit(args, {"manifold": str(csv_path), "report": str(report_path),
                  "manifest": str(mpath)})
     return EXIT_OK
+
+
+def _write_report(manifold, out_dir, manifest, **fields):
+    """Write the heatmaps and report.json of ``manifold``, with ``fields``
+    added to the report, then the manifest; return the paths of the last
+    two.  ``sweep`` and ``report`` both write through here."""
+    svg_paths = _emit_heatmaps(manifold, out_dir)
+    report_path = out_dir / "report.json"
+    report_path.write_text(
+        json.dumps({**_report(manifold), **fields}, sort_keys=True, indent=1) + "\n")
+    manifest.stage("report", svg_paths + [report_path])
+    return report_path, manifest.write(out_dir / "manifest.json")
 
 
 def _report(manifold):
@@ -355,21 +360,8 @@ def cmd_report(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("report", _sha256(Path(args.manifold).read_bytes()), {})
-    svg_paths = _emit_heatmaps(manifold, out_dir)
-    report = _report(manifold)
-    marginals = {}
-    for axis in manifold.theta_w_axes + manifold.theta_v_axes:
-        table = marginalize(manifold, axis)
-        marginals[axis] = [
-            {"context": e.context, "coords": e.coords, "value": e.value,
-             "complete": e.complete}
-            for e in table.entries
-        ]
-    report["marginals"] = marginals
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    manifest.stage("report", svg_paths + [report_path])
-    mpath = manifest.write(out_dir / "manifest.json")
+    marginals = {axis: marginalize(manifold, axis) for axis in manifold.coords}
+    report_path, mpath = _write_report(manifold, out_dir, manifest, marginals=marginals)
     _emit(args, {"report": str(report_path), "manifest": str(mpath)})
     return EXIT_OK
 

@@ -364,6 +364,24 @@ class TestSweep:
         listed = [p for ps in manifest["outputs"].values() for p in ps]
         assert len(listed) == len(set(listed))
 
+    def test_report_writes_the_heatmaps_and_report_of_sweep(self, tmp_path):
+        # both commands write through one helper: report adds its marginals
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(tiny_protocol_doc()))
+        sweep, report = tmp_path / "sweep", tmp_path / "report"
+        assert main(["sweep", str(ppath), "--out-dir", str(sweep)]) == 0
+        assert main(["report", str(sweep / "manifold.csv"), "--out-dir", str(report)]) == 0
+        svgs = sorted(path.name for path in sweep.glob("heatmap_*.svg"))
+        assert svgs == ["heatmap_Diffuse.svg", "heatmap_Occluded.svg"]
+        assert svgs == sorted(path.name for path in report.glob("heatmap_*.svg"))
+        for name in svgs:
+            assert (report / name).read_bytes() == (sweep / name).read_bytes()
+        doc, swept = (json.loads((d / "report.json").read_text()) for d in (report, sweep))
+        assert set(doc.pop("marginals")) == {"illumination", "s"}
+        assert doc.pop("aux") == {}  # manifold.csv does not carry the sweep's aux
+        swept.pop("aux")
+        assert doc == swept
+
     def test_dry_run_prints_counts_renders_nothing(self, tmp_path, capsys):
         ppath = tmp_path / "protocol.json"
         ppath.write_text(json.dumps(tiny_protocol_doc()))

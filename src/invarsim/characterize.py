@@ -1213,9 +1213,8 @@ def _heatmap(model, context, x_axis, y_axis, xs, ys, grid):
         f'{model} {context}: mean_E over ({x_axis}, {y_axis}), '
         f'range [{lo:.6g}, {hi:.6g}]</text>',
     ]
-    for i, yv in enumerate(ys):
-        for j, xv in enumerate(xs):
-            v = grid[i, j]
+    for i, (yv, values) in enumerate(zip(ys, grid.tolist())):
+        for j, (xv, v) in enumerate(zip(xs, values)):
             if math.isnan(v):
                 fill = "#b0b0b0"
             else:

@@ -718,7 +718,7 @@ def loop_heatmap_svg(manifold, context, x_axis, y_axis):
     ]
     for i, yv in enumerate(ys):
         for j, xv in enumerate(xs):
-            v = grid[i, j]
+            v = float(grid[i, j])
             if math.isnan(v):
                 fill = "#b0b0b0"
             else:

@@ -389,23 +389,23 @@ def output_digests(manifold, tmp_path, capsys):
 #: ``output_digests`` of each stock sweep
 STOCK_OUTPUT_SHA256 = {
     "BC": {
-        "report/heatmap_Corner.svg": "0147e715598e66be66c56e5d300c124401d5787dca5b65c302a5e67260065e92",
-        "report/heatmap_Diffuse.svg": "f9ef25c941a30289dddf61d1b86a9775f632cbbc5464c86899bb4db2699ffb29",
-        "report/heatmap_Edge.svg": "6ad13f037364bb2695f6e7d0be29c188cfd67a5de203e23969081949965695f2",
-        "report/heatmap_Homogeneous.svg": "c89762f9efda477da86a76ceeafe222592138756200d86c0f5873716fd7f0e9d",
-        "report/heatmap_Occluded.svg": "557ce41dc6965b8445cd73a796097d4d6408a209b25f3928a889d26925c80440",
-        "report/heatmap_ShadowBoundary.svg": "246cf6e1592f73461d35fb5475d6e6d264c3938d20583a16978a8ee0cc5edfc6",
-        "report/heatmap_ShadowRegion.svg": "70892f77a95841c49471868668b9290e8bb0bd6a57f77dff1be7b9480e2ec849",
-        "report/heatmap_Specular.svg": "27119327b315a2c478942c8fd93da40c70998f8dac9569a69ccdda538ae9cf59",
+        "report/heatmap_Corner.svg": "3f41949b1f92a72e69e4b81cb20df3383547c51d14b76e15e6e6548d1d6d1d97",
+        "report/heatmap_Diffuse.svg": "2a68f0465f4b586ac6628660ea9b950b3ae5509304303b7927d135b172f230af",
+        "report/heatmap_Edge.svg": "f87ad7c42b5360f0290e407b957da773577d2163e7cc674f52b90e702be9c844",
+        "report/heatmap_Homogeneous.svg": "a2f810446cccb1b49548d2c4dbead449207e047584e5087547f266058f4d4449",
+        "report/heatmap_Occluded.svg": "43b19acbc351c93e687e9e2e915ec5b146b349d6f33c2ca868dddbb796b6f97a",
+        "report/heatmap_ShadowBoundary.svg": "5655c5292a9a11c83f2658f3d3cce08f77d6de84d5c6fdd58b28ff8a6c6cc4a0",
+        "report/heatmap_ShadowRegion.svg": "6f94f3ed88221d497c1c0728723c434f4fdb3c3e212d5e98dc7a702d9af6a23b",
+        "report/heatmap_Specular.svg": "5f090cb5d64134970c6c9e696eb828765cb559e69d3adb71f2e8ff73037c408a",
         "report/report.json": "1f9a64909a2501a79afe427f02ba7b3c3a31e004de6a3e3523c31b7855f9b5b4",
-        "sweep/heatmap_Corner.svg": "0147e715598e66be66c56e5d300c124401d5787dca5b65c302a5e67260065e92",
-        "sweep/heatmap_Diffuse.svg": "f9ef25c941a30289dddf61d1b86a9775f632cbbc5464c86899bb4db2699ffb29",
-        "sweep/heatmap_Edge.svg": "6ad13f037364bb2695f6e7d0be29c188cfd67a5de203e23969081949965695f2",
-        "sweep/heatmap_Homogeneous.svg": "c89762f9efda477da86a76ceeafe222592138756200d86c0f5873716fd7f0e9d",
-        "sweep/heatmap_Occluded.svg": "557ce41dc6965b8445cd73a796097d4d6408a209b25f3928a889d26925c80440",
-        "sweep/heatmap_ShadowBoundary.svg": "246cf6e1592f73461d35fb5475d6e6d264c3938d20583a16978a8ee0cc5edfc6",
-        "sweep/heatmap_ShadowRegion.svg": "70892f77a95841c49471868668b9290e8bb0bd6a57f77dff1be7b9480e2ec849",
-        "sweep/heatmap_Specular.svg": "27119327b315a2c478942c8fd93da40c70998f8dac9569a69ccdda538ae9cf59",
+        "sweep/heatmap_Corner.svg": "3f41949b1f92a72e69e4b81cb20df3383547c51d14b76e15e6e6548d1d6d1d97",
+        "sweep/heatmap_Diffuse.svg": "2a68f0465f4b586ac6628660ea9b950b3ae5509304303b7927d135b172f230af",
+        "sweep/heatmap_Edge.svg": "f87ad7c42b5360f0290e407b957da773577d2163e7cc674f52b90e702be9c844",
+        "sweep/heatmap_Homogeneous.svg": "a2f810446cccb1b49548d2c4dbead449207e047584e5087547f266058f4d4449",
+        "sweep/heatmap_Occluded.svg": "43b19acbc351c93e687e9e2e915ec5b146b349d6f33c2ca868dddbb796b6f97a",
+        "sweep/heatmap_ShadowBoundary.svg": "5655c5292a9a11c83f2658f3d3cce08f77d6de84d5c6fdd58b28ff8a6c6cc4a0",
+        "sweep/heatmap_ShadowRegion.svg": "6f94f3ed88221d497c1c0728723c434f4fdb3c3e212d5e98dc7a702d9af6a23b",
+        "sweep/heatmap_Specular.svg": "5f090cb5d64134970c6c9e696eb828765cb559e69d3adb71f2e8ff73037c408a",
         "sweep/manifold.csv": "080abfa878171e735d3421afe30f1db0efd081bc9169777151cdee690d272429",
         "sweep/report.json": "dabf36a88dae140b6ce70d1175db06c0c23fb0be89df2cdd9d465928e08d7879",
         "compare --by context": "f3ca11ed83daa68cc5eaa576e133f839c8974263329f403832e78ad5d724cf09",
@@ -417,55 +417,55 @@ STOCK_OUTPUT_SHA256 = {
         "compare --by weather": "ad422e9420e26cfcd09c12125549bc0ce02b21f04e00d34230164ce955bde15d",
     },
     "GC": {
-        "report/heatmap_Corner.svg": "c869ddd33c318ea7dda863e07d7738d1b66d2069696e2c0fa7a2df2f69622da0",
-        "report/heatmap_Diffuse.svg": "bbeb112d47ca700f6460751e559a3bb5392cd15b2ba4daadf681b0e7345815f1",
-        "report/heatmap_Edge.svg": "a2b0fd89511f8ab517c7eed013c3c60419c5fb8fde95af85707e9ed0c8e1f7d7",
-        "report/heatmap_Homogeneous.svg": "2a2d708f29f43798cf27e0b6139bebeaaa592864205cf96e0691cdd0cb9df10e",
-        "report/heatmap_Occluded.svg": "ab57852a2b577af938eee8a715158607a93da21c5ad08dd510605fd36568dc4e",
-        "report/heatmap_ShadowBoundary.svg": "2a4707b45b32d2c42148e51ad88c27109b99956988c87eee659cd6c3a5fc1628",
-        "report/heatmap_ShadowRegion.svg": "241603e5e87aaea3cadd26ebcb882a744cebac728b194b88997e3a90509456ce",
-        "report/heatmap_Specular.svg": "2d4501801d1c92a9fccd645d786768b923784dec525666d3b1855c24af3b4727",
+        "report/heatmap_Corner.svg": "228a01d73c323414eb88694ee8eae2bf5b8f9962fde4543ddf7a192db75b3a3c",
+        "report/heatmap_Diffuse.svg": "55465a00a5401251ea42632e14254a897dbb71b7028ee24b062e32088d2e87c8",
+        "report/heatmap_Edge.svg": "6a8a285cb9550da1a907b7e0f51db6e05fd22899dd84985cdeb641220e945e54",
+        "report/heatmap_Homogeneous.svg": "33d0588db0c130ee6e8988a29abcef4de1ff77c0ed8f14e2c983b8b859efcb7c",
+        "report/heatmap_Occluded.svg": "0e179c3f87929fd25a201a8f6c5b55f1e547675f2f7836b68dca3f13f28fa407",
+        "report/heatmap_ShadowBoundary.svg": "776f01e7b105d33b79c27a80b9502f2686017999f4de9cfdfc8aabf4d0a1471b",
+        "report/heatmap_ShadowRegion.svg": "daeecdd47c586fe37f9a7b4c550bb40dfb5227c1f02447c3a83dc84beb2c36d9",
+        "report/heatmap_Specular.svg": "f840aeaa0d6f2b60d2c9dc20f939d7e80a6d6ade5327c9a5dd94728a4b2183a0",
         "report/report.json": "d5fcd9fc77fce9cc76c79ae5c84dd5fdc147644f8d43cbcf309574fb4f11b565",
-        "sweep/heatmap_Corner.svg": "c869ddd33c318ea7dda863e07d7738d1b66d2069696e2c0fa7a2df2f69622da0",
-        "sweep/heatmap_Diffuse.svg": "bbeb112d47ca700f6460751e559a3bb5392cd15b2ba4daadf681b0e7345815f1",
-        "sweep/heatmap_Edge.svg": "a2b0fd89511f8ab517c7eed013c3c60419c5fb8fde95af85707e9ed0c8e1f7d7",
-        "sweep/heatmap_Homogeneous.svg": "2a2d708f29f43798cf27e0b6139bebeaaa592864205cf96e0691cdd0cb9df10e",
-        "sweep/heatmap_Occluded.svg": "ab57852a2b577af938eee8a715158607a93da21c5ad08dd510605fd36568dc4e",
-        "sweep/heatmap_ShadowBoundary.svg": "2a4707b45b32d2c42148e51ad88c27109b99956988c87eee659cd6c3a5fc1628",
-        "sweep/heatmap_ShadowRegion.svg": "241603e5e87aaea3cadd26ebcb882a744cebac728b194b88997e3a90509456ce",
-        "sweep/heatmap_Specular.svg": "2d4501801d1c92a9fccd645d786768b923784dec525666d3b1855c24af3b4727",
+        "sweep/heatmap_Corner.svg": "228a01d73c323414eb88694ee8eae2bf5b8f9962fde4543ddf7a192db75b3a3c",
+        "sweep/heatmap_Diffuse.svg": "55465a00a5401251ea42632e14254a897dbb71b7028ee24b062e32088d2e87c8",
+        "sweep/heatmap_Edge.svg": "6a8a285cb9550da1a907b7e0f51db6e05fd22899dd84985cdeb641220e945e54",
+        "sweep/heatmap_Homogeneous.svg": "33d0588db0c130ee6e8988a29abcef4de1ff77c0ed8f14e2c983b8b859efcb7c",
+        "sweep/heatmap_Occluded.svg": "0e179c3f87929fd25a201a8f6c5b55f1e547675f2f7836b68dca3f13f28fa407",
+        "sweep/heatmap_ShadowBoundary.svg": "776f01e7b105d33b79c27a80b9502f2686017999f4de9cfdfc8aabf4d0a1471b",
+        "sweep/heatmap_ShadowRegion.svg": "daeecdd47c586fe37f9a7b4c550bb40dfb5227c1f02447c3a83dc84beb2c36d9",
+        "sweep/heatmap_Specular.svg": "f840aeaa0d6f2b60d2c9dc20f939d7e80a6d6ade5327c9a5dd94728a4b2183a0",
         "sweep/manifold.csv": "78d4a244563cb5028adba898102cd4671450323169f30c61810dabd99b9e1e5b",
         "sweep/report.json": "2c2b3763e8b11f873fee9099874235dbc99aa2b9e9e05097408d2fe65b9b3afd",
         "compare --by context": "d5324c07fcd00507834bfcd187879469b14a77590c73247f6ed43684e3b5e391",
     },
     "OC": {
-        "report/heatmap_Corner.svg": "3069c1bfa2c2568532d7e4d721a07a923fadf3cb9a6618d0d5f08e8502ee42d8",
-        "report/heatmap_Diffuse.svg": "08abfcc6997a2f791f266d07ccf8d099fb56dbbd6b09a3ce3b1f2b3d49750830",
-        "report/heatmap_Edge.svg": "0e60cb2402d67b0c9dbdce5b822d12b8946f118c875de5c001316f1ccfa8401d",
-        "report/heatmap_Homogeneous.svg": "dec7b3bf650cca269f91126e09fa6a9df7606f498a35edb4e3114d5dfe1424db",
-        "report/heatmap_Occluded.svg": "f5af7961c4fcdc79ca9eede5b6e8df1acf7924530b962f39438c861a46410888",
-        "report/heatmap_ShadowBoundary.svg": "360eff107a0f44c66e668760c8dfaf3371adde4d38192e703107c5e4327de291",
-        "report/heatmap_ShadowRegion.svg": "3e8cf72845ee3d62d2176b7f05fd8026ef019f9f80c48ffcb0ab04ef6950908c",
-        "report/heatmap_Specular.svg": "ef6a3e90b9845f63518cad240afa7af4d947d20686c7ce4316fb450999512792",
+        "report/heatmap_Corner.svg": "d4ee1750f25604aac36f1fc45288554f3b19cb735e7227f161d9b7d8659dbb7b",
+        "report/heatmap_Diffuse.svg": "08389dd0d7eaaec7c748f8bef970acf3ca42caf647cc054bc502a9a7b89a8325",
+        "report/heatmap_Edge.svg": "7f03d8fd27086ea69e0b66767ea7fa9b8949ad511f02d4840449fd6b3f83425d",
+        "report/heatmap_Homogeneous.svg": "034d4a38d872c991378777b04a81ea8f23a80e0b32473fae446af4c38408785a",
+        "report/heatmap_Occluded.svg": "3ef3ffb725e2bccd068c49f058c21aa61b93731c32d6a1928d704c801c63d182",
+        "report/heatmap_ShadowBoundary.svg": "c244fd9d4956852bbed551955591a7585b34f7cf7624aec5792aeab771ee6fde",
+        "report/heatmap_ShadowRegion.svg": "4d1e627f1f3e33570bbe7e7cffac806d53b3d6a519bae1689494fdea705474c4",
+        "report/heatmap_Specular.svg": "8d7e554a60fe6337b4e36dc27d598923433c7d1331618ea419f827bed504638b",
         "report/report.json": "6432199c3c9e43bb0d6df76b7ff98e706f0912eb6cd51c4e4cc51b05baa96452",
-        "sweep/heatmap_Corner.svg": "3069c1bfa2c2568532d7e4d721a07a923fadf3cb9a6618d0d5f08e8502ee42d8",
-        "sweep/heatmap_Diffuse.svg": "08abfcc6997a2f791f266d07ccf8d099fb56dbbd6b09a3ce3b1f2b3d49750830",
-        "sweep/heatmap_Edge.svg": "0e60cb2402d67b0c9dbdce5b822d12b8946f118c875de5c001316f1ccfa8401d",
-        "sweep/heatmap_Homogeneous.svg": "dec7b3bf650cca269f91126e09fa6a9df7606f498a35edb4e3114d5dfe1424db",
-        "sweep/heatmap_Occluded.svg": "f5af7961c4fcdc79ca9eede5b6e8df1acf7924530b962f39438c861a46410888",
-        "sweep/heatmap_ShadowBoundary.svg": "360eff107a0f44c66e668760c8dfaf3371adde4d38192e703107c5e4327de291",
-        "sweep/heatmap_ShadowRegion.svg": "3e8cf72845ee3d62d2176b7f05fd8026ef019f9f80c48ffcb0ab04ef6950908c",
-        "sweep/heatmap_Specular.svg": "ef6a3e90b9845f63518cad240afa7af4d947d20686c7ce4316fb450999512792",
+        "sweep/heatmap_Corner.svg": "d4ee1750f25604aac36f1fc45288554f3b19cb735e7227f161d9b7d8659dbb7b",
+        "sweep/heatmap_Diffuse.svg": "08389dd0d7eaaec7c748f8bef970acf3ca42caf647cc054bc502a9a7b89a8325",
+        "sweep/heatmap_Edge.svg": "7f03d8fd27086ea69e0b66767ea7fa9b8949ad511f02d4840449fd6b3f83425d",
+        "sweep/heatmap_Homogeneous.svg": "034d4a38d872c991378777b04a81ea8f23a80e0b32473fae446af4c38408785a",
+        "sweep/heatmap_Occluded.svg": "3ef3ffb725e2bccd068c49f058c21aa61b93731c32d6a1928d704c801c63d182",
+        "sweep/heatmap_ShadowBoundary.svg": "c244fd9d4956852bbed551955591a7585b34f7cf7624aec5792aeab771ee6fde",
+        "sweep/heatmap_ShadowRegion.svg": "4d1e627f1f3e33570bbe7e7cffac806d53b3d6a519bae1689494fdea705474c4",
+        "sweep/heatmap_Specular.svg": "8d7e554a60fe6337b4e36dc27d598923433c7d1331618ea419f827bed504638b",
         "sweep/manifold.csv": "72f9ed6f935c604690b539529f8c045fe461ee7e6d1f5e1a3e27771e05747d57",
         "sweep/report.json": "b8fb20031b84aee2ac53230498d9a26ee2eb80f4297a4e341ccf4dc21970f443",
         "compare --by context": "24580559885ede632e422dc490164931e6711349d6d9a3fd2a26943715452c65",
     },
     "PS": {
-        "report/heatmap_MotionBoundary.svg": "8109c2e4afbcf97048b507e391e62aea7226d0814293012fa31f8eddea427ad7",
-        "report/heatmap_SameSurface.svg": "0fa2d166aa52086af3d8e750d8661204c39888233faf5bd7426d4cd0805dad79",
+        "report/heatmap_MotionBoundary.svg": "3877394369688bc3e84b10b059d664ea67e5b65c7ac7ae2cf2fff4852871793f",
+        "report/heatmap_SameSurface.svg": "00eec3f977d67477020aafa88906aa9cc5c01d11585553786ef7ab09bea9f2a3",
         "report/report.json": "fed58f5b23e4e83ab045c6ae97a1a781fc22cd374a69014408bcb2abb98f90cf",
-        "sweep/heatmap_MotionBoundary.svg": "8109c2e4afbcf97048b507e391e62aea7226d0814293012fa31f8eddea427ad7",
-        "sweep/heatmap_SameSurface.svg": "0fa2d166aa52086af3d8e750d8661204c39888233faf5bd7426d4cd0805dad79",
+        "sweep/heatmap_MotionBoundary.svg": "3877394369688bc3e84b10b059d664ea67e5b65c7ac7ae2cf2fff4852871793f",
+        "sweep/heatmap_SameSurface.svg": "00eec3f977d67477020aafa88906aa9cc5c01d11585553786ef7ab09bea9f2a3",
         "sweep/manifold.csv": "bf4b25731094f573148de0302f322512613fed5503104cd23aa99eb517652883",
         "sweep/report.json": "fce3947c3dd6ae11d4f6f6311f7323c6e961394f7e61ce5905e92621add291d1",
         "compare --by context": "b6e8dd9735fd82e526cfdcba6769294e6ab1f04f5e8204d4c6cf47294f8a1276",
@@ -1297,37 +1297,37 @@ def ingest_protocol(model, apath, **overrides):
 #: ``output_digests`` of each ingest sweep of six ``write_sequence`` frames
 INGEST_OUTPUT_SHA256 = {
     "OC": {
-        "report/heatmap_Diffuse.svg": "6b6918f6685c4f430fd9cbdf3d1dfc2cc325475ad4bba071272638e49d75f3e0",
-        "report/heatmap_Edge.svg": "0dd2e1890325d4651772206432b56dbab23762371058a656315eb45e84d5710b",
-        "report/heatmap_ShadowRegion.svg": "e8eb703eb8a80d4940b31cb2438fa51c40baea4343c3de4065e1a3514dddaa3b",
+        "report/heatmap_Diffuse.svg": "162a98b98396771355681d6cc7a6c314d978dc89d9d72c24013576579269836f",
+        "report/heatmap_Edge.svg": "7c59919c76d782a26b47073b92b7e866ef0a0ea65009be97596ee97b34512d8e",
+        "report/heatmap_ShadowRegion.svg": "225f5d0093494ccb28a846af1c4ad2799ae76feb40d6ed42b26378f7c795cc15",
         "report/report.json": "05c97ba1f2fa5164035489ae225628b500d5cb775c9f1603fcd9fbe083571e22",
-        "sweep/heatmap_Diffuse.svg": "6b6918f6685c4f430fd9cbdf3d1dfc2cc325475ad4bba071272638e49d75f3e0",
-        "sweep/heatmap_Edge.svg": "0dd2e1890325d4651772206432b56dbab23762371058a656315eb45e84d5710b",
-        "sweep/heatmap_ShadowRegion.svg": "e8eb703eb8a80d4940b31cb2438fa51c40baea4343c3de4065e1a3514dddaa3b",
+        "sweep/heatmap_Diffuse.svg": "162a98b98396771355681d6cc7a6c314d978dc89d9d72c24013576579269836f",
+        "sweep/heatmap_Edge.svg": "7c59919c76d782a26b47073b92b7e866ef0a0ea65009be97596ee97b34512d8e",
+        "sweep/heatmap_ShadowRegion.svg": "225f5d0093494ccb28a846af1c4ad2799ae76feb40d6ed42b26378f7c795cc15",
         "sweep/manifold.csv": "ed2b45c7e7894e8b5b5a7b0b84b71abdc577c69eb6a698a6c8f214586bb25fac",
         "sweep/report.json": "f44bebc42b41f04da388be8371fba1e18952380e1374bb18a4ffdf3416f63d3c",
         "compare --by context": "3b16468bb2351ba0a7a45eebc63ce11e0f0ecda3beb734a8a4770053a73a36c3",
     },
     "BC": {
-        "report/heatmap_Diffuse.svg": "b235cdb5401ecd1840e900fd8af31407d95750411aeb2a7ad75173ef8428d0ee",
-        "report/heatmap_Edge.svg": "bed3312dacc8f6e44274ea3e140014c4b9fafbe30dcbb1775bcf9b32e4a54e20",
-        "report/heatmap_ShadowRegion.svg": "a48f478758e7838f756c27f247184a789c0a19cf1f5a4d86282ab8269bd8165e",
+        "report/heatmap_Diffuse.svg": "01a3fe4b643197b46fb0d5ed6ba40c99209c64e88a898d7e870cb7a783764f8c",
+        "report/heatmap_Edge.svg": "7ea5dff1eafe1cf5117a11c46186c8bebd6c4e261d9d88b5361637a553db06be",
+        "report/heatmap_ShadowRegion.svg": "24dc226e9484b2bb211780b5d04a9f648fe32af322c76db993bd2e660a67fdda",
         "report/report.json": "915a2d1d7ab37b4e2c884b08247e3654ecd30746fddd12b572752ba36a8a5a2c",
-        "sweep/heatmap_Diffuse.svg": "b235cdb5401ecd1840e900fd8af31407d95750411aeb2a7ad75173ef8428d0ee",
-        "sweep/heatmap_Edge.svg": "bed3312dacc8f6e44274ea3e140014c4b9fafbe30dcbb1775bcf9b32e4a54e20",
-        "sweep/heatmap_ShadowRegion.svg": "a48f478758e7838f756c27f247184a789c0a19cf1f5a4d86282ab8269bd8165e",
+        "sweep/heatmap_Diffuse.svg": "01a3fe4b643197b46fb0d5ed6ba40c99209c64e88a898d7e870cb7a783764f8c",
+        "sweep/heatmap_Edge.svg": "7ea5dff1eafe1cf5117a11c46186c8bebd6c4e261d9d88b5361637a553db06be",
+        "sweep/heatmap_ShadowRegion.svg": "24dc226e9484b2bb211780b5d04a9f648fe32af322c76db993bd2e660a67fdda",
         "sweep/manifold.csv": "5a628fe6e5e640cc8e0f4f5c65341ee5a78434e1b9e8f51caf5bed9aa2a8a5a7",
         "sweep/report.json": "ab099f07e15e28850c8690ab8aaf1e3490044e9328bccee10dc54714ea982e79",
         "compare --by context": "ee610a6e3a856f4921f2aa1b8734bd4f7563ff976d96582b1ee7d6151c49ff4b",
     },
     "GC": {
-        "report/heatmap_Diffuse.svg": "3059289b053b7f9d8ef8124bb2db6be78be683dc736f86505b7d535b87e64d25",
-        "report/heatmap_Edge.svg": "eee533a66c4b9a31792024be4d0e62810e02edd936beab9c06f36718db5df93f",
-        "report/heatmap_ShadowRegion.svg": "202b4c48f666499687966ca0a6f89727c32ae7a456193f549fc70f4470aab5eb",
+        "report/heatmap_Diffuse.svg": "6acbb279752a1db228c7e9d96a7e5ee1bd8d6ae9aacd589fd5e922c0d5608bc0",
+        "report/heatmap_Edge.svg": "f82d5caa518d22af935f1af1b990e993045264a4fff4d3a52bf7207b908f7da5",
+        "report/heatmap_ShadowRegion.svg": "f5f7a3da4f603a8c168c63ee48da6d139d0e8d0098072796a11e1c0bfddd1bcb",
         "report/report.json": "c3cd539339bcd7ce56920edaf4d1e189923e91e60587c1f4b5e29d293e796c09",
-        "sweep/heatmap_Diffuse.svg": "3059289b053b7f9d8ef8124bb2db6be78be683dc736f86505b7d535b87e64d25",
-        "sweep/heatmap_Edge.svg": "eee533a66c4b9a31792024be4d0e62810e02edd936beab9c06f36718db5df93f",
-        "sweep/heatmap_ShadowRegion.svg": "202b4c48f666499687966ca0a6f89727c32ae7a456193f549fc70f4470aab5eb",
+        "sweep/heatmap_Diffuse.svg": "6acbb279752a1db228c7e9d96a7e5ee1bd8d6ae9aacd589fd5e922c0d5608bc0",
+        "sweep/heatmap_Edge.svg": "f82d5caa518d22af935f1af1b990e993045264a4fff4d3a52bf7207b908f7da5",
+        "sweep/heatmap_ShadowRegion.svg": "f5f7a3da4f603a8c168c63ee48da6d139d0e8d0098072796a11e1c0bfddd1bcb",
         "sweep/manifold.csv": "350829eb99d11807908628c082043a4d03cb58f7e9b36813872c088a4dfe5136",
         "sweep/report.json": "818566d0127d09d11b59458a065f86aee48e834133e45c4e363323c750c786cd",
         "compare --by context": "1c00b64696b6da6f95461740a9d159c911b38f2f774418d41c50e8358f25e5d9",
@@ -1730,6 +1730,19 @@ class TestHeatmap:
         m = manifold_of("OC", ("illumination",), ("s",), records)
         svg = heatmap_svg(m, "illumination", "s")["Diffuse"]
         assert "#b0b0b0" in svg
+
+    def test_tooltips_print_python_values(self):
+        # a numpy scalar's repr reads np.float64(1.0) under NumPy 2
+        records = [
+            Row("Diffuse", {"illumination": 0.0}, {"s": 5}, 1.0, 0.0, 3),
+            Row("Diffuse", {"illumination": 1.0}, {"s": 5}, float("nan"), float("nan"), 0),
+        ]
+        m = manifold_of("OC", ("illumination",), ("s",), records)
+        svg = heatmap_svg(m, "illumination", "s")["Diffuse"]
+        titles = [part.partition("</title>")[0] for part in svg.split("<title>")[1:]]
+        assert titles == ["illumination=0.0 s=5 mean_E=1.0",
+                          "illumination=1.0 s=5 mean_E=nan"]
+        assert "np." not in svg
 
     def test_svgs_equal_one_context_at_a_time(self, tmp_path):
         oc = run_sweep(tiny_oc_protocol())

@@ -465,12 +465,14 @@ def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
     The label is the cell's context, or with ``by`` naming a theta_w axis
     (say "weather"), the cell's coordinate on that axis.
     """
+    if by != "context" and by not in manifold.theta_w_axes:
+        raise ConfigError(f"cannot rank by {by}: the manifold's theta_w axes are "
+                          f"{', '.join(manifold.theta_w_axes) or 'none'}")
+    labels = manifold.context if by == "context" else manifold.coords[by]
+    complete = (manifold.n > 0) & np.isfinite(manifold.mean)
     pools: dict = {}
-    if by == "context" or by in manifold.theta_w_axes:
-        labels = manifold.context if by == "context" else manifold.coords[by]
-        complete = (manifold.n > 0) & np.isfinite(manifold.mean)
-        for label, mean in zip(labels[complete].tolist(), manifold.mean[complete].tolist()):
-            pools.setdefault(label, []).append(mean)
+    for label, mean in zip(labels[complete].tolist(), manifold.mean[complete].tolist()):
+        pools.setdefault(label, []).append(mean)
     items = [(label, float(np.mean(v))) for label, v in sorted(pools.items())]
     if not items:
         raise ConfigError(f"manifold has no complete cells to rank by {by}")

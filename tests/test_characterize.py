@@ -1792,5 +1792,9 @@ class TestContextRanking:
         m = manifold_of("DS", ("weather",), (), records)
         assert rank_manifold_contexts(m, by="weather") == {"Fog": 1.0, "Mist": 2.0}
         assert rank_manifold_contexts(m) == {"All": 1.0}
-        with pytest.raises(ConfigError, match="no complete cells to rank by speed"):
+        with pytest.raises(ConfigError, match="^cannot rank by speed: the manifold's "
+                                              "theta_w axes are weather$"):
             rank_manifold_contexts(m, by="speed")
+        gaps = manifold_of("DS", ("weather",), (), records[2:])
+        with pytest.raises(ConfigError, match="no complete cells to rank by weather"):
+            rank_manifold_contexts(gaps, by="weather")

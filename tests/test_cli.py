@@ -557,6 +557,14 @@ class TestCompareReport:
         assert capsys.readouterr().err == f"invarsim: {bad}: manifold CSV line 3: {error}\n"
         assert not out_dir.exists() and not (tmp_path / "comparison.json").exists()
 
+    def test_compare_by_an_axis_the_manifold_lacks_exits_2(self, tmp_path, capsys):
+        a = self.make_manifold_csv(tmp_path, "a.csv")
+        out = tmp_path / "comparison.json"
+        assert main(["compare", str(a), str(a), "--by", "weather", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "invarsim: cannot rank by weather: the manifold's theta_w axes are illumination\n")
+        assert not out.exists()
+
     def test_report_rejects_dry_run(self, tmp_path):
         a = self.make_manifold_csv(tmp_path, "a.csv")
         out_dir = tmp_path / "report"

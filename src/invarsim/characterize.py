@@ -40,7 +40,6 @@ from .patches import (
     sample_patches,
 )
 from .render import (
-    RadianceImage,
     RenderConfig,
     SensorConfig,
     apply_sensor,
@@ -55,12 +54,12 @@ from .validators import (
     Trajectories,
     average_ranks,
     ds_angular_error,
-    energy_variance,
     gradient_fields,
     oc_values,
     patch_pixels,
     ragged_groups,
     residuals,
+    row_variances,
     smoothness_energy,
     spearman_rho,
     to_gray,
@@ -504,7 +503,7 @@ def _sun_basis(scene, rcfg, levels):
         if any(level != 1.0 for level in levels):
             raise ConfigError("protocol requires a directional light in the scene")
     hdr0, hdr1 = render_setups(scene, [(scene.medium, dark), (scene.medium, lights)], rcfg)
-    return hdr0.data, hdr1.data - hdr0.data
+    return hdr0, hdr1 - hdr0
 
 
 def _ambient_only(scene):
@@ -534,7 +533,7 @@ def _ldr_float(hdr, protocol, *sensor_tags):
     when the protocol has no sensor."""
     scfg = protocol.sensor_config(*sensor_tags)
     if scfg is None:
-        return hdr.data
+        return hdr
     return apply_sensor(hdr, scfg).to_float()
 
 
@@ -608,20 +607,20 @@ def _block_stats(protocol, block, keys, counts, values):
 
 
 def _cell_batches(protocol, patches, flow=None, occlusion=None):
-    """What the OC, BC or GC measure gathers from every frame, one batch per
-    patch side: the keys of the side's cells with patches, their patch
-    counts, and the pixels (OC) or the trajectories under ``flow`` of all
+    """What the measure gathers from every frame, one batch per patch side:
+    the keys of the side's cells with patches, their patch counts, and the
+    pixels (OC, PS) or the trajectories under ``flow`` (BC, GC) of all
     their patches, cell after cell."""
     keys_by_side = {}
     for key, ps in patches.items():
         if ps:
             keys_by_side.setdefault(key[1], []).append(key)
     occlusion = occlusion if protocol.exclude_occluded else None
-    inset = 1 if protocol.model == "GC" else 0  # central differences need neighbours
+    inset = 1 if protocol.model in ("GC", "PS") else 0  # central differences need neighbours
     batches = []
     for keys in keys_by_side.values():
         ps = [p for key in keys for p in patches[key]]
-        gathered = (patch_pixels(ps) if protocol.model == "OC" else
+        gathered = (patch_pixels(ps, inset) if flow is None else
                     Trajectories(flow, ps, inset=inset, occlusion=occlusion))
         batches.append((keys, [len(patches[key]) for key in keys], gathered))
     return batches
@@ -662,7 +661,7 @@ def _block_values(protocol, batches, ref, block):
 
     ``block`` holds each cell's ``_gather``; one kernel call measures the
     stacked rows of a batch: OC ranks them against the batch's reference
-    ranks, BC and GC take ``Trajectories.variances``.  The kernels work row
+    ranks, BC and GC take ``row_variances``.  The kernels work row
     by row, so each patch's value has the same bits as when measured alone.
     """
     per_batch = [np.empty((len(block), 0))]  # cells without patches measure nothing
@@ -672,7 +671,8 @@ def _block_values(protocol, batches, ref, block):
         if protocol.model == "OC":
             values = oc_values(ref[k], rows[0])
         else:
-            values = gathered.variances(rows, np.concatenate([keep for _, keep in parts]))
+            values = row_variances(rows, np.concatenate([keep for _, keep in parts]),
+                                   gathered.patches)
         per_batch.append(values.reshape(len(block), -1))
     return np.concatenate(per_batch, axis=1).reshape(-1)
 
@@ -744,7 +744,7 @@ def _eval_levels(protocol, state, levels):
     batches, ref, hdr0, hdr_sun = state
 
     def cell(level):
-        cur = _ldr_float(RadianceImage(hdr0 + level * hdr_sun), protocol,
+        cur = _ldr_float(hdr0 + level * hdr_sun, protocol,
                          "level", float(level).hex())
         return batches, _gather(protocol, batches, ref, _features(protocol, cur))
     return _in_blocks(protocol, levels, cell, ref)
@@ -755,7 +755,8 @@ def _prepare_scene(protocol):
 
 
 def _eval_speed(protocol, base, speed):
-    """PS: flow smoothness with every object velocity scaled by ``speed``."""
+    """PS: flow smoothness with every object velocity scaled by ``speed``,
+    each patch side's patches measured in one ``row_variances`` call."""
     rcfg = protocol.render_config()
     scaled = _scale_velocities(base, speed)
     frames = [apply_dynamics(scaled, t) for t in range(4)]
@@ -765,9 +766,15 @@ def _eval_speed(protocol, base, speed):
         compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
     patches = _collect_patches(protocol, gt1, speed)
     energy = smoothness_energy(flow_prev, gt1.flow, flow_next)
-    keys = [key for key, ps in patches.items() if ps]
-    (cell,) = _block_stats(protocol, [speed], keys, [len(patches[key]) for key in keys],
-                           [energy_variance(energy, p) for key in keys for p in patches[key]])
+    batches = _cell_batches(protocol, patches)
+    values = [np.empty(0)]  # a cell without patches measures nothing
+    for keys, _, pixels in batches:
+        rows = energy[pixels]
+        values.append(row_variances([rows], np.isfinite(rows),
+                                    [p for key in keys for p in patches[key]]))
+    (cell,) = _block_stats(protocol, [speed], [key for keys, _, _ in batches for key in keys],
+                           [n for _, counts, _ in batches for n in counts],
+                           np.concatenate(values))
     return cell
 
 

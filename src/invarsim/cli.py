@@ -196,7 +196,7 @@ def cmd_render(args):
         ldr = apply_sensor(hdr, dataclasses.replace(
             sensor, noise_seed=sensor.noise_seed + t))
         base = out_dir / f"frame_{t:04d}"
-        write_pfm(f"{base}.pfm", hdr.data)
+        write_pfm(f"{base}.pfm", hdr)
         write_ppm(f"{base}.ppm", ldr.data, maxval=ldr.maxval)
         write_pfm(f"{base}_depth.pfm", gt.depth)
         write_pfm(f"{base}_normal.pfm", gt.normal)

@@ -76,18 +76,6 @@ class SensorConfig:
 
 
 @dataclass
-class RadianceImage:
-    """Linear HDR radiance, (H, W, 3) float64, non-negative and finite."""
-
-    data: np.ndarray
-    variance: np.ndarray | None = None  # per-pixel variance of the mean
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-@dataclass
 class LdrImage:
     """Quantized sensor output, (H, W, 3) unsigned ints in [0, 2^bits - 1]."""
 
@@ -358,9 +346,9 @@ def _placement(lights):
             for l in lights if l.kind != "ambient"]
 
 
-def _render_pass(scene, setups, cfg, return_variance):
-    """One Monte Carlo pass over the camera, one image per (medium, lights)
-    setup.
+def _render_pass(scene, setups, cfg):
+    """One Monte Carlo pass over the camera, one (H, W, 3) float64 radiance
+    image per (medium, lights) setup.
 
     Each trace call takes the camera rays of ``_WAVEFRONT_RAYS // pixels``
     consecutive whole samples (at least one), with their bounce and shadow
@@ -378,7 +366,6 @@ def _render_pass(scene, setups, cfg, return_variance):
     h, w = cfg.height, cfg.width
     n = h * w
     acc = [np.zeros((n, 3)) for _ in setups]
-    acc_sq = [np.zeros((n, 3)) for _ in setups] if return_variance else None
     spp = cfg.samples_per_pixel
     per_trace = max(1, _WAVEFRONT_RAYS // n)
     for first in range(0, spp, per_trace):
@@ -391,32 +378,19 @@ def _render_pass(scene, setups, cfg, return_variance):
         for k, (medium, ltab) in enumerate(setups):
             L = _shade(tr, medium, ltab)
             for j in range(0, len(L), n):
-                sample = L[j : j + n]
-                acc[k] += sample
-                if acc_sq is not None:
-                    acc_sq[k] += sample * sample
-        del tr, L, sample  # not held while the next wavefront is traced
-    images = []
-    for k in range(len(setups)):
-        variance = None
-        if return_variance and spp > 1:
-            sample_var = (acc_sq[k] - acc[k] * acc[k] / spp) / (spp - 1)
-            variance = np.maximum(sample_var, 0.0).reshape(h, w, 3) / spp
-        acc[k] /= spp
-        images.append(RadianceImage(acc[k].reshape(h, w, 3), variance))
-    return images
+                acc[k] += L[j : j + n]
+        del tr, L  # not held while the next wavefront is traced
+    return [np.divide(a, spp, out=a).reshape(h, w, 3) for a in acc]
 
 
-def render_frame(scene: SceneGraph, cfg: RenderConfig,
-                 return_variance: bool = False) -> RadianceImage:
-    """Monte Carlo HDR estimate of the scene through its camera.
+def render_frame(scene: SceneGraph, cfg: RenderConfig) -> np.ndarray:
+    """Monte Carlo HDR estimate of the scene through its camera: linear
+    radiance, (H, W, 3) float64, non-negative and finite.
 
     Deterministic for a fixed config: the per-sample random stream is keyed
-    by (rng_seed, sample index) and consumed in fixed pixel order.  With
-    ``return_variance`` the per-pixel variance of the mean estimate is
-    attached (None when samples_per_pixel == 1).
+    by (rng_seed, sample index) and consumed in fixed pixel order.
     """
-    return _render_pass(scene, [(scene.medium, scene.lights)], cfg, return_variance)[0]
+    return _render_pass(scene, [(scene.medium, scene.lights)], cfg)[0]
 
 
 def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
@@ -429,7 +403,7 @@ def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
     camera, bounce and shadow rays are traced once for all of them; each
     image is bit-identical to ``render_frame`` of the scene with that setup.
     """
-    return _render_pass(scene, list(setups), cfg, False)
+    return _render_pass(scene, list(setups), cfg)
 
 
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
@@ -542,9 +516,10 @@ def compute_flow(gt_t: GroundTruthBuffers, gt_t1: GroundTruthBuffers,
     return flow.reshape(h, w, 2), occl.reshape(h, w)
 
 
-def apply_sensor(img: RadianceImage, cfg: SensorConfig) -> LdrImage:
-    """Gamma map, seeded Gaussian noise, clamp, quantize (round half up)."""
-    x = np.maximum(img.data.astype(np.float64), 0.0)
+def apply_sensor(img: np.ndarray, cfg: SensorConfig) -> LdrImage:
+    """Gamma map, seeded Gaussian noise, clamp, quantize (round half up) of
+    an (H, W, 3) radiance image."""
+    x = np.maximum(np.asarray(img, dtype=np.float64), 0.0)
     if cfg.gamma != 1.0:
         x = np.power(x, 1.0 / cfg.gamma)
     if cfg.gaussian_noise_sigma > 0.0:

@@ -10,10 +10,10 @@
 * dichromatic scattering: angular deviation of weather-varied color
   observations from their best-fit plane through the color-space origin.
 
-All variances are population (biased) variances: the measures quantify
-deviation magnitude, not an estimator of some parent distribution.
-Constant residuals short-circuit to exactly 0.0 so the stated null cases
-hold without floating-point summation residue.
+BC, GC and PS take population (biased) variances with one kernel,
+``row_variances``: they quantify deviation magnitude, not an estimator of
+some parent distribution.  Constant values short-circuit to exactly 0.0
+so the stated null cases hold without floating-point summation residue.
 """
 
 from __future__ import annotations
@@ -114,20 +114,6 @@ def oc_measure(ref_patch, cur_patch) -> float:
     return abs(spearman_rho(ref, cur))
 
 
-def population_variance(values: np.ndarray) -> float:
-    """Population variance with an exact zero for constant input.
-
-    Values are sorted before summation, so the result is invariant to the
-    traversal order of the patch that produced them.
-    """
-    v = np.sort(np.asarray(values, dtype=float).reshape(-1))
-    if v.size == 0:
-        raise ConfigError("variance of empty set")
-    if v[0] == v[-1]:
-        return 0.0
-    return float(np.var(v))
-
-
 def patch_pixels(patches, inset=0):
     """Row and column indices, each (n, m), of the pixels of n equal-sided
     patches in row-major patch order, ``inset`` pixels in from the border;
@@ -183,28 +169,31 @@ class Trajectories:
                               for index, weight, nonzero in self._taps)
         return t00 + t01 + t10 + t11
 
-    def variances(self, residuals, keep):
-        """One population variance per row of its kept residual values,
-        pooled over the ``residuals`` arrays.  A row is one patch: the rows
-        hold the patches of one or more frames, frame after frame.
 
-        The rows are grouped by their count of kept values (``ragged_groups``)
-        and each group is sorted and reduced as one 2-D stack:
-        ``np.var(axis=1)`` sums each contiguous row with the same pairwise
-        summation as ``population_variance`` sums it alone, so each row
-        gives the same bits."""
-        empty = np.flatnonzero(~keep.any(axis=1))
-        if empty.size:
-            p = self.patches[empty[0] % len(self.patches)]
-            raise AllOccludedError(
-                f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
-        pooled = np.tile(keep, len(residuals))
-        kept = np.concatenate(residuals, axis=1)[pooled]
-        out = np.empty(len(keep))
-        for rows, index in ragged_groups(pooled.sum(axis=1)):
-            v = np.sort(kept[index], axis=1)
-            out[rows] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
-        return out
+def row_variances(rows, keep, patches):
+    """One population variance per row of its kept values, pooled over the
+    ``rows`` arrays, exactly 0.0 for a row whose kept values are all equal.
+    A row is one patch of ``patches``: the rows hold the patches of one or
+    more frames, frame after frame.
+
+    The rows are grouped by their count of kept values (``ragged_groups``)
+    and each group is sorted and reduced as one 2-D stack:
+    ``np.var(axis=1)`` sums each contiguous row with the same pairwise
+    summation as it sums that row alone as a 1-D array, so each row gives
+    the same bits whichever rows share its call.  A row that keeps no value
+    raises ``AllOccludedError`` naming its patch."""
+    empty = np.flatnonzero(~keep.any(axis=1))
+    if empty.size:
+        p = patches[empty[0] % len(patches)]
+        raise AllOccludedError(
+            f"patch at ({p.row}, {p.col}) side {p.side}: no usable pixels")
+    pooled = np.tile(keep, len(rows))
+    kept = np.concatenate(rows, axis=1)[pooled]
+    out = np.empty(len(keep))
+    for group, index in ragged_groups(pooled.sum(axis=1)):
+        v = np.sort(kept[index], axis=1)
+        out[group] = np.where(v[:, 0] == v[:, -1], 0.0, np.var(v, axis=1))
+    return out
 
 
 def ragged_groups(counts):
@@ -222,7 +211,7 @@ def residuals(fields0, fields1, traj: Trajectories):
     """The residual rows of each patch of ``traj`` between two frames'
     tuples of feature fields, ``(gray,)`` (BC) or ``gradient_fields`` (GC),
     and the mask of the values to keep: a usable trajectory with two finite
-    ends.  These are the arguments of ``traj.variances``."""
+    ends.  These are the first two arguments of ``row_variances``."""
     src = [f[traj.pixels] for f in fields0]
     dst = [traj.sample(f) for f in fields1]
     keep = traj.usable
@@ -242,7 +231,7 @@ def _one_patch(features, frame_t, frame_t1, flow, patch, inset,
         raise ConfigError(f"frame shape mismatch: {I0.shape} vs {I1.shape}")
     traj = Trajectories(flow, [patch], inset=inset,
                         occlusion=occlusion if exclude_occluded else None)
-    return float(traj.variances(*residuals(features(I0), features(I1), traj))[0])
+    return float(row_variances(*residuals(features(I0), features(I1), traj), [patch])[0])
 
 
 def bc_variance(frame_t, frame_t1, flow, patch, *,
@@ -310,30 +299,25 @@ def smoothness_energy(flow_prev, flow, flow_next) -> np.ndarray:
     return r
 
 
-def energy_variance(energy, patch) -> float:
-    """Variance of a ``smoothness_energy`` field over the patch, leaving out
-    the one-pixel patch border and non-finite values."""
-    rows = slice(patch.row + 1, patch.row + patch.side - 1)
-    cols = slice(patch.col + 1, patch.col + patch.side - 1)
-    vals = energy[rows, cols].reshape(-1)
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        raise AllOccludedError(
-            f"patch at ({patch.row}, {patch.col}) side {patch.side}: "
-            "no finite smoothness values"
-        )
-    return population_variance(vals)
-
-
 def ps_variance(flow_prev, flow, flow_next, patch) -> float:
     """Piecewise-smoothness deviation: variance of the smoothness energy
-    over one patch (see ``smoothness_energy`` and ``energy_variance``)."""
-    return energy_variance(smoothness_energy(flow_prev, flow, flow_next), patch)
+    (see ``smoothness_energy``) over one patch, leaving out the one-pixel
+    patch border and non-finite values."""
+    energy = smoothness_energy(flow_prev, flow, flow_next)
+    rows = energy[patch_pixels([patch], inset=1)]
+    return float(row_variances([rows], np.isfinite(rows), [patch])[0])
 
 
 # -- dichromatic scattering ------------------------------------------------
 
 _RANK_REL_TOL = 1e-10
+
+
+def _plane_normals(obs):
+    """Unit normals, of either sign, of the best planes through the origin
+    of (..., k, 3) observations, and whether each plane is defined."""
+    _, s, vt = np.linalg.svd(obs, full_matrices=False)
+    return vt[..., 2, :], s[..., 1] > np.maximum(_RANK_REL_TOL * s[..., 0], 1e-15)
 
 
 def fit_dichromatic_plane(observations) -> np.ndarray:
@@ -352,10 +336,9 @@ def fit_dichromatic_plane(observations) -> np.ndarray:
         raise ConfigError(f"need >= 3 observations, got {obs.shape[0]}")
     if np.any(obs < -1e-12):
         raise ConfigError("color observations must be non-negative")
-    _, s, vt = np.linalg.svd(obs, full_matrices=False)
-    if s[1] <= max(_RANK_REL_TOL * s[0], 1e-15):
+    n, ok = _plane_normals(obs)
+    if not ok:
         raise RankDeficientError("observations are collinear; plane undefined")
-    n = vt[2]
     i = int(np.argmax(np.abs(n)))
     if n[i] < 0:
         n = -n
@@ -388,12 +371,11 @@ def ds_angular_error(samples, threshold_deg: float = 3.0) -> DsResult:
         raise ConfigError(f"samples must be (P, k, 3), got {arr.shape}")
     if arr.shape[1] < 3:
         raise ConfigError(f"need >= 3 observations per pixel, got {arr.shape[1]}")
-    _, s, vt = np.linalg.svd(arr, full_matrices=False)
-    ok = s[:, 1] > np.maximum(_RANK_REL_TOL * s[:, 0], 1e-15)
+    normals, ok = _plane_normals(arr)
     n_excluded = int((~ok).sum())
     if not ok.any():
         raise ConfigError("no pixel has rank >= 2 observations")
-    normals = vt[ok, 2, :]
+    normals = normals[ok]
     obs = arr[ok]
     dots = np.abs(np.einsum("pkc,pc->pk", obs, normals))
     mags = np.linalg.norm(obs, axis=2)

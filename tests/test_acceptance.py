@@ -30,7 +30,8 @@ from invarsim.render import RenderConfig, compute_flow, render_frame, render_gro
 from invarsim.scene import MediumSpec
 from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
 from invarsim.validators import bc_variance, gc_variance, oc_measure, ps_variance, spearman_rho
-from oracles import any_footprint_overlap, exact_spearman, rows_of, sphere_integral
+from oracles import (any_footprint_overlap, exact_spearman, loop_render_setups, rows_of,
+                     sphere_integral)
 
 
 def criterion(number, budget_s, summary):
@@ -132,7 +133,7 @@ def test_c4_bc_gc_closed_forms():
     scene = _noise_free_scene()
     cfg = RenderConfig(width=64, height=48, samples_per_pixel=8,
                        max_bounces=1, rng_seed=5)
-    base = render_frame(scene, cfg).data
+    base = render_frame(scene, cfg)
     gt = render_ground_truth(scene, cfg)
     cmap = classify_contexts(gt, window=9)
     zero_flow = np.zeros((48, 64, 2))
@@ -144,7 +145,7 @@ def test_c4_bc_gc_closed_forms():
     for a in (1.1, 1.5, 2.0):
         lights = tuple(dataclasses.replace(l, intensity=l.intensity * a)
                        for l in scene.lights)
-        scaled = render_frame(dataclasses.replace(scene, lights=lights), cfg).data
+        scaled = render_frame(dataclasses.replace(scene, lights=lights), cfg)
         for patch in homogeneous + diffuse:
             got_bc = bc_variance(base, scaled, zero_flow, patch)
             rows, cols = patch.slices()
@@ -298,7 +299,7 @@ def test_c8_renderer_physics():
     lights2 = tuple(dataclasses.replace(l, intensity=2.0 * l.intensity)
                     for l in scene.lights)
     doubled = render_frame(dataclasses.replace(scene, lights=lights2), cfg)
-    assert np.array_equal(doubled.data, 2.0 * base.data)
+    assert np.array_equal(doubled, 2.0 * base)
 
     # single Lambertian plane facing a unit-irradiance directional light
     doc = {
@@ -315,11 +316,13 @@ def test_c8_renderer_physics():
     plane = dataclasses.replace(plane, materials=mats)
     pcfg = RenderConfig(width=24, height=18, samples_per_pixel=256,
                         max_bounces=1, rng_seed=12)
-    img = render_frame(plane, pcfg, return_variance=True)
+    (img, variance), = loop_render_setups(plane, [(plane.medium, plane.lights)], pcfg,
+                                          return_variance=True)
+    assert np.array_equal(render_frame(plane, pcfg), img)
     albedo = np.array(plane.materials[0].albedo)
     expected = albedo / math.pi  # cos(theta) = 1, E = 1
-    sigma = np.sqrt(img.variance)
-    assert np.all(np.abs(img.data - expected[None, None, :])
+    sigma = np.sqrt(variance)
+    assert np.all(np.abs(img - expected[None, None, :])
                   <= 3.0 * sigma + 1e-12)
 
 

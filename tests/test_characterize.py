@@ -657,6 +657,71 @@ class TestSweep:
             assert len(full) == len(p.illumination_levels) * n_patches
             assert 0 < full.sum() < len(full)
 
+    def test_ps_cells_equal_the_per_patch_measure(self, monkeypatch):
+        # each side's patches are measured in one call; every cell's values
+        # must equal ps_variance patch by patch, bit for bit, and land on
+        # their own (context, side)
+        from invarsim.patches import Patch
+        from invarsim.validators import ps_variance, smoothness_energy
+
+        flows, seen_patches, measured = [], [], []
+
+        def compute_flow(*args, _fn=characterize.compute_flow):
+            flow, occl = _fn(*args)
+            if len(flows) % 3 == 0:
+                # a speed's first pair gives its flow_prev: a ripple makes
+                # every patch's energy vary, and NaN leaves NaN energy in
+                # the patch at (0, 0), so its rows keep fewer values
+                rows, cols = np.indices(flow.shape[:2])
+                flow = flow + 0.01 * np.sin(0.7 * rows + 0.3 * cols)[:, :, None]
+                flow[1:3, 1:3] = np.nan
+            flows.append(flow)
+            return flow, occl
+
+        def collect(*args, _fn=characterize._collect_patches):
+            patches = _fn(*args)
+            for (context, s), ps in patches.items():
+                if ps:
+                    ps.append(Patch(0, 0, s, context))
+            seen_patches.append(patches)
+            return patches
+
+        def block_stats(protocol, block, keys, counts, values,
+                        _fn=characterize._block_stats):
+            (cell,) = np.reshape(values, (len(block), -1))
+            measured.append(dict(zip(keys, np.split(cell, np.cumsum(counts)[:-1]))))
+            return _fn(protocol, block, keys, counts, values)
+
+        for name, fn in (("compute_flow", compute_flow), ("_collect_patches", collect),
+                         ("_block_stats", block_stats)):
+            monkeypatch.setattr(characterize, name, fn)
+        scene = validation_scene_config()
+        scene["dynamics"] = [[0, "objects.5.velocity", [0.5, 0.0, 0.0]]]
+        p = ProtocolConfig.from_dict({
+            "model": "PS", "scene": scene,
+            "theta_w": {"speed_scales": [1.0, 2.0]},
+            "theta_v": {"patch_sizes": [5, 9]},
+            "contexts": ["SameSurface", "MotionBoundary", "Occluded"],
+            "patches_per_cell": 3,
+            "render": {"width": 64, "height": 48, "spp": 1, "max_bounces": 0},
+        })
+        run_sweep(p)
+        assert len(flows) == 3 * len(p.speed_scales)
+        assert len(seen_patches) == len(measured) == len(p.speed_scales)
+        for i, (patches, cell) in enumerate(zip(seen_patches, measured)):
+            flow_prev, flow, flow_next = flows[3 * i : 3 * i + 3]
+            cells = {key: ps for key, ps in patches.items() if ps}
+            assert len({s for _, s in cells}) == 2 and len(cells) > 2
+            assert set(cell) == set(cells)
+            # no two cells measure the same values, so a cell's values
+            # filed under another key cannot go unnoticed
+            assert len({v.tobytes() for v in cell.values()}) == len(cell)
+            corner = smoothness_energy(flow_prev, flow, flow_next)[1:4, 1:4]
+            assert 0 < np.isfinite(corner).sum() < corner.size
+            for key, ps in cells.items():
+                want = np.array([ps_variance(flow_prev, flow, flow_next, q) for q in ps])
+                assert cell[key].tobytes() == want.tobytes(), key
+
     def test_ps_smoothness_energy_is_computed_once_per_speed(self, monkeypatch):
         from invarsim import validators
 
@@ -991,7 +1056,7 @@ class TestSweep:
     @pytest.mark.parametrize("model,t", [("OC", 0), ("BC", 1)])
     def test_sun_ramp_two_passes_equal_full_renders(self, model, t):
         from invarsim.characterize import _sun_basis
-        from invarsim.render import RadianceImage, apply_sensor, render_frame
+        from invarsim.render import apply_sensor, render_frame
         from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 
         p = dataclasses.replace(default_protocol(model), samples_per_pixel=4)
@@ -1006,9 +1071,9 @@ class TestSweep:
                                               intensity=lights[sun].intensity * level)
             full = render_frame(dataclasses.replace(lit, lights=tuple(lights)), rcfg)
             scfg = p.sensor_config("level", float(level).hex())
-            two_pass = apply_sensor(RadianceImage(hdr0 + level * hdr_sun), scfg)
+            two_pass = apply_sensor(hdr0 + level * hdr_sun, scfg)
             assert np.array_equal(two_pass.data, apply_sensor(full, scfg).data)
-            assert np.allclose(hdr0 + level * hdr_sun, full.data, rtol=1e-12, atol=0.0)
+            assert np.allclose(hdr0 + level * hdr_sun, full, rtol=1e-12, atol=0.0)
 
     def test_sun_ramp_needs_a_sun_only_off_level_one(self):
         sunless = dict(validation_scene_config(),
@@ -1057,7 +1122,7 @@ class TestSweep:
                 medium = WEATHER_PRESETS[tag].scaled(density)
                 alone = render_frame(dataclasses.replace(scene, medium=medium),
                                      p.render_config())
-                assert np.array_equal(img.data, alone.data), (tag, density)
+                assert np.array_equal(img, alone), (tag, density)
 
     def test_render_pass_holds_one_accumulator_per_setup(self):
         # a 64x48 16-spp pass with the stock DS protocol's 25 setups peaks no

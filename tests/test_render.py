@@ -53,7 +53,7 @@ class TestRenderFrame:
         img = render_frame(scene, RenderConfig(width=16, height=12,
                                                samples_per_pixel=2, rng_seed=3))
         expected = np.array([0.7, 0.7 * 0.8, 0.7 * 0.5])
-        assert np.allclose(img.data, expected[None, None, :], atol=1e-12)
+        assert np.allclose(img, expected[None, None, :], atol=1e-12)
 
     def test_lambertian_plane_matches_closed_form(self):
         # textureless slab, single directional light, no ambient
@@ -66,11 +66,13 @@ class TestRenderFrame:
         scene = dataclasses.replace(scene, materials=mats)
         cfg = RenderConfig(width=24, height=18, samples_per_pixel=256,
                            max_bounces=1, rng_seed=5)
-        img = render_frame(scene, cfg, return_variance=True)
+        (img, variance), = loop_render_setups(scene, [(scene.medium, scene.lights)], cfg,
+                                              return_variance=True)
+        assert np.array_equal(render_frame(scene, cfg), img)
         albedo = np.array(scene.materials[0].albedo)
         expected = albedo / math.pi * 2.0  # cos(theta) = 1 on the slab top
-        sigma = np.sqrt(img.variance)
-        assert np.all(np.abs(img.data - expected[None, None, :])
+        sigma = np.sqrt(variance)
+        assert np.all(np.abs(img - expected[None, None, :])
                       <= 3.0 * sigma + 1e-12)
 
     def test_light_transport_linearity_power_of_two(self):
@@ -82,7 +84,7 @@ class TestRenderFrame:
             dataclasses.replace(l, intensity=l.intensity * 2.0) for l in scene.lights
         )
         doubled = render_frame(dataclasses.replace(scene, lights=lights2), cfg)
-        assert np.array_equal(doubled.data, 2.0 * base.data)
+        assert np.array_equal(doubled, 2.0 * base)
 
     def test_determinism_and_chunking_independence(self, validation_scene, monkeypatch):
         cfg = RenderConfig(width=32, height=24, samples_per_pixel=3,
@@ -91,14 +93,20 @@ class TestRenderFrame:
         # 6 objects: blocks of 100 rays, so each 768-ray pass takes 8 blocks
         monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 600)
         b = render_frame(validation_scene, cfg)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_variance_decays_like_one_over_spp(self, validation_scene):
         cfgs = [RenderConfig(width=32, height=24, samples_per_pixel=n,
                              max_bounces=1, rng_seed=23) for n in (8, 32)]
-        imgs = [render_frame(validation_scene, c, return_variance=True) for c in cfgs]
-        v8 = imgs[0].variance.mean()
-        v32 = imgs[1].variance.mean()
+        setup = [(validation_scene.medium, validation_scene.lights)]
+        variances = []
+        for c in cfgs:
+            (mean, variance), = loop_render_setups(validation_scene, setup, c,
+                                                   return_variance=True)
+            assert np.array_equal(render_frame(validation_scene, c), mean)
+            variances.append(variance)
+        v8 = variances[0].mean()
+        v32 = variances[1].mean()
         assert v8 > 0
         ratio = v8 / v32
         assert 2.5 <= ratio <= 6.5
@@ -126,7 +134,7 @@ class TestRenderFrame:
         assert len(images) == len(media)
         for medium, img in zip(media, images):
             alone = render_frame(dataclasses.replace(scene, medium=medium), cfg)
-            assert np.array_equal(img.data, alone.data)
+            assert np.array_equal(img, alone)
 
     @pytest.mark.parametrize("max_bounces", [0, 1])
     def test_render_setups_equal_per_setup_frames(self, validation_scene, max_bounces):
@@ -150,7 +158,7 @@ class TestRenderFrame:
         for (medium, setup_lights), img in zip(setups, images):
             alone = render_frame(dataclasses.replace(
                 validation_scene, medium=medium, lights=setup_lights), cfg)
-            assert np.array_equal(img.data, alone.data)
+            assert np.array_equal(img, alone)
 
     def test_render_setups_reject_direct_sources_placed_differently(self, validation_scene):
         lights = validation_scene.lights
@@ -164,8 +172,8 @@ class TestRenderFrame:
             render_setups(validation_scene, [(medium, lights), (medium, lights[:1])], cfg)
 
     def test_hdr_non_negative_finite(self, validation_hdr):
-        assert np.all(np.isfinite(validation_hdr.data))
-        assert np.all(validation_hdr.data >= 0.0)
+        assert np.all(np.isfinite(validation_hdr))
+        assert np.all(validation_hdr >= 0.0)
 
     def test_dichromatic_exactness_under_ambient_fog(self):
         clear = plane_scene(extra={
@@ -177,12 +185,12 @@ class TestRenderFrame:
         # surface points, and pixel footprints at silhouettes mix depths
         cfg = RenderConfig(width=32, height=24, samples_per_pixel=1,
                            max_bounces=0, rng_seed=31)
-        base = render_frame(clear, cfg).data.reshape(-1, 3)
+        base = render_frame(clear, cfg).reshape(-1, 3)
         a_col = np.array(WEATHER_PRESETS["Fog"].airlight_color)
         for scale in (0.3, 1.0):
             medium = WEATHER_PRESETS["Fog"].scaled(scale)
             foggy = render_frame(dataclasses.replace(clear, medium=medium),
-                                 cfg).data.reshape(-1, 3)
+                                 cfg).reshape(-1, 3)
             # every pixel lies in span{clear color, airlight color}: the
             # plane-fit angular residual stays within 1e-6 degrees
             normals = np.cross(base, np.broadcast_to(a_col, base.shape))
@@ -223,14 +231,9 @@ class TestWavefronts:
         cfg = RenderConfig(width=width, height=height, samples_per_pixel=spp,
                            max_bounces=max_bounces, rng_seed=spp + 10 * max_bounces)
         assert render._WAVEFRONT_RAYS // (width * height) in (2, 32)
-        (mean, variance), = loop_render_setups(
-            spot_scene, [(spot_scene.medium, spot_scene.lights)], cfg, return_variance=True)
-        plain = render_frame(spot_scene, cfg)
-        assert plain.variance is None
-        assert np.array_equal(plain.data, mean)
-        with_variance = render_frame(spot_scene, cfg, return_variance=True)
-        assert np.array_equal(with_variance.data, mean)
-        assert np.array_equal(with_variance.variance, variance)
+        (mean, _), = loop_render_setups(
+            spot_scene, [(spot_scene.medium, spot_scene.lights)], cfg)
+        assert np.array_equal(render_frame(spot_scene, cfg), mean)
 
     @pytest.mark.parametrize("width,height,spp", [(64, 48, 5), (16, 12, 3)])
     @pytest.mark.parametrize("max_bounces", [0, 1])
@@ -247,7 +250,7 @@ class TestWavefronts:
         images = render_setups(spot_scene, setups, cfg)
         for img, (mean, _) in zip(images, loop_render_setups(spot_scene, setups, cfg),
                                   strict=True):
-            assert np.array_equal(img.data, mean)
+            assert np.array_equal(img, mean)
 
     def test_odd_wavefront_sizes(self, spot_scene, monkeypatch):
         # 3 samples per trace call over 7 samples, and one sample per call
@@ -257,7 +260,7 @@ class TestWavefronts:
                                         cfg)
         for rays in (3 * 16 * 12, 1):
             monkeypatch.setattr(render, "_WAVEFRONT_RAYS", rays)
-            assert np.array_equal(render_frame(spot_scene, cfg).data, mean)
+            assert np.array_equal(render_frame(spot_scene, cfg), mean)
 
 
 class TestGroundTruth:
@@ -352,7 +355,7 @@ class TestGroundTruth:
         cfg = RenderConfig(width=24, height=18, samples_per_pixel=16,
                            max_bounces=0, rng_seed=2)
         gt = render_ground_truth(scene, cfg)
-        hdr = render_frame(scene, cfg).data
+        hdr = render_frame(scene, cfg)
         sun_dir = np.array(scene.lights[1].direction)
         cos = np.maximum(0.0, -(gt.normal @ sun_dir))
         irradiance = 0.25 + (1.0 - gt.shadow_fraction) * cos * 1.4 / math.pi
@@ -480,23 +483,17 @@ class TestFlow:
 
 class TestSensor:
     def test_midgray_rounds_half_up(self):
-        from invarsim.render import RadianceImage
-
-        img = RadianceImage(np.full((2, 2, 3), 0.5))
+        img = np.full((2, 2, 3), 0.5)
         out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0, gamma=1.0))
         assert np.all(out.data == 128)
 
     def test_overrange_clamps(self):
-        from invarsim.render import RadianceImage
-
-        img = RadianceImage(np.full((2, 2, 3), 2.0))
+        img = np.full((2, 2, 3), 2.0)
         out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0))
         assert np.all(out.data == 255)
 
     def test_noise_statistics(self):
-        from invarsim.render import RadianceImage
-
-        img = RadianceImage(np.full((600, 600, 3), 0.5))
+        img = np.full((600, 600, 3), 0.5)
         out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.01, noise_seed=4))
         vals = out.data.astype(float)
         n = vals.size
@@ -506,9 +503,7 @@ class TestSensor:
         assert abs(vals.std() - expected_std) <= 3.0 * se + 1e-3
 
     def test_deterministic_per_seed(self):
-        from invarsim.render import RadianceImage
-
-        img = RadianceImage(np.random.default_rng(1).uniform(0, 1, (16, 16, 3)))
+        img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         cfg = SensorConfig(gaussian_noise_sigma=0.01, noise_seed=7)
         a = apply_sensor(img, cfg)
         b = apply_sensor(img, cfg)
@@ -517,9 +512,7 @@ class TestSensor:
         assert not np.array_equal(a.data, c.data)
 
     def test_ldr_bounds_and_bits(self):
-        from invarsim.render import RadianceImage
-
-        img = RadianceImage(np.random.default_rng(2).uniform(-1, 2, (8, 8, 3)))
+        img = np.random.default_rng(2).uniform(-1, 2, (8, 8, 3))
         out = apply_sensor(img, SensorConfig(quantization_bits=10,
                                              gaussian_noise_sigma=0.05,
                                              noise_seed=1))

@@ -23,9 +23,9 @@ from invarsim.validators import (
     oc_measure,
     oc_values,
     patch_pixels,
-    population_variance,
     ps_variance,
     residuals,
+    row_variances,
     spearman_rho,
     to_gray,
 )
@@ -252,7 +252,14 @@ def assert_same_bits(got, want):
 def constancy_values(fields0, fields1, traj):
     """The constancy deviation of each patch of ``traj`` between two
     frames' feature fields."""
-    return traj.variances(*residuals(fields0, fields1, traj))
+    return row_variances(*residuals(fields0, fields1, traj), traj.patches)
+
+
+def one_row_variance(values):
+    """``row_variances`` of one row that keeps every value."""
+    row = np.asarray(values, dtype=float).reshape(1, -1)
+    return row_variances([row], np.ones(row.shape, dtype=bool),
+                         [Patch(0, 0, 3, "Diffuse")])[0]
 
 
 def kernel_frames(rng, h=24, w=30):
@@ -343,8 +350,8 @@ class TestBatchedKernels:
         # the residuals of two frame pairs in one call, pair after pair
         f2 = kernel_frames(rng)[1]
         pairs = [residuals((to_gray(a),), (to_gray(b),), traj) for a, b in ((f0, f1), (f1, f2))]
-        both = traj.variances([np.concatenate([r for (r,), _ in pairs])],
-                              np.concatenate([keep for _, keep in pairs]))
+        both = row_variances([np.concatenate([r for (r,), _ in pairs])],
+                             np.concatenate([keep for _, keep in pairs]), patches)
         assert_same_bits(both, want + [patch_bc_variance(f1, f2, flow, p, occl)
                                        for p in patches])
 
@@ -369,8 +376,8 @@ class TestBatchedKernels:
         f2 = kernel_frames(rng)[1]
         grads.append(gradient_fields(to_gray(f2)))
         pairs = [residuals(grads[t], grads[t + 1], traj) for t in (0, 1)]
-        both = traj.variances([np.concatenate(r) for r in zip(*(r for r, _ in pairs))],
-                              np.concatenate([keep for _, keep in pairs]))
+        both = row_variances([np.concatenate(r) for r in zip(*(r for r, _ in pairs))],
+                             np.concatenate([keep for _, keep in pairs]), patches)
         assert_same_bits(both, want + [patch_gc_variance(f1, f2, flow, p, occl)
                                        for p in patches])
 
@@ -382,7 +389,6 @@ class TestBatchedKernels:
         rng = np.random.default_rng(43)
         for side in range(3, 19, 2):
             patches = [Patch(0, 0, side, "Diffuse")] * 8
-            traj = Trajectories(np.zeros((side, side, 2)), patches)
             scale = 10.0 ** rng.uniform(-3, 3, size=(8, 1))
             residuals = [rng.standard_normal((8, side * side)) * scale
                          for _ in range(pooled)]
@@ -391,7 +397,7 @@ class TestBatchedKernels:
             keep = np.ones((8, side * side), dtype=bool)
             keep[5, ::3] = False  # a row with dropped values
             keep[6, 1:] = False  # a row of one kept value per residual
-            got = traj.variances(residuals, keep)
+            got = row_variances(residuals, keep, patches)
             want = [sorted_population_variance(np.concatenate([r[i][k] for r in residuals]))
                     for i, k in enumerate(keep)]
             assert got[3] == want[3] == 0.0
@@ -420,8 +426,8 @@ class TestBatchedKernels:
             # the rows of two frame pairs, the first with every pixel kept
             rows, keep = residuals(fields(f0), fields(f1), traj)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
-                traj.variances([np.concatenate([r, r]) for r in rows],
-                               np.concatenate([np.ones_like(keep), keep]))
+                row_variances([np.concatenate([r, r]) for r in rows],
+                              np.concatenate([np.ones_like(keep), keep]), patches)
 
     def test_gray_of_frame_slices_to_gray_of_patch(self):
         # frame-once gray conversion relies on this equality
@@ -461,6 +467,12 @@ class TestPsVariance:
         flow = np.zeros((8, 8, 2))
         with pytest.raises(MissingTemporalError):
             ps_variance(flow, flow, None, Patch(1, 1, 5, "SameSurface"))
+
+    def test_patch_without_finite_energy_raises(self):
+        flow = np.zeros((16, 16, 2))
+        flow[4:7, 4:7] = np.nan  # the patch interior
+        with pytest.raises(AllOccludedError, match=r"patch at \(3, 3\) side 5"):
+            ps_variance(None, flow, None, Patch(3, 3, 5, "SameSurface"))
 
     def test_motion_boundary_exceeds_smooth(self):
         flow = np.zeros((32, 32, 2))
@@ -547,10 +559,41 @@ class TestDichromatic:
         assert res.n_pixels == 1
         assert res.n_excluded == 1
 
+    def test_plane_fit_and_ds_share_the_rank_rule(self):
+        # collinear pixels, pixels whose plane is barely defined (their
+        # second singular value spans the rank tolerance) and clear planes:
+        # fit_dichromatic_plane raises on exactly the pixels that
+        # ds_angular_error leaves out
+        rng = np.random.default_rng(21)
+        pixels, near = [], []
+        for i in range(300):
+            m, k = rng.uniform(0.1, 1.0, size=(2, 5))
+            z, za = rng.uniform(0.1, 1.0, size=(2, 3))
+            eps = (0.0, 10.0 ** rng.uniform(-12.0, -8.0), 1.0)[i % 3]
+            pixels.append(np.outer(m, z) + eps * np.outer(k, za))
+            near.append(i % 3 == 1)
+        pixels, near = np.stack(pixels), np.array(near)
+        raised = []
+        for obs in pixels:
+            try:
+                fit_dichromatic_plane(obs)
+            except RankDeficientError:
+                raised.append(True)
+            else:
+                raised.append(False)
+        raised = np.array(raised)
+        assert raised[::3].all() and not raised[2::3].any()
+        assert 0 < raised[near].sum() < near.sum()
+        res = ds_angular_error(pixels)
+        assert (res.n_excluded, res.n_pixels) == (raised.sum(), (~raised).sum())
+        # pixel by pixel, next to a clear plane
+        for obs, r in zip(pixels, raised):
+            assert ds_angular_error(np.stack([pixels[2], obs])).n_excluded == r
+
 
 class TestHelpers:
-    def test_population_variance_constant_exact_zero(self):
-        assert population_variance(np.full(100, 0.1)) == 0.0
+    def test_row_variance_constant_exact_zero(self):
+        assert one_row_variance(np.full(100, 0.1)) == 0.0
 
     def test_bilinear_integer_positions_exact(self):
         rng = np.random.default_rng(18)
@@ -572,4 +615,4 @@ class TestHelpers:
     def test_variance_order_invariant(self):
         rng = np.random.default_rng(19)
         v = rng.uniform(0, 1, 81)
-        assert population_variance(v) == population_variance(v[::-1])
+        assert one_row_variance(v) == one_row_variance(v[::-1])

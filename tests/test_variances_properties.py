@@ -1,8 +1,8 @@
-"""Property tests: the batched constancy variances.
+"""Property tests: the batched variances of BC, GC and PS.
 
-``Trajectories.variances`` pools each row's kept values over its residual
-arrays, groups the rows by their count of kept values and reduces each
-group as one sorted 2-D stack.  Every row must get the bits of the sorted
+``row_variances`` pools each row's kept values over its residual arrays,
+groups the rows by their count of kept values and reduces each group as
+one sorted 2-D stack.  Every row must get the bits of the sorted
 population variance of its kept values taken alone, exactly 0.0 when they
 are all equal.
 """
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invarsim.patches import Patch
-from invarsim.validators import Trajectories
+from invarsim.validators import row_variances
 from oracles import sorted_population_variance
 
 #: signed zeros, subnormals and magnitudes from 1e-300 to 1e150; the squares
@@ -51,9 +51,8 @@ def batches(draw):
 @given(batches())
 def test_each_row_equals_its_kept_values_alone(batch):
     residuals, keep = batch
-    # ``variances`` reads its patches only to name a row without kept values
-    traj = Trajectories(np.zeros((3, 3, 2)), [Patch(0, 0, 3, "Diffuse")])
-    got = traj.variances(residuals, keep)
+    # ``row_variances`` reads its patches only to name a row without kept values
+    got = row_variances(residuals, keep, [Patch(0, 0, 3, "Diffuse")])
     want = [sorted_population_variance(np.concatenate([r[i][k] for r in residuals]))
             for i, k in enumerate(keep)]
     assert [repr(float(v)) for v in got] == [repr(v) for v in want]

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .codec import _LIST, _NUMBER, _STRING, _block, _each, _encode, _items, _Kind, _reader
 from .errors import ConfigError, IngestError, LabelMismatchError, PatchSamplingError
 from .patches import (
@@ -69,11 +68,6 @@ MODELS = ("OC", "BC", "GC", "PS", "DS")
 
 #: measure direction per model: is a larger criterion value better?
 HIGHER_IS_BETTER = {"OC": True, "BC": False, "GC": False, "PS": False, "DS": False}
-
-#: part of every cell-cache key; bump it whenever a change to rendering or
-#: measuring moves cell values, or the cell document changes shape, so no
-#: resumed run mixes old cells in
-CACHE_EPOCH = 3
 
 #: the most float values (OC's gray patch pixels, BC's and GC's residuals)
 #: that a block of cells gathers: the consecutive cells of a run that fit
@@ -813,12 +807,24 @@ def _eval_weather(protocol, images, tag):
         "weather": tag, **dataclasses.asdict(res)}
 
 
+@functools.cache
+def source_fingerprint():
+    """The sha256 of the package source: of the ``sha256sum`` listing of its
+    ``*.py`` files in name order (``LC_ALL=C sha256sum *.py | sha256sum``).
+    Computed once per process, at the first ``CellCache``."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n".encode())
+    return digest.hexdigest()
+
+
 class CellCache:
     """Per-cell result cache keyed by protocol content hash plus cell coordinate.
 
     Resume never trusts timestamps: a cache entry is only reused when the
-    protocol content hash, the package version and ``CACHE_EPOCH`` embedded
-    in its name all match.  Every cell is one document: its value rows
+    package's ``source_fingerprint()`` and the protocol content hash embedded
+    in its name both match, so any edit to the package source turns every
+    cached cell into a miss.  Every cell is one document: its value rows
     (``mean``, ``std`` and ``n``, each a list in the cell's row order) plus
     its ``extra`` (the count of degenerate patch values, or the DS details).
     Cells are written whole through a temporary file, and a cell that
@@ -829,7 +835,7 @@ class CellCache:
     def __init__(self, directory, protocol):
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        key = f"{CACHE_EPOCH}\x1f{__version__}\x1f{protocol.content_hash()}"
+        key = f"{source_fingerprint()}\x1f{protocol.content_hash()}"
         self.prefix = hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def _path(self, coord):

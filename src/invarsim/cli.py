@@ -3,8 +3,9 @@
 All configuration is JSON; every command writes a run manifest describing
 its inputs (content hash), seeds, outputs and wall-clock per stage.  Given
 identical inputs and output targets, every command reproduces its artifacts
-byte for byte.  Exit codes: 0 success, 2 configuration error, 3 placement
-failure, 4 ranking label mismatch, 1 unexpected failure.
+byte for byte.  Exit codes: 0 success, 2 configuration error (a missing
+path or one of the wrong kind included), 3 placement failure, 4 ranking label
+mismatch, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .characterize import (
     marginalize,
     rank_manifold_contexts,
     run_sweep,
+    source_fingerprint,
     sweep_size,
 )
 from .codec import _encode
@@ -255,6 +257,7 @@ def cmd_sweep(args):
         _emit(args, {"cells": cells, "renders": renders})
         return EXIT_OK
     manifold = run_sweep(protocol, cache_dir=out_dir / "cells")
+    manifest.doc["source_sha256"] = source_fingerprint()  # part of every cell's name
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "manifold.csv"
     csv_path.write_text(manifold.to_csv())
@@ -457,7 +460,8 @@ def main(argv=None) -> int:
     except PlacementError as exc:
         print(f"invarsim: {exc}", file=sys.stderr)
         return EXIT_PLACEMENT
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         print(f"invarsim: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvarsimError as exc:

@@ -355,32 +355,34 @@ def _box_slabs(soup, p, O, D):
 
 
 # The ``*_hits`` functions test ray ``r`` against primitive ``p`` for the
-# candidate pairs (r, p): O and D hold the pairs' rays.  A miss is t = inf.
+# candidate pairs (r, p): O and D hold the pairs' rays.  Each returns
+# ``(t, key)``; a miss is t = inf.  The key is the primitive ``p``, except
+# that a box's is ``3 * p + axis`` of the face the ray crosses, under
+# ``index`` only (else None), so it orders pairs as ``p`` does.
 
-def _box_hits(soup, p, O, D, tmin):
+def _box_hits(soup, p, O, D, tmin, index):
     tn, tf = _box_slabs(soup, p, O, D)
     enter = np.maximum(np.maximum(tn[:, 0], tn[:, 1]), tn[:, 2])
     exit_ = np.minimum(np.minimum(tf[:, 0], tf[:, 1]), tf[:, 2])
     t = np.where(enter > tmin, enter, exit_)
-    valid = (enter <= exit_) & (t > tmin)
-    return np.where(valid, t, INF)
+    t = np.where((enter <= exit_) & (t > tmin), t, INF)
+    if not index:
+        return t, None
+    # the face the ray enters by, or leaves by if it started inside
+    axis = np.where(enter > 1e-6, np.argmax(tn, axis=1), np.argmin(tf, axis=1))
+    return t, 3 * p + axis
 
 
 def _box_normals(soup, O, D, tbest, idx, sel):
     rows = np.where(sel)[0]
-    bidx = idx[rows]
-    tn, tf = _box_slabs(soup, bidx, O[rows], D[rows])
-    entered = tn.max(axis=1) > 1e-6  # else the ray started inside
-    ax_in = np.argmax(tn, axis=1)
-    ax_out = np.argmin(tf, axis=1)
-    axis = np.where(entered, ax_in, ax_out)
+    bidx, axis = np.divmod(idx[rows], 3)
     normals = np.zeros((len(rows), 3))
     sign = -np.sign(D[rows, axis])
     normals[np.arange(len(rows)), axis] = np.where(sign == 0.0, 1.0, sign)
     return normals, soup.box_obj[bidx], soup.box_material[bidx]
 
 
-def _sphere_hits(soup, p, O, D, tmin):
+def _sphere_hits(soup, p, O, D, tmin, index):
     oc = O - soup.sphere_center[p]
     b = np.einsum("pk,pk->p", oc, D)
     c = np.einsum("pk,pk->p", oc, oc) - soup.sphere_radius[p] ** 2
@@ -391,7 +393,7 @@ def _sphere_hits(soup, p, O, D, tmin):
     t_far = -b + sq
     t = np.where(t_near > tmin, t_near, t_far)
     valid = hit & (t > tmin)
-    return np.where(valid, t, INF)
+    return np.where(valid, t, INF), p
 
 
 def _sphere_normals(soup, O, D, tbest, idx, sel):
@@ -404,7 +406,7 @@ def _sphere_normals(soup, O, D, tbest, idx, sel):
     return n, soup.sphere_obj[si], soup.sphere_material[si]
 
 
-def _cylinder_hits(soup, p, O, D, tmin):
+def _cylinder_hits(soup, p, O, D, tmin, index):
     oxz = O[:, [0, 2]]
     dxz = D[:, [0, 2]]
     oc = oxz - soup.cylinder_center[p]
@@ -424,7 +426,7 @@ def _cylinder_hits(soup, p, O, D, tmin):
     y_at = lambda t: y + t * dy
     ok1 = hit & (t1 > tmin) & (y_at(t1) >= y0) & (y_at(t1) <= y1)
     ok2 = hit & (t2 > tmin) & (y_at(t2) >= y0) & (y_at(t2) <= y1)
-    return np.where(ok1, t1, np.where(ok2, t2, INF))
+    return np.where(ok1, t1, np.where(ok2, t2, INF)), p
 
 
 def _cylinder_normals(soup, O, D, tbest, idx, sel):
@@ -441,7 +443,7 @@ def _cylinder_normals(soup, O, D, tbest, idx, sel):
     return n, soup.cylinder_obj[ci], soup.cylinder_material[ci]
 
 
-def _rect_hits(soup, p, O, D, tmin):
+def _rect_hits(soup, p, O, D, tmin, index):
     rows = np.arange(len(p))
     axes = soup.rect_axis[p]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -460,7 +462,7 @@ def _rect_hits(soup, p, O, D, tmin):
         & (v >= soup.rect_v[p, 0])
         & (v <= soup.rect_v[p, 1])
     )
-    return np.where(valid, t, INF)
+    return np.where(valid, t, INF), p
 
 
 def _rect_normals(soup, O, D, tbest, idx, sel):
@@ -480,17 +482,18 @@ _NORMALS = (_box_normals, _sphere_normals, _cylinder_normals, _rect_normals)
 def _nearest(hits, soup, first, count, O, D, tmin, ri, oj, index):
     """Each ray's nearest hit t in one family, over the primitives of the
     (ray ``ri``, object ``oj``) candidates, as ``(t,)``; with ``index``,
-    ``(t, the lowest primitive index attaining it (0 on a miss))``."""
+    ``(t, the lowest key attaining it (0 on a miss))``: the key of the
+    lowest primitive index, since keys order pairs as primitives do."""
     n = len(O)
     ray, prim = _expand(first, count, oj, ri)
-    t = hits(soup, prim, O[ray], D[ray], tmin)
+    t, key = hits(soup, prim, O[ray], D[ray], tmin, index)
     tbest = np.full(n, INF)
     np.minimum.at(tbest, ray, t)
     if not index:
         return (tbest,)
     won = (t == tbest[ray]) & (t < INF)
     idx = np.full(n, np.iinfo(np.intp).max)
-    np.minimum.at(idx, ray[won], prim[won])
+    np.minimum.at(idx, ray[won], key[won])
     idx[tbest == INF] = 0
     return tbest, idx
 

@@ -2,7 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from invarsim.characterize import (
     sweep_size,
 )
 import invarsim.characterize as characterize
+import invarsim.cli as cli
 import invarsim.render as render
 from invarsim.errors import ConfigError, IngestError, LabelMismatchError
 from invarsim.render import RenderConfig, render_frame, render_ground_truth, render_setups
@@ -491,7 +498,7 @@ def stock_sweep(request):
 
 class TestSweep:
     def test_stock_manifold_bytes_are_pinned(self, stock_sweep):
-        # a change that moves a cell value must bump CACHE_EPOCH and re-pin
+        # a change that moves a cell value must re-pin
         model, manifold, _ = stock_sweep
         digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
         assert digest == STOCK_MANIFOLD_SHA256[model]
@@ -996,14 +1003,60 @@ class TestSweep:
         assert run_sweep(p, cache_dir=cells).to_csv() == fresh
         assert cell.read_bytes() == whole
 
-    def test_cache_key_carries_epoch_and_version(self, tmp_path, monkeypatch):
-        p = tiny_oc_protocol()
-        prefixes = {characterize.CellCache(tmp_path, p).prefix}
-        monkeypatch.setattr(characterize, "CACHE_EPOCH", characterize.CACHE_EPOCH + 1)
-        prefixes.add(characterize.CellCache(tmp_path, p).prefix)
-        monkeypatch.setattr(characterize, "__version__", "0.0.0-other")
-        prefixes.add(characterize.CellCache(tmp_path, p).prefix)
-        assert len(prefixes) == 3
+    def test_cells_are_keyed_by_the_package_source(self, tmp_path):
+        # a sweep resumed from a copy of the package hits every cell; from a
+        # copy with one byte appended to one module it misses every cell and
+        # stores it again under a new name, with the same bytes
+        out, protocol = tmp_path / "sweep", tmp_path / "protocol.json"
+        protocol.write_text(json.dumps(tiny_oc_protocol().to_dict()))
+        assert cli.main(["sweep", str(protocol), "--out-dir", str(out)]) == 0
+        manifold = (out / "manifold.csv").read_bytes()
+
+        def resume(name, edit=b""):
+            copy = tmp_path / name / "invarsim"
+            shutil.copytree(Path(characterize.__file__).parent, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            with open(copy / "imgio.py", "ab") as f:
+                f.write(edit)
+            script = ("import sys, invarsim.cli as cli; "
+                      "assert cli.__file__.startswith(sys.argv[1]), cli.__file__; "
+                      "sys.exit(cli.main(sys.argv[2:]))")
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(copy), "sweep", str(protocol),
+                 "--out-dir", str(out)], cwd=tmp_path, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(copy.parent)}, timeout=120)
+            assert run.returncode == 0, run.stderr
+            assert (out / "manifold.csv").read_bytes() == manifold
+            return ({p.name: p.read_bytes() for p in (out / "cells").iterdir()},
+                    json.loads((out / "manifest.json").read_text())["source_sha256"])
+
+        cells = {p.name: p.read_bytes() for p in (out / "cells").iterdir()}
+        assert cells and resume("same") == (cells, characterize.source_fingerprint())
+        edited, fingerprint = resume("edited", b"\n")
+        assert fingerprint != characterize.source_fingerprint()
+        new = {name: doc for name, doc in edited.items() if name not in cells}
+        assert edited == {**cells, **new}
+        # cell_<key prefix>_<coordinate tag>.json: each coordinate once more
+        by_tag = lambda docs: {name.rsplit("_", 1)[1]: doc for name, doc in docs.items()}
+        assert len(new) == len(cells) and by_tag(new) == by_tag(cells)
+
+    def test_no_source_fingerprint_at_set_up(self, tmp_path):
+        # reading the package source is left to the first cell cache: not
+        # at import, and not when a protocol is read
+        script = textwrap.dedent("""
+            import invarsim, invarsim.cli
+            from invarsim.characterize import MODELS, ProtocolConfig, default_protocol
+            from invarsim.characterize import source_fingerprint
+            for model in MODELS:
+                ProtocolConfig.from_dict(default_protocol(model).to_dict())
+            assert source_fingerprint.cache_info().currsize == 0
+        """)
+        src = str(Path(characterize.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_resuming_finished_sweeps_renders_nothing(self, tmp_path, monkeypatch):
         ps_scene = validation_scene_config()

@@ -738,6 +738,27 @@ def test_ignored_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    "sweep DIR --out-dir out",
+    "sweep protocol.json --out-dir FILE",
+    "sample scene_config.json --out DIR",
+    "render scene.json --out-dir FILE",
+    "report DIR --out-dir out",
+    "compare DIR DIR",
+])
+def test_path_of_the_wrong_kind_exits_2(scene_json, tmp_path, capsys, argv):
+    (tmp_path / "protocol.json").write_text(json.dumps(tiny_protocol_doc()))
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    capsys.readouterr()
+    command, *words = argv.split()
+    paths = [w if w.startswith("-") else str(tmp_path / w) for w in words]
+    bad = next(p for p in paths if p.endswith(("DIR", "FILE")))
+    assert main([command, *paths]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invarsim: ") and bad in err and "Traceback" not in err
+
+
 class TestHeapSetting:
     """``main`` asks the C library's malloc to keep freed heap memory; the
     library never does, and commands run alike without ``mallopt``."""

@@ -10,7 +10,8 @@ gives.  A number must be finite: RFC 8259 allows no NaN or Infinity, though
 Python's ``json`` reads both.
 
 Every document is read by a reader and the scene document is written by a
-writer, each compiled once per dataclass from its block:
+writer, each compiled from its block at first use: one Python function per
+dataclass, generated from source as ``dataclasses`` generates ``__init__``.
 
 - ``_reader(cls, optional)`` checks a block's key set and each value's kind,
   loads the values and builds ``cls``, in one pass.  Its key policy is
@@ -28,12 +29,11 @@ writer, each compiled once per dataclass from its block:
   is loaded; and a block's constructor runs after all its fields.  Of a
   document's errors, the one raised is the first met in that order.
 - ``_writer(cls, depth)`` is the block's layout in ``json.dumps(doc,
-  sort_keys=True, indent=1)`` at one nesting depth: a ``%``-template with
-  one slot per key, in key order.  A slot is filled as ``json.dumps``
-  writes its value's type; a value of variable shape, such as an optional
-  block or a list of blocks, by ``_text``, which writes each block it holds
-  by that block's compiled writer.  The text is that of ``json.dumps``,
-  byte for byte.
+  sort_keys=True, indent=1)`` at one nesting depth: an f-string with one
+  slot per key, in key order.  A slot is filled as ``json.dumps`` writes
+  its value's type; a value of variable shape, such as an optional block
+  or a list of blocks, by ``_text``, which writes each block it holds by
+  that block's writer.  The text is that of ``json.dumps``, byte for byte.
 
 ``_encode`` gives the JSON block of a protocol's dataclasses, from which its
 ``canonical_json`` and ``content_hash`` are made.
@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import operator
 import sys
 import typing
 from json.encoder import encode_basestring_ascii
@@ -58,13 +57,19 @@ class _Kind(typing.NamedTuple):
     name: str  #: what the value must be, for the error message
     test: typing.Callable  #: whether a JSON value is of this kind
     load: typing.Callable = lambda value: value  #: a checked value as a field value
+    #: (test, load) of a value ``{v}`` as Python a reader inlines; else it calls the two
+    code: tuple | None = None
 
 
 def _list_of(n, item):
     """A list of ``n`` values of kind ``item``, loaded as a tuple."""
+    code = item.code and (
+        f"isinstance({{v}}, list) and len({{v}}) == {n}"
+        + "".join(f" and ({item.code[0]})".replace("{v}", f"{{v}}[{i}]") for i in range(n)),
+        "(" + "".join(f"{item.code[1]}, ".replace("{v}", f"{{v}}[{i}]") for i in range(n)) + ")")
     return _Kind(f"a list of {n} {item.name.split()[-1]}s",
                  lambda v: isinstance(v, list) and len(v) == n and all(map(item.test, v)),
-                 lambda v: tuple(map(item.load, v)))
+                 lambda v: tuple(map(item.load, v)), code)
 
 
 _MAX = sys.float_info.max
@@ -73,14 +78,17 @@ _MAX = sys.float_info.max
 _NUMBER = _Kind("a finite number",
                 lambda v: type(v) is float and -_MAX <= v <= _MAX
                 or isinstance(v, (int, float)) and not isinstance(v, bool) and -_MAX <= v <= _MAX,
-                float)
+                float, ("type({v}) is float and {v} - {v} == 0.0 or _NUMBER.test({v})",
+                        "float({v})"))
 _INTEGER = _Kind("an integer",
-                 lambda v: type(v) is int or isinstance(v, int) and not isinstance(v, bool))
-_STRING = _Kind("a string", lambda v: isinstance(v, str))
+                 lambda v: type(v) is int or isinstance(v, int) and not isinstance(v, bool),
+                 code=("type({v}) is int or _INTEGER.test({v})", "{v}"))
+_STRING = _Kind("a string", lambda v: isinstance(v, str), code=("isinstance({v}, str)", "{v}"))
 _LIST = _Kind("a JSON list", lambda v: isinstance(v, list), tuple)
 _OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
 _SIMPLE = {float: _NUMBER, int: _INTEGER, str: _STRING, dict: _OBJECT,
-           bool: _Kind("true or false", lambda v: isinstance(v, bool))}
+           bool: _Kind("true or false", lambda v: isinstance(v, bool),
+                       code=("isinstance({v}, bool)", "{v}"))}
 
 
 def _kind(hint):
@@ -88,9 +96,11 @@ def _kind(hint):
     dataclass is a JSON object, and an enum one of its members' values."""
     args = typing.get_args(hint)
     if type(None) in args:
-        name, test, load = _kind(next(a for a in args if a is not type(None)))
+        name, test, load, code = _kind(next(a for a in args if a is not type(None)))
         return _Kind(f"{name} or null", lambda v: v is None or test(v),
-                     lambda v: None if v is None else load(v))
+                     lambda v: None if v is None else load(v),
+                     code and (f"{{v}} is None or ({code[0]})",
+                               f"None if {{v}} is None else {code[1]}"))
     if isinstance(hint, enum.EnumMeta):
         values = tuple(member.value for member in hint)
         return _Kind("one of " + ", ".join(map(str, values)), lambda v: v in values, hint)
@@ -158,25 +168,24 @@ def _items(kind, values, path):
     return tuple(map(kind.load, values))
 
 
-def _compile(fields):
-    """The loader of the JSON block of ``fields``, each (dotted key, field
-    name, kind, whether required): ``load(doc, path, values, loads)`` puts
-    the value of each field that the block ``doc`` at ``path`` holds in
-    ``values``, by field name, loaded by its kind or by ``loads[name](value,
-    json_path)``.  The fields of dotted keys with a common first part make
-    up one nested block, at the place of the first of them, loaded after
-    the block's own fields; left out, it reads as ``{}``."""
-    kinds, plain, required = {}, [], set()
-    for key, name, kind, needed in fields:
+def _compile(fields, doc, path, bind):
+    """The ``word`` of the JSON block of ``fields``, each (dotted key, field
+    name, kind, whether required, its local, the Python of its default), and
+    the lines that test the block in local ``doc`` at json_path ``path`` and
+    load each value into its field's local, calling ``word`` on a failed
+    test.  The fields of dotted keys with a common first part make up one
+    nested block, at the place of the first of them, loaded after the
+    block's own fields; left out, it reads as ``{}``."""
+    kinds, plain, required, nested, lines = {}, [], set(), {}, []
+    for key, *field in fields:
         head, dot, rest = key.partition(".")
         if dot:
-            kinds.setdefault(head, []).append((rest, name, kind, needed))
+            kinds.setdefault(head, []).append((rest, *field))
         else:
-            kinds[key] = kind
-            plain.append((key, name, kind.test, kind.load))
-            if needed:
+            kinds[key] = field[1]
+            plain.append((key, *field))
+            if field[2]:
                 required.add(key)
-    nested = {key: _compile(group) for key, group in kinds.items() if isinstance(group, list)}
     keys, required = frozenset(kinds), frozenset(required)
 
     def word(doc, path):
@@ -189,28 +198,48 @@ def _compile(fields):
                 raise ConfigError(f"unknown key {key!r}", json_path=_key_path(path, key))
         for key, kind in kinds.items():
             if key in nested:
-                nested[key].word(doc.get(key, {}), _key_path(path, key))
+                nested[key](doc.get(key, {}), _key_path(path, key))
             elif key in doc:
                 _expect(kind, doc[key], _key_path(path, key))
             elif key in required:
                 raise ConfigError("required key is missing", json_path=_key_path(path, key))
 
-    def load(doc, path, values, loads):
-        if not isinstance(doc, dict) or doc.keys() != keys and not required <= doc.keys() <= keys:
-            word(doc, path)
-        for key, name, test, load_value in plain:
-            try:
-                value = doc[key]
-            except KeyError:  # an optional key left out
-                continue
-            if not test(value):
-                word(doc, path)
-            values[name] = (loads[name](value, _key_path(path, key)) if name in loads
-                            else load_value(value))
-        for key, sub in nested.items():
-            sub(doc.get(key, {}), _key_path(path, key), values, loads)
-    load.word = word
-    return load
+    fail, key_set = f"{bind(word)}({doc}, {path})", bind(keys)
+    lines += [f"if not isinstance({doc}, dict) or {doc}.keys() != {key_set} "
+              f"and not {bind(required)} <= {doc}.keys() <= {key_set}:", f" {fail}"]
+    for key, name, kind, needed, local, default in plain:
+        test, load = kind.code or (  # with no code: the kind's own load, or that in ``loads``
+            f"{bind(kind.test)}(v)",
+            f"loads.get({name!r}, {bind(lambda value, _, load=kind.load: load(value))})"
+            f"(v, _key_path({path}, {key!r}))")
+        value = local if load == "{v}" else "v"  # a value loaded as it is needs no copy
+        steps = [step.replace("{v}", value) for step in (f"{value} = {doc}[{key!r}]",
+                 f"if not ({test}): {fail}", *[f"{local} = {load}"] * (value == "v"))]
+        lines += steps if needed else [f"if {key!r} in {doc}:", *[" " + step for step in steps],
+                                       f"else: {local} = {default}"]
+    for head, group in kinds.items():
+        if isinstance(group, list):
+            sub, sub_path = f"{doc}_{len(nested)}", f"{path}_{len(nested)}"
+            nested[head], sub_lines = _compile(group, sub, sub_path, bind)
+            lines += [f"{sub} = {doc}.get({head!r}, {{}})",
+                      f"{sub_path} = _key_path({path}, {head!r})", *sub_lines]
+    return word, lines
+
+
+class _Scope(list):
+    """The values of a generated function's closure: ``bind`` names a new one,
+    and ``define`` makes the function ``def name(params):`` of body ``lines``."""
+
+    def bind(self, value):
+        self.append(value)
+        return f"_c{len(self) - 1}"
+
+    def define(self, name, params, lines):
+        scope = {}
+        exec(f"def make({''.join(f'_c{i}, ' for i in range(len(self)))}):\n"
+             f" def {name}({params}):\n" + "".join(f"  {line}\n" for line in lines)
+             + f" return {name}", globals(), scope)
+        return scope["make"](*self)
 
 
 @functools.cache
@@ -221,26 +250,37 @@ def _reader(cls, optional=False, inline=None, omit=(), require=()):
     default and those in ``require``.  The fields named in ``omit`` have no
     key and keep their defaults.  The field named ``inline``, a dataclass,
     has no key either: the block holds its fields as its own, and it is
-    built after the other fields are loaded.  Each field named in ``loads``
-    is loaded by ``loads[name](value, json_path)`` once its value is of its
-    kind; a pathless ConfigError of a constructor names the block's ``path``."""
-    def fields(of, leave_out):
-        return [(key, name, kind, required or not optional or key in require)
-                for key, name, kind, required in _block(of) if name not in leave_out]
+    built after the other fields are loaded.  Each field named in ``loads``,
+    one whose kind has no code, is loaded by ``loads[name](value,
+    json_path)`` once its value is of its kind; a pathless ConfigError of a
+    constructor names the block's ``path``.  The reader's source holds the
+    key-set test, each value's test and load, and each constructor's call."""
+    scope = _Scope()
+    bind = scope.bind
 
-    inner_cls = inline and typing.get_type_hints(cls)[inline]
-    inner = fields(inner_cls, omit) if inline else []
-    load = _compile(fields(cls, (inline, *omit)) + inner)
-    inner_names = tuple(name for _, name, _, _ in inner)
+    def fields(of, leave_out, prefix):
+        """The fields of ``of`` the block holds, loaded into the locals named
+        ``prefix`` and an index, and the Python of the constructor call."""
+        held, args = [], []
+        for (key, name, kind, no_default), field in zip(_block(of), dataclasses.fields(of)):
+            needed = no_default or not optional or key in require
+            default = None if needed and name not in leave_out else (
+                bind(field.default) if field.default is not dataclasses.MISSING
+                else f"{bind(field.default_factory)}()")
+            local = f"{prefix}{len(args)}"
+            if name not in leave_out:
+                held.append((key, name, kind, needed, local, default))
+            args.append("inner" if name == inline else default if name in leave_out else local)
+        return held, f"{bind(of)}({', '.join(args)})"
 
-    def read(doc, path, **loads):
-        values = {}
-        load(doc, path, values, loads)
-        if inline:
-            values[inline] = _construct(
-                inner_cls, {name: values.pop(name) for name in inner_names if name in values}, path)
-        return _construct(cls, values, path)
-    return read
+    outer, call = fields(cls, (inline, *omit), "a")
+    inner, build = fields(typing.get_type_hints(cls)[inline], omit, "b") if inline else ([], "")
+    _, lines = _compile(outer + inner, "doc", "path", bind)
+    lines += ["try:", *[f" inner = {build}"] * bool(inline), f" return {call}",
+              "except ConfigError as exc:",
+              " if exc.json_path is not None:", "  raise",
+              " raise ConfigError(str(exc), json_path=path) from exc"]
+    return scope.define("read", "doc, path, **loads", lines)
 
 
 def _each(read):
@@ -284,59 +324,76 @@ def _layout(opening, items, closing, depth):
     return opening + inner + ("," + inner).join(items) + "\n" + " " * depth + closing
 
 
-def _text(value, depth):
+def _text(value, depth, floats=None):
     """The JSON text of ``value`` at nesting ``depth`` of ``json.dumps(doc,
     sort_keys=True, indent=1)``: a dataclass is its block, a tuple a list,
-    and a dict's keys must be strings."""
-    if isinstance(value, (list, tuple)):
-        return _layout("[", [_text(item, depth + 1) for item in value], "]", depth)
+    and a dict's keys must be strings; ``floats`` as ``_writer`` has it."""
+    if isinstance(value, (list, tuple)):  # each type of item's writer is looked up once
+        write = functools.cache(lambda kind: _writer(kind, depth + 1) if dataclasses.is_dataclass(
+            kind) else lambda item, floats: _text(item, depth + 1, floats))
+        return _layout("[", [write(type(item))(item, floats) for item in value], "]", depth)
     if isinstance(value, dict):
-        return _layout("{", [f"{encode_basestring_ascii(key)}: {_text(item, depth + 1)}"
+        return _layout("{", [f"{encode_basestring_ascii(key)}: {_text(item, depth + 1, floats)}"
                              for key, item in sorted(value.items())], "}", depth)
     if dataclasses.is_dataclass(value):
-        return _writer(type(value), depth)(value)
+        return _writer(type(value), depth)(value, floats)
     return _scalar(value)
 
 
-def _slot(hint, depth):
-    """The writer of a value of type ``hint`` at nesting ``depth``: a scalar
-    and a tuple of scalars are written by their own layout, any other value
-    by ``_text``."""
-    scalars = (float, int, str, bool)
-    if hint in scalars or isinstance(hint, enum.EnumMeta):
-        return _scalar
+#: the JSON text of a scalar ``{v}`` of each type: for a value of another
+#: type, a zero or a non-finite float, that of ``_scalar``
+_INLINE = {float: "_f.get(_x) or _f.setdefault(_x, float.__repr__(_x))"
+                  " if type(_x := {v}) is float and _x - _x == 0.0 and _x else _scalar(_x)",
+           int: "int.__repr__(_x) if type(_x := {v}) is int else _scalar(_x)",
+           str: "encode_basestring_ascii(_x) if type(_x := {v}) is str else _scalar(_x)"}
+_SLOT = "\0"  #: a slot of a layout: JSON text escapes a NUL
+
+
+def _fill(layout, texts, bind, quote):
+    """A Python f-string, in ``quote``s, of the text ``layout`` with the
+    Python expression of each of ``texts`` in place of each ``_SLOT``."""
+    pieces = [f"{{{bind(piece)}}}" for piece in layout.split(_SLOT)]
+    return f"f{quote}{''.join(f'{p}{{{t}}}' for p, t in zip(pieces, texts))}{pieces[-1]}{quote}"
+
+
+def _slot(value, hint, depth, bind):
+    """A Python expression of the JSON text of the Python expression
+    ``value``, of type ``hint``, at nesting ``depth``: a scalar inline, a
+    tuple of scalars of its hint's length by its layout, else ``_text``."""
+    if hint in _INLINE:
+        return "(" + _INLINE[hint].replace("{v}", value) + ")"
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple and args and all(arg in scalars for arg in args):
-        head = "[\n" + " " * (depth + 1)
-        sep, tail = "," + head[1:], "\n" + " " * depth + "]"
-        return lambda values: head + sep.join(map(_scalar, values)) + tail if values else "[]"
-    return lambda value: _text(value, depth)
+    if typing.get_origin(hint) is tuple and args and all(arg in _INLINE for arg in args):
+        layout = _layout("[", [_SLOT] * len(args), "]", depth)
+        items = [_slot(f"_t[{i}]", arg, depth + 1, bind) for i, arg in enumerate(args)]
+        return (f"({_fill(layout, items, bind, chr(39))} if len(_t := {value}) == {len(args)}"
+                f" else _text(_t, {depth}, _f))")
+    return f"_text({value}, {depth}, _f)"
 
 
 @functools.cache
-def _writer(cls, depth, inline=None):
+def _writer(cls, depth, inline=None, given=()):
     """The compiled writer of dataclass ``cls``'s JSON block at nesting
     ``depth``: ``write(spec, **texts)`` is the block of ``spec``, with the
-    given JSON text in the slot of each field named in ``texts``.  The field
-    named ``inline``, a dataclass, has no key: the block holds its fields
-    as its own.  Keys are sorted, and each is one ``%s`` slot of the
-    block's template."""
+    JSON text ``texts[name]`` in the slot of each field named in ``given``.
+    The field named ``inline``, a dataclass, has no key: the block holds
+    its fields as its own.  The writer is one generated function: an
+    f-string of the block's layout, keys sorted, with each value's
+    expression in its slot (see ``_slot``).  A block and the blocks it
+    holds write each finite nonzero float once: ``write(spec, floats)``
+    keeps its text in the dict ``floats``, since a city's facades repeat them."""
     hints = typing.get_type_hints(cls)
-    slots = [(key, name, hints[name]) for key, name, _, _ in _block(cls) if name != inline]
+    slots = [(key, name, f"spec.{name}", hints[name])
+             for key, name, _, _ in _block(cls) if name != inline]
     if inline:
         inner = typing.get_type_hints(hints[inline])
-        slots += [(key, f"{inline}.{name}", inner[name])
+        slots += [(key, name, f"spec.{inline}.{name}", inner[name])
                   for key, name, _, _ in _block(hints[inline])]
     slots.sort()
-    template = _layout("{", [encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-                             for key, _, _ in slots], "}", depth)
-    names = tuple(name for _, name, _ in slots)
-    writers = tuple(_slot(hint, depth + 1) for _, _, hint in slots)
-    get = operator.attrgetter(*names)
-    if len(names) == 1:  # attrgetter gives a tuple for two names or more
-        get = lambda spec, one=get: (one(spec),)
-
-    def write(spec, **texts):
-        return template % tuple([texts[name] if name in texts else write_slot(value)
-                                 for name, write_slot, value in zip(names, writers, get(spec))])
-    return write
+    scope = _Scope()
+    layout = _layout("{", [f"{encode_basestring_ascii(key)}: {_SLOT}" for key, *_ in slots],
+                     "}", depth)
+    texts = [name if name in given else _slot(value, hint, depth + 1, scope.bind)
+             for _, name, value, hint in slots]
+    return scope.define("write", ", ".join(("spec", *given, "_f=None")), [
+        "_f = {} if _f is None else _f", f"return {_fill(layout, texts, scope.bind, chr(34))}"])

@@ -114,7 +114,8 @@ class Rect:
     ``RECT_UV[axis]``."""
 
     axis: int = dataclasses.field(metadata={"kind": _Kind(
-        "0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2)})
+        "0, 1 or 2", lambda v: _INTEGER.test(v) and 0 <= v <= 2,
+        code=(f"({_INTEGER.code[0]}) and 0 <= {{v}} <= 2", "{v}"))})
     offset: float
     u: tuple[float, float]
     v: tuple[float, float]
@@ -368,8 +369,8 @@ def _box_hits(soup, p, O, D, tmin, index):
     t = np.where((enter <= exit_) & (t > tmin), t, INF)
     if not index:
         return t, None
-    # the face the ray enters by, or leaves by if it started inside
-    axis = np.where(enter > 1e-6, np.argmax(tn, axis=1), np.argmin(tf, axis=1))
+    # the face the ray enters by, or leaves by if it enters at or before tmin
+    axis = np.where(enter > tmin, np.argmax(tn, axis=1), np.argmin(tf, axis=1))
     return t, 3 * p + axis
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .codec import (_INTEGER, _LIST, _NUMBER, _construct, _each, _items, _Kind, _layout,
                     _reader, _text, _writer)
 from .errors import ConfigError
-from .geometry import PRIMITIVES, PrimitiveSoup, camera_basis
+from .geometry import FAMILIES, PRIMITIVES, PrimitiveSoup, camera_basis
 
 SKY_OBJECT_ID = -1
 SKY_MATERIAL_ID = -1
@@ -415,25 +415,24 @@ DYNAMICS_FIELD = {"kind": _LIST._replace(load=lambda keyframes: _construct(
     DynamicsScript, {"keyframes": _items(_KEYFRAME, keyframes, "dynamics")}, "dynamics"))}
 
 
-#: the compiled reader of each primitive type, by its kind
-_PRIMITIVE_READERS = {kind: _reader(cls) for kind, cls in PRIMITIVES.items()}
-
-
-def _read_primitive(doc, path):
-    """The primitive of its JSON entry ``doc`` at ``path``, read by the
-    compiled reader of the type its ``kind`` names."""
+def _read_primitives(docs, path):
+    """The primitives of the JSON list ``docs`` at ``path``, each read by
+    the compiled reader of the type its ``kind`` names."""
     try:
-        read = _PRIMITIVE_READERS[doc["kind"]]
-    except (TypeError, KeyError):
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        raise ConfigError(f"unknown primitive kind {kind!r}", json_path=f"{path}.kind") from None
-    return read(doc, path)
+        return tuple([_reader(PRIMITIVES[doc["kind"]])(doc, f"{path}[{i}]")
+                      for i, doc in enumerate(docs)])
+    except (TypeError, KeyError):  # an entry of no known kind: the first is named
+        i, kind = next((i, doc.get("kind") if isinstance(doc, dict) else None)
+                       for i, doc in enumerate(docs)
+                       if not isinstance(doc, dict) or doc.get("kind") not in FAMILIES)
+        raise ConfigError(f"unknown primitive kind {kind!r}",
+                          json_path=f"{path}[{i}].kind") from None
 
 
 def _read_object(doc, path):
     """The SceneObject of its JSON entry ``doc`` at ``path``, which holds
     its mark's fields as its own."""
-    return _reader(SceneObject, inline="mark")(doc, path, primitives=_each(_read_primitive))
+    return _reader(SceneObject, inline="mark")(doc, path, primitives=_read_primitives)
 
 
 def _read_texture(doc, path):
@@ -505,7 +504,7 @@ class SceneGraph:
         """Sorted keys, one-space indent: ``json.dumps(doc, sort_keys=True,
         indent=1)`` of the whole document, with each object's entry taken
         from its ``json_fragment``."""
-        return _writer(SceneGraph, 0)(
+        return _writer(SceneGraph, 0, given=("objects", "materials", "dynamics"))(
             self, objects=_layout("[", [o.json_fragment for o in self.objects], "]", 1),
             materials=_text({str(mid): m for mid, m in self.materials.items()}, 1),
             dynamics=_text(self.dynamics.keyframes, 1))

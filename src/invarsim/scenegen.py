@@ -338,8 +338,11 @@ def _read_classes(docs, path):
     return _construct(ClassPriors, {"classes": classes}, path) if classes else None
 
 
-#: the ``lights[]`` of a scene config
-_read_lights = _each(_reader(LightSpec, True))
+def _read_lights(docs, path):
+    """The ``lights[]`` of a scene config."""
+    return _each(_reader(LightSpec, True))(docs, path)
+
+
 _ROAD = _list_of(4, _NUMBER)  #: [x0, z0, x1, z1]
 
 

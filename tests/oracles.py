@@ -318,14 +318,14 @@ def _box_hits(soup, O, D, tmin):
     idx = np.argmin(t, axis=1)
     rows = np.arange(len(O))
     tbest = t[rows, idx]
-    return tbest, (idx, tn, tf, enter)
+    return tbest, (idx, tn, tf, enter > tmin)
 
 
 def _box_normals(soup, O, D, tbest, payload, sel):
-    idx, tn, tf, enter = payload
+    idx, tn, tf, entered = payload
     rows = np.where(sel)[0]
     bidx = idx[rows]
-    entered = enter[rows, bidx] > 1e-6  # else the ray started inside
+    entered = entered[rows, bidx]  # else the ray enters at or before tmin
     ax_in = np.argmax(tn[rows, bidx], axis=1)
     ax_out = np.argmin(tf[rows, bidx], axis=1)
     axis = np.where(entered, ax_in, ax_out)

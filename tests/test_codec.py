@@ -7,14 +7,17 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
+import pytest
 
 from invarsim.characterize import MODELS, ProtocolConfig, default_protocol, ingest_sequence
 from invarsim.errors import ConfigError
 from invarsim.imgio import write_flo, write_ppm
 from invarsim.scene import DynamicsScript, SceneGraph
-from invarsim.scenegen import SceneConfig, validation_scene_config
+from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene, validation_scene_config
+from oracles import scene_json
 from test_scenegen import SUBSTITUTES, priors_doc, substitutions
 
 #: (edits, errors, sha256 of the records) of each document's edits
@@ -105,3 +108,82 @@ def test_annotation_error_records(tmp_path):
 
 def test_scene_document_error_records(validation_scene):
     assert scene_document_records(validation_scene) == PINNED["scene_document"]
+
+
+# -- exactness at the size of the city benchmark -----------------------------
+
+
+def benchmark_city_config():
+    """A city in the shape of the city benchmark's large one: 130 buildings
+    of about 21 primitives each, a moving vehicle and the ground slab."""
+    return {
+        "world_bounds": [-150.0, 0.0, 150.0, 300.0],
+        "cell_size": 1.0,
+        "classes": [{"class": "Building", "probability": 1.0, "length": [13.5, 0.3],
+                     "breadth": [10.0, 1.0], "height": [16.5, 0.3]}],
+        "counts": {"total": 130},
+        "objects": [{"class": "Vehicle", "position": [1.7, 5.1], "length": 5.0,
+                     "breadth": 2.2, "height": 1.8, "style": 2, "dynamic": True}],
+        "weather": "Clear",
+        "camera": {"position": [0.0, 20.0, -25.0], "look_at": [0.0, 0.0, 30.0],
+                   "vfov_deg": 30.0},
+        "dynamics": [[0, "objects.1.velocity", [0.55, 0.0, -0.1]]],
+    }
+
+
+@pytest.fixture(scope="module")
+def benchmark_city():
+    return sample_scene(SceneConfig.from_dict(benchmark_city_config()), 5)
+
+
+def test_benchmark_city_round_trips(benchmark_city):
+    assert sum(len(o.primitives) for o in benchmark_city.objects) > 2500
+    for scene in (benchmark_city, apply_dynamics(benchmark_city, 1)):
+        text = scene.to_json()
+        assert text == scene_json(scene)
+        again = SceneGraph.from_json(text)
+        assert again == scene
+        assert again.to_json() == text
+
+
+def loosened(node):
+    """``node`` with its keys in reverse order and each integral float but
+    -0.0 an int, as a hand-written document may hold them."""
+    if isinstance(node, dict):
+        return {key: loosened(node[key]) for key in reversed(node)}
+    if isinstance(node, list):
+        return [loosened(item) for item in node]
+    if isinstance(node, float) and node.is_integer() and math.copysign(1.0, node) > 0:
+        return int(node)
+    return node
+
+
+def test_a_loose_document_reads_to_the_canonical_text(benchmark_city):
+    text = benchmark_city.to_json()
+    loose = json.dumps(loosened(json.loads(text)), separators=(",", ":"))
+    assert loose.startswith('{"world_bounds":[-150.0,0,150,300],')  # keys reversed, ints
+    assert SceneGraph.from_json(loose).to_json() == text
+    assert SceneGraph.from_json(json.dumps(json.loads(text), indent="\t")).to_json() == text
+
+
+#: (primitive kind, key, bad value) of an entry in a building's primitives
+BAD_PRIMITIVE_VALUES = [
+    ("rect", "offset", float("nan")), ("rect", "offset", float("inf")), ("rect", "offset", "1"),
+    ("rect", "offset", True), ("rect", "u", [0.0, 1.0, 2.0]), ("rect", "u", [0.0]),
+    ("rect", "u", [0.0, "1"]), ("rect", "v", [0.0, float("-inf")]), ("rect", "axis", 3),
+    ("rect", "axis", 1.0), ("rect", "axis", False), ("rect", "material", 0.5),
+    ("rect", "kind", 1), ("box", "lo", [0.0, 0.0]), ("box", "hi", [1.0, 2.0, None]),
+]
+
+
+@pytest.mark.parametrize("kind, key, value", BAD_PRIMITIVE_VALUES,
+                         ids=[f"{kind}.{key}={value!r}" for kind, key, value in BAD_PRIMITIVE_VALUES])
+def test_each_bad_primitive_value_is_named(benchmark_city, kind, key, value):
+    doc = json.loads(benchmark_city.to_json())
+    i, obj = next((i, obj) for i, obj in enumerate(doc["objects"]) if len(obj["primitives"]) > 20)
+    j, prim = next((j, prim) for j, prim in enumerate(obj["primitives"]) if prim["kind"] == kind)
+    prim[key] = value
+    with pytest.raises(ConfigError, match="unknown primitive kind" if key == "kind"
+                       else ": expected ") as err:
+        SceneGraph.from_json(json.dumps(doc))
+    assert err.value.json_path == f"objects[{i}].primitives[{j}].{key}"

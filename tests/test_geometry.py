@@ -9,6 +9,7 @@ rays.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,6 +331,24 @@ class TestAdversarialRays:
                 assert_same_as_brute(soup, O2, D[m], tmin)
             # tmin equal to the hit distance of the camera rays
             assert_same_as_brute(soup, O[m], D[m], float(np.median(hit.t[m])))
+
+
+@pytest.mark.parametrize("tmin, t, point, normal", [
+    (1e-6, 0.1, (0.0, 0.58, 0.5), (-1.0, 0.0, 0.0)),  # enters by the x = 0 face
+    (0.5, 0.625, (0.525, 1.0, 0.5), (0.0, -1.0, 0.0)),  # enters before tmin, leaves by y = 1
+])
+def test_box_face_at_tmin(tmin, t, point, normal):
+    """A ray from (-0.1, 0.5, 0.5) along (1, 0.8, 0) into the unit box, in
+    closed form: it enters at t = 0.1 and leaves at t = 0.625; once tmin
+    passes its entry, its hit is the face it leaves by."""
+    box = SimpleNamespace(object_id=3, primitives=(geometry.Box((0.0, 0.0, 0.0),
+                                                                 (1.0, 1.0, 1.0), 7),))
+    hit = trace(PrimitiveSoup([box]), np.array([[-0.1, 0.5, 0.5]]), np.array([[1.0, 0.8, 0.0]]),
+                tmin)
+    np.testing.assert_allclose(hit.t, [t], rtol=1e-12)
+    np.testing.assert_allclose(hit.point, [point], rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(hit.normal, [normal])
+    assert (hit.obj_id[0], hit.mat_id[0]) == (3, 7)
 
 
 def count_blocks(monkeypatch):

@@ -421,35 +421,19 @@ def rank_items(items, direction: str) -> dict:
     return {label: float(rank) for label, rank in zip(labels, ranks)}
 
 
-@dataclass(frozen=True)
-class RankingComparison:
-    labels: tuple
-    ranks_a: tuple
-    ranks_b: tuple
-    correlation: float
-    deltas: dict
-
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "ranks_a": list(self.ranks_a),
-            "ranks_b": list(self.ranks_b),
-            "correlation": self.correlation,
-            "deltas": self.deltas,
-        }
-
-
-def compare_rankings(a: dict, b: dict) -> RankingComparison:
+def compare_rankings(a: dict, b: dict) -> dict:
     """Rank-correlate two rankings over the same labels: the empirical
-    conclusion-deviation measure between two data sources."""
+    conclusion-deviation measure between two data sources.  The labels in
+    sorted order, each side's ranks in that order, their Spearman
+    correlation and the rank change per label."""
     if set(a) != set(b):
         raise LabelMismatchError(set(a) - set(b), set(b) - set(a))
-    labels = tuple(sorted(a))
-    ra = tuple(a[l] for l in labels)
-    rb = tuple(b[l] for l in labels)
-    corr = spearman_rho(ra, rb)
-    deltas = {l: a[l] - b[l] for l in labels}
-    return RankingComparison(labels, ra, rb, corr, deltas)
+    labels = sorted(a)
+    ra = [a[l] for l in labels]
+    rb = [b[l] for l in labels]
+    return {"labels": labels, "ranks_a": ra, "ranks_b": rb,
+            "correlation": spearman_rho(ra, rb),
+            "deltas": {l: a[l] - b[l] for l in labels}}
 
 
 def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
@@ -528,7 +512,8 @@ def _ldr_float(hdr, protocol, *sensor_tags):
     scfg = protocol.sensor_config(*sensor_tags)
     if scfg is None:
         return hdr
-    return apply_sensor(hdr, scfg).to_float()
+    levels, maxval = apply_sensor(hdr, scfg)
+    return levels.astype(np.float64) / float(maxval)
 
 
 def _collect_patches(protocol, gt, *seed_parts):
@@ -537,11 +522,11 @@ def _collect_patches(protocol, gt, *seed_parts):
     eligible centers, which becomes a gap."""
     patches = {}
     for s in protocol.patch_sizes:
-        cmap = classify_contexts(gt, window=s)
+        labels = classify_contexts(gt, window=s)
         for context in protocol.contexts:
             try:
                 patches[(context, s)] = sample_patches(
-                    cmap, context, s, protocol.patches_per_cell,
+                    labels, context, s, protocol.patches_per_cell,
                     seed=_mix(protocol.patch_seed, context, s, *seed_parts),
                 )
             except PatchSamplingError:

@@ -195,11 +195,11 @@ def cmd_render(args):
         st = apply_dynamics(scene, t)
         hdr = render_frame(st, cfg)
         gt = render_ground_truth(st, cfg)
-        ldr = apply_sensor(hdr, dataclasses.replace(
+        levels, maxval = apply_sensor(hdr, dataclasses.replace(
             sensor, noise_seed=sensor.noise_seed + t))
         base = out_dir / f"frame_{t:04d}"
         write_pfm(f"{base}.pfm", hdr)
-        write_ppm(f"{base}.ppm", ldr.data, maxval=ldr.maxval)
+        write_ppm(f"{base}.ppm", levels, maxval=maxval)
         write_pfm(f"{base}_depth.pfm", gt.depth)
         write_pfm(f"{base}_normal.pfm", gt.normal)
         write_pfm(f"{base}_object_id.pfm", gt.object_id.astype(np.float32))
@@ -341,9 +341,8 @@ def _read_manifold(path):
 
 def cmd_compare(args):
     a, b = map(_read_manifold, (args.manifold_a, args.manifold_b))
-    comparison = compare_rankings(rank_manifold_contexts(a, by=args.by),
-                                  rank_manifold_contexts(b, by=args.by))
-    doc = comparison.to_dict()
+    doc = compare_rankings(rank_manifold_contexts(a, by=args.by),
+                           rank_manifold_contexts(b, by=args.by))
     doc["by"] = args.by
     doc["models"] = [a.model, b.model]
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"

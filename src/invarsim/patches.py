@@ -65,21 +65,6 @@ class Patch:
         return frame[rs, cs]
 
 
-class ContextMap:
-    """Per-pixel boolean masks for every available context label."""
-
-    def __init__(self, labels: dict[str, np.ndarray], window: int, shape):
-        self.labels = labels
-        self.window = window
-        self.shape = tuple(shape)
-
-    def counts(self):
-        return {name: int(mask.sum()) for name, mask in self.labels.items()}
-
-    def __getitem__(self, name):
-        return self.labels[name]
-
-
 def _window_reduce(op, arr: np.ndarray, window: int) -> np.ndarray:
     """``op`` over every window x window block that lies inside ``arr``,
     (h - window + 1, w - window + 1) of them: along rows, then along columns.
@@ -169,9 +154,9 @@ def _normal_discontinuities(normal: np.ndarray, valid: np.ndarray, angle_deg: fl
     return h_disc, v_disc
 
 
-def classify_contexts(gt, window: int = 3) -> ContextMap:
+def classify_contexts(gt, window: int = 3) -> dict[str, np.ndarray]:
     """Label every pixel with the spatial contexts it belongs to, from the
-    ground-truth buffers alone.
+    ground-truth buffers alone: a boolean (H, W) mask per context.
 
     Areal labels (homogeneous, diffuse, specular, shadow region, occluded,
     same-surface) use a fixed 3-pixel local window; the purity rule at
@@ -273,21 +258,21 @@ def classify_contexts(gt, window: int = 3) -> ContextMap:
         diffuse &= ~_window_any(labels["Occluded"], wide)
     labels["Diffuse"] = diffuse
 
-    return ContextMap(labels, window, obj.shape)
+    return labels
 
 
-def eligible_centers(cmap: ContextMap, context: str, side: int,
+def eligible_centers(labels: dict, context: str, side: int,
                      purity: float = PURITY_THRESHOLD) -> np.ndarray:
     """Top-left corners (N, 2) of all eligible side x side patches.
 
     A patch is eligible when it lies fully inside the image and at least
     ``purity`` of its pixels carry the context label.
     """
-    if context not in cmap.labels:
+    if context not in labels:
         raise PatchSamplingError(context, side, 0, 1)
     if side < 3 or side % 2 == 0:
         raise ConfigError(f"patch side must be odd and >= 3, got {side}")
-    mask = cmap.labels[context]
+    mask = labels[context]
     h, w = mask.shape
     if h < side or w < side:
         return np.zeros((0, 2), dtype=int)
@@ -302,7 +287,7 @@ def eligible_centers(cmap: ContextMap, context: str, side: int,
     return np.stack([rows, cols], axis=1)
 
 
-def sample_patches(cmap: ContextMap, context: str, side: int, count: int,
+def sample_patches(labels: dict, context: str, side: int, count: int,
                    seed: int, purity: float = PURITY_THRESHOLD) -> list[Patch]:
     """Uniformly sample ``count`` eligible patches without replacement.
 
@@ -311,7 +296,7 @@ def sample_patches(cmap: ContextMap, context: str, side: int, count: int,
     """
     if count < 0:
         raise ConfigError("count must be >= 0")
-    centers = eligible_centers(cmap, context, side, purity)
+    centers = eligible_centers(labels, context, side, purity)
     if count == 0:
         return []
     if len(centers) < count:

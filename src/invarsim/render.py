@@ -76,21 +76,6 @@ class SensorConfig:
 
 
 @dataclass
-class LdrImage:
-    """Quantized sensor output, (H, W, 3) unsigned ints in [0, 2^bits - 1]."""
-
-    data: np.ndarray
-    bits: int = 8
-
-    @property
-    def maxval(self):
-        return (1 << self.bits) - 1
-
-    def to_float(self) -> np.ndarray:
-        return self.data.astype(np.float64) / float(self.maxval)
-
-
-@dataclass
 class GroundTruthBuffers:
     """Pixel-exact ground truth from the center-of-pixel ray.
 
@@ -516,9 +501,10 @@ def compute_flow(gt_t: GroundTruthBuffers, gt_t1: GroundTruthBuffers,
     return flow.reshape(h, w, 2), occl.reshape(h, w)
 
 
-def apply_sensor(img: np.ndarray, cfg: SensorConfig) -> LdrImage:
+def apply_sensor(img: np.ndarray, cfg: SensorConfig) -> tuple[np.ndarray, int]:
     """Gamma map, seeded Gaussian noise, clamp, quantize (round half up) of
-    an (H, W, 3) radiance image."""
+    an (H, W, 3) radiance image: ``(levels, maxval)``, levels unsigned ints
+    in [0, maxval = 2^bits - 1], as ``imgio.read_ppm`` returns them."""
     x = np.maximum(np.asarray(img, dtype=np.float64), 0.0)
     if cfg.gamma != 1.0:
         x = np.power(x, 1.0 / cfg.gamma)
@@ -530,4 +516,4 @@ def apply_sensor(img: np.ndarray, cfg: SensorConfig) -> LdrImage:
     maxval = (1 << cfg.quantization_bits) - 1
     q = np.floor(x * maxval + 0.5)
     dtype = np.uint8 if cfg.quantization_bits <= 8 else np.uint16
-    return LdrImage(q.astype(dtype), cfg.quantization_bits)
+    return q.astype(dtype), maxval

@@ -62,7 +62,7 @@ class CuboidMark:
     ``position`` is the footprint center on the ground (x, z) plane, in
     meters.  ``length`` spans x, ``breadth`` spans z, ``height`` spans y
     upward from y=0 (ground objects extend slightly below).  ``yaw`` is kept
-    for completeness but is always 0 in Manhattan mode.
+    for completeness but must be 0: every scene is Manhattan.
     """
 
     position: tuple[float, float]
@@ -456,6 +456,13 @@ def _read_materials(docs, path):
     return materials
 
 
+def _require_manhattan(manhattan):
+    """Every object is an axis-aligned box: nothing renders a rotated one."""
+    if not manhattan:
+        raise ConfigError("only Manhattan scenes are supported: manhattan must be true",
+                          json_path="manhattan")
+
+
 @dataclass(frozen=True)
 class SceneGraph:
     """A fully realized world sample, deterministic in (config, seed)."""
@@ -478,11 +485,11 @@ class SceneGraph:
                         f"object {obj.object_id} references unknown material "
                         f"id {prim.material}", json_path=f"objects[{i}].primitives[{j}].material"
                     )
-        if self.manhattan:
-            for i, obj in enumerate(self.objects):
-                if obj.mark.yaw != 0.0:
-                    raise ConfigError("manhattan scene requires yaw = 0 on all marks",
-                                      json_path=f"objects[{i}].yaw")
+        _require_manhattan(self.manhattan)
+        for i, obj in enumerate(self.objects):
+            if obj.mark.yaw != 0.0:
+                raise ConfigError("manhattan scene requires yaw = 0 on all marks",
+                                  json_path=f"objects[{i}].yaw")
 
     def object_by_id(self, object_id: int) -> SceneObject:
         for obj in self.objects:

@@ -37,6 +37,7 @@ from .scene import (
     SceneGraph,
     SceneObject,
     Texture,
+    _require_manhattan,
 )
 
 DEFAULT_CELL_SIZE = 0.5
@@ -100,11 +101,6 @@ class OccupancyMap:
         """Cover every cell the footprint intersects."""
         ix0, iz0, ix1, iz1 = self._cell_span(footprint)
         self.grid[iz0:iz1, ix0:ix1] = True
-
-
-def check_placement(occupancy: OccupancyMap, footprint) -> bool:
-    """Whether ``footprint`` can be accepted against the occupancy map."""
-    return occupancy.is_free(footprint)
 
 
 class MaterialRegistry:
@@ -290,6 +286,7 @@ class SceneConfig:
     seed: int = 0  #: read by ``invarsim sample`` unless ``--seed`` is given
 
     def __post_init__(self):
+        _require_manhattan(self.manhattan)
         rects = [("world_bounds", self.world_bounds)]
         rects += [(f"roads[{i}]", road) for i, road in enumerate(self.roads)]
         for path, (x0, z0, x1, z1) in rects:
@@ -430,7 +427,7 @@ def sample_scene(config: SceneConfig, seed: int) -> SceneGraph:
                 px = rng.uniform(x0 + l / 2.0, x1 - l / 2.0)
                 pz = rng.uniform(z0 + b / 2.0, z1 - b / 2.0)
                 mark = CuboidMark((px, pz), l, b, h, oc)
-                if check_placement(occupancy, mark.footprint()):
+                if occupancy.is_free(mark.footprint()):
                     occupancy.mark(mark.footprint())
                     add_object(ObjectSpec(mark, style))
                     placed = True

@@ -272,7 +272,7 @@ def brute_block_counts(mask, side):
 
 def patch_purity(cmap, patch):
     """Fraction of the patch's pixels carrying its context label."""
-    return float(patch.extract(cmap.labels[patch.context]).mean())
+    return float(patch.extract(cmap[patch.context]).mean())
 
 
 def sphere_integral(fn, n_mu=512):

@@ -364,4 +364,4 @@ def test_c10_ranking_machinery():
     cmp = compare_rankings(
         rank_items(sorted(t2_sim.items()), "higher_better"),
         rank_items(sorted(t2_real.items()), "higher_better"))
-    assert cmp.correlation > 0
+    assert cmp["correlation"] > 0

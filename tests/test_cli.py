@@ -84,6 +84,7 @@ class TestSample:
                        "breadth": 12.0, "height": 18.0, "window_grid": [2]}]},
          "objects[0].window_grid"),
         ({"ground": "no"}, "ground"),
+        ({"manhattan": False}, "manhattan"),
         ({"roads": [[1.0, 2.0, -3.0, 4.0]]}, "roads[0]"),
         ({"classes": [{"class": "Tree", "probability": 0.7, "length": [2.0, 0.4],
                        "breadth": [2.0, 0.4], "height": [3.0, 0.5]}]}, "classes"),
@@ -210,6 +211,25 @@ class TestRender:
         ldr, maxval = read_ppm(out_dir / "frame_0000.ppm")
         assert maxval == 255
 
+    def test_bits_10_writes_the_sensor_levels(self, scene_json, tmp_path):
+        from invarsim.render import RenderConfig, SensorConfig, apply_sensor, render_frame
+
+        out_dir = tmp_path / "render"
+        assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                     "--frames", "0..0", "--spp", "2", "--width", "32", "--height", "24",
+                     "--sensor-sigma", "0", "--bits", "10"]) == 0
+        levels, maxval = read_ppm(out_dir / "frame_0000.ppm")
+        assert levels.dtype == np.uint16 and maxval == 1023
+        scene = SceneGraph.from_json(scene_json.read_text())
+        cfg = RenderConfig(width=32, height=24, samples_per_pixel=2, rng_seed=scene.seed)
+        want, want_maxval = apply_sensor(
+            render_frame(apply_dynamics(scene, 0), cfg),
+            SensorConfig(gaussian_noise_sigma=0.0, quantization_bits=10))
+        assert want_maxval == 1023
+        assert np.array_equal(levels, want)
+        sidecar = json.loads((out_dir / "frame_0000.json").read_text())
+        assert sidecar["sensor"]["bits"] == 10
+
     def test_three_frames_pin_every_output(self, scene_json, tmp_path):
         out_dir = tmp_path / "render"
         assert main(["render", str(scene_json), "--out-dir", str(out_dir),
@@ -321,6 +341,7 @@ class TestRender:
         (lambda d: d["materials"]["0"]["texture"].update(contrast=float("nan")),
          "materials.0.texture.contrast"),
         (lambda d: d["materials"]["0"]["texture"].update(scale=0), "materials.0.texture"),
+        (lambda d: (d.update(manhattan=False), d["objects"][3].update(yaw=0.6)), "manhattan"),
     ])
     def test_bad_scene_values_exit_2_with_path(self, scene_json, tmp_path, capsys,
                                                edit, json_path):
@@ -411,6 +432,7 @@ class TestSweep:
         ("render", "max_bounces", 2),  # the renderer traces at most one bounce
         ("sensor", "bits", 40),
         ("sensor", "sigma", "a"),
+        ("scene", "manhattan", False),
     ])
     def test_dry_run_rejects_bad_values(self, tmp_path, capsys, block, key, value):
         doc = tiny_protocol_doc()

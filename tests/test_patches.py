@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from invarsim.errors import ConfigError, MissingBufferError, PatchSamplingError
 from invarsim.patches import (
-    ContextMap,
     Patch,
     _window_all,
     _window_any,
@@ -92,7 +91,7 @@ class TestClassify:
 
     def test_validation_scene_has_core_contexts(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=3)
-        counts = cmap.counts()
+        counts = {name: int(mask.sum()) for name, mask in cmap.items()}
         for name in ("Diffuse", "Specular", "ShadowRegion", "ShadowBoundary",
                      "Edge", "Corner", "Homogeneous"):
             assert counts[name] > 0, f"no pixels labeled {name}: {counts}"
@@ -105,15 +104,15 @@ class TestClassify:
     def test_labels_depend_only_on_ground_truth(self, validation_gt):
         a = classify_contexts(validation_gt, window=3)
         b = classify_contexts(validation_gt, window=3)
-        for name in a.labels:
+        for name in a:
             assert np.array_equal(a[name], b[name])
 
     def test_occlusion_labels_from_frame_pair(self, moving_pair):
         s0, s1, gt0, gt1 = moving_pair
         cmap = classify_contexts(gt0, window=3)
-        assert "Occluded" in cmap.labels
-        assert "SameSurface" in cmap.labels
-        assert "MotionBoundary" in cmap.labels
+        assert "Occluded" in cmap
+        assert "SameSurface" in cmap
+        assert "MotionBoundary" in cmap
         # newly covered background must be occluded (id-compare oracle)
         newly = (gt0.object_id != 1) & (gt1.object_id == 1)
         assert newly.any()
@@ -169,7 +168,7 @@ class TestSamplePatches:
 
     def test_patches_fully_inside(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=7)
-        h, w = cmap.shape
+        h, w = cmap["Diffuse"].shape
         for p in sample_patches(cmap, "Diffuse", 7, 5, seed=3):
             assert 0 <= p.row and p.row + p.side <= h
             assert 0 <= p.col and p.col + p.side <= w
@@ -217,7 +216,7 @@ class TestWindowFilters:
            seed=st.integers(0, 2**32 - 1))
     def test_eligible_centers_equal_brute_counts(self, h, w, side, density, purity, seed):
         mask = np.random.default_rng(seed).uniform(size=(h, w)) < density
-        cmap = ContextMap({"Diffuse": mask}, side, mask.shape)
+        cmap = {"Diffuse": mask}
         want = np.argwhere(brute_block_counts(mask, side) >= purity * side * side)
         got = eligible_centers(cmap, "Diffuse", side, purity)
         assert got.shape == want.shape

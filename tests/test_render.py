@@ -484,18 +484,18 @@ class TestFlow:
 class TestSensor:
     def test_midgray_rounds_half_up(self):
         img = np.full((2, 2, 3), 0.5)
-        out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0, gamma=1.0))
-        assert np.all(out.data == 128)
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0, gamma=1.0))
+        assert np.all(out == 128)
 
     def test_overrange_clamps(self):
         img = np.full((2, 2, 3), 2.0)
-        out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0))
-        assert np.all(out.data == 255)
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0))
+        assert np.all(out == 255)
 
     def test_noise_statistics(self):
         img = np.full((600, 600, 3), 0.5)
-        out = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.01, noise_seed=4))
-        vals = out.data.astype(float)
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.01, noise_seed=4))
+        vals = out.astype(float)
         n = vals.size
         # quantization adds 1/12 of a count of variance on top of the noise
         expected_std = math.sqrt((0.01 * 255) ** 2 + 1.0 / 12.0)
@@ -505,21 +505,21 @@ class TestSensor:
     def test_deterministic_per_seed(self):
         img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         cfg = SensorConfig(gaussian_noise_sigma=0.01, noise_seed=7)
-        a = apply_sensor(img, cfg)
-        b = apply_sensor(img, cfg)
-        assert np.array_equal(a.data, b.data)
-        c = apply_sensor(img, dataclasses.replace(cfg, noise_seed=8))
-        assert not np.array_equal(a.data, c.data)
+        a, _ = apply_sensor(img, cfg)
+        b, _ = apply_sensor(img, cfg)
+        assert np.array_equal(a, b)
+        c, _ = apply_sensor(img, dataclasses.replace(cfg, noise_seed=8))
+        assert not np.array_equal(a, c)
 
     def test_ldr_bounds_and_bits(self):
         img = np.random.default_rng(2).uniform(-1, 2, (8, 8, 3))
-        out = apply_sensor(img, SensorConfig(quantization_bits=10,
-                                             gaussian_noise_sigma=0.05,
-                                             noise_seed=1))
-        assert out.maxval == 1023
-        assert out.data.max() <= 1023
-        assert out.data.min() >= 0
-        assert out.to_float().max() <= 1.0
+        out, maxval = apply_sensor(img, SensorConfig(quantization_bits=10,
+                                                     gaussian_noise_sigma=0.05,
+                                                     noise_seed=1))
+        assert maxval == 1023
+        assert out.max() <= 1023
+        assert out.min() >= 0
+        assert (out.astype(np.float64) / float(maxval)).max() <= 1.0
 
 
 class TestCamera:

@@ -277,6 +277,9 @@ class TestSceneValues:
          "dynamics"),
         (edit_at(["seed"], "7"), "seed"),
         (edit_at(["manhattan"], 1), "manhattan"),
+        # nothing renders a rotated object, so a non-Manhattan scene is refused
+        (edit_at(["manhattan"], False), "manhattan"),
+        (lambda d: (d.update(manhattan=False), d["objects"][3].update(yaw=0.6)), "manhattan"),
         (edit_at(["world_bounds"], [0.0, 0.0, 1.0]), "world_bounds"),
     ])
     def test_bad_value_names_its_path(self, validation_scene, edit, json_path):

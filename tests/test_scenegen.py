@@ -15,7 +15,6 @@ from invarsim.scenegen import (
     OccupancyMap,
     SceneConfig,
     apply_dynamics,
-    check_placement,
     instantiate_geometry,
     sample_scene,
 )
@@ -72,22 +71,22 @@ def make_config(n_total=10, classes=("Building", "Tree", "Vehicle", "Pedestrian"
 class TestOccupancy:
     def test_empty_map_any_footprint_free(self):
         omap = OccupancyMap((-10, -10, 10, 10))
-        assert check_placement(omap, (-1, -1, 1, 1)) is True
+        assert omap.is_free((-1, -1, 1, 1)) is True
 
     def test_identical_footprint_rejected(self):
         omap = OccupancyMap((-10, -10, 10, 10))
         omap.mark((-1, -1, 1, 1))
-        assert check_placement(omap, (-1, -1, 1, 1)) is False
+        assert omap.is_free((-1, -1, 1, 1)) is False
 
     def test_one_cell_gap_is_free(self):
         omap = OccupancyMap((-10, -10, 10, 10), cell_size=0.5)
         accepted = (-2.0, -2.0, 0.0, 0.0)
         omap.mark(accepted)
         # abutting directly: conservative rejection
-        assert check_placement(omap, (0.0, -2.0, 2.0, 0.0)) is False
+        assert omap.is_free((0.0, -2.0, 2.0, 0.0)) is False
         # one full cell of clearance: accepted, and the exact oracle agrees
         gap = (0.5, -2.0, 2.5, 0.0)
-        assert check_placement(omap, gap) is True
+        assert omap.is_free(gap) is True
         from oracles import rects_overlap
 
         assert not rects_overlap(accepted, gap)
@@ -95,7 +94,7 @@ class TestOccupancy:
     def test_out_of_bounds_footprint_raises(self):
         omap = OccupancyMap((-10, -10, 10, 10))
         with pytest.raises(OutOfBoundsError):
-            check_placement(omap, (9, 9, 11, 11))
+            omap.is_free((9, 9, 11, 11))
 
 
 class TestSampling:
@@ -323,6 +322,7 @@ class TestSampling:
         ({"seed": 1.5}, "seed"),
         ({"seed": "7"}, "seed"),
         ({"manhattan": "no"}, "manhattan"),
+        ({"manhattan": False}, "manhattan"),
         ({"max_attempts": 2.5}, "max_attempts"),
         ({"lights": [{"kind": "ambient", "intensity": "0.5"}]}, "lights[0].intensity"),
         ({"counts": {"total": 2}}, "counts"),

@@ -122,8 +122,7 @@ class ProtocolConfig:
     height: int = _at("render.height", 48)
     samples_per_pixel: int = _at("render.spp", 16)
     max_bounces: int = _at("render.max_bounces", 1)
-    sensor: dict | None = field(default_factory=lambda: {
-        key: value for key, value in _encode(SensorConfig()).items() if key != "noise_seed"})
+    sensor: dict | None = field(default_factory=lambda: _encode(SensorConfig()))
     ds_angle_threshold_deg: float = _at("thresholds.ds_angle_deg", 3.0)
     exclude_occluded: bool = False
     ingest_dir: str | None = _at("ingest.directory", None)
@@ -207,20 +206,19 @@ class ProtocolConfig:
                             max_bounces=self.max_bounces,
                             rng_seed=self.render_seed)
 
-    def sensor_config(self, *tags) -> SensorConfig | None:
-        """Sensor stage for one frame; None means evaluate raw radiance."""
+    def sensor_config(self) -> SensorConfig | None:
+        """The sensor stage; None means evaluate raw radiance."""
         if self.sensor is None:
             return None
-        return _reader(SensorConfig, True)(
-            {**self.sensor, "noise_seed": _mix(self.sensor_seed, *tags)}, "sensor")
+        return _reader(SensorConfig, True)(self.sensor, "sensor")
 
 
 def _read_sensor(block, path):
     """A protocol's sensor block at ``path``: None, or the keys it gives,
-    each checked and loaded; SensorConfig has the rest, and a seed of its own."""
+    each checked and loaded; SensorConfig has the rest."""
     if block is None:
         return None
-    sensor = _encode(_reader(SensorConfig, True, omit=("noise_seed",))(block, path))
+    sensor = _encode(_reader(SensorConfig, True)(block, path))
     return {key: sensor[key] for key in block}
 
 
@@ -332,7 +330,7 @@ class Manifold:
     @classmethod
     def from_csv(cls, text: str) -> "Manifold":
         """The manifold of a CSV that ``to_csv`` wrote; a ConfigError names
-        the line of a row that does not fit its header."""
+        the line of a row that does not fit its header or the first row's model."""
         lines = [(number, line.strip()) for number, line in enumerate(text.split("\n"), 1)
                  if line.strip()]
         if not lines:
@@ -351,13 +349,15 @@ class Manifold:
                     raise ValueError(f"{len(cells)} fields, the header has {len(header)}")
                 if cells[0] not in MODELS:
                     raise ValueError(f"unknown model {cells[0]!r}")
+                if table and cells[0] != table[0][0]:
+                    raise ValueError(f"model {cells[0]!r}, the first row's is {table[0][0]!r}")
                 table.append([*cells[:2], *map(_parse_coord, cells[2:-3]),
                               float(cells[-3]), float(cells[-2]), int(cells[-1])])
             except ValueError as exc:
                 raise ConfigError(f"manifold CSV line {number}: {exc}") from None
         models, context, *keys, mean, std, n = zip(*table) if table else [()] * len(header)
         coords = {c[len("theta_w_"):]: k for c, k in zip(header[2:-3], keys)}  # as theta_v_
-        return cls(models[-1] if models else None, w_axes, v_axes, context, coords, mean, std, n)
+        return cls(models[0] if models else None, w_axes, v_axes, context, coords, mean, std, n)
 
 
 def _parse_coord(text):
@@ -506,23 +506,23 @@ def _scale_velocities(scene, factor):
     return dataclasses.replace(scene, dynamics=DynamicsScript(tuple(keys)))
 
 
-def _ldr_float(hdr, protocol, *sensor_tags):
-    """A rendered frame as the protocol's sensor sees it; raw radiance
-    when the protocol has no sensor."""
-    scfg = protocol.sensor_config(*sensor_tags)
+def _ldr_float(hdr, protocol, *tags):
+    """A rendered frame as the protocol's sensor sees it, noise seeded by
+    the frame's ``tags``; raw radiance when the protocol has no sensor."""
+    scfg = protocol.sensor_config()
     if scfg is None:
         return hdr
-    levels, maxval = apply_sensor(hdr, scfg)
+    levels, maxval = apply_sensor(hdr, scfg, _mix(protocol.sensor_seed, *tags))
     return levels.astype(np.float64) / float(maxval)
 
 
-def _collect_patches(protocol, gt, *seed_parts):
-    """Patches per (context, side), sampled from the contexts of ground truth
-    ``gt`` classified at that side; None marks a cell without enough
+def _collect_patches(protocol, gt, occlusion, flow, *seed_parts):
+    """Patches per (context, side), sampled from the contexts classified at
+    that side (``classify_contexts``); None marks a cell without enough
     eligible centers, which becomes a gap."""
     patches = {}
     for s in protocol.patch_sizes:
-        labels = classify_contexts(gt, window=s)
+        labels = classify_contexts(gt, s, occlusion, flow)
         for context in protocol.contexts:
             try:
                 patches[(context, s)] = sample_patches(
@@ -699,18 +699,15 @@ def _prepare_ramp(protocol):
         lit = apply_dynamics(base, 0)
         gt_t = render_ground_truth(lit, rcfg)
         # contexts vs. the reference: occluded where the object ids differ
-        gt_t.occlusion = gt_t.object_id != render_ground_truth(ref_scene, rcfg).object_id
-        flow = occl = None
+        flow, occl = None, gt_t.object_id != render_ground_truth(ref_scene, rcfg).object_id
         ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
     else:
         scene_t = apply_dynamics(base, 0)
         lit = apply_dynamics(base, 1)
         gt_t = render_ground_truth(scene_t, rcfg)
         flow, occl = compute_flow(gt_t, render_ground_truth(lit, rcfg), scene_t, lit)
-        gt_t.flow = flow
-        gt_t.occlusion = occl
         ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
-    patches = _collect_patches(protocol, gt_t)
+    patches = _collect_patches(protocol, gt_t, occl, flow)
     hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
     # gathered after the renders, so they do not add to the renders' peak memory
     batches = _cell_batches(protocol, patches, flow, occl)
@@ -730,21 +727,24 @@ def _eval_levels(protocol, state, levels):
 
 
 def _prepare_scene(protocol):
-    return sample_scene(protocol.scene_config(), protocol.scene_seed)
+    """PS: the scene and its t = 0 ground truth, which every speed shares:
+    scaled velocities change only ``dynamics``, which ground truth ignores."""
+    base = sample_scene(protocol.scene_config(), protocol.scene_seed)
+    return base, render_ground_truth(apply_dynamics(base, 0), protocol.render_config())
 
 
-def _eval_speed(protocol, base, speed):
+def _eval_speed(protocol, state, speed):
     """PS: flow smoothness with every object velocity scaled by ``speed``,
     each patch side's patches measured in one ``row_variances`` call."""
+    base, gt0 = state
     rcfg = protocol.render_config()
     scaled = _scale_velocities(base, speed)
     frames = [apply_dynamics(scaled, t) for t in range(4)]
-    gts = [render_ground_truth(f, rcfg) for f in frames]
-    gt1 = gts[1]
-    (flow_prev, _), (gt1.flow, gt1.occlusion), (flow_next, _) = [
+    gts = [gt0] + [render_ground_truth(f, rcfg) for f in frames[1:]]
+    (flow_prev, _), (flow, occl), (flow_next, _) = [
         compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
-    patches = _collect_patches(protocol, gt1, speed)
-    energy = smoothness_energy(flow_prev, gt1.flow, flow_next)
+    patches = _collect_patches(protocol, gts[1], occl, flow, speed)
+    energy = smoothness_energy(flow_prev, flow, flow_next)
     batches = _cell_batches(protocol, patches)
     values = [np.empty(0)]  # a cell without patches measures nothing
     for keys, _, pixels in batches:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import hashlib
 import json
@@ -174,8 +173,7 @@ def cmd_render(args):
                        samples_per_pixel=args.spp, max_bounces=args.max_bounces,
                        rng_seed=args.seed if args.seed is not None else scene.seed)
     sensor = SensorConfig(gaussian_noise_sigma=args.sensor_sigma,
-                          quantization_bits=args.bits, gamma=args.gamma,
-                          noise_seed=args.sensor_seed)
+                          quantization_bits=args.bits, gamma=args.gamma)
     if args.dry_run:
         # camera samples only: bounce, center and shadow rays come on top
         _emit(args, {"frames": len(frames),
@@ -184,10 +182,10 @@ def cmd_render(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = _sha256(
-        (scene.to_json() + repr((cfg, sensor, frames))).encode()
+        (scene.to_json() + repr((cfg, sensor, args.sensor_seed, frames))).encode()
     )
     manifest = Manifest("render", config_hash,
-                        {"render": cfg.rng_seed, "sensor": sensor.noise_seed})
+                        {"render": cfg.rng_seed, "sensor": args.sensor_seed})
 
     outputs, flow_outputs = [], []
     prev = None  # the previous frame's (t, state, ground truth): all a pair's flow reads
@@ -195,8 +193,8 @@ def cmd_render(args):
         st = apply_dynamics(scene, t)
         hdr = render_frame(st, cfg)
         gt = render_ground_truth(st, cfg)
-        levels, maxval = apply_sensor(hdr, dataclasses.replace(
-            sensor, noise_seed=sensor.noise_seed + t))
+        seed = args.sensor_seed + t
+        levels, maxval = apply_sensor(hdr, sensor, seed)
         base = out_dir / f"frame_{t:04d}"
         write_pfm(f"{base}.pfm", hdr)
         write_ppm(f"{base}.ppm", levels, maxval=maxval)
@@ -212,7 +210,7 @@ def cmd_render(args):
                         "spp": cfg.samples_per_pixel,
                         "max_bounces": cfg.max_bounces,
                         "rng_seed": cfg.rng_seed},
-            "sensor": _encode(sensor, noise_seed=sensor.noise_seed + t),
+            "sensor": {**_encode(sensor), "noise_seed": seed},
             "scene_seed": scene.seed,
             "scene_hash": _sha256(st.to_json().encode()),
             "medium": {"weather": st.medium.weather_tag,

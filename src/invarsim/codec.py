@@ -124,12 +124,12 @@ def _block(cls):
                  for f in dataclasses.fields(cls))
 
 
-def _encode(spec, **given):
+def _encode(spec):
     """The JSON block of dataclass ``spec``: tuples become lists and enums
-    their values, and each field named in ``given`` takes the given value."""
+    their values."""
     doc = {}
     for key, name, _, _ in _block(type(spec)):
-        value = given[name] if name in given else getattr(spec, name)
+        value = getattr(spec, name)
         *names, leaf = key.split(".")
         block = doc
         for part in names:

@@ -154,9 +154,9 @@ def _normal_discontinuities(normal: np.ndarray, valid: np.ndarray, angle_deg: fl
     return h_disc, v_disc
 
 
-def classify_contexts(gt, window: int = 3) -> dict[str, np.ndarray]:
-    """Label every pixel with the spatial contexts it belongs to, from the
-    ground-truth buffers alone: a boolean (H, W) mask per context.
+def classify_contexts(gt, window: int = 3, occlusion=None, flow=None) -> dict[str, np.ndarray]:
+    """Label every pixel with the spatial contexts it belongs to, from exact
+    ground truth alone: a boolean (H, W) mask per context.
 
     Areal labels (homogeneous, diffuse, specular, shadow region, occluded,
     same-surface) use a fixed 3-pixel local window; the purity rule at
@@ -165,8 +165,8 @@ def classify_contexts(gt, window: int = 3) -> dict[str, np.ndarray]:
     instead dilate with ``window``: pass the patch scale you intend to
     sample at, and the labeled band covers every pixel of a patch that can
     contain the transition.  The occlusion-dependent labels (occluded and
-    same-surface, and motion boundary with flow) appear when the caller has
-    set ``gt.occlusion``.
+    same-surface, and motion boundary with ``flow``) appear when the caller
+    gives the ``occlusion`` of the pair of states ``gt`` belongs to.
     """
     for name in ("depth", "object_id", "material_id", "normal",
                  "shadow_fraction", "reflectance"):
@@ -223,15 +223,15 @@ def classify_contexts(gt, window: int = 3) -> dict[str, np.ndarray]:
     labels["Edge"] = (h_any | v_any) & ~labels["Corner"]
 
     # occlusion-dependent labels
-    if gt.occlusion is not None:
-        labels["Occluded"] = gt.occlusion.astype(bool)
+    if occlusion is not None:
+        labels["Occluded"] = occlusion.astype(bool)
         # same-surface pixels keep a patch-scale margin from occlusions and
         # from true motion boundaries; a static object adjacency carries the
         # same (zero) flow and does not break surface smoothness
         contaminated = labels["Occluded"].copy()
-        if gt.flow is not None:
-            u_mn, u_mx = _window_minmax(gt.flow[:, :, 0], local)
-            v_mn, v_mx = _window_minmax(gt.flow[:, :, 1], local)
+        if flow is not None:
+            u_mn, u_mx = _window_minmax(flow[:, :, 0], local)
+            v_mn, v_mx = _window_minmax(flow[:, :, 1], local)
             flow_varies = ((u_mx - u_mn) > 1e-6) | ((v_mx - v_mn) > 1e-6)
             labels["MotionBoundary"] = _window_any(flow_varies & ~same_obj, window)
             contaminated |= flow_varies & ~same_obj
@@ -251,7 +251,7 @@ def classify_contexts(gt, window: int = 3) -> dict[str, np.ndarray]:
         mn, mx = _window_minmax(comp, local)
         flat &= np.isfinite(mn) & (mx - mn < 0.1)
     diffuse = (code == 1) & _window_all(lit, local) & flat & ~uniform
-    if gt.occlusion is not None:
+    if occlusion is not None:
         # stay a patch-scale margin away from the geometric-change region:
         # interreflection from an appearing/moving object contaminates a
         # halo around it, not just its own pixels
@@ -266,13 +266,11 @@ def eligible_centers(labels: dict, context: str, side: int,
     """Top-left corners (N, 2) of all eligible side x side patches.
 
     A patch is eligible when it lies fully inside the image and at least
-    ``purity`` of its pixels carry the context label.
+    ``purity`` of its pixels carry the context label; none without a mask.
     """
-    if context not in labels:
-        raise PatchSamplingError(context, side, 0, 1)
     if side < 3 or side % 2 == 0:
         raise ConfigError(f"patch side must be odd and >= 3, got {side}")
-    mask = labels[context]
+    mask = labels.get(context, np.zeros((0, 0), dtype=bool))
     h, w = mask.shape
     if h < side or w < side:
         return np.zeros((0, 2), dtype=int)

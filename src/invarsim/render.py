@@ -64,7 +64,6 @@ class SensorConfig:
     gaussian_noise_sigma: float = field(default=0.002, metadata={"json_key": "sigma"})
     quantization_bits: int = field(default=8, metadata={"json_key": "bits"})
     gamma: float = 1.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         if self.gaussian_noise_sigma < 0:
@@ -75,9 +74,9 @@ class SensorConfig:
             raise ConfigError("gamma must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruthBuffers:
-    """Pixel-exact ground truth from the center-of-pixel ray.
+    """Pixel-exact ground truth from the center-of-pixel ray, read-only.
 
     ``depth`` is the ray-path distance in meters (inf on sky),
     ``shadow_fraction`` the share of direct sources that do not reach the
@@ -86,10 +85,7 @@ class GroundTruthBuffers:
     occluded); it is 0 on sky and without a direct source.
     ``reflectance`` is the textured albedo at the hit.  ``material_kinds``
     maps material id to its taxonomy kind so context classification never
-    has to consult rendered appearance.  ``flow``/``occlusion`` are None
-    until the caller pairing two states sets them: from ``compute_flow``,
-    or for OC ``occlusion`` alone, where the object ids differ from its
-    reference's.
+    has to consult rendered appearance.
     """
 
     depth: np.ndarray
@@ -99,8 +95,6 @@ class GroundTruthBuffers:
     shadow_fraction: np.ndarray
     reflectance: np.ndarray
     material_kinds: dict[int, str]
-    flow: np.ndarray | None = None
-    occlusion: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -394,7 +388,7 @@ def render_setups(scene: SceneGraph, setups, cfg: RenderConfig) -> list:
 def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuffers:
     """Exact buffers from the deterministic center-of-pixel ray: the only
     place a scene state's center rays are traced.  Light reach at the hits
-    is decided by ``_light_factors``, as for shading."""
+    is decided by ``_light_factors``, as for shading.  Its arrays are read-only."""
     cam = Camera(scene.camera, cfg.width, cfg.height)
     soup = scene.soup
     ltab = _LightTable(scene.lights, scene.medium)
@@ -420,6 +414,8 @@ def render_ground_truth(scene: SceneGraph, cfg: RenderConfig) -> GroundTruthBuff
         shadow[m] = (np.array(factors) == 0.0).mean(axis=0)
     shadow = shadow.reshape(h, w)
 
+    for array in (depth, obj, mat, normal, shadow, refl):
+        array.flags.writeable = False
     return GroundTruthBuffers(
         depth=depth,
         object_id=obj,
@@ -501,15 +497,15 @@ def compute_flow(gt_t: GroundTruthBuffers, gt_t1: GroundTruthBuffers,
     return flow.reshape(h, w, 2), occl.reshape(h, w)
 
 
-def apply_sensor(img: np.ndarray, cfg: SensorConfig) -> tuple[np.ndarray, int]:
-    """Gamma map, seeded Gaussian noise, clamp, quantize (round half up) of
-    an (H, W, 3) radiance image: ``(levels, maxval)``, levels unsigned ints
-    in [0, maxval = 2^bits - 1], as ``imgio.read_ppm`` returns them."""
+def apply_sensor(img: np.ndarray, cfg: SensorConfig, noise_seed: int) -> tuple[np.ndarray, int]:
+    """Gamma map, Gaussian noise seeded by ``noise_seed``, clamp, quantize
+    (round half up) of an (H, W, 3) radiance image: ``(levels, maxval)``, as
+    ``imgio.read_ppm`` returns them, levels in [0, maxval = 2^bits - 1]."""
     x = np.maximum(np.asarray(img, dtype=np.float64), 0.0)
     if cfg.gamma != 1.0:
         x = np.power(x, 1.0 / cfg.gamma)
     if cfg.gaussian_noise_sigma > 0.0:
-        key = (int(cfg.noise_seed) & 0xFFFFFFFFFFFFFFFF) + (_STREAM_SENSOR << 64)
+        key = (int(noise_seed) & 0xFFFFFFFFFFFFFFFF) + (_STREAM_SENSOR << 64)
         rng = np.random.Generator(np.random.Philox(key=key))
         x = x + rng.normal(0.0, cfg.gaussian_noise_sigma, size=x.shape)
     x = np.clip(x, 0.0, 1.0)

@@ -231,11 +231,8 @@ def test_c6_ps_nulls_and_boundary():
     flow_prev = flows[0][0]
     flow_t, occl_t = flows[1]
     flow_next = flows[2][0]
-    gt1 = gts[1]
-    gt1.flow = flow_t
-    gt1.occlusion = occl_t
     for s in (5, 9, 13):
-        cmap = classify_contexts(gt1, window=s)
+        cmap = classify_contexts(gts[1], window=s, occlusion=occl_t, flow=flow_t)
         surface = sample_patches(cmap, "SameSurface", s, 6, seed=21)
         boundary = sample_patches(cmap, "MotionBoundary", s, 6, seed=22)
         vs = [ps_variance(flow_prev, flow_t, flow_next, p) for p in surface]

@@ -215,6 +215,14 @@ class TestManifoldCsv:
         assert {a: c.tolist() for a, c in m.coords.items()} == {"illumination": [2.5], "s": [5]}
         assert m.to_csv().splitlines()[1] == "OC,Diffuse,2.5,5,0.9,0.01,4"
 
+    def test_rows_of_two_models_are_rejected_naming_the_line(self):
+        text = ("model,context,theta_w_speed,theta_v_s,mean_E,std_E,n\n"
+                "PS,SameSurface,1.0,5,0.5,0.1,4\n"
+                "OC,Diffuse,1.0,5,0.9,0.01,4\n")
+        with pytest.raises(ConfigError) as exc:
+            Manifold.from_csv(text)
+        assert str(exc.value) == "manifold CSV line 3: model 'OC', the first row's is 'PS'"
+
     def test_missing_cells_preserved_not_interpolated(self):
         m = Manifold.from_csv(self.make_manifold().to_csv())
         gap = [r for r in rows_of(m) if r.n == 0]
@@ -507,6 +515,19 @@ class TestSweep:
         model, manifold, _ = stock_sweep
         assert output_digests(manifold, tmp_path, capsys) == STOCK_OUTPUT_SHA256[model]
 
+    def test_stock_ps_renders_its_t0_ground_truth_once(self, monkeypatch):
+        # four speeds render t = 1..3 each and share t = 0: 13 ground truths
+        calls = []
+
+        def counted(*args, _fn=characterize.render_ground_truth):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(characterize, "render_ground_truth", counted)
+        manifold = run_sweep(default_protocol("PS"))
+        assert len(calls) == 13
+        digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
+        assert digest == STOCK_MANIFOLD_SHA256["PS"]
+
     @pytest.mark.parametrize("model", sorted(EXCLUDE_OCCLUDED_MANIFOLD_SHA256))
     def test_exclude_occluded_manifold_bytes_are_pinned(self, model):
         # rows that drop occluded or out-of-frame pixels are measured with
@@ -545,20 +566,21 @@ class TestSweep:
         # reference's, and there is no flow, so no motion boundary
         seen = []
 
-        def collect(protocol, gt, *seed_parts, _fn=characterize._collect_patches):
-            seen.append(gt)
-            return _fn(protocol, gt, *seed_parts)
+        def collect(protocol, gt, occlusion, flow, *seed_parts,
+                    _fn=characterize._collect_patches):
+            seen.append((gt, occlusion, flow))
+            return _fn(protocol, gt, occlusion, flow, *seed_parts)
         monkeypatch.setattr(characterize, "_collect_patches", collect)
         p = tiny_oc_protocol()
         characterize._prepare_ramp(p)
-        (gt,) = seen
+        ((gt, occlusion, flow),) = seen
         base = sample_scene(p.scene_config(), p.scene_seed)
         ref = render_ground_truth(characterize._ambient_only(
             characterize._without_dynamic_objects(base)), p.render_config())
         oracle = gt.object_id != ref.object_id
-        assert oracle.any() and gt.flow is None
-        assert np.array_equal(gt.occlusion, oracle)
-        cmap = characterize.classify_contexts(gt, window=5)
+        assert oracle.any() and flow is None
+        assert np.array_equal(occlusion, oracle)
+        cmap = characterize.classify_contexts(gt, window=5, occlusion=occlusion)
         assert np.array_equal(cmap["Occluded"], oracle)
         assert "MotionBoundary" not in cmap
         assert cmap["SameSurface"].any()
@@ -1140,9 +1162,10 @@ class TestSweep:
             lights[sun] = dataclasses.replace(lights[sun],
                                               intensity=lights[sun].intensity * level)
             full = render_frame(dataclasses.replace(lit, lights=tuple(lights)), rcfg)
-            scfg = p.sensor_config("level", float(level).hex())
-            two_pass, _ = apply_sensor(hdr0 + level * hdr_sun, scfg)
-            assert np.array_equal(two_pass, apply_sensor(full, scfg)[0])
+            scfg = p.sensor_config()
+            seed = characterize._mix(p.sensor_seed, "level", float(level).hex())
+            two_pass, _ = apply_sensor(hdr0 + level * hdr_sun, scfg, seed)
+            assert np.array_equal(two_pass, apply_sensor(full, scfg, seed)[0])
             assert np.allclose(hdr0 + level * hdr_sun, full, rtol=1e-12, atol=0.0)
 
     def test_sun_ramp_needs_a_sun_only_off_level_one(self):
@@ -1253,7 +1276,7 @@ class TestIngest:
         frames = []
         for t in range(n_frames):
             hdr = render_frame(apply_dynamics(scene, t), cfg)
-            levels, maxval = apply_sensor(hdr, SensorConfig(gaussian_noise_sigma=0.0))
+            levels, maxval = apply_sensor(hdr, SensorConfig(gaussian_noise_sigma=0.0), 0)
             write_ppm(tmp_path / f"frame_{t:03d}.ppm", levels, maxval=255)
             frames.append(levels.astype(np.float64) / float(maxval))
         annotation = {

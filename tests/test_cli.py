@@ -224,7 +224,7 @@ class TestRender:
         cfg = RenderConfig(width=32, height=24, samples_per_pixel=2, rng_seed=scene.seed)
         want, want_maxval = apply_sensor(
             render_frame(apply_dynamics(scene, 0), cfg),
-            SensorConfig(gaussian_noise_sigma=0.0, quantization_bits=10))
+            SensorConfig(gaussian_noise_sigma=0.0, quantization_bits=10), 0)
         assert want_maxval == 1023
         assert np.array_equal(levels, want)
         sidecar = json.loads((out_dir / "frame_0000.json").read_text())
@@ -246,6 +246,28 @@ class TestRender:
                 for kind, ext in (("flow", "flo"), ("occlusion", "pfm"))]
         assert manifest["outputs"] == {"frames": [str(out_dir / n) for n in frames],
                                        "flow": [str(out_dir / n) for n in flow]}
+
+    def test_sensor_seed_reaches_every_output(self, scene_json, tmp_path):
+        # frame t's noise is seeded by --sensor-seed + t: its PPM, its
+        # sidecar and the manifest's config hash change with the seed
+        runs = {}
+        for seed in (5, 6):
+            out_dir = tmp_path / f"seed_{seed}"
+            assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                         "--frames", "0..1", "--spp", "1", "--width", "32", "--height", "24",
+                         "--sensor-sigma", "0.01", "--sensor-seed", str(seed)]) == 0
+            runs[seed] = out_dir
+        sidecars = {seed: [json.loads((d / f"frame_{t:04d}.json").read_text()) for t in (0, 1)]
+                    for seed, d in runs.items()}
+        assert [s["sensor"].pop("noise_seed") for s in sidecars[5]] == [5, 6]
+        assert [s["sensor"].pop("noise_seed") for s in sidecars[6]] == [6, 7]
+        assert sidecars[5] == sidecars[6]
+        for t in (0, 1):
+            assert ((runs[5] / f"frame_{t:04d}.ppm").read_bytes()
+                    != (runs[6] / f"frame_{t:04d}.ppm").read_bytes())
+        hashes = [json.loads((d / "manifest.json").read_text())["config_hash"]
+                  for d in runs.values()]
+        assert hashes[0] != hashes[1]
 
     def test_gt_independent_of_spp(self, scene_json, tmp_path):
         d1 = tmp_path / "r1"
@@ -563,7 +585,9 @@ class TestCompareReport:
         ("OC,Edge,1.0,0.6,0.01,4", "6 fields, the header has 7"),
         ("OC,Edge,1.0,5,0.6,0.01,x", "invalid literal for int() with base 10: 'x'"),
         ("XX,Edge,1.0,5,0.6,0.01,4", "unknown model 'XX'"),
-    ], ids=["short-row", "bad-n", "unknown-model"])
+        # a manifold holds one model's criterion: PS's variance does not rank with OC's rho
+        ("PS,Edge,1.0,5,0.6,0.01,4", "model 'PS', the first row's is 'OC'"),
+    ], ids=["short-row", "bad-n", "unknown-model", "two-models"])
     @pytest.mark.parametrize("command", ["report", "compare"])
     def test_bad_manifold_csv_exits_2_naming_the_line(self, tmp_path, capsys, command,
                                                       row, error):

@@ -50,9 +50,7 @@ def moving_pair():
     gt0 = render_ground_truth(s0, GT_CFG)
     gt1 = render_ground_truth(s1, GT_CFG)
     flow, occl = compute_flow(gt0, gt1, s0, s1)
-    gt0.flow = flow
-    gt0.occlusion = occl
-    return s0, s1, gt0, gt1
+    return s0, s1, gt0, gt1, flow, occl
 
 
 class TestClassify:
@@ -108,8 +106,8 @@ class TestClassify:
             assert np.array_equal(a[name], b[name])
 
     def test_occlusion_labels_from_frame_pair(self, moving_pair):
-        s0, s1, gt0, gt1 = moving_pair
-        cmap = classify_contexts(gt0, window=3)
+        s0, s1, gt0, gt1, flow, occl = moving_pair
+        cmap = classify_contexts(gt0, window=3, occlusion=occl, flow=flow)
         assert "Occluded" in cmap
         assert "SameSurface" in cmap
         assert "MotionBoundary" in cmap
@@ -149,7 +147,14 @@ class TestSamplePatches:
     def test_unknown_context_raises(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=5)
         with pytest.raises(PatchSamplingError):
-            sample_patches(cmap, "Occluded", 5, 1, seed=1)  # needs gt.occlusion
+            sample_patches(cmap, "Occluded", 5, 1, seed=1)  # needs an occlusion mask
+
+    def test_context_without_a_mask_reports_the_requested_count(self, validation_gt):
+        cmap = classify_contexts(validation_gt, 5)  # no occlusion: no "Occluded" mask
+        with pytest.raises(PatchSamplingError) as exc:
+            sample_patches(cmap, "Occluded", 5, 6, seed=1)
+        assert (exc.value.requested, exc.value.eligible) == (6, 0)
+        assert sample_patches(cmap, "Occluded", 5, 0, seed=1) == []
 
     def test_deterministic_replay(self, validation_gt):
         cmap = classify_contexts(validation_gt, window=5)

@@ -332,6 +332,17 @@ class TestGroundTruth:
                                   np.broadcast_to(-sun, (int(away.sum()), 3)), np.inf)
         assert free.any()
 
+    def test_buffers_stay_as_rendered(self, validation_scene):
+        # whatever reads ground truth can neither swap a buffer nor write into one
+        gt = render_ground_truth(validation_scene, RenderConfig(width=16, height=12))
+        for f in dataclasses.fields(gt):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gt, f.name, getattr(gt, f.name))
+        for name in ("depth", "object_id", "material_id", "normal", "shadow_fraction",
+                     "reflectance"):
+            with pytest.raises(ValueError):
+                getattr(gt, name)[0, 0] = 0
+
     def test_gt_independent_of_sampling_fidelity(self, validation_scene):
         lo = render_ground_truth(validation_scene,
                                  RenderConfig(width=48, height=36,
@@ -484,17 +495,17 @@ class TestFlow:
 class TestSensor:
     def test_midgray_rounds_half_up(self):
         img = np.full((2, 2, 3), 0.5)
-        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0, gamma=1.0))
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0, gamma=1.0), 0)
         assert np.all(out == 128)
 
     def test_overrange_clamps(self):
         img = np.full((2, 2, 3), 2.0)
-        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0))
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.0), 0)
         assert np.all(out == 255)
 
     def test_noise_statistics(self):
         img = np.full((600, 600, 3), 0.5)
-        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.01, noise_seed=4))
+        out, _ = apply_sensor(img, SensorConfig(gaussian_noise_sigma=0.01), 4)
         vals = out.astype(float)
         n = vals.size
         # quantization adds 1/12 of a count of variance on top of the noise
@@ -504,18 +515,17 @@ class TestSensor:
 
     def test_deterministic_per_seed(self):
         img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
-        cfg = SensorConfig(gaussian_noise_sigma=0.01, noise_seed=7)
-        a, _ = apply_sensor(img, cfg)
-        b, _ = apply_sensor(img, cfg)
+        cfg = SensorConfig(gaussian_noise_sigma=0.01)
+        a, _ = apply_sensor(img, cfg, 7)
+        b, _ = apply_sensor(img, cfg, 7)
         assert np.array_equal(a, b)
-        c, _ = apply_sensor(img, dataclasses.replace(cfg, noise_seed=8))
+        c, _ = apply_sensor(img, cfg, 8)
         assert not np.array_equal(a, c)
 
     def test_ldr_bounds_and_bits(self):
         img = np.random.default_rng(2).uniform(-1, 2, (8, 8, 3))
         out, maxval = apply_sensor(img, SensorConfig(quantization_bits=10,
-                                                     gaussian_noise_sigma=0.05,
-                                                     noise_seed=1))
+                                                     gaussian_noise_sigma=0.05), 1)
         assert maxval == 1023
         assert out.max() <= 1023
         assert out.min() >= 0

@@ -149,6 +149,12 @@ class ProtocolConfig:
             for v in getattr(self, name):
                 if v not in known:
                     raise ConfigError(f"unknown name {v!r}", json_path=where[name])
+        for name, path in where.items():  # a repeated value would repeat its rows
+            if path.split(".")[0] in ("contexts", "theta_v", "theta_w"):
+                values = getattr(self, name)
+                for i, v in enumerate(values):
+                    if v in values[:i]:
+                        raise ConfigError(f"{v!r} is listed twice", json_path=path)
         if self.source == "simulate":
             if self.scene is None:
                 raise ConfigError("simulate mode requires a scene config",
@@ -571,25 +577,24 @@ def _block_stats(protocol, block, keys, counts, values):
     statistics pass over the block.
 
     Every cell measured ``counts`` patches for each of ``keys`` (context,
-    side), and ``values`` holds the criterion value of each patch, cell
-    after cell and key after key, NaN where the measure is degenerate.  NaN
-    values are left out of the statistics and counted.  A row without
-    patches is a gap: n=0 and NaN statistics.
+    side, in ``_cell_keys`` order), and ``values`` holds the criterion value
+    of each patch, cell after cell and key after key, NaN where the measure
+    is degenerate.  NaN values are left out of the statistics and counted.
+    A row of no patches is a gap: n=0 and NaN statistics.
     """
-    # a last key of no patches: the statistics of every gap
-    stats = _statistics(np.tile([*counts, 0], len(block)), values)
-    index = {key: i for i, key in enumerate(keys)}
-    rows = [index.get(key, len(keys)) for key in _cell_keys(protocol)]
-    mean, std, n, skipped = (a.reshape(len(block), -1)[:, rows] for a in stats)
+    measured = dict(zip(keys, counts))
+    rows = [measured.get(key, 0) for key in _cell_keys(protocol)]
+    stats = _statistics(np.tile(rows, len(block)), values)
+    mean, std, n, skipped = (a.reshape(len(block), -1) for a in stats)
     return [((mean[c].tolist(), std[c].tolist(), n[c].tolist()), int(skipped[c].sum()))
             for c in range(len(block))]
 
 
 def _cell_batches(protocol, patches, flow=None, occlusion=None):
     """What the measure gathers from every frame, one batch per patch side:
-    the keys of the side's cells with patches, their patch counts, and the
-    pixels (OC, PS) or the trajectories under ``flow`` (BC, GC) of all
-    their patches, cell after cell."""
+    the keys of the side's cells with patches, their patch counts, all
+    their patches, cell after cell, and the pixels (OC, PS) or the
+    trajectories under ``flow`` (BC, GC) of those patches."""
     keys_by_side = {}
     for key, ps in patches.items():
         if ps:
@@ -601,7 +606,7 @@ def _cell_batches(protocol, patches, flow=None, occlusion=None):
         ps = [p for key in keys for p in patches[key]]
         gathered = (patch_pixels(ps, inset) if flow is None else
                     Trajectories(flow, ps, inset=inset, occlusion=occlusion))
-        batches.append((keys, [len(patches[key]) for key in keys], gathered))
+        batches.append((keys, [len(patches[key]) for key in keys], ps, gathered))
     return batches
 
 
@@ -620,18 +625,20 @@ def _reference(protocol, batches, frame):
     for OC each batch's ranked gray patches."""
     features = _features(protocol, frame)
     if protocol.model == "OC":
-        return [average_ranks(features[0][pixels]) for _, _, pixels in batches]
+        return [average_ranks(features[0][pixels]) for *_, pixels in batches]
     return features
 
 
 def _gather(protocol, batches, ref, features):
     """What the measure reduces of one cell, per batch: a list of row stacks
     and the mask of the values to keep.  OC gathers its patches' gray rows
-    (no mask); BC and GC their residual rows between the reference features
+    (no mask) and PS their smoothness energy ``features[0]`` (its finite
+    values); BC and GC their residual rows between the reference features
     ``ref`` and ``features``, and the mask of the usable ones."""
-    if protocol.model == "OC":
-        return [([features[0][pixels]], None) for _, _, pixels in batches]
-    return [residuals(ref, features, traj) for _, _, traj in batches]
+    if protocol.model in ("OC", "PS"):
+        rows = [features[0][pixels] for *_, pixels in batches]
+        return [([r], None if protocol.model == "OC" else np.isfinite(r)) for r in rows]
+    return [residuals(ref, features, traj) for *_, traj in batches]
 
 
 def _block_values(protocol, batches, ref, block):
@@ -640,18 +647,18 @@ def _block_values(protocol, batches, ref, block):
 
     ``block`` holds each cell's ``_gather``; one kernel call measures the
     stacked rows of a batch: OC ranks them against the batch's reference
-    ranks, BC and GC take ``row_variances``.  The kernels work row
+    ranks, BC, GC and PS take ``row_variances``.  The kernels work row
     by row, so each patch's value has the same bits as when measured alone.
     """
     per_batch = [np.empty((len(block), 0))]  # cells without patches measure nothing
-    for k, (_, _, gathered) in enumerate(batches):
+    for k, (_, _, patches, _) in enumerate(batches):
         parts = [cell[k] for cell in block]
         rows = [np.concatenate(s) for s in zip(*(stacks for stacks, _ in parts))]
         if protocol.model == "OC":
             values = oc_values(ref[k], rows[0])
         else:
             values = row_variances(rows, np.concatenate([keep for _, keep in parts]),
-                                   gathered.patches)
+                                   patches)
         per_batch.append(values.reshape(len(block), -1))
     return np.concatenate(per_batch, axis=1).reshape(-1)
 
@@ -663,9 +670,9 @@ def _in_blocks(protocol, coords, cell, ref):
     ``cell(coord)`` makes one cell's frame and returns its batches and its
     ``_gather``, so a block keeps no frame.  A block is the consecutive
     cells whose gathered values fit in ``_BLOCK_VALUES``, and at least one.
-    It is measured with the batches of its first cell (every cell has the
-    same patches) and, for OC, the reference ranks ``ref``: one kernel call
-    per batch, then one statistics pass (``_block_stats``).
+    It is measured with the batches of its first cell (all of ``coords``
+    share their patches) and, for OC, the reference ranks ``ref``: one
+    kernel call per batch, then one statistics pass (``_block_stats``).
     """
     coords = iter(coords)
     for first in coords:
@@ -677,8 +684,8 @@ def _in_blocks(protocol, coords, cell, ref):
             gathered.append(cell(coord)[1])
         yield from _block_stats(
             protocol, block,
-            [key for keys, _, _ in batches for key in keys],
-            [n for _, counts, _ in batches for n in counts],
+            [key for keys, *_ in batches for key in keys],
+            [n for _, counts, *_ in batches for n in counts],
             _block_values(protocol, batches, ref, gathered))
 
 
@@ -733,28 +740,24 @@ def _prepare_scene(protocol):
     return base, render_ground_truth(apply_dynamics(base, 0), protocol.render_config())
 
 
-def _eval_speed(protocol, state, speed):
-    """PS: flow smoothness with every object velocity scaled by ``speed``,
-    each patch side's patches measured in one ``row_variances`` call."""
+def _eval_speeds(protocol, state, speeds):
+    """PS: the cells of a run of speeds, each the flow smoothness with every
+    object velocity scaled by its speed.  A speed samples its patches from
+    its own ground truth, so each speed is a block of its own."""
     base, gt0 = state
     rcfg = protocol.render_config()
-    scaled = _scale_velocities(base, speed)
-    frames = [apply_dynamics(scaled, t) for t in range(4)]
-    gts = [gt0] + [render_ground_truth(f, rcfg) for f in frames[1:]]
-    (flow_prev, _), (flow, occl), (flow_next, _) = [
-        compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
-    patches = _collect_patches(protocol, gts[1], occl, flow, speed)
-    energy = smoothness_energy(flow_prev, flow, flow_next)
-    batches = _cell_batches(protocol, patches)
-    values = [np.empty(0)]  # a cell without patches measures nothing
-    for keys, _, pixels in batches:
-        rows = energy[pixels]
-        values.append(row_variances([rows], np.isfinite(rows),
-                                    [p for key in keys for p in patches[key]]))
-    (cell,) = _block_stats(protocol, [speed], [key for keys, _, _ in batches for key in keys],
-                           [n for _, counts, _ in batches for n in counts],
-                           np.concatenate(values))
-    return cell
+
+    def cell(speed):
+        scaled = _scale_velocities(base, speed)
+        frames = [apply_dynamics(scaled, t) for t in range(4)]
+        gts = [gt0] + [render_ground_truth(f, rcfg) for f in frames[1:]]
+        (flow_prev, _), (flow, occl), (flow_next, _) = [
+            compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
+        batches = _cell_batches(protocol, _collect_patches(protocol, gts[1], occl, flow, speed))
+        energy = smoothness_energy(flow_prev, flow, flow_next)
+        return batches, _gather(protocol, batches, None, (energy,))
+    for speed in speeds:
+        yield from _in_blocks(protocol, [speed], cell, None)
 
 
 def _prepare_weather(protocol):
@@ -779,17 +782,18 @@ def _prepare_weather(protocol):
     return {tag: images[i * k : (i + 1) * k] for i, tag in enumerate(tags)}
 
 
-def _eval_weather(protocol, images, tag):
-    """DS: the dichromatic plane fit over one tag's density ramp, as the
-    sensor sees it."""
-    observations = []
-    for density, hdr in zip(protocol.density_scales, images[tag]):
-        img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
-        observations.append(img.reshape(-1, 3))
-    samples = np.stack(observations, axis=1)  # (P, k, 3)
-    res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
-    return ([res.mean_deg], [res.std_deg], [res.n_pixels]), {
-        "weather": tag, **dataclasses.asdict(res)}
+def _eval_weather(protocol, images, tags):
+    """DS: the cells of a run of tags, each the dichromatic plane fit over
+    the tag's density ramp, as the sensor sees it."""
+    for tag in tags:
+        observations = []
+        for density, hdr in zip(protocol.density_scales, images[tag]):
+            img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
+            observations.append(img.reshape(-1, 3))
+        samples = np.stack(observations, axis=1)  # (P, k, 3)
+        res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
+        yield ([res.mean_deg], [res.std_deg], [res.n_pixels]), {
+            "weather": tag, **dataclasses.asdict(res)}
 
 
 @functools.cache
@@ -852,8 +856,8 @@ def _sweep_cells(coords, prepare, evaluate, cache, progress):
     patches); it runs only when some cell misses the cache, so resuming a
     finished sweep renders nothing.  ``evaluate(state, missing)`` yields one
     result per coordinate that missed, in order, on the calling thread.  An
-    evaluator may measure several cells before it yields them (OC, BC and GC
-    measure a block of cells at a time, ``_in_blocks``).  Each result is
+    evaluator may measure several cells before it yields them (OC, BC, GC
+    and PS measure a block of cells at a time, ``_in_blocks``).  Each result is
     stored as it comes and ``progress(done, missing)`` is called, so an
     interrupted sweep loses at most the block it was measuring, and a failure
     propagates as raised, with every cell yielded before it stored.  Returns
@@ -1095,11 +1099,6 @@ class _SweepSpec:
     theta_v_axes: tuple = ("s",)
 
 
-def _cellwise(evaluate):
-    """A run evaluator that evaluates each cell of the run on its own."""
-    return lambda protocol, state, coords: (evaluate(protocol, state, c) for c in coords)
-
-
 # the reference frame; the sun off and on, in one pass
 _RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
                         _prepare_ramp, _eval_levels, passes=2)
@@ -1110,10 +1109,10 @@ _SWEEP_SPECS = {
     "GC": _RAMP_SPEC,
     # ground truth and flow only: no Monte Carlo pass
     "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
-                     _cellwise(_eval_speed), passes=0),
+                     _eval_speeds, passes=0),
     # all tags and densities in one pass
     "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
-                     _cellwise(_eval_weather), passes=1, theta_v_axes=()),
+                     _eval_weather, passes=1, theta_v_axes=()),
 }
 
 _INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frames,
@@ -1145,10 +1144,10 @@ def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifo
     alone, and always produce the same bytes.  The cells that miss the cache
     are evaluated in order on the calling thread.  OC, BC and GC measure
     them in blocks of consecutive cells, as many as fit their gathered patch
-    values in ``_BLOCK_VALUES``: one kernel call per patch side and one
-    statistics pass per block.  ``progress(done, total)`` is called once per
-    cell evaluated, in order.  Empty-context cells are recorded as gaps;
-    render failures abort.
+    values in ``_BLOCK_VALUES``, and PS a speed per block: one kernel call
+    per patch side and one statistics pass per block.  ``progress(done,
+    total)`` is called once per cell evaluated, in order.  Empty-context
+    cells are recorded as gaps; render failures abort.
     """
     spec = _sweep_spec(protocol)
     # the bytes of ingested frames are not in the protocol hash, so a cached

@@ -167,13 +167,17 @@ def _parse_frames(spec: str):
 
 
 def cmd_render(args):
-    scene = SceneGraph.from_json(Path(args.scene).read_text())
+    text = Path(args.scene).read_text()
+    scene = SceneGraph.from_json(text)
     frames = _parse_frames(args.frames)
     cfg = RenderConfig(width=args.width, height=args.height,
                        samples_per_pixel=args.spp, max_bounces=args.max_bounces,
                        rng_seed=args.seed if args.seed is not None else scene.seed)
     sensor = SensorConfig(gaussian_noise_sigma=args.sensor_sigma,
                           quantization_bits=args.bits, gamma=args.gamma)
+    settings = [_encode(cfg), _encode(sensor), args.sensor_seed, frames]
+    config_hash = _sha256((text + json.dumps(settings, sort_keys=True)).encode())
+    del text  # a city's file text is not held while its frames render
     if args.dry_run:
         # camera samples only: bounce, center and shadow rays come on top
         _emit(args, {"frames": len(frames),
@@ -181,9 +185,6 @@ def cmd_render(args):
         return EXIT_OK
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = _sha256(
-        (scene.to_json() + repr((cfg, sensor, args.sensor_seed, frames))).encode()
-    )
     manifest = Manifest("render", config_hash,
                         {"render": cfg.rng_seed, "sensor": args.sensor_seed})
 

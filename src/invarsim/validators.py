@@ -138,8 +138,7 @@ class Trajectories:
     """
 
     def __init__(self, flow, patches, *, inset=0, occlusion=None):
-        self.patches = list(patches)
-        self.pixels = rows, cols = patch_pixels(self.patches, inset)
+        self.pixels = rows, cols = patch_pixels(patches, inset)
         h, w = self.shape = flow.shape[:2]
         r = rows + flow[rows, cols, 1]
         c = cols + flow[rows, cols, 0]

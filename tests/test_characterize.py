@@ -174,6 +174,36 @@ class TestProtocolConfig:
             ProtocolConfig.from_dict(doc)
         assert err.value.json_path == (key if block is None else f"{block}.{key}")
 
+    @pytest.mark.parametrize("block,key,values,repeated", [
+        (None, "contexts", ["Diffuse", "Edge", "Diffuse"], "'Diffuse'"),
+        ("theta_v", "patch_sizes", [5, 9, 5], "5"),
+        ("theta_w", "illumination_levels", [1, 2.5, 1.0], "1.0"),  # 1 and 1.0 are one value
+        ("theta_w", "weather_tags", ["Fog", "Rain", "Fog"], "'Fog'"),
+        ("theta_w", "density_scales", [0.2, 0.0, 0.6, -0.0], "-0.0"),
+        ("theta_w", "speed_scales", [0.5, 0.5], "0.5"),
+        ("theta_w", "sunny_tags", ["MildHaze", "MildHaze"], "'MildHaze'"),
+    ])
+    def test_repeated_value_rejected_naming_it(self, block, key, values, repeated):
+        # a repeat would repeat its rows, which a marginal adds once per repeat
+        doc = default_protocol("DS").to_dict()
+        (doc if block is None else doc[block])[key] = values
+        path = key if block is None else f"{block}.{key}"
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig.from_dict(doc)
+        assert err.value.json_path == path
+        assert str(err.value) == f"{path}: {repeated} is listed twice"
+
+    @pytest.mark.parametrize("block,key,values,message", [
+        (None, "contexts", [["Diffuse"], ["Diffuse"]], "unknown name ['Diffuse']"),
+        ("theta_v", "patch_sizes", [4, 4], "patch size 4 must be an odd integer >= 3"),
+    ])
+    def test_a_repeated_bad_value_keeps_its_own_error(self, block, key, values, message):
+        doc = default_protocol("DS").to_dict()
+        (doc if block is None else doc[block])[key] = values
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig.from_dict(doc)
+        assert str(err.value).endswith(f": {message}")
+
     def test_ingest_rejects_exclude_occluded(self):
         # ingested frames carry no occlusion mask to exclude pixels by
         with pytest.raises(ConfigError) as err:
@@ -365,6 +395,10 @@ STOCK_MANIFOLD_SHA256 = {
 }
 
 
+#: sha256 of manifold.csv of the stock PS sweep at speeds 0 and 1 and 48x36
+PS_GAP_MANIFOLD_SHA256 = "e68a411eb9dafb2a558b5a3b263f7ebb729c1882857d4daddbbd39523562c026"
+
+
 #: sha256 of manifold.csv of the stock BC and GC sweeps at three sun levels
 #: with ``exclude_occluded`` set
 EXCLUDE_OCCLUDED_MANIFOLD_SHA256 = {
@@ -527,6 +561,24 @@ class TestSweep:
         assert len(calls) == 13
         digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
         assert digest == STOCK_MANIFOLD_SHA256["PS"]
+
+    def test_each_ps_speed_keeps_its_own_gaps(self):
+        # a speed samples its patches from its own ground truth: at speed 0
+        # nothing moves, so MotionBoundary is a gap there, and is measured
+        # at speed 1
+        doc = default_protocol("PS").to_dict()
+        doc["theta_w"]["speed_scales"] = [0.0, 1.0]
+        doc["render"].update(width=48, height=36)
+        manifold = run_sweep(ProtocolConfig.from_dict(doc))
+        for s in doc["theta_v"]["patch_sizes"]:
+            for context, speed, measured in (("MotionBoundary", 0.0, False),
+                                             ("MotionBoundary", 1.0, True),
+                                             ("SameSurface", 0.0, True),
+                                             ("SameSurface", 1.0, True)):
+                n = manifold.n[manifold.cell(context, speed=speed, s=s)]
+                assert (n > 0) == measured, (context, speed, s)
+        digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
+        assert digest == PS_GAP_MANIFOLD_SHA256
 
     @pytest.mark.parametrize("model", sorted(EXCLUDE_OCCLUDED_MANIFOLD_SHA256))
     def test_exclude_occluded_manifold_bytes_are_pinned(self, model):
@@ -1853,7 +1905,7 @@ class TestBlocks:
         p = tiny_oc_protocol(theta_w={"illumination_levels": levels})
         fresh = run_sweep(p).to_csv()
         batches = characterize._prepare_ramp(p)[0]
-        per_cell = sum(pixels[0].size for _, _, pixels in batches)
+        per_cell = sum(pixels[0].size for *_, pixels in batches)
         monkeypatch.setattr(characterize, "_BLOCK_VALUES", 3 * per_cell)
 
         def ldr_float(hdr, protocol, *tags, _fn=characterize._ldr_float):

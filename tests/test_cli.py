@@ -269,6 +269,20 @@ class TestRender:
                   for d in runs.values()]
         assert hashes[0] != hashes[1]
 
+    def test_config_hash_covers_the_scene_text_and_every_setting(self, scene_json, tmp_path):
+        # equal flags into two out-dirs give one hash, and each setting moves it
+        def config_hash(name, *flags):
+            out_dir = tmp_path / name
+            assert main(["render", str(scene_json), "--out-dir", str(out_dir),
+                         "--frames", "0..0", "--spp", "1", "--width", "8", "--height", "6",
+                         *flags]) == 0
+            return json.loads((out_dir / "manifest.json").read_text())["config_hash"]
+        first = config_hash("a")
+        assert config_hash("b") == first
+        moved = [config_hash(flag.strip("-"), flag, value) for flag, value in (
+            ("--spp", "2"), ("--sensor-sigma", "0.01"), ("--seed", "5"), ("--frames", "0..1"))]
+        assert len({first, *moved}) == 5
+
     def test_gt_independent_of_spp(self, scene_json, tmp_path):
         d1 = tmp_path / "r1"
         d2 = tmp_path / "r2"
@@ -477,6 +491,25 @@ class TestSweep:
                          f"--threads={threads}", *dry_run]) == 2
             assert capsys.readouterr().err.startswith("invarsim: threads must be >= 1")
             assert not out_dir.exists()
+
+    @pytest.mark.parametrize("edit,json_path,repeated", [
+        (lambda d: d.update(contexts=["Diffuse", "Occluded", "Diffuse"]), "contexts",
+         "'Diffuse'"),
+        (lambda d: d["theta_v"].update(patch_sizes=[5, 9, 5]), "theta_v.patch_sizes", "5"),
+        (lambda d: d.update(model="PS", theta_w={"speed_scales": [1, 2.0, 1.0]}),
+         "theta_w.speed_scales", "1.0"),
+    ], ids=["context", "side", "speed"])
+    def test_repeated_value_exit_2_with_path(self, tmp_path, capsys, edit, json_path, repeated):
+        # a repeated value would repeat its rows: the protocol is refused
+        # before the out-dir or its cell cache is made
+        doc = tiny_protocol_doc()
+        edit(doc)
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(ppath), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"invarsim: {json_path}: {repeated} is listed twice\n"
+        assert not out_dir.exists()
 
     def test_parser_is_built_once_and_keeps_no_flag(self, tmp_path, capsys, monkeypatch):
         # main parses every command with one parser; a flag given to one

@@ -24,8 +24,8 @@ from test_scenegen import SUBSTITUTES, priors_doc, substitutions
 PINNED = {
     "scene_config": (1278, 1109,
                     "fc2ca6cd5d44ff33571f9c1118e76c136ea3ea245af5cb48ba8c90b55ab96175"),
-    "protocols": (7389, 6366,
-                 "ac006dad7ac7cdc1315d987716691a397660f785d45e659f74317daf58477bcd"),
+    "protocols": (7389, 6372,
+                 "65c546aa9135a8778f388502994cc320b6e831461e4f67ad899be9d25862b33d"),
     "annotation": (153, 149,
                   "7f4b84f9a19d1acc47126950b48f8b4dd037990c4c266f36299cb274df9d955c"),
     "scene_document": (3519, 3083,

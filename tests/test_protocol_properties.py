@@ -1,4 +1,6 @@
-"""Property tests: any valid protocol document survives a JSON round trip."""
+"""Property tests: any valid protocol document survives a JSON round trip.
+Its contexts, patch sides and theta_w lists each hold no value twice, as a
+valid protocol's must."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,16 +24,16 @@ seeds = st.integers(0, 2**63 - 1)
 tags = sorted(WEATHER_PRESETS)
 
 AXES = {
-    "illumination_levels": st.lists(numbers, min_size=1, max_size=4),
+    "illumination_levels": st.lists(numbers, min_size=1, max_size=4, unique=True),
     "weather_tags": st.lists(st.sampled_from([t for t in tags if t != "Clear"]),
-                             min_size=1, max_size=3),
-    "density_scales": st.lists(numbers, min_size=3, max_size=5),
-    "speed_scales": st.lists(numbers, min_size=1, max_size=4),
+                             min_size=1, max_size=3, unique=True),
+    "density_scales": st.lists(numbers, min_size=3, max_size=5, unique=True),
+    "speed_scales": st.lists(numbers, min_size=1, max_size=4, unique=True),
 }
-SUNNY = st.lists(st.sampled_from(tags), max_size=3)
+SUNNY = st.lists(st.sampled_from(tags), max_size=3, unique=True)
 COMMON = {
     "theta_v": optional(patch_sizes=st.lists(st.integers(2, 12).map(lambda k: 2 * k + 1),
-                                             min_size=1, max_size=3)),
+                                             min_size=1, max_size=3, unique=True)),
     "patches_per_cell": st.integers(1, 20),
     "seeds": optional(scene=seeds, render=seeds, patch=seeds, sensor=seeds),
     "render": optional(width=st.integers(1, 64), height=st.integers(1, 64),
@@ -44,7 +46,8 @@ COMMON = {
 }
 REQUIRED = {
     "model": st.sampled_from(MODELS),
-    "contexts": st.lists(st.sampled_from(CONTEXT_NAMES), min_size=1, max_size=4),
+    "contexts": st.lists(st.sampled_from(CONTEXT_NAMES), min_size=1, max_size=4,
+                         unique=True),
 }
 
 simulated = st.fixed_dictionaries(

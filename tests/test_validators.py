@@ -249,10 +249,10 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def constancy_values(fields0, fields1, traj):
-    """The constancy deviation of each patch of ``traj`` between two
-    frames' feature fields."""
-    return row_variances(*residuals(fields0, fields1, traj), traj.patches)
+def constancy_values(fields0, fields1, traj, patches):
+    """The constancy deviation of each of ``patches``, whose trajectories
+    ``traj`` holds, between two frames' feature fields."""
+    return row_variances(*residuals(fields0, fields1, traj), patches)
 
 
 def one_row_variance(values):
@@ -342,7 +342,7 @@ class TestBatchedKernels:
         patches = [p for p in kernel_patches(rng, side)
                    if patch_bc_variance(f0, f1, flow, p, occl) is not None]
         traj = Trajectories(flow, patches, occlusion=occl)
-        got = constancy_values((to_gray(f0),), (to_gray(f1),), traj)
+        got = constancy_values((to_gray(f0),), (to_gray(f1),), traj, patches)
         want = [patch_bc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([bc_variance(f0, f1, flow, p, exclude_occluded=occluded,
@@ -367,7 +367,7 @@ class TestBatchedKernels:
                    if patch_gc_variance(f0, f1, flow, p, occl) is not None]
         grads = [gradient_fields(to_gray(f)) for f in (f0, f1)]
         traj = Trajectories(flow, patches, inset=1, occlusion=occl)
-        got = constancy_values(*grads, traj)
+        got = constancy_values(*grads, traj, patches)
         want = [patch_gc_variance(f0, f1, flow, p, occl) for p in patches]
         assert_same_bits(got, want)
         assert_same_bits([gc_variance(f0, f1, flow, p, exclude_occluded=occluded,
@@ -422,7 +422,7 @@ class TestBatchedKernels:
                 False, True, False]
             traj = Trajectories(flow, patches, inset=inset, occlusion=occl)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):
-                constancy_values(fields(f0), fields(f1), traj)
+                constancy_values(fields(f0), fields(f1), traj, patches)
             # the rows of two frame pairs, the first with every pixel kept
             rows, keep = residuals(fields(f0), fields(f1), traj)
             with pytest.raises(AllOccludedError, match=r"patch at \(10, 12\)"):

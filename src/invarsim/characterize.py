@@ -43,7 +43,6 @@ from .render import (
     SensorConfig,
     apply_sensor,
     compute_flow,
-    render_frame,
     render_ground_truth,
     render_setups,
 )
@@ -466,28 +465,22 @@ def rank_manifold_contexts(manifold: Manifold, by: str = "context") -> dict:
 # -- sweep engine -----------------------------------------------------------
 
 
-def _sun_basis(scene, rcfg, levels):
-    """One render pass that gives the scene's radiance at every level of a
-    sun ramp.
+def _sun_setups(scene, levels):
+    """The setups of one render pass that gives the scene's radiance at
+    every level of a sun ramp: its first directional light off, then on.
 
-    Radiance (surface, bounce and airlight alike) is affine in the intensity
-    of the first directional light, so with ``hdr0`` rendered with that
-    light off, the radiance at ``level`` times its intensity is
-    ``hdr0 + level * hdr_sun``.  The sun-off and sun-on setups share every
-    ray of one pass.  A scene without a directional light allows only
-    levels of 1, where ``hdr_sun`` is zero.
+    Radiance (surface, bounce and airlight alike) is affine in that light's
+    intensity, so with ``hdr0`` and ``hdr1`` the pass's images, the radiance
+    at ``level`` times its intensity is ``hdr0 + level * (hdr1 - hdr0)``.  A
+    scene without a directional light allows only levels of 1.
     """
-    lights = tuple(scene.lights)
-    dark = lights
-    for i, light in enumerate(lights):
-        if light.kind == "directional":
-            dark = lights[:i] + (dataclasses.replace(light, intensity=0.0),) + lights[i + 1:]
-            break
-    else:
-        if any(level != 1.0 for level in levels):
-            raise ConfigError("protocol requires a directional light in the scene")
-    hdr0, hdr1 = render_setups(scene, [(scene.medium, dark), (scene.medium, lights)], rcfg)
-    return hdr0, hdr1 - hdr0
+    lights = scene.lights
+    sun = next((i for i, l in enumerate(lights) if l.kind == "directional"), None)
+    if sun is None and any(level != 1.0 for level in levels):
+        raise ConfigError("protocol requires a directional light in the scene")
+    dark = lights if sun is None else (
+        lights[:sun] + (dataclasses.replace(lights[sun], intensity=0.0),) + lights[sun + 1:])
+    return (scene.medium, dark), (scene.medium, lights)
 
 
 def _ambient_only(scene):
@@ -503,13 +496,9 @@ def _without_dynamic_objects(scene):
 
 
 def _scale_velocities(scene, factor):
-    keys = []
-    for t, path, value in scene.dynamics.keyframes:
-        if path.endswith(".velocity"):
-            keys.append((t, path, tuple(c * factor for c in value)))
-        else:
-            keys.append((t, path, value))
-    return dataclasses.replace(scene, dynamics=DynamicsScript(tuple(keys)))
+    keys = tuple((t, path, tuple(c * factor for c in value) if path.endswith(".velocity")
+                  else value) for t, path, value in scene.dynamics.keyframes)
+    return dataclasses.replace(scene, dynamics=DynamicsScript(keys))
 
 
 def _ldr_float(hdr, protocol, *tags):
@@ -689,36 +678,33 @@ def _in_blocks(protocol, coords, cell, ref):
             _block_values(protocol, batches, ref, gathered))
 
 
-def _prepare_ramp(protocol):
-    """OC/BC/GC: the cell batches, reference and sun basis of a ramp.
-
-    Radiance is affine in the sun's intensity, so the lit geometry is
-    rendered with the sun off and at full strength, in one pass, and each
-    level's frame is the affine combination of the two before the sensor
-    stage.
-    The reference frame and the flow are the same at every level.
-    """
+def _plan_ramp(protocol, levels):
+    """OC/BC/GC: the renders of a ramp of sun ``levels`` (the ground truth
+    of frame 0 and of the other state, the reference frame, and the lit
+    state's ``_sun_setups``), and the build of its cell batches, reference
+    and sun basis.  The reference frame and the flow serve every level."""
     rcfg = protocol.render_config()
     base = sample_scene(protocol.scene_config(), protocol.scene_seed)
+    scene_t = apply_dynamics(base, 0)
     if protocol.model == "OC":
-        # reference: static subset of the scene under ambient light only
-        ref_scene = _ambient_only(_without_dynamic_objects(base))
-        lit = apply_dynamics(base, 0)
-        gt_t = render_ground_truth(lit, rcfg)
-        # contexts vs. the reference: occluded where the object ids differ
-        flow, occl = None, gt_t.object_id != render_ground_truth(ref_scene, rcfg).object_id
-        ref_img = _ldr_float(render_frame(ref_scene, rcfg), protocol, "ref")
+        # the reference: the static objects under ambient light only
+        ref = other = _ambient_only(_without_dynamic_objects(base))
+        lit, tag = scene_t, "ref"
     else:
-        scene_t = apply_dynamics(base, 0)
-        lit = apply_dynamics(base, 1)
-        gt_t = render_ground_truth(scene_t, rcfg)
-        flow, occl = compute_flow(gt_t, render_ground_truth(lit, rcfg), scene_t, lit)
-        ref_img = _ldr_float(render_frame(scene_t, rcfg), protocol, "frame_t")
-    patches = _collect_patches(protocol, gt_t, occl, flow)
-    hdr0, hdr_sun = _sun_basis(lit, rcfg, protocol.illumination_levels)
-    # gathered after the renders, so they do not add to the renders' peak memory
-    batches = _cell_batches(protocol, patches, flow, occl)
-    return batches, _reference(protocol, batches, ref_img), hdr0, hdr_sun
+        ref, other = scene_t, apply_dynamics(base, 1)
+        lit, tag = other, "frame_t"
+    requests = [(scene_t, rcfg), (other, rcfg), (ref, rcfg, ((ref.medium, ref.lights),)),
+                (lit, rcfg, _sun_setups(lit, levels))]
+
+    def build(gt_t, gt_other, ref_pass, sun_pass):
+        # OC's contexts vs. the reference: occluded where the object ids differ
+        flow, occl = ((None, gt_t.object_id != gt_other.object_id) if protocol.model == "OC"
+                      else compute_flow(gt_t, gt_other, scene_t, other))
+        batches = _cell_batches(protocol, _collect_patches(protocol, gt_t, occl, flow),
+                                flow, occl)
+        (hdr0, hdr1), ref_ldr = sun_pass, _ldr_float(ref_pass[0], protocol, tag)
+        return batches, _reference(protocol, batches, ref_ldr), hdr0, hdr1 - hdr0
+    return requests, build
 
 
 def _eval_levels(protocol, state, levels):
@@ -727,32 +713,32 @@ def _eval_levels(protocol, state, levels):
     batches, ref, hdr0, hdr_sun = state
 
     def cell(level):
-        cur = _ldr_float(hdr0 + level * hdr_sun, protocol,
-                         "level", float(level).hex())
+        cur = _ldr_float(hdr0 + level * hdr_sun, protocol, "level", float(level).hex())
         return batches, _gather(protocol, batches, ref, _features(protocol, cur))
     return _in_blocks(protocol, levels, cell, ref)
 
 
-def _prepare_scene(protocol):
-    """PS: the scene and its t = 0 ground truth, which every speed shares:
-    scaled velocities change only ``dynamics``, which ground truth ignores."""
+def _plan_speeds(protocol, speeds):
+    """PS: the ground truth of frames 0..3 with the velocities scaled by each
+    of ``speeds``, built into speed -> (its states, their ground truth).
+    Equal states render once: each speed's frame 0, speed 0.5's frame 2
+    and speed 1's frame 1."""
     base = sample_scene(protocol.scene_config(), protocol.scene_seed)
-    return base, render_ground_truth(apply_dynamics(base, 0), protocol.render_config())
-
-
-def _eval_speeds(protocol, state, speeds):
-    """PS: the cells of a run of speeds, each the flow smoothness with every
-    object velocity scaled by its speed.  A speed samples its patches from
-    its own ground truth, so each speed is a block of its own."""
-    base, gt0 = state
+    states = {s: [apply_dynamics(_scale_velocities(base, s), t) for t in range(4)]
+              for s in speeds}
     rcfg = protocol.render_config()
+    return [(state, rcfg) for s in speeds for state in states[s]], lambda *gts: {
+        s: (states[s], gts[4 * i : 4 * i + 4]) for i, s in enumerate(speeds)}
 
+
+def _eval_speeds(protocol, frames, speeds):
+    """PS: the cells of a run of speeds, each the flow smoothness of that
+    speed's frames (``_plan_speeds``).  A speed samples its patches from
+    its own ground truth, so each speed is a block of its own."""
     def cell(speed):
-        scaled = _scale_velocities(base, speed)
-        frames = [apply_dynamics(scaled, t) for t in range(4)]
-        gts = [gt0] + [render_ground_truth(f, rcfg) for f in frames[1:]]
+        states, gts = frames[speed]
         (flow_prev, _), (flow, occl), (flow_next, _) = [
-            compute_flow(gts[t], gts[t + 1], frames[t], frames[t + 1]) for t in range(3)]
+            compute_flow(gts[t], gts[t + 1], states[t], states[t + 1]) for t in range(3)]
         batches = _cell_batches(protocol, _collect_patches(protocol, gts[1], occl, flow, speed))
         energy = smoothness_energy(flow_prev, flow, flow_next)
         return batches, _gather(protocol, batches, None, (energy,))
@@ -760,9 +746,9 @@ def _eval_speeds(protocol, state, speeds):
         yield from _in_blocks(protocol, [speed], cell, None)
 
 
-def _prepare_weather(protocol):
-    """DS: every (weather tag, density) setup rendered in one Monte Carlo
-    pass, as tag -> its density ramp's images.
+def _plan_weather(protocol, tags):
+    """DS: one Monte Carlo pass over every (weather tag, density) setup of
+    ``tags``, built into tag -> its density ramp's images.
 
     A tag outside ``sunny_tags`` sees the scene under its ambient light
     only: its direct sources keep their placement at intensity 0, where
@@ -770,27 +756,25 @@ def _prepare_weather(protocol):
     pass's rays and each image has the bits of rendering that tag alone.
     """
     base = sample_scene(protocol.scene_config(), protocol.scene_seed)
-    tags, sunny = protocol.weather_tags, protocol.sunny_tags
+    sunny = protocol.sunny_tags
     if any(tag not in sunny for tag in tags):
         _ambient_only(base)  # raises when there is no ambient light to see by
     off = tuple(l if l.kind == "ambient" else dataclasses.replace(l, intensity=0.0)
                 for l in base.lights)
-    setups = [(WEATHER_PRESETS[tag].scaled(density), base.lights if tag in sunny else off)
-              for tag in tags for density in protocol.density_scales]
-    images = render_setups(base, setups, protocol.render_config())
+    setups = tuple((WEATHER_PRESETS[tag].scaled(density), base.lights if tag in sunny else off)
+                   for tag in tags for density in protocol.density_scales)
     k = len(protocol.density_scales)
-    return {tag: images[i * k : (i + 1) * k] for i, tag in enumerate(tags)}
+    return [(base, protocol.render_config(), setups)], lambda images: {
+        tag: images[i * k : (i + 1) * k] for i, tag in enumerate(tags)}
 
 
 def _eval_weather(protocol, images, tags):
     """DS: the cells of a run of tags, each the dichromatic plane fit over
     the tag's density ramp, as the sensor sees it."""
     for tag in tags:
-        observations = []
-        for density, hdr in zip(protocol.density_scales, images[tag]):
-            img = _ldr_float(hdr, protocol, "weather", tag, float(density).hex())
-            observations.append(img.reshape(-1, 3))
-        samples = np.stack(observations, axis=1)  # (P, k, 3)
+        samples = np.stack([  # (P, k, 3)
+            _ldr_float(hdr, protocol, "weather", tag, float(density).hex()).reshape(-1, 3)
+            for density, hdr in zip(protocol.density_scales, images[tag])], axis=1)
         res = ds_angular_error(samples, protocol.ds_angle_threshold_deg)
         yield ([res.mean_deg], [res.std_deg], [res.n_pixels]), {
             "weather": tag, **dataclasses.asdict(res)}
@@ -823,7 +807,6 @@ class CellCache:
 
     def __init__(self, directory, protocol):
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
         key = f"{source_fingerprint()}\x1f{protocol.content_hash()}"
         self.prefix = hashlib.sha256(key.encode()).hexdigest()[:16]
 
@@ -842,34 +825,60 @@ class CellCache:
         path = self._path(coord)
         (mean, std, n), extra = result
         doc = {"mean": mean, "std": std, "n": n, "extra": extra}
+        self.dir.mkdir(parents=True, exist_ok=True)  # a sweep that fails first makes none
         # readers see the old file or the whole new one, never a part
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
 
 
-def _sweep_cells(coords, prepare, evaluate, cache, progress):
+def _render_key(request):
+    """What a render reads: the scene's objects, materials, lights and camera,
+    and the rest of the request; not the dynamics, nor the medium, which
+    ground truth does not read and a pass takes from its setups."""
+    scene, *rest = request
+    return (scene.objects, tuple(scene.materials.items()), scene.lights, scene.camera, *rest)
+
+
+def _execute(requests, build):
+    """``build(*products)`` of the render requests, in order: the ground
+    truth of ``(scene, cfg)``, the read-only images of the pass ``(scene,
+    cfg, setups)``.  Equal requests (``_render_key``) render once."""
+    products, keys = {}, [_render_key(request) for request in requests]
+    for key, (scene, cfg, *setups) in zip(keys, requests):
+        if key in products:
+            continue
+        if setups:
+            products[key] = tuple(render_setups(scene, *setups, cfg))
+            for image in products[key]:
+                image.flags.writeable = False
+        else:
+            products[key] = render_ground_truth(scene, cfg)
+    return build(*map(products.get, keys))
+
+
+def _sweep_cells(coords, plan, evaluate, cache, progress):
     """Every coordinate's ``((mean, std, n), extra)``, in order, through
     the cache.
 
-    ``prepare()`` builds the state every cell shares (renders, ground truth,
-    patches); it runs only when some cell misses the cache, so resuming a
-    finished sweep renders nothing.  ``evaluate(state, missing)`` yields one
-    result per coordinate that missed, in order, on the calling thread.  An
-    evaluator may measure several cells before it yields them (OC, BC, GC
-    and PS measure a block of cells at a time, ``_in_blocks``).  Each result is
-    stored as it comes and ``progress(done, missing)`` is called, so an
-    interrupted sweep loses at most the block it was measuring, and a failure
-    propagates as raised, with every cell yielded before it stored.  Returns
-    the results and the state (None when every cell came from the cache).
+    ``plan(missing)`` gives the renders and the build of the state the
+    cells that miss share (``_execute``), so resuming a finished sweep plans
+    and renders nothing.  ``evaluate(state, missing)`` yields their results
+    in order, on the calling thread, perhaps a block of cells at a time
+    (``_in_blocks``).  Each result is stored as it comes and
+    ``progress(done, missing)`` is called, so an interrupted sweep loses at
+    most the block it was measuring, and a failure propagates as raised,
+    with every cell yielded before it stored.  Returns the results and the
+    state (None when every cell came from the cache).
     """
     coords = list(coords)
     results = [cache.load(c) if cache is not None else None for c in coords]
     missing = [i for i, r in enumerate(results) if r is None]
     if not missing:
         return results, None
-    state = prepare()
-    outs = evaluate(state, [coords[i] for i in missing])
+    run = [coords[i] for i in missing]
+    state = _execute(*plan(run))
+    outs = evaluate(state, run)
     for done, (i, out) in enumerate(zip(missing, outs), 1):
         if cache is not None:
             cache.store(coords[i], out)
@@ -1085,38 +1094,29 @@ def _eval_frames(protocol, state, indices):
 
 @dataclass(frozen=True)
 class _SweepSpec:
-    """How one model sweeps: the theta_w axis and its coordinates, the state
-    every cell shares, the ``((mean, std, n), extra)`` of each cell of a
-    run, and the Monte Carlo render passes of a fresh sweep.  A cell's
-    statistics are lists over its rows: one per ``_cell_keys`` (context,
-    side), or with no theta_v axis (DS) one row, context "All"."""
+    """How one model sweeps: the theta_w axis and its coordinates, the plan
+    of a run of cells, and the ``((mean, std, n), extra)`` of each.  A
+    cell's statistics are lists over its rows: one per ``_cell_keys``
+    (context, side), or with no theta_v axis (DS) one row, context "All"."""
 
     axis: str
     coords: object  # protocol -> coordinates along ``axis``
-    prepare: object  # protocol -> shared state
+    plan: object  # (protocol, coords) -> (render requests, build of the shared state)
     evaluate: object  # (protocol, state, coords) -> one ((mean, std, n), extra) per coord
-    passes: int
     theta_v_axes: tuple = ("s",)
 
 
-# the reference frame; the sun off and on, in one pass
-_RAMP_SPEC = _SweepSpec("illumination", lambda p: p.illumination_levels,
-                        _prepare_ramp, _eval_levels, passes=2)
-
 _SWEEP_SPECS = {
-    "OC": _RAMP_SPEC,
-    "BC": _RAMP_SPEC,
-    "GC": _RAMP_SPEC,
-    # ground truth and flow only: no Monte Carlo pass
-    "PS": _SweepSpec("speed", lambda p: p.speed_scales, _prepare_scene,
-                     _eval_speeds, passes=0),
-    # all tags and densities in one pass
-    "DS": _SweepSpec("weather", lambda p: p.weather_tags, _prepare_weather,
-                     _eval_weather, passes=1, theta_v_axes=()),
+    **dict.fromkeys(("OC", "BC", "GC"), _SweepSpec(
+        "illumination", lambda p: p.illumination_levels, _plan_ramp, _eval_levels)),
+    "PS": _SweepSpec("speed", lambda p: p.speed_scales, _plan_speeds, _eval_speeds),
+    "DS": _SweepSpec("weather", lambda p: p.weather_tags, _plan_weather, _eval_weather,
+                     theta_v_axes=()),
 }
 
-_INGEST_SPEC = _SweepSpec("frame", _ingest_frames, _prepare_ingest, _eval_frames,
-                          passes=0)
+# ingested frames are read, not rendered
+_INGEST_SPEC = _SweepSpec("frame", _ingest_frames,
+                          lambda p, _: ((), functools.partial(_prepare_ingest, p)), _eval_frames)
 
 
 def _sweep_spec(protocol):
@@ -1129,12 +1129,14 @@ def _sweep_spec(protocol):
 
 
 def sweep_size(protocol: ProtocolConfig) -> tuple:
-    """(cells, Monte Carlo render passes) of a fresh sweep."""
+    """(cells, distinct Monte Carlo render passes) of a fresh sweep's plan,
+    which samples the scene, so it raises what the sweep's renders would."""
     spec = _sweep_spec(protocol)
-    n_w = len(spec.coords(protocol))
+    coords = spec.coords(protocol)
+    requests, _ = spec.plan(protocol, coords)
     per_coord = (len(protocol.patch_sizes) * len(protocol.contexts)
                  if spec.theta_v_axes else 1)
-    return n_w * per_coord, spec.passes
+    return len(coords) * per_coord, len({_render_key(r) for r in requests if len(r) == 3})
 
 
 def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifold:
@@ -1142,12 +1144,10 @@ def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifo
 
     Grid cells are independent: they may be evaluated in any order, or
     alone, and always produce the same bytes.  The cells that miss the cache
-    are evaluated in order on the calling thread.  OC, BC and GC measure
-    them in blocks of consecutive cells, as many as fit their gathered patch
-    values in ``_BLOCK_VALUES``, and PS a speed per block: one kernel call
-    per patch side and one statistics pass per block.  ``progress(done,
-    total)`` is called once per cell evaluated, in order.  Empty-context
-    cells are recorded as gaps; render failures abort.
+    share one plan of renders (``_execute``) and are measured in order on
+    the calling thread, a block of cells at a time (``_in_blocks``).
+    ``progress(done, total)`` is called once per cell evaluated, in order.
+    Empty-context cells are recorded as gaps; render failures abort.
     """
     spec = _sweep_spec(protocol)
     # the bytes of ingested frames are not in the protocol hash, so a cached
@@ -1156,7 +1156,7 @@ def run_sweep(protocol: ProtocolConfig, progress=None, cache_dir=None) -> Manifo
              if cache_dir and protocol.source == "simulate" else None)
     coords = spec.coords(protocol)
     results, state = _sweep_cells(
-        coords, functools.partial(spec.prepare, protocol),
+        coords, functools.partial(spec.plan, protocol),
         functools.partial(spec.evaluate, protocol), cache, progress)
     mean, std, n = (np.concatenate(stat) for stat in zip(*(stats for stats, _ in results)))
     extras = [extra for _, extra in results]

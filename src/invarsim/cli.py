@@ -259,7 +259,10 @@ def cmd_sweep(args):
     manifest.doc["source_sha256"] = source_fingerprint()  # part of every cell's name
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "manifold.csv"
-    csv_path.write_text(manifold.to_csv())
+    csv_text = manifold.to_csv()
+    csv_path.write_text(csv_text)
+    # the CSV has no aux column: report takes the aux of the CSV named here
+    manifest.doc.update(aux=manifold.aux, manifold_sha256=_sha256(csv_text.encode()))
     manifest.stage("sweep", [csv_path])
     report_path, mpath = _write_report(manifold, out_dir, manifest)
     _emit(args, {"manifold": str(csv_path), "report": str(report_path),
@@ -356,11 +359,25 @@ def cmd_compare(args):
 # -- report -------------------------------------------------------------------
 
 
+def _sweep_aux(csv_path, digest):
+    """The aux that the sweep manifest.json beside ``csv_path`` records when
+    it names ``digest``, the sha256 of that CSV; else {}."""
+    try:
+        doc = json.loads((Path(csv_path).parent / "manifest.json").read_text())
+        if doc["command"] == "sweep" and doc["manifold_sha256"] == digest:
+            return doc["aux"]
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # no sweep manifest, or not this CSV's
+    return {}
+
+
 def cmd_report(args):
     manifold = _read_manifold(args.manifold)
+    digest = _sha256(Path(args.manifold).read_bytes())
+    manifold.aux = _sweep_aux(args.manifold, digest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("report", _sha256(Path(args.manifold).read_bytes()), {})
+    manifest = Manifest("report", digest, {})
     marginals = {axis: marginalize(manifold, axis) for axis in manifold.coords}
     report_path, mpath = _write_report(manifold, out_dir, manifest, marginals=marginals)
     _emit(args, {"report": str(report_path), "manifest": str(mpath)})

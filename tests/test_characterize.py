@@ -31,7 +31,7 @@ import invarsim.cli as cli
 import invarsim.render as render
 from invarsim.errors import ConfigError, IngestError, LabelMismatchError
 from invarsim.render import RenderConfig, render_frame, render_ground_truth, render_setups
-from invarsim.scene import WEATHER_PRESETS
+from invarsim.scene import WEATHER_PRESETS, DynamicsScript
 from invarsim.scenegen import default_lights_doc, sample_scene, validation_scene_config
 from oracles import Row, loop_heatmap_svg, manifold_of, rows_of
 
@@ -550,7 +550,8 @@ class TestSweep:
         assert output_digests(manifold, tmp_path, capsys) == STOCK_OUTPUT_SHA256[model]
 
     def test_stock_ps_renders_its_t0_ground_truth_once(self, monkeypatch):
-        # four speeds render t = 1..3 each and share t = 0: 13 ground truths
+        # equal states render once: the four speeds share t = 0, and speed
+        # 0.5 at t = 2 is speed 1 at t = 1, and so on: 9 ground truths, not 16
         calls = []
 
         def counted(*args, _fn=characterize.render_ground_truth):
@@ -558,9 +559,47 @@ class TestSweep:
             return _fn(*args)
         monkeypatch.setattr(characterize, "render_ground_truth", counted)
         manifold = run_sweep(default_protocol("PS"))
-        assert len(calls) == 13
+        assert len(calls) == 9
         digest = hashlib.sha256(manifold.to_csv().encode()).hexdigest()
         assert digest == STOCK_MANIFOLD_SHA256["PS"]
+
+    def test_equal_render_requests_render_once_and_passes_are_read_only(self, monkeypatch):
+        # a state that differs only in its medium and dynamics, which ground
+        # truth does not read and a pass takes from its setups
+        calls = []
+
+        def counted(*args, _fn=characterize.render_ground_truth):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(characterize, "render_ground_truth", counted)
+        p = tiny_oc_protocol(render={"width": 16, "height": 12, "spp": 1, "max_bounces": 0})
+        base, rcfg = sample_scene(p.scene_config(), p.scene_seed), p.render_config()
+        other = dataclasses.replace(base, medium=WEATHER_PRESETS["Fog"], dynamics=DynamicsScript(
+            ((0, "objects.5.velocity", (1.0, 0.0, 0.0)),)))
+        setups = ((WEATHER_PRESETS["Mist"], base.lights),)
+        gt, gt_again, images, images_again = characterize._execute(
+            [(base, rcfg), (other, rcfg), (base, rcfg, setups), (other, rcfg, setups)],
+            lambda *products: products)
+        assert len(calls) == 1 and gt is gt_again and images is images_again
+        (image,) = images
+        assert not image.flags.writeable
+        with pytest.raises(ValueError):
+            image[0, 0, 0] = 1.0
+
+    def test_ds_resume_renders_only_its_missing_tags(self, tmp_path, monkeypatch):
+        # a tag's images in one pass equal those of rendering it alone, so a
+        # resume missing one tag's cell renders that tag's 5 setups, not 25
+        p = default_protocol("DS")
+        fresh = run_sweep(p, cache_dir=tmp_path).to_csv()
+        characterize.CellCache(tmp_path, p)._path("Rain").unlink()
+        passes = []
+
+        def counted(scene, setups, cfg, _fn=characterize.render_setups):
+            passes.append(len(setups))
+            return _fn(scene, setups, cfg)
+        monkeypatch.setattr(characterize, "render_setups", counted)
+        assert run_sweep(p, cache_dir=tmp_path).to_csv() == fresh
+        assert passes == [5]
 
     def test_each_ps_speed_keeps_its_own_gaps(self):
         # a speed samples its patches from its own ground truth: at speed 0
@@ -624,7 +663,7 @@ class TestSweep:
             return _fn(protocol, gt, occlusion, flow, *seed_parts)
         monkeypatch.setattr(characterize, "_collect_patches", collect)
         p = tiny_oc_protocol()
-        characterize._prepare_ramp(p)
+        characterize._execute(*characterize._plan_ramp(p, p.illumination_levels))
         ((gt, occlusion, flow),) = seen
         base = sample_scene(p.scene_config(), p.scene_seed)
         ref = render_ground_truth(characterize._ambient_only(
@@ -915,7 +954,8 @@ class TestSweep:
                     raise ValueError(i)
                 yield i
         with pytest.raises(ValueError, match="^2$"):
-            characterize._sweep_cells(range(8), lambda: None, cells, None, None)
+            characterize._sweep_cells(range(8), lambda run: ((), lambda: None), cells,
+                                      None, None)
 
     class DictCache:
         """A ``CellCache`` stand-in that keeps its cells in a dict."""
@@ -939,20 +979,20 @@ class TestSweep:
                 yield c * 10
         cache, calls = self.DictCache(), []
         with pytest.raises(ValueError, match="^3$"):
-            characterize._sweep_cells(range(8), lambda: None, cells, cache,
-                                      lambda *a: calls.append(a))
+            characterize._sweep_cells(range(8), lambda run: ((), lambda: None), cells,
+                                      cache, lambda *a: calls.append(a))
         assert cache.stored == [0, 1, 2]
         assert cache.cells == {0: 0, 1: 10, 2: 20}
         assert calls == [(1, 8), (2, 8), (3, 8)]
 
     def test_missing_cells_are_evaluated_as_one_run_in_order(self):
-        # cached cells are loaded, not evaluated; the rest go to one
-        # evaluate call, after one prepare
-        prepared, runs, calls = [], [], []
+        # cached cells are loaded, not evaluated; the rest go to one plan
+        # and one evaluate call
+        planned, runs, calls = [], [], []
 
-        def prepare():
-            prepared.append(None)
-            return "state"
+        def plan(run):
+            planned.append(list(run))
+            return (), lambda: "state"
 
         def cells(state, run):
             runs.append((state, list(run)))
@@ -960,9 +1000,9 @@ class TestSweep:
                 yield c * 10
         cache = self.DictCache({c: -c for c in range(0, 300, 2)})
         results, state = characterize._sweep_cells(
-            range(300), prepare, cells, cache, lambda *a: calls.append(a))
+            range(300), plan, cells, cache, lambda *a: calls.append(a))
         odd = list(range(1, 300, 2))
-        assert prepared == [None] and state == "state"
+        assert planned == [odd] and state == "state"
         assert runs == [("state", odd)]
         assert results == [c * 10 if c % 2 else -c for c in range(300)]
         assert cache.stored == odd
@@ -1171,8 +1211,7 @@ class TestSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a resumed finished sweep must not render")
 
-        for name in ("render_frame", "render_setups",
-                     "render_ground_truth", "compute_flow", "sample_scene",
+        for name in ("render_setups", "render_ground_truth", "compute_flow", "sample_scene",
                      "classify_contexts"):
             monkeypatch.setattr(characterize, name, forbidden)
         for m, p in protocols.items():
@@ -1199,7 +1238,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("model,t", [("OC", 0), ("BC", 1)])
     def test_sun_ramp_two_passes_equal_full_renders(self, model, t):
-        from invarsim.characterize import _sun_basis
+        from invarsim.characterize import _sun_setups
         from invarsim.render import apply_sensor, render_frame
         from invarsim.scenegen import SceneConfig, apply_dynamics, sample_scene
 
@@ -1207,7 +1246,8 @@ class TestSweep:
         rcfg = p.render_config()
         lit = apply_dynamics(sample_scene(SceneConfig.from_dict(p.scene), p.scene_seed), t)
         levels = [p.illumination_levels[i] for i in (0, 9, 19, 29, 39)]
-        hdr0, hdr_sun = _sun_basis(lit, rcfg, levels)
+        hdr0, hdr1 = render_setups(lit, _sun_setups(lit, levels), rcfg)
+        hdr_sun = hdr1 - hdr0
         sun = next(i for i, l in enumerate(lit.lights) if l.kind == "directional")
         for level in levels:
             lights = list(lit.lights)
@@ -1257,7 +1297,7 @@ class TestSweep:
             default_protocol("DS").to_dict(), scene=scene_doc,
             render={"width": 24, "height": 18, "spp": 3, "max_bounces": 1}))
         assert set(p.weather_tags) - set(p.sunny_tags)
-        images = characterize._prepare_weather(p)
+        images = characterize._execute(*characterize._plan_weather(p, p.weather_tags))
         base = sample_scene(p.scene_config(), p.scene_seed)
         assert any(l.kind == "spot" for l in base.lights)
         for tag in p.weather_tags:
@@ -1904,7 +1944,7 @@ class TestBlocks:
         levels = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
         p = tiny_oc_protocol(theta_w={"illumination_levels": levels})
         fresh = run_sweep(p).to_csv()
-        batches = characterize._prepare_ramp(p)[0]
+        batches = characterize._execute(*characterize._plan_ramp(p, levels))[0]
         per_cell = sum(pixels[0].size for *_, pixels in batches)
         monkeypatch.setattr(characterize, "_BLOCK_VALUES", 3 * per_cell)
 

@@ -17,7 +17,7 @@ from invarsim.cli import main
 from invarsim.geometry import PrimitiveSoup
 from invarsim.imgio import read_flo, read_pfm, read_ppm
 from invarsim.scene import SceneGraph
-from invarsim.scenegen import apply_dynamics, validation_scene_config
+from invarsim.scenegen import apply_dynamics, default_lights_doc, validation_scene_config
 import oracles
 
 
@@ -435,9 +435,20 @@ class TestSweep:
             assert (report / name).read_bytes() == (sweep / name).read_bytes()
         doc, swept = (json.loads((d / "report.json").read_text()) for d in (report, sweep))
         assert set(doc.pop("marginals")) == {"illumination", "s"}
-        assert doc.pop("aux") == {}  # manifold.csv does not carry the sweep's aux
-        swept.pop("aux")
+        # manifold.csv has no aux column: report reads the sweep's manifest.json
+        assert "degenerate_skipped" in swept["aux"]
         assert doc == swept
+
+    def test_report_of_a_csv_edited_after_its_sweep_has_no_aux(self, tmp_path):
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(tiny_protocol_doc()))
+        sweep, report = tmp_path / "sweep", tmp_path / "report"
+        assert main(["sweep", str(ppath), "--out-dir", str(sweep)]) == 0
+        csv = sweep / "manifold.csv"
+        csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["report", str(csv), "--out-dir", str(report)]) == 0
+        assert json.loads((report / "report.json").read_text())["aux"] == {}
+        assert json.loads((sweep / "report.json").read_text())["aux"] != {}
 
     def test_dry_run_prints_counts_renders_nothing(self, tmp_path, capsys):
         ppath = tmp_path / "protocol.json"
@@ -448,6 +459,28 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cells": 4, "renders": 2}
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("model,lights,theta_w,message", [
+        # OC's reference sees the scene under its ambient light only
+        ("OC", ["directional"], {"illumination_levels": [1.0]}, "ambient light"),
+        # a sun ramp needs a sun, unless every level is 1
+        ("BC", ["ambient"], {"illumination_levels": [1.0, 2.0]}, "directional light"),
+        # a tag outside sunny_tags sees the scene under its ambient light only
+        ("DS", ["directional"], {"weather_tags": ["Fog"], "density_scales": [0.3, 0.6, 1.0]},
+         "ambient light"),
+    ], ids=["OC", "BC", "DS"])
+    def test_dry_run_raises_what_the_sweep_would(self, tmp_path, capsys, model, lights,
+                                                  theta_w, message):
+        doc = dict(tiny_protocol_doc(), model=model, theta_w=theta_w)
+        doc["scene"]["lights"] = [light for light in default_lights_doc()
+                                  if light["kind"] in lights]
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sweep"
+        for dry_run in ([], ["--dry-run"]):
+            assert main(["sweep", str(ppath), "--out-dir", str(out_dir), *dry_run]) == 2
+            assert message in capsys.readouterr().err
+            assert not out_dir.exists()  # not even the cell cache's directory
 
     @pytest.mark.parametrize("model,cells,renders", [
         ("OC", 40 * 3 * 8, 2),  # reference; sun off and on in one pass; not 40 + 1
